@@ -9,10 +9,22 @@ use crate::sha256::{Sha256, BLOCK_LEN, DIGEST_LEN};
 pub const MAC_LEN: usize = DIGEST_LEN;
 
 /// Incremental HMAC-SHA-256.
-#[derive(Debug, Clone)]
+///
+/// Holds the SHA-256 states after absorbing the ipad and the opad block, so
+/// a keyed context is cloned instead of re-derived: a holder that MACs many
+/// short messages under one key (the AEAD tag) pays the two key-block
+/// compressions once.
+#[derive(Clone)]
 pub struct HmacSha256 {
     inner: Sha256,
-    outer_key: [u8; BLOCK_LEN],
+    outer: Sha256,
+}
+
+impl std::fmt::Debug for HmacSha256 {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        // Both states are functions of the key alone: never print them.
+        write!(f, "HmacSha256(..)")
+    }
 }
 
 impl HmacSha256 {
@@ -33,10 +45,9 @@ impl HmacSha256 {
         }
         let mut inner = Sha256::new();
         inner.update(&ipad);
-        HmacSha256 {
-            inner,
-            outer_key: opad,
-        }
+        let mut outer = Sha256::new();
+        outer.update(&opad);
+        HmacSha256 { inner, outer }
     }
 
     /// Absorbs message data.
@@ -47,8 +58,7 @@ impl HmacSha256 {
     /// Finishes and returns the 32-byte tag.
     pub fn finalize(self) -> [u8; MAC_LEN] {
         let inner_digest = self.inner.finalize();
-        let mut outer = Sha256::new();
-        outer.update(&self.outer_key);
+        let mut outer = self.outer;
         outer.update(&inner_digest);
         outer.finalize()
     }
@@ -158,6 +168,16 @@ mod tests {
         assert!(!constant_time_eq(b"same", b"sama"));
         assert!(!constant_time_eq(b"short", b"longer"));
         assert!(constant_time_eq(b"", b""));
+    }
+
+    #[test]
+    fn debug_does_not_leak_key_material() {
+        // The derived `Debug` printed the opad block — the key XOR 0x5c,
+        // 0x41 ^ 0x5c = 29 — byte by byte.
+        let h = HmacSha256::new(&[0x41u8; 32]);
+        let s = format!("{h:?}");
+        assert!(!s.contains("29") && !s.contains("65"), "{s}");
+        assert!(s.contains("HmacSha256"));
     }
 
     #[test]

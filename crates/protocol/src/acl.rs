@@ -5,10 +5,18 @@
 //! server determines the user's access rights".  The reproduction models this
 //! with HMAC-based bearer tokens derived from a server secret and a per-user
 //! group membership table.
+//!
+//! Everything a request needs is kept current by the calls that change it:
+//! a user's expected token is computed when her entry is written and her
+//! membership is stored ascending and deduplicated behind an `Arc`, so
+//! [`AccessControl::authenticate`] is a map lookup, a constant-time compare
+//! and a reference-count bump — no HMAC, no allocation, no sort.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
+use std::sync::Arc;
 
 use zerber_corpus::GroupId;
+use zerber_crypto::hmac::constant_time_eq;
 use zerber_crypto::HmacSha256;
 
 use crate::error::ProtocolError;
@@ -17,11 +25,34 @@ use crate::error::ProtocolError;
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct AuthToken(pub [u8; 32]);
 
+/// What an unknown user's token is compared against, so a wrong name and a
+/// wrong token cost the same compare.  No legitimate token is matched by
+/// it: the comparison's result is ignored for an unknown user.
+const NO_SUCH_USER: AuthToken = AuthToken([0u8; 32]);
+
+/// One registered user: the token she must present and the groups it
+/// unlocks.
+#[derive(Clone)]
+struct UserEntry {
+    token: AuthToken,
+    /// Strictly ascending (sorted, deduplicated) — the order the storage
+    /// engine's group filter wants, established here once per membership
+    /// change instead of once per request.
+    groups: Arc<[GroupId]>,
+}
+
 /// Server-side user directory: who exists and which groups they belong to.
-#[derive(Debug, Clone, Default)]
+#[derive(Clone, Default)]
 pub struct AccessControl {
     server_secret: Vec<u8>,
-    memberships: HashMap<String, HashSet<GroupId>>,
+    users: HashMap<String, UserEntry>,
+}
+
+impl std::fmt::Debug for AccessControl {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        // Never print the server secret or any user's bearer token.
+        write!(f, "AccessControl(users={}, ..)", self.users.len())
+    }
 }
 
 impl AccessControl {
@@ -29,34 +60,48 @@ impl AccessControl {
     pub fn new(server_secret: &[u8]) -> Self {
         AccessControl {
             server_secret: server_secret.to_vec(),
-            memberships: HashMap::new(),
+            users: HashMap::new(),
         }
     }
 
     /// Registers a user with her groups (replaces previous memberships).
     pub fn register_user(&mut self, user: &str, groups: &[GroupId]) {
-        self.memberships
-            .insert(user.to_string(), groups.iter().copied().collect());
+        let mut groups = groups.to_vec();
+        groups.sort_unstable();
+        groups.dedup();
+        let entry = UserEntry {
+            token: self.issue_token(user),
+            groups: groups.into(),
+        };
+        self.users.insert(user.to_string(), entry);
     }
 
     /// Adds a user to an additional group.
     pub fn grant(&mut self, user: &str, group: GroupId) {
-        self.memberships
-            .entry(user.to_string())
-            .or_default()
-            .insert(group);
+        let mut groups = self
+            .users
+            .get(user)
+            .map_or_else(Vec::new, |entry| entry.groups.to_vec());
+        groups.push(group);
+        self.register_user(user, &groups);
     }
 
     /// Removes a user from a group.
     pub fn revoke(&mut self, user: &str, group: GroupId) {
-        if let Some(set) = self.memberships.get_mut(user) {
-            set.remove(&group);
+        if let Some(entry) = self.users.get_mut(user) {
+            // Dropping one group keeps the rest ascending.
+            entry.groups = entry
+                .groups
+                .iter()
+                .copied()
+                .filter(|g| *g != group)
+                .collect();
         }
     }
 
     /// Number of registered users.
     pub fn num_users(&self) -> usize {
-        self.memberships.len()
+        self.users.len()
     }
 
     /// The token a legitimate user obtains out of band (e.g. from the
@@ -65,23 +110,21 @@ impl AccessControl {
         AuthToken(HmacSha256::mac(&self.server_secret, user.as_bytes()))
     }
 
-    /// Verifies the token and returns the user's groups.
+    /// Verifies the token and returns the user's groups, ascending and
+    /// deduplicated.  The compare is constant-time, and an unknown user
+    /// pays the same compare as a known one with a wrong token.
     pub fn authenticate(
         &self,
         user: &str,
         token: &AuthToken,
-    ) -> Result<Vec<GroupId>, ProtocolError> {
-        let expected = self.issue_token(user);
-        if expected != *token {
-            return Err(ProtocolError::AuthenticationFailed(user.to_string()));
+    ) -> Result<Arc<[GroupId]>, ProtocolError> {
+        let entry = self.users.get(user);
+        let expected = entry.map_or(&NO_SUCH_USER, |e| &e.token);
+        let presented = constant_time_eq(&expected.0, &token.0);
+        match entry {
+            Some(entry) if presented => Ok(Arc::clone(&entry.groups)),
+            _ => Err(ProtocolError::AuthenticationFailed(user.to_string())),
         }
-        let groups = self
-            .memberships
-            .get(user)
-            .ok_or_else(|| ProtocolError::AuthenticationFailed(user.to_string()))?;
-        let mut out: Vec<GroupId> = groups.iter().copied().collect();
-        out.sort();
-        Ok(out)
     }
 
     /// Checks that a user may access a specific group.
@@ -92,7 +135,7 @@ impl AccessControl {
         group: GroupId,
     ) -> Result<(), ProtocolError> {
         let groups = self.authenticate(user, token)?;
-        if groups.contains(&group) {
+        if groups.binary_search(&group).is_ok() {
             Ok(())
         } else {
             Err(ProtocolError::AccessDenied {
@@ -119,7 +162,7 @@ mod tests {
         let acl = acl();
         let token = acl.issue_token("john");
         let groups = acl.authenticate("john", &token).unwrap();
-        assert_eq!(groups, vec![GroupId(0), GroupId(2)]);
+        assert_eq!(*groups, [GroupId(0), GroupId(2)]);
         assert_eq!(acl.num_users(), 2);
     }
 
@@ -165,6 +208,67 @@ mod tests {
         assert!(acl.check_member("alice", &token, GroupId(3)).is_ok());
         acl.revoke("alice", GroupId(3));
         assert!(acl.check_member("alice", &token, GroupId(3)).is_err());
+    }
+
+    #[test]
+    fn membership_changes_are_seen_by_the_very_next_authenticate() {
+        let mut acl = acl();
+        let token = acl.issue_token("alice");
+        let groups = |acl: &AccessControl| acl.authenticate("alice", &token).unwrap().to_vec();
+        assert_eq!(groups(&acl), [GroupId(1)]);
+        acl.grant("alice", GroupId(0));
+        assert_eq!(groups(&acl), [GroupId(0), GroupId(1)]);
+        // Granting a group twice keeps the membership deduplicated.
+        acl.grant("alice", GroupId(0));
+        assert_eq!(groups(&acl), [GroupId(0), GroupId(1)]);
+        acl.revoke("alice", GroupId(1));
+        assert_eq!(groups(&acl), [GroupId(0)]);
+        // Revoking a group she is not in changes nothing.
+        acl.revoke("alice", GroupId(9));
+        assert_eq!(groups(&acl), [GroupId(0)]);
+        // A re-registration replaces the membership, whatever order and
+        // multiplicity the caller lists it in; the token stays valid.
+        acl.register_user(
+            "alice",
+            &[
+                GroupId(7),
+                GroupId(u32::MAX),
+                GroupId(2),
+                GroupId(7),
+                GroupId(2),
+            ],
+        );
+        assert_eq!(groups(&acl), [GroupId(2), GroupId(7), GroupId(u32::MAX)]);
+        acl.register_user("alice", &[]);
+        assert!(groups(&acl).is_empty());
+        // A grant to a name the directory has not seen registers it.
+        let carol = acl.issue_token("carol");
+        assert!(acl.authenticate("carol", &carol).is_err());
+        acl.grant("carol", GroupId(4));
+        assert_eq!(*acl.authenticate("carol", &carol).unwrap(), [GroupId(4)]);
+        assert_eq!(acl.num_users(), 3);
+    }
+
+    #[test]
+    fn the_dummy_token_authenticates_nobody() {
+        let acl = acl();
+        // What an unknown user is compared against must not let her in...
+        assert!(acl.authenticate("mallory", &NO_SUCH_USER).is_err());
+        // ...and is not a known user's token either.
+        assert!(acl.authenticate("john", &NO_SUCH_USER).is_err());
+    }
+
+    #[test]
+    fn debug_does_not_leak_key_material() {
+        // The derived `Debug` printed the secret byte by byte ("65, 65, ..")
+        // and would now print every user's bearer token next to it.
+        let mut acl = AccessControl::new(&[0x41; 4]);
+        acl.register_user("john", &[GroupId(0)]);
+        let s = format!("{acl:?}");
+        assert!(s.contains("AccessControl"));
+        assert!(!s.contains("65"), "{s}");
+        let token = acl.issue_token("john");
+        assert!(!s.contains(&format!("{:?}", token.0)), "{s}");
     }
 
     #[test]

@@ -58,16 +58,20 @@ pub struct WireElement {
     pub ciphertext: Vec<u8>,
 }
 
-impl WireElement {
-    /// Builds the wire representation of an index element.
-    pub fn from_element(e: &OrderedElement) -> Self {
+impl From<OrderedElement> for WireElement {
+    /// The wire representation of an index element.  Takes the element by
+    /// value so the sealed payload moves into the response instead of being
+    /// copied a second time on the serve path.
+    fn from(e: OrderedElement) -> Self {
         WireElement {
             trs: e.trs,
             group: e.group,
-            ciphertext: e.sealed.ciphertext.clone(),
+            ciphertext: e.sealed.ciphertext,
         }
     }
+}
 
+impl WireElement {
     /// Size of the encoded element in bytes.
     pub fn encoded_bytes(&self) -> usize {
         ELEMENT_HEADER_BYTES + self.ciphertext.len()

@@ -70,9 +70,12 @@ pub struct ServerStats {
     /// cross-user round takes one acquisition per touched shard instead of
     /// one per request.
     pub lock_acquisitions: u64,
-    /// Token verifications (HMAC checks) the ACL performed.  The batched
-    /// scheduler authenticates each distinct user once per round, so this
-    /// grows by at most #distinct-users per batch instead of per request.
+    /// Token verifications the ACL performed: a directory lookup plus one
+    /// constant-time compare against the user's stored token each (the HMAC
+    /// behind that token is computed when the user is registered, not per
+    /// check).  The batched scheduler authenticates each distinct user once
+    /// per round, so this grows by at most #distinct-users per batch instead
+    /// of per request.
     pub auth_checks: u64,
     /// Pages the storage engine read back (and re-validated) from disk —
     /// non-zero only for the spill engine, where it measures how often the
@@ -552,8 +555,9 @@ impl IndexServer {
 
     /// Verifies a token through the ACL, metering the check: the batched
     /// scheduler routes every authentication through here so `auth_checks`
-    /// counts actual HMAC verifications, not requests.
-    fn authenticate(&self, user: &str, token: &AuthToken) -> Result<Vec<GroupId>, ProtocolError> {
+    /// counts token verifications (lookup + constant-time compare), not
+    /// requests.  The groups come back as the ACL's own shared slice.
+    fn authenticate(&self, user: &str, token: &AuthToken) -> Result<Arc<[GroupId]>, ProtocolError> {
         self.stats.auth_checks.fetch_add(1, Ordering::Relaxed);
         self.acl.authenticate(user, token)
     }
@@ -669,11 +673,8 @@ impl IndexServer {
         } else {
             session.0
         };
-        let elements: Vec<WireElement> = batch
-            .elements
-            .iter()
-            .map(WireElement::from_element)
-            .collect();
+        let elements: Vec<WireElement> =
+            batch.elements.into_iter().map(WireElement::from).collect();
         let response = QueryResponse {
             elements,
             visible_total: batch.visible_total as u64,
@@ -794,21 +795,21 @@ impl IndexServer {
                 .and_then(|()| self.authenticate(&request.user, token))
                 .and_then(|groups| self.serve(request, &groups, None, true))];
         }
-        // Authenticate each distinct (user, token) once.  `arena` owns the
-        // group sets behind `Arc`s so the shard jobs below can share them
-        // with the worker pool without copying per request.
+        // Authenticate each distinct (user, token) once.  `arena` holds the
+        // ACL's own `Arc`'d group sets so the shard jobs below can share
+        // them with the worker pool without copying per request.
         let mut arena: Vec<Arc<[GroupId]>> = Vec::new();
         let mut cache: HashMap<(&str, &AuthToken), Result<usize, ProtocolError>> = HashMap::new();
         let mut prepared: Vec<Result<usize, ProtocolError>> = Vec::with_capacity(requests.len());
         for (request, token) in requests {
             // Validate before authenticating, like the sequential path: a
-            // malformed request is rejected without paying an HMAC check.
+            // malformed request is rejected without paying a token check.
             prepared.push(Self::validate(request).and_then(|()| {
                 cache
                     .entry((request.user.as_str(), token))
                     .or_insert_with(|| {
                         self.authenticate(&request.user, token).map(|groups| {
-                            arena.push(Arc::from(groups));
+                            arena.push(groups);
                             arena.len() - 1
                         })
                     })
@@ -1269,7 +1270,7 @@ mod tests {
             assert_eq!(stats.batches, 1);
             // One list => one shard => exactly one lock for all 64 requests.
             assert_eq!(stats.lock_acquisitions, 1, "engine {engine:?}");
-            // One HMAC verification per distinct user, not per request.
+            // One token verification per distinct user, not per request.
             assert_eq!(stats.auth_checks, users.len() as u64);
         }
     }

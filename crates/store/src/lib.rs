@@ -71,8 +71,9 @@ pub use sharded::{SegmentStore, ShardedStore, MAX_SHARDS};
 pub use single::SingleMutexStore;
 pub use spill::{SpillConfig, SpillList, SpillStore};
 pub use store::{
-    CursorId, ListStore, OrderedList, RangedBatch, RangedFetch, SessionStats, ShardBatchOutput,
-    ShardBucketOutput, ShardJobBucket, ShardJobPlan, StoreJob, VecList, SESSION_TTL_TICKS,
+    CursorId, GroupFilter, ListStore, OrderedList, RangedBatch, RangedFetch, SessionStats,
+    ShardBatchOutput, ShardBucketOutput, ShardJobBucket, ShardJobPlan, StoreJob, VecList,
+    SESSION_TTL_TICKS,
 };
 
 #[cfg(test)]

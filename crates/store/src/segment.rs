@@ -18,10 +18,14 @@
 //! * every block carries a **skip entry**: element count, first/last TRS and
 //!   per-group visible counts.
 //!
-//! The skip entries make `visible_total` and offset skip-scans `O(#blocks)`
-//! instead of `O(#elements)` — the engine-level fix for the group-filtered
-//! follow-up hot path — while point reads only decode the one or two blocks
-//! they actually touch.  Position-preserving inserts land in the mutable
+//! The skip entries make offset skip-scans `O(#blocks)` instead of
+//! `O(#elements)`, and point reads only decode the one or two blocks they
+//! actually touch.  `visible_total` does not even walk the blocks: the list
+//! keeps running per-group totals, built from the skip entries and bumped
+//! by every successful insert, so a count is one merge pass of the caller's
+//! [`GroupFilter`] over them.
+//!
+//! Position-preserving inserts land in the mutable
 //! tail when their TRS sorts below every sealed element; interior inserts
 //! rebuild the one segment they hit (bounded by
 //! [`SegmentConfig::max_segment_elems`]).  When the tail outgrows
@@ -34,7 +38,7 @@
 //! untrusted bytes and must reject every truncation or bit flip with an
 //! error, never a panic.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::AtomicU64;
 
 use zerber_base::EncryptedElement;
 use zerber_corpus::GroupId;
@@ -45,7 +49,7 @@ use zerber_r::{OrderedElement, TRS_BYTES};
 
 use crate::convert::{read_bytes as payload_slice, try_u32, try_usize, u64_of, usize_of};
 use crate::error::StoreError;
-use crate::store::{is_visible, is_visible_group, OrderedList};
+use crate::store::{GroupFilter, OrderedList};
 
 /// Magic number heading every serialized segment ("ZSEG" little-endian).
 const SEGMENT_MAGIC: u64 = 0x4745_535a;
@@ -123,17 +127,9 @@ pub(crate) struct BlockMeta {
 }
 
 impl BlockMeta {
-    /// Elements of the block visible under `accessible`.
-    fn visible_under(&self, accessible: Option<&[GroupId]>) -> usize {
-        match accessible {
-            None => usize_of(self.elems),
-            Some(groups) => self
-                .counts
-                .iter()
-                .filter(|(g, _)| groups.contains(g))
-                .map(|&(_, n)| usize_of(n))
-                .sum(),
-        }
+    /// Elements of the block visible under `filter`.
+    fn visible_under(&self, filter: &GroupFilter<'_>) -> usize {
+        filter.visible_in(usize_of(self.elems), &self.counts)
     }
 
     fn last_trs(&self) -> f64 {
@@ -159,6 +155,26 @@ fn corrupt(reason: impl std::fmt::Display) -> StoreError {
 /// Encoded length of one LEB128 varint (mirrors `write_varint`).
 fn varint_len(value: u64) -> usize {
     (64 - usize_of(value.max(1).leading_zeros())).div_ceil(7)
+}
+
+/// Adds `n` elements of `group` to a per-group count vector kept ascending
+/// by group id — the order [`GroupFilter::visible_in`] merges against.
+fn add_count(counts: &mut Vec<(GroupId, u32)>, group: GroupId, n: u32) {
+    match counts.binary_search_by_key(&group, |&(g, _)| g) {
+        Ok(i) => counts[i].1 += n,
+        Err(i) => counts.insert(i, (group, n)),
+    }
+}
+
+/// Per-group element counts aggregated over `blocks`, ascending by group id
+/// and exact-sized.
+fn group_totals<'a>(blocks: impl Iterator<Item = &'a BlockMeta>) -> Vec<(GroupId, u32)> {
+    let mut totals = Vec::new();
+    for &(group, n) in blocks.flat_map(|meta| meta.counts.iter()) {
+        add_count(&mut totals, group, n);
+    }
+    totals.shrink_to_fit();
+    totals
 }
 
 /// Encodes one block of ordered elements onto `out`, returning its skip
@@ -218,12 +234,8 @@ fn encode_block(chunk: &[OrderedElement], out: &mut Vec<u8>) -> Result<BlockMeta
         } else {
             write_bytes(out, &element.sealed.ciphertext);
         }
-        match counts.iter_mut().find(|(g, _)| *g == element.group) {
-            Some((_, n)) => *n += 1,
-            None => counts.push((element.group, 1)),
-        }
+        add_count(&mut counts, element.group, 1);
     }
-    counts.sort_by_key(|&(g, _)| g.0);
     // A payload past the u32 offset space (~4 GiB of ciphertext per
     // segment; max_segment_elems bounds elements, not bytes) degrades to an
     // error the caller answers with a segment split, never a panic.
@@ -378,10 +390,7 @@ fn decode_block_checked(
     let mut counts: Vec<(GroupId, u32)> = Vec::new();
     for _ in 0..elems {
         let raw = reader.next_raw()?;
-        match counts.iter_mut().find(|(g, _)| *g == raw.group) {
-            Some((_, n)) => *n += 1,
-            None => counts.push((raw.group, 1)),
-        }
+        add_count(&mut counts, raw.group, 1);
         out.push(raw.materialize());
     }
     if reader.pos != bytes.len() {
@@ -390,7 +399,6 @@ fn decode_block_checked(
     if reader.prev != expected.last {
         return Err(corrupt("block TRS bounds disagree with skip entry"));
     }
-    counts.sort_by_key(|&(g, _)| g.0);
     if counts.as_slice() != expected.counts.as_ref() {
         return Err(corrupt("block group counts disagree with skip entry"));
     }
@@ -478,17 +486,7 @@ impl Segment {
     /// sorted by group id — the summary a spilled segment leaves behind so
     /// visibility accounting never has to fault the page back in.
     pub(crate) fn group_counts(&self) -> Vec<(GroupId, u32)> {
-        let mut counts: Vec<(GroupId, u32)> = Vec::new();
-        for meta in &self.blocks {
-            for &(group, n) in meta.counts.iter() {
-                match counts.iter_mut().find(|(g, _)| *g == group) {
-                    Some((_, total)) => *total += n,
-                    None => counts.push((group, n)),
-                }
-            }
-        }
-        counts.sort_by_key(|&(g, _)| g.0);
-        counts
+        group_totals(self.blocks.iter())
     }
 
     /// Scans this segment's slice of the logical list.  `seg_base` is the
@@ -507,7 +505,7 @@ impl Segment {
         skipped: &mut usize,
         count: usize,
         out: &mut Vec<OrderedElement>,
-        accessible: Option<&[GroupId]>,
+        filter: &GroupFilter<'_>,
     ) -> Option<usize> {
         let mut pos = seg_base;
         for (bi, meta) in self.blocks.iter().enumerate() {
@@ -519,7 +517,7 @@ impl Segment {
             // Wholesale visible-skip: the block lies fully past `start`
             // and every visible element in it would be skipped anyway.
             if pos >= start && *skipped < skip {
-                let visible = meta.visible_under(accessible);
+                let visible = meta.visible_under(filter);
                 if *skipped + visible <= skip {
                     *skipped += visible;
                     pos = block_end;
@@ -533,7 +531,7 @@ impl Segment {
             for j in 0..usize_of(meta.elems) {
                 let raw = reader.next_trusted();
                 let idx = pos + j;
-                if idx < start || !is_visible_group(raw.group, accessible) {
+                if idx < start || !filter.admits(raw.group) {
                     continue;
                 }
                 if *skipped < skip {
@@ -558,14 +556,14 @@ impl Segment {
         &self,
         seg_base: usize,
         remaining: &mut usize,
-        accessible: Option<&[GroupId]>,
+        filter: &GroupFilter<'_>,
     ) -> Option<usize> {
         let mut pos = seg_base;
         for (bi, meta) in self.blocks.iter().enumerate() {
             if *remaining == 0 {
                 return Some(pos);
             }
-            let visible = meta.visible_under(accessible);
+            let visible = meta.visible_under(filter);
             if visible < *remaining {
                 *remaining -= visible;
                 pos += usize_of(meta.elems);
@@ -578,7 +576,7 @@ impl Segment {
                 if *remaining == 0 {
                     return Some(pos + j);
                 }
-                if is_visible_group(reader.next_trusted().group, accessible) {
+                if filter.admits(reader.next_trusted().group) {
                     *remaining -= 1;
                 }
             }
@@ -876,6 +874,12 @@ pub struct SegmentList {
     config: SegmentConfig,
     /// Cached sum of segment element counts (the tail adds `tail.len()`).
     seg_elems: usize,
+    /// Running per-group element totals of the whole list — segments *and*
+    /// tail — ascending by group id: built from the segments' skip entries
+    /// and bumped by each insert that succeeds (a rolled-back insert never
+    /// touches them), so `visible_total` neither walks the blocks nor
+    /// examines the tail.
+    totals: Vec<(GroupId, u32)>,
 }
 
 /// Encodes a TRS-descending chunk into one or more segments, splitting in
@@ -946,11 +950,13 @@ impl SegmentList {
     ) -> Result<Self, StoreError> {
         let seg_elems = elements.len();
         let segments = encode_segments(&elements, &config)?;
+        let totals = group_totals(segments.iter().flat_map(|s| &s.blocks));
         Ok(SegmentList {
             segments,
             tail: Vec::new(),
             config,
             seg_elems,
+            totals,
         })
     }
 
@@ -1056,27 +1062,10 @@ impl OrderedList for SegmentList {
         Ok(out)
     }
 
-    fn visible_total(&self, accessible: Option<&[GroupId]>, meter: &AtomicU64) -> usize {
-        match accessible {
-            None => self.len(),
-            Some(_) => {
-                // Skip entries answer for the sealed part; only the (small)
-                // tail is examined element by element.
-                meter.fetch_add(u64_of(self.tail.len()), Ordering::Relaxed);
-                let sealed: usize = self
-                    .segments
-                    .iter()
-                    .flat_map(|s| &s.blocks)
-                    .map(|b| b.visible_under(accessible))
-                    .sum();
-                sealed
-                    + self
-                        .tail
-                        .iter()
-                        .filter(|e| is_visible(e, accessible))
-                        .count()
-            }
-        }
+    fn visible_total(&self, filter: &GroupFilter<'_>, _meter: &AtomicU64) -> usize {
+        // The running totals answer for segments and tail alike: no element
+        // is examined, so nothing is charged to the meter.
+        filter.visible_in(self.len(), &self.totals)
     }
 
     fn scan(
@@ -1084,7 +1073,7 @@ impl OrderedList for SegmentList {
         start: usize,
         skip: usize,
         count: usize,
-        accessible: Option<&[GroupId]>,
+        filter: &GroupFilter<'_>,
     ) -> Result<(Vec<OrderedElement>, usize), StoreError> {
         let total = self.len();
         let mut elements = Vec::with_capacity(count.min(total.saturating_sub(start)));
@@ -1095,22 +1084,16 @@ impl OrderedList for SegmentList {
                 pos += segment.elems;
                 continue;
             }
-            if let Some(next) = segment.scan_part(
-                pos,
-                start,
-                skip,
-                &mut skipped,
-                count,
-                &mut elements,
-                accessible,
-            ) {
+            if let Some(next) =
+                segment.scan_part(pos, start, skip, &mut skipped, count, &mut elements, filter)
+            {
                 return Ok((elements, next));
             }
             pos += segment.elems;
         }
         for (j, element) in self.tail.iter().enumerate() {
             let idx = self.seg_elems + j;
-            if idx < start || !is_visible(element, accessible) {
+            if idx < start || !filter.admits(element.group) {
                 continue;
             }
             if skipped < skip {
@@ -1128,12 +1111,12 @@ impl OrderedList for SegmentList {
     fn position_after_visible(
         &self,
         delivered: usize,
-        accessible: Option<&[GroupId]>,
+        filter: &GroupFilter<'_>,
     ) -> Result<usize, StoreError> {
         let mut remaining = delivered;
         let mut pos = 0usize;
         for segment in &self.segments {
-            if let Some(found) = segment.position_part(pos, &mut remaining, accessible) {
+            if let Some(found) = segment.position_part(pos, &mut remaining, filter) {
                 return Ok(found);
             }
             pos += segment.elems;
@@ -1142,7 +1125,7 @@ impl OrderedList for SegmentList {
             if remaining == 0 {
                 return Ok(self.seg_elems + j);
             }
-            if is_visible(element, accessible) {
+            if filter.admits(element.group) {
                 remaining -= 1;
             }
         }
@@ -1154,6 +1137,7 @@ impl OrderedList for SegmentList {
             return Err(StoreError::SegmentOverflow);
         }
         let trs = element.trs;
+        let group = element.group;
         let mut base = 0usize;
         for k in 0..self.segments.len() {
             if self.segments[k].min_trs() > trs {
@@ -1166,6 +1150,7 @@ impl OrderedList for SegmentList {
             let local = self.segments[k].insert_pos(trs);
             let pos = base + local;
             self.rebuild_segment_with(k, local, element)?;
+            add_count(&mut self.totals, group, 1);
             return Ok(pos);
         }
         // Every sealed element sorts strictly before the new one: the tail
@@ -1182,6 +1167,7 @@ impl OrderedList for SegmentList {
                 return Err(e);
             }
         }
+        add_count(&mut self.totals, group, 1);
         Ok(pos)
     }
 
@@ -1219,6 +1205,7 @@ impl OrderedList for SegmentList {
                 .iter()
                 .map(|e| e.sealed.ciphertext.capacity())
                 .sum::<usize>()
+            + self.totals.capacity() * std::mem::size_of::<(GroupId, u32)>()
     }
 
     fn ordering_ok(&self) -> bool {
@@ -1264,6 +1251,27 @@ mod tests {
             max_segments: 3,
             max_payload_bytes: u32::MAX as usize,
         }
+    }
+
+    /// The running per-group totals must equal a recount of the snapshot,
+    /// and `visible_total` must answer from them without examining an
+    /// element.
+    fn assert_totals_exact(seg: &SegmentList) {
+        let mut recount = std::collections::BTreeMap::new();
+        for e in seg.snapshot().unwrap() {
+            *recount.entry(e.group).or_insert(0u32) += 1;
+        }
+        assert_eq!(
+            seg.totals,
+            recount.iter().map(|(&g, &n)| (g, n)).collect::<Vec<_>>()
+        );
+        let meter = AtomicU64::new(0);
+        for (&group, &n) in &recount {
+            let only = [group];
+            let filter = GroupFilter::normalise(Some(&only));
+            assert_eq!(seg.visible_total(&filter, &meter), n as usize);
+        }
+        assert_eq!(meter.into_inner(), 0);
     }
 
     #[test]
@@ -1346,8 +1354,17 @@ mod tests {
         assert_eq!(seg.len(), vec.len());
         assert_eq!(seg.snapshot().unwrap(), vec.snapshot().unwrap());
         let meter = AtomicU64::new(0);
-        let groups = [GroupId(0), GroupId(2)];
-        for accessible in [None, Some(&groups[..])] {
+        // Filters as callers may hand them in — ascending, unsorted with a
+        // duplicate, empty, naming only absent groups — all normalise to
+        // something the skip entries can be merged against.
+        let filters: [Option<&[GroupId]>; 5] = [
+            None,
+            Some(&[GroupId(0), GroupId(2)]),
+            Some(&[GroupId(2), GroupId(1), GroupId(2), GroupId(u32::MAX)]),
+            Some(&[]),
+            Some(&[GroupId(7)]),
+        ];
+        for accessible in &filters.map(GroupFilter::normalise) {
             assert_eq!(
                 seg.visible_total(accessible, &meter),
                 vec.visible_total(accessible, &meter)
@@ -1392,6 +1409,7 @@ mod tests {
         assert!(seg.ordering_ok());
         // The tail stayed bounded by the threshold (sealing happened).
         assert!(seg.tail_len() <= small_config().tail_threshold);
+        assert_totals_exact(&seg);
     }
 
     #[test]
@@ -1415,6 +1433,7 @@ mod tests {
         );
         assert_eq!(seg.stored_bytes(), vec.stored_bytes());
         assert_eq!(seg.ciphertext_bytes(), vec.ciphertext_bytes());
+        assert_totals_exact(&seg);
     }
 
     #[test]
@@ -1452,8 +1471,9 @@ mod tests {
         let mut seg = SegmentList::with_config(Vec::new(), small_config()).unwrap();
         assert_eq!(seg.len(), 0);
         assert!(seg.is_empty());
-        assert_eq!(seg.scan(0, 0, 5, None).unwrap(), (Vec::new(), 0));
-        assert_eq!(seg.position_after_visible(0, None).unwrap(), 0);
+        let all = GroupFilter::normalise(None);
+        assert_eq!(seg.scan(0, 0, 5, &all).unwrap(), (Vec::new(), 0));
+        assert_eq!(seg.position_after_visible(0, &all).unwrap(), 0);
         assert_eq!(seg.insert(element(0.5, 0, &[1])).unwrap(), 0);
         assert_eq!(seg.len(), 1);
     }
@@ -1478,21 +1498,41 @@ mod tests {
         let mut seg = SegmentList::with_config(elements.clone(), config).unwrap();
         let mut vec = VecList::from_elements(elements);
         assert_eq!(seg.snapshot().unwrap(), vec.snapshot().unwrap());
+        assert_totals_exact(&seg);
         // Every segment respects the byte bound, so the stack is forced
         // deeper than max_segments would otherwise allow.
         assert!(seg.num_segments() > config.max_segments);
         // Inserts across the whole range (tail seals and interior rebuilds
-        // both re-encode under the bound).
-        for (i, trs) in [0.99, 0.5, 0.01, 0.5, 0.73].into_iter().enumerate() {
-            let e = element(trs, (i % 2) as u32, &[7u8; 20]);
+        // both re-encode under the bound), into old groups and a new one.
+        for (i, trs) in [0.99, 0.5, 0.01, 0.5, 0.73, 0.005, 0.004]
+            .into_iter()
+            .enumerate()
+        {
+            let e = element(trs, (i % 3) as u32, &[7u8; 20]);
             assert_eq!(
                 seg.insert(e.clone()).unwrap(),
                 vec.insert(e).unwrap(),
                 "probe {trs}"
             );
+            assert_totals_exact(&seg);
         }
         assert_eq!(seg.snapshot().unwrap(), vec.snapshot().unwrap());
         assert!(seg.ordering_ok());
+        // A seal that fails rolls its insert back, totals included.  Fill
+        // the tail to its threshold with +0.0, then offer -0.0: it compares
+        // equal, so it sorts in front, but its sortable bits are smaller,
+        // so the tail no longer encodes as a descending block.
+        while seg.tail_len() < config.tail_threshold {
+            seg.insert(element(0.0, 0, &[1u8; 20])).unwrap();
+        }
+        let before = seg.snapshot().unwrap();
+        assert!(matches!(
+            seg.insert(element(-0.0, 5, &[2u8; 20])),
+            Err(StoreError::Invariant(_))
+        ));
+        assert_eq!(seg.snapshot().unwrap(), before);
+        assert_eq!(seg.tail_len(), config.tail_threshold);
+        assert_totals_exact(&seg);
     }
 
     #[test]

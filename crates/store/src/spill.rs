@@ -81,7 +81,7 @@ use crate::error::StoreError;
 use crate::segment::{encode_chunk_split, encode_rebuilt, encode_segments, Segment, SegmentConfig};
 use crate::sharded::{default_shards, ShardedCore, MAX_SHARDS};
 use crate::store::{
-    is_visible, CursorId, ListStore, ListTable, OrderedList, RangedBatch, RangedFetch,
+    CursorId, GroupFilter, ListStore, ListTable, OrderedList, RangedBatch, RangedFetch,
     SessionStats, ShardBucketOutput, ShardJobBucket, ShardJobPlan, StoreJob,
 };
 
@@ -739,16 +739,8 @@ impl SlotMeta {
         from_sortable_bits(self.last_bits)
     }
 
-    fn visible_under(&self, accessible: Option<&[GroupId]>) -> usize {
-        match accessible {
-            None => self.elems,
-            Some(groups) => self
-                .counts
-                .iter()
-                .filter(|(g, _)| groups.contains(g))
-                .map(|&(_, n)| usize_of(n))
-                .sum(),
-        }
+    fn visible_under(&self, filter: &GroupFilter<'_>) -> usize {
+        filter.visible_in(self.elems, &self.counts)
     }
 }
 
@@ -1323,26 +1315,20 @@ impl OrderedList for SpillList {
         Ok(out)
     }
 
-    fn visible_total(&self, accessible: Option<&[GroupId]>, meter: &AtomicU64) -> usize {
-        match accessible {
-            None => self.len(),
-            Some(_) => {
-                // Slot summaries answer for the sealed part without faulting
-                // a single page; only the (small) tail is examined.
-                meter.fetch_add(u64_of(self.tail.len()), Ordering::Relaxed);
-                let sealed: usize = self
-                    .slots
-                    .iter()
-                    .map(|s| s.meta.visible_under(accessible))
-                    .sum();
-                sealed
-                    + self
-                        .tail
-                        .iter()
-                        .filter(|e| is_visible(e, accessible))
-                        .count()
-            }
+    fn visible_total(&self, filter: &GroupFilter<'_>, meter: &AtomicU64) -> usize {
+        if filter.groups().is_none() {
+            return self.len();
         }
+        // Slot summaries answer for the sealed part without faulting a
+        // single page (they are this layout's per-group totals, one merge
+        // pass each); only the (small) tail is examined.
+        meter.fetch_add(u64_of(self.tail.len()), Ordering::Relaxed);
+        let sealed: usize = self
+            .slots
+            .iter()
+            .map(|s| s.meta.visible_under(filter))
+            .sum();
+        sealed + self.tail.iter().filter(|e| filter.admits(e.group)).count()
     }
 
     fn scan(
@@ -1350,7 +1336,7 @@ impl OrderedList for SpillList {
         start: usize,
         skip: usize,
         count: usize,
-        accessible: Option<&[GroupId]>,
+        filter: &GroupFilter<'_>,
     ) -> Result<(Vec<OrderedElement>, usize), StoreError> {
         let total = self.len();
         let mut elements = Vec::with_capacity(count.min(total.saturating_sub(start)));
@@ -1366,7 +1352,7 @@ impl OrderedList for SpillList {
             // elements would all be skipped is passed over without paying a
             // page fault.
             if pos >= start && skipped < skip {
-                let visible = self.slots[k].meta.visible_under(accessible);
+                let visible = self.slots[k].meta.visible_under(filter);
                 if skipped + visible <= skip {
                     skipped += visible;
                     pos += elems;
@@ -1374,22 +1360,16 @@ impl OrderedList for SpillList {
                 }
             }
             let segment = self.segment(k)?;
-            if let Some(next) = segment.scan_part(
-                pos,
-                start,
-                skip,
-                &mut skipped,
-                count,
-                &mut elements,
-                accessible,
-            ) {
+            if let Some(next) =
+                segment.scan_part(pos, start, skip, &mut skipped, count, &mut elements, filter)
+            {
                 return Ok((elements, next));
             }
             pos += elems;
         }
         for (j, element) in self.tail.iter().enumerate() {
             let idx = self.seg_elems + j;
-            if idx < start || !is_visible(element, accessible) {
+            if idx < start || !filter.admits(element.group) {
                 continue;
             }
             if skipped < skip {
@@ -1407,7 +1387,7 @@ impl OrderedList for SpillList {
     fn position_after_visible(
         &self,
         delivered: usize,
-        accessible: Option<&[GroupId]>,
+        filter: &GroupFilter<'_>,
     ) -> Result<usize, StoreError> {
         let mut remaining = delivered;
         let mut pos = 0usize;
@@ -1415,7 +1395,7 @@ impl OrderedList for SpillList {
             if remaining == 0 {
                 return Ok(pos);
             }
-            let visible = self.slots[k].meta.visible_under(accessible);
+            let visible = self.slots[k].meta.visible_under(filter);
             if visible < remaining {
                 // The whole slot is consumed: account for it from the
                 // summary alone, no page fault.
@@ -1424,7 +1404,7 @@ impl OrderedList for SpillList {
                 continue;
             }
             let segment = self.segment(k)?;
-            if let Some(found) = segment.position_part(pos, &mut remaining, accessible) {
+            if let Some(found) = segment.position_part(pos, &mut remaining, filter) {
                 return Ok(found);
             }
             pos += self.slots[k].meta.elems;
@@ -1433,7 +1413,7 @@ impl OrderedList for SpillList {
             if remaining == 0 {
                 return Ok(self.seg_elems + j);
             }
-            if is_visible(element, accessible) {
+            if filter.admits(element.group) {
                 remaining -= 1;
             }
         }
@@ -3005,7 +2985,8 @@ mod tests {
                     count: 4,
                 };
                 let got = store.fetch_ranged(&fetch, Some(&groups)).unwrap();
-                let (expected, _) = reference.scan(0, offset, 4, Some(&groups)).unwrap();
+                let filter = GroupFilter::normalise(Some(&groups));
+                let (expected, _) = reference.scan(0, offset, 4, &filter).unwrap();
                 assert_eq!(got.elements, expected);
             }
         }

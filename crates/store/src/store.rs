@@ -14,6 +14,7 @@
 //! ([`crate::segment::SegmentList`]) share one cursor-session, generation
 //! and locking implementation and cannot diverge behaviourally.
 
+use std::borrow::Cow;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -21,6 +22,7 @@ use zerber_base::{EncryptedElement, MergePlan, MergedListId};
 use zerber_corpus::GroupId;
 use zerber_r::{OrderedElement, TRS_BYTES};
 
+use crate::convert::usize_of;
 use crate::error::StoreError;
 
 /// Identifier of an open cursor session.  `CursorId(0)` means "no cursor".
@@ -533,7 +535,8 @@ pub trait ListStore: Send + Sync + std::fmt::Debug {
 
     /// Elements individually examined for visibility accounting since the
     /// store was built (the scan-cost assertions read this; cached cursor
-    /// follow-ups and block-counted segment lookups leave it untouched).
+    /// follow-ups and the segment layout's running totals leave it
+    /// untouched).
     fn visibility_scan_cost(&self) -> u64;
 
     /// Inserts a sealed element at its TRS position, returning the physical
@@ -543,6 +546,76 @@ pub trait ListStore: Send + Sync + std::fmt::Debug {
 
     /// Checks the descending-TRS invariant of every list.
     fn verify_ordering(&self) -> bool;
+}
+
+/// A caller's group filter in normal form: the groups strictly ascending
+/// (sorted, no duplicates), or unrestricted.
+///
+/// [`ListTable`] — which every engine's [`ListStore`] entry points funnel
+/// through — builds one per call and hands it to the [`OrderedList`]
+/// layouts, so a request pays `O(groups)` once instead of a linear
+/// `contains` per element or per skip entry: a single membership test is a
+/// binary search, and a per-block / per-slot / per-list count is one merge
+/// pass over two ascending sequences.  Only this crate can construct one,
+/// which is what lets the layouts rely on the order.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct GroupFilter<'a>(Option<Cow<'a, [GroupId]>>);
+
+impl<'a> GroupFilter<'a> {
+    /// Normalises a caller-supplied filter (`None` = unrestricted): borrows
+    /// the slice when it already is strictly ascending — the form the
+    /// server's ACL hands out — and sorts + deduplicates a copy otherwise.
+    pub(crate) fn normalise(accessible: Option<&'a [GroupId]>) -> Self {
+        GroupFilter(accessible.map(|groups| {
+            if groups.windows(2).all(|w| w[0] < w[1]) {
+                Cow::Borrowed(groups)
+            } else {
+                let mut owned = groups.to_vec();
+                owned.sort_unstable();
+                owned.dedup();
+                Cow::Owned(owned)
+            }
+        }))
+    }
+
+    /// The same filter, owning its groups (what a cursor session keeps).
+    pub(crate) fn into_owned(self) -> GroupFilter<'static> {
+        GroupFilter(self.0.map(|groups| Cow::Owned(groups.into_owned())))
+    }
+
+    /// The normalised groups (`None` = unrestricted).
+    pub(crate) fn groups(&self) -> Option<&[GroupId]> {
+        self.0.as_deref()
+    }
+
+    /// Whether an element of `group` is visible under the filter.
+    pub(crate) fn admits(&self, group: GroupId) -> bool {
+        self.groups()
+            .is_none_or(|groups| groups.binary_search(&group).is_ok())
+    }
+
+    /// How many of `total` elements are visible, given their per-group
+    /// breakdown `counts` (ascending by group id, summing to `total`): the
+    /// one merge pass every skip entry, slot summary and running list total
+    /// is counted by.
+    pub(crate) fn visible_in(&self, total: usize, counts: &[(GroupId, u32)]) -> usize {
+        let Some(groups) = self.groups() else {
+            return total;
+        };
+        let mut visible = 0usize;
+        let mut next = 0usize;
+        for &(group, n) in counts {
+            while groups.get(next).is_some_and(|g| *g < group) {
+                next += 1;
+            }
+            match groups.get(next) {
+                None => break,
+                Some(g) if *g == group => visible += usize_of(n),
+                Some(_) => {}
+            }
+        }
+        visible
+    }
 }
 
 /// The physical representation of one ordered merged list.
@@ -565,11 +638,12 @@ pub trait OrderedList: Send + Sync + std::fmt::Debug {
     /// backed by spilled pages may fail here if a page no longer decodes.
     fn snapshot(&self) -> Result<Vec<OrderedElement>, StoreError>;
 
-    /// Number of elements visible under `accessible`.  `meter` counts the
+    /// Number of elements visible under `filter`.  `meter` counts the
     /// elements *individually examined* to produce the answer — layouts with
-    /// aggregate visibility metadata (per-block group counts) answer without
-    /// touching elements and charge (almost) nothing.
-    fn visible_total(&self, accessible: Option<&[GroupId]>, meter: &AtomicU64) -> usize;
+    /// aggregate visibility metadata (running per-group totals, slot
+    /// summaries) answer without touching elements and charge (almost)
+    /// nothing.
+    fn visible_total(&self, filter: &GroupFilter<'_>, meter: &AtomicU64) -> usize;
 
     /// Scans from physical index `start`, skipping `skip` visible elements,
     /// then collecting up to `count` visible elements.  Returns the
@@ -582,7 +656,7 @@ pub trait OrderedList: Send + Sync + std::fmt::Debug {
         start: usize,
         skip: usize,
         count: usize,
-        accessible: Option<&[GroupId]>,
+        filter: &GroupFilter<'_>,
     ) -> Result<(Vec<OrderedElement>, usize), StoreError>;
 
     /// The physical index just past the first `delivered` visible elements —
@@ -590,7 +664,7 @@ pub trait OrderedList: Send + Sync + std::fmt::Debug {
     fn position_after_visible(
         &self,
         delivered: usize,
-        accessible: Option<&[GroupId]>,
+        filter: &GroupFilter<'_>,
     ) -> Result<usize, StoreError>;
 
     /// Inserts an element at its TRS position (after strictly greater,
@@ -633,6 +707,11 @@ struct ElemMeta {
 /// element, which made the resident-bytes comparison against the compressed
 /// segment engine unfair; one arena per list is what a production `Vec`
 /// engine would do anyway.
+///
+/// Deliberately naive about visibility — every count walks the whole list
+/// and every membership test is a linear `contains` — because the engines
+/// built on it are the oracles the segment and spill layouts are checked
+/// against.
 #[derive(Debug, Default)]
 pub struct VecList {
     meta: Vec<ElemMeta>,
@@ -684,8 +763,8 @@ impl OrderedList for VecList {
         Ok((0..self.meta.len()).map(|i| self.materialize(i)).collect())
     }
 
-    fn visible_total(&self, accessible: Option<&[GroupId]>, meter: &AtomicU64) -> usize {
-        match accessible {
+    fn visible_total(&self, filter: &GroupFilter<'_>, meter: &AtomicU64) -> usize {
+        match filter.groups() {
             None => self.meta.len(),
             Some(groups) => {
                 // Group-filtered counts examine every element of the list.
@@ -703,8 +782,9 @@ impl OrderedList for VecList {
         start: usize,
         skip: usize,
         count: usize,
-        accessible: Option<&[GroupId]>,
+        filter: &GroupFilter<'_>,
     ) -> Result<(Vec<OrderedElement>, usize), StoreError> {
+        let accessible = filter.groups();
         let mut elements = Vec::with_capacity(count.min(self.meta.len().saturating_sub(start)));
         let mut skipped = 0usize;
         let mut next = self.meta.len().max(start);
@@ -728,8 +808,9 @@ impl OrderedList for VecList {
     fn position_after_visible(
         &self,
         delivered: usize,
-        accessible: Option<&[GroupId]>,
+        filter: &GroupFilter<'_>,
     ) -> Result<usize, StoreError> {
+        let accessible = filter.groups();
         let mut seen = 0usize;
         for (i, m) in self.meta.iter().enumerate() {
             if seen == delivered {
@@ -812,9 +893,11 @@ struct Cursor {
     slot: usize,
     owner: u64,
     position: AtomicUsize,
-    /// The group filter the session was opened with (`None` = unrestricted).
-    groups: Option<Box<[GroupId]>>,
-    /// Cached `visible_total` under `groups`, maintained by the insert path
+    /// The group filter the session was opened with, in normal form — so a
+    /// follow-up naming the same groups in another order still hits the
+    /// cache below.
+    filter: GroupFilter<'static>,
+    /// Cached `visible_total` under `filter`, maintained by the insert path
     /// under the same write lock — follow-ups answer without re-counting.
     visible: AtomicUsize,
     /// Logical clock value of the session's last use (for TTL expiry).
@@ -911,7 +994,7 @@ impl<L: OrderedList> ListTable<L> {
 
     /// Number of elements of a slot visible under `accessible`.
     pub fn visible_total(&self, slot: usize, accessible: Option<&[GroupId]>) -> usize {
-        self.lists[slot].visible_total(accessible, &self.scan_meter)
+        self.lists[slot].visible_total(&GroupFilter::normalise(accessible), &self.scan_meter)
     }
 
     /// Elements individually examined for visibility accounting so far.
@@ -939,9 +1022,10 @@ impl<L: OrderedList> ListTable<L> {
         accessible: Option<&[GroupId]>,
     ) -> Result<RangedBatch, StoreError> {
         self.tick();
+        let filter = GroupFilter::normalise(accessible);
         let list = &self.lists[slot];
-        let visible_total = list.visible_total(accessible, &self.scan_meter);
-        let (elements, next_physical) = list.scan(0, offset, count, accessible)?;
+        let visible_total = list.visible_total(&filter, &self.scan_meter);
+        let (elements, next_physical) = list.scan(0, offset, count, &filter)?;
         Ok(RangedBatch {
             elements,
             exhausted: next_physical >= list.len(),
@@ -1000,13 +1084,14 @@ impl<L: OrderedList> ListTable<L> {
                 self.capacity_evictions += 1;
             }
         }
+        let filter = GroupFilter::normalise(accessible);
         let list = &self.lists[slot];
         let (position, visible) = if batch.generation == self.generations[slot] {
             (batch.next_physical.min(list.len()), batch.visible_total)
         } else {
             (
-                list.position_after_visible(delivered, accessible)?,
-                list.visible_total(accessible, &self.scan_meter),
+                list.position_after_visible(delivered, &filter)?,
+                list.visible_total(&filter, &self.scan_meter),
             )
         };
         self.opened += 1;
@@ -1016,7 +1101,7 @@ impl<L: OrderedList> ListTable<L> {
                 slot,
                 owner,
                 position: AtomicUsize::new(position),
-                groups: accessible.map(|g| g.to_vec().into_boxed_slice()),
+                filter: filter.into_owned(),
                 visible: AtomicUsize::new(visible),
                 last_used: AtomicU64::new(now),
             },
@@ -1045,19 +1130,20 @@ impl<L: OrderedList> ListTable<L> {
             .filter(|c| c.owner == owner)
             .ok_or(StoreError::UnknownCursor(raw))?;
         cursor.last_used.store(now, Ordering::Relaxed);
+        let filter = GroupFilter::normalise(accessible);
         let list = &self.lists[cursor.slot];
         let generation = self.generations[cursor.slot];
-        let visible_total = if cursor.groups.as_deref() == accessible {
+        let visible_total = if cursor.filter == filter {
             cursor.visible.load(Ordering::Relaxed)
         } else {
             // A follow-up under a different filter than the session was
             // opened with (never produced by the protocol): stay correct by
             // paying the full count.
-            list.visible_total(accessible, &self.scan_meter)
+            list.visible_total(&filter, &self.scan_meter)
         };
         let mut start = cursor.position.load(Ordering::Acquire);
         loop {
-            let (elements, next_physical) = list.scan(start, 0, count, accessible)?;
+            let (elements, next_physical) = list.scan(start, 0, count, &filter)?;
             match cursor.position.compare_exchange(
                 start,
                 next_physical,
@@ -1108,11 +1194,7 @@ impl<L: OrderedList> ListTable<L> {
             if cursor.position.load(Ordering::Relaxed) > pos {
                 cursor.position.fetch_add(1, Ordering::Relaxed);
             }
-            let sees_it = match cursor.groups.as_deref() {
-                None => true,
-                Some(groups) => groups.contains(&group),
-            };
-            if sees_it {
+            if cursor.filter.admits(group) {
                 cursor.visible.fetch_add(1, Ordering::Relaxed);
             }
         }
@@ -1125,14 +1207,9 @@ impl<L: OrderedList> ListTable<L> {
     }
 }
 
-/// Whether an element is visible to a user restricted to `accessible` groups.
-pub(crate) fn is_visible(element: &OrderedElement, accessible: Option<&[GroupId]>) -> bool {
-    is_visible_group(element.group, accessible)
-}
-
-/// Group-level visibility check (for scan paths that have not materialized
-/// an element).
-pub(crate) fn is_visible_group(group: GroupId, accessible: Option<&[GroupId]>) -> bool {
+/// The reference layout's visibility check: a linear `contains`, on purpose
+/// (see [`VecList`]).
+fn is_visible_group(group: GroupId, accessible: Option<&[GroupId]>) -> bool {
     match accessible {
         None => true,
         Some(groups) => groups.contains(&group),
@@ -1175,7 +1252,8 @@ mod tests {
     fn scan_skips_visible_elements_only() {
         let l = VecList::from_elements(list());
         let only_g0 = [GroupId(0)];
-        let (elements, next) = l.scan(0, 1, 1, Some(&only_g0)).unwrap();
+        let only_g0 = GroupFilter::normalise(Some(&only_g0));
+        let (elements, next) = l.scan(0, 1, 1, &only_g0).unwrap();
         // Skips the first group-0 element (0.9), returns the second (0.7).
         assert_eq!(elements.len(), 1);
         assert!((elements[0].trs - 0.7).abs() < 1e-12);
@@ -1185,12 +1263,13 @@ mod tests {
     #[test]
     fn scan_from_start_resumes_mid_list() {
         let l = VecList::from_elements(list());
-        let (elements, next) = l.scan(2, 0, 2, None).unwrap();
+        let all = GroupFilter::normalise(None);
+        let (elements, next) = l.scan(2, 0, 2, &all).unwrap();
         assert_eq!(elements.len(), 2);
         assert!((elements[0].trs - 0.7).abs() < 1e-12);
         assert_eq!(next, 4);
         // Past the end: empty batch, next clamps to the list length.
-        let (rest, end) = l.scan(next, 0, 10, None).unwrap();
+        let (rest, end) = l.scan(next, 0, 10, &all).unwrap();
         assert_eq!(rest.len(), 1);
         assert_eq!(end, l.len());
     }
@@ -1264,11 +1343,44 @@ mod tests {
         let only_g0 = [GroupId(0)];
         // After 1 delivered group-0 element the session resumes at index 1
         // (the first index past the 0.9 element); after 2, at index 3.
-        assert_eq!(l.position_after_visible(0, Some(&only_g0)).unwrap(), 0);
-        assert_eq!(l.position_after_visible(1, Some(&only_g0)).unwrap(), 1);
-        assert_eq!(l.position_after_visible(2, Some(&only_g0)).unwrap(), 3);
-        assert_eq!(l.position_after_visible(3, Some(&only_g0)).unwrap(), 5);
-        assert_eq!(l.position_after_visible(99, None).unwrap(), 5);
+        let only_g0 = GroupFilter::normalise(Some(&only_g0));
+        assert_eq!(l.position_after_visible(0, &only_g0).unwrap(), 0);
+        assert_eq!(l.position_after_visible(1, &only_g0).unwrap(), 1);
+        assert_eq!(l.position_after_visible(2, &only_g0).unwrap(), 3);
+        assert_eq!(l.position_after_visible(3, &only_g0).unwrap(), 5);
+        let all = GroupFilter::normalise(None);
+        assert_eq!(l.position_after_visible(99, &all).unwrap(), 5);
+    }
+
+    #[test]
+    fn group_filters_normalise_and_count_by_one_merge_pass() {
+        let g = |ids: &[u32]| ids.iter().map(|&i| GroupId(i)).collect::<Vec<_>>();
+        // Already ascending: borrowed as is.  Anything else: a sorted,
+        // deduplicated copy.
+        let ascending = g(&[1, 4, 9]);
+        let filter = GroupFilter::normalise(Some(&ascending));
+        assert!(matches!(filter.0, Some(Cow::Borrowed(_))));
+        let messy = g(&[9, 1, u32::MAX, 4, 9, 1]);
+        let filter = GroupFilter::normalise(Some(&messy));
+        assert_eq!(filter.groups(), Some(&g(&[1, 4, 9, u32::MAX])[..]));
+        assert!(filter.admits(GroupId(4)) && filter.admits(GroupId(u32::MAX)));
+        assert!(!filter.admits(GroupId(0)) && !filter.admits(GroupId(5)));
+        // Counts ascending by group; the filter's groups interleave with
+        // them, start below them and end above them.
+        let counts = [
+            (GroupId(0), 5),
+            (GroupId(4), 7),
+            (GroupId(8), 11),
+            (GroupId(9), 13),
+        ];
+        assert_eq!(filter.visible_in(36, &counts), 7 + 13);
+        assert_eq!(filter.visible_in(0, &[]), 0);
+        let none = GroupFilter::normalise(Some(&[]));
+        assert_eq!(none.visible_in(36, &counts), 0);
+        assert!(!none.admits(GroupId(0)));
+        let all = GroupFilter::normalise(None);
+        assert_eq!(all.visible_in(36, &counts), 36);
+        assert!(all.admits(GroupId(123)));
     }
 
     #[test]
@@ -1301,6 +1413,12 @@ mod tests {
         table.insert(0, element(0.95, 0)).unwrap();
         table.insert(0, element(0.94, 1)).unwrap();
         let b = table.cursor_fetch(7, 1, 1, Some(&only_g0)).unwrap();
+        assert_eq!(b.visible_total, 4);
+        assert_eq!(table.visibility_scan_cost(), counted);
+        // The session remembers its filter in normal form: the same groups
+        // named twice are still the session's own filter.
+        let g0_again = [GroupId(0), GroupId(0)];
+        let b = table.cursor_fetch(7, 1, 1, Some(&g0_again)).unwrap();
         assert_eq!(b.visible_total, 4);
         assert_eq!(table.visibility_scan_cost(), counted);
         assert_eq!(table.visible_total(0, Some(&only_g0)), 4);

@@ -17,6 +17,12 @@
 # the tests left no stray on-disk files — page files, `.pages.compact`
 # rewrite scratch, WALs, manifests, `.manifest.tmp`/`.manifest.prev`
 # checkpoint scratch or replica generation directories — behind.
+#
+# Right after the workspace tests it also runs the tests of zerber_perf,
+# the benchmark: a detached package (own Cargo.toml and Cargo.lock) that
+# the workspace build never sees.  Its unit tests plus `--smoke` on all
+# four workloads make a signature change in store/protocol break this
+# gate rather than the next benchmark run.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -33,6 +39,9 @@ cargo build --release
 
 echo "==> cargo test -q"
 cargo test -q
+
+echo "==> zerber_perf tests (detached benchmark package: unit tests + --smoke on all four workloads)"
+cargo test --offline --manifest-path zerber_perf/Cargo.toml
 
 echo "==> zerber-analyze (workspace invariant linter)"
 cargo run -p zerber-analyze --release

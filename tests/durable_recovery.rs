@@ -166,8 +166,10 @@ fn oracle_states(index: &OrderedIndex) -> Vec<Vec<Vec<OrderedElement>>> {
 }
 
 /// Opens `dir` with the production IO path and audits it against the
-/// oracle: ordering holds, budget accounting is exact, and every list is
-/// some prefix of its insert history.
+/// oracle: ordering holds, budget accounting is exact, every list is some
+/// prefix of its insert history, and the visibility summaries rebuilt by
+/// recovery count — under a filter given unsorted, with a duplicate and an
+/// absent id — what a recount of the recovered elements does.
 fn audit_recovered(dir: &Path, states: &[Vec<Vec<OrderedElement>>], at: u64) -> SpillStore {
     let recovered = SpillStore::open(dir, spill_config(), durable_config(SyncPolicy::Always))
         .unwrap_or_else(|e| panic!("open after crash at budget {at} failed: {e}"));
@@ -186,6 +188,14 @@ fn audit_recovered(dir: &Path, states: &[Vec<Vec<OrderedElement>>], at: u64) -> 
             "list {l} after crash at budget {at} is not a prefix of its history: \
              {} elements recovered",
             got.len()
+        );
+        let filter = [GroupId(3), GroupId(1), GroupId(3), GroupId(u32::MAX)];
+        assert_eq!(
+            recovered
+                .visible_len(MergedListId(l as u64), Some(&filter))
+                .unwrap(),
+            got.iter().filter(|e| filter.contains(&e.group)).count(),
+            "list {l} visibility after crash at budget {at}"
         );
     }
     recovered

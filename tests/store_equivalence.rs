@@ -13,6 +13,13 @@
 //! layer where they *can* diverge: the physical list representation (scan,
 //! visibility counting, block skipping, insert placement, tail sealing and
 //! compaction in the segment engine).
+//!
+//! The engines also share the normalised group filter and (segment, spill)
+//! the aggregate visibility accounting, so agreeing with each other is not
+//! enough: every count, ranged fetch and undisturbed cursor walk is also
+//! held against `OrderedIndex::{visible_len, fetch}`, which filters the
+//! plain `Vec` with a linear `contains` on the caller's filter exactly as
+//! given — unsorted, duplicated, empty or naming absent groups.
 
 use proptest::prelude::*;
 use zerber_suite::corpus::{GroupId, TermId};
@@ -52,17 +59,36 @@ enum Op {
     CursorClose { session: usize, foreign: bool },
 }
 
+/// A caller's filter from a mask.  The low four bits pick the groups (mask
+/// 0 = unrestricted); the high bits bend its shape the way a caller other
+/// than the index server may: descending instead of ascending, every group
+/// named twice, group ids no element carries (one of them `u32::MAX`).  A
+/// mask with only high bits set is an empty or absent-only filter.
 fn groups_from_mask(mask: u8) -> Option<Vec<GroupId>> {
     if mask == 0 {
         return None;
     }
-    Some(
-        (0..NUM_GROUPS)
-            .filter(|g| mask & (1 << g) != 0)
-            .map(GroupId)
-            .collect(),
-    )
+    let mut groups: Vec<GroupId> = (0..NUM_GROUPS)
+        .filter(|g| mask & (1 << g) != 0)
+        .map(GroupId)
+        .collect();
+    if mask & 0x10 != 0 {
+        groups.reverse();
+    }
+    if mask & 0x20 != 0 {
+        groups.extend(groups.clone());
+    }
+    if mask & 0x40 != 0 {
+        groups.insert(0, GroupId(u32::MAX));
+        groups.push(GroupId(NUM_GROUPS + 3));
+    }
+    Some(groups)
 }
+
+/// Masks the terminal audits count under: unrestricted, ascending subsets,
+/// every group, an empty filter, a reversed + duplicated one and one mixing
+/// real groups with absent ids.
+const AUDIT_MASKS: [u8; 7] = [0, 1, 5, 0b1111, 0x10, 0x35, 0x4a];
 
 fn element(trs: f64, group: u32, ct: Vec<u8>) -> OrderedElement {
     let group = GroupId(group % NUM_GROUPS);
@@ -76,6 +102,17 @@ fn element(trs: f64, group: u32, ct: Vec<u8>) -> OrderedElement {
     }
 }
 
+/// The fabricated index every engine is built over — and, kept as is, the
+/// naive model the engines' answers are held against.
+fn fixture_index(lists: &[Vec<OrderedElement>]) -> OrderedIndex {
+    let plan = MergePlan::from_term_lists(
+        (0..lists.len()).map(|i| vec![TermId(i as u32)]).collect(),
+        "equivalence-fixture",
+        2.0,
+    );
+    OrderedIndex::from_parts(lists.to_vec(), plan)
+}
+
 /// Builds the six engines over identical fabricated indexes.
 fn engines(
     lists: &[Vec<OrderedElement>],
@@ -87,11 +124,6 @@ fn engines(
     SpillStore,
     SpillStore,
 ) {
-    let plan = MergePlan::from_term_lists(
-        (0..lists.len()).map(|i| vec![TermId(i as u32)]).collect(),
-        "equivalence-fixture",
-        2.0,
-    );
     // Tiny blocks and tail so every case crosses block boundaries, seals
     // the tail and compacts the segment stack.
     let segment_config = SegmentConfig {
@@ -101,7 +133,7 @@ fn engines(
         max_segments: 2,
         max_payload_bytes: u32::MAX as usize,
     };
-    let index = OrderedIndex::from_parts(lists.to_vec(), plan);
+    let index = fixture_index(lists);
     (
         SingleMutexStore::new(index.clone()),
         ShardedStore::with_shards(index.clone(), 2),
@@ -190,6 +222,15 @@ struct Session {
     cursors: [CursorId; 6],
     owner: u64,
     groups: Option<Vec<GroupId>>,
+    list: MergedListId,
+    /// Visible elements the session has received so far — where the naive
+    /// model resumes it by offset.
+    delivered: usize,
+    /// Whether an insert has moved the session's list since it was opened.
+    /// A cursor is a physical position, so after that it no longer equals
+    /// an offset scan of the current list (by design: it neither repeats
+    /// nor skips); its visibility total stays comparable throughout.
+    moved: bool,
 }
 
 fn sorted(mut items: Vec<(f64, u32, Vec<u8>)>) -> Vec<OrderedElement> {
@@ -239,11 +280,16 @@ proptest! {
         let (single, sharded, segmented, spilled, tiering, durable) = engines(&lists);
         let stores: [&dyn ListStore; 6] =
             [&single, &sharded, &segmented, &spilled, &tiering, &durable];
+        let mut model = fixture_index(&lists);
         let mut sessions: Vec<Session> = Vec::new();
         for op in ops {
             match op {
                 Op::Insert { list, trs, group, ct } => {
                     let list = MergedListId((list % lists.len()) as u64);
+                    model.insert_sealed(list, element(trs, group, ct.clone())).unwrap();
+                    for session in sessions.iter_mut().filter(|s| s.list == list) {
+                        session.moved = true;
+                    }
                     let positions: Vec<_> = stores
                         .iter()
                         .map(|s| s.insert(list, element(trs, group, ct.clone())).unwrap())
@@ -267,6 +313,12 @@ proptest! {
                     prop_assert_eq!(&batches[0], &batches[3]);
                     prop_assert_eq!(&batches[0], &batches[4]);
                     prop_assert_eq!(&batches[0], &batches[5]);
+                    let naive = model.fetch(list, offset, count, groups.as_deref()).unwrap();
+                    prop_assert_eq!(batches[0].elements.iter().collect::<Vec<_>>(), naive);
+                    prop_assert_eq!(
+                        batches[0].visible_total,
+                        model.visible_len(list, groups.as_deref()).unwrap()
+                    );
                     if open && !batches[0].exhausted {
                         let delivered = offset + batches[0].elements.len();
                         let mut cursors = [CursorId::NONE; 6];
@@ -275,14 +327,22 @@ proptest! {
                                 .open_cursor(list, owner, &batches[i], delivered, groups.as_deref())
                                 .unwrap();
                         }
-                        sessions.push(Session { cursors, owner, groups });
+                        sessions.push(Session {
+                            cursors,
+                            owner,
+                            groups,
+                            list,
+                            delivered,
+                            moved: false,
+                        });
                     }
                 }
                 Op::CursorFetch { session, count } => {
                     if sessions.is_empty() {
                         continue;
                     }
-                    let session = &sessions[session % sessions.len()];
+                    let at = session % sessions.len();
+                    let session = &mut sessions[at];
                     let results: Vec<_> = stores
                         .iter()
                         .enumerate()
@@ -306,6 +366,18 @@ proptest! {
                         for b in results[1..].iter().flatten() {
                             prop_assert_eq!(a, b);
                         }
+                        let groups = session.groups.as_deref();
+                        prop_assert_eq!(
+                            a.visible_total,
+                            model.visible_len(session.list, groups).unwrap()
+                        );
+                        if !session.moved {
+                            let naive = model
+                                .fetch(session.list, session.delivered, count, groups)
+                                .unwrap();
+                            prop_assert_eq!(a.elements.iter().collect::<Vec<_>>(), naive);
+                        }
+                        session.delivered += a.elements.len();
                     }
                 }
                 Op::CursorClose { session, foreign } => {
@@ -329,9 +401,14 @@ proptest! {
             prop_assert_eq!(&spilled.snapshot_list(id).unwrap(), &reference);
             prop_assert_eq!(&tiering.snapshot_list(id).unwrap(), &reference);
             prop_assert_eq!(&durable.snapshot_list(id).unwrap(), &reference);
-            for mask in [0u8, 1, 5, 0b1111] {
+            prop_assert_eq!(model.list(id).unwrap(), &reference[..]);
+            for mask in AUDIT_MASKS {
                 let groups = groups_from_mask(mask);
-                let expected = single.visible_len(id, groups.as_deref()).unwrap();
+                // The running totals and slot summaries stay exact through
+                // tail inserts, rebuilds, seals and compactions: every
+                // engine's count is the naive recount of the final list.
+                let expected = model.visible_len(id, groups.as_deref()).unwrap();
+                prop_assert_eq!(single.visible_len(id, groups.as_deref()).unwrap(), expected);
                 prop_assert_eq!(sharded.visible_len(id, groups.as_deref()).unwrap(), expected);
                 prop_assert_eq!(segmented.visible_len(id, groups.as_deref()).unwrap(), expected);
                 prop_assert_eq!(spilled.visible_len(id, groups.as_deref()).unwrap(), expected);
