@@ -1,9 +1,9 @@
 //! `zerber-analyze` — the workspace invariant linter.
 //!
-//! Four project-specific rules (panic-freedom, lock discipline, cast safety,
-//! metering discipline) run over a lexed token stream of every workspace
-//! source file; see [`rules`] for the rule table.  Violations can be
-//! suppressed per-site with a reasoned directive:
+//! Three project-specific rules (panic-freedom, lock discipline, cast safety)
+//! run over a lexed token stream of every workspace source file; see
+//! [`rules`] for the rule table.  Violations can be suppressed per-site with
+//! a reasoned directive:
 //!
 //! ```text
 //! // analyze::allow(cast): page ids are u32 by the on-disk format
@@ -99,9 +99,7 @@ fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
 
 /// Analyzes a set of `(path, contents)` pairs as one workspace.
 ///
-/// Paths are workspace-relative (`crates/<name>/src/...`); the cross-file
-/// metering rule activates when both `crates/store/src/store.rs` and
-/// `crates/protocol/src/server.rs` are present in the set.
+/// Paths are workspace-relative (`crates/<name>/src/...`).
 pub fn analyze_files(files: &[(String, String)]) -> Analysis {
     let parsed: Vec<SourceFile> = files
         .iter()
@@ -113,15 +111,6 @@ pub fn analyze_files(files: &[(String, String)]) -> Analysis {
         rules::check_panic(f, &mut raw);
         rules::check_lock(f, &mut raw);
         rules::check_cast(f, &mut raw);
-    }
-    let store_rs = parsed
-        .iter()
-        .find(|f| f.crate_name() == "store" && f.is_named("store.rs"));
-    let server_rs = parsed
-        .iter()
-        .find(|f| f.crate_name() == "protocol" && f.is_named("server.rs"));
-    if let (Some(store), Some(server)) = (store_rs, server_rs) {
-        rules::check_meter(store, server, &mut raw);
     }
 
     // Apply allows: a directive suppresses same-rule violations on its
@@ -230,22 +219,5 @@ mod tests {
         let a = one("crates/store/src/a.rs", src);
         assert_eq!(a.violations.len(), 1);
         assert_eq!(a.violations[0].rule, "allow-syntax");
-    }
-
-    #[test]
-    fn meter_rule_needs_both_files() {
-        let store = (
-            "crates/store/src/store.rs".to_string(),
-            "pub trait ListStore { fn lonely_stat(&self) -> u64; }".to_string(),
-        );
-        let server = (
-            "crates/protocol/src/server.rs".to_string(),
-            "fn snapshot() {}".to_string(),
-        );
-        let a = analyze_files(std::slice::from_ref(&store));
-        assert!(a.is_clean(), "meter rule is silent without server.rs");
-        let a = analyze_files(&[store, server]);
-        assert_eq!(a.violations.len(), 1);
-        assert_eq!(a.violations[0].rule, "meter");
     }
 }

@@ -1,18 +1,16 @@
-//! The four workspace invariant rules.
+//! The three workspace invariant rules.
 //!
 //! Every rule is *textual and scoped*: it works on the token stream of one
-//! file (the metering rule on two), applies only where the invariant it
-//! guards actually holds, and reports file/line/snippet diagnostics.  The
-//! rules deliberately err on the side of firing — a false positive costs one
-//! written `analyze::allow` with a reason; a false negative costs a panic or
-//! a deadlock in production.
+//! file, applies only where the invariant it guards actually holds, and
+//! reports file/line/snippet diagnostics.  The rules deliberately err on the
+//! side of firing — a false positive costs one written `analyze::allow` with
+//! a reason; a false negative costs a panic or a deadlock in production.
 //!
 //! | rule  | scope | what it catches |
 //! |-------|-------|-----------------|
 //! | panic | non-test code of `store`, `protocol`, `zerber-r`, `index/src/compress.rs` | `unwrap()`, `expect(`, `panic!`, `unreachable!`, `todo!`, `unimplemented!`; plus range-slicing `&b[i..j]` in the codec files (untrusted-length slicing is the historical panic vector) |
 //! | lock  | non-test code of `store`, `protocol` | a second shard-lock acquisition while a shard guard is live in the same function; `fsync`/`sync_all`/`rename`/`File::create` textually inside a live shard *write*-guard scope (the off-lock IO contract) |
 //! | cast  | non-test code of `compress.rs`, `segment.rs`, `spill.rs`, `durable.rs`, `replication.rs` (store) | bare `as u8`/`as u32`/`as u64`/`as usize` — require `try_from`/`from` or an allow |
-//! | meter | `ListStore` trait vs `server.rs` | a no-arg `&self` getter returning `u64`/`usize` in `ListStore` whose name never appears in the server's stats plumbing |
 
 use crate::lexer::{Kind, Tok};
 use crate::source::{matching, SourceFile};
@@ -533,93 +531,6 @@ pub fn check_cast(f: &SourceFile, out: &mut Vec<Violation>) {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Rule 4: metering discipline
-// ---------------------------------------------------------------------------
-
-/// Extracts the stat getters of `trait ListStore` from `store.rs`: no-arg
-/// `&self` methods returning `u64` or `usize`.
-pub fn list_store_getters(store_rs: &SourceFile) -> Vec<(String, usize)> {
-    let toks = &store_rs.tokens;
-    let mut getters = Vec::new();
-    // Find `trait ListStore { .. }`.
-    let mut start = None;
-    for (i, t) in toks.iter().enumerate() {
-        if t.ident() == Some("trait")
-            && toks.get(i + 1).and_then(|t| t.ident()) == Some("ListStore")
-        {
-            // Body opens at the first `{` after the name (skipping
-            // supertrait bounds).
-            for (j, t2) in toks.iter().enumerate().skip(i) {
-                if t2.is('{') {
-                    start = Some(j);
-                    break;
-                }
-            }
-            break;
-        }
-    }
-    let Some(open) = start else {
-        return getters;
-    };
-    let Some(close) = matching(toks, open, '{', '}') else {
-        return getters;
-    };
-    let mut i = open + 1;
-    while i < close {
-        if toks[i].ident() == Some("fn") {
-            let name = toks.get(i + 1).and_then(|t| t.ident()).map(str::to_string);
-            // Signature shape: fn name ( & self ) -> u64|usize
-            let shape = toks.get(i + 2).is_some_and(|t| t.is('('))
-                && toks.get(i + 3).is_some_and(|t| t.is('&'))
-                && toks.get(i + 4).and_then(|t| t.ident()) == Some("self")
-                && toks.get(i + 5).is_some_and(|t| t.is(')'))
-                && toks.get(i + 6).is_some_and(|t| t.is('-'))
-                && toks.get(i + 7).is_some_and(|t| t.is('>'))
-                && matches!(
-                    toks.get(i + 8).and_then(|t| t.ident()),
-                    Some("u64" | "usize")
-                );
-            if let (Some(name), true) = (name, shape) {
-                getters.push((name, toks[i].line));
-            }
-            // Skip the whole item (default body or `;`).
-            let end = crate::source::item_end(toks, i + 1);
-            i = end;
-            continue;
-        }
-        i += 1;
-    }
-    getters
-}
-
-/// Checks that every `ListStore` stat getter surfaces in the server's stats
-/// code: a counter or gauge added on the store side but never exported
-/// through `ServerStats` is invisible to every bench and operator.
-pub fn check_meter(store_rs: &SourceFile, server_rs: &SourceFile, out: &mut Vec<Violation>) {
-    let getters = list_store_getters(store_rs);
-    for (name, line) in getters {
-        let mentioned = server_rs
-            .tokens
-            .iter()
-            .zip(&server_rs.in_test)
-            .any(|(t, &in_test)| !in_test && t.ident() == Some(name.as_str()));
-        if !mentioned {
-            push(
-                out,
-                "meter",
-                store_rs,
-                line,
-                format!(
-                    "`ListStore::{name}` is a stat getter but `{}` never references it — \
-                     surface it through `ServerStats` (snapshot/delta or gauge)",
-                    server_rs.path
-                ),
-            );
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -730,22 +641,5 @@ mod tests {
         // use-renames don't fire.
         let use_as = "use std::io::Error as IoError;";
         assert_eq!(run_cast("crates/store/src/spill.rs", use_as).len(), 0);
-    }
-
-    #[test]
-    fn meter_rule_catches_a_one_sided_counter() {
-        let store = SourceFile::parse(
-            "crates/store/src/store.rs",
-            "pub trait ListStore { fn good_stat(&self) -> u64; fn bad_stat(&self) -> u64 { 0 } \
-             fn fetch(&self, x: usize) -> u64; }",
-        );
-        let server = SourceFile::parse(
-            "crates/protocol/src/server.rs",
-            "fn snapshot() { store.good_stat(); }",
-        );
-        let mut out = Vec::new();
-        check_meter(&store, &server, &mut out);
-        assert_eq!(out.len(), 1, "{out:?}");
-        assert!(out[0].message.contains("bad_stat"));
     }
 }

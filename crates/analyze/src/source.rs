@@ -17,7 +17,7 @@
 use crate::lexer::{lex, Kind, Tok};
 
 /// The rule names an allow directive may reference.
-pub const RULES: &[&str] = &["panic", "lock", "cast", "meter"];
+pub const RULES: &[&str] = &["panic", "lock", "cast"];
 
 /// One parsed allow directive.
 #[derive(Debug, Clone)]

@@ -88,14 +88,6 @@ fn bare_cast_fixture_trips_cast_and_twin_is_clean() {
 }
 
 #[test]
-fn unexported_getter_fixture_trips_meter_and_twin_is_clean() {
-    let a = scan(&["meter_store.rs", "meter_server_missing.rs"]);
-    assert_trips_once(&a, "meter");
-    assert!(a.violations[0].message.contains("orphan_stat"));
-    assert_clean(&scan(&["meter_store.rs", "meter_server_ok.rs"]));
-}
-
-#[test]
 fn used_allow_suppresses_and_is_counted() {
     let a = scan(&["allow_used.rs"]);
     assert_clean(&a);

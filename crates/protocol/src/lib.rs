@@ -9,8 +9,9 @@
 //! * [`server`] — the untrusted [`server::IndexServer`]: hosts the ordered
 //!   confidential index behind a pluggable `zerber_store::ListStore` engine
 //!   (sharded by default), serves ranged TRS-ordered fetches with resumable
-//!   cursor sessions, accepts inserts, and meters all traffic in lock-free
-//!   counters,
+//!   cursor sessions — one request, one user's multi-term batch or a
+//!   cross-user stream, all through the same serving round — accepts
+//!   inserts, and meters all traffic in lock-free counters,
 //! * [`client`] — the group member: issues the initial request of size `b`,
 //!   decrypts and filters, resumes the server-side cursor with doubling
 //!   follow-up requests, and inserts new documents using the published RSTF,
@@ -18,10 +19,6 @@
 //!   replication stream (snapshot fetch + WAL tail polls), CRC-guarded so
 //!   a socket transport can replace the in-process seam without touching
 //!   the replication logic,
-//! * [`pool`] — the persistent [`pool::ShardWorkerPool`]: N shard workers
-//!   with affinity queues and work-stealing that execute a batched round's
-//!   shard buckets concurrently instead of sequentially on the scheduler
-//!   thread,
 //! * [`netsim`] — the 56 Kb/s-client / 100 Mb/s-server network model, the
 //!   snippet/competitor constants of Section 6.6, and the load generators
 //!   for the serving-engine throughput experiments: the per-query
@@ -34,7 +31,6 @@ pub mod client;
 pub mod error;
 pub mod message;
 pub mod netsim;
-pub mod pool;
 pub mod replication;
 pub mod server;
 
@@ -47,6 +43,5 @@ pub use netsim::{
     PipelineConfig, ResponseBreakdown, ThroughputReport, ALTAVISTA_TOP10_BYTES, GOOGLE_TOP10_BYTES,
     PAPER_POSTING_BITS, SNIPPET_BYTES, YAHOO_TOP10_BYTES,
 };
-pub use pool::{RoundStats, ShardWorkerPool};
 pub use replication::{ReplicationRequest, ReplicationResponse};
 pub use server::{IndexServer, InsertRequest, ServerStats, StoreEngine};

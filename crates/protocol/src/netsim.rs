@@ -267,8 +267,7 @@ pub fn drive_raw_queries(
 /// Configuration of one pipelined load-generation run: worker threads
 /// enqueue initial requests into a bounded submission queue and a scheduler
 /// thread drains it in rounds of up to `batch_size` requests, serving each
-/// round through [`IndexServer::handle_query_stream`] — the cross-user
-/// batched scheduler.
+/// round through [`IndexServer::handle_query_stream`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct PipelineConfig {
     /// Submitting worker threads.
@@ -283,11 +282,6 @@ pub struct PipelineConfig {
     pub queue_capacity: usize,
     /// The `k` of every query (also the response size `b`).
     pub k: usize,
-    /// Shard workers executing each round's buckets: `0` (the default)
-    /// serves rounds sequentially on the scheduler thread, `n > 0` installs
-    /// a persistent [`crate::ShardWorkerPool`] of `n` workers on the server
-    /// for the duration of the run (and leaves it installed afterwards).
-    pub parallelism: usize,
 }
 
 impl PipelineConfig {
@@ -302,7 +296,6 @@ impl PipelineConfig {
             batch_size,
             queue_capacity: (4 * batch_size).max(64),
             k: 10,
-            parallelism: 0,
         }
     }
 }
@@ -360,7 +353,6 @@ pub fn drive_pipelined_queries(
     let workers = config.workers.max(1);
     let batch_size = config.batch_size.max(1);
     let capacity = config.queue_capacity.max(1);
-    server.set_shard_workers(config.parallelism);
     let queue = Mutex::new(Submissions {
         items: VecDeque::with_capacity(capacity),
         producers: workers,

@@ -20,33 +20,34 @@
 //!   the list is exhausted.  Evicted or foreign cursors fall back to the
 //!   stateless offset scan, so the responses are element-for-element
 //!   identical either way.
-//! * **Batched multi-term queries** — [`IndexServer::handle_query_batch`]
-//!   authenticates once and serves all sub-requests through
-//!   [`ListStore::fetch_ranged_many`], which visits each shard exactly once.
-//! * **Cross-user batched scheduler** — [`IndexServer::handle_query_stream`]
-//!   serves a whole round of requests from *different* users: each distinct
-//!   user authenticates once per round, all fetches are bucketed by shard,
-//!   and every shard bucket executes under a single lock acquisition
-//!   (`ListStore::execute_shard_batch`).  `ServerStats` meters `batches`,
-//!   `lock_acquisitions` and `auth_checks` so the amortization is visible.
+//! * **One round** — [`IndexServer::handle_query`],
+//!   [`IndexServer::handle_query_batch`] (one user's multi-term round) and
+//!   [`IndexServer::handle_query_stream`] (a cross-user round) are three
+//!   fronts over one private round: each distinct `(user, token)`
+//!   authenticates once, every admitted request becomes one
+//!   [`StoreJob`] (a live cursor resumes inside the round, anything else is
+//!   a ranged fetch), `ListStore::execute_shard_batch` serves each touched
+//!   shard under a single lock acquisition, and responses come back in
+//!   input order with per-request error isolation.  A round of one is the
+//!   per-query path.  `ServerStats` meters `batches`, `lock_acquisitions`
+//!   and `auth_checks` so the amortization is visible.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use parking_lot::RwLock;
+use parking_lot::Mutex;
 use zerber_base::MergedListId;
 use zerber_corpus::GroupId;
 use zerber_r::{OrderedElement, OrderedIndex};
 use zerber_store::{
     CursorId, DurableConfig, ListStore, RangedBatch, RangedFetch, SegmentStore, ShardedStore,
-    SingleMutexStore, SpillConfig, SpillStore, StoreError, StoreJob,
+    SingleMutexStore, SpillConfig, SpillStore, StoreError, StoreJob, StoreMetrics,
 };
 
 use crate::acl::{AccessControl, AuthToken};
 use crate::error::ProtocolError;
 use crate::message::{QueryRequest, QueryResponse, WireElement, ELEMENT_HEADER_BYTES};
-use crate::pool::{RoundStats, ShardWorkerPool};
 
 /// Cumulative traffic and request counters (a point-in-time snapshot).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -61,8 +62,9 @@ pub struct ServerStats {
     pub bytes_out: u64,
     /// Number of insert operations accepted.
     pub inserts_accepted: u64,
-    /// Batch rounds served ([`IndexServer::handle_query_batch`] and
-    /// [`IndexServer::handle_query_stream`] calls).
+    /// Batch rounds served: [`IndexServer::handle_query_batch`] and
+    /// [`IndexServer::handle_query_stream`] calls in which at least one
+    /// request reached the store.
     pub batches: u64,
     /// Shard-lock acquisitions the storage engine performed on the serving
     /// paths (fetches, cursor operations, inserts and batch rounds); audit
@@ -73,7 +75,7 @@ pub struct ServerStats {
     /// Token verifications the ACL performed: a directory lookup plus one
     /// constant-time compare against the user's stored token each (the HMAC
     /// behind that token is computed when the user is registered, not per
-    /// check).  The batched scheduler authenticates each distinct user once
+    /// check).  A serving round authenticates each distinct user once
     /// per round, so this grows by at most #distinct-users per batch instead
     /// of per request.
     pub auth_checks: u64,
@@ -108,21 +110,6 @@ pub struct ServerStats {
     /// Torn or corrupt WAL tail records recovery discarded (the log was
     /// truncated at the last valid record and the store kept serving).
     pub truncated_wal_records: u64,
-    /// Batch rounds executed on the shard worker pool (0 when the server
-    /// runs the sequential in-thread scheduler).
-    pub worker_rounds: u64,
-    /// Pool buckets executed by a worker other than their home worker — how
-    /// often work-stealing rebalanced a skewed round.
-    pub stolen_buckets: u64,
-    /// Jobs routed into executable buckets across all pool rounds (the
-    /// numerator of [`ServerStats::mean_bucket_occupancy`]).
-    pub round_jobs: u64,
-    /// Buckets produced across all pool rounds (the denominator of
-    /// [`ServerStats::mean_bucket_occupancy`]).
-    pub round_buckets: u64,
-    /// Largest bucket any pool round produced: how skewed the worst round
-    /// was relative to the mean occupancy.
-    pub max_bucket_jobs: u64,
     /// Replication frames the store received and applied (non-zero only
     /// when the server fronts a replica).
     pub frames_streamed: u64,
@@ -157,20 +144,6 @@ pub struct ServerStats {
     pub dead_page_bytes: u64,
 }
 
-impl ServerStats {
-    /// Mean jobs per pool bucket across all worker rounds (0 when the pool
-    /// never ran).  Together with [`ServerStats::max_bucket_jobs`] this
-    /// describes round skew: a mean far below the max means most buckets
-    /// were small while one shard soaked up the round.
-    pub fn mean_bucket_occupancy(&self) -> f64 {
-        if self.round_buckets == 0 {
-            0.0
-        } else {
-            self.round_jobs as f64 / self.round_buckets as f64
-        }
-    }
-}
-
 /// Lock-free counters behind [`ServerStats`]: every worker thread bumps them
 /// without serializing on a stats mutex.
 #[derive(Debug, Default)]
@@ -182,48 +155,42 @@ struct AtomicStats {
     inserts_accepted: AtomicU64,
     batches: AtomicU64,
     auth_checks: AtomicU64,
-    worker_rounds: AtomicU64,
-    stolen_buckets: AtomicU64,
-    round_jobs: AtomicU64,
-    round_buckets: AtomicU64,
-    max_bucket_jobs: AtomicU64,
-    /// The store's lock meter at the last [`AtomicStats::reset`]; snapshots
-    /// report the delta so `reset_stats` zeroes the whole struct.
-    lock_baseline: AtomicU64,
-    /// The store's page-fault meter at the last reset.
-    fault_baseline: AtomicU64,
-    /// The store's page-eviction meter at the last reset.
-    eviction_baseline: AtomicU64,
-    /// The store's page-cache-hit meter at the last reset.
-    hit_baseline: AtomicU64,
-    /// The store's compaction meter at the last reset.
-    compaction_baseline: AtomicU64,
-    /// The store's promotion meter at the last reset.
-    promotion_baseline: AtomicU64,
-    /// The store's demotion meter at the last reset.
-    demotion_baseline: AtomicU64,
-    /// The store's WAL-append meter at the last reset.
-    wal_append_baseline: AtomicU64,
-    /// The store's WAL-byte meter at the last reset.
-    wal_byte_baseline: AtomicU64,
-    /// The store's recovered-page meter at the last reset.
-    recovered_page_baseline: AtomicU64,
-    /// The store's truncated-WAL-record meter at the last reset.
-    truncated_wal_baseline: AtomicU64,
-    /// The store's streamed-frame meter at the last reset.
-    frames_streamed_baseline: AtomicU64,
-    /// The store's skipped-frame meter at the last reset.
-    frames_skipped_baseline: AtomicU64,
-    /// The store's re-snapshot meter at the last reset.
-    resnapshot_baseline: AtomicU64,
-    /// The store's reconnect meter at the last reset.
-    reconnect_baseline: AtomicU64,
-    /// The store's visibility-scan meter at the last reset.
-    visibility_scan_baseline: AtomicU64,
+    /// The store's metrics at the last [`AtomicStats::reset`]; snapshots
+    /// report its counters as the delta so `reset_stats` zeroes the whole
+    /// struct.  Touched only by `stats()` / `reset_stats()`, never by a
+    /// request.
+    baseline: Mutex<StoreMetrics>,
 }
 
 impl AtomicStats {
+    /// The one place a store counter becomes a [`ServerStats`] field.
     fn snapshot(&self, store: &dyn ListStore) -> ServerStats {
+        let base = *self.baseline.lock();
+        // Exhaustive on purpose (no `..`): a field added to `StoreMetrics`
+        // and not surfaced below fails to compile.
+        let StoreMetrics {
+            resident_bytes,
+            spilled_bytes,
+            page_faults,
+            page_evictions,
+            page_cache_hits,
+            page_file_bytes,
+            dead_page_bytes,
+            compactions,
+            promotions,
+            demotions,
+            wal_appends,
+            wal_bytes,
+            recovered_pages,
+            truncated_wal_records,
+            frames_streamed,
+            frames_skipped,
+            resnapshots,
+            reconnects,
+            replica_lag,
+            lock_acquisitions,
+            visibility_scan_cost,
+        } = store.metrics();
         ServerStats {
             requests_served: self.requests_served.load(Ordering::Relaxed),
             elements_sent: self.elements_sent.load(Ordering::Relaxed),
@@ -231,68 +198,30 @@ impl AtomicStats {
             bytes_out: self.bytes_out.load(Ordering::Relaxed),
             inserts_accepted: self.inserts_accepted.load(Ordering::Relaxed),
             batches: self.batches.load(Ordering::Relaxed),
-            lock_acquisitions: store
-                .lock_acquisitions()
-                .saturating_sub(self.lock_baseline.load(Ordering::Relaxed)),
             auth_checks: self.auth_checks.load(Ordering::Relaxed),
-            page_faults: store
-                .page_faults()
-                .saturating_sub(self.fault_baseline.load(Ordering::Relaxed)),
-            page_evictions: store
-                .page_evictions()
-                .saturating_sub(self.eviction_baseline.load(Ordering::Relaxed)),
-            page_cache_hits: store
-                .page_cache_hits()
-                .saturating_sub(self.hit_baseline.load(Ordering::Relaxed)),
-            compactions: store
-                .compactions()
-                .saturating_sub(self.compaction_baseline.load(Ordering::Relaxed)),
-            promotions: store
-                .promotions()
-                .saturating_sub(self.promotion_baseline.load(Ordering::Relaxed)),
-            demotions: store
-                .demotions()
-                .saturating_sub(self.demotion_baseline.load(Ordering::Relaxed)),
-            wal_appends: store
-                .wal_appends()
-                .saturating_sub(self.wal_append_baseline.load(Ordering::Relaxed)),
-            wal_bytes: store
-                .wal_bytes()
-                .saturating_sub(self.wal_byte_baseline.load(Ordering::Relaxed)),
-            recovered_pages: store
-                .recovered_pages()
-                .saturating_sub(self.recovered_page_baseline.load(Ordering::Relaxed)),
-            truncated_wal_records: store
-                .truncated_wal_records()
-                .saturating_sub(self.truncated_wal_baseline.load(Ordering::Relaxed)),
-            worker_rounds: self.worker_rounds.load(Ordering::Relaxed),
-            stolen_buckets: self.stolen_buckets.load(Ordering::Relaxed),
-            round_jobs: self.round_jobs.load(Ordering::Relaxed),
-            round_buckets: self.round_buckets.load(Ordering::Relaxed),
-            max_bucket_jobs: self.max_bucket_jobs.load(Ordering::Relaxed),
-            frames_streamed: store
-                .frames_streamed()
-                .saturating_sub(self.frames_streamed_baseline.load(Ordering::Relaxed)),
-            frames_skipped: store
-                .frames_skipped()
-                .saturating_sub(self.frames_skipped_baseline.load(Ordering::Relaxed)),
-            resnapshots: store
-                .resnapshots()
-                .saturating_sub(self.resnapshot_baseline.load(Ordering::Relaxed)),
-            reconnects: store
-                .reconnects()
-                .saturating_sub(self.reconnect_baseline.load(Ordering::Relaxed)),
-            // Lag is a gauge: report the live value, not a reset-windowed
-            // delta.
-            replica_lag: store.replica_lag(),
-            visibility_scan_cost: store
-                .visibility_scan_cost()
-                .saturating_sub(self.visibility_scan_baseline.load(Ordering::Relaxed)),
-            // Byte footprints are gauges too: live values, never windowed.
-            resident_bytes: store.resident_bytes() as u64,
-            spilled_bytes: store.spilled_bytes() as u64,
-            page_file_bytes: store.page_file_bytes() as u64,
-            dead_page_bytes: store.dead_page_bytes() as u64,
+            // Store counters: the delta since the last reset.
+            lock_acquisitions: lock_acquisitions.saturating_sub(base.lock_acquisitions),
+            page_faults: page_faults.saturating_sub(base.page_faults),
+            page_evictions: page_evictions.saturating_sub(base.page_evictions),
+            page_cache_hits: page_cache_hits.saturating_sub(base.page_cache_hits),
+            compactions: compactions.saturating_sub(base.compactions),
+            promotions: promotions.saturating_sub(base.promotions),
+            demotions: demotions.saturating_sub(base.demotions),
+            wal_appends: wal_appends.saturating_sub(base.wal_appends),
+            wal_bytes: wal_bytes.saturating_sub(base.wal_bytes),
+            recovered_pages: recovered_pages.saturating_sub(base.recovered_pages),
+            truncated_wal_records: truncated_wal_records.saturating_sub(base.truncated_wal_records),
+            frames_streamed: frames_streamed.saturating_sub(base.frames_streamed),
+            frames_skipped: frames_skipped.saturating_sub(base.frames_skipped),
+            resnapshots: resnapshots.saturating_sub(base.resnapshots),
+            reconnects: reconnects.saturating_sub(base.reconnects),
+            visibility_scan_cost: visibility_scan_cost.saturating_sub(base.visibility_scan_cost),
+            // Store gauges: live values, never windowed.
+            replica_lag,
+            resident_bytes,
+            spilled_bytes,
+            page_file_bytes,
+            dead_page_bytes,
         }
     }
 
@@ -304,54 +233,7 @@ impl AtomicStats {
         self.inserts_accepted.store(0, Ordering::Relaxed);
         self.batches.store(0, Ordering::Relaxed);
         self.auth_checks.store(0, Ordering::Relaxed);
-        self.worker_rounds.store(0, Ordering::Relaxed);
-        self.stolen_buckets.store(0, Ordering::Relaxed);
-        self.round_jobs.store(0, Ordering::Relaxed);
-        self.round_buckets.store(0, Ordering::Relaxed);
-        self.max_bucket_jobs.store(0, Ordering::Relaxed);
-        self.lock_baseline
-            .store(store.lock_acquisitions(), Ordering::Relaxed);
-        self.fault_baseline
-            .store(store.page_faults(), Ordering::Relaxed);
-        self.eviction_baseline
-            .store(store.page_evictions(), Ordering::Relaxed);
-        self.hit_baseline
-            .store(store.page_cache_hits(), Ordering::Relaxed);
-        self.compaction_baseline
-            .store(store.compactions(), Ordering::Relaxed);
-        self.promotion_baseline
-            .store(store.promotions(), Ordering::Relaxed);
-        self.demotion_baseline
-            .store(store.demotions(), Ordering::Relaxed);
-        self.wal_append_baseline
-            .store(store.wal_appends(), Ordering::Relaxed);
-        self.wal_byte_baseline
-            .store(store.wal_bytes(), Ordering::Relaxed);
-        self.recovered_page_baseline
-            .store(store.recovered_pages(), Ordering::Relaxed);
-        self.truncated_wal_baseline
-            .store(store.truncated_wal_records(), Ordering::Relaxed);
-        self.frames_streamed_baseline
-            .store(store.frames_streamed(), Ordering::Relaxed);
-        self.frames_skipped_baseline
-            .store(store.frames_skipped(), Ordering::Relaxed);
-        self.resnapshot_baseline
-            .store(store.resnapshots(), Ordering::Relaxed);
-        self.reconnect_baseline
-            .store(store.reconnects(), Ordering::Relaxed);
-        self.visibility_scan_baseline
-            .store(store.visibility_scan_cost(), Ordering::Relaxed);
-    }
-
-    fn record_worker_round(&self, round: &RoundStats) {
-        self.worker_rounds.fetch_add(1, Ordering::Relaxed);
-        self.stolen_buckets
-            .fetch_add(round.stolen_buckets, Ordering::Relaxed);
-        self.round_jobs.fetch_add(round.jobs, Ordering::Relaxed);
-        self.round_buckets
-            .fetch_add(round.buckets, Ordering::Relaxed);
-        self.max_bucket_jobs
-            .fetch_max(round.max_bucket_jobs, Ordering::Relaxed);
+        *self.baseline.lock() = store.metrics();
     }
 
     fn record_query(&self, request: &QueryRequest, response: &QueryResponse) {
@@ -420,16 +302,14 @@ pub enum StoreEngine {
 /// The index server.
 #[derive(Debug)]
 pub struct IndexServer {
-    /// `Arc` (not `Box`) so batch rounds can hand the engine to the
-    /// persistent shard workers without borrowing from the server.
-    store: Arc<dyn ListStore>,
+    store: Box<dyn ListStore>,
     acl: AccessControl,
     stats: AtomicStats,
-    /// The shard worker pool executing batch rounds, when parallel serving
-    /// is enabled ([`IndexServer::set_shard_workers`]); `None` runs rounds
-    /// sequentially on the calling thread, exactly as before.
-    pool: RwLock<Option<ShardWorkerPool>>,
 }
+
+/// A request's way into a serving round: the authenticated user's group
+/// set, or the reason the request never reaches the store.
+type Admission = Result<Arc<[GroupId]>, ProtocolError>;
 
 /// Opaque per-user session tag binding cursors to the user who opened them
 /// (FNV-1a over the user name; never 0 so it cannot collide with "no owner").
@@ -452,47 +332,10 @@ impl IndexServer {
     /// Creates a server over an explicit storage engine.
     pub fn with_store(store: Box<dyn ListStore>, acl: AccessControl) -> Self {
         IndexServer {
-            store: Arc::from(store),
+            store,
             acl,
             stats: AtomicStats::default(),
-            pool: RwLock::new(None),
         }
-    }
-
-    /// Sets how many persistent shard workers execute batch rounds
-    /// ([`IndexServer::handle_query_stream`]): `0` disables the pool and
-    /// runs rounds sequentially on the calling thread (the default), `n > 0`
-    /// spawns a pool of `n` workers with shard-affine queues and
-    /// work-stealing.  Idempotent when the count is unchanged; otherwise the
-    /// old pool (if any) is shut down and joined before the call returns.
-    pub fn set_shard_workers(&self, workers: usize) {
-        let mut slot = self.pool.write();
-        match workers {
-            0 => *slot = None,
-            n if slot.as_ref().map(ShardWorkerPool::workers) == Some(n) => {}
-            n => *slot = Some(ShardWorkerPool::new(n)),
-        }
-    }
-
-    /// Number of shard workers batch rounds currently execute on (0 =
-    /// sequential in-thread scheduling).
-    pub fn shard_workers(&self) -> usize {
-        self.pool
-            .read()
-            .as_ref()
-            .map_or(0, ShardWorkerPool::workers)
-    }
-
-    /// Creates a server serializing every operation on one global mutex —
-    /// the pre-sharding architecture, kept as the contention baseline.
-    pub fn single_mutex(index: OrderedIndex, acl: AccessControl) -> Self {
-        Self::with_store(Box::new(SingleMutexStore::new(index)), acl)
-    }
-
-    /// Creates a server over the compressed segment engine.
-    pub fn segmented(index: OrderedIndex, acl: AccessControl) -> Result<Self, ProtocolError> {
-        let store = SegmentStore::new(index).map_err(map_store_error)?;
-        Ok(Self::with_store(Box::new(store), acl))
     }
 
     /// Creates a server over the selected engine, sharded across
@@ -553,8 +396,8 @@ impl IndexServer {
         self.stats.reset(self.store.as_ref());
     }
 
-    /// Verifies a token through the ACL, metering the check: the batched
-    /// scheduler routes every authentication through here so `auth_checks`
+    /// Verifies a token through the ACL, metering the check: every query
+    /// front routes its authentication through here so `auth_checks`
     /// counts token verifications (lookup + constant-time compare), not
     /// requests.  The groups come back as the ACL's own shared slice.
     fn authenticate(&self, user: &str, token: &AuthToken) -> Result<Arc<[GroupId]>, ProtocolError> {
@@ -592,9 +435,10 @@ impl IndexServer {
     }
 
     /// Serves one validated, authenticated request against the store.
-    /// `try_resume` is false only on the stream scheduler's stale-cursor
-    /// fallback, where the shard round already proved the cursor dead —
-    /// retrying it here would pay a second lock for a guaranteed failure.
+    /// `prefetched` is the ranged batch a round already fetched for it;
+    /// `try_resume` is false only on a round's stale-cursor fallback, where
+    /// the shard round already proved the cursor dead — retrying it here
+    /// would pay a second lock for a guaranteed failure.
     fn serve(
         &self,
         request: &QueryRequest,
@@ -702,7 +546,8 @@ impl IndexServer {
 
     /// Handles a batch of query requests from one user (the initial round of
     /// a multi-term query).  Authentication happens once and the storage
-    /// engine visits each shard exactly once for the whole batch.
+    /// engine visits each shard exactly once for the whole batch, cursor
+    /// resumptions included.
     ///
     /// The outer `Result` covers whole-batch failures (empty or mixed-user
     /// batches, malformed parameters, authentication); the inner results
@@ -726,146 +571,97 @@ impl IndexServer {
             }
         }
         let groups = self.authenticate(&first.user, token)?;
-        self.stats.batches.fetch_add(1, Ordering::Relaxed);
-        // Cursor-less requests go through the shard-batched path; resumptions
-        // (unusual inside a batch) are served individually.
-        let plain: Vec<usize> = (0..requests.len())
-            .filter(|&i| requests[i].cursor == 0)
-            .collect();
-        let plain_fetches: Vec<RangedFetch> = plain
-            .iter()
-            .map(|&i| RangedFetch {
-                list: MergedListId(requests[i].list),
-                offset: requests[i].offset as usize,
-                count: requests[i].count as usize,
-            })
-            .collect();
-        let mut prefetched: Vec<Option<Result<RangedBatch, StoreError>>> =
-            (0..requests.len()).map(|_| None).collect();
-        for (&i, result) in plain
-            .iter()
-            .zip(self.store.fetch_ranged_many(&plain_fetches, Some(&groups)))
-        {
-            prefetched[i] = Some(result);
-        }
-        Ok(requests
-            .iter()
-            .zip(prefetched)
-            .map(|(request, prefetched)| match prefetched {
-                Some(Ok(batch)) => self.serve(request, &groups, Some(batch), true),
-                Some(Err(e)) => Err(map_store_error(e)),
-                None => self.serve(request, &groups, None, true),
-            })
-            .collect())
+        Ok(self.round(requests.iter(), vec![Ok(groups); requests.len()]))
     }
 
-    /// Serves a cross-user batch of requests — the batched shard scheduler.
+    /// Serves a cross-user round of requests.
     ///
     /// Unlike [`IndexServer::handle_query_batch`] (one user's multi-term
     /// round), a stream round mixes requests from arbitrary users, so each
-    /// entry carries its own token.  The scheduler
-    ///
-    /// 1. authenticates each distinct `(user, token)` pair **once** per
-    ///    round instead of once per request,
-    /// 2. buckets all fetches — across users — by storage shard,
-    /// 3. executes each shard bucket under a **single** lock acquisition
-    ///    (`ListStore::execute_shard_batch`; the single-mutex engine
-    ///    degenerates to one lock for the whole round) — sequentially on
-    ///    the calling thread by default, or concurrently on the persistent
-    ///    shard worker pool when [`IndexServer::set_shard_workers`] enabled
-    ///    one — and
-    /// 4. reassembles responses in input order with per-request error
-    ///    isolation: a stale cursor, failed authentication or unknown list
-    ///    degrades that request alone, never the batch.
-    ///
-    /// Live cursor sessions are resumed inside the shard round; a cursor the
-    /// store evicted falls back to the stateless offset scan, exactly like
-    /// [`IndexServer::handle_query`].  Responses and metering are
-    /// request-for-request identical to serving the stream sequentially.
+    /// entry carries its own token.  Each distinct `(user, token)` pair
+    /// authenticates **once** per round instead of once per request, and a
+    /// malformed request or failed authentication degrades that request
+    /// alone, never the round.  Responses and metering are
+    /// request-for-request identical to serving the stream sequentially
+    /// through [`IndexServer::handle_query`].
     pub fn handle_query_stream(
         &self,
         requests: &[(QueryRequest, AuthToken)],
     ) -> Vec<Result<QueryResponse, ProtocolError>> {
-        self.stats.batches.fetch_add(1, Ordering::Relaxed);
-        // A round of one is the request itself: serve it on the per-query
-        // fast path so an unbatched stream costs exactly what
-        // `handle_query` costs.
-        if let [(request, token)] = requests {
-            return vec![Self::validate(request)
-                .and_then(|()| self.authenticate(&request.user, token))
-                .and_then(|groups| self.serve(request, &groups, None, true))];
-        }
-        // Authenticate each distinct (user, token) once.  `arena` holds the
-        // ACL's own `Arc`'d group sets so the shard jobs below can share
-        // them with the worker pool without copying per request.
-        let mut arena: Vec<Arc<[GroupId]>> = Vec::new();
-        let mut cache: HashMap<(&str, &AuthToken), Result<usize, ProtocolError>> = HashMap::new();
-        let mut prepared: Vec<Result<usize, ProtocolError>> = Vec::with_capacity(requests.len());
-        for (request, token) in requests {
-            // Validate before authenticating, like the sequential path: a
-            // malformed request is rejected without paying a token check.
-            prepared.push(Self::validate(request).and_then(|()| {
+        let mut cache: HashMap<(&str, &AuthToken), Admission> = HashMap::new();
+        let admitted = requests
+            .iter()
+            .map(|(request, token)| {
+                // Validate before authenticating, like the per-query path: a
+                // malformed request is rejected without paying a token check.
+                Self::validate(request)?;
                 cache
                     .entry((request.user.as_str(), token))
-                    .or_insert_with(|| {
-                        self.authenticate(&request.user, token).map(|groups| {
-                            arena.push(groups);
-                            arena.len() - 1
-                        })
-                    })
+                    .or_insert_with(|| self.authenticate(&request.user, token))
                     .clone()
-            }));
-        }
-        // One shard job per authenticated request: live cursors resume
-        // inside the round, everything else is a fresh ranged fetch.
-        let jobs: Vec<StoreJob> = requests
-            .iter()
-            .zip(&prepared)
-            .filter_map(|((request, _), auth)| {
-                let groups = Some(Arc::clone(&arena[*auth.as_ref().ok()?]));
+            })
+            .collect();
+        self.round(requests.iter().map(|(request, _)| request), admitted)
+    }
+
+    /// The one serving round behind the batch and stream fronts;
+    /// `admitted[i]` is request `i`'s [`Admission`].
+    ///
+    /// Every admitted request becomes one shard job — a live cursor resumes
+    /// inside the round, everything else is a fresh ranged fetch — and
+    /// `ListStore::execute_shard_batch` serves all of them under a
+    /// **single** lock acquisition per touched shard (the single-mutex
+    /// engine: one lock for the whole round).  Responses are reassembled in
+    /// input order with per-request error isolation: an unknown list fails
+    /// its own request, and a cursor the store evicted (or another user's)
+    /// falls back to the stateless offset scan, exactly like
+    /// [`IndexServer::handle_query`].
+    fn round<'r>(
+        &self,
+        requests: impl Iterator<Item = &'r QueryRequest> + Clone,
+        admitted: Vec<Admission>,
+    ) -> Vec<Result<QueryResponse, ProtocolError>> {
+        let jobs: Vec<StoreJob<'_>> = requests
+            .clone()
+            .zip(&admitted)
+            .filter_map(|(request, groups)| {
+                let groups = Some(&groups.as_ref().ok()?[..]);
+                let count = request.count as usize;
                 Some(if request.cursor != 0 {
-                    StoreJob::resume_shared(
-                        CursorId(request.cursor),
-                        owner_tag(&request.user),
-                        request.count as usize,
-                        groups,
-                    )
+                    let cursor = CursorId(request.cursor);
+                    StoreJob::resume(cursor, owner_tag(&request.user), count, groups)
                 } else {
-                    StoreJob::ranged_shared(
-                        RangedFetch {
-                            list: MergedListId(request.list),
-                            offset: request.offset as usize,
-                            count: request.count as usize,
-                        },
-                        groups,
-                    )
+                    let fetch = RangedFetch {
+                        list: MergedListId(request.list),
+                        offset: request.offset as usize,
+                        count,
+                    };
+                    StoreJob::ranged(fetch, groups)
                 })
             })
             .collect();
-        // With a worker pool, the round's buckets execute concurrently on
-        // the persistent shard workers; without one, sequentially right
-        // here.  Either way results come back aligned with the job order
-        // and metering is identical.
-        let output = {
-            let pool = self.pool.read();
-            match pool.as_ref() {
-                Some(pool) => {
-                    let (output, round) = pool.execute(&self.store, jobs);
-                    self.stats.record_worker_round(&round);
-                    output
-                }
-                None => self.store.execute_shard_batch(&jobs),
+        // A round nothing of which was admitted is not a served batch.
+        let mut outcomes = Vec::new();
+        if !jobs.is_empty() {
+            self.stats.batches.fetch_add(1, Ordering::Relaxed);
+            // A round of one is the request itself: serve it on the
+            // per-query path so an unbatched stream costs exactly what
+            // `handle_query` costs.
+            if let ([_], [Ok(groups)]) = (jobs.as_slice(), admitted.as_slice()) {
+                return requests
+                    .map(|request| self.serve(request, groups, None, true))
+                    .collect();
             }
-        };
-        let mut outcomes = output.results.into_iter();
+            outcomes = self.store.execute_shard_batch(&jobs);
+        }
+        let mut outcomes = outcomes.into_iter();
         requests
-            .iter()
-            .zip(prepared)
-            .map(|((request, _), auth)| {
-                let groups = &arena[auth?];
+            .zip(admitted)
+            .map(|(request, groups)| {
+                let groups = groups?;
                 let outcome = outcomes.next().ok_or_else(|| {
                     ProtocolError::Core(
-                        "internal invariant: every prepared request has a job".into(),
+                        "internal invariant: every admitted request has a job".into(),
                     )
                 })?;
                 match outcome {
@@ -878,13 +674,13 @@ impl IndexServer {
                             CursorId(request.cursor),
                         ))
                     }
-                    Ok(batch) => self.serve(request, groups, Some(batch), true),
+                    Ok(batch) => self.serve(request, &groups, Some(batch), true),
                     Err(StoreError::UnknownCursor(_)) if request.cursor != 0 => {
                         // Evicted or foreign cursor: fall back to the
-                        // stateless offset scan, like the single-query path
+                        // stateless offset scan, like the per-query path
                         // (without retrying the resume the round just saw
                         // fail).
-                        self.serve(request, groups, None, false)
+                        self.serve(request, &groups, None, false)
                     }
                     Err(e) => Err(map_store_error(e)),
                 }
@@ -1272,6 +1068,27 @@ mod tests {
             assert_eq!(stats.lock_acquisitions, 1, "engine {engine:?}");
             // One token verification per distinct user, not per request.
             assert_eq!(stats.auth_checks, users.len() as u64);
+            // A round nothing of which reaches the store is not a served
+            // batch: neither the empty round nor one in which every request
+            // fails validation or authentication.
+            server.reset_stats();
+            assert!(server.handle_query_stream(&[]).is_empty());
+            let malformed = QueryRequest {
+                count: 0,
+                ..request(&users[0], list, 0, 4, 4)
+            };
+            let rejected = [
+                (malformed, server.acl().issue_token(&users[0])),
+                (request(&users[1], list, 0, 4, 4), AuthToken([9u8; 32])),
+                (request(&users[1], list, 0, 4, 4), AuthToken([9u8; 32])),
+            ];
+            let results = server.handle_query_stream(&rejected);
+            assert!(results.iter().all(|r| r.is_err()), "engine {engine:?}");
+            let stats = server.stats();
+            assert_eq!(stats.batches, 0, "engine {engine:?}");
+            assert_eq!(stats.lock_acquisitions, 0, "engine {engine:?}");
+            assert_eq!(stats.requests_served, 0);
+            assert_eq!(stats.auth_checks, 1, "the forged pair is checked once");
         }
     }
 
@@ -1517,31 +1334,101 @@ mod tests {
         );
     }
 
-    #[test]
-    fn stats_reset_and_size_accessors_work() {
-        let (c, server, _, _) = server_fixture();
-        let token = server.acl().issue_token("john");
-        let list = list_for(&c, &server, "imclone");
+    /// Serves a little traffic, resets the window and requires every counter
+    /// of [`ServerStats`] back at zero while the five gauges keep reporting
+    /// the live store state.
+    fn assert_reset_zeroes_counters_and_keeps_gauges(server: &IndexServer, user: &str, list: u64) {
+        let token = server.acl().issue_token(user);
         server
-            .handle_query(&request("john", list, 0, 3, 3), &token)
+            .handle_query(&request(user, list, 0, 3, 3), &token)
             .unwrap();
-        assert!(server.stats().bytes_out > 0);
+        let before = server.stats();
+        assert!(before.bytes_out > 0 && before.lock_acquisitions > 0);
         server.reset_stats();
-        // Counters rewind to zero; the byte-footprint gauges keep reporting
-        // the live store state and are exempt from the window reset.
         let after = server.stats();
         let gauges = ServerStats {
             resident_bytes: after.resident_bytes,
             spilled_bytes: after.spilled_bytes,
             page_file_bytes: after.page_file_bytes,
             dead_page_bytes: after.dead_page_bytes,
+            replica_lag: after.replica_lag,
             ..ServerStats::default()
         };
         assert_eq!(after, gauges);
         assert!(after.resident_bytes > 0, "live footprint survives reset");
+        assert_eq!(after.replica_lag, before.replica_lag);
+    }
+
+    #[test]
+    fn stats_reset_and_size_accessors_work() {
+        let (c, server, _, _) = server_fixture();
+        let list = list_for(&c, &server, "imclone");
+        assert_reset_zeroes_counters_and_keeps_gauges(&server, "john", list);
         assert!(server.num_lists() > 0);
         assert!(server.stored_bytes() > 0);
         assert!(server.avg_wire_element_bytes() > 40.0);
+
+        // The durable engine: WAL counters are windowed like the rest.
+        let snapshot = |l| server.store().snapshot_list(MergedListId(l)).unwrap();
+        let lists = (0..server.num_lists() as u64).map(snapshot).collect();
+        let index = OrderedIndex::from_parts(lists, server.plan().clone());
+        let filler = |trs: f64| OrderedElement {
+            trs,
+            group: GroupId(1),
+            sealed: zerber_base::EncryptedElement {
+                group: GroupId(1),
+                ciphertext: vec![7u8; 40],
+            },
+        };
+        let durable =
+            IndexServer::with_engine(index.clone(), server.acl().clone(), StoreEngine::Durable, 2)
+                .unwrap();
+        durable
+            .store()
+            .insert(MergedListId(list), filler(0.5))
+            .unwrap();
+        assert_eq!(durable.stats().wal_appends, 1);
+        assert_reset_zeroes_counters_and_keeps_gauges(&durable, "john", list);
+
+        // A replica: the replication counters are windowed, the lag gauge
+        // is not.  Three primary inserts and one single-frame poll leave the
+        // replica one frame in and two behind.
+        let root = std::env::temp_dir()
+            .join("zerber-replica")
+            .join(format!("{}-server-stats-reset", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let primary = std::sync::Arc::new(
+            SpillStore::create_durable(
+                index,
+                root.join("primary"),
+                2,
+                SpillConfig::default(),
+                DurableConfig::default(),
+            )
+            .unwrap(),
+        );
+        let source = zerber_store::ReplicationSource::new(primary.clone()).unwrap();
+        let mut replica = zerber_store::Replica::bootstrap(
+            zerber_store::InProcessTransport::new(source),
+            root.join("replica"),
+            zerber_store::ReplicaConfig {
+                batch_frames: 1,
+                ..zerber_store::ReplicaConfig::default()
+            },
+        )
+        .unwrap();
+        for trs in [0.5, 0.4, 0.3] {
+            primary.insert(MergedListId(list), filler(trs)).unwrap();
+        }
+        replica.pump().unwrap();
+        let fronting =
+            IndexServer::with_store(Box::new(replica.serving_store()), server.acl().clone());
+        let stats = fronting.stats();
+        assert_eq!(stats.frames_streamed, 1);
+        assert_eq!(stats.replica_lag, 2);
+        assert_reset_zeroes_counters_and_keeps_gauges(&fronting, "john", list);
+        drop((fronting, replica, primary));
+        std::fs::remove_dir_all(&root).unwrap();
     }
 
     #[test]
@@ -1561,7 +1448,7 @@ mod tests {
             Box::new(ShardedStore::with_shards(index.clone(), 4)),
             acl.clone(),
         );
-        let single = IndexServer::single_mutex(index, acl);
+        let single = IndexServer::with_store(Box::new(SingleMutexStore::new(index)), acl);
         let token = sharded.acl().issue_token("john");
         for list in 0..sharded.num_lists() as u64 {
             for offset in [0u64, 2, 7] {

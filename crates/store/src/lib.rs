@@ -8,11 +8,13 @@
 //!
 //! * [`ListStore`] — the storage contract: ranged fetches in TRS order,
 //!   resumable cursor sessions for follow-up requests (Section 4.1/5.2),
-//!   position-preserving inserts, and cross-user shard batches
+//!   position-preserving inserts, cross-user shard batches
 //!   ([`StoreJob`] / [`ListStore::execute_shard_batch`]: jobs from many
-//!   users, each with its own group filter, bucketed by shard and served
-//!   under a single lock acquisition per shard per round).  The trait is the
-//!   seam for future backends (compressed segments, on-disk shards).
+//!   users, each with its own group filter, grouped by shard and served
+//!   under a single lock acquisition per shard per round — the one batch
+//!   method every engine implements directly), and one
+//!   [`ListStore::metrics`] call returning every counter and gauge the
+//!   engine keeps as a plain [`StoreMetrics`].
 //! * [`ShardedStore`] — lists partitioned across N shards, each behind its
 //!   own `RwLock`; queries on different lists never contend and an insert
 //!   write-locks exactly one shard.
@@ -72,8 +74,7 @@ pub use single::SingleMutexStore;
 pub use spill::{SpillConfig, SpillList, SpillStore};
 pub use store::{
     CursorId, GroupFilter, ListStore, OrderedList, RangedBatch, RangedFetch, SessionStats,
-    ShardBatchOutput, ShardBucketOutput, ShardJobBucket, ShardJobPlan, StoreJob, VecList,
-    SESSION_TTL_TICKS,
+    StoreJob, StoreMetrics, VecList, SESSION_TTL_TICKS,
 };
 
 #[cfg(test)]
@@ -202,7 +203,7 @@ mod tests {
             assert_eq!(a, d);
         }
         // The spill engine served from disk: cold pages were faulted in.
-        assert!(spilled.page_faults() > 0);
+        assert!(spilled.metrics().page_faults > 0);
     }
 
     #[test]
@@ -224,7 +225,8 @@ mod tests {
         assert_eq!(segmented.num_elements(), sharded.num_elements());
         assert_eq!(segmented.stored_bytes(), sharded.stored_bytes());
         assert_eq!(segmented.ciphertext_bytes(), sharded.ciphertext_bytes());
-        let ratio = segmented.resident_bytes() as f64 / sharded.resident_bytes() as f64;
+        let ratio =
+            segmented.metrics().resident_bytes as f64 / sharded.metrics().resident_bytes as f64;
         assert!(
             ratio < 1.0,
             "segments must be smaller than the vec layout, got {ratio:.3}"
@@ -232,8 +234,8 @@ mod tests {
         // The group-filtered visible_len calls above were answered from the
         // per-block skip entries: the segment engine examined only tail
         // elements (none here), the vec engine walked every list in full.
-        assert_eq!(segmented.visibility_scan_cost(), 0);
-        assert!(sharded.visibility_scan_cost() > 0);
+        assert_eq!(segmented.metrics().visibility_scan_cost, 0);
+        assert!(sharded.metrics().visibility_scan_cost > 0);
     }
 
     #[test]
@@ -257,14 +259,14 @@ mod tests {
             let cursor = store
                 .open_cursor(list, 5, &first, first.elements.len(), Some(&groups))
                 .unwrap();
-            let counted = store.visibility_scan_cost();
+            let counted = store.metrics().visibility_scan_cost;
             // Follow-ups are answered from the per-session cached count: no
             // O(list-length) visibility scan, whatever the engine.
             for _ in 0..4 {
                 let batch = store.cursor_fetch(cursor, 5, 2, Some(&groups)).unwrap();
                 assert_eq!(batch.visible_total, first.visible_total);
             }
-            assert_eq!(store.visibility_scan_cost(), counted);
+            assert_eq!(store.metrics().visibility_scan_cost, counted);
             store.close_cursor(cursor, 5);
         }
     }
@@ -308,7 +310,11 @@ mod tests {
                 count: 5,
             }))
             .collect();
-        let batched = sharded.fetch_ranged_many(&fetches, None);
+        let jobs: Vec<StoreJob<'_>> = fetches
+            .iter()
+            .map(|&fetch| StoreJob::ranged(fetch, None))
+            .collect();
+        let batched = sharded.execute_shard_batch(&jobs);
         assert_eq!(batched.len(), fetches.len());
         for (fetch, result) in fetches.iter().zip(&batched) {
             match sharded.fetch_ranged(fetch, None) {
@@ -360,13 +366,12 @@ mod tests {
             StoreJob::resume(cursor, 7, 2, Some(&g0)),
             StoreJob::resume(CursorId(0xfe), 9, 2, None),
         ];
-        let before = sharded.lock_acquisitions();
+        let before = sharded.metrics().lock_acquisitions;
         let out = sharded.execute_shard_batch(&jobs);
         // One list => one shard => one lock for the whole cross-user round.
-        assert_eq!(out.lock_acquisitions, 1);
-        assert_eq!(sharded.lock_acquisitions(), before + 1);
+        assert_eq!(sharded.metrics().lock_acquisitions, before + 1);
         assert_eq!(
-            out.results[0].as_ref().unwrap(),
+            out[0].as_ref().unwrap(),
             &sharded
                 .fetch_ranged(
                     &RangedFetch {
@@ -378,7 +383,7 @@ mod tests {
                 )
                 .unwrap()
         );
-        assert!(matches!(out.results[1], Err(StoreError::UnknownList(_))));
+        assert!(matches!(out[1], Err(StoreError::UnknownList(_))));
         // The cursor job resumed user 7's session: same elements as a
         // stateless offset scan under the session's own filter.
         let expected = sharded
@@ -391,12 +396,12 @@ mod tests {
                 Some(&g0),
             )
             .unwrap();
-        assert_eq!(out.results[2].as_ref().unwrap().elements, expected.elements);
+        assert_eq!(out[2].as_ref().unwrap().elements, expected.elements);
         // A bogus cursor errors alone, not the batch.
-        assert!(matches!(out.results[3], Err(StoreError::UnknownCursor(_))));
+        assert!(matches!(out[3], Err(StoreError::UnknownCursor(_))));
 
         // The single-mutex engine serves any round under exactly one lock.
-        let before = single.lock_acquisitions();
+        let before = single.metrics().lock_acquisitions;
         let jobs = [
             StoreJob::ranged(
                 RangedFetch {
@@ -416,10 +421,11 @@ mod tests {
             ),
         ];
         let out = single.execute_shard_batch(&jobs);
-        assert_eq!(out.lock_acquisitions, 1);
-        assert_eq!(single.lock_acquisitions(), before + 1);
-        assert!(out.results.iter().all(|r| r.is_ok()));
-        assert_eq!(single.execute_shard_batch(&[]).lock_acquisitions, 0);
+        assert_eq!(single.metrics().lock_acquisitions, before + 1);
+        assert!(out.iter().all(|r| r.is_ok()));
+        // An empty round touches nothing.
+        assert!(single.execute_shard_batch(&[]).is_empty());
+        assert_eq!(single.metrics().lock_acquisitions, before + 1);
     }
 
     #[test]
@@ -589,9 +595,9 @@ mod tests {
         assert_eq!(sharded.num_lists(), single.num_lists());
         assert_eq!(single.num_shards(), 1);
         // The in-memory engines never spill or fault.
-        assert_eq!(sharded.spilled_bytes(), 0);
-        assert_eq!(sharded.page_faults(), 0);
-        assert_eq!(sharded.page_evictions(), 0);
+        assert_eq!(sharded.metrics().spilled_bytes, 0);
+        assert_eq!(sharded.metrics().page_faults, 0);
+        assert_eq!(sharded.metrics().page_evictions, 0);
     }
 
     #[test]
@@ -619,15 +625,15 @@ mod tests {
         // spilled bytes are substantial and the resident footprint sits well
         // under the fully in-memory segment engine (summaries + tails +
         // whatever the small page cache holds).
-        assert!(spilled.spilled_bytes() > 0);
+        assert!(spilled.metrics().spilled_bytes > 0);
         assert!(
-            spilled.resident_bytes() < segmented.resident_bytes(),
+            spilled.metrics().resident_bytes < segmented.metrics().resident_bytes,
             "resident {} vs segment {}",
-            spilled.resident_bytes(),
-            segmented.resident_bytes()
+            spilled.metrics().resident_bytes,
+            segmented.metrics().resident_bytes
         );
         // The snapshot audit above faulted pages through the cache.
-        assert!(spilled.page_faults() > 0);
+        assert!(spilled.metrics().page_faults > 0);
     }
 
     #[test]

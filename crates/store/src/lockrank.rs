@@ -5,30 +5,28 @@
 //! The global acquisition order is
 //!
 //! ```text
-//! Pool  <  Store  <  Shard(0)  <  Shard(1)  <  ...
+//! Store  <  Shard(0)  <  Shard(1)  <  ...
 //! ```
 //!
-//! — worker-pool scheduling state first, then a replica's store-slot lock,
-//! then shard locks in ascending shard-index order.  Each thread keeps a
-//! stack of the ranks it holds; acquiring a rank that is not strictly above
-//! the top of the stack (including re-acquiring a held rank) fires a
-//! `debug_assert!` naming both ranks.  The check runs *before* blocking on
-//! the lock, so an inversion that would deadlock under the right
-//! interleaving is reported on **every** run that merely exercises the code
-//! path.  Release builds compile the whole checker away: [`RankGuard`] is a
-//! zero-sized no-op and no thread-local is touched.
+//! — a replica's store-slot lock first, then shard locks in ascending
+//! shard-index order.  Each thread keeps a stack of the ranks it holds;
+//! acquiring a rank that is not strictly above the top of the stack
+//! (including re-acquiring a held rank) fires a `debug_assert!` naming both
+//! ranks.  The check runs *before* blocking on the lock, so an inversion
+//! that would deadlock under the right interleaving is reported on **every**
+//! run that merely exercises the code path.  Release builds compile the whole
+//! checker away: [`RankGuard`] is a zero-sized no-op and no thread-local is
+//! touched.
 
 /// Lock classes in their global acquisition order.  The numeric value is
 /// the class's rank; ties within a class are broken by the `id` passed to
 /// [`acquire`] (the shard index for [`LockClass::Shard`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum LockClass {
-    /// Worker-pool scheduling state (task queues, result sinks).
-    Pool = 0,
     /// A replica's store-slot lock (the snapshot-swap `RwLock`).
-    Store = 1,
+    Store = 0,
     /// One shard of a sharded core, ranked by shard index.
-    Shard = 2,
+    Shard = 1,
 }
 
 /// RAII witness of one ranked acquisition; dropping it releases the rank.
@@ -67,7 +65,7 @@ pub fn acquire(class: LockClass, id: usize) -> RankGuard {
                 debug_assert!(
                     top < key,
                     "lock-rank inversion: acquiring {class:?}({id}) while already holding \
-                     rank {top:?}; the order is Pool < Store < Shard(ascending index)"
+                     rank {top:?}; the order is Store < Shard(ascending index)"
                 );
             }
             stack.push(key);
@@ -79,27 +77,6 @@ pub fn acquire(class: LockClass, id: usize) -> RankGuard {
         let _ = (class, id);
         RankGuard {}
     }
-}
-
-/// Transient legality check for lock helpers that cannot tie a
-/// [`RankGuard`] to their guard's lifetime (the worker pool's condvar
-/// loops hand raw `MutexGuard`s to `Condvar::wait`): asserts the
-/// acquisition *would* rank above everything held, without tracking it.
-#[track_caller]
-pub fn check(class: LockClass, id: usize) {
-    #[cfg(debug_assertions)]
-    held::STACK.with(|stack| {
-        if let Some(&top) = stack.borrow().last() {
-            let key = (class as u8, id);
-            debug_assert!(
-                top < key,
-                "lock-rank inversion: acquiring {class:?}({id}) while already holding \
-                 rank {top:?}; the order is Pool < Store < Shard(ascending index)"
-            );
-        }
-    });
-    #[cfg(not(debug_assertions))]
-    let _ = (class, id);
 }
 
 impl Drop for RankGuard {
@@ -123,17 +100,14 @@ mod tests {
 
     #[test]
     fn ascending_acquisitions_pass() {
-        let a = acquire(LockClass::Pool, 0);
-        let b = acquire(LockClass::Store, 0);
-        let c = acquire(LockClass::Shard, 0);
-        let d = acquire(LockClass::Shard, 1);
-        check(LockClass::Shard, 2);
-        drop(d);
+        let a = acquire(LockClass::Store, 0);
+        let b = acquire(LockClass::Shard, 0);
+        let c = acquire(LockClass::Shard, 1);
         drop(c);
         drop(b);
         drop(a);
         // After release the same ranks are takeable again.
-        let _again = acquire(LockClass::Pool, 0);
+        let _again = acquire(LockClass::Store, 0);
     }
 
     #[test]
@@ -161,14 +135,6 @@ mod tests {
     fn reentrant_acquisition_fires() {
         let _a = acquire(LockClass::Shard, 2);
         let _b = acquire(LockClass::Shard, 2);
-    }
-
-    #[cfg(debug_assertions)]
-    #[test]
-    #[should_panic(expected = "lock-rank inversion")]
-    fn pool_below_shard_fires() {
-        let _shard = acquire(LockClass::Shard, 0);
-        check(LockClass::Pool, 0);
     }
 
     #[cfg(debug_assertions)]

@@ -32,7 +32,7 @@
 //!   — every fault the reconnect loop (capped exponential [`Backoff`] with
 //!   jitter, resume-from-last-applied) must absorb.
 //! * [`ReplicaReadStore`] — the serving wrapper: a [`ListStore`] over the
-//!   replica that answers through the existing batched scheduler but guards
+//!   replica that an `IndexServer` serves from like any engine, but guards
 //!   every read with a bounded-staleness check — a replica lagging the
 //!   primary's last known head past `max_lag` returns the typed
 //!   [`StoreError::Degraded`] (retry on the primary) instead of stale data.
@@ -54,8 +54,7 @@ use crate::error::StoreError;
 use crate::lockrank::{self, LockClass};
 use crate::spill::{SpillStore, WalTail};
 use crate::store::{
-    CursorId, ListStore, RangedBatch, RangedFetch, SessionStats, ShardBucketOutput, ShardJobBucket,
-    ShardJobPlan, StoreJob,
+    CursorId, ListStore, RangedBatch, RangedFetch, SessionStats, StoreJob, StoreMetrics,
 };
 
 // ---------------------------------------------------------------------------
@@ -1182,80 +1181,15 @@ impl ListStore for ReplicaReadStore {
         self.store().ciphertext_bytes()
     }
 
-    fn resident_bytes(&self) -> usize {
-        self.store().resident_bytes()
-    }
-
-    fn spilled_bytes(&self) -> usize {
-        self.store().spilled_bytes()
-    }
-
-    fn page_faults(&self) -> u64 {
-        self.store().page_faults()
-    }
-
-    fn page_evictions(&self) -> u64 {
-        self.store().page_evictions()
-    }
-
-    fn page_cache_hits(&self) -> u64 {
-        self.store().page_cache_hits()
-    }
-
-    fn page_file_bytes(&self) -> usize {
-        self.store().page_file_bytes()
-    }
-
-    fn dead_page_bytes(&self) -> usize {
-        self.store().dead_page_bytes()
-    }
-
-    fn compactions(&self) -> u64 {
-        self.store().compactions()
-    }
-
-    fn promotions(&self) -> u64 {
-        self.store().promotions()
-    }
-
-    fn demotions(&self) -> u64 {
-        self.store().demotions()
-    }
-
-    fn wal_appends(&self) -> u64 {
-        self.store().wal_appends()
-    }
-
-    fn wal_bytes(&self) -> u64 {
-        self.store().wal_bytes()
-    }
-
-    fn recovered_pages(&self) -> u64 {
-        self.store().recovered_pages()
-    }
-
-    fn truncated_wal_records(&self) -> u64 {
-        self.store().truncated_wal_records()
-    }
-
-    fn frames_streamed(&self) -> u64 {
-        self.shared.frames_streamed.load(Ordering::Relaxed)
-    }
-
-    fn frames_skipped(&self) -> u64 {
-        self.shared.frames_skipped.load(Ordering::Relaxed)
-    }
-
-    fn resnapshots(&self) -> u64 {
-        self.shared.resnapshots.load(Ordering::Relaxed)
-    }
-
-    fn reconnects(&self) -> u64 {
-        self.shared.reconnects.load(Ordering::Relaxed)
-    }
-
-    fn replica_lag(&self) -> u64 {
-        self.shared.lag()
+    fn metrics(&self) -> StoreMetrics {
+        StoreMetrics {
+            frames_streamed: self.shared.frames_streamed.load(Ordering::Relaxed),
+            frames_skipped: self.shared.frames_skipped.load(Ordering::Relaxed),
+            resnapshots: self.shared.resnapshots.load(Ordering::Relaxed),
+            reconnects: self.shared.reconnects.load(Ordering::Relaxed),
+            replica_lag: self.shared.lag(),
+            ..self.store().metrics()
+        }
     }
 
     fn list_len(&self, list: MergedListId) -> Result<usize, StoreError> {
@@ -1283,29 +1217,14 @@ impl ListStore for ReplicaReadStore {
         self.store().fetch_ranged(fetch, accessible)
     }
 
-    fn plan_shard_batch(&self, jobs: &[StoreJob], max_bucket_jobs: usize) -> ShardJobPlan {
-        self.store().plan_shard_batch(jobs, max_bucket_jobs)
-    }
-
-    fn execute_shard_bucket(
-        &self,
-        jobs: &[StoreJob],
-        bucket: &ShardJobBucket,
-    ) -> ShardBucketOutput {
-        if let Err(degraded) = self.guard() {
-            // Degrade every job of the bucket individually: the batched
-            // scheduler's per-request error isolation carries the typed
-            // response to each client.
-            return ShardBucketOutput {
-                results: bucket.jobs.iter().map(|_| Err(degraded.clone())).collect(),
-                lock_acquisitions: 0,
-            };
+    fn execute_shard_batch(&self, jobs: &[StoreJob<'_>]) -> Vec<Result<RangedBatch, StoreError>> {
+        // One staleness check per round; a lagging replica degrades every
+        // job individually, so the server's per-request error isolation
+        // carries the typed response to each client.
+        match self.guard() {
+            Ok(()) => self.store().execute_shard_batch(jobs),
+            Err(degraded) => vec![Err(degraded); jobs.len()],
         }
-        self.store().execute_shard_bucket(jobs, bucket)
-    }
-
-    fn lock_acquisitions(&self) -> u64 {
-        self.store().lock_acquisitions()
     }
 
     fn open_cursor(
@@ -1342,10 +1261,6 @@ impl ListStore for ReplicaReadStore {
 
     fn session_stats(&self) -> SessionStats {
         self.store().session_stats()
-    }
-
-    fn visibility_scan_cost(&self) -> u64 {
-        self.store().visibility_scan_cost()
     }
 
     fn insert(&self, _list: MergedListId, _element: OrderedElement) -> Result<usize, StoreError> {

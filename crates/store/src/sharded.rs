@@ -30,12 +30,13 @@ use zerber_base::{MergePlan, MergedListId};
 use zerber_corpus::GroupId;
 use zerber_r::{OrderedElement, OrderedIndex};
 
+use crate::convert::u64_of;
 use crate::error::StoreError;
 use crate::lockrank::{self, LockClass};
 use crate::segment::{SegmentConfig, SegmentList};
 use crate::store::{
-    CursorId, ListStore, ListTable, OrderedList, RangedBatch, RangedFetch, SessionStats,
-    ShardBucketOutput, ShardJobBucket, ShardJobPlan, StoreJob, VecList,
+    CursorId, ListStore, ListTable, OrderedList, RangedBatch, RangedFetch, SessionStats, StoreJob,
+    StoreMetrics, VecList,
 };
 
 /// Upper bound on shards: cursor ids embed the shard index in their low byte.
@@ -49,7 +50,7 @@ pub struct ShardedCore<L: OrderedList> {
     plan: MergePlan,
     next_cursor: AtomicU64,
     /// Shard-lock acquisitions by the serving paths (see
-    /// [`ListStore::lock_acquisitions`]).
+    /// [`StoreMetrics::lock_acquisitions`]).
     lock_meter: AtomicU64,
 }
 
@@ -161,12 +162,12 @@ impl<L: OrderedList> ShardedCore<L> {
     /// Acquires one shard's read lock under the lock-rank discipline.
     ///
     /// **Lock order** (enforced at runtime in debug builds by
-    /// [`crate::lockrank`]): worker-pool state, then a replica's store-slot
-    /// lock, then shard locks in *ascending shard-index* order.  Cursor
-    /// sessions live inside the shard that owns their list, so there is no
-    /// separate session lock to order — the store slot always ranks before
-    /// any shard ("store before session").  Every shard acquisition in this
-    /// module funnels through here or [`Self::shard_write`].
+    /// [`crate::lockrank`]): a replica's store-slot lock, then shard locks
+    /// in *ascending shard-index* order.  Cursor sessions live inside the
+    /// shard that owns their list, so there is no separate session lock to
+    /// order — the store slot always ranks before any shard ("store before
+    /// session").  Every shard acquisition in this module funnels through
+    /// here or [`Self::shard_write`].
     pub(crate) fn shard_read(&self, shard: usize) -> ShardRead<'_, L> {
         let rank = lockrank::acquire(LockClass::Shard, shard);
         ShardRead {
@@ -236,6 +237,74 @@ impl<L: OrderedList> ShardedCore<L> {
             next_cursor: AtomicU64::new(1),
             lock_meter: AtomicU64::new(0),
         })
+    }
+
+    /// The batch round behind [`ListStore::execute_shard_batch`].
+    /// `after_shard` runs off-lock once per touched shard, right after that
+    /// shard's jobs were served (the spill engine's maintenance hook).
+    pub(crate) fn execute_batch(
+        &self,
+        jobs: &[StoreJob<'_>],
+        mut after_shard: impl FnMut(usize),
+    ) -> Vec<Result<RangedBatch, StoreError>> {
+        let mut results = vec![Err(StoreError::Invariant("job was never routed")); jobs.len()];
+        // Group job indices by shard — ranged jobs route by list id, cursor
+        // jobs by the shard index embedded in the cursor.  Jobs no shard
+        // can serve fail on their own without touching a lock.
+        let mut by_shard: Vec<Vec<usize>> = vec![Vec::new(); self.shards.len()];
+        for (i, job) in jobs.iter().enumerate() {
+            let routed = if job.cursor.is_some() {
+                self.cursor_shard(job.cursor)
+            } else {
+                self.known(job.fetch.list).map(|(shard, _)| shard)
+            };
+            match routed {
+                Ok(shard) => by_shard[shard].push(i),
+                Err(e) => results[i] = Err(e),
+            }
+        }
+        for (shard, mut indices) in by_shard.into_iter().enumerate() {
+            if indices.is_empty() {
+                continue;
+            }
+            // Within the shard, serve ranged jobs grouped by list and
+            // cursor resumptions grouped by session (stable, so same-cursor
+            // resumptions keep their input order and answer exactly like a
+            // sequential run): a layout that pages cold state in from disk
+            // then faults each touched page at most once per round of
+            // ranged jobs, and same-session follow-ups share their faults
+            // too.  (A resume job's `fetch.list` is a placeholder — the
+            // session knows its own list — so cursors group by id, not
+            // list.)
+            indices.sort_by_key(|&i| {
+                let job = &jobs[i];
+                if job.cursor.is_some() {
+                    (1u8, job.cursor.0)
+                } else {
+                    (0u8, job.fetch.list.0)
+                }
+            });
+            self.meter_lock();
+            let sweep_due = {
+                let guard = self.shard_read(shard);
+                for i in indices {
+                    let job = &jobs[i];
+                    results[i] = if job.cursor.is_some() {
+                        guard.cursor_fetch(job.cursor.0, job.owner, job.fetch.count, job.accessible)
+                    } else {
+                        let (_, slot) = self.slot(job.fetch.list);
+                        guard.fetch(slot, job.fetch.offset, job.fetch.count, job.accessible)
+                    };
+                }
+                guard.ttl_sweep_due()
+            };
+            if sweep_due {
+                self.meter_lock();
+                self.shard_write(shard).sweep_expired();
+            }
+            after_shard(shard);
+        }
+        results
     }
 
     /// Inserts like [`ListStore::insert`], additionally invoking `log` with
@@ -334,10 +403,17 @@ impl<L: OrderedList> ListStore for ShardedCore<L> {
             .sum()
     }
 
-    fn resident_bytes(&self) -> usize {
-        (0..self.shards.len())
-            .map(|s| self.shard_read(s).resident_bytes())
-            .sum()
+    fn metrics(&self) -> StoreMetrics {
+        let mut metrics = StoreMetrics {
+            lock_acquisitions: self.lock_meter.load(Ordering::Relaxed),
+            ..StoreMetrics::default()
+        };
+        for s in 0..self.shards.len() {
+            let guard = self.shard_read(s);
+            metrics.resident_bytes += u64_of(guard.resident_bytes());
+            metrics.visibility_scan_cost += guard.visibility_scan_cost();
+        }
+        metrics
     }
 
     fn list_len(&self, list: MergedListId) -> Result<usize, StoreError> {
@@ -370,110 +446,8 @@ impl<L: OrderedList> ListStore for ShardedCore<L> {
             .fetch(slot, fetch.offset, fetch.count, accessible)
     }
 
-    fn plan_shard_batch(&self, jobs: &[StoreJob], max_bucket_jobs: usize) -> ShardJobPlan {
-        // Group job indices by shard — ranged jobs route by list id, cursor
-        // jobs by the shard index embedded in the cursor.
-        let mut by_shard: Vec<Vec<usize>> = vec![Vec::new(); self.shards.len()];
-        let mut unroutable = Vec::new();
-        for (i, job) in jobs.iter().enumerate() {
-            let routed = if job.cursor.is_some() {
-                self.cursor_shard(job.cursor)
-            } else {
-                self.known(job.fetch.list).map(|(shard, _)| shard)
-            };
-            match routed {
-                Ok(shard) => by_shard[shard].push(i),
-                Err(e) => unroutable.push((i, e)),
-            }
-        }
-        let max_bucket_jobs = max_bucket_jobs.max(1);
-        let mut buckets = Vec::new();
-        for (shard, mut indices) in by_shard.into_iter().enumerate() {
-            if indices.is_empty() {
-                continue;
-            }
-            // Within the shard, serve ranged jobs grouped by list and
-            // cursor resumptions grouped by session (stable, so same-cursor
-            // resumptions keep their input order and answer exactly like a
-            // sequential run): a layout that pages cold state in from disk
-            // then faults each touched page at most once per round of
-            // ranged jobs, and same-session follow-ups share their faults
-            // too.  (A resume job's `fetch.list` is a placeholder — the
-            // session knows its own list — so cursors group by id, not
-            // list.)
-            let key = |i: usize| {
-                let job = &jobs[i];
-                if job.cursor.is_some() {
-                    (1u8, job.cursor.0)
-                } else {
-                    (0u8, job.fetch.list.0)
-                }
-            };
-            indices.sort_by_key(|&i| key(i));
-            // Slice into buckets of at most `max_bucket_jobs`, extending a
-            // bucket past the cap rather than splitting one list's / one
-            // cursor session's run of jobs across concurrently executable
-            // buckets (same-session order must match a sequential round).
-            let mut start = 0usize;
-            while start < indices.len() {
-                let mut end = (start + max_bucket_jobs).min(indices.len());
-                while end < indices.len() && key(indices[end]) == key(indices[end - 1]) {
-                    end += 1;
-                }
-                buckets.push(ShardJobBucket {
-                    shard,
-                    jobs: indices[start..end].to_vec(),
-                });
-                start = end;
-            }
-        }
-        ShardJobPlan {
-            buckets,
-            unroutable,
-        }
-    }
-
-    fn execute_shard_bucket(
-        &self,
-        jobs: &[StoreJob],
-        bucket: &ShardJobBucket,
-    ) -> ShardBucketOutput {
-        let shard = bucket.shard;
-        self.meter_lock();
-        let (results, sweep_due) = {
-            let guard = self.shard_read(shard);
-            let results = bucket
-                .jobs
-                .iter()
-                .map(|&i| {
-                    let job = &jobs[i];
-                    if job.cursor.is_some() {
-                        guard.cursor_fetch(
-                            job.cursor.0,
-                            job.owner,
-                            job.fetch.count,
-                            job.accessible(),
-                        )
-                    } else {
-                        let (_, slot) = self.slot(job.fetch.list);
-                        guard.fetch(slot, job.fetch.offset, job.fetch.count, job.accessible())
-                    }
-                })
-                .collect();
-            (results, guard.ttl_sweep_due())
-        };
-        if sweep_due {
-            self.meter_lock();
-            self.shard_write(shard).sweep_expired();
-        }
-        ShardBucketOutput {
-            results,
-            lock_acquisitions: 1,
-        }
-    }
-
-    fn lock_acquisitions(&self) -> u64 {
-        self.lock_meter.load(Ordering::Relaxed)
+    fn execute_shard_batch(&self, jobs: &[StoreJob<'_>]) -> Vec<Result<RangedBatch, StoreError>> {
+        self.execute_batch(jobs, |_| {})
     }
 
     fn open_cursor(
@@ -532,12 +506,6 @@ impl<L: OrderedList> ListStore for ShardedCore<L> {
 
     fn session_stats(&self) -> SessionStats {
         SessionStats::aggregate((0..self.shards.len()).map(|s| self.shard_read(s).session_stats()))
-    }
-
-    fn visibility_scan_cost(&self) -> u64 {
-        (0..self.shards.len())
-            .map(|s| self.shard_read(s).visibility_scan_cost())
-            .sum()
     }
 
     fn insert(&self, list: MergedListId, element: OrderedElement) -> Result<usize, StoreError> {

@@ -14,11 +14,12 @@ use zerber_base::{MergePlan, MergedListId};
 use zerber_corpus::GroupId;
 use zerber_r::{OrderedElement, OrderedIndex};
 
+use crate::convert::u64_of;
 use crate::error::StoreError;
 use crate::lockrank::{self, LockClass};
 use crate::store::{
-    CursorId, ListStore, ListTable, OrderedList, RangedBatch, RangedFetch, SessionStats,
-    ShardBucketOutput, ShardJobBucket, ShardJobPlan, StoreJob, VecList,
+    CursorId, ListStore, ListTable, OrderedList, RangedBatch, RangedFetch, SessionStats, StoreJob,
+    StoreMetrics, VecList,
 };
 
 /// A store serializing every operation on one global mutex.
@@ -28,7 +29,7 @@ pub struct SingleMutexStore {
     plan: MergePlan,
     next_cursor: AtomicU64,
     /// Global-mutex acquisitions by the serving paths (see
-    /// [`ListStore::lock_acquisitions`]).
+    /// [`StoreMetrics::lock_acquisitions`]).
     lock_meter: AtomicU64,
 }
 
@@ -121,8 +122,14 @@ impl ListStore for SingleMutexStore {
         self.locked().ciphertext_bytes()
     }
 
-    fn resident_bytes(&self) -> usize {
-        self.locked().resident_bytes()
+    fn metrics(&self) -> StoreMetrics {
+        let guard = self.locked();
+        StoreMetrics {
+            resident_bytes: u64_of(guard.resident_bytes()),
+            lock_acquisitions: self.lock_meter.load(Ordering::Relaxed),
+            visibility_scan_cost: guard.visibility_scan_cost(),
+            ..StoreMetrics::default()
+        }
     }
 
     fn list_len(&self, list: MergedListId) -> Result<usize, StoreError> {
@@ -155,64 +162,32 @@ impl ListStore for SingleMutexStore {
             .fetch(slot, fetch.offset, fetch.count, accessible)
     }
 
-    fn plan_shard_batch(&self, jobs: &[StoreJob], _max_bucket_jobs: usize) -> ShardJobPlan {
-        // One lock domain: the whole cross-user round is a single unit of
-        // work under a single mutex acquisition, however many requests it
-        // carries — splitting it into cap-sized buckets would only multiply
-        // acquisitions of the very same mutex.  The worker pool degenerates
-        // to one worker, exactly like the pre-sharding architecture.
-        ShardJobPlan {
-            buckets: if jobs.is_empty() {
-                Vec::new()
-            } else {
-                vec![ShardJobBucket {
-                    shard: 0,
-                    jobs: (0..jobs.len()).collect(),
-                }]
-            },
-            unroutable: Vec::new(),
+    fn execute_shard_batch(&self, jobs: &[StoreJob<'_>]) -> Vec<Result<RangedBatch, StoreError>> {
+        if jobs.is_empty() {
+            return Vec::new();
         }
-    }
-
-    fn execute_shard_bucket(
-        &self,
-        jobs: &[StoreJob],
-        bucket: &ShardJobBucket,
-    ) -> ShardBucketOutput {
+        // One lock domain: the whole cross-user round is served under a
+        // single mutex acquisition, however many requests it carries.
         self.meter_lock();
         let mut guard = self.locked();
-        let output = ShardBucketOutput {
-            results: bucket
-                .jobs
-                .iter()
-                .map(|&i| {
-                    let job = &jobs[i];
-                    if job.cursor.is_some() {
-                        guard.cursor_fetch(
-                            job.cursor.0,
-                            job.owner,
-                            job.fetch.count,
-                            job.accessible(),
-                        )
-                    } else {
-                        let slot = self.check(job.fetch.list)?;
-                        guard.fetch(slot, job.fetch.offset, job.fetch.count, job.accessible())
-                    }
-                })
-                .collect(),
-            lock_acquisitions: 1,
-        };
+        let results = jobs
+            .iter()
+            .map(|job| {
+                if job.cursor.is_some() {
+                    guard.cursor_fetch(job.cursor.0, job.owner, job.fetch.count, job.accessible)
+                } else {
+                    let slot = self.check(job.fetch.list)?;
+                    guard.fetch(slot, job.fetch.offset, job.fetch.count, job.accessible)
+                }
+            })
+            .collect();
         // Sweep AFTER serving, matching the sharded engine's ordering, so a
         // session resumed in this very round refreshes its last_used before
         // the TTL check can see it.
         if guard.ttl_sweep_due() {
             guard.sweep_expired();
         }
-        output
-    }
-
-    fn lock_acquisitions(&self) -> u64 {
-        self.lock_meter.load(Ordering::Relaxed)
+        results
     }
 
     fn open_cursor(
@@ -265,10 +240,6 @@ impl ListStore for SingleMutexStore {
 
     fn session_stats(&self) -> SessionStats {
         self.locked().session_stats()
-    }
-
-    fn visibility_scan_cost(&self) -> u64 {
-        self.locked().visibility_scan_cost()
     }
 
     fn insert(&self, list: MergedListId, element: OrderedElement) -> Result<usize, StoreError> {

@@ -82,7 +82,7 @@ use crate::segment::{encode_chunk_split, encode_rebuilt, encode_segments, Segmen
 use crate::sharded::{default_shards, ShardedCore, MAX_SHARDS};
 use crate::store::{
     CursorId, GroupFilter, ListStore, ListTable, OrderedList, RangedBatch, RangedFetch,
-    SessionStats, ShardBucketOutput, ShardJobBucket, ShardJobPlan, StoreJob,
+    SessionStats, StoreJob, StoreMetrics,
 };
 
 /// Tuning knobs of the spill engine.
@@ -2374,7 +2374,7 @@ impl SpillStore {
     }
 
     /// Bytes currently held by the LRU page caches (part of
-    /// [`ListStore::resident_bytes`]).
+    /// [`StoreMetrics::resident_bytes`]).
     pub fn page_cache_bytes(&self) -> usize {
         self.pagers.iter().map(|p| p.cache_bytes()).sum()
     }
@@ -2691,70 +2691,31 @@ impl ListStore for SpillStore {
         self.core.ciphertext_bytes()
     }
 
-    fn resident_bytes(&self) -> usize {
+    fn metrics(&self) -> StoreMetrics {
+        // The core knows the per-list resident bytes, the lock meter and
+        // the visibility meter; everything else is pager and WAL state.
+        let mut metrics = self.core.metrics();
         // The shared page caches are shard state, not per-list state: add
         // them on top of the per-list summaries/tails/resident segments.
-        self.core.resident_bytes() + self.page_cache_bytes()
-    }
-
-    fn spilled_bytes(&self) -> usize {
-        self.pagers
-            .iter()
-            .map(|p| p.spilled.load(Ordering::Relaxed))
-            .sum()
-    }
-
-    fn page_faults(&self) -> u64 {
-        self.pagers
-            .iter()
-            .map(|p| p.faults.load(Ordering::Relaxed))
-            .sum()
-    }
-
-    fn page_evictions(&self) -> u64 {
-        self.pagers
-            .iter()
-            .map(|p| p.evictions.load(Ordering::Relaxed))
-            .sum()
-    }
-
-    fn page_cache_hits(&self) -> u64 {
-        self.pagers
-            .iter()
-            .map(|p| p.hits.load(Ordering::Relaxed))
-            .sum()
-    }
-
-    fn page_file_bytes(&self) -> usize {
-        self.pagers
-            .iter()
-            .map(|p| usize::try_from(p.file_len.load(Ordering::Relaxed)).unwrap_or(usize::MAX))
-            .sum()
-    }
-
-    fn dead_page_bytes(&self) -> usize {
-        self.pagers.iter().map(|p| p.dead_bytes()).sum()
-    }
-
-    fn compactions(&self) -> u64 {
-        self.pagers
-            .iter()
-            .map(|p| p.compactions.load(Ordering::Relaxed))
-            .sum()
-    }
-
-    fn promotions(&self) -> u64 {
-        self.pagers
-            .iter()
-            .map(|p| p.promotions.load(Ordering::Relaxed))
-            .sum()
-    }
-
-    fn demotions(&self) -> u64 {
-        self.pagers
-            .iter()
-            .map(|p| p.demotions.load(Ordering::Relaxed))
-            .sum()
+        metrics.resident_bytes += u64_of(self.page_cache_bytes());
+        for p in &self.pagers {
+            metrics.spilled_bytes += u64_of(p.spilled.load(Ordering::Relaxed));
+            metrics.page_faults += p.faults.load(Ordering::Relaxed);
+            metrics.page_evictions += p.evictions.load(Ordering::Relaxed);
+            metrics.page_cache_hits += p.hits.load(Ordering::Relaxed);
+            metrics.page_file_bytes += p.file_len.load(Ordering::Relaxed);
+            metrics.dead_page_bytes += u64_of(p.dead_bytes());
+            metrics.compactions += p.compactions.load(Ordering::Relaxed);
+            metrics.promotions += p.promotions.load(Ordering::Relaxed);
+            metrics.demotions += p.demotions.load(Ordering::Relaxed);
+        }
+        if let Some(d) = &self.durable {
+            metrics.wal_appends = d.wal_appends.load(Ordering::Relaxed);
+            metrics.wal_bytes = d.wal_bytes.load(Ordering::Relaxed);
+            metrics.recovered_pages = d.recovered_pages.load(Ordering::Relaxed);
+            metrics.truncated_wal_records = d.truncated_wal.load(Ordering::Relaxed);
+        }
+        metrics
     }
 
     fn list_len(&self, list: MergedListId) -> Result<usize, StoreError> {
@@ -2785,24 +2746,9 @@ impl ListStore for SpillStore {
         out
     }
 
-    fn plan_shard_batch(&self, jobs: &[StoreJob], max_bucket_jobs: usize) -> ShardJobPlan {
-        self.core.plan_shard_batch(jobs, max_bucket_jobs)
-    }
-
-    // `execute_shard_batch` deliberately stays on the trait default so
-    // batches run through this bucket method and its maintenance hook.
-    fn execute_shard_bucket(
-        &self,
-        jobs: &[StoreJob],
-        bucket: &ShardJobBucket,
-    ) -> ShardBucketOutput {
-        let out = self.core.execute_shard_bucket(jobs, bucket);
-        self.tier_maintenance(bucket.shard);
-        out
-    }
-
-    fn lock_acquisitions(&self) -> u64 {
-        self.core.lock_acquisitions()
+    fn execute_shard_batch(&self, jobs: &[StoreJob<'_>]) -> Vec<Result<RangedBatch, StoreError>> {
+        self.core
+            .execute_batch(jobs, |shard| self.tier_maintenance(shard))
     }
 
     fn open_cursor(
@@ -2845,10 +2791,6 @@ impl ListStore for SpillStore {
         self.core.session_stats()
     }
 
-    fn visibility_scan_cost(&self) -> u64 {
-        self.core.visibility_scan_cost()
-    }
-
     fn insert(&self, list: MergedListId, element: OrderedElement) -> Result<usize, StoreError> {
         let out = match &self.durable {
             None => self.core.insert(list, element),
@@ -2867,30 +2809,6 @@ impl ListStore for SpillStore {
 
     fn verify_ordering(&self) -> bool {
         self.core.verify_ordering()
-    }
-
-    fn wal_appends(&self) -> u64 {
-        self.durable
-            .as_ref()
-            .map_or(0, |d| d.wal_appends.load(Ordering::Relaxed))
-    }
-
-    fn wal_bytes(&self) -> u64 {
-        self.durable
-            .as_ref()
-            .map_or(0, |d| d.wal_bytes.load(Ordering::Relaxed))
-    }
-
-    fn recovered_pages(&self) -> u64 {
-        self.durable
-            .as_ref()
-            .map_or(0, |d| d.recovered_pages.load(Ordering::Relaxed))
-    }
-
-    fn truncated_wal_records(&self) -> u64 {
-        self.durable
-            .as_ref()
-            .map_or(0, |d| d.truncated_wal.load(Ordering::Relaxed))
     }
 }
 
@@ -3032,8 +2950,11 @@ mod tests {
                 ..SpillConfig::default().without_tiering()
             },
         );
-        assert!(store.spilled_bytes() > 0, "cold segments must spill");
-        let faults_before = store.page_faults();
+        assert!(
+            store.metrics().spilled_bytes > 0,
+            "cold segments must spill"
+        );
+        let faults_before = store.metrics().page_faults;
         // A top-of-list read is served from the resident head: no faults.
         store
             .fetch_ranged(
@@ -3045,7 +2966,7 @@ mod tests {
                 None,
             )
             .unwrap();
-        assert_eq!(store.page_faults(), faults_before);
+        assert_eq!(store.metrics().page_faults, faults_before);
         // A deep read faults the cold page in.
         store
             .fetch_ranged(
@@ -3057,7 +2978,7 @@ mod tests {
                 None,
             )
             .unwrap();
-        assert!(store.page_faults() > faults_before);
+        assert!(store.metrics().page_faults > faults_before);
 
         // And with an unbounded budget nothing spills at all.
         let all_hot = store_with(
@@ -3069,9 +2990,9 @@ mod tests {
                 ..SpillConfig::default().without_tiering()
             },
         );
-        assert_eq!(all_hot.spilled_bytes(), 0);
+        assert_eq!(all_hot.metrics().spilled_bytes, 0);
         all_hot.snapshot_list(MergedListId(0)).unwrap();
-        assert_eq!(all_hot.page_faults(), 0);
+        assert_eq!(all_hot.metrics().page_faults, 0);
     }
 
     #[test]
@@ -3088,7 +3009,7 @@ mod tests {
                 ..SpillConfig::default().without_tiering()
             },
         );
-        assert_eq!(store.page_faults(), 0);
+        assert_eq!(store.metrics().page_faults, 0);
         let fetch = |l: u64| RangedFetch {
             list: MergedListId(l),
             offset: 0,
@@ -3101,22 +3022,23 @@ mod tests {
             StoreJob::ranged(fetch(1), None),
         ];
         let out = store.execute_shard_batch(&jobs);
-        assert!(out.results.iter().all(|r| r.is_ok()));
-        assert_eq!(out.lock_acquisitions, 1);
+        assert!(out.iter().all(|r| r.is_ok()));
+        assert_eq!(store.metrics().lock_acquisitions, 1);
         assert_eq!(
-            store.page_faults(),
+            store.metrics().page_faults,
             2,
             "one fault per distinct page, not per job"
         );
-        assert_eq!(store.page_evictions(), 1, "the one-page cache rotated once");
-        // Results are still reported in input order.
         assert_eq!(
-            out.results[0].as_ref().unwrap(),
-            out.results[2].as_ref().unwrap()
+            store.metrics().page_evictions,
+            1,
+            "the one-page cache rotated once"
         );
+        // Results are still reported in input order.
+        assert_eq!(out[0].as_ref().unwrap(), out[2].as_ref().unwrap());
         assert_ne!(
-            out.results[0].as_ref().unwrap().elements,
-            out.results[1].as_ref().unwrap().elements
+            out[0].as_ref().unwrap().elements,
+            out[1].as_ref().unwrap().elements
         );
     }
 
@@ -3168,14 +3090,14 @@ mod tests {
             .unwrap();
 
         // A cross-user shard round isolates the poisoned request the same
-        // way the stream scheduler isolates a stale cursor.
+        // way the server's round isolates a stale cursor.
         let jobs = [
             StoreJob::ranged(fetch(0), None),
             StoreJob::ranged(fetch(1), None),
         ];
         let out = store.execute_shard_batch(&jobs);
-        assert!(out.results[0].is_err());
-        assert!(out.results[1].is_ok());
+        assert!(out[0].is_err());
+        assert!(out[1].is_ok());
 
         // Truncation (a torn write) is surfaced too, as an I/O or
         // validation error, never a panic.
@@ -3213,18 +3135,22 @@ mod tests {
                 ..SpillConfig::default().without_tiering()
             },
         );
-        assert_eq!(store.spilled_bytes(), 0, "everything starts resident");
+        assert_eq!(
+            store.metrics().spilled_bytes,
+            0,
+            "everything starts resident"
+        );
         // An interior insert near the top of the list rebuilds the head
         // segment in place.
         store
             .insert(MergedListId(0), element(0.99, 0, &[7u8; 8]))
             .unwrap();
         assert_eq!(
-            store.spilled_bytes(),
+            store.metrics().spilled_bytes,
             0,
             "the rebuilt head segment must stay resident"
         );
-        let faults = store.page_faults();
+        let faults = store.metrics().page_faults;
         store
             .fetch_ranged(
                 &RangedFetch {
@@ -3235,7 +3161,11 @@ mod tests {
                 None,
             )
             .unwrap();
-        assert_eq!(store.page_faults(), faults, "head reads stay fault-free");
+        assert_eq!(
+            store.metrics().page_faults,
+            faults,
+            "head reads stay fault-free"
+        );
     }
 
     #[test]
@@ -3257,15 +3187,25 @@ mod tests {
                 .insert(MergedListId(i % 2), element(trs, 0, &[9u8; 8]))
                 .unwrap();
         }
-        assert!(store.dead_page_bytes() > 0, "rebuilds must strand bytes");
-        assert!(store.page_file_bytes() > store.spilled_bytes());
+        assert!(
+            store.metrics().dead_page_bytes > 0,
+            "rebuilds must strand bytes"
+        );
+        assert!(store.metrics().page_file_bytes > store.metrics().spilled_bytes);
         let reference: Vec<_> = (0..2u64)
             .map(|l| store.snapshot_list(MergedListId(l)).unwrap())
             .collect();
         assert!(store.compact_shard(0).unwrap());
-        assert_eq!(store.compactions(), 1);
-        assert_eq!(store.dead_page_bytes(), 0, "compaction reclaims all dead");
-        assert_eq!(store.page_file_bytes(), store.spilled_bytes());
+        assert_eq!(store.metrics().compactions, 1);
+        assert_eq!(
+            store.metrics().dead_page_bytes,
+            0,
+            "compaction reclaims all dead"
+        );
+        assert_eq!(
+            store.metrics().page_file_bytes,
+            store.metrics().spilled_bytes
+        );
         for (l, want) in reference.iter().enumerate() {
             assert_eq!(
                 &store.snapshot_list(MergedListId(l as u64)).unwrap(),
@@ -3301,10 +3241,10 @@ mod tests {
                 .unwrap();
         }
         assert!(
-            store.compactions() > 0,
+            store.metrics().compactions > 0,
             "the maintenance hook must trigger compaction on its own"
         );
-        assert_eq!(store.dead_page_bytes(), 0);
+        assert_eq!(store.metrics().dead_page_bytes, 0);
         assert!(store.verify_ordering());
     }
 
@@ -3322,7 +3262,7 @@ mod tests {
         store
             .insert(MergedListId(0), element(0.5, 0, &[7u8; 8]))
             .unwrap();
-        assert!(store.dead_page_bytes() > 0);
+        assert!(store.metrics().dead_page_bytes > 0);
         let reference = store.snapshot_list(MergedListId(0)).unwrap();
         // Tear the compaction down mid-rewrite: live pages copied, swap
         // never reached.
@@ -3335,7 +3275,7 @@ mod tests {
         assert_eq!(store.snapshot_list(MergedListId(0)).unwrap(), reference);
         // A later, uninterrupted pass still reclaims the dead bytes.
         assert!(store.compact_shard(0).unwrap());
-        assert_eq!(store.dead_page_bytes(), 0);
+        assert_eq!(store.metrics().dead_page_bytes, 0);
         assert_eq!(store.snapshot_list(MergedListId(0)).unwrap(), reference);
     }
 
@@ -3382,7 +3322,7 @@ mod tests {
         // The corruption was confined to the discarded fresh file: a clean
         // retry compacts successfully.
         assert!(store.compact_shard(0).unwrap());
-        assert_eq!(store.dead_page_bytes(), 0);
+        assert_eq!(store.metrics().dead_page_bytes, 0);
         assert_eq!(store.snapshot_list(MergedListId(0)).unwrap(), reference);
     }
 
@@ -3411,7 +3351,7 @@ mod tests {
                 ..SpillConfig::default().without_tiering()
             },
         );
-        assert!(store.spilled_bytes() > 0, "list 1 must start cold");
+        assert!(store.metrics().spilled_bytes > 0, "list 1 must start cold");
         let hot = |offset| RangedFetch {
             list: MergedListId(1),
             offset,
@@ -3425,16 +3365,20 @@ mod tests {
         let (promoted, demoted) = store.retier_shard(0).unwrap();
         assert!(promoted > 0, "touched cold slots must promote");
         assert!(demoted > 0, "never-read resident slots must yield budget");
-        assert_eq!(store.promotions(), promoted as u64);
-        assert_eq!(store.demotions(), demoted as u64);
+        assert_eq!(store.metrics().promotions, promoted as u64);
+        assert_eq!(store.metrics().demotions, demoted as u64);
         assert!(store.budget_accounting_is_exact());
         // The hot list now serves without faulting (no cache configured, so
         // fault-free means resident).
-        let faults = store.page_faults();
+        let faults = store.metrics().page_faults;
         for offset in [0usize, 12, 24] {
             store.fetch_ranged(&hot(offset), None).unwrap();
         }
-        assert_eq!(store.page_faults(), faults, "promoted slots serve hot");
+        assert_eq!(
+            store.metrics().page_faults,
+            faults,
+            "promoted slots serve hot"
+        );
         // With unchanged traffic a second pass moves nothing: no ping-pong,
         // and an untouched spilled slot is never promoted.
         assert_eq!(store.retier_shard(0).unwrap(), (0, 0));
@@ -3497,18 +3441,22 @@ mod tests {
                 ..SpillConfig::default().without_tiering()
             },
         );
-        assert_eq!(store.page_cache_hits(), 0);
+        assert_eq!(store.metrics().page_cache_hits, 0);
         let fetch = RangedFetch {
             list: MergedListId(0),
             offset: 0,
             count: 4,
         };
         store.fetch_ranged(&fetch, None).unwrap();
-        let faults = store.page_faults();
+        let faults = store.metrics().page_faults;
         assert!(faults > 0);
         store.fetch_ranged(&fetch, None).unwrap();
-        assert_eq!(store.page_faults(), faults, "the warm read hits the cache");
-        assert!(store.page_cache_hits() >= 1);
+        assert_eq!(
+            store.metrics().page_faults,
+            faults,
+            "the warm read hits the cache"
+        );
+        assert!(store.metrics().page_cache_hits >= 1);
     }
 
     #[test]
@@ -3582,8 +3530,8 @@ mod tests {
                 .insert(MergedListId((i % 2) as u64), element(trs, 1, &[9u8; 8]))
                 .unwrap();
         }
-        assert!(store.wal_appends() >= 3);
-        assert!(store.wal_bytes() > 0);
+        assert!(store.metrics().wal_appends >= 3);
+        assert!(store.metrics().wal_bytes > 0);
         let want = snapshot_all(&store);
         let pages = store.page_file_paths();
         drop(store);
@@ -3596,8 +3544,11 @@ mod tests {
         }
         let reopened = SpillStore::open(&dir, spill_config, DurableConfig::default()).unwrap();
         assert_eq!(snapshot_all(&reopened), want);
-        assert!(reopened.recovered_pages() > 0, "checkpoint pages re-read");
-        assert_eq!(reopened.truncated_wal_records(), 0);
+        assert!(
+            reopened.metrics().recovered_pages > 0,
+            "checkpoint pages re-read"
+        );
+        assert_eq!(reopened.metrics().truncated_wal_records, 0);
         assert!(reopened.budget_accounting_is_exact());
         assert!(reopened.verify_ordering());
         // A second generation of inserts keeps round-tripping.
@@ -3691,7 +3642,11 @@ mod tests {
         };
         let run = |window: u64| {
             let store = store_with(build(), 1, config(window));
-            assert_eq!(store.spilled_bytes(), 0, "everything starts resident");
+            assert_eq!(
+                store.metrics().spilled_bytes,
+                0,
+                "everything starts resident"
+            );
             // An old burst on list 0...
             for offset in [0usize, 12, 24] {
                 store.fetch_ranged(&fetch(0, offset), None).unwrap();
@@ -3714,14 +3669,21 @@ mod tests {
         let (store, (promoted, demoted)) = run(4);
         assert_eq!(promoted, 0);
         assert!(demoted > 0, "the old burst must cool and demote");
-        assert!(store.spilled_bytes() > 0);
-        let faults = store.page_faults();
+        assert!(store.metrics().spilled_bytes > 0);
+        let faults = store.metrics().page_faults;
         for offset in [0usize, 12, 24] {
             store.fetch_ranged(&fetch(1, offset), None).unwrap();
         }
-        assert_eq!(store.page_faults(), faults, "current traffic stays hot");
+        assert_eq!(
+            store.metrics().page_faults,
+            faults,
+            "current traffic stays hot"
+        );
         store.fetch_ranged(&fetch(0, 12), None).unwrap();
-        assert!(store.page_faults() > faults, "the demoted burst faults");
+        assert!(
+            store.metrics().page_faults > faults,
+            "the demoted burst faults"
+        );
         // Control: decay off (window 0), identical traffic — the burst's
         // high-water stamp holds residency forever.
         let (_store, moves) = run(0);

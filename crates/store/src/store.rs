@@ -16,7 +16,6 @@
 
 use std::borrow::Cow;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
 
 use zerber_base::{EncryptedElement, MergePlan, MergedListId};
 use zerber_corpus::GroupId;
@@ -68,17 +67,12 @@ pub struct RangedBatch {
     pub generation: u64,
 }
 
-/// One request of a cross-user shard batch: either a fresh ranged fetch or a
-/// cursor resumption, tagged with the group filter of the user behind it.
-/// Unlike [`ListStore::fetch_ranged_many`] — which serves one user's
-/// multi-term round under a single filter — a job batch mixes requests from
-/// *different* users, so each job carries its own visibility context.
-///
-/// The job *owns* its group filter (a shared `Arc` slice): a shard bucket of
-/// jobs is a `Send + 'static` unit of work, so a persistent shard worker can
-/// execute it without borrowing the scheduler's stack.
-#[derive(Debug, Clone)]
-pub struct StoreJob {
+/// One request of a cross-user batch round: either a fresh ranged fetch or a
+/// cursor resumption, carrying the group filter of the user behind it — a
+/// round mixes requests from *different* users, so each job has its own
+/// visibility context.
+#[derive(Debug, Clone, Copy)]
+pub struct StoreJob<'a> {
     /// The ranged fetch parameters.  For cursor jobs only `count` is used
     /// (the session remembers its own list and position).
     pub fetch: RangedFetch,
@@ -88,20 +82,12 @@ pub struct StoreJob {
     /// Owner tag of the cursor session (ignored for ranged jobs).
     pub owner: u64,
     /// Groups visible to the requesting user (`None` = unrestricted).
-    /// Shared, not borrowed: many jobs of one round typically point at the
-    /// same authenticated user's group set.
-    pub accessible: Option<Arc<[GroupId]>>,
+    pub accessible: Option<&'a [GroupId]>,
 }
 
-impl StoreJob {
-    /// A fresh ranged-fetch job (copies the filter into a shared slice; use
-    /// [`StoreJob::ranged_shared`] to reuse one allocation across jobs).
-    pub fn ranged(fetch: RangedFetch, accessible: Option<&[GroupId]>) -> Self {
-        Self::ranged_shared(fetch, accessible.map(Arc::from))
-    }
-
-    /// A fresh ranged-fetch job over an already-shared group filter.
-    pub fn ranged_shared(fetch: RangedFetch, accessible: Option<Arc<[GroupId]>>) -> Self {
+impl<'a> StoreJob<'a> {
+    /// A fresh ranged-fetch job.
+    pub fn ranged(fetch: RangedFetch, accessible: Option<&'a [GroupId]>) -> Self {
         StoreJob {
             fetch,
             cursor: CursorId::NONE,
@@ -110,23 +96,12 @@ impl StoreJob {
         }
     }
 
-    /// A cursor-resumption job (copies the filter into a shared slice; use
-    /// [`StoreJob::resume_shared`] to reuse one allocation across jobs).
+    /// A cursor-resumption job.
     pub fn resume(
         cursor: CursorId,
         owner: u64,
         count: usize,
-        accessible: Option<&[GroupId]>,
-    ) -> Self {
-        Self::resume_shared(cursor, owner, count, accessible.map(Arc::from))
-    }
-
-    /// A cursor-resumption job over an already-shared group filter.
-    pub fn resume_shared(
-        cursor: CursorId,
-        owner: u64,
-        count: usize,
-        accessible: Option<Arc<[GroupId]>>,
+        accessible: Option<&'a [GroupId]>,
     ) -> Self {
         StoreJob {
             fetch: RangedFetch {
@@ -139,72 +114,78 @@ impl StoreJob {
             accessible,
         }
     }
-
-    /// The job's group filter as a plain slice (`None` = unrestricted).
-    pub fn accessible(&self) -> Option<&[GroupId]> {
-        self.accessible.as_deref()
-    }
 }
 
-/// Outcome of one [`ListStore::execute_shard_batch`] round.
-#[derive(Debug)]
-pub struct ShardBatchOutput {
-    /// Per-job results, aligned with the input order.
-    pub results: Vec<Result<RangedBatch, StoreError>>,
-    /// Shard-lock acquisitions the round needed: sharded engines take each
-    /// touched shard's lock once, the single-mutex engine takes one lock for
-    /// the whole round.
+/// Every counter and gauge a storage engine exposes, read in one call
+/// ([`ListStore::metrics`]).  Counters run since the store was built or
+/// opened; the five gauges (`resident_bytes`, `spilled_bytes`,
+/// `page_file_bytes`, `dead_page_bytes`, `replica_lag`) are point-in-time.
+/// Fields an engine has no notion of stay 0: the in-memory engines fill
+/// `resident_bytes`, `lock_acquisitions` and `visibility_scan_cost` only.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct StoreMetrics {
+    /// Estimated bytes of memory the engine's physical representation
+    /// occupies — what the compressed-segment engine is measured against.
+    pub resident_bytes: u64,
+    /// Bytes of index state spilled to secondary storage.  For the spill
+    /// engine, `spilled_bytes + resident_bytes` approximates the in-memory
+    /// segment engine's resident footprint: the same encoded pages, just
+    /// cold ones living on disk.
+    pub spilled_bytes: u64,
+    /// Pages read back (and re-validated) from secondary storage.
+    pub page_faults: u64,
+    /// Pages evicted from the page cache.
+    pub page_evictions: u64,
+    /// Page-cache hits.  `hits / (hits + faults)` is the cache hit rate of
+    /// the serving workload.
+    pub page_cache_hits: u64,
+    /// Physical length of the on-disk page files backing the spilled state.
+    /// Exceeds `spilled_bytes` by the dead bytes interior rebuilds strand in
+    /// the append-only files.
+    pub page_file_bytes: u64,
+    /// Dead (stranded) bytes in the on-disk page files: space held by pages
+    /// that were superseded by rebuilds and await compaction.
+    pub dead_page_bytes: u64,
+    /// Page-file compactions completed.
+    pub compactions: u64,
+    /// Sealed segments promoted from disk to the resident tier by the
+    /// access-driven retier pass.
+    pub promotions: u64,
+    /// Sealed segments demoted from the resident tier to disk by the
+    /// access-driven retier pass.
+    pub demotions: u64,
+    /// Write-ahead-log records appended (durable engines only).
+    pub wal_appends: u64,
+    /// Write-ahead-log bytes appended (durable engines only).
+    pub wal_bytes: u64,
+    /// Checkpoint pages read back, validated and adopted during recovery.
+    pub recovered_pages: u64,
+    /// Torn or corrupt WAL tail records discarded during recovery — the log
+    /// was truncated at the last valid record.
+    pub truncated_wal_records: u64,
+    /// Replication frames received and applied (replicas only).
+    pub frames_streamed: u64,
+    /// Replication frames skipped as already applied — duplicates and
+    /// retransmissions the idempotent apply discarded (replicas only).
+    pub frames_skipped: u64,
+    /// Full snapshot re-bootstraps a replica performed because the WAL tail
+    /// it needed was no longer available.
+    pub resnapshots: u64,
+    /// Transport reconnects the replica's catch-up loop performed.
+    pub reconnects: u64,
+    /// Current replication lag in sequence numbers — the largest per-shard
+    /// gap between the primary's last known head and this store's applied
+    /// sequence.
+    pub replica_lag: u64,
+    /// Shard-lock acquisitions performed by the serving paths (fetches,
+    /// cursor operations, inserts and batch rounds).  Audit accessors
+    /// (element/byte totals, ordering checks) are not metered, so the
+    /// counter reflects request-serving lock traffic.
     pub lock_acquisitions: u64,
-}
-
-/// One shard's unit of work inside a batch round: the indices (into the
-/// round's job slice) of the jobs this bucket serves, all routed to `shard`.
-///
-/// A bucket is the granularity a shard worker executes at: serving it takes
-/// only its own shard's lock, so buckets of *different* shards — and, because
-/// batch serving holds the shard lock shared, even buckets of the *same*
-/// shard — may run concurrently.  Within a bucket, jobs stay in the engine's
-/// serving order (grouped by list / cursor session), and a planner never
-/// splits jobs of one cursor session or one list across buckets, so
-/// same-session resumptions answer exactly like a sequential round.
-#[derive(Debug, Clone)]
-pub struct ShardJobBucket {
-    /// The shard every job of this bucket routes to.
-    pub shard: usize,
-    /// Indices into the round's job slice, in serving order.
-    pub jobs: Vec<usize>,
-}
-
-/// The routing plan of one batch round: executable buckets plus the jobs
-/// that could not be routed at all (unknown list, malformed cursor id) —
-/// those fail per-job without ever touching a shard.
-#[derive(Debug)]
-pub struct ShardJobPlan {
-    /// Executable buckets, ordered by shard (the sequential execution order).
-    pub buckets: Vec<ShardJobBucket>,
-    /// `(job index, error)` for jobs no shard can serve.
-    pub unroutable: Vec<(usize, StoreError)>,
-}
-
-impl ShardJobPlan {
-    /// Total jobs across all executable buckets.
-    pub fn routed_jobs(&self) -> usize {
-        self.buckets.iter().map(|b| b.jobs.len()).sum()
-    }
-
-    /// Size of the largest bucket (0 for an empty plan).
-    pub fn max_bucket_jobs(&self) -> usize {
-        self.buckets.iter().map(|b| b.jobs.len()).max().unwrap_or(0)
-    }
-}
-
-/// Outcome of executing one [`ShardJobBucket`].
-#[derive(Debug)]
-pub struct ShardBucketOutput {
-    /// Per-job results, aligned with the bucket's `jobs` order.
-    pub results: Vec<Result<RangedBatch, StoreError>>,
-    /// Shard-lock acquisitions serving the bucket needed.
-    pub lock_acquisitions: u64,
+    /// Elements individually examined for visibility accounting (the
+    /// scan-cost assertions read this; cached cursor follow-ups and the
+    /// segment layout's running totals leave it untouched).
+    pub visibility_scan_cost: u64,
 }
 
 /// Counters of one session table (aggregated across shards by
@@ -275,122 +256,8 @@ pub trait ListStore: Send + Sync + std::fmt::Debug {
     /// Total ciphertext bytes across all elements (for wire-size accounting).
     fn ciphertext_bytes(&self) -> usize;
 
-    /// Estimated bytes of memory the engine's physical representation
-    /// occupies — what the compressed-segment engine is measured against.
-    fn resident_bytes(&self) -> usize;
-
-    /// Bytes of index state spilled to secondary storage (0 for the
-    /// in-memory engines).  For the spill engine,
-    /// `spilled_bytes + resident_bytes` approximates the in-memory segment
-    /// engine's resident footprint: the same encoded pages, just cold ones
-    /// living on disk.
-    fn spilled_bytes(&self) -> usize {
-        0
-    }
-
-    /// Pages read back (and re-validated) from secondary storage since the
-    /// store was built (0 for the in-memory engines).
-    fn page_faults(&self) -> u64 {
-        0
-    }
-
-    /// Pages evicted from the page cache since the store was built (0 for
-    /// the in-memory engines).
-    fn page_evictions(&self) -> u64 {
-        0
-    }
-
-    /// Page-cache hits since the store was built (0 for the in-memory
-    /// engines).  `hits / (hits + faults)` is the cache hit rate of the
-    /// serving workload.
-    fn page_cache_hits(&self) -> u64 {
-        0
-    }
-
-    /// Physical length of the on-disk page files backing the spilled state
-    /// (0 for the in-memory engines).  Exceeds [`ListStore::spilled_bytes`]
-    /// by the dead bytes interior rebuilds strand in the append-only files.
-    fn page_file_bytes(&self) -> usize {
-        0
-    }
-
-    /// Dead (stranded) bytes in the on-disk page files: space held by pages
-    /// that were superseded by rebuilds and await compaction.
-    fn dead_page_bytes(&self) -> usize {
-        0
-    }
-
-    /// Page-file compactions completed since the store was built.
-    fn compactions(&self) -> u64 {
-        0
-    }
-
-    /// Sealed segments promoted from disk to the resident tier by the
-    /// access-driven retier pass since the store was built.
-    fn promotions(&self) -> u64 {
-        0
-    }
-
-    /// Sealed segments demoted from the resident tier to disk by the
-    /// access-driven retier pass since the store was built.
-    fn demotions(&self) -> u64 {
-        0
-    }
-
-    /// Write-ahead-log records appended since the store was built or opened
-    /// (0 for non-durable engines).
-    fn wal_appends(&self) -> u64 {
-        0
-    }
-
-    /// Write-ahead-log bytes appended since the store was built or opened
-    /// (0 for non-durable engines).
-    fn wal_bytes(&self) -> u64 {
-        0
-    }
-
-    /// Checkpoint pages read back, validated and adopted during recovery
-    /// (0 for non-durable engines and freshly created stores).
-    fn recovered_pages(&self) -> u64 {
-        0
-    }
-
-    /// Torn or corrupt WAL tail records discarded during recovery — the log
-    /// was truncated at the last valid record (0 for non-durable engines).
-    fn truncated_wal_records(&self) -> u64 {
-        0
-    }
-
-    /// Replication frames received and applied by this store (0 for
-    /// anything that is not a replica).
-    fn frames_streamed(&self) -> u64 {
-        0
-    }
-
-    /// Replication frames skipped as already applied — duplicates and
-    /// retransmissions the idempotent apply discarded (0 for non-replicas).
-    fn frames_skipped(&self) -> u64 {
-        0
-    }
-
-    /// Full snapshot re-bootstraps a replica performed because the WAL tail
-    /// it needed was no longer available (0 for non-replicas).
-    fn resnapshots(&self) -> u64 {
-        0
-    }
-
-    /// Transport reconnects the replica's catch-up loop performed (0 for
-    /// non-replicas).
-    fn reconnects(&self) -> u64 {
-        0
-    }
-
-    /// Current replication lag in sequence numbers — the largest per-shard
-    /// gap between the primary's last known head and this store's applied
-    /// sequence (0 for non-replicas; a gauge, not a counter).
-    fn replica_lag(&self) -> u64 {
-        0
-    }
+    /// Every counter and gauge of the engine, read together.
+    fn metrics(&self) -> StoreMetrics;
 
     /// Physical length of one merged list.
     fn list_len(&self, list: MergedListId) -> Result<usize, StoreError>;
@@ -414,84 +281,15 @@ pub trait ListStore: Send + Sync + std::fmt::Debug {
         accessible: Option<&[GroupId]>,
     ) -> Result<RangedBatch, StoreError>;
 
-    /// Serves a batch of ranged fetches on behalf of one user.
-    /// Implementations group the fetches by shard and acquire each shard
-    /// lock only once, so a multi-term query visits each shard a single
-    /// time.  Results align with the input order.
-    fn fetch_ranged_many(
-        &self,
-        fetches: &[RangedFetch],
-        accessible: Option<&[GroupId]>,
-    ) -> Vec<Result<RangedBatch, StoreError>> {
-        // One shared filter allocation for the whole batch.
-        let shared: Option<Arc<[GroupId]>> = accessible.map(Arc::from);
-        let jobs: Vec<StoreJob> = fetches
-            .iter()
-            .map(|&fetch| StoreJob::ranged_shared(fetch, shared.clone()))
-            .collect();
-        self.execute_shard_batch(&jobs).results
-    }
-
-    /// Routes a cross-user batch of fetch/cursor jobs into executable
-    /// per-shard buckets.  `max_bucket_jobs` caps the bucket size so a
-    /// worker pool can split one hot shard's work into several concurrently
-    /// executable (and stealable) units; jobs of one list or one cursor
-    /// session are never split across buckets, so same-session resumptions
-    /// keep their input order.  Engines whose natural serving unit is the
-    /// whole round (the single-mutex store) may ignore the cap.
-    fn plan_shard_batch(&self, jobs: &[StoreJob], max_bucket_jobs: usize) -> ShardJobPlan;
-
-    /// Executes one planned bucket, taking only that bucket's shard lock
-    /// (shared), so buckets may execute concurrently — on different shards
-    /// and even on the same shard.  Results align with the bucket's `jobs`
-    /// order; a job that fails (stale cursor) errors individually.
-    fn execute_shard_bucket(&self, jobs: &[StoreJob], bucket: &ShardJobBucket)
-        -> ShardBucketOutput;
-
-    /// Executes a cross-user batch of fetch/cursor jobs, visiting each shard
-    /// under a **single** lock acquisition.  This is the storage half of the
-    /// batched scheduler: jobs from many users (each with its own group
-    /// filter) are bucketed by shard, every bucket is served under one read
-    /// lock, and results are reassembled in input order.  A job that fails
-    /// (unknown list, stale cursor) errors individually without disturbing
-    /// the rest of the batch.
-    ///
-    /// Provided in terms of [`ListStore::plan_shard_batch`] (uncapped, one
-    /// bucket per touched shard) and [`ListStore::execute_shard_bucket`],
-    /// executed sequentially in shard order — the worker pool runs the same
-    /// plan/execute seam concurrently.
-    fn execute_shard_batch(&self, jobs: &[StoreJob]) -> ShardBatchOutput {
-        let plan = self.plan_shard_batch(jobs, usize::MAX);
-        let mut results: Vec<Option<Result<RangedBatch, StoreError>>> = vec![None; jobs.len()];
-        for (i, e) in plan.unroutable {
-            results[i] = Some(Err(e));
-        }
-        let mut lock_acquisitions = 0u64;
-        for bucket in &plan.buckets {
-            let out = self.execute_shard_bucket(jobs, bucket);
-            lock_acquisitions += out.lock_acquisitions;
-            for (&i, result) in bucket.jobs.iter().zip(out.results) {
-                results[i] = Some(result);
-            }
-        }
-        ShardBatchOutput {
-            results: results
-                .into_iter()
-                .map(|r| {
-                    r.unwrap_or(Err(StoreError::Invariant(
-                        "every job is routed or unroutable",
-                    )))
-                })
-                .collect(),
-            lock_acquisitions,
-        }
-    }
-
-    /// Shard-lock acquisitions performed by the serving paths (fetches,
-    /// cursor operations, inserts and batch rounds) since the store was
-    /// built.  Audit accessors (element/byte totals, ordering checks) are
-    /// not metered, so the counter reflects request-serving lock traffic.
-    fn lock_acquisitions(&self) -> u64;
+    /// Serves a cross-user round of fetch/cursor jobs, visiting each touched
+    /// shard under a **single** shared lock acquisition: jobs from many
+    /// users (each with its own group filter) are grouped by shard, served
+    /// within a shard grouped by list / cursor session (stable, so
+    /// same-session resumptions keep their input order), and the results
+    /// come back aligned with the input order.  A job that fails (unknown
+    /// list, stale cursor) errors individually without disturbing the rest
+    /// of the round.
+    fn execute_shard_batch(&self, jobs: &[StoreJob<'_>]) -> Vec<Result<RangedBatch, StoreError>>;
 
     /// Opens a cursor session continuing after `batch` (previously obtained
     /// from a ranged fetch on `list`).  `owner` is an opaque session tag;
@@ -532,12 +330,6 @@ pub trait ListStore: Send + Sync + std::fmt::Debug {
 
     /// Occupancy and eviction pressure of the cursor-session tables.
     fn session_stats(&self) -> SessionStats;
-
-    /// Elements individually examined for visibility accounting since the
-    /// store was built (the scan-cost assertions read this; cached cursor
-    /// follow-ups and the segment layout's running totals leave it
-    /// untouched).
-    fn visibility_scan_cost(&self) -> u64;
 
     /// Inserts a sealed element at its TRS position, returning the physical
     /// insertion index.  Open cursors on the list positioned after the

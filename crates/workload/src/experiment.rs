@@ -153,19 +153,12 @@ impl TestBed {
 
     /// Builds an index server over a copy of the ordered index, partitioned
     /// across `num_shards` storage shards, with `num_users` registered
-    /// all-group users (`user-0`, ...).  Used by the concurrency tests and
-    /// the server-throughput benchmarks.
+    /// all-group users (`user-0`, ...).  Used by the concurrency tests.
     pub fn build_server(&self, num_shards: usize, num_users: usize) -> IndexServer {
         IndexServer::with_store(
             Box::new(ShardedStore::with_shards(self.index.clone(), num_shards)),
             self.server_acl(num_users),
         )
-    }
-
-    /// Builds the single-global-mutex baseline server (the pre-sharding
-    /// architecture) over a copy of the ordered index.
-    pub fn build_single_mutex_server(&self, num_users: usize) -> IndexServer {
-        IndexServer::single_mutex(self.index.clone(), self.server_acl(num_users))
     }
 
     /// Builds a server over the compressed segment engine, partitioned
@@ -181,28 +174,7 @@ impl TestBed {
         self.build_engine_server(StoreEngine::Spill, num_shards, num_users)
     }
 
-    /// Builds a spill-engine server with explicit spill and segment tuning —
-    /// what the engine-comparison bench uses to pin the resident budget and
-    /// page-cache size instead of the roomy defaults.
-    pub fn build_tuned_spill_server(
-        &self,
-        num_shards: usize,
-        num_users: usize,
-        config: zerber_store::SpillConfig,
-        segment: zerber_store::SegmentConfig,
-    ) -> IndexServer {
-        let store = zerber_store::SpillStore::in_temp_dir_with(
-            self.index.clone(),
-            num_shards,
-            config,
-            segment,
-        )
-        .expect("spill store builds");
-        IndexServer::with_store(Box::new(store), self.server_acl(num_users))
-    }
-
-    /// Builds a server over an explicitly selected storage engine — the
-    /// entry point the engine-comparison benchmarks drive.
+    /// Builds a server over an explicitly selected storage engine.
     pub fn build_engine_server(
         &self,
         engine: StoreEngine,
@@ -330,7 +302,7 @@ mod tests {
     fn built_servers_serve_the_workload_from_a_thread_pool() {
         let bed = bed();
         let sharded = bed.build_server(4, 2);
-        let single = bed.build_single_mutex_server(2);
+        let single = bed.build_engine_server(StoreEngine::SingleMutex, 1, 2);
         assert_eq!(sharded.num_elements(), bed.index.num_elements());
         assert_eq!(sharded.store().num_shards(), 4);
         assert_eq!(single.store().num_shards(), 1);
@@ -355,7 +327,9 @@ mod tests {
         assert_eq!(segmented.num_elements(), bed.index.num_elements());
         let c = zerber_protocol::drive_raw_queries(&segmented, &users, &lists, &config).unwrap();
         assert_eq!(a.elements_sent, c.elements_sent);
-        assert!(segmented.store().resident_bytes() < sharded.store().resident_bytes());
+        assert!(
+            segmented.store().metrics().resident_bytes < sharded.store().metrics().resident_bytes
+        );
     }
 
     #[test]

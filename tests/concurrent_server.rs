@@ -9,8 +9,8 @@ use std::sync::{Arc, Barrier};
 
 use zerber_suite::corpus::{DatasetProfile, DocId, GroupId};
 use zerber_suite::protocol::{
-    drive_pipelined_queries, drive_raw_queries, AccessControl, AuthToken, Client, IndexServer,
-    LoadConfig, PipelineConfig, QueryRequest, StoreEngine, WireElement,
+    drive_pipelined_queries, drive_raw_queries, AccessControl, Client, IndexServer, LoadConfig,
+    PipelineConfig, QueryRequest, StoreEngine, WireElement,
 };
 use zerber_suite::workload::{TestBed, TestBedConfig};
 use zerber_suite::zerber::MergedListId;
@@ -157,7 +157,6 @@ fn pipelined_driver_matches_the_raw_driver_on_every_engine() {
             batch_size: 16,
             queue_capacity: 32,
             k: 10,
-            parallelism: 0,
         };
         let piped =
             drive_pipelined_queries(&server, &users, &lists, &config).expect("piped run succeeds");
@@ -323,154 +322,4 @@ fn interleaved_cursor_follow_ups_match_a_sequential_run() {
         0,
         "exhausted walks close their sessions"
     );
-}
-
-/// A round where ~90% of the requests hit lists of one storage shard must
-/// trigger work-stealing on a 2-worker pool — the idle worker drains the hot
-/// shard's backlog instead of letting the round serialize behind its home
-/// worker — and the round must still reassemble in input order, identical to
-/// a sequential scheduler.  Stealing is timing-dependent (one worker can
-/// race through the whole round before the other wakes, especially on one
-/// CPU), so the round is retried until a steal is observed; correctness is
-/// asserted on every attempt.
-#[test]
-fn skewed_rounds_trigger_work_stealing_and_stay_ordered() {
-    let bed = TestBed::build(TestBedConfig::small(DatasetProfile::StudIp)).expect("bed builds");
-    let server = bed.build_server(8, 4);
-    let reference = bed.build_server(8, 4);
-
-    // Partition lists by storage shard and pick the best-populated shard as
-    // the hot one.
-    let mut by_shard: HashMap<usize, Vec<u64>> = HashMap::new();
-    for l in 0..server.num_lists() as u64 {
-        let shard = server.store().shard_of(MergedListId(l));
-        by_shard.entry(shard).or_default().push(l);
-    }
-    let (&hot_shard, hot_lists) = by_shard
-        .iter()
-        .max_by_key(|(_, lists)| lists.len())
-        .expect("at least one shard holds lists");
-    let hot_lists = hot_lists.clone();
-    let cold_lists: Vec<u64> = by_shard
-        .iter()
-        .filter(|(&shard, _)| shard != hot_shard)
-        .flat_map(|(_, lists)| lists.iter().copied())
-        .collect();
-    assert!(
-        !cold_lists.is_empty(),
-        "the fixture must spread lists over more than one shard"
-    );
-
-    let users = TestBed::server_users(4);
-    let round: Vec<(QueryRequest, AuthToken)> = (0..80usize)
-        .map(|i| {
-            let user = users[i % users.len()].clone();
-            // Every 10th request goes to a cold shard; the rest pile onto
-            // the hot shard.
-            let list = if i % 10 == 9 {
-                cold_lists[(i / 10) % cold_lists.len()]
-            } else {
-                hot_lists[i % hot_lists.len()]
-            };
-            let token = server.acl().issue_token(&user);
-            let request = QueryRequest {
-                user,
-                list,
-                offset: 0,
-                cursor: 0,
-                count: 5,
-                k: 5,
-            };
-            (request, token)
-        })
-        .collect();
-
-    let strip = |results: Vec<Result<_, _>>| -> Vec<(Vec<WireElement>, u64)> {
-        results
-            .into_iter()
-            .map(|r| {
-                let response: zerber_suite::protocol::QueryResponse =
-                    r.expect("every request of the round is well-formed");
-                (response.elements, response.visible_total)
-            })
-            .collect()
-    };
-    let expected = strip(reference.handle_query_stream(&round));
-
-    server.set_shard_workers(2);
-    assert_eq!(server.shard_workers(), 2);
-    let mut stolen = 0u64;
-    for _ in 0..200 {
-        server.reset_stats();
-        let results = strip(server.handle_query_stream(&round));
-        assert_eq!(
-            results, expected,
-            "a pooled skewed round must reassemble in input order"
-        );
-        let stats = server.stats();
-        assert_eq!(stats.worker_rounds, 1);
-        assert_eq!(stats.round_jobs, 80);
-        assert!(
-            stats.round_buckets >= 2,
-            "the hot shard splits into buckets"
-        );
-        assert!(stats.max_bucket_jobs >= 1);
-        assert!(stats.mean_bucket_occupancy() > 0.0);
-        stolen = stats.stolen_buckets;
-        if stolen > 0 {
-            break;
-        }
-    }
-    assert!(
-        stolen > 0,
-        "a 90%-skewed round on 2 workers must eventually record a steal"
-    );
-}
-
-/// The pool's shutdown path: reconfiguring the worker count mid-life (which
-/// drops and joins the old pool), disabling it, re-enabling it and finally
-/// dropping the server with a live pool must never hang, leak workers or
-/// change any answer.  The loop varies the round shape per seed so repeated
-/// runs (the CI stress loop) exercise different queue interleavings.
-#[test]
-fn pool_reconfiguration_and_shutdown_are_clean() {
-    let bed = TestBed::build(TestBedConfig::small(DatasetProfile::StudIp)).expect("bed builds");
-    let users = TestBed::server_users(4);
-    for seed in 0..10u64 {
-        let server = bed.build_server(4, 4);
-        let num_lists = server.num_lists() as u64;
-        let round: Vec<(QueryRequest, AuthToken)> = (0..48u64)
-            .map(|i| {
-                let user = users[(seed + i) as usize % users.len()].clone();
-                let token = server.acl().issue_token(&user);
-                let request = QueryRequest {
-                    user,
-                    list: (seed.wrapping_mul(7) + i) % num_lists,
-                    offset: 0,
-                    cursor: 0,
-                    count: 4,
-                    k: 4,
-                };
-                (request, token)
-            })
-            .collect();
-        let expected: Vec<_> = server
-            .handle_query_stream(&round)
-            .into_iter()
-            .map(|r| r.expect("round is well-formed").elements)
-            .collect();
-        for workers in [2, 3, 0, 1] {
-            server.set_shard_workers(workers);
-            assert_eq!(server.shard_workers(), workers);
-            let results: Vec<_> = server
-                .handle_query_stream(&round)
-                .into_iter()
-                .map(|r| r.expect("round is well-formed").elements)
-                .collect();
-            assert_eq!(results, expected, "workers={workers} seed={seed}");
-        }
-        // Dropping the server with the 1-worker pool still installed joins
-        // its threads.
-        drop(server);
-    }
 }

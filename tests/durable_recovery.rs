@@ -335,7 +335,7 @@ fn crash_during_recovery_truncation_is_itself_recoverable() {
             io as Arc<dyn PageIo>,
         );
         let recovered = audit_recovered(&crash_dir, &states, at);
-        assert!(recovered.truncated_wal_records() <= NUM_SHARDS as u64);
+        assert!(recovered.metrics().truncated_wal_records <= NUM_SHARDS as u64);
     }
     let _ = fs::remove_dir_all(&root);
 }
@@ -524,7 +524,7 @@ fn bit_flip_in_wal_truncates_at_the_corrupt_frame_and_serves() {
     let recovered =
         SpillStore::open(&dir, spill_config(), durable_config(SyncPolicy::Never)).unwrap();
     assert_eq!(recovered.num_elements(), 3);
-    assert_eq!(recovered.truncated_wal_records(), 1);
+    assert_eq!(recovered.metrics().truncated_wal_records, 1);
     assert!(recovered.verify_ordering());
     recovered
         .insert(MergedListId(0), element(1.0, 0, b"after"))
@@ -612,10 +612,10 @@ fn reopening_a_checkpointed_store_meters_recovered_pages() {
         SpillStore::open(&dir, spill_config(), durable_config(SyncPolicy::Always)).unwrap();
     assert_eq!(recovered.num_elements(), elements);
     assert!(
-        recovered.recovered_pages() > 0,
+        recovered.metrics().recovered_pages > 0,
         "checkpointed segments were not recovered from pages"
     );
-    assert_eq!(recovered.truncated_wal_records(), 0);
+    assert_eq!(recovered.metrics().truncated_wal_records, 0);
     let _ = fs::remove_dir_all(&root);
 }
 
@@ -672,7 +672,7 @@ fn wal_prefix_case(cut: u64) {
         states[fitting],
         "cut at byte {cut}"
     );
-    assert_eq!(recovered.truncated_wal_records(), u64::from(torn));
+    assert_eq!(recovered.metrics().truncated_wal_records, u64::from(torn));
     assert!(recovered.verify_ordering());
     assert!(recovered.budget_accounting_is_exact());
 

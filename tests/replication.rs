@@ -245,7 +245,7 @@ fn replica_bootstraps_streams_and_matches_the_oracle() {
     assert!(serving.insert(list, element(0.1, 0, b"nope")).is_err());
     // Replica-side durable metrics pass through: streamed frames were
     // re-logged into the replica's own WAL.
-    assert!(serving.wal_appends() >= after.len() as u64);
+    assert!(serving.metrics().wal_appends >= after.len() as u64);
     let _ = fs::remove_dir_all(&root);
 }
 
@@ -454,7 +454,7 @@ fn lagging_replica_degrades_reads_until_it_catches_up() {
         serving.fetch_ranged(&fetch, None).unwrap(),
         primary.fetch_ranged(&fetch, None).unwrap()
     );
-    assert_eq!(serving.replica_lag(), 0);
+    assert_eq!(serving.metrics().replica_lag, 0);
     let _ = fs::remove_dir_all(&root);
 }
 

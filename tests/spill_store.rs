@@ -45,8 +45,11 @@ fn spill_server_matches_the_sharded_server_and_meters_faults() {
     // faults.  The interesting accounting lives in the tight-budget test
     // below; here we only pin that the counters exist end to end.
     let stats = spilled.stats();
-    assert_eq!(stats.page_faults, spilled.store().page_faults());
-    assert_eq!(stats.page_evictions, spilled.store().page_evictions());
+    assert_eq!(stats.page_faults, spilled.store().metrics().page_faults);
+    assert_eq!(
+        stats.page_evictions,
+        spilled.store().metrics().page_evictions
+    );
 }
 
 #[test]
@@ -66,7 +69,7 @@ fn corrupt_pages_degrade_one_request_and_the_stream_round_isolates_it() {
         SegmentConfig::default(),
     )
     .expect("spill store builds");
-    assert!(store.spilled_bytes() > 0);
+    assert!(store.metrics().spilled_bytes > 0);
     let paths = store.page_file_paths();
     assert_eq!(paths.len(), 1);
 
@@ -221,11 +224,14 @@ fn compaction_under_concurrent_load_never_tears_an_answer() {
         store.compact_shard(shard).unwrap();
     }
     assert_eq!(
-        store.dead_page_bytes(),
+        store.metrics().dead_page_bytes,
         0,
         "a final pass reclaims everything"
     );
-    assert_eq!(store.page_file_bytes(), store.spilled_bytes());
+    assert_eq!(
+        store.metrics().page_file_bytes,
+        store.metrics().spilled_bytes
+    );
     for path in store.page_file_paths() {
         assert!(
             !path.with_extension("pages.compact").exists(),

@@ -451,9 +451,15 @@ proptest! {
     /// requests from many users with different group views, unknown users,
     /// forged tokens, stale cursors and unknown lists mixed in — must answer
     /// element-for-element identically to the same requests issued one at a
-    /// time through `handle_query`, across all four engines.  A failing
+    /// time through `handle_query`, across all six engines.  A failing
     /// request (denied user, unknown list) degrades alone; the rest of the
     /// batch stays correct.
+    ///
+    /// The same holds for one user's round through `handle_query_batch`:
+    /// each registered user's share of the generated requests — plus one
+    /// request resuming a live session of her own and one presenting another
+    /// user's cursor — answers and meters like the sequential replay on a
+    /// twin server, under one authentication and no more locks.
     #[test]
     fn stream_batches_equal_sequential_queries_across_engines(
         lists in proptest::collection::vec(
@@ -471,6 +477,79 @@ proptest! {
         ),
     ) {
         let servers = servers(&lists);
+        // One user's round through `handle_query_batch`, against the
+        // sequential replay on a twin with the identical history.
+        for (batching, sequential) in servers.iter().zip(&self::servers(&lists)) {
+            for u in 0..4usize {
+                let user = format!("user-{u}");
+                let other = format!("user-{}", (u + 1) % 4);
+                let token = batching.acl().issue_token(&user);
+                let sub_round = |server: &IndexServer| {
+                    // A follow-up at offset 1 opens a session (unless it
+                    // exhausts the list): one of the user's own, one of
+                    // somebody else's.
+                    let open = |name: &str| {
+                        let follow_up = QueryRequest {
+                            user: name.into(),
+                            list: 0,
+                            offset: 1,
+                            cursor: 0,
+                            count: 1,
+                            k: 1,
+                        };
+                        let response = server
+                            .handle_query(&follow_up, &server.acl().issue_token(name))
+                            .unwrap();
+                        response.cursor
+                    };
+                    let (live, foreign) = (open(&user), open(&other));
+                    let request = |list, offset, cursor, count| QueryRequest {
+                        user: user.clone(),
+                        list,
+                        offset,
+                        cursor,
+                        count,
+                        k: count,
+                    };
+                    let mut round = vec![request(0, 2, live, 2)];
+                    round.extend(
+                        reqs.iter()
+                            .filter(|r| r.0 == u && !r.5)
+                            .map(|&(_, list, offset, count, stale, _)| {
+                                let evicted = if stale { 0x0bad_c0de << 8 } else { 0 };
+                                request(list, offset, evicted, count)
+                            }),
+                    );
+                    round.push(request(0, 0, foreign, 3));
+                    round
+                };
+                let round = sub_round(batching);
+                prop_assert_eq!(&round, &sub_round(sequential), "twin histories diverged");
+                batching.reset_stats();
+                sequential.reset_stats();
+                let batched = batching.handle_query_batch(&round, &token).unwrap();
+                let replayed: Vec<_> = round
+                    .iter()
+                    .map(|request| sequential.handle_query(request, &token))
+                    .collect();
+                prop_assert_eq!(&batched, &replayed);
+                let (b, s) = (batching.stats(), sequential.stats());
+                prop_assert_eq!(
+                    (b.requests_served, b.elements_sent, b.bytes_in, b.bytes_out),
+                    (s.requests_served, s.elements_sent, s.bytes_in, s.bytes_out)
+                );
+                prop_assert_eq!(b.visibility_scan_cost, s.visibility_scan_cost);
+                prop_assert_eq!((b.batches, s.batches), (1, 0));
+                prop_assert_eq!((b.auth_checks, s.auth_checks), (1, round.len() as u64));
+                // A resume inside the round shares its shard's one lock.
+                prop_assert!(
+                    b.lock_acquisitions <= s.lock_acquisitions,
+                    "batched {} > sequential {} locks",
+                    b.lock_acquisitions,
+                    s.lock_acquisitions
+                );
+            }
+        }
         let mut per_engine: Vec<Vec<_>> = Vec::with_capacity(servers.len());
         for server in &servers {
             let round: Vec<(QueryRequest, AuthToken)> = reqs
@@ -521,104 +600,6 @@ proptest! {
             );
         }
         // And the six engines agree with each other, request for request.
-        prop_assert_eq!(&per_engine[0], &per_engine[1]);
-        prop_assert_eq!(&per_engine[0], &per_engine[2]);
-        prop_assert_eq!(&per_engine[0], &per_engine[3]);
-        prop_assert_eq!(&per_engine[0], &per_engine[4]);
-        prop_assert_eq!(&per_engine[0], &per_engine[5]);
-    }
-
-    /// The parallel-round oracle: executing a stream round on the persistent
-    /// shard worker pool (2 workers, concurrent buckets, work-stealing) must
-    /// be output-deterministic — element-for-element identical to the same
-    /// round on the sequential in-thread scheduler AND to the requests
-    /// issued one at a time through `handle_query`, across all four engines,
-    /// with forged tokens, stale cursors and unknown lists mixed into the
-    /// parallel round.
-    #[test]
-    fn parallel_rounds_equal_sequential_rounds_across_engines(
-        lists in proptest::collection::vec(
-            proptest::collection::vec(
-                (trs_strategy(), 0..NUM_GROUPS, proptest::collection::vec(any::<u8>(), 0..10)),
-                0..40,
-            ).prop_map(sorted),
-            1..4,
-        ),
-        reqs in proptest::collection::vec(
-            (0usize..5, 0u64..5, 0u64..30, 1u32..8, any::<bool>(), any::<bool>()),
-            1..40,
-        ),
-    ) {
-        let sequential = servers(&lists);
-        let parallel = servers(&lists);
-        let workers = std::env::var("ZERBER_TEST_SHARD_WORKERS")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .unwrap_or(2)
-            .max(1);
-        for server in &parallel {
-            server.set_shard_workers(workers);
-        }
-        let mut per_engine: Vec<Vec<_>> = Vec::with_capacity(parallel.len());
-        for (seq, par) in sequential.iter().zip(&parallel) {
-            // The ACL (and so every issued token) is shared across all
-            // servers; forged tokens and the unregistered user-4 exercise
-            // per-request failures inside the parallel round.
-            let round: Vec<(QueryRequest, AuthToken)> = reqs
-                .iter()
-                .map(|&(u, list, offset, count, stale, forged)| {
-                    let user = format!("user-{u}");
-                    let token = if forged {
-                        AuthToken([7u8; 32])
-                    } else {
-                        seq.acl().issue_token(&user)
-                    };
-                    let request = QueryRequest {
-                        user,
-                        list,
-                        offset,
-                        cursor: if stale { 0x0bad_c0de << 8 } else { 0 },
-                        count,
-                        k: count,
-                    };
-                    (request, token)
-                })
-                .collect();
-            let pooled = par.handle_query_stream(&round);
-            let inline = seq.handle_query_stream(&round);
-            prop_assert_eq!(pooled.len(), round.len());
-            for (((request, token), p), s) in round.iter().zip(&pooled).zip(&inline) {
-                let one_at_a_time = seq.handle_query(request, token);
-                for other in [s, &one_at_a_time] {
-                    match (p, other) {
-                        (Ok(a), Ok(b)) => {
-                            prop_assert_eq!(&a.elements, &b.elements);
-                            prop_assert_eq!(a.visible_total, b.visible_total);
-                        }
-                        (Err(a), Err(b)) => prop_assert_eq!(a, b),
-                        _ => prop_assert!(
-                            false,
-                            "pooled and sequential disagree on outcome for {:?}",
-                            request
-                        ),
-                    }
-                }
-            }
-            // Rounds of more than one request must actually have gone
-            // through the pool (single requests take the per-query fast
-            // path on both schedulers).
-            if round.len() > 1 {
-                prop_assert!(par.stats().worker_rounds > 0);
-                prop_assert_eq!(seq.stats().worker_rounds, 0);
-            }
-            per_engine.push(
-                pooled
-                    .into_iter()
-                    .map(|r| r.map(|resp| (resp.elements, resp.visible_total)))
-                    .collect::<Vec<_>>(),
-            );
-        }
-        // All six parallel engines agree with each other too.
         prop_assert_eq!(&per_engine[0], &per_engine[1]);
         prop_assert_eq!(&per_engine[0], &per_engine[2]);
         prop_assert_eq!(&per_engine[0], &per_engine[3]);
