@@ -360,6 +360,48 @@ mod tests {
         }
     }
 
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// The replication wire is pinned byte for byte: a snapshot response
+    /// (three file records, each carrying the CRC32 of its bytes) and a
+    /// frames response equal what the commit before the slicing-by-8 CRC
+    /// put on the wire, message checksums included — a replica of either
+    /// version accepts the other's messages.
+    #[test]
+    fn wire_messages_are_the_bytes_the_previous_version_sent() {
+        let snapshot = ReplicationResponse::Snapshot(sample_snapshot()).encode();
+        assert_eq!(hex(&snapshot), GOLDEN_SNAPSHOT);
+        let frames = ReplicationResponse::Frames(sample_batch(true)).encode();
+        assert_eq!(hex(&frames), GOLDEN_FRAMES);
+        let poll = ReplicationRequest::Poll {
+            from: vec![0, 7, 123456789],
+            max_frames: 256,
+        }
+        .encode();
+        assert_eq!(hex(&poll), GOLDEN_POLL);
+    }
+
+    const GOLDEN_SNAPSHOT: &str = concat!(
+        "a9000000846d632b81030000000a0073746f72652e6d6574615d5935180a0000",
+        "006d6574612d6279746573120073686172642d3030302e67322e706167657328",
+        "60ce2840000000c3c3c3c3c3c3c3c3c3c3c3c3c3c3c3c3c3c3c3c3c3c3c3c3c3",
+        "c3c3c3c3c3c3c3c3c3c3c3c3c3c3c3c3c3c3c3c3c3c3c3c3c3c3c3c3c3c3c3c3",
+        "c3c3c3c3c3c3c30d0073686172642d3030302e77616c00000000000000000200",
+        "000011000000000000000000000000000000",
+    );
+    const GOLDEN_FRAMES: &str = concat!(
+        "660000003cd943b9820200000000000000050000000102030405030000002800",
+        "0000090909090909090909090909090909090909090909090909090909090909",
+        "0909090909090909090904000000050000000000000000000000000000000000",
+        "0000000000000c0000000000000001",
+    );
+    const GOLDEN_POLL: &str = concat!(
+        "200000009d3413e502030000000000000000000000070000000000000015cd5b",
+        "070000000000010000",
+    );
+
     #[test]
     fn requests_roundtrip() {
         for request in [

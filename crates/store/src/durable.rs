@@ -45,38 +45,62 @@ pub(crate) fn io_err(e: io::Error) -> StoreError {
 }
 
 // ---------------------------------------------------------------------------
-// CRC32 (IEEE), table-driven.  Hand-rolled so the store crate stays free of
-// new dependencies; the WAL frames and both manifest codecs use it.
+// CRC32 (IEEE), slicing-by-8.  Hand-rolled so the store crate stays free of
+// new dependencies; pages, WAL frames, both manifest codecs and the
+// replication files use it.
 // ---------------------------------------------------------------------------
 
-const fn crc_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// `CRC_TABLES[k][b]` is the CRC register after byte `b` followed by `k`
+/// zero bytes, so eight lookups — one per table — advance the register over
+/// eight input bytes at once.  Table 0 is the classic bytewise table.
+const fn crc_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0usize;
+    // The byte value as a u32, counted beside the index (no cast in const
+    // context).
+    let mut c = 0u32;
     while i < 256 {
-        // analyze::allow(cast): const context (try_from is not const); the loop bound keeps i < 256
-        let mut c = i as u32;
+        let mut reg = c;
         let mut k = 0;
         while k < 8 {
-            c = if c & 1 != 0 {
-                0xEDB8_8320 ^ (c >> 1)
-            } else {
-                c >> 1
-            };
+            let mut bit = 0;
+            while bit < 8 {
+                reg = if reg & 1 != 0 {
+                    0xEDB8_8320 ^ (reg >> 1)
+                } else {
+                    reg >> 1
+                };
+                bit += 1;
+            }
+            tables[k][i] = reg;
             k += 1;
         }
-        table[i] = c;
         i += 1;
+        c += 1;
     }
-    table
+    tables
 }
 
-static CRC_TABLE: [u32; 256] = crc_table();
+static CRC_TABLES: [[u32; 256]; 8] = crc_tables();
 
 /// CRC32 (IEEE 802.3) of `bytes`.
 pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut c = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        c = CRC_TABLE[usize_of((c ^ u32::from(b)) & 0xFF)] ^ (c >> 8);
+    let mut chunks = bytes.chunks_exact(8);
+    for chunk in &mut chunks {
+        let r = c.to_le_bytes();
+        c = t[7][usize::from(chunk[0] ^ r[0])]
+            ^ t[6][usize::from(chunk[1] ^ r[1])]
+            ^ t[5][usize::from(chunk[2] ^ r[2])]
+            ^ t[4][usize::from(chunk[3] ^ r[3])]
+            ^ t[3][usize::from(chunk[4])]
+            ^ t[2][usize::from(chunk[5])]
+            ^ t[1][usize::from(chunk[6])]
+            ^ t[0][usize::from(chunk[7])];
+    }
+    for &b in chunks.remainder() {
+        c = t[0][usize::from(b ^ c.to_le_bytes()[0])] ^ (c >> 8);
     }
     c ^ 0xFFFF_FFFF
 }
@@ -945,11 +969,174 @@ mod tests {
         }
     }
 
+    /// The bytewise CRC32 the store shipped before slicing-by-8, table
+    /// builder included: the oracle the serving kernel is held against.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        const fn crc_table() -> [u32; 256] {
+            let mut table = [0u32; 256];
+            let mut i = 0usize;
+            while i < 256 {
+                let mut c = i as u32;
+                let mut k = 0;
+                while k < 8 {
+                    c = if c & 1 != 0 {
+                        0xEDB8_8320 ^ (c >> 1)
+                    } else {
+                        c >> 1
+                    };
+                    k += 1;
+                }
+                table[i] = c;
+                i += 1;
+            }
+            table
+        }
+        static CRC_TABLE: [u32; 256] = crc_table();
+        let mut c = 0xFFFF_FFFFu32;
+        for &b in bytes {
+            c = CRC_TABLE[((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
+        }
+        c ^ 0xFFFF_FFFF
+    }
+
+    /// Deterministic filler bytes (64-bit LCG, high byte of each state).
+    fn seeded_bytes(seed: u64, len: usize) -> Vec<u8> {
+        let mut x = seed;
+        (0..len)
+            .map(|_| {
+                x = x
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                (x >> 56) as u8
+            })
+            .collect()
+    }
+
     #[test]
     fn crc32_matches_the_ieee_check_value() {
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
     }
+
+    #[test]
+    fn sliced_crc32_equals_the_bytewise_reference() {
+        // Every length across several 8-byte strides, at every alignment of
+        // the start within a stride: every split between the sliced body
+        // and the bytewise remainder, from every address parity.
+        let buf = seeded_bytes(42, 308);
+        for start in 0..8 {
+            for len in 0..=300 {
+                let slice = &buf[start..start + len];
+                assert_eq!(
+                    crc32(slice),
+                    crc32_bytewise(slice),
+                    "start {start} len {len}"
+                );
+            }
+        }
+        assert_eq!(crc32_bytewise(b"123456789"), 0xCBF4_3926);
+        let page = seeded_bytes(7, 45_000);
+        assert_eq!(crc32(&page), crc32_bytewise(&page));
+    }
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// The persistent formats are pinned byte for byte: for one seeded
+    /// element set, the page, WAL frame, manifest and `store.meta` bytes —
+    /// and the checksums inside and over them — equal what the commit
+    /// before the slicing-by-8 CRC and the borrowed validation walk wrote.
+    /// A root written by either version opens under the other, and a
+    /// replica of either accepts the other's frames.
+    #[test]
+    fn disk_formats_are_the_bytes_the_previous_version_wrote() {
+        let filler = seeded_bytes(19, 64);
+        // Seven elements over three blocks: a mixed-group block with mixed
+        // ciphertext lengths, a block with a split sealed group, and a
+        // group-uniform, length-uniform block.
+        let mut elements: Vec<OrderedElement> = [
+            (0.96875, 1, 9),
+            (0.9375, 4, 7),
+            (0.75, 1, 0),
+            (0.5, 2, 8),
+            (0.4375, 3, 6),
+            (0.25, 3, 6),
+            (0.125, 2, 8),
+        ]
+        .iter()
+        .enumerate()
+        .map(|(i, &(trs, group, len))| element(trs, group, &filler[i * 9..i * 9 + len]))
+        .collect();
+        elements[3].sealed.group = GroupId(77);
+        let segment = crate::segment::Segment::from_elements(&elements[..6], 2, 1 << 20).unwrap();
+        let page = segment.to_bytes();
+        assert_eq!(hex(&page), GOLDEN_PAGE);
+        assert_eq!(crc32(&page), GOLDEN_PAGE_CRC);
+        assert_eq!(crate::segment::Segment::from_bytes(&page).unwrap(), segment);
+
+        let frame = encode_wal_frame(0x0102_0304_0506, 11, &elements[1]).unwrap();
+        assert_eq!(hex(&frame), GOLDEN_WAL_FRAME);
+        assert_eq!(scan_wal(&frame).records[0].element, elements[1]);
+
+        let manifest = Manifest {
+            generation: 3,
+            applied_seq: 41,
+            lists: vec![
+                ManifestList {
+                    pages: vec![(0, page.len() as u32, crc32(&page))],
+                    tail: elements[6..].to_vec(),
+                },
+                ManifestList::default(),
+            ],
+        };
+        let manifest_bytes = encode_manifest(&manifest).unwrap();
+        assert_eq!(hex(&manifest_bytes), GOLDEN_MANIFEST);
+        assert_eq!(decode_manifest(&manifest_bytes).unwrap(), manifest);
+
+        let meta = StoreMeta {
+            num_shards: 2,
+            segment: SegmentConfig {
+                block_len: 2,
+                tail_threshold: 3,
+                max_segment_elems: 16,
+                max_segments: 3,
+                max_payload_bytes: 1 << 20,
+            },
+            scheme: "bfm".to_string(),
+            r: 2.5,
+            term_lists: vec![vec![5, 9], vec![2]],
+        };
+        let meta_bytes = encode_store_meta(&meta);
+        assert_eq!(hex(&meta_bytes), GOLDEN_STORE_META);
+        assert_eq!(decode_store_meta(&meta_bytes).unwrap(), meta);
+    }
+
+    const GOLDEN_PAGE: &str = concat!(
+        "daa695ba0402060302808080808080c0f7bf0180808080808080f7bf01020101",
+        "04011d0280808080808080f4bf0180808080808080f0bf010201010201170280",
+        "808080808080eebf0180808080808080e8bf010103021600000209a2d96c0d35",
+        "6a19d543808080808080400807bbc59b034531b0000002008080808080808004",
+        "054d0838f7092134372c1e0704b9ac3387d3518080808080808006684da43915",
+        "54",
+    );
+    const GOLDEN_PAGE_CRC: u32 = 0x455D_51E3;
+    const GOLDEN_WAL_FRAME: &str = concat!(
+        "250000004b2bcd5b06050403020100000b00000000000000000000000000ee3f",
+        "040000000700bbc59b034531b0",
+    );
+    const GOLDEN_MANIFEST: &str = concat!(
+        "5a4d414e00000000010000000000000003000000000000002900000000000000",
+        "020000000000000001000000000000000000000000000000a1000000e3515d45",
+        "0100000000000000000000000000c03f020000000800213f75e732222f480000",
+        "0000000000000000000000000000733d2f79",
+    );
+    const GOLDEN_STORE_META: &str = concat!(
+        "5a4d544500000000010000000000000002000000000000000200000000000000",
+        "0300000000000000100000000000000003000000000000000000100000000000",
+        "0000000000000440030000000000000062666d02000000000000000200000000",
+        "0000000500000009000000010000000000000002000000ecbc1475",
+    );
 
     #[test]
     fn wal_frames_round_trip_and_reject_corruption() {

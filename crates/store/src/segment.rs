@@ -376,22 +376,38 @@ impl<'a> BlockReader<'a> {
     }
 }
 
-/// Decodes and validates one block against its skip entry.  Every
-/// inconsistency is an error: the decoder also runs on untrusted bytes.
-fn decode_block_checked(
+/// Logical bytes [`EncryptedElement::stored_bytes`] charges per element on
+/// top of its ciphertext (the 4-byte group tag).
+const GROUP_TAG_BYTES: usize = 4;
+
+/// Validates one block against its skip entry and returns the ciphertext
+/// bytes it holds.  Every inconsistency is an error: the walk runs on
+/// untrusted bytes.  It borrows each element from the payload and
+/// materializes none; `tally` is scratch the caller reuses across blocks.
+///
+/// `expected` must have passed [`Segment::parse_header`]: its group counts
+/// ascend strictly and sum to `expected.elems`.
+fn check_block(
     bytes: &[u8],
     expected: &BlockMeta,
-) -> Result<Vec<OrderedElement>, StoreError> {
+    tally: &mut Vec<u32>,
+) -> Result<usize, StoreError> {
     let mut reader = BlockReader::new(bytes, expected.elems, expected.first)?;
-    let elems = usize_of(expected.elems);
-    // Each element takes at least 1 payload byte, so a corrupt count cannot
-    // force a huge pre-allocation before validation fails.
-    let mut out: Vec<OrderedElement> = Vec::with_capacity(elems.min(bytes.len() + 1));
-    let mut counts: Vec<(GroupId, u32)> = Vec::new();
-    for _ in 0..elems {
+    tally.clear();
+    tally.resize(expected.counts.len(), 0);
+    let mut ciphertext = 0usize;
+    for _ in 0..expected.elems {
         let raw = reader.next_raw()?;
-        add_count(&mut counts, raw.group, 1);
-        out.push(raw.materialize());
+        ciphertext += raw.ciphertext.len();
+        // An element of a group the skip entry does not list is counted
+        // nowhere, which leaves a listed group short of its count: the
+        // counts sum to the elements walked.
+        if let Ok(i) = expected
+            .counts
+            .binary_search_by_key(&raw.group, |&(group, _)| group)
+        {
+            tally[i] += 1;
+        }
     }
     if reader.pos != bytes.len() {
         return Err(corrupt("trailing bytes after block"));
@@ -399,10 +415,14 @@ fn decode_block_checked(
     if reader.prev != expected.last {
         return Err(corrupt("block TRS bounds disagree with skip entry"));
     }
-    if counts.as_slice() != expected.counts.as_ref() {
+    if tally
+        .iter()
+        .zip(expected.counts.iter())
+        .any(|(&seen, &(_, want))| seen != want)
+    {
         return Err(corrupt("block group counts disagree with skip entry"));
     }
-    Ok(out)
+    Ok(ciphertext)
 }
 
 impl Segment {
@@ -741,6 +761,36 @@ impl Segment {
     /// [`StoreError::CorruptSegment`]; the decoder never panics and never
     /// trusts an untrusted count for allocation.
     pub fn from_bytes(buf: &[u8]) -> Result<Segment, StoreError> {
+        let (blocks, payload) = Segment::parse_header(buf)?;
+        // Validate every block against its skip entry and the cross-block
+        // ordering invariant, accumulating the byte totals.
+        let mut elems = 0usize;
+        let mut ciphertext_bytes = 0usize;
+        let mut tally = Vec::new();
+        for (i, meta) in blocks.iter().enumerate() {
+            let block_bytes =
+                payload_slice(&payload, usize_of(meta.offset), usize_of(meta.byte_len))?;
+            ciphertext_bytes += check_block(block_bytes, meta, &mut tally)?;
+            if i > 0 && blocks[i - 1].last < meta.first {
+                return Err(corrupt("blocks out of TRS order"));
+            }
+            elems += usize_of(meta.elems);
+        }
+        Ok(Segment {
+            payload,
+            blocks,
+            elems,
+            stored_bytes: ciphertext_bytes + elems * (GROUP_TAG_BYTES + TRS_BYTES),
+            ciphertext_bytes,
+        })
+    }
+
+    /// Parses the segment header into skip entries plus the payload they
+    /// index, checking every header-level invariant (magic, version, count
+    /// plausibility, group-count coverage, block lengths against the payload
+    /// length, element counts against the header total).  The blocks
+    /// themselves are not yet validated.
+    fn parse_header(buf: &[u8]) -> Result<(Vec<BlockMeta>, Vec<u8>), StoreError> {
         let (magic, pos) = read_varint(buf, 0).map_err(corrupt)?;
         if magic != SEGMENT_MAGIC {
             return Err(corrupt("bad segment magic"));
@@ -833,33 +883,7 @@ impl Segment {
         if payload.len() != usize_of(offset) {
             return Err(corrupt("payload length disagrees with block lengths"));
         }
-        // Validate every block against its skip entry and the cross-block
-        // ordering invariant, accumulating the byte totals.
-        let mut stored = 0usize;
-        let mut ciphertext = 0usize;
-        for (i, meta) in blocks.iter().enumerate() {
-            let block_bytes =
-                payload_slice(&payload, usize_of(meta.offset), usize_of(meta.byte_len))?;
-            let decoded = decode_block_checked(block_bytes, meta)?;
-            stored += decoded
-                .iter()
-                .map(|e| e.sealed.stored_bytes() + TRS_BYTES)
-                .sum::<usize>();
-            ciphertext += decoded
-                .iter()
-                .map(|e| e.sealed.ciphertext.len())
-                .sum::<usize>();
-            if i > 0 && blocks[i - 1].last < meta.first {
-                return Err(corrupt("blocks out of TRS order"));
-            }
-        }
-        Ok(Segment {
-            payload,
-            blocks,
-            elems: try_usize(total_elems)?,
-            stored_bytes: stored,
-            ciphertext_bytes: ciphertext,
-        })
+        Ok((blocks, payload))
     }
 }
 
@@ -1216,7 +1240,97 @@ impl OrderedList for SegmentList {
 }
 
 #[cfg(test)]
+mod oracle {
+    //! The validation `Segment::from_bytes` ran before it became a borrowed
+    //! walk: every element of every block materialized, then summed.  Kept
+    //! as the reference the serving decoder is held against, input by input.
+
+    use super::*;
+
+    /// Decodes and validates one block against its skip entry.  Every
+    /// inconsistency is an error: the decoder also runs on untrusted bytes.
+    fn decode_block_checked(
+        bytes: &[u8],
+        expected: &BlockMeta,
+    ) -> Result<Vec<OrderedElement>, StoreError> {
+        let mut reader = BlockReader::new(bytes, expected.elems, expected.first)?;
+        let elems = usize_of(expected.elems);
+        // Each element takes at least 1 payload byte, so a corrupt count cannot
+        // force a huge pre-allocation before validation fails.
+        let mut out: Vec<OrderedElement> = Vec::with_capacity(elems.min(bytes.len() + 1));
+        let mut counts: Vec<(GroupId, u32)> = Vec::new();
+        for _ in 0..elems {
+            let raw = reader.next_raw()?;
+            add_count(&mut counts, raw.group, 1);
+            out.push(raw.materialize());
+        }
+        if reader.pos != bytes.len() {
+            return Err(corrupt("trailing bytes after block"));
+        }
+        if reader.prev != expected.last {
+            return Err(corrupt("block TRS bounds disagree with skip entry"));
+        }
+        if counts.as_slice() != expected.counts.as_ref() {
+            return Err(corrupt("block group counts disagree with skip entry"));
+        }
+        Ok(out)
+    }
+
+    fn from_bytes_reference(buf: &[u8]) -> Result<Segment, StoreError> {
+        let (blocks, payload) = Segment::parse_header(buf)?;
+        let mut elems = 0usize;
+        let mut stored = 0usize;
+        let mut ciphertext = 0usize;
+        for (i, meta) in blocks.iter().enumerate() {
+            let block_bytes =
+                payload_slice(&payload, usize_of(meta.offset), usize_of(meta.byte_len))?;
+            let decoded = decode_block_checked(block_bytes, meta)?;
+            elems += decoded.len();
+            stored += decoded
+                .iter()
+                .map(|e| e.sealed.stored_bytes() + TRS_BYTES)
+                .sum::<usize>();
+            ciphertext += decoded
+                .iter()
+                .map(|e| e.sealed.ciphertext.len())
+                .sum::<usize>();
+            if i > 0 && blocks[i - 1].last < meta.first {
+                return Err(corrupt("blocks out of TRS order"));
+            }
+        }
+        Ok(Segment {
+            payload,
+            blocks,
+            elems,
+            stored_bytes: stored,
+            ciphertext_bytes: ciphertext,
+        })
+    }
+
+    /// Runs `bytes` through the serving decoder and the reference and
+    /// demands one verdict: the same error, or segments equal in every field
+    /// (payload, skip entries, element and byte totals), in what they decode
+    /// to and in what they charge a budget.  Returns that verdict.
+    pub(super) fn same_verdict(bytes: &[u8]) -> Result<Segment, StoreError> {
+        let new = Segment::from_bytes(bytes);
+        match (&new, &from_bytes_reference(bytes)) {
+            (Ok(new), Ok(old)) => {
+                assert_eq!(new, old);
+                assert_eq!(new.decode_all(), old.decode_all());
+                assert_eq!(new.stored_bytes(), old.stored_bytes());
+                assert_eq!(new.ciphertext_bytes(), old.ciphertext_bytes());
+                assert_eq!(new.resident_bytes(), old.resident_bytes());
+            }
+            (Err(new), Err(old)) => assert_eq!(new, old),
+            (new, old) => panic!("decoder says {new:?}, reference says {old:?}"),
+        }
+        new
+    }
+}
+
+#[cfg(test)]
 mod tests {
+    use super::oracle::same_verdict;
     use super::*;
     use crate::store::VecList;
 
@@ -1282,7 +1396,7 @@ mod tests {
         assert_eq!(segment.num_blocks(), 5);
         assert_eq!(segment.decode_all(), elements);
         let bytes = segment.to_bytes();
-        let back = Segment::from_bytes(&bytes).unwrap();
+        let back = same_verdict(&bytes).unwrap();
         assert_eq!(back, segment);
         assert_eq!(back.decode_all(), elements);
     }
@@ -1293,7 +1407,7 @@ mod tests {
         // One element whose sealed group differs from the routing group.
         elements[4].sealed.group = GroupId(99);
         let segment = Segment::from_elements(&elements, 4, u32::MAX as usize).unwrap();
-        let back = Segment::from_bytes(&segment.to_bytes()).unwrap();
+        let back = same_verdict(&segment.to_bytes()).unwrap();
         assert_eq!(back.decode_all(), elements);
     }
 
@@ -1324,7 +1438,7 @@ mod tests {
         assert!(s.payload.len() > u.payload.len());
         // And all three round-trip through the wire format.
         for seg in [&u, &m, &s] {
-            assert_eq!(&Segment::from_bytes(&seg.to_bytes()).unwrap(), seg);
+            assert_eq!(&same_verdict(&seg.to_bytes()).unwrap(), seg);
         }
     }
 
@@ -1335,15 +1449,15 @@ mod tests {
             .to_bytes();
         for cut in 0..bytes.len() {
             assert!(
-                Segment::from_bytes(&bytes[..cut]).is_err(),
+                same_verdict(&bytes[..cut]).is_err(),
                 "prefix of {cut} bytes must not decode"
             );
         }
-        assert!(Segment::from_bytes(&[]).is_err());
-        assert!(Segment::from_bytes(b"not a segment at all").is_err());
+        assert!(same_verdict(&[]).is_err());
+        assert!(same_verdict(b"not a segment at all").is_err());
         let mut trailing = bytes.clone();
         trailing.push(0);
-        assert!(Segment::from_bytes(&trailing).is_err());
+        assert!(same_verdict(&trailing).is_err());
     }
 
     #[test]
@@ -1590,23 +1704,23 @@ mod tests {
             .collect();
         let segment = Segment::from_elements(&elements, 8, u32::MAX as usize).unwrap();
         let bytes = segment.to_bytes();
-        assert!(Segment::from_bytes(&bytes).is_ok());
+        assert!(same_verdict(&bytes).is_ok());
         const FIELDS: usize = 11;
         // total_elems disagreeing with the per-block sum: rejected, not
         // mis-indexed.
         for bogus in [3u64, 5, 0, u64::from(u32::MAX) + 1] {
             let tampered = tamper_varint(&bytes, 2, bogus, FIELDS);
             assert!(
-                Segment::from_bytes(&tampered).is_err(),
+                same_verdict(&tampered).is_err(),
                 "total_elems {bogus} must not decode"
             );
         }
         // Block element count drifting from the group counts / payload.
         for bogus in [3u64, 5] {
-            assert!(Segment::from_bytes(&tamper_varint(&bytes, 4, bogus, FIELDS)).is_err());
+            assert!(same_verdict(&tamper_varint(&bytes, 4, bogus, FIELDS)).is_err());
         }
         // Group count no longer covering the block.
-        assert!(Segment::from_bytes(&tamper_varint(&bytes, 9, 3, FIELDS)).is_err());
+        assert!(same_verdict(&tamper_varint(&bytes, 9, 3, FIELDS)).is_err());
         // byte_len disagreeing with the actual payload length: the
         // truncated-but-varint-consistent page.
         for delta in [-1i64, 1, 7] {
@@ -1622,10 +1736,84 @@ mod tests {
             };
             let bogus = byte_len.checked_add_signed(delta).unwrap();
             assert!(
-                Segment::from_bytes(&tamper_varint(&bytes, 10, bogus, FIELDS)).is_err(),
+                same_verdict(&tamper_varint(&bytes, 10, bogus, FIELDS)).is_err(),
                 "byte_len {byte_len}{delta:+} must not decode"
             );
         }
+    }
+
+    #[test]
+    fn every_block_level_check_still_fires() {
+        // Random flips rarely land on a skip entry that stays
+        // header-consistent, so each predicate of the block walk gets its
+        // own forgery here: serialize a segment whose skip entry (or
+        // payload) lies in exactly one way and demand the matching error —
+        // from the walk and from the reference alike.
+        let elements: Vec<OrderedElement> = (0..8)
+            .map(|i| element(0.5f64.powi(i as i32), [0, 2, 2, 5][i % 4], &[i as u8; 5]))
+            .collect();
+        let honest = Segment::from_elements(&elements, 4, u32::MAX as usize).unwrap();
+        assert_eq!(same_verdict(&honest.to_bytes()).unwrap(), honest);
+        let rejected = |forge: &dyn Fn(&mut Segment), reason: &str| {
+            let mut forged = honest.clone();
+            forge(&mut forged);
+            match same_verdict(&forged.to_bytes()) {
+                Err(StoreError::CorruptSegment(why)) => assert_eq!(why, reason),
+                other => panic!("expected `{reason}`, got {other:?}"),
+            }
+        };
+        rejected(
+            &|s| s.blocks[1].last += 1,
+            "block TRS bounds disagree with skip entry",
+        );
+        // A group the block does not hold, slotted in order: [0, 2, 5] ->
+        // [0, 3, 5] with the counts (and their sum) untouched.
+        rejected(
+            &|s| s.blocks[0].counts[1].0 = GroupId(3),
+            "block group counts disagree with skip entry",
+        );
+        // The right groups with one element moved between two of them.
+        rejected(
+            &|s| {
+                s.blocks[0].counts[0].1 += 1;
+                s.blocks[0].counts[1].1 -= 1;
+            },
+            "block group counts disagree with skip entry",
+        );
+        rejected(
+            &|s| {
+                let end = (s.blocks[0].offset + s.blocks[0].byte_len) as usize;
+                s.payload.insert(end, 0);
+                s.blocks[0].byte_len += 1;
+            },
+            "trailing bytes after block",
+        );
+        rejected(&|s| s.blocks[0].first = sortable_bits(f64::NAN), "NaN TRS");
+        // Halving the TRS steps its sortable bits by 2^52: more than the
+        // distance from -inf, the smallest non-NaN value, down to zero.
+        rejected(
+            &|s| {
+                s.blocks[1].first = sortable_bits(f64::NEG_INFINITY);
+                s.blocks[1].last = s.blocks[1].first;
+            },
+            "TRS delta exceeds previous TRS",
+        );
+        rejected(
+            &|s| {
+                s.blocks.swap(0, 1);
+                s.payload.rotate_left(s.blocks[1].byte_len as usize);
+            },
+            "blocks out of TRS order",
+        );
+        // A block cut short inside its last ciphertext, the lost byte
+        // handed to its neighbour so the header still adds up.
+        rejected(
+            &|s| {
+                s.blocks[0].byte_len -= 1;
+                s.blocks[1].byte_len += 1;
+            },
+            "truncated ciphertext",
+        );
     }
 }
 
@@ -1637,6 +1825,7 @@ mod fuzz {
 
     use proptest::prelude::*;
 
+    use super::oracle::same_verdict;
     use super::*;
 
     fn arbitrary_elements(items: Vec<(f64, u32, Vec<u8>)>) -> Vec<OrderedElement> {
@@ -1675,7 +1864,7 @@ mod fuzz {
             let segment =
                 Segment::from_elements(&elements, block_len, u32::MAX as usize).unwrap();
             prop_assert_eq!(segment.decode_all(), elements.clone());
-            let back = Segment::from_bytes(&segment.to_bytes()).unwrap();
+            let back = same_verdict(&segment.to_bytes()).unwrap();
             prop_assert_eq!(back.decode_all(), elements);
         }
 
@@ -1697,7 +1886,7 @@ mod fuzz {
             let segment =
                 Segment::from_elements(&elements, block_len, u32::MAX as usize).unwrap();
             prop_assert_eq!(segment.decode_all(), elements.clone());
-            let back = Segment::from_bytes(&segment.to_bytes()).unwrap();
+            let back = same_verdict(&segment.to_bytes()).unwrap();
             prop_assert_eq!(back.decode_all(), elements);
         }
 
@@ -1708,14 +1897,14 @@ mod fuzz {
         ) {
             let bytes = Segment::from_elements(&arbitrary_elements(items), 4, u32::MAX as usize).unwrap().to_bytes();
             let cut = cut % bytes.len();
-            prop_assert!(Segment::from_bytes(&bytes[..cut]).is_err());
+            prop_assert!(same_verdict(&bytes[..cut]).is_err());
         }
 
         #[test]
         fn arbitrary_bytes_never_panic_the_decoder(
             bytes in proptest::collection::vec(any::<u8>(), 0..512)
         ) {
-            if let Ok(segment) = Segment::from_bytes(&bytes) {
+            if let Ok(segment) = same_verdict(&bytes) {
                 // If arbitrary bytes happen to decode, every claimed element
                 // was backed by real bytes.
                 prop_assert!(segment.num_elements() <= bytes.len());
@@ -1750,7 +1939,7 @@ mod fuzz {
                 write_varint(&mut tampered, v);
             }
             tampered.extend_from_slice(&bytes[pos..]);
-            let decoded = Segment::from_bytes(&tampered);
+            let decoded = same_verdict(&tampered);
             if value != original {
                 prop_assert!(decoded.is_err(), "field {field} tampered to {value} must not decode");
             } else {
@@ -1766,9 +1955,28 @@ mod fuzz {
             let mut bytes = Segment::from_elements(&arbitrary_elements(items), 4, u32::MAX as usize).unwrap().to_bytes();
             let pos = flip.0 % bytes.len();
             bytes[pos] ^= flip.1 | 1;
-            // Either a clean error or a differently-valued segment; the
-            // decoder must not panic or loop.
-            let _ = Segment::from_bytes(&bytes);
+            // Either a clean error or a differently-valued segment — the
+            // reference's verdict either way; the decoder must not panic or
+            // loop.
+            let _ = same_verdict(&bytes);
+        }
+
+        #[test]
+        fn splices_get_the_reference_verdict(
+            items in proptest::collection::vec(element_strategy(), 1..40),
+            donor in proptest::collection::vec(element_strategy(), 1..40),
+            cut in any::<(usize, usize, usize)>()
+        ) {
+            // Overwrite a run of one page with a run of another: headers
+            // and blocks that are each well-formed but belong to different
+            // segments, the shape a misdirected write leaves behind.
+            let mut bytes = Segment::from_elements(&arbitrary_elements(items), 4, u32::MAX as usize).unwrap().to_bytes();
+            let donor = Segment::from_elements(&arbitrary_elements(donor), 3, u32::MAX as usize).unwrap().to_bytes();
+            let len = 1 + cut.2 % bytes.len().min(donor.len());
+            let at = cut.0 % (bytes.len() - len + 1);
+            let from = cut.1 % (donor.len() - len + 1);
+            bytes[at..at + len].copy_from_slice(&donor[from..from + len]);
+            let _ = same_verdict(&bytes);
         }
     }
 }

@@ -155,15 +155,26 @@ struct PageId {
     crc: u32,
 }
 
-/// Checks a page's bytes against the CRC recorded at write time.
-fn verify_page_crc(page: PageId, buf: &[u8]) -> Result<(), StoreError> {
-    if crc32(buf) != page.crc {
-        return Err(StoreError::CorruptSegment(format!(
-            "page at offset {} ({} bytes) fails its checksum",
-            page.offset, page.len
-        )));
+impl PageId {
+    /// The one way page bytes leave a file: `read_at` fills the buffer from
+    /// this page's offset and the bytes are returned only once they match
+    /// the CRC recorded at write time.  Callers pass the read as a closure
+    /// so each decides how long its file lock is held — the checksum runs
+    /// after the closure returns.
+    fn read_verified(
+        self,
+        read_at: impl FnOnce(u64, &mut [u8]) -> std::io::Result<()>,
+    ) -> Result<Vec<u8>, StoreError> {
+        let mut buf = vec![0u8; usize_of(self.len)];
+        read_at(self.offset, &mut buf).map_err(io_err)?;
+        if crc32(&buf) != self.crc {
+            return Err(StoreError::CorruptSegment(format!(
+                "page at offset {} ({} bytes) fails its checksum",
+                self.offset, self.len
+            )));
+        }
+        Ok(buf)
     }
-    Ok(())
 }
 
 /// The spill directory.  Ephemeral roots are removed (best effort) once the
@@ -446,12 +457,10 @@ impl Pager {
                 return Ok(Arc::clone(&slot.segment));
             }
         }
-        let mut buf = vec![0u8; usize_of(page.len)];
-        io.file.read_at(page.offset, &mut buf).map_err(io_err)?;
         // The page crossed a trust boundary (the disk): checksum plus full
         // validation, so a torn or tampered page is an error for this
         // request, never a panic or a silently wrong answer.
-        verify_page_crc(page, &buf)?;
+        let buf = page.read_verified(|offset, buf| io.file.read_at(offset, buf))?;
         let segment = Arc::new(Segment::from_bytes(&buf)?);
         self.faults.fetch_add(1, Ordering::Relaxed);
         if self.cache_capacity > 0 {
@@ -491,13 +500,7 @@ impl Pager {
     /// counter — the promotion path, which immediately owns the segment
     /// instead of sharing a cached copy.
     fn read_page_uncached(&self, page: PageId) -> Result<Segment, StoreError> {
-        let mut buf = vec![0u8; usize_of(page.len)];
-        self.io
-            .lock()
-            .file
-            .read_at(page.offset, &mut buf)
-            .map_err(io_err)?;
-        verify_page_crc(page, &buf)?;
+        let buf = page.read_verified(|offset, buf| self.io.lock().file.read_at(offset, buf))?;
         Segment::from_bytes(&buf)
     }
 
@@ -577,15 +580,9 @@ impl Pager {
         if rw.map.contains_key(&page.offset) {
             return Ok(());
         }
-        let mut buf = vec![0u8; usize_of(page.len)];
-        self.io
-            .lock()
-            .file
-            .read_at(page.offset, &mut buf)
-            .map_err(io_err)?;
         // Refuse to propagate corruption into the rewrite: the copied page
         // must still match the checksum recorded when it was written.
-        verify_page_crc(page, &buf)?;
+        let buf = page.read_verified(|offset, buf| self.io.lock().file.read_at(offset, buf))?;
         rw.file.write_at(rw.append, &buf).map_err(io_err)?;
         rw.map.insert(
             page.offset,
@@ -684,9 +681,7 @@ struct Rewrite {
 impl Rewrite {
     /// Reads one copied page back from the fresh file and validates it.
     fn read_back(&mut self, page: PageId) -> Result<(), StoreError> {
-        let mut buf = vec![0u8; usize_of(page.len)];
-        self.file.read_at(page.offset, &mut buf).map_err(io_err)?;
-        verify_page_crc(page, &buf)?;
+        let buf = page.read_verified(|offset, buf| self.file.read_at(offset, buf))?;
         Segment::from_bytes(&buf)?;
         Ok(())
     }

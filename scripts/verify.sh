@@ -10,7 +10,8 @@
 # repeated compaction-under-load stress loop, the fault-injected durable
 # recovery suite plus a repeated kill-at-every-injection-point crash stress
 # loop, the fault-injected replication suite plus a repeated
-# disconnect-storm stress loop, bench compilation, clippy with warnings
+# disconnect-storm stress loop, bench compilation, a syntax check of the
+# perf gate script (which is run by hand, not here), clippy with warnings
 # denied, and hygiene guards asserting the tests left no stray on-disk
 # files — page files, `.pages.compact` rewrite scratch, WALs, manifests,
 # `.manifest.tmp`/`.manifest.prev` checkpoint scratch or replica generation
@@ -130,6 +131,9 @@ fi
 
 echo "==> cargo bench --no-run"
 cargo bench --no-run
+
+echo "==> perf gate script parses (scripts/perf_gate.sh; running it takes ~40 min and an idle machine)"
+bash -n scripts/perf_gate.sh
 
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
