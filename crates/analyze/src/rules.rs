@@ -185,11 +185,10 @@ enum Acq {
     Write,
 }
 
-/// Helper names that acquire a shard lock internally.  `insert_logged`
-/// write-locks the element's shard; the `with_*`/`shard_*` funnels are the
-/// only sanctioned acquisition sites after the lock-rank refactor.
-const READ_HELPERS: &[&str] = &["with_shard_read", "shard_read"];
-const WRITE_HELPERS: &[&str] = &["with_shard_write", "shard_write", "insert_logged"];
+/// Helper names that acquire a shard lock internally: the `shard_*` funnels
+/// are the only sanctioned acquisition sites after the lock-rank refactor.
+const READ_HELPERS: &[&str] = &["shard_read"];
+const WRITE_HELPERS: &[&str] = &["shard_write"];
 
 /// IO identifiers banned inside a live shard write-guard scope: page-file
 /// compaction and checkpoint IO must run off-lock (the off-lock compaction
@@ -205,6 +204,7 @@ const WRITE_GUARD_BANNED_IO: &[&str] = &[
     "sync_file",
     "commit_manifest",
     "reset_wal",
+    "commit_checkpoint",
 ];
 
 /// Scans every function body for nested shard-lock acquisitions and for
@@ -421,7 +421,6 @@ fn receiver_mentions_shards(toks: &[Tok], dot: usize) -> bool {
 /// binding name when `let`-bound.
 ///
 /// * `let g = <acq>...;` — lives to the end of the enclosing block.
-/// * `with_shard_*(...)` — lives to the closing `)` of the call.
 /// * bare temporary — lives to the end of the statement (`;`).
 fn guard_extent(toks: &[Tok], i: usize, body_end: usize) -> (usize, Option<String>) {
     // Was this statement introduced by `let`?  Scan back to the nearest
@@ -464,15 +463,6 @@ fn guard_extent(toks: &[Tok], i: usize, body_end: usize) -> (usize, Option<Strin
             }
         }
         return (body_end, let_name);
-    }
-    // Helper call: extent of its argument list (covers the closure body).
-    if toks[i]
-        .ident()
-        .is_some_and(|id| id.starts_with("with_shard_") || id == "insert_logged")
-    {
-        if let Some(close) = matching(toks, i + 1, '(', ')') {
-            return (close + 1, None);
-        }
     }
     // Bare temporary: end of statement.
     let mut depth = 0i32;
@@ -602,17 +592,17 @@ mod tests {
 
     #[test]
     fn helper_funnels_count_as_acquisitions() {
-        let src = "fn f(&self) { self.core.with_shard_write(s, |t| { self.shard_read(s); }); }";
+        let src = "fn f(&self) { let t = self.shard_write(s); self.shard_read(s); }";
         assert_eq!(run_lock(src).len(), 1);
     }
 
     #[test]
     fn fsync_under_write_guard_fires_but_not_under_read() {
-        let w = "fn f(&self) { self.with_shard_write(s, |t| { io.sync_all(); }); }";
+        let w = "fn f(&self) { let t = self.shard_write(s); io.sync_all(); }";
         assert_eq!(run_lock(w).len(), 1);
-        let r = "fn f(&self) { self.with_shard_read(s, |t| { io.sync_all(); }); }";
+        let r = "fn f(&self) { let t = self.shard_read(s); io.sync_all(); }";
         assert_eq!(run_lock(r).len(), 0);
-        let off = "fn f(&self) { self.with_shard_write(s, |t| t.x()); io.rename(a, b); }";
+        let off = "fn f(&self) { self.shard_write(s).x(); io.rename(a, b); }";
         assert_eq!(run_lock(off).len(), 0);
     }
 

@@ -470,7 +470,7 @@ mod tests {
         let mut acl = AccessControl::new(b"s3");
         acl.register_user("john", &[GroupId(0), GroupId(1)]);
         acl.register_user("alice", &[GroupId(1)]);
-        let server = IndexServer::new(index, acl);
+        let server = IndexServer::new(index, acl).unwrap();
         Fixture {
             corpus,
             stats,

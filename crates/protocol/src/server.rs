@@ -8,11 +8,11 @@
 //!
 //! Serving architecture (this layer, on top of the storage engine):
 //!
-//! * **Sharded storage** — the default engine is a
-//!   [`ShardedStore`](zerber_store::ShardedStore): merged lists partitioned
-//!   across per-`RwLock` shards, so queries on different lists never contend
-//!   and an insert write-locks a single shard.  Traffic counters are
-//!   lock-free atomics.
+//! * **Sharded storage** — the engine is a
+//!   [`SpillStore`]: merged lists partitioned across per-`RwLock` shards, so
+//!   queries on different lists never contend and an insert write-locks a
+//!   single shard; [`StoreEngine`] picks where its sealed bytes live.
+//!   Traffic counters are lock-free atomics.
 //! * **Cursor sessions** — the first ranged request of a query opens a
 //!   per-list cursor (a physical position in TRS order).  Follow-up requests
 //!   (Section 5.2's doubling protocol) resume from the cursor instead of
@@ -41,8 +41,8 @@ use zerber_base::MergedListId;
 use zerber_corpus::GroupId;
 use zerber_r::{OrderedElement, OrderedIndex};
 use zerber_store::{
-    CursorId, DurableConfig, ListStore, RangedBatch, RangedFetch, SegmentStore, ShardedStore,
-    SingleMutexStore, SpillConfig, SpillStore, StoreError, StoreJob, StoreMetrics,
+    default_shards, CursorId, DurableConfig, ListStore, RangedBatch, RangedFetch, SegmentConfig,
+    SpillConfig, SpillStore, StoreError, StoreJob, StoreMetrics,
 };
 
 use crate::acl::{AccessControl, AuthToken};
@@ -80,8 +80,8 @@ pub struct ServerStats {
     /// of per request.
     pub auth_checks: u64,
     /// Pages the storage engine read back (and re-validated) from disk —
-    /// non-zero only for the spill engine, where it measures how often the
-    /// working set missed the resident budget and page cache.
+    /// non-zero only on the paging lifecycles, where it measures how often
+    /// the working set missed the resident budget and page cache.
     pub page_faults: u64,
     /// Pages the storage engine's page cache evicted.
     pub page_evictions: u64,
@@ -99,12 +99,12 @@ pub struct ServerStats {
     /// Resident segments the storage engine demoted to the page file because
     /// hotter segments claimed their budget.
     pub demotions: u64,
-    /// Write-ahead-log records the durable engine appended for accepted
-    /// inserts (0 for non-durable engines).
+    /// Write-ahead-log records a durable store appended for accepted
+    /// inserts (0 otherwise).
     pub wal_appends: u64,
-    /// Write-ahead-log bytes the durable engine appended.
+    /// Write-ahead-log bytes a durable store appended.
     pub wal_bytes: u64,
-    /// Checkpoint pages the durable engine read back, re-validated and
+    /// Checkpoint pages a durable store read back, re-validated and
     /// adopted when the store was recovered from disk.
     pub recovered_pages: u64,
     /// Torn or corrupt WAL tail records recovery discarded (the log was
@@ -133,8 +133,8 @@ pub struct ServerStats {
     /// Estimated bytes of the engine's in-memory physical representation.
     /// A gauge (point-in-time), like the other byte footprints below.
     pub resident_bytes: u64,
-    /// Bytes of index state spilled to secondary storage (0 for the
-    /// in-memory engines).  A gauge.
+    /// Bytes of index state spilled to secondary storage (0 on the
+    /// resident lifecycle).  A gauge.
     pub spilled_bytes: u64,
     /// Physical length of the on-disk page files backing the spilled state;
     /// exceeds [`ServerStats::spilled_bytes`] by the dead bytes interior
@@ -271,28 +271,23 @@ impl InsertRequest {
     }
 }
 
-/// Which storage engine a server is built on.
+/// Which lifecycle of the storage engine a server is built on.
 ///
-/// All engines answer element-for-element identically (they share one
-/// cursor-session implementation); they differ in concurrency model and
-/// physical layout, which is what the serving experiments compare.
+/// There is one engine — [`SpillStore`]: sharded tables of compressed
+/// block-encoded segments with per-block skip entries — and it answers
+/// element-for-element identically in all three; where the sealed bytes
+/// live is a deployment setting.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StoreEngine {
-    /// Lists sharded across per-`RwLock` tables, plain `Vec` layout (the
-    /// default).
-    Sharded,
-    /// One global mutex around a single table (the contention baseline).
-    SingleMutex,
-    /// Sharded tables over compressed block-encoded segments with per-block
-    /// skip entries (the memory-footprint engine).
+    /// Resident: every segment in memory, nothing on disk (the default).
     Segment,
-    /// Sharded segment tables whose cold sealed segments spill to per-shard
-    /// page files behind an LRU page cache (the beyond-RAM engine; page
-    /// files live in a fresh temp directory removed when the server drops).
+    /// Cold sealed segments spill to per-shard page files behind an LRU
+    /// page cache (the beyond-RAM lifecycle; page files live in a fresh
+    /// temp directory removed when the server drops).
     Spill,
-    /// The spill engine with the full durability machinery engaged:
-    /// checkpoint manifests, per-shard write-ahead logging of inserts and
-    /// crash recovery.  Rooted in a fresh temp directory (removed when the
+    /// Spill with the full durability machinery engaged: checkpoint
+    /// manifests, per-shard write-ahead logging of inserts and crash
+    /// recovery.  Rooted in a fresh temp directory (removed when the
     /// server drops); long-lived deployments build their store with
     /// [`SpillStore::create_durable`] and pass it to
     /// [`IndexServer::with_store`].
@@ -323,13 +318,13 @@ fn owner_tag(user: &str) -> u64 {
 }
 
 impl IndexServer {
-    /// Creates a server from a built index and a user directory, using the
-    /// default sharded storage engine.
-    pub fn new(index: OrderedIndex, acl: AccessControl) -> Self {
-        Self::with_store(Box::new(ShardedStore::new(index)), acl)
+    /// Creates a server from a built index and a user directory on the
+    /// resident lifecycle, with a machine-matched shard count.
+    pub fn new(index: OrderedIndex, acl: AccessControl) -> Result<Self, ProtocolError> {
+        Self::with_engine(index, acl, StoreEngine::Segment, default_shards())
     }
 
-    /// Creates a server over an explicit storage engine.
+    /// Creates a server over an explicit store.
     pub fn with_store(store: Box<dyn ListStore>, acl: AccessControl) -> Self {
         IndexServer {
             store,
@@ -338,37 +333,32 @@ impl IndexServer {
         }
     }
 
-    /// Creates a server over the selected engine, sharded across
-    /// `num_shards` storage shards where the engine supports sharding.
-    /// Fails only when the engine itself cannot be built (a segment payload
-    /// overflow, or the spill engine's page files cannot be created).
+    /// Creates a server over the selected lifecycle with default tuning,
+    /// sharded across `num_shards` storage shards.  Fails only when the
+    /// store itself cannot be built (a segment payload overflow, or the page
+    /// files cannot be created).
     pub fn with_engine(
         index: OrderedIndex,
         acl: AccessControl,
         engine: StoreEngine,
         num_shards: usize,
     ) -> Result<Self, ProtocolError> {
-        let store: Box<dyn ListStore> = match engine {
-            StoreEngine::Sharded => Box::new(ShardedStore::with_shards(index, num_shards)),
-            StoreEngine::SingleMutex => Box::new(SingleMutexStore::new(index)),
-            StoreEngine::Segment => {
-                Box::new(SegmentStore::with_shards(index, num_shards).map_err(map_store_error)?)
-            }
-            StoreEngine::Spill => Box::new(
-                SpillStore::in_temp_dir(index, num_shards, SpillConfig::default())
-                    .map_err(map_store_error)?,
-            ),
-            StoreEngine::Durable => Box::new(
-                SpillStore::durable_in_temp_dir(
-                    index,
-                    num_shards,
-                    SpillConfig::default(),
-                    DurableConfig::default(),
-                )
-                .map_err(map_store_error)?,
+        let (spill, segment) = (SpillConfig::default(), SegmentConfig::default());
+        let store = match engine {
+            StoreEngine::Segment => SpillStore::resident(index, num_shards, segment),
+            StoreEngine::Spill => SpillStore::in_temp_dir_with(index, num_shards, spill, segment),
+            StoreEngine::Durable => SpillStore::durable_in_temp_dir_with(
+                index,
+                num_shards,
+                spill,
+                segment,
+                DurableConfig::default(),
             ),
         };
-        Ok(Self::with_store(store, acl))
+        Ok(Self::with_store(
+            Box::new(store.map_err(map_store_error)?),
+            acl,
+        ))
     }
 
     /// The storage engine serving this server.
@@ -780,6 +770,7 @@ mod tests {
     use zerber_corpus::{sample_split, Corpus, CorpusBuilder, CorpusStats, Document, SplitConfig};
     use zerber_crypto::{DeterministicRng, GroupKeys, MasterKey};
     use zerber_r::{RstfConfig, RstfModel};
+    use zerber_store::SingleMutexStore;
 
     fn corpus() -> Corpus {
         let mut b = CorpusBuilder::new();
@@ -812,7 +803,7 @@ mod tests {
         let mut acl = AccessControl::new(b"srv");
         acl.register_user("john", &[GroupId(0), GroupId(1)]);
         acl.register_user("alice", &[GroupId(1)]);
-        (c, IndexServer::new(index, acl), master, model)
+        (c, IndexServer::new(index, acl).unwrap(), master, model)
     }
 
     fn list_for(c: &Corpus, server: &IndexServer, term_name: &str) -> u64 {
@@ -856,6 +847,22 @@ mod tests {
             .handle_query(&request("alice", list, 0, 1000, 10), &token)
             .unwrap();
         assert!(resp.elements.iter().all(|e| e.group == GroupId(1)));
+    }
+
+    #[test]
+    fn the_default_server_counts_visibility_without_examining_elements() {
+        // `IndexServer::new` serves from the engine's resident lifecycle: a
+        // group-filtered count is one merge pass over the list's running
+        // totals, where the `Vec` oracle walks the whole list.
+        let (c, server, _, _) = server_fixture();
+        let token = server.acl().issue_token("alice");
+        let list = list_for(&c, &server, "imclone");
+        let resp = server
+            .handle_query(&request("alice", list, 0, 3, 3), &token)
+            .unwrap();
+        let len = server.store().list_len(MergedListId(list)).unwrap();
+        assert!(resp.visible_total > 0 && (resp.visible_total as usize) < len);
+        assert_eq!(server.stats().visibility_scan_cost, 0);
     }
 
     #[test]
@@ -1041,15 +1048,24 @@ mod tests {
         for u in &users {
             acl.register_user(u, &[GroupId(0), GroupId(1)]);
         }
-        for engine in [
-            StoreEngine::Sharded,
-            StoreEngine::SingleMutex,
+        // The three lifecycles of the engine, and the oracle.
+        let mut servers: Vec<(String, IndexServer)> = [
             StoreEngine::Segment,
             StoreEngine::Spill,
             StoreEngine::Durable,
-        ] {
-            let server = IndexServer::with_engine(index.clone(), acl.clone(), engine, 4).unwrap();
-            let list = list_for(&c, &server, "imclone");
+        ]
+        .into_iter()
+        .map(|engine| {
+            let server = IndexServer::with_engine(index.clone(), acl.clone(), engine, 4);
+            (format!("{engine:?}"), server.unwrap())
+        })
+        .collect();
+        servers.push((
+            "oracle".to_string(),
+            IndexServer::with_store(Box::new(SingleMutexStore::new(index)), acl),
+        ));
+        for (engine, server) in &servers {
+            let list = list_for(&c, server, "imclone");
             // 64 requests, 4 distinct users, all against one merged list —
             // a single-shard round.
             let round: Vec<(QueryRequest, AuthToken)> = (0..64)
@@ -1444,10 +1460,8 @@ mod tests {
         let index = zerber_r::OrderedIndex::build(&c, plan, &model, &master, 7).unwrap();
         let mut acl = AccessControl::new(b"srv");
         acl.register_user("john", &[GroupId(0), GroupId(1)]);
-        let sharded = IndexServer::with_store(
-            Box::new(ShardedStore::with_shards(index.clone(), 4)),
-            acl.clone(),
-        );
+        let sharded =
+            IndexServer::with_engine(index.clone(), acl.clone(), StoreEngine::Segment, 4).unwrap();
         let single = IndexServer::with_store(Box::new(SingleMutexStore::new(index)), acl);
         let token = sharded.acl().issue_token("john");
         for list in 0..sharded.num_lists() as u64 {
@@ -1460,6 +1474,13 @@ mod tests {
                 assert_eq!(a.visible_total, b.visible_total);
             }
         }
-        assert_eq!(sharded.stats(), single.stats());
+        // Same traffic, byte for byte; what differs is physical — resident
+        // bytes and the elements the oracle examines to count visibility.
+        let (a, b) = (sharded.stats(), single.stats());
+        assert_eq!(
+            (a.requests_served, a.elements_sent, a.bytes_in, a.bytes_out),
+            (b.requests_served, b.elements_sent, b.bytes_in, b.bytes_out)
+        );
+        assert_eq!(a.lock_acquisitions, b.lock_acquisitions);
     }
 }

@@ -1,4 +1,4 @@
-//! Durability primitives of the spill engine: the page/file IO abstraction
+//! Durability primitives of the paging store: the page/file IO abstraction
 //! (with a deterministic fault-injection shim), CRC32 framing, the per-shard
 //! write-ahead log codec, the checkpoint manifest codec and the store
 //! metadata codec.

@@ -1,42 +1,41 @@
 //! # Storage engine for the untrusted index server
 //!
 //! The layer between the query protocol (`zerber_protocol`) and the ordered
-//! confidential index (`zerber_r`).  The paper's server answers ranged top-k
-//! fetches over merged posting lists; the lists are independent by
-//! construction (BFM, Section 5.2), so the index is embarrassingly shardable
-//! by `MergedListId`.
+//! confidential index (`zerber_r`).  The paper's server keeps one structure:
+//! merged posting lists in descending TRS order, answering ranged top-k
+//! fetches (Section 5.2).  The lists are independent by construction (BFM),
+//! so the index is embarrassingly shardable by `MergedListId`.
 //!
 //! * [`ListStore`] — the storage contract: ranged fetches in TRS order,
 //!   resumable cursor sessions for follow-up requests (Section 4.1/5.2),
 //!   position-preserving inserts, cross-user shard batches
 //!   ([`StoreJob`] / [`ListStore::execute_shard_batch`]: jobs from many
 //!   users, each with its own group filter, grouped by shard and served
-//!   under a single lock acquisition per shard per round — the one batch
-//!   method every engine implements directly), and one
+//!   under a single lock acquisition per shard per round), and one
 //!   [`ListStore::metrics`] call returning every counter and gauge the
-//!   engine keeps as a plain [`StoreMetrics`].
-//! * [`ShardedStore`] — lists partitioned across N shards, each behind its
-//!   own `RwLock`; queries on different lists never contend and an insert
-//!   write-locks exactly one shard.
-//! * [`SegmentStore`] — the same sharded concurrency machinery over the
-//!   compressed segment layout of [`segment`]: immutable block-encoded
-//!   segments with per-block skip entries (first/last TRS, element count,
-//!   per-group visible counts) plus a small mutable tail absorbing inserts.
-//! * [`SpillStore`] — the same sharded machinery over the on-disk spill
-//!   layout of [`spill`]: cold sealed segments live in per-shard page files
-//!   (the segment wire format is the page format) behind a byte-budgeted
-//!   LRU page cache, with only summaries, tails and the hot working set
-//!   resident.
-//! * [`SingleMutexStore`] — the pre-sharding architecture (one global mutex),
-//!   kept as the contention baseline for the throughput experiments.
-//!
-//! [`SpillStore`] optionally runs *durable*: a persistent root directory
-//! holds a checksummed checkpoint manifest, immutable generation-named page
-//! files and a per-shard CRC-framed write-ahead log ([`durable`]), so
-//! [`SpillStore::open`] recovers the index after a crash — replaying pages
-//! through full segment validation and the WAL tail through the insert
-//! path, then re-auditing byte-exact budget accounting and visibility
-//! before serving.
+//!   store keeps as a plain [`StoreMetrics`].
+//! * [`SpillStore`] — the one engine that serves ([`sharded`]): lists
+//!   partitioned across N shards, each behind its own `RwLock` (queries on
+//!   different lists never contend, an insert write-locks exactly one
+//!   shard), each list a stack of compressed [`segment`]s plus a small
+//!   mutable tail ([`spill`]).  It runs in three lifecycles that differ only
+//!   in where the sealed bytes live — a deployment setting, not a different
+//!   engine:
+//!   - *resident* ([`SpillStore::resident`]): everything in memory, nothing
+//!     on disk, no maintenance;
+//!   - *spill* ([`SpillStore::with_configs`]): cold segments page out to
+//!     per-shard files (the segment wire format is the page format) behind
+//!     a byte-budgeted LRU page cache, with access-driven retiering and
+//!     page-file compaction; the files are cache state, deleted on drop;
+//!   - *durable* ([`SpillStore::create_durable`] / [`SpillStore::open`]): a
+//!     persistent root holds a checksummed checkpoint manifest, immutable
+//!     generation-named page files and a per-shard CRC-framed write-ahead
+//!     log ([`durable`]); `open` recovers after a crash — replaying pages
+//!     through full segment validation and the WAL tail through the insert
+//!     path, then re-auditing byte-exact budget accounting and visibility
+//!     before serving.
+//! * [`oracle`] — [`SingleMutexStore`] over [`VecList`]: the naive model
+//!   the engine is checked against.  Nothing serves from it.
 //!
 //! The durable layout doubles as the replication substrate ([`replication`]):
 //! a [`ReplicationSource`] streams checkpoint snapshots and the live WAL
@@ -44,37 +43,37 @@
 //! recovery path, apply frames through the normal logged-insert path and
 //! serve bounded-staleness reads behind a [`ReplicaReadStore`].
 //!
-//! All engines share one generic cursor-session table
+//! Engine and oracle share one generic cursor-session table
 //! ([`store::OrderedList`]), so sessions, insert generations, owner checks,
-//! TTL expiry and eviction behave identically and the engines answer
-//! element-for-element the same.
+//! TTL expiry and eviction behave identically; everything physical is
+//! implemented twice and must answer element-for-element the same.
 
 pub mod convert;
 pub mod durable;
 pub mod error;
 pub mod lockrank;
+pub mod oracle;
 pub mod replication;
 pub mod segment;
 pub mod sharded;
-pub mod single;
 pub mod spill;
 pub mod store;
 
 pub use durable::{crc32, DurableConfig, FaultIo, FaultMode, FileIo, PageIo, RealIo, SyncPolicy};
 pub use error::StoreError;
 pub use lockrank::{LockClass, RankGuard};
+pub use oracle::{SingleMutexStore, VecList};
 pub use replication::{
     Backoff, FaultPlan, FaultTransport, FrameBatch, InProcessTransport, PumpOutcome, Replica,
     ReplicaConfig, ReplicaReadStore, ReplicaStats, ReplicaTransport, ReplicationSource,
     SnapshotFile, SnapshotPayload, TransportError, WireFrame,
 };
-pub use segment::{Segment, SegmentConfig, SegmentList};
-pub use sharded::{SegmentStore, ShardedStore, MAX_SHARDS};
-pub use single::SingleMutexStore;
-pub use spill::{SpillConfig, SpillList, SpillStore};
+pub use segment::{Segment, SegmentConfig};
+pub use sharded::{default_shards, SpillStore, MAX_SHARDS};
+pub use spill::{SpillConfig, SpillList};
 pub use store::{
     CursorId, GroupFilter, ListStore, OrderedList, RangedBatch, RangedFetch, SessionStats,
-    StoreJob, StoreMetrics, VecList, SESSION_TTL_TICKS,
+    StoreJob, StoreMetrics, SESSION_TTL_TICKS,
 };
 
 #[cfg(test)]
@@ -116,10 +115,11 @@ mod tests {
         OrderedIndex::build(&corpus, plan, &model, &master, 11).unwrap()
     }
 
-    fn stores() -> (ShardedStore, SingleMutexStore) {
+    /// The engine on its resident lifecycle and the oracle, over one index.
+    fn stores() -> (SpillStore, SingleMutexStore) {
         let idx = index();
         (
-            ShardedStore::with_shards(idx.clone(), 4),
+            SpillStore::resident(idx.clone(), 4, small_segment_config()).unwrap(),
             SingleMutexStore::new(idx),
         )
     }
@@ -134,10 +134,6 @@ mod tests {
             max_segments: 4,
             max_payload_bytes: u32::MAX as usize,
         }
-    }
-
-    fn segment_store() -> SegmentStore {
-        SegmentStore::with_config(index(), 4, small_segment_config()).unwrap()
     }
 
     fn spill_store() -> SpillStore {
@@ -170,7 +166,7 @@ mod tests {
         let by_plan: Vec<usize> = (0..idx.num_lists() as u64)
             .map(|l| idx.list_len(MergedListId(l)).unwrap())
             .collect();
-        let store = ShardedStore::with_shards(idx, 5);
+        let store = SpillStore::resident(idx, 5, SegmentConfig::default()).unwrap();
         assert_eq!(store.num_elements(), expected);
         assert_eq!(store.num_shards(), 5);
         for (l, &len) in by_plan.iter().enumerate() {
@@ -183,10 +179,9 @@ mod tests {
 
     #[test]
     fn all_stores_serve_identical_ranged_batches() {
-        let (sharded, single) = stores();
-        let segmented = segment_store();
+        let (resident, oracle) = stores();
         let spilled = spill_store();
-        let list = busiest_list(&sharded);
+        let list = busiest_list(&oracle);
         let groups = [GroupId(0), GroupId(2)];
         for offset in [0usize, 3, 10] {
             let fetch = RangedFetch {
@@ -194,13 +189,9 @@ mod tests {
                 offset,
                 count: 7,
             };
-            let a = sharded.fetch_ranged(&fetch, Some(&groups)).unwrap();
-            let b = single.fetch_ranged(&fetch, Some(&groups)).unwrap();
-            let c = segmented.fetch_ranged(&fetch, Some(&groups)).unwrap();
-            let d = spilled.fetch_ranged(&fetch, Some(&groups)).unwrap();
-            assert_eq!(a, b);
-            assert_eq!(a, c);
-            assert_eq!(a, d);
+            let want = oracle.fetch_ranged(&fetch, Some(&groups)).unwrap();
+            assert_eq!(resident.fetch_ranged(&fetch, Some(&groups)).unwrap(), want);
+            assert_eq!(spilled.fetch_ranged(&fetch, Some(&groups)).unwrap(), want);
         }
         // The spill engine served from disk: cold pages were faulted in.
         assert!(spilled.metrics().page_faults > 0);
@@ -208,41 +199,41 @@ mod tests {
 
     #[test]
     fn segment_store_matches_snapshots_and_compresses_the_index() {
-        let (sharded, _) = stores();
-        let segmented = segment_store();
-        for l in 0..sharded.num_lists() as u64 {
+        let (segmented, oracle) = stores();
+        for l in 0..oracle.num_lists() as u64 {
             let id = MergedListId(l);
             assert_eq!(
-                sharded.snapshot_list(id).unwrap(),
+                oracle.snapshot_list(id).unwrap(),
                 segmented.snapshot_list(id).unwrap()
             );
             assert_eq!(
-                sharded.visible_len(id, Some(&[GroupId(1)])).unwrap(),
+                oracle.visible_len(id, Some(&[GroupId(1)])).unwrap(),
                 segmented.visible_len(id, Some(&[GroupId(1)])).unwrap()
             );
         }
         assert!(segmented.verify_ordering());
-        assert_eq!(segmented.num_elements(), sharded.num_elements());
-        assert_eq!(segmented.stored_bytes(), sharded.stored_bytes());
-        assert_eq!(segmented.ciphertext_bytes(), sharded.ciphertext_bytes());
+        assert_eq!(segmented.num_elements(), oracle.num_elements());
+        assert_eq!(segmented.stored_bytes(), oracle.stored_bytes());
+        assert_eq!(segmented.ciphertext_bytes(), oracle.ciphertext_bytes());
         let ratio =
-            segmented.metrics().resident_bytes as f64 / sharded.metrics().resident_bytes as f64;
+            segmented.metrics().resident_bytes as f64 / oracle.metrics().resident_bytes as f64;
         assert!(
             ratio < 1.0,
             "segments must be smaller than the vec layout, got {ratio:.3}"
         );
         // The group-filtered visible_len calls above were answered from the
-        // per-block skip entries: the segment engine examined only tail
-        // elements (none here), the vec engine walked every list in full.
+        // running per-group totals: the segment stack examined no element,
+        // the oracle walked every list in full.
         assert_eq!(segmented.metrics().visibility_scan_cost, 0);
-        assert!(sharded.metrics().visibility_scan_cost > 0);
+        assert!(oracle.metrics().visibility_scan_cost > 0);
     }
 
     #[test]
     fn cursor_follow_ups_skip_the_visibility_count() {
+        let (resident, oracle) = stores();
         for store in [
-            Box::new(stores().0) as Box<dyn ListStore>,
-            Box::new(segment_store()) as Box<dyn ListStore>,
+            Box::new(resident) as Box<dyn ListStore>,
+            Box::new(oracle) as Box<dyn ListStore>,
         ] {
             let list = busiest_list(store.as_ref());
             let groups = [GroupId(0), GroupId(2)];
@@ -400,7 +391,7 @@ mod tests {
         // A bogus cursor errors alone, not the batch.
         assert!(matches!(out[3], Err(StoreError::UnknownCursor(_))));
 
-        // The single-mutex engine serves any round under exactly one lock.
+        // The oracle's one mutex serves any round under exactly one lock.
         let before = single.metrics().lock_acquisitions;
         let jobs = [
             StoreJob::ranged(
@@ -539,14 +530,12 @@ mod tests {
 
     #[test]
     fn unknown_lists_error_on_every_accessor() {
-        let (sharded, single) = stores();
-        let segmented = segment_store();
+        let (resident, oracle) = stores();
         let spilled = spill_store();
         let bad = MergedListId(10_000_000);
         for store in [
-            &sharded as &dyn ListStore,
-            &single as &dyn ListStore,
-            &segmented as &dyn ListStore,
+            &resident as &dyn ListStore,
+            &oracle as &dyn ListStore,
             &spilled as &dyn ListStore,
         ] {
             assert!(store.list_len(bad).is_err());
@@ -588,43 +577,42 @@ mod tests {
 
     #[test]
     fn stores_agree_on_sizes() {
-        let (sharded, single) = stores();
-        assert_eq!(sharded.num_elements(), single.num_elements());
-        assert_eq!(sharded.stored_bytes(), single.stored_bytes());
-        assert_eq!(sharded.ciphertext_bytes(), single.ciphertext_bytes());
-        assert_eq!(sharded.num_lists(), single.num_lists());
-        assert_eq!(single.num_shards(), 1);
-        // The in-memory engines never spill or fault.
-        assert_eq!(sharded.metrics().spilled_bytes, 0);
-        assert_eq!(sharded.metrics().page_faults, 0);
-        assert_eq!(sharded.metrics().page_evictions, 0);
+        let (resident, oracle) = stores();
+        assert_eq!(resident.num_elements(), oracle.num_elements());
+        assert_eq!(resident.stored_bytes(), oracle.stored_bytes());
+        assert_eq!(resident.ciphertext_bytes(), oracle.ciphertext_bytes());
+        assert_eq!(resident.num_lists(), oracle.num_lists());
+        assert_eq!((resident.num_shards(), oracle.num_shards()), (4, 1));
+        // The resident lifecycle never spills or faults.
+        assert_eq!(resident.metrics().spilled_bytes, 0);
+        assert_eq!(resident.metrics().page_faults, 0);
+        assert_eq!(resident.metrics().page_evictions, 0);
     }
 
     #[test]
     fn spill_store_moves_cold_bytes_to_disk_and_keeps_answers_identical() {
-        let (sharded, _) = stores();
-        let segmented = segment_store();
+        let (segmented, oracle) = stores();
         let spilled = spill_store();
-        // Logical accounting is engine-independent.
-        assert_eq!(spilled.num_elements(), sharded.num_elements());
-        assert_eq!(spilled.stored_bytes(), sharded.stored_bytes());
-        assert_eq!(spilled.ciphertext_bytes(), sharded.ciphertext_bytes());
-        for l in 0..sharded.num_lists() as u64 {
+        // Logical accounting is lifecycle-independent.
+        assert_eq!(spilled.num_elements(), oracle.num_elements());
+        assert_eq!(spilled.stored_bytes(), oracle.stored_bytes());
+        assert_eq!(spilled.ciphertext_bytes(), oracle.ciphertext_bytes());
+        for l in 0..oracle.num_lists() as u64 {
             let id = MergedListId(l);
             assert_eq!(
-                sharded.snapshot_list(id).unwrap(),
+                oracle.snapshot_list(id).unwrap(),
                 spilled.snapshot_list(id).unwrap()
             );
             assert_eq!(
-                sharded.visible_len(id, Some(&[GroupId(1)])).unwrap(),
+                oracle.visible_len(id, Some(&[GroupId(1)])).unwrap(),
                 spilled.visible_len(id, Some(&[GroupId(1)])).unwrap()
             );
         }
         assert!(spilled.verify_ordering());
         // With a zero resident budget, the sealed payload lives on disk:
         // spilled bytes are substantial and the resident footprint sits well
-        // under the fully in-memory segment engine (summaries + tails +
-        // whatever the small page cache holds).
+        // under the resident lifecycle (summaries + tails + whatever the
+        // small page cache holds).
         assert!(spilled.metrics().spilled_bytes > 0);
         assert!(
             spilled.metrics().resident_bytes < segmented.metrics().resident_bytes,

@@ -15,7 +15,7 @@
 //!   says so (`need_snapshot`) instead of silently skipping history.
 //! * [`Replica`] — bootstraps by writing the snapshot into its own root and
 //!   opening it through the existing *fully validating* recovery path
-//!   (`ShardedCore::assemble`, per-page CRC, WAL replay, post-recovery
+//!   (`SpillStore::assemble`, per-page CRC, WAL replay, post-recovery
 //!   audit), then applies streamed frames through the normal logged-insert
 //!   path — so the replica's own WAL/checkpoint state tracks the primary's
 //!   sequence space exactly and a crashed replica recovers like any durable
@@ -52,7 +52,8 @@ use crate::convert::{u64_of, usize_of};
 use crate::durable::{crc32, io_err, scan_wal, PageIo, RealIo, WalRecord};
 use crate::error::StoreError;
 use crate::lockrank::{self, LockClass};
-use crate::spill::{SpillStore, WalTail};
+use crate::sharded::SpillStore;
+use crate::spill::WalTail;
 use crate::store::{
     CursorId, ListStore, RangedBatch, RangedFetch, SessionStats, StoreJob, StoreMetrics,
 };

@@ -1,15 +1,16 @@
-//! The compressed segment layout: each merged list is a stack of immutable
-//! block-encoded segments plus a small mutable uncompressed tail.
+//! The compressed segment: an immutable run of block-encoded elements, the
+//! unit the segment stack of [`crate::spill`] keeps in memory, pages to disk
+//! and checkpoints.
 //!
 //! The paper's server holds merged posting lists as sealed elements in TRS
 //! order; its economics hinge on how cheaply that ordered store can be held
-//! and scanned.  The plain `Vec<OrderedElement>` layout pays the full struct
-//! width (plus one heap allocation) per element.  A [`SegmentList`] instead
-//! keeps the elements in compressed **blocks**:
+//! and scanned.  A plain `Vec<OrderedElement>` pays the full struct width
+//! (plus one heap allocation) per element.  A [`Segment`] instead keeps the
+//! elements in compressed **blocks**:
 //!
 //! * TRS values are delta-encoded through the order-preserving
 //!   [`sortable_bits`] mapping — bit-exact, so decoded elements compare
-//!   identically to the reference layout even across quantization-free ties;
+//!   identically to the oracle's even across quantization-free ties;
 //! * group tags and ciphertext lengths are varints (with a per-block
 //!   "uniform ciphertext length" fast path, since sealed payloads have one
 //!   fixed size in practice), and blocks whose elements all share one group
@@ -20,25 +21,19 @@
 //!
 //! The skip entries make offset skip-scans `O(#blocks)` instead of
 //! `O(#elements)`, and point reads only decode the one or two blocks they
-//! actually touch.  `visible_total` does not even walk the blocks: the list
-//! keeps running per-group totals, built from the skip entries and bumped
-//! by every successful insert, so a count is one merge pass of the caller's
-//! [`GroupFilter`] over them.
+//! actually touch.
 //!
-//! Position-preserving inserts land in the mutable
-//! tail when their TRS sorts below every sealed element; interior inserts
-//! rebuild the one segment they hit (bounded by
-//! [`SegmentConfig::max_segment_elems`]).  When the tail outgrows
-//! [`SegmentConfig::tail_threshold`] it is sealed into a new segment and an
-//! insert-amortized compaction merges adjacent segments (pure block
-//! concatenation — no re-encode) to keep the stack shallow.
+//! This module also owns how a list is cut into segments
+//! ([`encode_segments`], [`encode_chunk_split`], [`encode_rebuilt`]: by
+//! [`SegmentConfig::max_segment_elems`] and the payload bound, splitting
+//! instead of overflowing); the stack built from them — slots, mutable tail,
+//! sealing, compaction, running per-group totals — is
+//! [`crate::spill::SpillList`].
 //!
 //! Segments serialize to a validated byte format ([`Segment::to_bytes`] /
 //! [`Segment::from_bytes`]): like the posting codec, the decoder faces
 //! untrusted bytes and must reject every truncation or bit flip with an
 //! error, never a panic.
-
-use std::sync::atomic::AtomicU64;
 
 use zerber_base::EncryptedElement;
 use zerber_corpus::GroupId;
@@ -49,7 +44,7 @@ use zerber_r::{OrderedElement, TRS_BYTES};
 
 use crate::convert::{read_bytes as payload_slice, try_u32, try_usize, u64_of, usize_of};
 use crate::error::StoreError;
-use crate::store::{GroupFilter, OrderedList};
+use crate::store::GroupFilter;
 
 /// Magic number heading every serialized segment ("ZSEG" little-endian).
 const SEGMENT_MAGIC: u64 = 0x4745_535a;
@@ -159,7 +154,7 @@ fn varint_len(value: u64) -> usize {
 
 /// Adds `n` elements of `group` to a per-group count vector kept ascending
 /// by group id — the order [`GroupFilter::visible_in`] merges against.
-fn add_count(counts: &mut Vec<(GroupId, u32)>, group: GroupId, n: u32) {
+pub(crate) fn add_count(counts: &mut Vec<(GroupId, u32)>, group: GroupId, n: u32) {
     match counts.binary_search_by_key(&group, |&(g, _)| g) {
         Ok(i) => counts[i].1 += n,
         Err(i) => counts.insert(i, (group, n)),
@@ -470,16 +465,6 @@ impl Segment {
         self.blocks.len()
     }
 
-    /// The smallest TRS in the segment (its last element).
-    pub(crate) fn min_trs(&self) -> f64 {
-        self.blocks
-            .last()
-            // analyze::allow(panic): encode_chunk_split never emits an empty
-            // segment, so the block list is non-empty by construction
-            .expect("segments are never empty")
-            .last_trs()
-    }
-
     /// Encoded payload length in bytes (compaction's byte-bound check).
     pub(crate) fn payload_len(&self) -> usize {
         self.payload.len()
@@ -514,8 +499,7 @@ impl Segment {
     /// carries the visible-skip state across segments.  Visible elements
     /// past the skip are appended to `out`; once `out` holds `count`
     /// elements the global next-physical index is returned and the scan
-    /// stops.  Shared by the in-memory segment layout and the on-disk spill
-    /// layout so both serve bit-identical batches.
+    /// stops.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn scan_part(
         &self,
@@ -887,25 +871,6 @@ impl Segment {
     }
 }
 
-/// A merged list stored as a stack of compressed segments plus a mutable
-/// uncompressed tail.  The logical sequence is the concatenation
-/// `segments[0] ++ segments[1] ++ ... ++ tail`, descending in TRS —
-/// positionally identical to the reference `Vec` layout.
-#[derive(Debug)]
-pub struct SegmentList {
-    segments: Vec<Segment>,
-    tail: Vec<OrderedElement>,
-    config: SegmentConfig,
-    /// Cached sum of segment element counts (the tail adds `tail.len()`).
-    seg_elems: usize,
-    /// Running per-group element totals of the whole list — segments *and*
-    /// tail — ascending by group id: built from the segments' skip entries
-    /// and bumped by each insert that succeeds (a rolled-back insert never
-    /// touches them), so `visible_total` neither walks the blocks nor
-    /// examines the tail.
-    totals: Vec<(GroupId, u32)>,
-}
-
 /// Encodes a TRS-descending chunk into one or more segments, splitting in
 /// half whenever the encoded payload would exceed the configured bound.  A
 /// single element that cannot fit at any granularity surfaces as
@@ -948,9 +913,7 @@ pub(crate) fn encode_segments(
 
 /// Re-encodes one rebuilt (post-insert) segment's elements, splitting in
 /// half when the element bound is exceeded so rebuild cost stays bounded as
-/// a list grows through its interior.  Shared by the in-memory segment
-/// layout and the on-disk spill layout so their split policy cannot
-/// diverge.
+/// a list grows through its interior.
 pub(crate) fn encode_rebuilt(
     decoded: &[OrderedElement],
     config: &SegmentConfig,
@@ -964,279 +927,6 @@ pub(crate) fn encode_rebuilt(
         encode_chunk_split(decoded, config, &mut rebuilt)?;
     }
     Ok(rebuilt)
-}
-
-impl SegmentList {
-    /// Builds the list with an explicit configuration.
-    pub fn with_config(
-        elements: Vec<OrderedElement>,
-        config: SegmentConfig,
-    ) -> Result<Self, StoreError> {
-        let seg_elems = elements.len();
-        let segments = encode_segments(&elements, &config)?;
-        let totals = group_totals(segments.iter().flat_map(|s| &s.blocks));
-        Ok(SegmentList {
-            segments,
-            tail: Vec::new(),
-            config,
-            seg_elems,
-            totals,
-        })
-    }
-
-    /// Current number of sealed segments (tests and size reports).
-    pub fn num_segments(&self) -> usize {
-        self.segments.len()
-    }
-
-    /// Current tail length (elements not yet sealed).
-    pub fn tail_len(&self) -> usize {
-        self.tail.len()
-    }
-
-    /// Seals the tail into new segment(s) and compacts the stack.  The tail
-    /// is only cleared once every segment encoded, so a failed seal leaves
-    /// the list untouched.
-    fn seal_tail(&mut self) -> Result<(), StoreError> {
-        if self.tail.is_empty() {
-            return Ok(());
-        }
-        let mut sealed = Vec::new();
-        encode_chunk_split(&self.tail, &self.config, &mut sealed)?;
-        self.seg_elems += self.tail.len();
-        self.segments.extend(sealed);
-        self.tail.clear();
-        self.compact();
-        Ok(())
-    }
-
-    /// Insert-amortized compaction: while the stack is deeper than
-    /// `max_segments`, merge the adjacent pair with the smallest combined
-    /// size (pure block concatenation), as long as the merged segment stays
-    /// under `max_segment_elems` elements and the configured payload bound.
-    fn compact(&mut self) {
-        let byte_bound = self.config.payload_bound();
-        while self.segments.len() > self.config.max_segments {
-            let mut best: Option<(usize, usize)> = None;
-            for i in 0..self.segments.len() - 1 {
-                let combined = self.segments[i].elems + self.segments[i + 1].elems;
-                let combined_bytes =
-                    self.segments[i].payload_len() + self.segments[i + 1].payload_len();
-                if combined <= self.config.max_segment_elems
-                    && combined_bytes <= byte_bound
-                    && best.is_none_or(|(_, c)| combined < c)
-                {
-                    best = Some((i, combined));
-                }
-            }
-            match best {
-                Some((i, _)) => {
-                    let right = self.segments.remove(i + 1);
-                    if let Err(right) = self.segments[i].absorb(right) {
-                        // Unreachable given the byte-bound pre-check, but if
-                        // the merge refuses, reattach and stop compacting.
-                        self.segments.insert(i + 1, right);
-                        break;
-                    }
-                }
-                None => break,
-            }
-        }
-    }
-
-    /// Rebuilds segment `k` with `element` inserted at local position
-    /// `local` (interior inserts are rare; the cost is bounded by
-    /// `max_segment_elems`).  Oversized results split — by element count or
-    /// payload bytes — so rebuild cost stays bounded as a list grows through
-    /// its interior.  The stack is only replaced once every piece encoded,
-    /// so a failed rebuild leaves the list untouched.
-    fn rebuild_segment_with(
-        &mut self,
-        k: usize,
-        local: usize,
-        element: OrderedElement,
-    ) -> Result<(), StoreError> {
-        let mut decoded = self.segments[k].decode_all();
-        decoded.insert(local, element);
-        let rebuilt = encode_rebuilt(&decoded, &self.config)?;
-        self.seg_elems += 1;
-        let deepened = rebuilt.len() > 1;
-        self.segments.splice(k..=k, rebuilt);
-        if deepened {
-            // Splits deepen the stack just like tail seals do; compact here
-            // too so an interior-insert-only workload cannot grow the stack
-            // without bound.
-            self.compact();
-        }
-        Ok(())
-    }
-}
-
-impl OrderedList for SegmentList {
-    fn len(&self) -> usize {
-        self.seg_elems + self.tail.len()
-    }
-
-    fn snapshot(&self) -> Result<Vec<OrderedElement>, StoreError> {
-        let mut out = Vec::with_capacity(self.len());
-        for segment in &self.segments {
-            out.extend(segment.decode_all());
-        }
-        out.extend(self.tail.iter().cloned());
-        Ok(out)
-    }
-
-    fn visible_total(&self, filter: &GroupFilter<'_>, _meter: &AtomicU64) -> usize {
-        // The running totals answer for segments and tail alike: no element
-        // is examined, so nothing is charged to the meter.
-        filter.visible_in(self.len(), &self.totals)
-    }
-
-    fn scan(
-        &self,
-        start: usize,
-        skip: usize,
-        count: usize,
-        filter: &GroupFilter<'_>,
-    ) -> Result<(Vec<OrderedElement>, usize), StoreError> {
-        let total = self.len();
-        let mut elements = Vec::with_capacity(count.min(total.saturating_sub(start)));
-        let mut skipped = 0usize;
-        let mut pos = 0usize;
-        for segment in &self.segments {
-            if pos + segment.elems <= start {
-                pos += segment.elems;
-                continue;
-            }
-            if let Some(next) =
-                segment.scan_part(pos, start, skip, &mut skipped, count, &mut elements, filter)
-            {
-                return Ok((elements, next));
-            }
-            pos += segment.elems;
-        }
-        for (j, element) in self.tail.iter().enumerate() {
-            let idx = self.seg_elems + j;
-            if idx < start || !filter.admits(element.group) {
-                continue;
-            }
-            if skipped < skip {
-                skipped += 1;
-                continue;
-            }
-            elements.push(element.clone());
-            if elements.len() == count {
-                return Ok((elements, idx + 1));
-            }
-        }
-        Ok((elements, total.max(start)))
-    }
-
-    fn position_after_visible(
-        &self,
-        delivered: usize,
-        filter: &GroupFilter<'_>,
-    ) -> Result<usize, StoreError> {
-        let mut remaining = delivered;
-        let mut pos = 0usize;
-        for segment in &self.segments {
-            if let Some(found) = segment.position_part(pos, &mut remaining, filter) {
-                return Ok(found);
-            }
-            pos += segment.elems;
-        }
-        for (j, element) in self.tail.iter().enumerate() {
-            if remaining == 0 {
-                return Ok(self.seg_elems + j);
-            }
-            if filter.admits(element.group) {
-                remaining -= 1;
-            }
-        }
-        Ok(self.len())
-    }
-
-    fn insert(&mut self, element: OrderedElement) -> Result<usize, StoreError> {
-        if !self.config.element_fits(&element) {
-            return Err(StoreError::SegmentOverflow);
-        }
-        let trs = element.trs;
-        let group = element.group;
-        let mut base = 0usize;
-        for k in 0..self.segments.len() {
-            if self.segments[k].min_trs() > trs {
-                // Every element of this segment sorts strictly before the
-                // new one: the partition point is further down.
-                base += self.segments[k].elems;
-                continue;
-            }
-            // The partition point lies inside this segment.
-            let local = self.segments[k].insert_pos(trs);
-            let pos = base + local;
-            self.rebuild_segment_with(k, local, element)?;
-            add_count(&mut self.totals, group, 1);
-            return Ok(pos);
-        }
-        // Every sealed element sorts strictly before the new one: the tail
-        // absorbs the insert.
-        let local = self.tail.partition_point(|e| e.trs > trs);
-        self.tail.insert(local, element);
-        let pos = base + local;
-        if self.tail.len() > self.config.tail_threshold {
-            if let Err(e) = self.seal_tail() {
-                // A failed seal leaves the tail intact: take the new element
-                // back out so an errored insert never half-applies (the
-                // caller skips the generation bump and cursor shifts).
-                self.tail.remove(local);
-                return Err(e);
-            }
-        }
-        add_count(&mut self.totals, group, 1);
-        Ok(pos)
-    }
-
-    fn stored_bytes(&self) -> usize {
-        self.segments.iter().map(|s| s.stored_bytes).sum::<usize>()
-            + self
-                .tail
-                .iter()
-                .map(|e| e.sealed.stored_bytes() + TRS_BYTES)
-                .sum::<usize>()
-    }
-
-    fn ciphertext_bytes(&self) -> usize {
-        self.segments
-            .iter()
-            .map(|s| s.ciphertext_bytes)
-            .sum::<usize>()
-            + self
-                .tail
-                .iter()
-                .map(|e| e.sealed.ciphertext.len())
-                .sum::<usize>()
-    }
-
-    fn resident_bytes(&self) -> usize {
-        std::mem::size_of::<SegmentList>()
-            + self
-                .segments
-                .iter()
-                .map(Segment::resident_bytes)
-                .sum::<usize>()
-            + self.tail.capacity() * std::mem::size_of::<OrderedElement>()
-            + self
-                .tail
-                .iter()
-                .map(|e| e.sealed.ciphertext.capacity())
-                .sum::<usize>()
-            + self.totals.capacity() * std::mem::size_of::<(GroupId, u32)>()
-    }
-
-    fn ordering_ok(&self) -> bool {
-        self.snapshot()
-            .map(|s| s.windows(2).all(|w| w[0].trs >= w[1].trs))
-            .unwrap_or(false)
-    }
 }
 
 #[cfg(test)]
@@ -1330,9 +1020,18 @@ mod oracle {
 
 #[cfg(test)]
 mod tests {
+    //! The segment codec's tests, and — under their original names — the
+    //! list tests of the stack built from segments: they run against
+    //! [`SpillList`] on its resident (pager-less) lifecycle, held against
+    //! the oracle's `Vec` layout.
+
+    use std::sync::atomic::AtomicU64;
+
     use super::oracle::same_verdict;
     use super::*;
-    use crate::store::VecList;
+    use crate::oracle::VecList;
+    use crate::spill::SpillList;
+    use crate::store::OrderedList;
 
     fn element(trs: f64, group: u32, ct: &[u8]) -> OrderedElement {
         OrderedElement {
@@ -1370,13 +1069,13 @@ mod tests {
     /// The running per-group totals must equal a recount of the snapshot,
     /// and `visible_total` must answer from them without examining an
     /// element.
-    fn assert_totals_exact(seg: &SegmentList) {
+    fn assert_totals_exact(seg: &SpillList) {
         let mut recount = std::collections::BTreeMap::new();
         for e in seg.snapshot().unwrap() {
             *recount.entry(e.group).or_insert(0u32) += 1;
         }
         assert_eq!(
-            seg.totals,
+            seg.totals(),
             recount.iter().map(|(&g, &n)| (g, n)).collect::<Vec<_>>()
         );
         let meter = AtomicU64::new(0);
@@ -1463,7 +1162,7 @@ mod tests {
     #[test]
     fn segment_list_matches_the_vec_layout_on_scans() {
         let elements = sorted_elements(37);
-        let seg = SegmentList::with_config(elements.clone(), small_config()).unwrap();
+        let seg = SpillList::build(elements.clone(), small_config(), None).unwrap();
         let vec = VecList::from_elements(elements);
         assert_eq!(seg.len(), vec.len());
         assert_eq!(seg.snapshot().unwrap(), vec.snapshot().unwrap());
@@ -1505,7 +1204,7 @@ mod tests {
 
     #[test]
     fn inserts_match_the_vec_layout_and_seal_the_tail() {
-        let mut seg = SegmentList::with_config(sorted_elements(20), small_config()).unwrap();
+        let mut seg = SpillList::build(sorted_elements(20), small_config(), None).unwrap();
         let mut vec = VecList::from_elements(sorted_elements(20));
         // Tail inserts (below every sealed element), interior inserts and
         // head inserts, with ties.
@@ -1529,7 +1228,7 @@ mod tests {
     #[test]
     fn compaction_keeps_the_stack_shallow() {
         let config = small_config();
-        let mut seg = SegmentList::with_config(sorted_elements(16), config).unwrap();
+        let mut seg = SpillList::build(sorted_elements(16), config, None).unwrap();
         let mut vec = VecList::from_elements(sorted_elements(16));
         // A long run of low-TRS inserts seals many tail segments.
         for i in 0..40 {
@@ -1541,9 +1240,9 @@ mod tests {
         // max_segments is a soft bound: compaction merges adjacent pairs as
         // long as the merged segment respects max_segment_elems.
         assert!(
-            seg.num_segments() <= config.max_segments + 1,
+            seg.num_slots() <= config.max_segments + 1,
             "stack depth {} after compaction",
-            seg.num_segments()
+            seg.num_slots()
         );
         assert_eq!(seg.stored_bytes(), vec.stored_bytes());
         assert_eq!(seg.ciphertext_bytes(), vec.ciphertext_bytes());
@@ -1559,7 +1258,7 @@ mod tests {
         let elements: Vec<OrderedElement> = (0..512)
             .map(|i| element(1.0 - i as f64 / 512.0, (i % 4) as u32, &[3u8; 44]))
             .collect();
-        let seg = SegmentList::with_config(elements.clone(), SegmentConfig::default()).unwrap();
+        let seg = SpillList::build(elements.clone(), SegmentConfig::default(), None).unwrap();
         let vec = VecList::from_elements(elements);
         let ratio = seg.resident_bytes() as f64 / vec.resident_bytes() as f64;
         assert!(
@@ -1571,7 +1270,7 @@ mod tests {
         let uniform: Vec<OrderedElement> = (0..512)
             .map(|i| element(1.0 - i as f64 / 512.0, 2, &[3u8; 44]))
             .collect();
-        let useg = SegmentList::with_config(uniform.clone(), SegmentConfig::default()).unwrap();
+        let useg = SpillList::build(uniform.clone(), SegmentConfig::default(), None).unwrap();
         let uvec = VecList::from_elements(uniform);
         let uratio = useg.resident_bytes() as f64 / uvec.resident_bytes() as f64;
         assert!(
@@ -1582,7 +1281,7 @@ mod tests {
 
     #[test]
     fn empty_lists_behave() {
-        let mut seg = SegmentList::with_config(Vec::new(), small_config()).unwrap();
+        let mut seg = SpillList::build(Vec::new(), small_config(), None).unwrap();
         assert_eq!(seg.len(), 0);
         assert!(seg.is_empty());
         let all = GroupFilter::normalise(None);
@@ -1609,13 +1308,13 @@ mod tests {
         let elements: Vec<OrderedElement> = (0..24)
             .map(|i| element(1.0 - i as f64 / 24.0, (i % 2) as u32, &[i as u8; 20]))
             .collect();
-        let mut seg = SegmentList::with_config(elements.clone(), config).unwrap();
+        let mut seg = SpillList::build(elements.clone(), config, None).unwrap();
         let mut vec = VecList::from_elements(elements);
         assert_eq!(seg.snapshot().unwrap(), vec.snapshot().unwrap());
         assert_totals_exact(&seg);
         // Every segment respects the byte bound, so the stack is forced
         // deeper than max_segments would otherwise allow.
-        assert!(seg.num_segments() > config.max_segments);
+        assert!(seg.num_slots() > config.max_segments);
         // Inserts across the whole range (tail seals and interior rebuilds
         // both re-encode under the bound), into old groups and a new one.
         for (i, trs) in [0.99, 0.5, 0.01, 0.5, 0.73, 0.005, 0.004]
@@ -1655,7 +1354,7 @@ mod tests {
             max_payload_bytes: 128,
             ..small_config()
         };
-        let mut seg = SegmentList::with_config(sorted_elements(8), config).unwrap();
+        let mut seg = SpillList::build(sorted_elements(8), config, None).unwrap();
         let before = seg.snapshot().unwrap();
         // One element whose ciphertext alone cannot fit under the bound at
         // any split granularity: a clean error, list untouched.
@@ -1669,7 +1368,7 @@ mod tests {
         let mut poisoned = sorted_elements(8);
         poisoned.insert(4, huge);
         assert!(matches!(
-            SegmentList::with_config(poisoned, config),
+            SpillList::build(poisoned, config, None),
             Err(StoreError::SegmentOverflow)
         ));
     }

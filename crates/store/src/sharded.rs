@@ -1,4 +1,5 @@
-//! The concurrent sharded store, generic over the physical list layout.
+//! The serving store: merged lists partitioned across shards, each shard a
+//! session table of segment stacks behind its own `RwLock`.
 //!
 //! Merged posting lists are partitioned across N shards by `MergedListId`
 //! (lists are dense `0..num_lists`, so `id % N` is a perfect hash).  Each
@@ -11,19 +12,25 @@
 //! the same write lock as the insert itself — no separate session lock, no
 //! position races.
 //!
-//! [`ShardedCore`] carries all of that machinery once, generic over an
-//! [`OrderedList`]; the two public engines are instantiations:
+//! There is one store, [`SpillStore`], and it runs in three lifecycles that
+//! differ only in where the sealed bytes live:
 //!
-//! * [`ShardedStore`] — the reference `Vec<OrderedElement>` layout,
-//! * [`SegmentStore`] — the compressed segment layout of
-//!   [`crate::segment`].
+//! * **resident** ([`SpillStore::resident`]) — every segment stays in
+//!   memory: no pager, no budget, no page file, no directory, no
+//!   maintenance pass;
+//! * **spill** ([`SpillStore::with_configs`]) — cold segments page out to
+//!   per-shard files that are cache state, deleted on drop;
+//! * **durable** ([`SpillStore::create_durable`] / [`SpillStore::open`]) —
+//!   the page files are checkpoint state next to a write-ahead log.
 //!
-//! Because the session, generation and locking logic is shared, the engines
-//! answer element-for-element identically by construction; only the physical
-//! representation (and its byte footprint / scan cost) differs.
+//! This module holds what the three share — shard locks, routing, sessions
+//! and the [`ListStore`] implementation; the segment stack, the pager and
+//! the paging lifecycles' constructors and maintenance live in
+//! [`crate::spill`].
 
 use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use parking_lot::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 use zerber_base::{MergePlan, MergedListId};
@@ -33,187 +40,122 @@ use zerber_r::{OrderedElement, OrderedIndex};
 use crate::convert::u64_of;
 use crate::error::StoreError;
 use crate::lockrank::{self, LockClass};
-use crate::segment::{SegmentConfig, SegmentList};
+use crate::segment::SegmentConfig;
+use crate::spill::{DurableState, Pager, SpillList};
 use crate::store::{
     CursorId, ListStore, ListTable, OrderedList, RangedBatch, RangedFetch, SessionStats, StoreJob,
-    StoreMetrics, VecList,
+    StoreMetrics,
 };
 
 /// Upper bound on shards: cursor ids embed the shard index in their low byte.
 pub const MAX_SHARDS: usize = 256;
 
-/// The sharded, concurrently accessible store over an arbitrary physical
-/// list layout.
+/// The sharded, concurrently accessible store of segment stacks.
+///
+/// `resident_bytes`, `spilled_bytes`, `page_faults` and `page_evictions`
+/// (see [`StoreMetrics`]) make the memory/disk split observable; on the
+/// resident lifecycle everything but `resident_bytes`, `lock_acquisitions`
+/// and `visibility_scan_cost` reads 0.
 #[derive(Debug)]
-pub struct ShardedCore<L: OrderedList> {
-    shards: Vec<RwLock<ListTable<L>>>,
+pub struct SpillStore {
+    shards: Vec<RwLock<ListTable<SpillList>>>,
     plan: MergePlan,
     next_cursor: AtomicU64,
     /// Shard-lock acquisitions by the serving paths (see
     /// [`StoreMetrics::lock_acquisitions`]).
     lock_meter: AtomicU64,
+    /// One pager per shard; empty on the resident lifecycle.
+    pub(crate) pagers: Vec<Arc<Pager>>,
+    /// WAL/manifest machinery; `None` unless the store is durable.
+    pub(crate) durable: Option<DurableState>,
 }
-
-/// The sharded store over the reference `Vec<OrderedElement>` layout.
-pub type ShardedStore = ShardedCore<VecList>;
-
-/// The sharded store over the compressed segment layout: immutable
-/// block-encoded segments with per-block skip entries plus a mutable tail.
-pub type SegmentStore = ShardedCore<SegmentList>;
 
 /// A ranked shard read guard: the lock rank is registered *before* blocking
 /// on the lock and released after the guard drops (field order: the lock
 /// guard is declared first, so it drops before the rank pops).
-pub(crate) struct ShardRead<'a, L: OrderedList> {
-    guard: RwLockReadGuard<'a, ListTable<L>>,
+pub(crate) struct ShardRead<'a> {
+    guard: RwLockReadGuard<'a, ListTable<SpillList>>,
     _rank: lockrank::RankGuard,
 }
 
-impl<L: OrderedList> Deref for ShardRead<'_, L> {
-    type Target = ListTable<L>;
+impl Deref for ShardRead<'_> {
+    type Target = ListTable<SpillList>;
 
-    fn deref(&self) -> &ListTable<L> {
+    fn deref(&self) -> &ListTable<SpillList> {
         &self.guard
     }
 }
 
 /// A ranked shard write guard; see [`ShardRead`].
-pub(crate) struct ShardWrite<'a, L: OrderedList> {
-    guard: RwLockWriteGuard<'a, ListTable<L>>,
+pub(crate) struct ShardWrite<'a> {
+    guard: RwLockWriteGuard<'a, ListTable<SpillList>>,
     _rank: lockrank::RankGuard,
 }
 
-impl<L: OrderedList> Deref for ShardWrite<'_, L> {
-    type Target = ListTable<L>;
+impl Deref for ShardWrite<'_> {
+    type Target = ListTable<SpillList>;
 
-    fn deref(&self) -> &ListTable<L> {
+    fn deref(&self) -> &ListTable<SpillList> {
         &self.guard
     }
 }
 
-impl<L: OrderedList> DerefMut for ShardWrite<'_, L> {
-    fn deref_mut(&mut self) -> &mut ListTable<L> {
+impl DerefMut for ShardWrite<'_> {
+    fn deref_mut(&mut self) -> &mut ListTable<SpillList> {
         &mut self.guard
     }
 }
 
 /// The shard count matched to the machine (`available_parallelism`, clamped
 /// to `[1, 64]`).
-pub(crate) fn default_shards() -> usize {
+pub fn default_shards() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)
         .clamp(1, 64)
 }
 
-impl<L: OrderedList> ShardedCore<L> {
-    /// Builds a store partitioned across `num_shards` shards, materializing
-    /// each list through `make` (which receives the shard index the list
-    /// lands in, so layouts with per-shard backing state — the on-disk spill
-    /// engine's page files — attach to the right shard).
+impl SpillStore {
+    /// Builds a resident store across exactly `num_shards` shards: every
+    /// segment stays in memory, nothing is created on disk and no
+    /// maintenance ever runs.  Fails with [`StoreError::SegmentOverflow`]
+    /// only if a single element cannot be encoded under the payload bound.
+    pub fn resident(
+        index: OrderedIndex,
+        num_shards: usize,
+        segment: SegmentConfig,
+    ) -> Result<Self, StoreError> {
+        Self::build(index, num_shards, segment, Vec::new())
+    }
+
+    /// Partitions `index` across `num_shards` shards (list `id` lands in
+    /// shard `id % num_shards`), building each list against its shard's
+    /// pager — `pagers` holds one per shard, or none for a resident store.
     pub(crate) fn build(
         index: OrderedIndex,
         num_shards: usize,
-        mut make: impl FnMut(usize, Vec<OrderedElement>) -> Result<L, StoreError>,
+        segment: SegmentConfig,
+        pagers: Vec<Arc<Pager>>,
     ) -> Result<Self, StoreError> {
         let num_shards = num_shards.clamp(1, MAX_SHARDS);
         let (lists, plan) = index.into_parts();
-        let mut shards: Vec<ListTable<L>> = (0..num_shards).map(|_| ListTable::default()).collect();
+        let mut tables: Vec<Vec<SpillList>> = (0..num_shards).map(|_| Vec::new()).collect();
         for (id, list) in lists.into_iter().enumerate() {
             let shard = id % num_shards;
-            shards[shard].push_list(make(shard, list)?);
+            tables[shard].push(SpillList::build(list, segment, pagers.get(shard).cloned())?);
         }
-        Ok(ShardedCore {
-            shards: shards.into_iter().map(RwLock::new).collect(),
-            plan,
-            next_cursor: AtomicU64::new(1),
-            lock_meter: AtomicU64::new(0),
-        })
+        Self::assemble(plan, tables, pagers)
     }
 
-    /// Meters one shard-lock acquisition (called just before a serving-path
-    /// `read()`/`write()`; audit accessors stay unmetered).
-    fn meter_lock(&self) {
-        self.lock_meter.fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn slot(&self, list: MergedListId) -> (usize, usize) {
-        let id = list.0 as usize;
-        (id % self.shards.len(), id / self.shards.len())
-    }
-
-    fn known(&self, list: MergedListId) -> Result<(usize, usize), StoreError> {
-        if (list.0 as usize) < self.plan.num_lists() {
-            Ok(self.slot(list))
-        } else {
-            Err(StoreError::UnknownList(list.0))
-        }
-    }
-
-    pub(crate) fn cursor_shard(&self, cursor: CursorId) -> Result<usize, StoreError> {
-        let shard = (cursor.0 & 0xff) as usize;
-        if cursor.is_some() && shard < self.shards.len() {
-            Ok(shard)
-        } else {
-            Err(StoreError::UnknownCursor(cursor.0))
-        }
-    }
-
-    /// Acquires one shard's read lock under the lock-rank discipline.
-    ///
-    /// **Lock order** (enforced at runtime in debug builds by
-    /// [`crate::lockrank`]): a replica's store-slot lock, then shard locks
-    /// in *ascending shard-index* order.  Cursor sessions live inside the
-    /// shard that owns their list, so there is no separate session lock to
-    /// order — the store slot always ranks before any shard ("store before
-    /// session").  Every shard acquisition in this module funnels through
-    /// here or [`Self::shard_write`].
-    pub(crate) fn shard_read(&self, shard: usize) -> ShardRead<'_, L> {
-        let rank = lockrank::acquire(LockClass::Shard, shard);
-        ShardRead {
-            guard: self.shards[shard].read(),
-            _rank: rank,
-        }
-    }
-
-    /// Acquires one shard's write lock under the lock-rank discipline; see
-    /// [`Self::shard_read`] for the global order.
-    pub(crate) fn shard_write(&self, shard: usize) -> ShardWrite<'_, L> {
-        let rank = lockrank::acquire(LockClass::Shard, shard);
-        ShardWrite {
-            guard: self.shards[shard].write(),
-            _rank: rank,
-        }
-    }
-
-    /// Runs `f` under one shard's read lock (maintenance passes; unmetered —
-    /// the lock meter counts serving-path acquisitions only).
-    pub(crate) fn with_shard_read<R>(&self, shard: usize, f: impl FnOnce(&ListTable<L>) -> R) -> R {
-        let guard = self.shard_read(shard);
-        f(&guard)
-    }
-
-    /// Runs `f` under one shard's write lock (maintenance passes; unmetered).
-    pub(crate) fn with_shard_write<R>(
-        &self,
-        shard: usize,
-        f: impl FnOnce(&mut ListTable<L>) -> R,
-    ) -> R {
-        let mut guard = self.shard_write(shard);
-        f(&mut guard)
-    }
-
-    /// Resolves a list id to its `(shard, slot)` coordinates, rejecting
-    /// unknown lists (recovery replay routes WAL records through this).
-    pub(crate) fn locate(&self, list: MergedListId) -> Result<(usize, usize), StoreError> {
-        self.known(list)
-    }
-
-    /// Reassembles a store from already-materialized per-shard lists (the
-    /// durable recovery path).  `tables[s]` holds shard `s`'s lists in slot
-    /// order, i.e. `tables[s][j]` is merged list `j * num_shards + s` —
-    /// the same arrangement [`Self::build`] produces.
-    pub(crate) fn assemble(plan: MergePlan, tables: Vec<Vec<L>>) -> Result<Self, StoreError> {
+    /// Assembles a store from already-materialized per-shard lists (fresh
+    /// builds and the durable recovery path).  `tables[s]` holds shard
+    /// `s`'s lists in slot order, i.e. `tables[s][j]` is merged list
+    /// `j * num_shards + s`.
+    pub(crate) fn assemble(
+        plan: MergePlan,
+        tables: Vec<Vec<SpillList>>,
+        pagers: Vec<Arc<Pager>>,
+    ) -> Result<Self, StoreError> {
         let total: usize = tables.iter().map(Vec::len).sum();
         if total != plan.num_lists() || tables.is_empty() || tables.len() > MAX_SHARDS {
             return Err(StoreError::RecoveryFailed(format!(
@@ -231,148 +173,76 @@ impl<L: OrderedList> ShardedCore<L> {
             }
             shards.push(RwLock::new(table));
         }
-        Ok(ShardedCore {
+        Ok(SpillStore {
             shards,
             plan,
             next_cursor: AtomicU64::new(1),
             lock_meter: AtomicU64::new(0),
+            pagers,
+            durable: None,
         })
     }
 
-    /// The batch round behind [`ListStore::execute_shard_batch`].
-    /// `after_shard` runs off-lock once per touched shard, right after that
-    /// shard's jobs were served (the spill engine's maintenance hook).
-    pub(crate) fn execute_batch(
-        &self,
-        jobs: &[StoreJob<'_>],
-        mut after_shard: impl FnMut(usize),
-    ) -> Vec<Result<RangedBatch, StoreError>> {
-        let mut results = vec![Err(StoreError::Invariant("job was never routed")); jobs.len()];
-        // Group job indices by shard — ranged jobs route by list id, cursor
-        // jobs by the shard index embedded in the cursor.  Jobs no shard
-        // can serve fail on their own without touching a lock.
-        let mut by_shard: Vec<Vec<usize>> = vec![Vec::new(); self.shards.len()];
-        for (i, job) in jobs.iter().enumerate() {
-            let routed = if job.cursor.is_some() {
-                self.cursor_shard(job.cursor)
-            } else {
-                self.known(job.fetch.list).map(|(shard, _)| shard)
-            };
-            match routed {
-                Ok(shard) => by_shard[shard].push(i),
-                Err(e) => results[i] = Err(e),
-            }
+    /// Meters one shard-lock acquisition (called just before a serving-path
+    /// `read()`/`write()`; audit accessors stay unmetered).
+    fn meter_lock(&self) {
+        self.lock_meter.fetch_add(1, Ordering::Relaxed);
+    }
+
+    fn slot(&self, list: MergedListId) -> (usize, usize) {
+        let id = list.0 as usize;
+        (id % self.shards.len(), id / self.shards.len())
+    }
+
+    /// Resolves a list id to its `(shard, slot)` coordinates, rejecting
+    /// unknown lists.
+    pub(crate) fn known(&self, list: MergedListId) -> Result<(usize, usize), StoreError> {
+        if (list.0 as usize) < self.plan.num_lists() {
+            Ok(self.slot(list))
+        } else {
+            Err(StoreError::UnknownList(list.0))
         }
-        for (shard, mut indices) in by_shard.into_iter().enumerate() {
-            if indices.is_empty() {
-                continue;
-            }
-            // Within the shard, serve ranged jobs grouped by list and
-            // cursor resumptions grouped by session (stable, so same-cursor
-            // resumptions keep their input order and answer exactly like a
-            // sequential run): a layout that pages cold state in from disk
-            // then faults each touched page at most once per round of
-            // ranged jobs, and same-session follow-ups share their faults
-            // too.  (A resume job's `fetch.list` is a placeholder — the
-            // session knows its own list — so cursors group by id, not
-            // list.)
-            indices.sort_by_key(|&i| {
-                let job = &jobs[i];
-                if job.cursor.is_some() {
-                    (1u8, job.cursor.0)
-                } else {
-                    (0u8, job.fetch.list.0)
-                }
-            });
-            self.meter_lock();
-            let sweep_due = {
-                let guard = self.shard_read(shard);
-                for i in indices {
-                    let job = &jobs[i];
-                    results[i] = if job.cursor.is_some() {
-                        guard.cursor_fetch(job.cursor.0, job.owner, job.fetch.count, job.accessible)
-                    } else {
-                        let (_, slot) = self.slot(job.fetch.list);
-                        guard.fetch(slot, job.fetch.offset, job.fetch.count, job.accessible)
-                    };
-                }
-                guard.ttl_sweep_due()
-            };
-            if sweep_due {
-                self.meter_lock();
-                self.shard_write(shard).sweep_expired();
-            }
-            after_shard(shard);
+    }
+
+    fn cursor_shard(&self, cursor: CursorId) -> Result<usize, StoreError> {
+        let shard = (cursor.0 & 0xff) as usize;
+        if cursor.is_some() && shard < self.shards.len() {
+            Ok(shard)
+        } else {
+            Err(StoreError::UnknownCursor(cursor.0))
         }
-        results
     }
 
-    /// Inserts like [`ListStore::insert`], additionally invoking `log` with
-    /// the element's shard *after* the in-memory apply but under the same
-    /// shard write lock — so the write-ahead log's record order is exactly
-    /// the apply order and an acknowledged insert is always logged.  A `log`
-    /// failure surfaces as the insert's error.
-    pub(crate) fn insert_logged(
-        &self,
-        list: MergedListId,
-        element: OrderedElement,
-        log: impl FnOnce(usize, &OrderedElement) -> Result<(), StoreError>,
-    ) -> Result<usize, StoreError> {
-        let (shard, slot) = self.known(list)?;
-        self.meter_lock();
-        let mut guard = self.shard_write(shard);
-        let pos = guard.insert(slot, element.clone())?;
-        log(shard, &element)?;
-        Ok(pos)
-    }
-}
-
-impl ShardedStore {
-    /// Builds a store from an ordered index with a machine-matched shard
-    /// count.
-    pub fn new(index: OrderedIndex) -> Self {
-        Self::with_shards(index, default_shards())
+    /// Acquires one shard's read lock under the lock-rank discipline
+    /// (unmetered — the lock meter counts serving-path acquisitions only).
+    ///
+    /// **Lock order** (enforced at runtime in debug builds by
+    /// [`crate::lockrank`]): a replica's store-slot lock, then shard locks
+    /// in *ascending shard-index* order.  Cursor sessions live inside the
+    /// shard that owns their list, so there is no separate session lock to
+    /// order — the store slot always ranks before any shard ("store before
+    /// session").  Every shard acquisition funnels through here or
+    /// [`Self::shard_write`].
+    pub(crate) fn shard_read(&self, shard: usize) -> ShardRead<'_> {
+        let rank = lockrank::acquire(LockClass::Shard, shard);
+        ShardRead {
+            guard: self.shards[shard].read(),
+            _rank: rank,
+        }
     }
 
-    /// Builds a store partitioned across exactly `num_shards` shards.
-    pub fn with_shards(index: OrderedIndex, num_shards: usize) -> Self {
-        Self::build(index, num_shards, |_, list| {
-            Ok(VecList::from_elements(list))
-        })
-        // analyze::allow(panic): build only fails when the builder closure
-        // does, and this closure always returns Ok
-        .expect("the Vec layout builds infallibly")
+    /// Acquires one shard's write lock under the lock-rank discipline; see
+    /// [`Self::shard_read`] for the global order.
+    pub(crate) fn shard_write(&self, shard: usize) -> ShardWrite<'_> {
+        let rank = lockrank::acquire(LockClass::Shard, shard);
+        ShardWrite {
+            guard: self.shards[shard].write(),
+            _rank: rank,
+        }
     }
 }
 
-impl SegmentStore {
-    /// Builds a compressed-segment store with a machine-matched shard count.
-    pub fn new(index: OrderedIndex) -> Result<Self, StoreError> {
-        Self::with_shards(index, default_shards())
-    }
-
-    /// Builds a compressed-segment store across exactly `num_shards` shards
-    /// with the default segment layout.
-    pub fn with_shards(index: OrderedIndex, num_shards: usize) -> Result<Self, StoreError> {
-        Self::with_config(index, num_shards, SegmentConfig::default())
-    }
-
-    /// Builds a compressed-segment store with explicit layout tuning (block
-    /// length, tail threshold, compaction and payload bounds).  Fails with
-    /// [`StoreError::SegmentOverflow`] only if a single element cannot be
-    /// encoded under the payload bound.
-    pub fn with_config(
-        index: OrderedIndex,
-        num_shards: usize,
-        config: SegmentConfig,
-    ) -> Result<Self, StoreError> {
-        Self::build(index, num_shards, move |_, list| {
-            SegmentList::with_config(list, config)
-        })
-    }
-}
-
-impl<L: OrderedList> ListStore for ShardedCore<L> {
+impl ListStore for SpillStore {
     fn plan(&self) -> &MergePlan {
         &self.plan
     }
@@ -413,6 +283,7 @@ impl<L: OrderedList> ListStore for ShardedCore<L> {
             metrics.resident_bytes += u64_of(guard.resident_bytes());
             metrics.visibility_scan_cost += guard.visibility_scan_cost();
         }
+        self.add_paging_metrics(&mut metrics);
         metrics
     }
 
@@ -442,12 +313,71 @@ impl<L: OrderedList> ListStore for ShardedCore<L> {
     ) -> Result<RangedBatch, StoreError> {
         let (shard, slot) = self.known(fetch.list)?;
         self.meter_lock();
-        self.shard_read(shard)
-            .fetch(slot, fetch.offset, fetch.count, accessible)
+        let batch = self
+            .shard_read(shard)
+            .fetch(slot, fetch.offset, fetch.count, accessible)?;
+        self.tier_maintenance(shard);
+        Ok(batch)
     }
 
     fn execute_shard_batch(&self, jobs: &[StoreJob<'_>]) -> Vec<Result<RangedBatch, StoreError>> {
-        self.execute_batch(jobs, |_| {})
+        let mut results = vec![Err(StoreError::Invariant("job was never routed")); jobs.len()];
+        // Group job indices by shard — ranged jobs route by list id, cursor
+        // jobs by the shard index embedded in the cursor.  Jobs no shard
+        // can serve fail on their own without touching a lock.
+        let mut by_shard: Vec<Vec<usize>> = vec![Vec::new(); self.shards.len()];
+        for (i, job) in jobs.iter().enumerate() {
+            let routed = if job.cursor.is_some() {
+                self.cursor_shard(job.cursor)
+            } else {
+                self.known(job.fetch.list).map(|(shard, _)| shard)
+            };
+            match routed {
+                Ok(shard) => by_shard[shard].push(i),
+                Err(e) => results[i] = Err(e),
+            }
+        }
+        for (shard, mut indices) in by_shard.into_iter().enumerate() {
+            if indices.is_empty() {
+                continue;
+            }
+            // Within the shard, serve ranged jobs grouped by list and
+            // cursor resumptions grouped by session (stable, so same-cursor
+            // resumptions keep their input order and answer exactly like a
+            // sequential run): cold state paged in from disk then faults
+            // each touched page at most once per round of ranged jobs, and
+            // same-session follow-ups share their faults too.  (A resume
+            // job's `fetch.list` is a placeholder — the session knows its
+            // own list — so cursors group by id, not list.)
+            indices.sort_by_key(|&i| {
+                let job = &jobs[i];
+                if job.cursor.is_some() {
+                    (1u8, job.cursor.0)
+                } else {
+                    (0u8, job.fetch.list.0)
+                }
+            });
+            self.meter_lock();
+            let sweep_due = {
+                let guard = self.shard_read(shard);
+                for i in indices {
+                    let job = &jobs[i];
+                    results[i] = if job.cursor.is_some() {
+                        guard.cursor_fetch(job.cursor.0, job.owner, job.fetch.count, job.accessible)
+                    } else {
+                        let (_, slot) = self.slot(job.fetch.list);
+                        guard.fetch(slot, job.fetch.offset, job.fetch.count, job.accessible)
+                    };
+                }
+                guard.ttl_sweep_due()
+            };
+            if sweep_due {
+                self.meter_lock();
+                self.shard_write(shard).sweep_expired();
+            }
+            self.tier_maintenance(shard);
+        }
+        results
     }
 
     fn open_cursor(
@@ -488,6 +418,9 @@ impl<L: OrderedList> ListStore for ShardedCore<L> {
             self.meter_lock();
             self.shard_write(shard).sweep_expired();
         }
+        if result.is_ok() {
+            self.tier_maintenance(shard);
+        }
         result
     }
 
@@ -511,7 +444,23 @@ impl<L: OrderedList> ListStore for ShardedCore<L> {
     fn insert(&self, list: MergedListId, element: OrderedElement) -> Result<usize, StoreError> {
         let (shard, slot) = self.known(list)?;
         self.meter_lock();
-        self.shard_write(shard).insert(slot, element)
+        let pos = {
+            let mut guard = self.shard_write(shard);
+            match &self.durable {
+                None => guard.insert(slot, element)?,
+                // Apply, then log, under the same shard write lock: log
+                // order is apply order, and an insert is only acknowledged
+                // once its WAL record is written (and fsynced per the
+                // policy).  A log failure surfaces as the insert's error.
+                Some(durable) => {
+                    let pos = guard.insert(slot, element.clone())?;
+                    durable.append(shard, list.0, &element)?;
+                    pos
+                }
+            }
+        };
+        self.tier_maintenance(shard);
+        Ok(pos)
     }
 
     fn verify_ordering(&self) -> bool {

@@ -1,17 +1,34 @@
-//! The on-disk spill layout: cold sealed segments live in per-shard page
-//! files, hot state stays in memory.
+//! The segment stack and its pager: each merged list is a stack of sealed
+//! segments plus a small mutable tail; where the sealed bytes live is the
+//! store's lifecycle.
+//!
+//! [`SpillList`] is the one physical list representation that serves: the
+//! logical sequence is `slots[0] ++ slots[1] ++ ... ++ tail`, descending in
+//! TRS.  Position-preserving inserts land in the uncompressed tail when
+//! their TRS sorts below every sealed element; interior inserts rebuild the
+//! one segment they hit (bounded by [`SegmentConfig::max_segment_elems`]).
+//! When the tail outgrows [`SegmentConfig::tail_threshold`] it is sealed
+//! into a new slot and an insert-amortized compaction merges adjacent
+//! resident segments (pure block concatenation — no re-encode) to keep the
+//! stack shallow.  Every slot keeps a tiny summary (element count, TRS
+//! bounds, byte totals — and, while it is cold, per-group visible counts)
+//! and the list keeps running per-group totals bumped by each successful
+//! insert, so `visible_total` is one merge pass of the caller's
+//! [`GroupFilter`] and deep-offset skip-scans pass over cold slots without
+//! faulting them.
+//!
+//! On the **resident** lifecycle ([`SpillStore::resident`]) that is all
+//! there is: the list has no pager, every slot is resident, nothing is
+//! budgeted, stamped or written.
 //!
 //! The paper's untrusted server must hold merged, sealed posting lists for
 //! millions of users — a footprint that does not fit in RAM.  Like the
 //! ontological-database systems that answer from a small hot working set
 //! while the bulk of the extensional data lives on secondary storage, the
-//! [`SpillStore`] keeps each merged list as a `SegmentStore`-style stack
-//! ([`crate::segment`]) whose **cold sealed segments** are serialized
-//! through the validated segment wire format ([`Segment::to_bytes`]) into a
-//! per-shard page file and dropped from memory.  What stays resident per
-//! spilled segment is a tiny summary (element count, TRS bounds, per-group
-//! visible counts, byte totals), so visibility accounting and deep-offset
-//! skip-scans never touch the disk at all.
+//! paging lifecycles give each shard a [`Pager`]: **cold sealed segments**
+//! are serialized through the validated segment wire format
+//! ([`Segment::to_bytes`]) into a per-shard page file and dropped from
+//! memory, leaving only their summary behind.
 //!
 //! Reads that do need a cold segment pull the page back through the fully
 //! validating [`Segment::from_bytes`] — a torn, truncated or bit-flipped
@@ -45,9 +62,10 @@
 //!   runs under the shard write lock.  A failed or torn rewrite is
 //!   discarded and the old file keeps serving.
 //!
-//! The store runs in one of two lifecycles:
+//! The two paging lifecycles:
 //!
-//! - **Ephemeral** (the default): files are cache state, deleted on drop.
+//! - **Spill** ([`SpillStore::with_configs`]): files are cache state,
+//!   deleted on drop.
 //! - **Durable** ([`SpillStore::create_durable`] / [`SpillStore::open`]):
 //!   the root directory is persistent state.  Page files are immutable
 //!   checkpoint pages referenced by an atomically-committed, checksummed
@@ -66,7 +84,6 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use zerber_base::MergedListId;
 use zerber_corpus::{GroupId, TermId};
 use zerber_index::compress::from_sortable_bits;
 use zerber_r::{OrderedElement, OrderedIndex};
@@ -78,14 +95,13 @@ use crate::durable::{
     RealIo, StoreMeta, SyncPolicy,
 };
 use crate::error::StoreError;
-use crate::segment::{encode_chunk_split, encode_rebuilt, encode_segments, Segment, SegmentConfig};
-use crate::sharded::{default_shards, ShardedCore, MAX_SHARDS};
-use crate::store::{
-    CursorId, GroupFilter, ListStore, ListTable, OrderedList, RangedBatch, RangedFetch,
-    SessionStats, StoreJob, StoreMetrics,
+use crate::segment::{
+    add_count, encode_chunk_split, encode_rebuilt, encode_segments, Segment, SegmentConfig,
 };
+use crate::sharded::{SpillStore, MAX_SHARDS};
+use crate::store::{GroupFilter, ListStore, ListTable, OrderedList, StoreMetrics};
 
-/// Tuning knobs of the spill engine.
+/// Tuning knobs of the paging lifecycles.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SpillConfig {
     /// Sealed-segment bytes each shard may keep resident; segments beyond
@@ -226,7 +242,7 @@ struct PageCache {
 /// One shard's spill state: the append-only page file, the LRU page cache
 /// and the residency-budget accounting, shared by every list of the shard.
 #[derive(Debug)]
-struct Pager {
+pub(crate) struct Pager {
     io: Mutex<PageFile>,
     cache: Mutex<PageCache>,
     cache_capacity: usize,
@@ -695,16 +711,14 @@ impl Drop for Rewrite {
     }
 }
 
-/// Resident summary of one sealed segment — everything visibility
-/// accounting, skip-scans and insert routing need without touching the
-/// page file.
+/// Resident summary of one sealed segment — what byte accounting, slot
+/// skipping by position and insert routing need without touching the
+/// segment or the page file.
 #[derive(Debug)]
 struct SlotMeta {
     elems: usize,
     /// Sortable bits of the segment's smallest (last) TRS.
     last_bits: u64,
-    /// Per-group element counts, sorted by group id.
-    counts: Vec<(GroupId, u32)>,
     stored_bytes: usize,
     ciphertext_bytes: usize,
     /// Exact memory charge of the decoded segment — what residency costs
@@ -722,7 +736,6 @@ impl SlotMeta {
         SlotMeta {
             elems: segment.num_elements(),
             last_bits: segment.last_bits(),
-            counts: segment.group_counts(),
             stored_bytes: segment.stored_bytes(),
             ciphertext_bytes: segment.ciphertext_bytes(),
             resident_cost: segment.resident_bytes(),
@@ -732,10 +745,6 @@ impl SlotMeta {
 
     fn min_trs(&self) -> f64 {
         from_sortable_bits(self.last_bits)
-    }
-
-    fn visible_under(&self, filter: &GroupFilter<'_>) -> usize {
-        filter.visible_in(self.elems, &self.counts)
     }
 }
 
@@ -759,11 +768,46 @@ struct Slot {
     resident: Option<ResidentSeg>,
     /// Location of the sealed page in the shard's page file.
     page: Option<PageId>,
+    /// Per-group element counts, ascending by group id: what a segment
+    /// leaves behind when it leaves memory, so a skip-scan passes over a
+    /// cold slot without faulting its page.  `None` exactly while the slot
+    /// is resident — there the segment's own skip entries answer, and a
+    /// resident store pays for no second copy of them.
+    cold_counts: Option<Box<[(GroupId, u32)]>>,
 }
 
 impl Slot {
+    /// A resident slot, its charge the segment's exact resident cost.
+    fn hot(segment: Segment, page: Option<PageId>) -> Slot {
+        let meta = SlotMeta::of(&segment);
+        let charged = meta.resident_cost;
+        Slot {
+            meta,
+            resident: Some(ResidentSeg { segment, charged }),
+            page,
+            cold_counts: None,
+        }
+    }
+
+    /// A cold slot: `segment` already sits on disk as `page`.
+    fn cold(segment: &Segment, page: PageId) -> Slot {
+        Slot {
+            meta: SlotMeta::of(segment),
+            resident: None,
+            page: Some(page),
+            cold_counts: Some(segment.group_counts().into_boxed_slice()),
+        }
+    }
+
     fn is_resident(&self) -> bool {
         self.resident.is_some()
+    }
+
+    /// Visible elements of a cold slot under `filter`, from its summary;
+    /// `None` for a resident slot (scan its blocks' skip entries instead).
+    fn cold_visible(&self, filter: &GroupFilter<'_>) -> Option<usize> {
+        let counts = self.cold_counts.as_deref()?;
+        Some(filter.visible_in(self.meta.elems, counts))
     }
 }
 
@@ -784,43 +828,65 @@ impl std::ops::Deref for SegRef<'_> {
     }
 }
 
-/// A merged list whose cold sealed segments live in the shard's page file.
-/// Logically identical to [`crate::segment::SegmentList`]: the sequence is
-/// `slots[0] ++ slots[1] ++ ... ++ tail`, descending in TRS.
+/// A merged list stored as a stack of sealed segments plus a mutable
+/// uncompressed tail.  The logical sequence is
+/// `slots[0] ++ slots[1] ++ ... ++ tail`, descending in TRS — positionally
+/// identical to the oracle's `Vec` layout.
 #[derive(Debug)]
 pub struct SpillList {
     slots: Vec<Slot>,
     tail: Vec<OrderedElement>,
     config: SegmentConfig,
-    pager: Arc<Pager>,
+    /// The shard's pager; `None` on the resident lifecycle, where every slot
+    /// stays in memory and nothing is budgeted, stamped or written.
+    pager: Option<Arc<Pager>>,
     /// Cached sum of slot element counts (the tail adds `tail.len()`).
     seg_elems: usize,
+    /// Running per-group element totals of the whole list — slots *and*
+    /// tail — ascending by group id: built from the slot summaries and
+    /// bumped by each insert that succeeds (a rolled-back insert never
+    /// touches them), so `visible_total` neither walks the slots nor
+    /// examines the tail.
+    totals: Vec<(GroupId, u32)>,
 }
 
 impl SpillList {
-    fn build(
+    /// Builds the list against its shard's pager — or, with `None`, for the
+    /// resident lifecycle: every segment in memory, nothing on disk.
+    pub(crate) fn build(
         elements: Vec<OrderedElement>,
         config: SegmentConfig,
-        pager: Arc<Pager>,
+        pager: Option<Arc<Pager>>,
     ) -> Result<Self, StoreError> {
         let seg_elems = elements.len();
         let segments = encode_segments(&elements, &config)?;
         let mut list = SpillList {
-            slots: Vec::with_capacity(segments.len()),
+            slots: Vec::new(),
             tail: Vec::new(),
             config,
             pager,
             seg_elems,
+            totals: Vec::new(),
         };
         // Greedy budget charging in build order: within this list the hot
         // end (what top-k queries touch) charges before the cold depths,
         // but the shard budget is shared first-come across its lists — a
-        // partial budget favours lists built earlier.  Access-driven
-        // placement across lists is a ROADMAP item (spill-aware
-        // demotion/promotion).
-        let slots = list.place_segments(segments)?;
-        list.slots = slots;
+        // partial budget favours lists built earlier, until the retier
+        // pass re-grants it by access recency.
+        list.slots = list.place_segments(segments, false)?;
+        list.totals = running_totals(&list.slots, &list.tail);
         Ok(list)
+    }
+
+    /// The running per-group totals (the list tests recount them).
+    #[cfg(test)]
+    pub(crate) fn totals(&self) -> &[(GroupId, u32)] {
+        &self.totals
+    }
+
+    /// Current tail length (elements not yet sealed).
+    pub fn tail_len(&self) -> usize {
+        self.tail.len()
     }
 
     /// Number of sealed slots currently cold (not resident; tests, reports).
@@ -834,13 +900,18 @@ impl SpillList {
     }
 
     /// Places freshly encoded segments: resident while the shard budget
-    /// covers them, spilled otherwise.  On any failure the pages written so
-    /// far are released, leaving the accounting consistent and the list
+    /// covers them (never, when `keep_cold` — the rebuild of a spilled
+    /// slot), spilled otherwise.  On any failure the pages written so far
+    /// are released, leaving the accounting consistent and the list
     /// untouched.
-    fn place_segments(&self, segments: Vec<Segment>) -> Result<Vec<Slot>, StoreError> {
+    fn place_segments(
+        &self,
+        segments: Vec<Segment>,
+        keep_cold: bool,
+    ) -> Result<Vec<Slot>, StoreError> {
         let mut slots = Vec::with_capacity(segments.len());
         for segment in segments {
-            match self.place(segment) {
+            match self.place(segment, keep_cold) {
                 Ok(slot) => slots.push(slot),
                 Err(e) => {
                     for slot in slots {
@@ -853,40 +924,55 @@ impl SpillList {
         Ok(slots)
     }
 
-    fn place(&self, segment: Segment) -> Result<Slot, StoreError> {
-        let meta = SlotMeta::of(&segment);
+    fn place(&self, segment: Segment, keep_cold: bool) -> Result<Slot, StoreError> {
         // Charge exactly the slot's metered resident cost: the budget
         // invariant (`resident_charge` == Σ charged == Σ exact resident
         // bytes) holds by construction on every placement path.
-        let charge = meta.resident_cost;
-        if self.pager.try_charge(charge) {
-            // A durable resident slot has no page yet; the next checkpoint
-            // materializes it.  The WAL covers the window in between.
-            Ok(Slot {
-                meta,
-                resident: Some(ResidentSeg {
-                    segment,
-                    charged: charge,
-                }),
-                page: None,
-            })
-        } else {
-            let page = self.pager.write_page(&segment)?;
-            Ok(Slot {
-                meta,
-                resident: None,
-                page: Some(page),
-            })
+        match &self.pager {
+            Some(pager) if keep_cold || !pager.try_charge(segment.resident_bytes()) => {
+                Ok(Slot::cold(&segment, pager.write_page(&segment)?))
+            }
+            // No pager, or the budget covers it.  A durable resident slot
+            // has no page yet; the next checkpoint materializes it.  The
+            // WAL covers the window in between.
+            _ => Ok(Slot::hot(segment, None)),
+        }
+    }
+
+    /// The pager behind a paging-only operation (checkpoint, retier).
+    fn pager(&self) -> Result<&Pager, StoreError> {
+        self.pager
+            .as_deref()
+            .ok_or(StoreError::Invariant("a resident list has no pager"))
+    }
+
+    /// Returns `bytes` to the shard's resident budget (no-op without one).
+    fn uncharge(&self, bytes: usize) {
+        if let Some(pager) = &self.pager {
+            pager.uncharge(bytes);
+        }
+    }
+
+    /// Charges `bytes` even past the budget (no-op without one).
+    fn force_charge(&self, bytes: usize) {
+        if let Some(pager) = &self.pager {
+            pager.force_charge(bytes);
+        }
+    }
+
+    /// Drops a superseded page from the live accounting.  Pages only exist
+    /// where a pager wrote them.
+    fn release_page(&self, page: Option<PageId>) {
+        if let (Some(pager), Some(page)) = (&self.pager, page) {
+            pager.release_page(page);
         }
     }
 
     fn release_slot(&self, slot: &Slot) {
         if let Some(resident) = &slot.resident {
-            self.pager.uncharge(resident.charged);
+            self.uncharge(resident.charged);
         }
-        if let Some(page) = slot.page {
-            self.pager.release_page(page);
-        }
+        self.release_page(slot.page);
     }
 
     /// Resolves slot `k` to a readable segment, faulting its page in from
@@ -896,12 +982,14 @@ impl SpillList {
     /// summary-only answers deliberately leave the stamp cold.
     fn segment(&self, k: usize) -> Result<SegRef<'_>, StoreError> {
         let slot = &self.slots[k];
-        slot.meta
-            .last_access
-            .store(self.pager.touch_tick(), Ordering::Relaxed);
+        if let Some(pager) = &self.pager {
+            slot.meta
+                .last_access
+                .store(pager.touch_tick(), Ordering::Relaxed);
+        }
         match (&slot.resident, slot.page) {
             (Some(resident), _) => Ok(SegRef::Resident(&resident.segment)),
-            (None, Some(page)) => Ok(SegRef::Paged(self.pager.fetch(page)?)),
+            (None, Some(page)) => Ok(SegRef::Paged(self.pager()?.fetch(page)?)),
             (None, None) => Err(StoreError::Invariant("a slot is resident or paged")),
         }
     }
@@ -915,7 +1003,7 @@ impl SpillList {
         }
         let mut sealed = Vec::new();
         encode_chunk_split(&self.tail, &self.config, &mut sealed)?;
-        let slots = self.place_segments(sealed)?;
+        let slots = self.place_segments(sealed, false)?;
         self.seg_elems += self.tail.len();
         self.slots.extend(slots);
         self.tail.clear();
@@ -923,11 +1011,13 @@ impl SpillList {
         Ok(())
     }
 
-    /// Insert-amortized compaction over **resident** adjacent pairs only —
-    /// spilled segments are immutable cold storage and merging them would
-    /// mean paying page faults on the write path.  A stack held deep by
-    /// spilled slots is tolerated; background page-file compaction owns
-    /// that (ROADMAP).
+    /// Insert-amortized compaction: while the stack is deeper than
+    /// `max_segments`, merge the adjacent **resident** pair with the
+    /// smallest combined size (pure block concatenation), as long as the
+    /// merged segment stays under `max_segment_elems` elements and the
+    /// payload bound.  Spilled segments are immutable cold storage —
+    /// merging them would mean paying page faults on the write path — so a
+    /// stack held deep by spilled slots is tolerated.
     fn compact(&mut self) -> Result<(), StoreError> {
         let byte_bound = self.config.payload_bound();
         while self.slots.len() > self.config.max_segments {
@@ -956,61 +1046,28 @@ impl SpillList {
             let mut merged = left_res.segment;
             match merged.absorb(right_res.segment) {
                 Ok(()) => {
-                    self.pager.uncharge(left_res.charged + right_res.charged);
+                    self.uncharge(left_res.charged + right_res.charged);
                     // The merged segment supersedes both slots' checkpoint
                     // pages (if any): release them, the next checkpoint
                     // writes the merged page.
-                    for page in [left.page, right.page].into_iter().flatten() {
-                        self.pager.release_page(page);
-                    }
-                    let meta = SlotMeta::of(&merged);
+                    self.release_page(left.page);
+                    self.release_page(right.page);
                     // The merged segment stays resident: compaction must not
                     // turn a hot pair cold.  If the budget cannot cover the
                     // (small) delta, charge it anyway; tail seals will spill
                     // against the deficit, and the next retier pass settles
                     // it.  The charge is still the exact resident cost, so
                     // the budget invariant never drifts.
-                    let charge = meta.resident_cost;
-                    if !self.pager.try_charge(charge) {
-                        self.pager.force_charge(charge);
-                    }
-                    self.slots.insert(
-                        i,
-                        Slot {
-                            meta,
-                            resident: Some(ResidentSeg {
-                                segment: merged,
-                                charged: charge,
-                            }),
-                            page: None,
-                        },
-                    );
+                    let slot = Slot::hot(merged, None);
+                    self.force_charge(slot.meta.resident_cost);
+                    self.slots.insert(i, slot);
                 }
                 Err(right_seg) => {
                     // Unreachable given the byte-bound pre-check; reattach
-                    // both and stop compacting.
-                    self.slots.insert(
-                        i,
-                        Slot {
-                            meta: SlotMeta::of(&right_seg),
-                            resident: Some(ResidentSeg {
-                                segment: right_seg,
-                                charged: right_res.charged,
-                            }),
-                            page: right.page,
-                        },
-                    );
-                    self.slots.insert(
-                        i,
-                        Slot {
-                            meta: SlotMeta::of(&merged),
-                            resident: Some(ResidentSeg {
-                                segment: merged,
-                                charged: left_res.charged,
-                            }),
-                            page: left.page,
-                        },
-                    );
+                    // both (untouched, so at their old charges) and stop
+                    // compacting.
+                    self.slots.insert(i, Slot::hot(right_seg, right.page));
+                    self.slots.insert(i, Slot::hot(merged, left.page));
                     break;
                 }
             }
@@ -1033,40 +1090,13 @@ impl SpillList {
             .resident
             .as_ref()
             .map_or(0, |resident| resident.charged);
-        self.pager.uncharge(old_charge);
-        let placed = if was_cold {
-            // Stay cold: the segment was not worth resident bytes before the
-            // insert and one insert does not make it hot.
-            let mut slots = Vec::with_capacity(rebuilt.len());
-            let mut failure = None;
-            for segment in rebuilt {
-                let meta = SlotMeta::of(&segment);
-                match self.pager.write_page(&segment) {
-                    Ok(page) => slots.push(Slot {
-                        meta,
-                        resident: None,
-                        page: Some(page),
-                    }),
-                    Err(e) => {
-                        for slot in slots.drain(..) {
-                            self.release_slot(&slot);
-                        }
-                        failure = Some(e);
-                        break;
-                    }
-                }
-            }
-            match failure {
-                None => Ok(slots),
-                Some(e) => Err(e),
-            }
-        } else {
-            self.place_segments(rebuilt)
-        };
-        let new_slots = match placed {
+        self.uncharge(old_charge);
+        // A cold slot stays cold: the segment was not worth resident bytes
+        // before the insert and one insert does not make it hot.
+        let new_slots = match self.place_segments(rebuilt, was_cold) {
             Ok(slots) => slots,
             Err(e) => {
-                self.pager.force_charge(old_charge);
+                self.force_charge(old_charge);
                 return Err(e);
             }
         };
@@ -1082,9 +1112,7 @@ impl SpillList {
         for slot in old {
             // The budget charge was already released above; only the
             // superseded page (now file garbage) remains to account for.
-            if let Some(page) = slot.page {
-                self.pager.release_page(page);
-            }
+            self.release_page(slot.page);
         }
         if self.slots.len() > self.config.max_segments {
             self.compact()?;
@@ -1127,7 +1155,7 @@ impl SpillList {
             .resident
             .as_ref()
             .ok_or(StoreError::Invariant("a pageless slot is resident"))?;
-        let page = self.pager.write_page(&resident.segment)?;
+        let page = self.pager()?.write_page(&resident.segment)?;
         self.slots[k].page = Some(page);
         Ok(page)
     }
@@ -1161,26 +1189,21 @@ impl SpillList {
         for &(offset, len, crc) in &manifest.pages {
             let page = PageId { offset, len, crc };
             let segment = pager.read_page_uncached(page)?;
-            let meta = SlotMeta::of(&segment);
-            seg_elems += meta.elems;
-            let charge = meta.resident_cost;
-            let resident = pager.try_charge(charge).then_some(ResidentSeg {
-                segment,
-                charged: charge,
-            });
+            seg_elems += segment.num_elements();
             pager.note_live_page(len);
-            slots.push(Slot {
-                meta,
-                resident,
-                page: Some(page),
+            slots.push(if pager.try_charge(segment.resident_bytes()) {
+                Slot::hot(segment, Some(page))
+            } else {
+                Slot::cold(&segment, page)
             });
         }
         let recovered = u64_of(manifest.pages.len());
         let list = SpillList {
+            totals: running_totals(&slots, &manifest.tail),
             slots,
             tail: manifest.tail.clone(),
             config,
-            pager,
+            pager: Some(pager),
             seg_elems,
         };
         Ok((list, recovered))
@@ -1217,15 +1240,17 @@ impl SpillList {
                 .resident
                 .as_ref()
                 .ok_or(StoreError::Invariant("demotion checked the slot resident"))?;
-            let page = self.pager.write_page(&resident.segment)?;
+            let page = self.pager()?.write_page(&resident.segment)?;
             self.slots[k].page = Some(page);
         }
         let resident = self.slots[k]
             .resident
             .take()
             .ok_or(StoreError::Invariant("demotion checked the slot resident"))?;
-        self.pager.uncharge(resident.charged);
-        self.pager.demotions.fetch_add(1, Ordering::Relaxed);
+        self.slots[k].cold_counts = Some(resident.segment.group_counts().into_boxed_slice());
+        let pager = self.pager()?;
+        pager.uncharge(resident.charged);
+        pager.demotions.fetch_add(1, Ordering::Relaxed);
         Ok(())
     }
 
@@ -1241,23 +1266,26 @@ impl SpillList {
         let page = self.slots[k]
             .page
             .ok_or(StoreError::Invariant("a cold slot has a page"))?;
-        let segment = self.pager.read_page_uncached(page)?;
+        let pager = self.pager()?;
+        let segment = pager.read_page_uncached(page)?;
         // The decoded capacities can differ from the cost metered at the
         // pre-spill encode: re-meter so the charge stays exact.
         let charge = segment.resident_bytes();
-        if !self.pager.try_charge(charge) {
+        if !pager.try_charge(charge) {
             return Ok(false);
         }
-        if !self.pager.durable {
-            self.pager.release_page(page);
+        let keep_page = pager.durable;
+        pager.promotions.fetch_add(1, Ordering::Relaxed);
+        if !keep_page {
+            self.release_page(Some(page));
             self.slots[k].page = None;
         }
         self.slots[k].meta.resident_cost = charge;
+        self.slots[k].cold_counts = None;
         self.slots[k].resident = Some(ResidentSeg {
             segment,
             charged: charge,
         });
-        self.pager.promotions.fetch_add(1, Ordering::Relaxed);
         Ok(true)
     }
 
@@ -1281,6 +1309,29 @@ impl SpillList {
             None => true,
         })
     }
+}
+
+/// Per-group element counts of a whole list — slot summaries plus tail —
+/// ascending by group id and exact-sized.
+fn running_totals(slots: &[Slot], tail: &[OrderedElement]) -> Vec<(GroupId, u32)> {
+    let mut totals = Vec::new();
+    let mut add = |counts: &[(GroupId, u32)]| {
+        for &(group, n) in counts {
+            add_count(&mut totals, group, n);
+        }
+    };
+    for slot in slots {
+        match (&slot.resident, &slot.cold_counts) {
+            (Some(resident), _) => add(&resident.segment.group_counts()),
+            (None, Some(counts)) => add(counts),
+            (None, None) => {}
+        }
+    }
+    for element in tail {
+        add_count(&mut totals, element.group, 1);
+    }
+    totals.shrink_to_fit();
+    totals
 }
 
 /// One sealed slot as the retier pass sees it: where it lives, what
@@ -1310,20 +1361,11 @@ impl OrderedList for SpillList {
         Ok(out)
     }
 
-    fn visible_total(&self, filter: &GroupFilter<'_>, meter: &AtomicU64) -> usize {
-        if filter.groups().is_none() {
-            return self.len();
-        }
-        // Slot summaries answer for the sealed part without faulting a
-        // single page (they are this layout's per-group totals, one merge
-        // pass each); only the (small) tail is examined.
-        meter.fetch_add(u64_of(self.tail.len()), Ordering::Relaxed);
-        let sealed: usize = self
-            .slots
-            .iter()
-            .map(|s| s.meta.visible_under(filter))
-            .sum();
-        sealed + self.tail.iter().filter(|e| filter.admits(e.group)).count()
+    fn visible_total(&self, filter: &GroupFilter<'_>, _meter: &AtomicU64) -> usize {
+        // The running totals answer for slots and tail alike: no page is
+        // faulted and no element examined, so nothing is charged to the
+        // meter.
+        filter.visible_in(self.len(), &self.totals)
     }
 
     fn scan(
@@ -1343,15 +1385,16 @@ impl OrderedList for SpillList {
                 pos += elems;
                 continue;
             }
-            // Wholesale visible-skip from the summary: a slot whose visible
-            // elements would all be skipped is passed over without paying a
-            // page fault.
+            // Wholesale visible-skip from the summary: a cold slot whose
+            // visible elements would all be skipped is passed over without
+            // paying a page fault (a resident one skips block by block).
             if pos >= start && skipped < skip {
-                let visible = self.slots[k].meta.visible_under(filter);
-                if skipped + visible <= skip {
-                    skipped += visible;
-                    pos += elems;
-                    continue;
+                if let Some(visible) = self.slots[k].cold_visible(filter) {
+                    if skipped + visible <= skip {
+                        skipped += visible;
+                        pos += elems;
+                        continue;
+                    }
                 }
             }
             let segment = self.segment(k)?;
@@ -1390,13 +1433,14 @@ impl OrderedList for SpillList {
             if remaining == 0 {
                 return Ok(pos);
             }
-            let visible = self.slots[k].meta.visible_under(filter);
-            if visible < remaining {
-                // The whole slot is consumed: account for it from the
-                // summary alone, no page fault.
-                remaining -= visible;
-                pos += self.slots[k].meta.elems;
-                continue;
+            if let Some(visible) = self.slots[k].cold_visible(filter) {
+                if visible < remaining {
+                    // The whole slot is consumed: account for it from the
+                    // summary alone, no page fault.
+                    remaining -= visible;
+                    pos += self.slots[k].meta.elems;
+                    continue;
+                }
             }
             let segment = self.segment(k)?;
             if let Some(found) = segment.position_part(pos, &mut remaining, filter) {
@@ -1420,6 +1464,7 @@ impl OrderedList for SpillList {
             return Err(StoreError::SegmentOverflow);
         }
         let trs = element.trs;
+        let group = element.group;
         let mut base = 0usize;
         for k in 0..self.slots.len() {
             if self.slots[k].meta.min_trs() > trs {
@@ -1438,6 +1483,7 @@ impl OrderedList for SpillList {
             decoded.insert(local, element);
             let pos = base + local;
             self.rebuild_slot(k, decoded)?;
+            add_count(&mut self.totals, group, 1);
             return Ok(pos);
         }
         // Every sealed element sorts strictly before the new one: the tail
@@ -1454,6 +1500,7 @@ impl OrderedList for SpillList {
                 return Err(e);
             }
         }
+        add_count(&mut self.totals, group, 1);
         Ok(pos)
     }
 
@@ -1488,7 +1535,9 @@ impl OrderedList for SpillList {
                 .iter()
                 .map(|s| {
                     std::mem::size_of::<Slot>()
-                        + s.meta.counts.capacity() * std::mem::size_of::<(GroupId, u32)>()
+                        + s.cold_counts.as_ref().map_or(0, |counts| {
+                            counts.len() * std::mem::size_of::<(GroupId, u32)>()
+                        })
                         + s.resident
                             .as_ref()
                             .map_or(0, |res| res.segment.resident_bytes())
@@ -1500,6 +1549,7 @@ impl OrderedList for SpillList {
                 .iter()
                 .map(|e| e.sealed.ciphertext.capacity())
                 .sum::<usize>()
+            + self.totals.capacity() * std::mem::size_of::<(GroupId, u32)>()
     }
 
     fn ordering_ok(&self) -> bool {
@@ -1509,24 +1559,14 @@ impl OrderedList for SpillList {
     }
 }
 
-/// Allocates a fresh unique directory under the shared temp staging root
-/// (`<tmp>/zerber-spill/<pid>-<n>`), removed again when the store drops.
-fn unique_temp_dir() -> PathBuf {
+/// Allocates a fresh unique directory under a shared temp staging root
+/// (`<tmp>/<staging>/<pid>-<n>`), removed again when the store drops:
+/// `zerber-spill` for spill stores, `zerber-durable` for *ephemeral-durable*
+/// ones (full WAL/manifest machinery, temp-dir lifetime — the server's
+/// `StoreEngine::Durable` and the equivalence suite).
+fn unique_temp_dir(staging: &str) -> PathBuf {
     static NEXT: AtomicU64 = AtomicU64::new(0);
-    std::env::temp_dir().join("zerber-spill").join(format!(
-        "{}-{}",
-        std::process::id(),
-        NEXT.fetch_add(1, Ordering::Relaxed)
-    ))
-}
-
-/// Like [`unique_temp_dir`] but under `zerber-durable`: the staging root for
-/// *ephemeral-durable* stores (full WAL/manifest machinery, temp-dir
-/// lifetime) the server's `StoreEngine::Durable` and the equivalence suite
-/// use.
-fn unique_durable_temp_dir() -> PathBuf {
-    static NEXT: AtomicU64 = AtomicU64::new(0);
-    std::env::temp_dir().join("zerber-durable").join(format!(
+    std::env::temp_dir().join(staging).join(format!(
         "{}-{}",
         std::process::id(),
         NEXT.fetch_add(1, Ordering::Relaxed)
@@ -1549,7 +1589,7 @@ struct WalFile {
 /// The durability side of a [`SpillStore`]: per-shard WALs, manifest
 /// commits, and the durability meters.
 #[derive(Debug)]
-struct DurableState {
+pub(crate) struct DurableState {
     backend: Arc<dyn PageIo>,
     dir: PathBuf,
     config: DurableConfig,
@@ -1610,7 +1650,12 @@ impl DurableState {
     /// Appends one insert to the shard's WAL, applying the configured fsync
     /// policy.  Called under the shard write lock, immediately after the
     /// in-memory apply — log order is apply order.
-    fn append(&self, shard: usize, list: u64, element: &OrderedElement) -> Result<(), StoreError> {
+    pub(crate) fn append(
+        &self,
+        shard: usize,
+        list: u64,
+        element: &OrderedElement,
+    ) -> Result<(), StoreError> {
         let mut wal = self.wals[shard].lock();
         let frame = encode_wal_frame(wal.next_seq, list, element)?;
         let at = wal.len;
@@ -1644,6 +1689,31 @@ impl DurableState {
     fn checkpoint_due(&self, shard: usize) -> bool {
         self.config.checkpoint_wal_bytes > 0
             && self.wals[shard].lock().len >= self.config.checkpoint_wal_bytes
+    }
+
+    /// The durable commit of one shard's state as `table` holds it — the
+    /// caller passes the target of its shard write guard, so nothing moves
+    /// underneath: materializes a page for every sealed slot that lacks
+    /// one, fsyncs the page file, commits a manifest enumerating every
+    /// sealed page plus the in-memory tails, then truncates the WAL.
+    fn commit_checkpoint(
+        &self,
+        shard: usize,
+        pager: &Pager,
+        table: &mut ListTable<SpillList>,
+    ) -> Result<(), StoreError> {
+        let mut lists = Vec::new();
+        for list in table.lists_mut() {
+            lists.push(list.manifest_list()?);
+        }
+        let manifest = Manifest {
+            generation: pager.generation.load(Ordering::Relaxed),
+            applied_seq: self.applied_seq(shard),
+            lists,
+        };
+        pager.sync_file()?;
+        self.commit_manifest(shard, &manifest)?;
+        self.reset_wal(shard)
     }
 
     /// Commits `manifest` for `shard`: write tmp, fsync, atomic rename.
@@ -1686,41 +1756,11 @@ impl DurableState {
     }
 }
 
-/// The fourth storage engine: sharded spill-to-disk segment storage.
-///
-/// Built on the same [`ShardedCore`] concurrency machinery (and therefore
-/// the same cursor-session, generation and eviction behaviour) as the other
-/// engines; only the physical layout differs.  Cold sealed segments live in
-/// per-shard page files and come back through a byte-budgeted LRU page
-/// cache; `resident_bytes`, `spilled_bytes`, `page_faults` and
-/// `page_evictions` make the memory/disk split observable.
-#[derive(Debug)]
-pub struct SpillStore {
-    core: ShardedCore<SpillList>,
-    pagers: Vec<Arc<Pager>>,
-    /// WAL/manifest machinery; `None` for ephemeral (cache-only) stores.
-    durable: Option<DurableState>,
-}
-
 impl SpillStore {
-    /// Builds a spill store rooted at `dir` with machine-matched shards and
-    /// default tuning.
-    pub fn new(index: OrderedIndex, dir: impl Into<PathBuf>) -> Result<Self, StoreError> {
-        Self::with_config(index, default_shards(), dir, SpillConfig::default())
-    }
-
-    /// Builds a spill store with explicit shard count and spill tuning.
-    pub fn with_config(
-        index: OrderedIndex,
-        num_shards: usize,
-        dir: impl Into<PathBuf>,
-        config: SpillConfig,
-    ) -> Result<Self, StoreError> {
-        Self::with_configs(index, num_shards, dir, config, SegmentConfig::default())
-    }
-
-    /// Builds a spill store with explicit spill *and* segment-layout tuning
-    /// (tests use tiny blocks/segments to cross page boundaries cheaply).
+    /// Builds a spill store rooted at `dir` with explicit spill *and*
+    /// segment-layout tuning (tests use tiny blocks/segments to cross page
+    /// boundaries cheaply).  The page files are cache state, removed on
+    /// drop.
     pub fn with_configs(
         index: OrderedIndex,
         num_shards: usize,
@@ -1754,35 +1794,25 @@ impl SpillStore {
                 )
             })
             .collect::<Result<_, _>>()?;
-        let core = ShardedCore::build(index, num_shards, |shard, list| {
-            SpillList::build(list, segment, Arc::clone(&pagers[shard]))
-        })?;
-        Ok(SpillStore {
-            core,
-            pagers,
-            durable: None,
-        })
+        SpillStore::build(index, num_shards, segment, pagers)
     }
 
-    /// Builds a spill store in a fresh unique directory under the system
-    /// temp dir (removed on drop) — the zero-configuration entry point the
-    /// server and test bed use.
-    pub fn in_temp_dir(
-        index: OrderedIndex,
-        num_shards: usize,
-        config: SpillConfig,
-    ) -> Result<Self, StoreError> {
-        Self::with_config(index, num_shards, unique_temp_dir(), config)
-    }
-
-    /// Like [`SpillStore::in_temp_dir`] with explicit segment tuning.
+    /// [`SpillStore::with_configs`] in a fresh unique directory under the
+    /// system temp dir (removed on drop) — the zero-configuration entry
+    /// point the server and test bed use.
     pub fn in_temp_dir_with(
         index: OrderedIndex,
         num_shards: usize,
         config: SpillConfig,
         segment: SegmentConfig,
     ) -> Result<Self, StoreError> {
-        Self::with_configs(index, num_shards, unique_temp_dir(), config, segment)
+        Self::with_configs(
+            index,
+            num_shards,
+            unique_temp_dir("zerber-spill"),
+            config,
+            segment,
+        )
     }
 
     /// Creates a **durable** store rooted at `dir` with default segment
@@ -1877,9 +1907,7 @@ impl SpillStore {
                 )
             })
             .collect::<Result<_, _>>()?;
-        let core = ShardedCore::build(index, num_shards, |shard, list| {
-            SpillList::build(list, segment, Arc::clone(&pagers[shard]))
-        })?;
+        let mut store = SpillStore::build(index, num_shards, segment, pagers)?;
         let wals = (0..num_shards)
             .map(|shard| {
                 let path = dir.join(format!("shard-{shard:03}.wal"));
@@ -1892,21 +1920,17 @@ impl SpillStore {
                 }))
             })
             .collect::<Result<Vec<_>, StoreError>>()?;
-        let store = SpillStore {
-            core,
-            pagers,
-            durable: Some(DurableState {
-                backend,
-                dir,
-                config: durable,
-                wals,
-                wal_appends: AtomicU64::new(0),
-                wal_bytes: AtomicU64::new(0),
-                recovered_pages: AtomicU64::new(0),
-                truncated_wal: AtomicU64::new(0),
-                root,
-            }),
-        };
+        store.durable = Some(DurableState {
+            backend,
+            dir,
+            config: durable,
+            wals,
+            wal_appends: AtomicU64::new(0),
+            wal_bytes: AtomicU64::new(0),
+            recovered_pages: AtomicU64::new(0),
+            truncated_wal: AtomicU64::new(0),
+            root,
+        });
         // The initial checkpoint makes the store openable from the first
         // moment: every shard gets a manifest covering the built state.
         store.checkpoint()?;
@@ -1915,27 +1939,8 @@ impl SpillStore {
 
     /// Builds an ephemeral-durable store in a fresh temp directory: full
     /// WAL/checkpoint machinery, temp-dir lifetime (files removed on drop).
-    /// The `StoreEngine::Durable` entry point.
-    pub fn durable_in_temp_dir(
-        index: OrderedIndex,
-        num_shards: usize,
-        config: SpillConfig,
-        durable: DurableConfig,
-    ) -> Result<Self, StoreError> {
-        Self::create_durable_with(
-            index,
-            unique_durable_temp_dir(),
-            num_shards,
-            config,
-            SegmentConfig::default(),
-            durable,
-            RealIo::shared(),
-            true,
-        )
-    }
-
-    /// Like [`SpillStore::durable_in_temp_dir`] with explicit segment
-    /// tuning (the equivalence suite uses tiny segments).
+    /// The `StoreEngine::Durable` entry point; the equivalence suite passes
+    /// tiny segments.
     pub fn durable_in_temp_dir_with(
         index: OrderedIndex,
         num_shards: usize,
@@ -1945,7 +1950,7 @@ impl SpillStore {
     ) -> Result<Self, StoreError> {
         Self::create_durable_with(
             index,
-            unique_durable_temp_dir(),
+            unique_temp_dir("zerber-durable"),
             num_shards,
             config,
             segment,
@@ -2069,7 +2074,7 @@ impl SpillStore {
             }
             tables.push(lists);
         }
-        let core = ShardedCore::assemble(plan, tables)?;
+        let mut store = SpillStore::assemble(plan, tables, pagers)?;
         // WAL tails: scan, truncate at the last valid record, remember what
         // must replay.
         let mut wals = Vec::with_capacity(num_shards);
@@ -2107,21 +2112,17 @@ impl SpillStore {
                     .collect::<Vec<_>>(),
             );
         }
-        let store = SpillStore {
-            core,
-            pagers,
-            durable: Some(DurableState {
-                backend,
-                dir,
-                config: durable,
-                wals,
-                wal_appends: AtomicU64::new(0),
-                wal_bytes: AtomicU64::new(0),
-                recovered_pages: AtomicU64::new(recovered_pages),
-                truncated_wal: AtomicU64::new(truncated),
-                root,
-            }),
-        };
+        store.durable = Some(DurableState {
+            backend,
+            dir,
+            config: durable,
+            wals,
+            wal_appends: AtomicU64::new(0),
+            wal_bytes: AtomicU64::new(0),
+            recovered_pages: AtomicU64::new(recovered_pages),
+            truncated_wal: AtomicU64::new(truncated),
+            root,
+        });
         for (shard, records) in replays.into_iter().enumerate() {
             for record in records {
                 store.replay_insert(shard, record.list, record.element)?;
@@ -2141,16 +2142,14 @@ impl SpillStore {
         element: OrderedElement,
     ) -> Result<(), StoreError> {
         let list = zerber_base::MergedListId(list);
-        let (record_shard, slot) = self.core.locate(list)?;
+        let (record_shard, slot) = self.known(list)?;
         if record_shard != shard {
             return Err(StoreError::CorruptSegment(format!(
                 "WAL record for list {} landed in shard {shard}, expected {record_shard}",
                 list.0
             )));
         }
-        self.core
-            .with_shard_write(shard, |table| table.insert(slot, element))
-            .map(|_| ())
+        self.shard_write(shard).insert(slot, element).map(|_| ())
     }
 
     /// Post-recovery acceptance audit: the byte-exact budget invariant, the
@@ -2164,16 +2163,15 @@ impl SpillStore {
                 "budget accounting inconsistent after recovery".to_string(),
             ));
         }
-        let plan = self.core.plan().clone();
-        for l in 0..plan.num_lists() {
+        for l in 0..self.num_lists() {
             let list = zerber_base::MergedListId(u64_of(l));
-            let elements = self.core.snapshot_list(list)?;
+            let elements = self.snapshot_list(list)?;
             if elements.windows(2).any(|w| w[0].trs < w[1].trs) {
                 return Err(StoreError::RecoveryFailed(format!(
                     "list {l} violates descending-TRS order after recovery"
                 )));
             }
-            if self.core.list_len(list)? != elements.len() {
+            if self.list_len(list)? != elements.len() {
                 return Err(StoreError::RecoveryFailed(format!(
                     "list {l} length disagrees with its snapshot after recovery"
                 )));
@@ -2183,7 +2181,7 @@ impl SpillStore {
             groups.dedup();
             for group in groups {
                 let expect = elements.iter().filter(|e| e.group == group).count();
-                let got = self.core.visible_len(list, Some(&[group]))?;
+                let got = self.visible_len(list, Some(&[group]))?;
                 if got != expect {
                     return Err(StoreError::RecoveryFailed(format!(
                         "list {l} visibility for group {} is {got}, recount says {expect}",
@@ -2196,7 +2194,7 @@ impl SpillStore {
     }
 
     /// Checkpoints every shard: page-file fsync, manifest commit, WAL
-    /// reset.  No-op on an ephemeral store.
+    /// reset.  No-op unless the store is durable.
     pub fn checkpoint(&self) -> Result<(), StoreError> {
         for shard in 0..self.pagers.len() {
             self.checkpoint_shard(shard)?;
@@ -2209,31 +2207,17 @@ impl SpillStore {
     /// file, commits a manifest enumerating every sealed page plus the
     /// in-memory tails, then truncates the WAL.  Crash-safe at every step:
     /// until the manifest rename lands, the old checkpoint plus the old WAL
-    /// stay authoritative.  `Ok(false)` on an ephemeral store.
+    /// stay authoritative.  `Ok(false)` unless the store is durable.
     pub fn checkpoint_shard(&self, shard: usize) -> Result<bool, StoreError> {
         let Some(durable) = &self.durable else {
             return Ok(false);
         };
         let pager = &self.pagers[shard];
-        self.core.with_shard_write(shard, |table| {
-            let mut lists = Vec::new();
-            for list in table.lists_mut() {
-                lists.push(list.manifest_list()?);
-            }
-            let manifest = Manifest {
-                generation: pager.generation.load(Ordering::Relaxed),
-                applied_seq: durable.applied_seq(shard),
-                lists,
-            };
-            // analyze::allow(lock): checkpoint commit is the one sanctioned under-lock IO — the manifest must match the locked shard state exactly
-            pager.sync_file()?;
-            // analyze::allow(lock): the manifest rename is the checkpoint's atomic commit point; it must happen before inserts resume
-            durable.commit_manifest(shard, &manifest)?;
-            // analyze::allow(lock): the WAL reset must not race an insert appending under the same shard lock
-            durable.reset_wal(shard)?;
-            debug_assert!(charges_consistent(table, pager));
-            Ok(true)
-        })
+        let mut table = self.shard_write(shard);
+        // analyze::allow(lock): the checkpoint commit is the one sanctioned under-lock IO — the manifest must match the locked shard state exactly, and inserts must not resume before its rename and WAL reset
+        durable.commit_checkpoint(shard, pager, &mut table)?;
+        debug_assert!(charges_consistent(&table, pager));
+        Ok(true)
     }
 
     /// Whether this store persists across drops (durable, non-ephemeral
@@ -2273,32 +2257,31 @@ impl SpillStore {
         shard: usize,
     ) -> Result<Vec<(String, Vec<u8>)>, StoreError> {
         let durable = self.replication_durable()?;
-        self.core.with_shard_read(shard, |_table| {
-            let manifest_name = format!("shard-{shard:03}.manifest");
-            let manifest_bytes = read_all(&*durable.backend, &durable.dir.join(&manifest_name))?;
-            let manifest = decode_manifest(&manifest_bytes)?;
-            let pages_name = format!("shard-{shard:03}.g{}.pages", manifest.generation);
-            let pages_path = durable.dir.join(&pages_name);
-            let pages_bytes = if durable.backend.exists(&pages_path) {
-                read_all(&*durable.backend, &pages_path)?
-            } else {
-                Vec::new()
-            };
-            let wal_name = format!("shard-{shard:03}.wal");
-            let wal_bytes = {
-                let mut wal = durable.wals[shard].lock();
-                let len = usize::try_from(wal.len)
-                    .map_err(|_| StoreError::Io("WAL too large to snapshot".to_string()))?;
-                let mut buf = vec![0u8; len];
-                wal.file.read_at(0, &mut buf).map_err(io_err)?;
-                buf
-            };
-            Ok(vec![
-                (manifest_name, manifest_bytes),
-                (pages_name, pages_bytes),
-                (wal_name, wal_bytes),
-            ])
-        })
+        let _table = self.shard_read(shard);
+        let manifest_name = format!("shard-{shard:03}.manifest");
+        let manifest_bytes = read_all(&*durable.backend, &durable.dir.join(&manifest_name))?;
+        let manifest = decode_manifest(&manifest_bytes)?;
+        let pages_name = format!("shard-{shard:03}.g{}.pages", manifest.generation);
+        let pages_path = durable.dir.join(&pages_name);
+        let pages_bytes = if durable.backend.exists(&pages_path) {
+            read_all(&*durable.backend, &pages_path)?
+        } else {
+            Vec::new()
+        };
+        let wal_name = format!("shard-{shard:03}.wal");
+        let wal_bytes = {
+            let mut wal = durable.wals[shard].lock();
+            let len = usize::try_from(wal.len)
+                .map_err(|_| StoreError::Io("WAL too large to snapshot".to_string()))?;
+            let mut buf = vec![0u8; len];
+            wal.file.read_at(0, &mut buf).map_err(io_err)?;
+            buf
+        };
+        Ok(vec![
+            (manifest_name, manifest_bytes),
+            (pages_name, pages_bytes),
+            (wal_name, wal_bytes),
+        ])
     }
 
     /// The live WAL tail of one shard past `from`, as wire-ready frames.
@@ -2388,11 +2371,10 @@ impl SpillStore {
     /// each charge equals that slot's exact resident bytes.  Debug builds
     /// assert this after every maintenance pass; tests call it directly.
     pub fn budget_accounting_is_exact(&self) -> bool {
-        (0..self.pagers.len()).all(|shard| {
-            self.core.with_shard_read(shard, |table| {
-                charges_consistent(table, &self.pagers[shard])
-            })
-        })
+        self.pagers
+            .iter()
+            .enumerate()
+            .all(|(shard, pager)| charges_consistent(&self.shard_read(shard), pager))
     }
 
     /// Compacts one shard's page file: snapshots the live pages under the
@@ -2400,11 +2382,14 @@ impl SpillStore {
     /// re-validates every copy off the lock, then takes the shard write
     /// lock only for the finish — copy the few straggler pages written
     /// since the snapshot, atomically rename the fresh file in, remap the
-    /// slots and the page cache.  `Ok(false)` when another compaction of
-    /// the shard is already running; on any failure the fresh file is
-    /// removed and the old file keeps serving untouched.
+    /// slots and the page cache.  `Ok(false)` when the shard has no page
+    /// file (a resident store) or another compaction of it is already
+    /// running; on any failure the fresh file is removed and the old file
+    /// keeps serving untouched.
     pub fn compact_shard(&self, shard: usize) -> Result<bool, StoreError> {
-        let pager = &self.pagers[shard];
+        let Some(pager) = self.pagers.get(shard) else {
+            return Ok(false);
+        };
         if pager.compacting.swap(true, Ordering::Acquire) {
             return Ok(false);
         }
@@ -2420,11 +2405,9 @@ impl SpillStore {
     fn start_compaction(&self, shard: usize) -> Result<Rewrite, StoreError> {
         let pager = &self.pagers[shard];
         let mut live = Vec::new();
-        self.core.with_shard_read(shard, |table| {
-            for list in table.lists() {
-                list.live_pages(&mut live);
-            }
-        });
+        for list in self.shard_read(shard).lists() {
+            list.live_pages(&mut live);
+        }
         let mut rw = pager.begin_rewrite()?;
         for page in live {
             pager.copy_page(&mut rw, page)?;
@@ -2438,54 +2421,40 @@ impl SpillStore {
     fn finish_compaction(&self, shard: usize, mut rw: Rewrite) -> Result<(), StoreError> {
         let pager = &self.pagers[shard];
         pager.verify_rewrite(&mut rw)?;
-        self.core.with_shard_write(shard, |table| {
-            // Stragglers: pages written between the snapshot and this lock
-            // (rebuilds, demotions).  Copied and validated here, so the map
-            // covers every live page before anything is remapped.
-            let mut pages = Vec::new();
-            for list in table.lists() {
-                list.live_pages(&mut pages);
+        let mut table = self.shard_write(shard);
+        // Stragglers: pages written between the snapshot and this lock
+        // (rebuilds, demotions).  Copied and validated here, so the map
+        // covers every live page before anything is remapped.
+        let mut pages = Vec::new();
+        for list in table.lists() {
+            list.live_pages(&mut pages);
+        }
+        for page in pages {
+            if !rw.map.contains_key(&page.offset) {
+                pager.copy_page_verified(&mut rw, page)?;
             }
-            for page in pages {
-                if !rw.map.contains_key(&page.offset) {
-                    pager.copy_page_verified(&mut rw, page)?;
-                }
-            }
-            let old_path = pager.current_path();
-            let map = pager.commit_rewrite(rw)?;
-            for list in table.lists_mut() {
-                list.remap_pages(&map)?;
-            }
-            if let Some(durable) = &self.durable {
-                // The manifest rename is the durable commit point of the
-                // swap: until it lands, the old generation (still on disk —
-                // the rename targeted a new name) plus the old manifest
-                // stay authoritative, so a crash at any step recovers to
-                // entirely-old or entirely-new, never a mix.  The rewrite
-                // folded in every applied insert, so this doubles as a full
-                // checkpoint (WAL resets too).
-                let mut lists = Vec::new();
-                for list in table.lists_mut() {
-                    lists.push(list.manifest_list()?);
-                }
-                let manifest = Manifest {
-                    generation: pager.generation.load(Ordering::Relaxed),
-                    applied_seq: durable.applied_seq(shard),
-                    lists,
-                };
-                // analyze::allow(lock): the swap's durable commit must cover exactly the locked state (pages + stragglers)
-                pager.sync_file()?;
-                // analyze::allow(lock): the rename is the swap's atomic commit point — crash before it recovers entirely-old
-                durable.commit_manifest(shard, &manifest)?;
-                // analyze::allow(lock): the WAL reset must not race an insert appending under the same shard lock
-                durable.reset_wal(shard)?;
-                // Only now is the old generation unreferenced; a failure to
-                // remove it leaves a stray the next `open` sweeps.
-                let _ = durable.backend.remove(&old_path);
-            }
-            debug_assert!(charges_consistent(table, pager));
-            Ok(())
-        })
+        }
+        let old_path = pager.current_path();
+        let map = pager.commit_rewrite(rw)?;
+        for list in table.lists_mut() {
+            list.remap_pages(&map)?;
+        }
+        if let Some(durable) = &self.durable {
+            // The manifest rename is the durable commit point of the swap:
+            // until it lands, the old generation (still on disk — the
+            // rename targeted a new name) plus the old manifest stay
+            // authoritative, so a crash at any step recovers to
+            // entirely-old or entirely-new, never a mix.  The rewrite
+            // folded in every applied insert, so this doubles as a full
+            // checkpoint (WAL resets too).
+            // analyze::allow(lock): the swap's durable commit must cover exactly the locked state (pages + stragglers), and its WAL reset must not race an insert
+            durable.commit_checkpoint(shard, pager, &mut table)?;
+            // Only now is the old generation unreferenced; a failure to
+            // remove it leaves a stray the next `open` sweeps.
+            let _ = durable.backend.remove(&old_path);
+        }
+        debug_assert!(charges_consistent(&table, pager));
+        Ok(())
     }
 
     /// One access-driven retier pass over a shard: ranks every sealed slot
@@ -2495,81 +2464,86 @@ impl SpillStore {
     /// promotes the winners.  Runs under the shard write lock with the
     /// number of tier moves capped per pass, so the lock hold stays
     /// bounded; the next pass continues where this one stopped.  Returns
-    /// `(promoted, demoted)`.
+    /// `(promoted, demoted)` — `(0, 0)` on a resident store, which has no
+    /// tiers.
     pub fn retier_shard(&self, shard: usize) -> Result<(usize, usize), StoreError> {
         /// Tier moves (demotions + promotions) one pass may perform.
         const MAX_TIER_MOVES: usize = 32;
-        let pager = &self.pagers[shard];
-        self.core.with_shard_write(shard, |table| {
-            let mut candidates = Vec::new();
-            for (list, l) in table.lists().iter().enumerate() {
-                l.tier_candidates(list, &mut candidates);
+        let Some(pager) = self.pagers.get(shard) else {
+            return Ok((0, 0));
+        };
+        let mut table = self.shard_write(shard);
+        let mut candidates = Vec::new();
+        for (list, l) in table.lists().iter().enumerate() {
+            l.tier_candidates(list, &mut candidates);
+        }
+        // Heat decay: a stamp further than the decay window behind the
+        // current access clock is treated as cold — the access clock is
+        // otherwise a high-water mark, and a burst long ago would hold
+        // residency forever against currently-warm slots.
+        let now = pager.access_clock.load(Ordering::Relaxed);
+        let window = pager.heat_decay_window;
+        for c in &mut candidates {
+            if window > 0 && c.heat > 0 && now.saturating_sub(c.heat) >= window {
+                c.heat = 0;
+                c.decayed = true;
             }
-            // Heat decay: a stamp further than the decay window behind the
-            // current access clock is treated as cold — the access clock is
-            // otherwise a high-water mark, and a burst long ago would hold
-            // residency forever against currently-warm slots.
-            let now = pager.access_clock.load(Ordering::Relaxed);
-            let window = pager.heat_decay_window;
-            for c in &mut candidates {
-                if window > 0 && c.heat > 0 && now.saturating_sub(c.heat) >= window {
-                    c.heat = 0;
-                    c.decayed = true;
+        }
+        // Hottest first; equal heat prefers the current resident (no
+        // churn between equally-warm slots), then slot order.
+        candidates.sort_by(|a, b| {
+            b.heat
+                .cmp(&a.heat)
+                .then_with(|| b.resident.cmp(&a.resident))
+                .then_with(|| (a.list, a.slot).cmp(&(b.list, b.slot)))
+        });
+        let mut spare = pager.resident_budget;
+        let desired: Vec<bool> = candidates
+            .iter()
+            .map(|c| {
+                // A decayed slot relinquishes residency outright: unlike
+                // a never-read resident (kept while spare budget lasts),
+                // its stale burst no longer buys anything — the freed
+                // budget goes to currently-warm slots or stays spare.
+                let granted = (c.heat > 0 || (c.resident && !c.decayed)) && c.cost <= spare;
+                if granted {
+                    spare -= c.cost;
                 }
+                granted
+            })
+            .collect();
+        let mut moves = 0usize;
+        let mut demoted = 0usize;
+        let mut promoted = 0usize;
+        // Demotions first: they free the budget the promotions charge.
+        for (c, &keep) in candidates.iter().zip(&desired) {
+            if c.resident && !keep && moves < MAX_TIER_MOVES {
+                table.lists_mut()[c.list].demote_slot(c.slot)?;
+                demoted += 1;
+                moves += 1;
             }
-            // Hottest first; equal heat prefers the current resident (no
-            // churn between equally-warm slots), then slot order.
-            candidates.sort_by(|a, b| {
-                b.heat
-                    .cmp(&a.heat)
-                    .then_with(|| b.resident.cmp(&a.resident))
-                    .then_with(|| (a.list, a.slot).cmp(&(b.list, b.slot)))
-            });
-            let mut spare = pager.resident_budget;
-            let desired: Vec<bool> = candidates
-                .iter()
-                .map(|c| {
-                    // A decayed slot relinquishes residency outright: unlike
-                    // a never-read resident (kept while spare budget lasts),
-                    // its stale burst no longer buys anything — the freed
-                    // budget goes to currently-warm slots or stays spare.
-                    let granted = (c.heat > 0 || (c.resident && !c.decayed)) && c.cost <= spare;
-                    if granted {
-                        spare -= c.cost;
-                    }
-                    granted
-                })
-                .collect();
-            let mut moves = 0usize;
-            let mut demoted = 0usize;
-            let mut promoted = 0usize;
-            // Demotions first: they free the budget the promotions charge.
-            for (c, &keep) in candidates.iter().zip(&desired) {
-                if c.resident && !keep && moves < MAX_TIER_MOVES {
-                    table.lists_mut()[c.list].demote_slot(c.slot)?;
-                    demoted += 1;
-                    moves += 1;
+        }
+        for (c, &keep) in candidates.iter().zip(&desired) {
+            if !c.resident && keep && moves < MAX_TIER_MOVES {
+                if table.lists_mut()[c.list].promote_slot(c.slot)? {
+                    promoted += 1;
                 }
+                moves += 1;
             }
-            for (c, &keep) in candidates.iter().zip(&desired) {
-                if !c.resident && keep && moves < MAX_TIER_MOVES {
-                    if table.lists_mut()[c.list].promote_slot(c.slot)? {
-                        promoted += 1;
-                    }
-                    moves += 1;
-                }
-            }
-            debug_assert!(charges_consistent(table, pager));
-            Ok((promoted, demoted))
-        })
+        }
+        debug_assert!(charges_consistent(&table, pager));
+        Ok((promoted, demoted))
     }
 
-    /// Post-serving maintenance hook, called off the serving lock after
-    /// every operation that touched `shard`: runs a due retier pass and/or
-    /// page-file compaction.  Failures are swallowed — the old state keeps
-    /// serving and the pass retries once its trigger re-arms.
-    fn tier_maintenance(&self, shard: usize) {
-        let pager = &self.pagers[shard];
+    /// Post-serving maintenance, called off the serving lock after every
+    /// operation that touched `shard`: runs a due retier pass, page-file
+    /// compaction and/or checkpoint.  Failures are swallowed — the old
+    /// state keeps serving and the pass retries once its trigger re-arms.
+    /// A resident store has no pager and nothing to maintain.
+    pub(crate) fn tier_maintenance(&self, shard: usize) {
+        let Some(pager) = self.pagers.get(shard) else {
+            return;
+        };
         if pager.take_retier_due() {
             let _ = self.retier_shard(shard);
         }
@@ -2661,37 +2635,12 @@ fn charges_consistent(table: &ListTable<SpillList>, pager: &Pager) -> bool {
             == pager.resident_charge.load(Ordering::Relaxed)
 }
 
-impl ListStore for SpillStore {
-    fn plan(&self) -> &zerber_base::MergePlan {
-        self.core.plan()
-    }
-
-    fn num_shards(&self) -> usize {
-        self.core.num_shards()
-    }
-
-    fn shard_of(&self, list: MergedListId) -> usize {
-        self.core.shard_of(list)
-    }
-
-    fn num_elements(&self) -> usize {
-        self.core.num_elements()
-    }
-
-    fn stored_bytes(&self) -> usize {
-        self.core.stored_bytes()
-    }
-
-    fn ciphertext_bytes(&self) -> usize {
-        self.core.ciphertext_bytes()
-    }
-
-    fn metrics(&self) -> StoreMetrics {
-        // The core knows the per-list resident bytes, the lock meter and
-        // the visibility meter; everything else is pager and WAL state.
-        let mut metrics = self.core.metrics();
-        // The shared page caches are shard state, not per-list state: add
-        // them on top of the per-list summaries/tails/resident segments.
+impl SpillStore {
+    /// Adds what the pagers and the WAL meter to `metrics` (nothing on a
+    /// resident store).  The shared page caches are shard state, not
+    /// per-list state: they come on top of the per-list summaries, tails
+    /// and resident segments already counted.
+    pub(crate) fn add_paging_metrics(&self, metrics: &mut StoreMetrics) {
         metrics.resident_bytes += u64_of(self.page_cache_bytes());
         for p in &self.pagers {
             metrics.spilled_bytes += u64_of(p.spilled.load(Ordering::Relaxed));
@@ -2710,108 +2659,15 @@ impl ListStore for SpillStore {
             metrics.recovered_pages = d.recovered_pages.load(Ordering::Relaxed);
             metrics.truncated_wal_records = d.truncated_wal.load(Ordering::Relaxed);
         }
-        metrics
-    }
-
-    fn list_len(&self, list: MergedListId) -> Result<usize, StoreError> {
-        self.core.list_len(list)
-    }
-
-    fn visible_len(
-        &self,
-        list: MergedListId,
-        accessible: Option<&[GroupId]>,
-    ) -> Result<usize, StoreError> {
-        self.core.visible_len(list, accessible)
-    }
-
-    fn snapshot_list(&self, list: MergedListId) -> Result<Vec<OrderedElement>, StoreError> {
-        self.core.snapshot_list(list)
-    }
-
-    fn fetch_ranged(
-        &self,
-        fetch: &RangedFetch,
-        accessible: Option<&[GroupId]>,
-    ) -> Result<RangedBatch, StoreError> {
-        let out = self.core.fetch_ranged(fetch, accessible);
-        if out.is_ok() {
-            self.tier_maintenance(self.core.shard_of(fetch.list));
-        }
-        out
-    }
-
-    fn execute_shard_batch(&self, jobs: &[StoreJob<'_>]) -> Vec<Result<RangedBatch, StoreError>> {
-        self.core
-            .execute_batch(jobs, |shard| self.tier_maintenance(shard))
-    }
-
-    fn open_cursor(
-        &self,
-        list: MergedListId,
-        owner: u64,
-        batch: &RangedBatch,
-        delivered: usize,
-        accessible: Option<&[GroupId]>,
-    ) -> Result<CursorId, StoreError> {
-        self.core
-            .open_cursor(list, owner, batch, delivered, accessible)
-    }
-
-    fn cursor_fetch(
-        &self,
-        cursor: CursorId,
-        owner: u64,
-        count: usize,
-        accessible: Option<&[GroupId]>,
-    ) -> Result<RangedBatch, StoreError> {
-        let out = self.core.cursor_fetch(cursor, owner, count, accessible);
-        if out.is_ok() {
-            if let Ok(shard) = self.core.cursor_shard(cursor) {
-                self.tier_maintenance(shard);
-            }
-        }
-        out
-    }
-
-    fn close_cursor(&self, cursor: CursorId, owner: u64) {
-        self.core.close_cursor(cursor, owner)
-    }
-
-    fn open_cursors(&self) -> usize {
-        self.core.open_cursors()
-    }
-
-    fn session_stats(&self) -> SessionStats {
-        self.core.session_stats()
-    }
-
-    fn insert(&self, list: MergedListId, element: OrderedElement) -> Result<usize, StoreError> {
-        let out = match &self.durable {
-            None => self.core.insert(list, element),
-            // Apply, then log, under the same shard write lock: log order
-            // is apply order, and an insert is only acknowledged once its
-            // WAL record is written (and fsynced per the policy).
-            Some(durable) => self.core.insert_logged(list, element, |shard, element| {
-                durable.append(shard, list.0, element)
-            }),
-        };
-        if out.is_ok() {
-            self.tier_maintenance(self.core.shard_of(list));
-        }
-        out
-    }
-
-    fn verify_ordering(&self) -> bool {
-        self.core.verify_ordering()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::store::VecList;
-    use zerber_base::{EncryptedElement, MergePlan};
+    use crate::oracle::VecList;
+    use crate::store::{RangedFetch, StoreJob};
+    use zerber_base::{EncryptedElement, MergePlan, MergedListId};
     use zerber_corpus::TermId;
 
     fn element(trs: f64, group: u32, ct: &[u8]) -> OrderedElement {
@@ -3456,8 +3312,8 @@ mod tests {
 
     #[test]
     fn explicit_spill_roots_are_cleaned_up_too() {
-        let dir = unique_temp_dir();
-        let store = SpillStore::with_config(
+        let dir = unique_temp_dir("zerber-spill");
+        let store = SpillStore::with_configs(
             index(vec![sorted_elements(8, 0)]),
             2,
             &dir,
@@ -3466,6 +3322,7 @@ mod tests {
                 page_cache_pages: 1,
                 ..SpillConfig::default().without_tiering()
             },
+            SegmentConfig::default(),
         )
         .unwrap();
         assert!(dir.exists());
@@ -3506,7 +3363,7 @@ mod tests {
 
     #[test]
     fn durable_store_round_trips_through_drop_and_open() {
-        let dir = unique_temp_dir();
+        let dir = unique_temp_dir("zerber-spill");
         let spill_config = SpillConfig {
             resident_budget_bytes: 0,
             page_cache_pages: 2,
@@ -3560,7 +3417,7 @@ mod tests {
 
     #[test]
     fn creating_over_an_existing_durable_store_is_refused() {
-        let dir = unique_temp_dir();
+        let dir = unique_temp_dir("zerber-spill");
         let config = SpillConfig::default().without_tiering();
         let store = durable_store_at(
             &dir,
@@ -3585,7 +3442,7 @@ mod tests {
 
     #[test]
     fn open_sweeps_stray_scratch_files_left_by_an_unclean_drop() {
-        let dir = unique_temp_dir();
+        let dir = unique_temp_dir("zerber-spill");
         let spill_config = SpillConfig {
             resident_budget_bytes: 0,
             page_cache_pages: 1,

@@ -5,21 +5,20 @@
 //! fetches in TRS order (Section 5.2) and position-preserving inserts of
 //! sealed elements (Section 5).  Both are per-merged-list operations, and
 //! merged lists are independent by construction — which is exactly what makes
-//! the index shardable.  This trait captures the contract; implementations
-//! decide the concurrency model ([`crate::ShardedStore`],
-//! [`crate::SingleMutexStore`]) and the physical layout: the concurrency
-//! machinery in this module is generic over an [`OrderedList`] — the
-//! per-list physical representation — so the plain `Vec` layout
-//! ([`VecList`]) and the compressed segment layout
-//! ([`crate::segment::SegmentList`]) share one cursor-session, generation
-//! and locking implementation and cannot diverge behaviourally.
+//! the index shardable.  This trait captures the contract.  Two things
+//! implement it: the serving store ([`crate::SpillStore`], sharded, over the
+//! segment stack of [`crate::spill`]) and the oracle it is checked against
+//! ([`crate::oracle`]).  The cursor-session table in this module
+//! ([`ListTable`]) is generic over an [`OrderedList`] — the per-list physical
+//! representation — so both share one cursor-session, generation and TTL
+//! implementation and cannot diverge there.
 
 use std::borrow::Cow;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
-use zerber_base::{EncryptedElement, MergePlan, MergedListId};
+use zerber_base::{MergePlan, MergedListId};
 use zerber_corpus::GroupId;
-use zerber_r::{OrderedElement, TRS_BYTES};
+use zerber_r::OrderedElement;
 
 use crate::convert::usize_of;
 use crate::error::StoreError;
@@ -120,8 +119,9 @@ impl<'a> StoreJob<'a> {
 /// ([`ListStore::metrics`]).  Counters run since the store was built or
 /// opened; the five gauges (`resident_bytes`, `spilled_bytes`,
 /// `page_file_bytes`, `dead_page_bytes`, `replica_lag`) are point-in-time.
-/// Fields an engine has no notion of stay 0: the in-memory engines fill
-/// `resident_bytes`, `lock_acquisitions` and `visibility_scan_cost` only.
+/// Fields a store has no notion of stay 0: the resident lifecycle and the
+/// oracle fill `resident_bytes`, `lock_acquisitions` and
+/// `visibility_scan_cost` only.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StoreMetrics {
     /// Estimated bytes of memory the engine's physical representation
@@ -184,7 +184,7 @@ pub struct StoreMetrics {
     pub lock_acquisitions: u64,
     /// Elements individually examined for visibility accounting (the
     /// scan-cost assertions read this; cached cursor follow-ups and the
-    /// segment layout's running totals leave it untouched).
+    /// segment stack's running totals leave it untouched).
     pub visibility_scan_cost: u64,
 }
 
@@ -412,11 +412,11 @@ impl<'a> GroupFilter<'a> {
 
 /// The physical representation of one ordered merged list.
 ///
-/// The cursor-session table ([`ListTable`]) and both concurrency wrappers
-/// are generic over this trait, so every layout inherits identical session,
-/// generation and eviction behaviour.  All positions are *physical* indices
-/// in the logical descending-TRS sequence; implementations must agree
-/// element-for-element with the reference `Vec` layout.
+/// The cursor-session table ([`ListTable`]) is generic over this trait, so
+/// the segment stack and the oracle's `Vec` layout inherit identical
+/// session, generation and eviction behaviour.  All positions are *physical*
+/// indices in the logical descending-TRS sequence; the segment stack must
+/// agree element-for-element with the oracle.
 pub trait OrderedList: Send + Sync + std::fmt::Debug {
     /// Number of elements held.
     fn len(&self) -> usize;
@@ -482,191 +482,9 @@ pub trait OrderedList: Send + Sync + std::fmt::Debug {
     fn ordering_ok(&self) -> bool;
 }
 
-/// Per-element metadata of the arena layout: the fields scans inspect, plus
-/// the span of the element's ciphertext inside the list arena.
-#[derive(Debug, Clone, Copy)]
-struct ElemMeta {
-    trs: f64,
-    group: GroupId,
-    sealed_group: GroupId,
-    offset: usize,
-    len: u32,
-}
-
-/// The reference layout: per-element metadata in one dense vec plus a single
-/// bump arena holding every sealed ciphertext back to back.  The earlier
-/// one-heap-`Vec<u8>`-per-element representation paid allocator overhead per
-/// element, which made the resident-bytes comparison against the compressed
-/// segment engine unfair; one arena per list is what a production `Vec`
-/// engine would do anyway.
-///
-/// Deliberately naive about visibility — every count walks the whole list
-/// and every membership test is a linear `contains` — because the engines
-/// built on it are the oracles the segment and spill layouts are checked
-/// against.
-#[derive(Debug, Default)]
-pub struct VecList {
-    meta: Vec<ElemMeta>,
-    arena: Vec<u8>,
-}
-
-impl VecList {
-    /// Builds the list from its ordered (descending-TRS) elements.
-    pub fn from_elements(elements: Vec<OrderedElement>) -> Self {
-        let total: usize = elements.iter().map(|e| e.sealed.ciphertext.len()).sum();
-        let mut arena = Vec::with_capacity(total);
-        let mut meta = Vec::with_capacity(elements.len());
-        for e in elements {
-            let offset = arena.len();
-            arena.extend_from_slice(&e.sealed.ciphertext);
-            meta.push(ElemMeta {
-                trs: e.trs,
-                group: e.group,
-                sealed_group: e.sealed.group,
-                offset,
-                len: u32::try_from(e.sealed.ciphertext.len())
-                    // analyze::allow(panic): oversized ciphertexts are rejected upstream by element_fits and the insert bounds; this constructor is also the test-fixture path
-                    .expect("sealed ciphertext exceeds u32 length"),
-            });
-        }
-        VecList { meta, arena }
-    }
-
-    /// Rebuilds the full `OrderedElement` at physical index `i`.
-    fn materialize(&self, i: usize) -> OrderedElement {
-        let m = &self.meta[i];
-        OrderedElement {
-            trs: m.trs,
-            group: m.group,
-            sealed: EncryptedElement {
-                group: m.sealed_group,
-                ciphertext: self.arena[m.offset..m.offset + m.len as usize].to_vec(),
-            },
-        }
-    }
-}
-
-impl OrderedList for VecList {
-    fn len(&self) -> usize {
-        self.meta.len()
-    }
-
-    fn snapshot(&self) -> Result<Vec<OrderedElement>, StoreError> {
-        Ok((0..self.meta.len()).map(|i| self.materialize(i)).collect())
-    }
-
-    fn visible_total(&self, filter: &GroupFilter<'_>, meter: &AtomicU64) -> usize {
-        match filter.groups() {
-            None => self.meta.len(),
-            Some(groups) => {
-                // Group-filtered counts examine every element of the list.
-                meter.fetch_add(self.meta.len() as u64, Ordering::Relaxed);
-                self.meta
-                    .iter()
-                    .filter(|m| groups.contains(&m.group))
-                    .count()
-            }
-        }
-    }
-
-    fn scan(
-        &self,
-        start: usize,
-        skip: usize,
-        count: usize,
-        filter: &GroupFilter<'_>,
-    ) -> Result<(Vec<OrderedElement>, usize), StoreError> {
-        let accessible = filter.groups();
-        let mut elements = Vec::with_capacity(count.min(self.meta.len().saturating_sub(start)));
-        let mut skipped = 0usize;
-        let mut next = self.meta.len().max(start);
-        for i in start..self.meta.len() {
-            if !is_visible_group(self.meta[i].group, accessible) {
-                continue;
-            }
-            if skipped < skip {
-                skipped += 1;
-                continue;
-            }
-            elements.push(self.materialize(i));
-            if elements.len() == count {
-                next = i + 1;
-                break;
-            }
-        }
-        Ok((elements, next))
-    }
-
-    fn position_after_visible(
-        &self,
-        delivered: usize,
-        filter: &GroupFilter<'_>,
-    ) -> Result<usize, StoreError> {
-        let accessible = filter.groups();
-        let mut seen = 0usize;
-        for (i, m) in self.meta.iter().enumerate() {
-            if seen == delivered {
-                return Ok(i);
-            }
-            if is_visible_group(m.group, accessible) {
-                seen += 1;
-            }
-        }
-        Ok(self.meta.len())
-    }
-
-    fn insert(&mut self, element: OrderedElement) -> Result<usize, StoreError> {
-        // After every element with a strictly larger TRS, before equal ones
-        // (the binary search of Section 5, identical to
-        // `OrderedIndex::insert_sealed`).
-        let pos = self.meta.partition_point(|m| m.trs > element.trs);
-        let offset = self
-            .meta
-            .get(pos)
-            .map_or(self.arena.len(), |next| next.offset);
-        let len = u32::try_from(element.sealed.ciphertext.len())
-            .map_err(|_| StoreError::SegmentOverflow)?;
-        self.arena.splice(offset..offset, element.sealed.ciphertext);
-        for m in &mut self.meta[pos..] {
-            m.offset += len as usize;
-        }
-        self.meta.insert(
-            pos,
-            ElemMeta {
-                trs: element.trs,
-                group: element.group,
-                sealed_group: element.sealed.group,
-                offset,
-                len,
-            },
-        );
-        Ok(pos)
-    }
-
-    fn stored_bytes(&self) -> usize {
-        // `EncryptedElement::stored_bytes` is ciphertext + 4-byte group tag.
-        self.arena.len() + self.meta.len() * (4 + TRS_BYTES)
-    }
-
-    fn ciphertext_bytes(&self) -> usize {
-        self.arena.len()
-    }
-
-    fn resident_bytes(&self) -> usize {
-        std::mem::size_of::<Self>()
-            + self.meta.capacity() * std::mem::size_of::<ElemMeta>()
-            + self.arena.capacity()
-    }
-
-    fn ordering_ok(&self) -> bool {
-        self.meta.windows(2).all(|w| w[0].trs >= w[1].trs)
-    }
-}
-
 /// Open cursors a session table holds before the oldest is evicted
 /// (abandoned sessions must not grow the table without bound).  Applied per
-/// shard by the sharded store and to the whole table by the single-mutex
-/// store.
+/// shard by the sharded store and to the whole table by the oracle.
 pub(crate) const MAX_CURSORS_PER_TABLE: usize = 1024;
 
 /// Idle sessions older than this many logical clock ticks (one tick per
@@ -697,7 +515,7 @@ struct Cursor {
 }
 
 /// The storage state owned by one lock domain — a shard of the sharded
-/// store, or the whole single-mutex store: the ordered lists, their insert
+/// store, or the whole oracle: the ordered lists, their insert
 /// generations, and the cursor sessions bound to them.  Keeping cursors in
 /// the same lock domain as their lists means the position and visibility
 /// adjustments an insert must apply happen under the same exclusive lock as
@@ -999,18 +817,10 @@ impl<L: OrderedList> ListTable<L> {
     }
 }
 
-/// The reference layout's visibility check: a linear `contains`, on purpose
-/// (see [`VecList`]).
-fn is_visible_group(group: GroupId, accessible: Option<&[GroupId]>) -> bool {
-    match accessible {
-        None => true,
-        Some(groups) => groups.contains(&group),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::oracle::VecList;
     use zerber_base::EncryptedElement;
 
     fn element(trs: f64, group: u32) -> OrderedElement {

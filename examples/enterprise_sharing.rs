@@ -74,7 +74,7 @@ fn main() {
     let mut acl = AccessControl::new(b"hosting-provider-secret");
     acl.register_user("john", &[GroupId(0), GroupId(1), GroupId(2)]);
     acl.register_user("subcontractor", &[GroupId(1)]);
-    let server = IndexServer::new(index, acl);
+    let server = IndexServer::new(index, acl).expect("server builds");
     println!(
         "index server hosts {} merged posting lists / {} encrypted elements ({} KiB)",
         server.num_lists(),

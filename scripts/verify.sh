@@ -2,17 +2,19 @@
 # Tier-1 verification gate for the Zerber+R workspace.
 #
 # Mirrors .github/workflows/ci.yml so the same checks run locally and in
-# CI: rustfmt, release build, full test suite (including the spill-engine
-# equivalence proptests, which write page files into a temp-dir spill
-# root), the zerber-analyze invariant linter, the release re-run of the
-# concurrency and cross-engine suites, the tiering equivalence proptest
-# (whose engine set includes a live-WAL durable spill engine) and a
-# repeated compaction-under-load stress loop, the fault-injected durable
-# recovery suite plus a repeated kill-at-every-injection-point crash stress
-# loop, the fault-injected replication suite plus a repeated
-# disconnect-storm stress loop, bench compilation, a syntax check of the
-# perf gate script (which is run by hand, not here), clippy with warnings
-# denied, and hygiene guards asserting the tests left no stray on-disk
+# CI: rustfmt, release build, full test suite (including the
+# engine-vs-oracle equivalence proptests, whose spill and durable
+# configurations write page files, WALs and manifests into temp-dir
+# roots), the zerber-analyze invariant linter, the release re-run of the
+# concurrency and equivalence suites, the tiering equivalence proptest
+# (maintenance forced on every operation, next to a live-WAL durable
+# store) and a repeated compaction-under-load stress loop, the
+# fault-injected durable recovery suite plus a repeated
+# kill-at-every-injection-point crash stress loop, the fault-injected
+# replication suite plus a repeated disconnect-storm stress loop, bench
+# compilation, a syntax check of the perf gate and line-count scripts
+# (which are run by hand, not here), clippy with warnings denied, and
+# hygiene guards asserting the tests left no stray on-disk
 # files — page files, `.pages.compact` rewrite scratch, WALs, manifests,
 # `.manifest.tmp`/`.manifest.prev` checkpoint scratch or replica generation
 # directories — behind.
@@ -50,7 +52,7 @@ cargo test --offline --manifest-path zerber_perf/Cargo.toml
 echo "==> zerber-analyze (workspace invariant linter)"
 cargo run -p zerber-analyze --release
 
-echo "==> cargo test --release (concurrency + cross-engine + batched-vs-sequential + spill equivalence)"
+echo "==> cargo test --release (concurrency + engine-vs-oracle + batched-vs-sequential + spill equivalence)"
 cargo test --release --test concurrent_server --test store_equivalence --test spill_store
 
 echo "==> tiering equivalence proptest (release, maintenance forced on every op)"
@@ -134,6 +136,9 @@ cargo bench --no-run
 
 echo "==> perf gate script parses (scripts/perf_gate.sh; running it takes ~40 min and an idle machine)"
 bash -n scripts/perf_gate.sh
+
+echo "==> line-count script parses (scripts/loc.sh prints the non-test lines ROADMAP tracks)"
+bash -n scripts/loc.sh
 
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings

@@ -11,7 +11,8 @@
 //! * [`zerber_r`] — the Zerber+R ranking model: RSTF, TRS, ordered index,
 //!   server-side top-k (this paper's contribution),
 //! * [`store`] — the serving-side storage engine: the `ListStore` trait, the
-//!   sharded concurrent store and resumable cursor sessions,
+//!   sharded segment-stack store (resident, spill or durable), resumable
+//!   cursor sessions and the `Vec` oracle the store is checked against,
 //! * [`protocol`] — the untrusted-server / client query protocol with byte
 //!   accounting and the network model of Section 6.6,
 //! * [`adversary`] — the attack simulations behind the security evaluation,

@@ -12,6 +12,7 @@ use zerber_suite::protocol::{
     drive_pipelined_queries, drive_raw_queries, AccessControl, Client, IndexServer, LoadConfig,
     PipelineConfig, QueryRequest, StoreEngine, WireElement,
 };
+use zerber_suite::store::SingleMutexStore;
 use zerber_suite::workload::{TestBed, TestBedConfig};
 use zerber_suite::zerber::MergedListId;
 use zerber_suite::zerber_r::RetrievalConfig;
@@ -25,7 +26,7 @@ fn concurrent_queries_and_inserts_preserve_invariants() {
         acl.register_user(&format!("user-{i}"), &all_groups);
     }
     let elements_before = bed.index.num_elements();
-    let server = Arc::new(IndexServer::new(bed.index.clone(), acl));
+    let server = Arc::new(IndexServer::new(bed.index.clone(), acl).expect("server builds"));
     let plan = Arc::new(bed.plan.clone());
     let model = Arc::new(bed.model.clone());
     let order = bed.stats.terms_by_doc_freq();
@@ -116,8 +117,9 @@ fn concurrent_queries_and_inserts_preserve_invariants() {
 
 /// The pipelined driver (bounded submission queue + scheduler thread
 /// draining cross-user rounds) must ship exactly the same elements per query
-/// as the per-query thread-pool driver, on every engine, while amortizing
-/// locks and authentication across each round.
+/// as the per-query thread-pool driver, on the engine's resident and spill
+/// lifecycles and on the oracle, while amortizing locks and authentication
+/// across each round.
 #[test]
 fn pipelined_driver_matches_the_raw_driver_on_every_engine() {
     let bed = TestBed::build(TestBedConfig::small(DatasetProfile::StudIp)).expect("bed builds");
@@ -131,13 +133,20 @@ fn pipelined_driver_matches_the_raw_driver_on_every_engine() {
         all.truncate(8);
         all
     };
-    for engine in [
-        StoreEngine::Sharded,
-        StoreEngine::SingleMutex,
-        StoreEngine::Segment,
-        StoreEngine::Spill,
+    let mut oracle_acl = AccessControl::new(b"pipelined-oracle");
+    let all_groups: Vec<GroupId> = (0..bed.corpus.num_groups() as u32).map(GroupId).collect();
+    for user in &users {
+        oracle_acl.register_user(user, &all_groups);
+    }
+    let oracle = Box::new(SingleMutexStore::new(bed.index.clone()));
+    for (engine, server) in [
+        (
+            "Segment",
+            bed.build_engine_server(StoreEngine::Segment, 4, 4),
+        ),
+        ("Spill", bed.build_engine_server(StoreEngine::Spill, 4, 4)),
+        ("oracle", IndexServer::with_store(oracle, oracle_acl)),
     ] {
-        let server = bed.build_engine_server(engine, 4, 4);
         let raw = drive_raw_queries(
             &server,
             &users,

@@ -119,7 +119,7 @@ fn server_protocol_preserves_results_and_access_control() {
     let all_groups: Vec<GroupId> = (0..bed.corpus.num_groups() as u32).map(GroupId).collect();
     acl.register_user("john", &all_groups);
     acl.register_user("intern", &[GroupId(0)]);
-    let server = IndexServer::new(bed.index.clone(), acl);
+    let server = IndexServer::new(bed.index.clone(), acl).expect("server builds");
 
     let john = Client::new(
         "john",

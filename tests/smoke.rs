@@ -24,7 +24,7 @@ fn single_query_roundtrip_returns_entitled_results() {
     let member_group = GroupId(0);
     let mut acl = AccessControl::new(b"smoke-secret");
     acl.register_user("smoke-user", &[member_group]);
-    let server = IndexServer::new(bed.index.clone(), acl);
+    let server = IndexServer::new(bed.index.clone(), acl).expect("server builds");
 
     let token = server.acl().issue_token("smoke-user");
     let memberships: HashMap<GroupId, _> = bed

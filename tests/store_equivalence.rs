@@ -1,23 +1,23 @@
-//! Cross-engine equivalence property test: random interleavings of
+//! Engine-vs-oracle equivalence property test: random interleavings of
 //! position-preserving inserts, ranged queries and cursor sessions must be
-//! answered element-for-element identically by every storage engine —
-//! `SingleMutexStore`, `ShardedStore` (plain `Vec` layout), `SegmentStore`
-//! (compressed block-encoded segments with a mutable tail) and `SpillStore`
-//! (the same segments with cold ones living in on-disk page files behind an
-//! LRU page cache) — the latter statically placed, tiering-tuned (with
-//! maintenance — promotion, demotion, page-file compaction — forced on
-//! every operation) and durable (write-ahead logging plus aggressive
-//! checkpointing live during the workload).
+//! answered element-for-element identically by the oracle
+//! (`SingleMutexStore` over the plain `Vec` layout) and by the one serving
+//! engine (`SpillStore`: compressed block-encoded segments with a mutable
+//! tail) in each of its lifecycles — resident; spilled with cold segments
+//! living in on-disk page files behind an LRU page cache, once statically
+//! placed and once tiering-tuned (with maintenance — promotion, demotion,
+//! page-file compaction — forced on every operation); and durable
+//! (write-ahead logging plus aggressive checkpointing live during the
+//! workload).
 //!
-//! The engines share one generic session table, so this test pins down the
-//! layer where they *can* diverge: the physical list representation (scan,
-//! visibility counting, block skipping, insert placement, tail sealing and
-//! compaction in the segment engine).
+//! Oracle and engine share one generic session table, so this test pins
+//! down the layer where they *can* diverge: the physical list representation
+//! (scan, visibility counting, block skipping, insert placement, tail
+//! sealing and compaction in the segment stack).
 //!
-//! The engines also share the normalised group filter and (segment, spill)
-//! the aggregate visibility accounting, so agreeing with each other is not
-//! enough: every count, ranged fetch and undisturbed cursor walk is also
-//! held against `OrderedIndex::{visible_len, fetch}`, which filters the
+//! They also share the normalised group filter, so agreeing with each other
+//! is not enough: every count, ranged fetch and undisturbed cursor walk is
+//! also held against `OrderedIndex::{visible_len, fetch}`, which filters the
 //! plain `Vec` with a linear `contains` on the caller's filter exactly as
 //! given — unsorted, duplicated, empty or naming absent groups.
 
@@ -25,8 +25,8 @@ use proptest::prelude::*;
 use zerber_suite::corpus::{GroupId, TermId};
 use zerber_suite::protocol::{AccessControl, AuthToken, IndexServer, QueryRequest};
 use zerber_suite::store::{
-    CursorId, DurableConfig, ListStore, RangedFetch, SegmentConfig, SegmentStore, ShardedStore,
-    SingleMutexStore, SpillConfig, SpillStore, SyncPolicy,
+    CursorId, DurableConfig, ListStore, RangedFetch, SegmentConfig, SingleMutexStore, SpillConfig,
+    SpillStore, SyncPolicy,
 };
 use zerber_suite::zerber::{EncryptedElement, MergePlan, MergedListId};
 use zerber_suite::zerber_r::{OrderedElement, OrderedIndex};
@@ -113,17 +113,33 @@ fn fixture_index(lists: &[Vec<OrderedElement>]) -> OrderedIndex {
     OrderedIndex::from_parts(lists.to_vec(), plan)
 }
 
-/// Builds the six engines over identical fabricated indexes.
-fn engines(
-    lists: &[Vec<OrderedElement>],
-) -> (
-    SingleMutexStore,
-    ShardedStore,
-    SegmentStore,
-    SpillStore,
-    SpillStore,
-    SpillStore,
-) {
+/// Stores under comparison: the oracle first, then the engine's lifecycles.
+const STORES: usize = 5;
+
+/// The engine's configurations, in the order [`engines`] builds them.
+struct Engine {
+    resident: SpillStore,
+    spilled: SpillStore,
+    tiering: SpillStore,
+    durable: SpillStore,
+}
+
+impl Engine {
+    /// The oracle and every configuration of the engine as trait objects.
+    fn with<'a>(&'a self, oracle: &'a SingleMutexStore) -> [&'a dyn ListStore; STORES] {
+        [
+            oracle,
+            &self.resident,
+            &self.spilled,
+            &self.tiering,
+            &self.durable,
+        ]
+    }
+}
+
+/// Builds the oracle and the engine's four configurations over identical
+/// fabricated indexes.
+fn engines(lists: &[Vec<OrderedElement>]) -> (SingleMutexStore, Engine) {
     // Tiny blocks and tail so every case crosses block boundaries, seals
     // the tail and compacts the segment stack.
     let segment_config = SegmentConfig {
@@ -134,13 +150,12 @@ fn engines(
         max_payload_bytes: u32::MAX as usize,
     };
     let index = fixture_index(lists);
-    (
-        SingleMutexStore::new(index.clone()),
-        ShardedStore::with_shards(index.clone(), 2),
-        SegmentStore::with_config(index.clone(), 2, segment_config).unwrap(),
+    let oracle = SingleMutexStore::new(index.clone());
+    let engine = Engine {
+        resident: SpillStore::resident(index.clone(), 2, segment_config).unwrap(),
         // Zero resident budget + a tiny page cache: every sealed segment
         // round-trips through the on-disk page format under this workload.
-        SpillStore::in_temp_dir_with(
+        spilled: SpillStore::in_temp_dir_with(
             index.clone(),
             2,
             SpillConfig {
@@ -155,7 +170,7 @@ fn engines(
         // aggressive maintenance knobs, so every operation can trigger a
         // retier pass and a page-file compaction mid-workload.  Promotion,
         // demotion and live-page rewrites must all stay answer-invisible.
-        SpillStore::in_temp_dir_with(
+        tiering: SpillStore::in_temp_dir_with(
             index.clone(),
             2,
             SpillConfig {
@@ -173,7 +188,7 @@ fn engines(
         // every insert is write-ahead logged, a tiny checkpoint threshold
         // forces manifest commits and WAL resets mid-workload, and none of
         // it may be visible in any answer.
-        SpillStore::durable_in_temp_dir_with(
+        durable: SpillStore::durable_in_temp_dir_with(
             index,
             2,
             SpillConfig {
@@ -188,27 +203,28 @@ fn engines(
             },
         )
         .unwrap(),
-    )
+    };
+    (oracle, engine)
 }
 
-/// Index servers over the three engines, sharing one user directory with
+/// Index servers over the oracle and the engine's four configurations
+/// (oracle first), sharing one user directory with
 /// deliberately different group views per user (so a cross-user round mixes
 /// visibility filters): `user-0` sees everything, `user-3` nothing, and
 /// `user-4` is never registered.
 fn servers(lists: &[Vec<OrderedElement>]) -> Vec<IndexServer> {
-    let (single, sharded, segmented, spilled, tiering, durable) = engines(lists);
+    let (oracle, engine) = engines(lists);
     let mut acl = AccessControl::new(b"batch-oracle");
     acl.register_user("user-0", &[GroupId(0), GroupId(1), GroupId(2), GroupId(3)]);
     acl.register_user("user-1", &[GroupId(0), GroupId(1)]);
     acl.register_user("user-2", &[GroupId(2)]);
     acl.register_user("user-3", &[]);
-    let stores: [Box<dyn ListStore>; 6] = [
-        Box::new(single),
-        Box::new(sharded),
-        Box::new(segmented),
-        Box::new(spilled),
-        Box::new(tiering),
-        Box::new(durable),
+    let stores: [Box<dyn ListStore>; STORES] = [
+        Box::new(oracle),
+        Box::new(engine.resident),
+        Box::new(engine.spilled),
+        Box::new(engine.tiering),
+        Box::new(engine.durable),
     ];
     stores
         .into_iter()
@@ -216,10 +232,10 @@ fn servers(lists: &[Vec<OrderedElement>]) -> Vec<IndexServer> {
         .collect()
 }
 
-/// A session as each engine sees it: the engine-local cursor id plus the
+/// A session as each store sees it: the store-local cursor id plus the
 /// shared (list, owner, groups) context it was opened with.
 struct Session {
-    cursors: [CursorId; 6],
+    cursors: [CursorId; STORES],
     owner: u64,
     groups: Option<Vec<GroupId>>,
     list: MergedListId,
@@ -277,9 +293,8 @@ proptest! {
         ),
         ops in proptest::collection::vec(op_strategy(3), 1..50),
     ) {
-        let (single, sharded, segmented, spilled, tiering, durable) = engines(&lists);
-        let stores: [&dyn ListStore; 6] =
-            [&single, &sharded, &segmented, &spilled, &tiering, &durable];
+        let (oracle, engine) = engines(&lists);
+        let stores = engine.with(&oracle);
         let mut model = fixture_index(&lists);
         let mut sessions: Vec<Session> = Vec::new();
         for op in ops {
@@ -294,11 +309,9 @@ proptest! {
                         .iter()
                         .map(|s| s.insert(list, element(trs, group, ct.clone())).unwrap())
                         .collect();
-                    prop_assert_eq!(positions[0], positions[1]);
-                    prop_assert_eq!(positions[0], positions[2]);
-                    prop_assert_eq!(positions[0], positions[3]);
-                    prop_assert_eq!(positions[0], positions[4]);
-                    prop_assert_eq!(positions[0], positions[5]);
+                    for position in &positions[1..] {
+                        prop_assert_eq!(positions[0], *position);
+                    }
                 }
                 Op::Fetch { list, offset, count, mask, open, owner } => {
                     let list = MergedListId((list % lists.len()) as u64);
@@ -308,11 +321,9 @@ proptest! {
                         .iter()
                         .map(|s| s.fetch_ranged(&fetch, groups.as_deref()).unwrap())
                         .collect();
-                    prop_assert_eq!(&batches[0], &batches[1]);
-                    prop_assert_eq!(&batches[0], &batches[2]);
-                    prop_assert_eq!(&batches[0], &batches[3]);
-                    prop_assert_eq!(&batches[0], &batches[4]);
-                    prop_assert_eq!(&batches[0], &batches[5]);
+                    for batch in &batches[1..] {
+                        prop_assert_eq!(&batches[0], batch);
+                    }
                     let naive = model.fetch(list, offset, count, groups.as_deref()).unwrap();
                     prop_assert_eq!(batches[0].elements.iter().collect::<Vec<_>>(), naive);
                     prop_assert_eq!(
@@ -321,7 +332,7 @@ proptest! {
                     );
                     if open && !batches[0].exhausted {
                         let delivered = offset + batches[0].elements.len();
-                        let mut cursors = [CursorId::NONE; 6];
+                        let mut cursors = [CursorId::NONE; STORES];
                         for (i, store) in stores.iter().enumerate() {
                             cursors[i] = store
                                 .open_cursor(list, owner, &batches[i], delivered, groups.as_deref())
@@ -355,13 +366,11 @@ proptest! {
                             )
                         })
                         .collect();
-                    // Error payloads carry engine-local cursor ids, so
+                    // Error payloads carry store-local cursor ids, so
                     // compare outcomes, then batches.
-                    prop_assert_eq!(results[0].is_ok(), results[1].is_ok());
-                    prop_assert_eq!(results[0].is_ok(), results[2].is_ok());
-                    prop_assert_eq!(results[0].is_ok(), results[3].is_ok());
-                    prop_assert_eq!(results[0].is_ok(), results[4].is_ok());
-                    prop_assert_eq!(results[0].is_ok(), results[5].is_ok());
+                    for result in &results[1..] {
+                        prop_assert_eq!(results[0].is_ok(), result.is_ok());
+                    }
                     if let Ok(a) = &results[0] {
                         for b in results[1..].iter().flatten() {
                             prop_assert_eq!(a, b);
@@ -395,63 +404,50 @@ proptest! {
         // Terminal audit: identical logical state, sessions and sizes.
         for l in 0..lists.len() as u64 {
             let id = MergedListId(l);
-            let reference = single.snapshot_list(id).unwrap();
-            prop_assert_eq!(&sharded.snapshot_list(id).unwrap(), &reference);
-            prop_assert_eq!(&segmented.snapshot_list(id).unwrap(), &reference);
-            prop_assert_eq!(&spilled.snapshot_list(id).unwrap(), &reference);
-            prop_assert_eq!(&tiering.snapshot_list(id).unwrap(), &reference);
-            prop_assert_eq!(&durable.snapshot_list(id).unwrap(), &reference);
+            let reference = oracle.snapshot_list(id).unwrap();
             prop_assert_eq!(model.list(id).unwrap(), &reference[..]);
+            for store in &stores[1..] {
+                prop_assert_eq!(&store.snapshot_list(id).unwrap(), &reference);
+            }
             for mask in AUDIT_MASKS {
                 let groups = groups_from_mask(mask);
-                // The running totals and slot summaries stay exact through
-                // tail inserts, rebuilds, seals and compactions: every
-                // engine's count is the naive recount of the final list.
+                // The running totals stay exact through tail inserts,
+                // rebuilds, seals and compactions: every store's count is
+                // the naive recount of the final list.
                 let expected = model.visible_len(id, groups.as_deref()).unwrap();
-                prop_assert_eq!(single.visible_len(id, groups.as_deref()).unwrap(), expected);
-                prop_assert_eq!(sharded.visible_len(id, groups.as_deref()).unwrap(), expected);
-                prop_assert_eq!(segmented.visible_len(id, groups.as_deref()).unwrap(), expected);
-                prop_assert_eq!(spilled.visible_len(id, groups.as_deref()).unwrap(), expected);
-                prop_assert_eq!(tiering.visible_len(id, groups.as_deref()).unwrap(), expected);
-                prop_assert_eq!(durable.visible_len(id, groups.as_deref()).unwrap(), expected);
+                for store in stores {
+                    prop_assert_eq!(store.visible_len(id, groups.as_deref()).unwrap(), expected);
+                }
             }
         }
-        prop_assert!(single.verify_ordering());
-        prop_assert!(sharded.verify_ordering());
-        prop_assert!(segmented.verify_ordering());
-        prop_assert!(spilled.verify_ordering());
-        prop_assert!(tiering.verify_ordering());
-        prop_assert!(durable.verify_ordering());
-        // The self-managing engine's exact budget accounting must survive
-        // any interleaving of serving traffic with its maintenance passes.
-        prop_assert!(tiering.budget_accounting_is_exact());
-        // Same invariant through WAL appends, checkpoints and WAL resets.
-        prop_assert!(durable.budget_accounting_is_exact());
-        prop_assert_eq!(single.num_elements(), sharded.num_elements());
-        prop_assert_eq!(single.num_elements(), segmented.num_elements());
-        prop_assert_eq!(single.num_elements(), spilled.num_elements());
-        prop_assert_eq!(single.num_elements(), tiering.num_elements());
-        prop_assert_eq!(single.num_elements(), durable.num_elements());
-        prop_assert_eq!(single.stored_bytes(), segmented.stored_bytes());
-        prop_assert_eq!(single.stored_bytes(), spilled.stored_bytes());
-        prop_assert_eq!(single.stored_bytes(), tiering.stored_bytes());
-        prop_assert_eq!(single.stored_bytes(), durable.stored_bytes());
-        prop_assert_eq!(single.ciphertext_bytes(), segmented.ciphertext_bytes());
-        prop_assert_eq!(single.ciphertext_bytes(), spilled.ciphertext_bytes());
-        prop_assert_eq!(single.ciphertext_bytes(), tiering.ciphertext_bytes());
-        prop_assert_eq!(single.ciphertext_bytes(), durable.ciphertext_bytes());
-        prop_assert_eq!(single.open_cursors(), sharded.open_cursors());
-        prop_assert_eq!(single.open_cursors(), segmented.open_cursors());
-        prop_assert_eq!(single.open_cursors(), spilled.open_cursors());
-        prop_assert_eq!(single.open_cursors(), tiering.open_cursors());
-        prop_assert_eq!(single.open_cursors(), durable.open_cursors());
+        for store in stores {
+            prop_assert!(store.verify_ordering());
+            prop_assert_eq!(store.num_elements(), oracle.num_elements());
+            prop_assert_eq!(store.stored_bytes(), oracle.stored_bytes());
+            prop_assert_eq!(store.ciphertext_bytes(), oracle.ciphertext_bytes());
+            prop_assert_eq!(store.open_cursors(), oracle.open_cursors());
+        }
+        // The self-managing configuration's exact budget accounting must
+        // survive any interleaving of serving traffic with its maintenance
+        // passes,
+        prop_assert!(engine.tiering.budget_accounting_is_exact());
+        // and the same invariant WAL appends, checkpoints and WAL resets.
+        prop_assert!(engine.durable.budget_accounting_is_exact());
+        // The resident lifecycle never paged, logged or maintained anything.
+        let idle = engine.resident.metrics();
+        prop_assert_eq!(
+            (idle.spilled_bytes, idle.page_faults, idle.compactions, idle.wal_appends),
+            (0, 0, 0, 0)
+        );
+        prop_assert!(engine.resident.page_file_paths().is_empty());
     }
 
     /// The batched-vs-sequential oracle: any `handle_query_stream` round —
     /// requests from many users with different group views, unknown users,
     /// forged tokens, stale cursors and unknown lists mixed in — must answer
     /// element-for-element identically to the same requests issued one at a
-    /// time through `handle_query`, across all six engines.  A failing
+    /// time through `handle_query`, on the oracle and on every configuration
+    /// of the engine.  A failing
     /// request (denied user, unknown list) degrades alone; the rest of the
     /// batch stays correct.
     ///
@@ -599,12 +595,11 @@ proptest! {
                     .collect(),
             );
         }
-        // And the six engines agree with each other, request for request.
-        prop_assert_eq!(&per_engine[0], &per_engine[1]);
-        prop_assert_eq!(&per_engine[0], &per_engine[2]);
-        prop_assert_eq!(&per_engine[0], &per_engine[3]);
-        prop_assert_eq!(&per_engine[0], &per_engine[4]);
-        prop_assert_eq!(&per_engine[0], &per_engine[5]);
+        // And every configuration of the engine agrees with the oracle,
+        // request for request.
+        for answers in &per_engine[1..] {
+            prop_assert_eq!(&per_engine[0], answers);
+        }
     }
 }
 
@@ -750,4 +745,243 @@ proptest! {
         drop(serving);
         let _ = std::fs::remove_dir_all(&root);
     }
+}
+
+/// Production IO whose page files refuse writes while armed — the injected
+/// `write_page` failure of the test below.  WALs, manifests and reads go
+/// through untouched.
+mod failing_io {
+    use std::io;
+    use std::path::Path;
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Arc;
+
+    use zerber_suite::store::{FileIo, PageIo};
+
+    #[derive(Debug)]
+    pub struct FailingPages {
+        pub inner: Arc<dyn PageIo>,
+        pub armed: Arc<AtomicBool>,
+    }
+
+    #[derive(Debug)]
+    struct FailingPageFile {
+        inner: Box<dyn FileIo>,
+        armed: Arc<AtomicBool>,
+    }
+
+    impl FileIo for FailingPageFile {
+        fn read_at(&mut self, offset: u64, buf: &mut [u8]) -> io::Result<()> {
+            self.inner.read_at(offset, buf)
+        }
+
+        fn write_at(&mut self, offset: u64, buf: &[u8]) -> io::Result<()> {
+            if self.armed.load(Ordering::Relaxed) {
+                return Err(io::Error::other("injected page write failure"));
+            }
+            self.inner.write_at(offset, buf)
+        }
+
+        fn sync(&mut self) -> io::Result<()> {
+            self.inner.sync()
+        }
+
+        fn len(&mut self) -> io::Result<u64> {
+            self.inner.len()
+        }
+
+        fn set_len(&mut self, len: u64) -> io::Result<()> {
+            self.inner.set_len(len)
+        }
+    }
+
+    impl PageIo for FailingPages {
+        fn open(&self, path: &Path, truncate: bool) -> io::Result<Box<dyn FileIo>> {
+            let inner = self.inner.open(path, truncate)?;
+            Ok(if path.extension().is_some_and(|ext| ext == "pages") {
+                Box::new(FailingPageFile {
+                    inner,
+                    armed: Arc::clone(&self.armed),
+                })
+            } else {
+                inner
+            })
+        }
+
+        fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
+            self.inner.rename(from, to)
+        }
+
+        fn remove(&self, path: &Path) -> io::Result<()> {
+            self.inner.remove(path)
+        }
+
+        fn exists(&self, path: &Path) -> bool {
+            self.inner.exists(path)
+        }
+    }
+}
+
+/// With every sealed segment on disk (budget 0), a group-filtered count is
+/// still one merge pass over the list's running totals: no element is
+/// examined (`visibility_scan_cost` stays 0 although the tails are
+/// non-empty), no page is faulted, and the count is the naive recount —
+/// through interior inserts into cold slots, inserts that fail and roll
+/// back (an element no segment can hold, a page write the disk refuses,
+/// both on the rebuild and on the seal path) and a crash recovery that
+/// rebuilds the totals from checkpoint pages plus the replayed WAL tail.
+#[test]
+fn spilled_counts_come_from_running_totals_through_failures_and_recovery() {
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Arc;
+    use zerber_suite::store::{RealIo, StoreError};
+
+    let segment_config = SegmentConfig {
+        block_len: 3,
+        tail_threshold: 2,
+        max_segment_elems: 12,
+        max_segments: 2,
+        max_payload_bytes: 4096,
+    };
+    let spill_config = SpillConfig {
+        resident_budget_bytes: 0,
+        page_cache_pages: 2,
+        ..SpillConfig::default().without_tiering()
+    };
+    let durable_config = DurableConfig {
+        sync: SyncPolicy::Never,
+        checkpoint_wal_bytes: 0,
+    };
+    let lists: Vec<Vec<OrderedElement>> = (0..2u32)
+        .map(|l| {
+            sorted(
+                (0..30u32)
+                    .map(|i| (f64::from(i * 2 + l) / 64.0, i + l, vec![i as u8; 6]))
+                    .collect(),
+            )
+        })
+        .collect();
+    let mut model = fixture_index(&lists);
+    let root = replica_case_root();
+    let armed = Arc::new(AtomicBool::new(false));
+    let io = Arc::new(failing_io::FailingPages {
+        inner: RealIo::shared(),
+        armed: Arc::clone(&armed),
+    });
+    let store = SpillStore::create_durable_with(
+        model.clone(),
+        root.join("store"),
+        2,
+        spill_config,
+        segment_config,
+        durable_config,
+        io,
+        false,
+    )
+    .unwrap();
+
+    // Counts and first fetches under every filter shape, against the model;
+    // nothing of it may examine an element or (for the counts) fault a page.
+    let audit = |store: &SpillStore, model: &OrderedIndex| {
+        let masks = AUDIT_MASKS.iter().copied().chain([2, 0x2f, 0x40, 0x7f]);
+        for mask in masks {
+            let groups = groups_from_mask(mask);
+            for l in 0..lists.len() as u64 {
+                let id = MergedListId(l);
+                let expected = model.visible_len(id, groups.as_deref()).unwrap();
+                let faults = store.metrics().page_faults;
+                assert_eq!(
+                    store.visible_len(id, groups.as_deref()).unwrap(),
+                    expected,
+                    "list {l} mask {mask:#x}"
+                );
+                assert_eq!(store.metrics().page_faults, faults);
+                let fetch = RangedFetch {
+                    list: id,
+                    offset: 0,
+                    count: 3,
+                };
+                let batch = store.fetch_ranged(&fetch, groups.as_deref()).unwrap();
+                assert_eq!(batch.visible_total, expected);
+                assert_eq!(
+                    batch.elements.iter().collect::<Vec<_>>(),
+                    model.fetch(id, 0, 3, groups.as_deref()).unwrap()
+                );
+            }
+        }
+        assert_eq!(store.metrics().visibility_scan_cost, 0);
+    };
+    audit(&store, &model);
+
+    // Interior inserts rebuild cold slots; the inserts below every sealed
+    // TRS stay in the tails (one element in list 0's, two in list 1's).
+    let mut apply = |store: &SpillStore, list: u64, trs: f64, group: u32| {
+        let id = MergedListId(list);
+        let e = element(trs, group, vec![0xee; 6]);
+        let pos = store.insert(id, e.clone()).unwrap();
+        assert_eq!(
+            pos,
+            model.list(id).unwrap().partition_point(|m| m.trs > trs)
+        );
+        model.insert_sealed(id, e).unwrap();
+    };
+    let inserts = [
+        (0, 0.99),
+        (1, 0.5),
+        (0, 0.31),
+        (0, -1.0),
+        (1, -1.0),
+        (1, 0.75),
+        (0, 0.0),
+        (1, -1.0),
+    ];
+    for (i, (list, trs)) in inserts.into_iter().enumerate() {
+        apply(&store, list, trs, i as u32);
+    }
+    audit(&store, &model);
+
+    // Failed inserts leave the totals where they were.
+    let huge = element(0.5, 1, vec![7; 8192]);
+    assert!(matches!(
+        store.insert(MergedListId(0), huge),
+        Err(StoreError::SegmentOverflow)
+    ));
+    armed.store(true, Ordering::Relaxed);
+    // The rebuild of a cold slot cannot write its pages...
+    assert!(matches!(
+        store.insert(MergedListId(0), element(0.6, 2, vec![1; 6])),
+        Err(StoreError::Io(_))
+    ));
+    // ...and neither can a tail seal: tail inserts succeed until the one
+    // that crosses the threshold, which rolls back.
+    let mut sealed_failed = false;
+    for _ in 0..=segment_config.tail_threshold {
+        match store.insert(MergedListId(1), element(0.0, 3, vec![2; 6])) {
+            Ok(_) => model
+                .insert_sealed(MergedListId(1), element(0.0, 3, vec![2; 6]))
+                .unwrap(),
+            Err(e) => {
+                assert!(matches!(e, StoreError::Io(_)), "{e:?}");
+                sealed_failed = true;
+                break;
+            }
+        }
+    }
+    assert!(sealed_failed, "a seal must have been attempted");
+    armed.store(false, Ordering::Relaxed);
+    audit(&store, &model);
+
+    // Crash: no checkpoint since the build, so recovery adopts the built
+    // pages and replays every acknowledged insert from the WAL; its audit
+    // recounts the totals it rebuilt.
+    drop(store);
+    let reopened = SpillStore::open(root.join("store"), spill_config, durable_config).unwrap();
+    assert!(reopened.metrics().recovered_pages > 0);
+    audit(&reopened, &model);
+    for l in 0..lists.len() as u64 {
+        let id = MergedListId(l);
+        assert_eq!(reopened.snapshot_list(id).unwrap(), model.list(id).unwrap());
+    }
+    drop(reopened);
+    let _ = std::fs::remove_dir_all(&root);
 }
