@@ -251,45 +251,6 @@ impl Client {
         Ok(run.finish())
     }
 
-    /// Builds the initial request of a top-k query for `term`, paired with
-    /// this client's token — ready to be submitted into a cross-user round
-    /// through [`IndexServer::handle_query_stream`].  Many clients' initial
-    /// requests form one round; the server authenticates each user once and
-    /// visits each storage shard once for the whole round.
-    pub fn prepare_initial(
-        &self,
-        plan: &MergePlan,
-        term: TermId,
-        config: &RetrievalConfig,
-    ) -> Result<(QueryRequest, AuthToken), ProtocolError> {
-        let run = TermRun::new(plan, term, config)?;
-        Ok((run.next_request(&self.user), self.token.clone()))
-    }
-
-    /// Completes a top-k query whose initial round was served out-of-band
-    /// (via a cross-user batched round): absorbs the initial response, then
-    /// drives the usual doubling follow-up protocol individually.  The
-    /// server-side session is released on every error path, exactly like
-    /// [`Client::query`].
-    pub fn complete_query(
-        &self,
-        server: &IndexServer,
-        plan: &MergePlan,
-        term: TermId,
-        config: &RetrievalConfig,
-        request: &QueryRequest,
-        response: &QueryResponse,
-    ) -> Result<ClientQueryOutcome, ProtocolError> {
-        let mut run = TermRun::new(plan, term, config)?;
-        run.cursor = response.cursor;
-        if let Err(e) = run.absorb(request, response, &self.keys) {
-            run.release(server, &self.user);
-            return Err(e);
-        }
-        self.drive(server, &mut run)?;
-        Ok(run.finish())
-    }
-
     /// Executes a multi-term query (Section 3.2) and merges rankings by
     /// summed relevance.  The initial round of all terms is sent as one
     /// batch — the server authenticates once and visits each storage shard
@@ -674,42 +635,6 @@ mod tests {
         assert_eq!(multi_stats.bytes_out, sequential_stats.bytes_out);
         assert!(multi_stats.auth_checks < sequential_stats.auth_checks);
         assert!(multi_stats.lock_acquisitions <= sequential_stats.lock_acquisitions);
-    }
-
-    #[test]
-    fn cross_user_rounds_complete_to_the_same_outcome_as_solo_queries() {
-        let f = fixture();
-        let john = client(&f, "john", &[0, 1]);
-        let alice = client(&f, "alice", &[1]);
-        let order = f.stats.terms_by_doc_freq();
-        let config = RetrievalConfig::for_k(6);
-        // Two users' initial requests travel as ONE cross-user round.
-        let plans = [
-            (&john, order[0]),
-            (&alice, order[0]),
-            (&john, order[2]),
-            (&alice, order[order.len() / 2]),
-        ];
-        let round: Vec<(QueryRequest, AuthToken)> = plans
-            .iter()
-            .map(|(c, term)| c.prepare_initial(&f.plan, *term, &config).unwrap())
-            .collect();
-        let responses = f.server.handle_query_stream(&round);
-        for (((client, term), (request, _)), response) in plans.iter().zip(&round).zip(responses) {
-            let outcome = client
-                .complete_query(
-                    &f.server,
-                    &f.plan,
-                    *term,
-                    &config,
-                    request,
-                    &response.unwrap(),
-                )
-                .unwrap();
-            let solo = client.query(&f.server, &f.plan, *term, &config).unwrap();
-            assert_eq!(outcome, solo, "term {term}");
-        }
-        assert_eq!(f.server.open_cursors(), 0, "rounds must not leak sessions");
     }
 
     #[test]

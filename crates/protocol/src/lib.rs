@@ -9,29 +9,20 @@
 //! * [`server`] — the untrusted [`server::IndexServer`]: hosts the ordered
 //!   confidential index behind a pluggable `zerber_store::ListStore` engine
 //!   (sharded by default), serves ranged TRS-ordered fetches with resumable
-//!   cursor sessions — one request, one user's multi-term batch or a
-//!   cross-user stream, all through the same serving round — accepts
-//!   inserts, and meters all traffic in lock-free counters,
+//!   cursor sessions — one request or one user's multi-term batch, both
+//!   through the same serving round — accepts inserts, and meters all
+//!   traffic in lock-free counters,
 //! * [`client`] — the group member: issues the initial request of size `b`,
 //!   decrypts and filters, resumes the server-side cursor with doubling
 //!   follow-up requests, and inserts new documents using the published RSTF,
-//! * [`replication`] — the framed wire format of the primary→replica
-//!   replication stream (snapshot fetch + WAL tail polls), CRC-guarded so
-//!   a socket transport can replace the in-process seam without touching
-//!   the replication logic,
-//! * [`netsim`] — the 56 Kb/s-client / 100 Mb/s-server network model, the
-//!   snippet/competitor constants of Section 6.6, and the load generators
-//!   for the serving-engine throughput experiments: the per-query
-//!   thread-pool driver and the pipelined driver
-//!   ([`netsim::drive_pipelined_queries`]), whose workers enqueue into a
-//!   bounded submission queue drained in cross-user batched rounds.
+//! * [`netsim`] — the 56 Kb/s-client / 100 Mb/s-server network model and
+//!   the snippet/competitor constants of Section 6.6.
 
 pub mod acl;
 pub mod client;
 pub mod error;
 pub mod message;
 pub mod netsim;
-pub mod replication;
 pub mod server;
 
 pub use acl::{AccessControl, AuthToken};
@@ -39,9 +30,7 @@ pub use client::{Client, ClientQueryOutcome};
 pub use error::ProtocolError;
 pub use message::{QueryRequest, QueryResponse, WireElement, ELEMENT_HEADER_BYTES};
 pub use netsim::{
-    drive_client_queries, drive_pipelined_queries, drive_raw_queries, LoadConfig, NetworkModel,
-    PipelineConfig, ResponseBreakdown, ThroughputReport, ALTAVISTA_TOP10_BYTES, GOOGLE_TOP10_BYTES,
-    PAPER_POSTING_BITS, SNIPPET_BYTES, YAHOO_TOP10_BYTES,
+    NetworkModel, ResponseBreakdown, ALTAVISTA_TOP10_BYTES, GOOGLE_TOP10_BYTES, PAPER_POSTING_BITS,
+    SNIPPET_BYTES, YAHOO_TOP10_BYTES,
 };
-pub use replication::{ReplicationRequest, ReplicationResponse};
 pub use server::{IndexServer, InsertRequest, ServerStats, StoreEngine};

@@ -1,6 +1,4 @@
-//! Network and presentation model for the bandwidth analysis of Section 6.6,
-//! plus the thread-pool load generator that drives the index server for the
-//! serving-engine throughput experiments.
+//! Network and presentation model for the bandwidth analysis of Section 6.6.
 //!
 //! The paper's intranet setup: "users connect over a mobile device with a
 //! 56 Kb/s modem, while servers use 100 Mb/s LAN connections"; document
@@ -8,20 +6,7 @@
 //! 250 B including XML formatting"; Google/Altavista/Yahoo top-10 responses
 //! are quoted at 15 KB / 37 KB / 59 KB for comparison.
 
-use std::collections::{HashMap, VecDeque};
-use std::sync::{Condvar, Mutex};
-use std::time::Instant;
-
 use serde::{Deserialize, Serialize};
-use zerber_corpus::{GroupId, TermId};
-use zerber_crypto::GroupKeys;
-use zerber_r::RetrievalConfig;
-
-use crate::acl::AuthToken;
-use crate::client::Client;
-use crate::error::ProtocolError;
-use crate::message::QueryRequest;
-use crate::server::IndexServer;
 
 /// Average size of one result snippet including XML framing (bytes).
 pub const SNIPPET_BYTES: usize = 250;
@@ -133,376 +118,6 @@ impl ResponseBreakdown {
         }
         self.total_bytes() as f64 / competitor_bytes as f64
     }
-}
-
-/// Configuration of one load-generation run against an [`IndexServer`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct LoadConfig {
-    /// Number of worker threads in the pool.
-    pub threads: usize,
-    /// Queries each worker issues.
-    pub queries_per_thread: usize,
-    /// The `k` of every query (also used as the initial response size `b`).
-    pub k: usize,
-}
-
-impl LoadConfig {
-    /// A load of `threads` workers with paper-default `k = b = 10`.
-    pub fn for_threads(threads: usize) -> Self {
-        LoadConfig {
-            threads: threads.max(1),
-            queries_per_thread: 100,
-            k: 10,
-        }
-    }
-}
-
-/// Aggregate outcome of one load-generation run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct ThroughputReport {
-    /// Worker threads used.
-    pub threads: usize,
-    /// Total queries completed across all workers.
-    pub queries: u64,
-    /// Wall-clock duration of the run in seconds.
-    pub elapsed_seconds: f64,
-    /// Wall-clock seconds the scheduler spent blocked waiting for
-    /// submissions (0 for the per-query drivers, which have no scheduler).
-    /// Producer-bound pipelined runs rack this up without serving anything.
-    pub scheduler_wait_seconds: f64,
-    /// Completed queries per second of *serving* time — elapsed time minus
-    /// the scheduler's idle wait, so a pipelined measurement reports how
-    /// fast the server drains rounds, not how fast workers produce them.
-    /// For the per-query drivers this is plain wall-clock throughput.
-    pub queries_per_second: f64,
-    /// Posting elements shipped by the server during the run.
-    pub elements_sent: u64,
-}
-
-fn report(
-    threads: usize,
-    queries: u64,
-    elapsed_seconds: f64,
-    scheduler_wait_seconds: f64,
-    elements_sent: u64,
-) -> ThroughputReport {
-    // The wait is a sub-measurement of the same clock interval, so it can
-    // only exceed `elapsed` by timer noise; clamp rather than divide by a
-    // negative sliver.
-    let serving_seconds = (elapsed_seconds - scheduler_wait_seconds).max(0.0);
-    ThroughputReport {
-        threads,
-        queries,
-        elapsed_seconds,
-        scheduler_wait_seconds,
-        queries_per_second: if serving_seconds > 0.0 {
-            queries as f64 / serving_seconds
-        } else {
-            f64::INFINITY
-        },
-        elements_sent,
-    }
-}
-
-/// Drives raw ranged queries against the server from a pool of
-/// `config.threads` worker threads, measuring server-side serving throughput
-/// (no client-side decryption).  Every worker authenticates as one of
-/// `users` (which must be registered in the server's ACL) and rotates
-/// through `lists`.
-pub fn drive_raw_queries(
-    server: &IndexServer,
-    users: &[String],
-    lists: &[u64],
-    config: &LoadConfig,
-) -> Result<ThroughputReport, ProtocolError> {
-    if users.is_empty() || lists.is_empty() {
-        return Err(ProtocolError::InvalidRequest(
-            "load generation needs at least one user and one list".into(),
-        ));
-    }
-    let elements_before = server.stats().elements_sent;
-    let start = Instant::now();
-    let queries: u64 = std::thread::scope(|scope| {
-        let workers: Vec<_> = (0..config.threads)
-            .map(|w| {
-                scope.spawn(move || -> Result<u64, ProtocolError> {
-                    let user = &users[w % users.len()];
-                    let token = server.acl().issue_token(user);
-                    let mut served = 0u64;
-                    for i in 0..config.queries_per_thread {
-                        // Unit stride with a per-worker offset: every worker
-                        // cycles through all lists regardless of their count
-                        // (a fixed non-unit stride degenerates whenever it
-                        // divides `lists.len()`).
-                        let list = lists[(w.wrapping_mul(31) + i) % lists.len()];
-                        let request = QueryRequest {
-                            user: user.clone(),
-                            list,
-                            offset: 0,
-                            cursor: 0,
-                            count: config.k as u32,
-                            k: config.k as u32,
-                        };
-                        let response = server.handle_query(&request, &token)?;
-                        server.close_cursor(response.cursor, user);
-                        served += 1;
-                    }
-                    Ok(served)
-                })
-            })
-            .collect();
-        workers
-            .into_iter()
-            // analyze::allow(panic): join fails only if the worker already
-            // panicked; re-panicking the load harness preserves that bug
-            // instead of reporting a bogus throughput number
-            .map(|w| w.join().expect("load worker must not panic"))
-            .sum::<Result<u64, ProtocolError>>()
-    })?;
-    let elapsed = start.elapsed().as_secs_f64();
-    let elements = server.stats().elements_sent - elements_before;
-    Ok(report(config.threads, queries, elapsed, 0.0, elements))
-}
-
-/// Configuration of one pipelined load-generation run: worker threads
-/// enqueue initial requests into a bounded submission queue and a scheduler
-/// thread drains it in rounds of up to `batch_size` requests, serving each
-/// round through [`IndexServer::handle_query_stream`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct PipelineConfig {
-    /// Submitting worker threads.
-    pub workers: usize,
-    /// Queries each worker submits.
-    pub queries_per_worker: usize,
-    /// Maximum requests the scheduler drains per round (1 = no batching:
-    /// every request is its own round, reproducing the per-query path).
-    pub batch_size: usize,
-    /// Capacity of the bounded submission queue; workers block when full so
-    /// the scheduler can never fall arbitrarily behind.
-    pub queue_capacity: usize,
-    /// The `k` of every query (also the response size `b`).
-    pub k: usize,
-}
-
-impl PipelineConfig {
-    /// A 240-query pipelined load at the given batch size with paper-default
-    /// `k = b = 10`.  The queue holds several rounds so workers run ahead of
-    /// the scheduler instead of handing off once per request.
-    pub fn for_batch(batch_size: usize) -> Self {
-        let batch_size = batch_size.max(1);
-        PipelineConfig {
-            workers: 4,
-            queries_per_worker: 60,
-            batch_size,
-            queue_capacity: (4 * batch_size).max(64),
-            k: 10,
-        }
-    }
-}
-
-/// The bounded submission queue shared by the pipeline's workers and its
-/// scheduler thread.
-struct Submissions {
-    items: VecDeque<(QueryRequest, AuthToken)>,
-    /// Workers still producing; the scheduler drains until this hits zero
-    /// and the queue is empty.
-    producers: usize,
-    /// Set when the scheduler aborts on a serving error, so blocked workers
-    /// stop submitting into a queue nobody drains.
-    aborted: bool,
-}
-
-/// Decrements the producer count when a pipeline worker exits — including
-/// by panic — so the scheduler can never wait forever on a producer that
-/// died between submissions.
-struct ProducerExit<'a> {
-    queue: &'a Mutex<Submissions>,
-    not_empty: &'a Condvar,
-}
-
-impl Drop for ProducerExit<'_> {
-    fn drop(&mut self) {
-        let mut q = self.queue.lock().unwrap_or_else(|e| e.into_inner());
-        q.producers -= 1;
-        if q.producers == 0 {
-            // Wake the scheduler so it can observe the shutdown.
-            self.not_empty.notify_all();
-        }
-    }
-}
-
-/// Drives raw ranged queries through the **pipelined** serving path: workers
-/// enqueue initial requests (rotating through `users` and `lists` exactly
-/// like [`drive_raw_queries`]) into a bounded submission queue; a scheduler
-/// thread drains the queue in rounds of up to `batch_size` requests and
-/// serves each round through [`IndexServer::handle_query_stream`], so locks,
-/// authentication and shard routing amortize across the whole cross-user
-/// request stream.  With `batch_size = 1` every request is its own round and
-/// the measurement degenerates to the per-query serving path.
-pub fn drive_pipelined_queries(
-    server: &IndexServer,
-    users: &[String],
-    lists: &[u64],
-    config: &PipelineConfig,
-) -> Result<ThroughputReport, ProtocolError> {
-    if users.is_empty() || lists.is_empty() {
-        return Err(ProtocolError::InvalidRequest(
-            "load generation needs at least one user and one list".into(),
-        ));
-    }
-    let workers = config.workers.max(1);
-    let batch_size = config.batch_size.max(1);
-    let capacity = config.queue_capacity.max(1);
-    let queue = Mutex::new(Submissions {
-        items: VecDeque::with_capacity(capacity),
-        producers: workers,
-        aborted: false,
-    });
-    let not_empty = Condvar::new();
-    let not_full = Condvar::new();
-    let elements_before = server.stats().elements_sent;
-    let start = Instant::now();
-    let served: (u64, f64) = std::thread::scope(|scope| {
-        for w in 0..workers {
-            let queue = &queue;
-            let not_empty = &not_empty;
-            let not_full = &not_full;
-            scope.spawn(move || {
-                let _exit = ProducerExit { queue, not_empty };
-                let user = &users[w % users.len()];
-                let token = server.acl().issue_token(user);
-                for i in 0..config.queries_per_worker {
-                    // Unit stride with a per-worker offset, matching the
-                    // raw driver's workload shape.
-                    let list = lists[(w.wrapping_mul(31) + i) % lists.len()];
-                    let request = QueryRequest {
-                        user: user.clone(),
-                        list,
-                        offset: 0,
-                        cursor: 0,
-                        count: config.k as u32,
-                        k: config.k as u32,
-                    };
-                    let mut q = queue.lock().unwrap_or_else(|e| e.into_inner());
-                    while q.items.len() >= capacity && !q.aborted {
-                        q = not_full.wait(q).unwrap_or_else(|e| e.into_inner());
-                    }
-                    if q.aborted {
-                        break;
-                    }
-                    q.items.push_back((request, token.clone()));
-                    drop(q);
-                    not_empty.notify_one();
-                }
-            });
-        }
-        let scheduler = scope.spawn(|| -> Result<(u64, f64), ProtocolError> {
-            let mut served = 0u64;
-            let mut waited = std::time::Duration::ZERO;
-            // The scheduler swaps the whole queue into a local backlog in
-            // one gulp (one lock + one wake-up per queue-full of requests,
-            // whatever the batch size) and slices the backlog into rounds
-            // of `batch_size` locally.
-            let mut backlog: VecDeque<(QueryRequest, AuthToken)> = VecDeque::new();
-            let mut round: Vec<(QueryRequest, AuthToken)> = Vec::with_capacity(batch_size);
-            loop {
-                if backlog.is_empty() {
-                    {
-                        let refill = Instant::now();
-                        let mut q = queue.lock().unwrap_or_else(|e| e.into_inner());
-                        // Also bail on `aborted`: if anything flags the run
-                        // as dead while we sit here, producers stop
-                        // submitting and this wait would never end.
-                        while q.items.is_empty() && q.producers > 0 && !q.aborted {
-                            q = not_empty.wait(q).unwrap_or_else(|e| e.into_inner());
-                        }
-                        waited += refill.elapsed();
-                        if q.aborted || q.items.is_empty() {
-                            return Ok((served, waited.as_secs_f64()));
-                        }
-                        std::mem::swap(&mut q.items, &mut backlog);
-                    }
-                    not_full.notify_all();
-                }
-                let take = backlog.len().min(batch_size);
-                round.extend(backlog.drain(..take));
-                let results = server.handle_query_stream(&round);
-                for (result, (request, _)) in results.into_iter().zip(&round) {
-                    match result {
-                        Ok(response) => {
-                            server.close_cursor(response.cursor, &request.user);
-                            served += 1;
-                        }
-                        Err(e) => {
-                            let mut q = queue.lock().unwrap_or_else(|e| e.into_inner());
-                            q.aborted = true;
-                            drop(q);
-                            not_full.notify_all();
-                            return Err(e);
-                        }
-                    }
-                }
-                round.clear();
-            }
-        });
-        // analyze::allow(panic): join fails only if the scheduler already
-        // panicked; re-panicking the load harness preserves that bug
-        scheduler.join().expect("scheduler must not panic")
-    })?;
-    let (served, waited) = served;
-    let elapsed = start.elapsed().as_secs_f64();
-    let elements = server.stats().elements_sent - elements_before;
-    Ok(report(workers, served, elapsed, waited, elements))
-}
-
-/// Drives complete client-side retrievals (decryption included) from a pool
-/// of worker threads.  Worker `w` authenticates as `users[w % len]` with the
-/// shared `keyring` and executes top-k queries over `terms` via the full
-/// follow-up protocol.
-pub fn drive_client_queries(
-    server: &IndexServer,
-    plan: &zerber_base::MergePlan,
-    users: &[String],
-    keyring: &HashMap<GroupId, GroupKeys>,
-    terms: &[TermId],
-    config: &LoadConfig,
-) -> Result<ThroughputReport, ProtocolError> {
-    if users.is_empty() || terms.is_empty() {
-        return Err(ProtocolError::InvalidRequest(
-            "load generation needs at least one user and one term".into(),
-        ));
-    }
-    let elements_before = server.stats().elements_sent;
-    let start = Instant::now();
-    let queries: u64 = std::thread::scope(|scope| {
-        let workers: Vec<_> = (0..config.threads)
-            .map(|w| {
-                scope.spawn(move || -> Result<u64, ProtocolError> {
-                    let user = &users[w % users.len()];
-                    let token = server.acl().issue_token(user);
-                    let client = Client::new(user.clone(), token, keyring.clone());
-                    let retrieval = RetrievalConfig::for_k(config.k);
-                    let mut served = 0u64;
-                    for i in 0..config.queries_per_thread {
-                        let term = terms[(w.wrapping_mul(31) + i) % terms.len()];
-                        client.query(server, plan, term, &retrieval)?;
-                        served += 1;
-                    }
-                    Ok(served)
-                })
-            })
-            .collect();
-        workers
-            .into_iter()
-            // analyze::allow(panic): join fails only if the worker already
-            // panicked; re-panicking the load harness preserves that bug
-            // instead of reporting a bogus throughput number
-            .map(|w| w.join().expect("load worker must not panic"))
-            .sum::<Result<u64, ProtocolError>>()
-    })?;
-    let elapsed = start.elapsed().as_secs_f64();
-    let elements = server.stats().elements_sent - elements_before;
-    Ok(report(config.threads, queries, elapsed, 0.0, elements))
 }
 
 #[cfg(test)]

@@ -185,8 +185,9 @@ impl TestBed {
         .expect("engine server builds")
     }
 
-    /// The names registered by [`TestBed::build_server`], ready to hand to
-    /// the `netsim` load generator.
+    /// The names registered by [`TestBed::build_server`], in registration
+    /// order (the benchmark's callers and `tab_session_pressure` query as
+    /// these users).
     pub fn server_users(num_users: usize) -> Vec<String> {
         (0..num_users.max(1)).map(|i| format!("user-{i}")).collect()
     }
@@ -307,17 +308,35 @@ mod tests {
         assert_eq!(single.store().num_shards(), 1);
         let users = TestBed::server_users(2);
         let lists: Vec<u64> = (0..sharded.num_lists() as u64).take(8).collect();
-        let config = zerber_protocol::LoadConfig {
-            threads: 2,
-            queries_per_thread: 20,
-            k: 5,
+        // Two workers, one per user, 20 top-5 requests each.
+        let serve = |server: &IndexServer| {
+            std::thread::scope(|scope| {
+                for (w, user) in users.iter().enumerate() {
+                    let lists = &lists;
+                    scope.spawn(move || {
+                        let token = server.acl().issue_token(user);
+                        for i in 0..20 {
+                            let request = zerber_protocol::QueryRequest {
+                                user: user.clone(),
+                                list: lists[(w * 31 + i) % lists.len()],
+                                offset: 0,
+                                cursor: 0,
+                                count: 5,
+                                k: 5,
+                            };
+                            let response = server.handle_query(&request, &token).unwrap();
+                            server.close_cursor(response.cursor, user);
+                        }
+                    });
+                }
+            });
+            server.stats()
         };
-        let a = zerber_protocol::drive_raw_queries(&sharded, &users, &lists, &config).unwrap();
-        let b = zerber_protocol::drive_raw_queries(&single, &users, &lists, &config).unwrap();
-        assert_eq!(a.queries, 40);
-        assert_eq!(a.queries, b.queries);
-        assert!(a.queries_per_second > 0.0);
+        let (a, b) = (serve(&sharded), serve(&single));
+        assert_eq!(a.requests_served, 40);
+        assert_eq!(a.requests_served, b.requests_served);
         // Both engines ship identical element counts for the same workload.
+        assert!(a.elements_sent > 0);
         assert_eq!(a.elements_sent, b.elements_sent);
         assert_eq!(sharded.open_cursors(), 0);
         // The compressed segments hold the index in a smaller resident

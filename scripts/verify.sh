@@ -11,13 +11,13 @@
 # store) and a repeated compaction-under-load stress loop, the
 # fault-injected durable recovery suite plus a repeated
 # kill-at-every-injection-point crash stress loop, the fault-injected
-# replication suite plus a repeated disconnect-storm stress loop, bench
-# compilation, a syntax check of the perf gate and line-count scripts
-# (which are run by hand, not here), clippy with warnings denied, and
-# hygiene guards asserting the tests left no stray on-disk
-# files — page files, `.pages.compact` rewrite scratch, WALs, manifests,
-# `.manifest.tmp`/`.manifest.prev` checkpoint scratch or replica generation
-# directories — behind.
+# replication suite plus a repeated disconnect-storm stress loop, a
+# syntax check of the perf gate script (which is run by hand, not here),
+# the line-count ratchet (scripts/loc.sh's total against a fixed ceiling),
+# clippy with warnings denied, and hygiene guards asserting the tests left
+# no stray on-disk files — page files, `.pages.compact` rewrite scratch,
+# WALs, manifests, `.manifest.tmp`/`.manifest.prev` checkpoint scratch or
+# replica generation directories — behind.
 #
 # The debug lock-rank checker needs no step of its own: the plain
 # `cargo test -q` below builds with debug assertions and runs
@@ -131,14 +131,21 @@ if [ -d "$REPLICA_STAGING" ] && [ -n "$(find "$REPLICA_STAGING" -type f 2>/dev/n
   exit 1
 fi
 
-echo "==> cargo bench --no-run"
-cargo bench --no-run
-
 echo "==> perf gate script parses (scripts/perf_gate.sh; running it takes ~40 min and an idle machine)"
 bash -n scripts/perf_gate.sh
 
-echo "==> line-count script parses (scripts/loc.sh prints the non-test lines ROADMAP tracks)"
-bash -n scripts/loc.sh
+# The non-test lines of crates/store/src + crates/protocol/src may only go
+# down: lower the ceiling (the landed total, rounded up to the next 25)
+# when a PR removes code, never raise it to make room.
+LOC_CEILING=9550
+echo "==> line-count ratchet (scripts/loc.sh total <= $LOC_CEILING)"
+loc_table="$(scripts/loc.sh)"
+loc_total="$(awk '$2 == "total" { print $1 }' <<<"$loc_table")"
+if [ "$loc_total" -gt "$LOC_CEILING" ]; then
+  echo "$loc_table" >&2
+  echo "non-test line count $loc_total exceeds the ceiling of $LOC_CEILING" >&2
+  exit 1
+fi
 
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings

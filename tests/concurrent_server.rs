@@ -8,11 +8,7 @@ use std::collections::HashMap;
 use std::sync::{Arc, Barrier};
 
 use zerber_suite::corpus::{DatasetProfile, DocId, GroupId};
-use zerber_suite::protocol::{
-    drive_pipelined_queries, drive_raw_queries, AccessControl, Client, IndexServer, LoadConfig,
-    PipelineConfig, QueryRequest, StoreEngine, WireElement,
-};
-use zerber_suite::store::SingleMutexStore;
+use zerber_suite::protocol::{AccessControl, Client, IndexServer, QueryRequest, WireElement};
 use zerber_suite::workload::{TestBed, TestBedConfig};
 use zerber_suite::zerber::MergedListId;
 use zerber_suite::zerber_r::RetrievalConfig;
@@ -113,96 +109,6 @@ fn concurrent_queries_and_inserts_preserve_invariants() {
     assert!(outcome.results.len() >= 20);
     // Ranked output must be non-increasing in relevance.
     assert!(outcome.results.windows(2).all(|w| w[0].1 >= w[1].1 - 1e-12));
-}
-
-/// The pipelined driver (bounded submission queue + scheduler thread
-/// draining cross-user rounds) must ship exactly the same elements per query
-/// as the per-query thread-pool driver, on the engine's resident and spill
-/// lifecycles and on the oracle, while amortizing locks and authentication
-/// across each round.
-#[test]
-fn pipelined_driver_matches_the_raw_driver_on_every_engine() {
-    let bed = TestBed::build(TestBedConfig::small(DatasetProfile::StudIp)).expect("bed builds");
-    let users = TestBed::server_users(4);
-    let lists: Vec<u64> = {
-        let probe = bed.build_server(4, 4);
-        let mut all: Vec<u64> = (0..probe.num_lists() as u64).collect();
-        all.sort_by_key(|&l| {
-            std::cmp::Reverse(probe.store().list_len(MergedListId(l)).unwrap_or(0))
-        });
-        all.truncate(8);
-        all
-    };
-    let mut oracle_acl = AccessControl::new(b"pipelined-oracle");
-    let all_groups: Vec<GroupId> = (0..bed.corpus.num_groups() as u32).map(GroupId).collect();
-    for user in &users {
-        oracle_acl.register_user(user, &all_groups);
-    }
-    let oracle = Box::new(SingleMutexStore::new(bed.index.clone()));
-    for (engine, server) in [
-        (
-            "Segment",
-            bed.build_engine_server(StoreEngine::Segment, 4, 4),
-        ),
-        ("Spill", bed.build_engine_server(StoreEngine::Spill, 4, 4)),
-        ("oracle", IndexServer::with_store(oracle, oracle_acl)),
-    ] {
-        let raw = drive_raw_queries(
-            &server,
-            &users,
-            &lists,
-            &LoadConfig {
-                threads: 4,
-                queries_per_thread: 30,
-                k: 10,
-            },
-        )
-        .expect("raw run succeeds");
-        let raw_elements_per_query = raw.elements_sent as f64 / raw.queries as f64;
-        server.reset_stats();
-        let config = PipelineConfig {
-            workers: 4,
-            queries_per_worker: 30,
-            batch_size: 16,
-            queue_capacity: 32,
-            k: 10,
-        };
-        let piped =
-            drive_pipelined_queries(&server, &users, &lists, &config).expect("piped run succeeds");
-        assert_eq!(piped.queries, 120, "engine {engine:?}");
-        // Same workload shape => identical elements shipped per query.
-        let piped_elements_per_query = piped.elements_sent as f64 / piped.queries as f64;
-        assert!(
-            (piped_elements_per_query - raw_elements_per_query).abs() < 1e-9,
-            "engine {engine:?}: {piped_elements_per_query} vs {raw_elements_per_query}"
-        );
-        let stats = server.stats();
-        assert_eq!(stats.requests_served, 120);
-        assert!(stats.batches > 0, "the stream handler served the rounds");
-        // Batching amortizes: strictly fewer lock acquisitions and auth
-        // checks than one per request.
-        assert!(
-            stats.lock_acquisitions < stats.requests_served,
-            "engine {engine:?}: {} locks for {} requests",
-            stats.lock_acquisitions,
-            stats.requests_served
-        );
-        assert!(stats.auth_checks < stats.requests_served);
-        assert_eq!(
-            server.open_cursors(),
-            0,
-            "one-shot rounds leave no sessions"
-        );
-    }
-
-    // Error isolation reaches the driver: a worker authenticating as an
-    // unregistered user aborts the run with an error instead of hanging.
-    let server = bed.build_server(4, 4);
-    let ghost = vec!["ghost-user".to_string()];
-    assert!(
-        drive_pipelined_queries(&server, &ghost, &lists, &PipelineConfig::for_batch(4)).is_err()
-    );
-    assert!(drive_pipelined_queries(&server, &users, &[], &PipelineConfig::for_batch(4)).is_err());
 }
 
 fn term_for_round(

@@ -2,7 +2,7 @@
 //! server must answer byte-identically to the in-memory engines while most
 //! of the sealed index lives in page files, and a corrupted or torn page on
 //! disk must degrade exactly one request — the same per-request error
-//! isolation contract the batched stream scheduler gives stale cursors.
+//! isolation contract a batch round gives stale cursors.
 
 use zerber_suite::corpus::{DatasetProfile, GroupId};
 use zerber_suite::protocol::{IndexServer, ProtocolError, QueryRequest};
@@ -99,15 +99,17 @@ fn corrupt_pages_degrade_one_request_and_the_stream_round_isolates_it() {
     }
     std::fs::write(&paths[0], &bytes).unwrap();
 
-    // A cross-user stream round mixing the poisoned list with healthy
-    // requests: the corrupt page fails its own request as a server-side
-    // integrity error, everything else still answers.
-    let round = vec![
-        (request("user-0", victim, 5), token.clone()),
-        (request("user-0", survivor, 5), token.clone()),
-        (request("user-0", 999_999, 5), token.clone()),
+    // A batch round mixing the poisoned list with healthy requests: the
+    // corrupt page fails its own request as a server-side integrity error,
+    // everything else still answers.
+    let round = [
+        request("user-0", victim, 5),
+        request("user-0", survivor, 5),
+        request("user-0", 999_999, 5),
     ];
-    let results = server.handle_query_stream(&round);
+    let results = server
+        .handle_query_batch(&round, &token)
+        .expect("the batch itself is well-formed");
     assert!(
         matches!(results[0], Err(ProtocolError::Core(_))),
         "corrupt page must surface as a server-side integrity error, got {:?}",
