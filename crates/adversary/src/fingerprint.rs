@@ -140,8 +140,9 @@ pub fn identification_experiment(
     seed: u64,
 ) -> FingerprintReport {
     let mut rng = StdRng::seed_from_u64(seed);
-    let all_terms: Vec<TermId> = observations.keys().copied().collect();
-    let mut ordered: Vec<TermId> = all_terms.clone();
+    // Sorted: the distractor pool below is shuffled from this order, and a
+    // `HashMap`'s key order would make the drawn candidates differ run to run.
+    let mut ordered: Vec<TermId> = observations.keys().copied().collect();
     ordered.sort();
     let mut trials = 0usize;
     let mut correct = 0usize;
@@ -151,7 +152,7 @@ pub fn identification_experiment(
             continue;
         }
         let mut candidates = vec![term];
-        let mut pool: Vec<TermId> = all_terms.iter().copied().filter(|&t| t != term).collect();
+        let mut pool: Vec<TermId> = ordered.iter().copied().filter(|&t| t != term).collect();
         pool.shuffle(&mut rng);
         candidates.extend(pool.into_iter().take(num_distractors));
         candidates.shuffle(&mut rng);

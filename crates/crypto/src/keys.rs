@@ -3,31 +3,12 @@
 //! The collaboration scenario of Section 2 assigns every document to a group;
 //! only members of the group may decrypt its posting elements.  This module
 //! derives per-group keys from a master secret with HKDF:
-//!
-//! * an AEAD key pair used to seal posting-element payloads,
-//! * a term-token key used as a PRF to map term strings to opaque tokens
-//!   (so the server can address posting lists without learning the term).
-//!
-//! A compromised index server therefore sees only ciphertexts and PRF
-//! outputs; group members holding the group secret can decrypt and filter.
+//! an AEAD key pair per group, used to seal posting-element payloads.  A
+//! compromised index server therefore sees only ciphertexts; group members
+//! holding the group secret can decrypt and filter.
 
 use crate::aead::AeadKey;
 use crate::hkdf::derive_key32;
-use crate::hmac::HmacSha256;
-
-/// Length in bytes of a term token.
-pub const TERM_TOKEN_LEN: usize = 16;
-
-/// An opaque, deterministic per-group token identifying a term.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct TermToken(pub [u8; TERM_TOKEN_LEN]);
-
-impl TermToken {
-    /// Renders the token as hex (used in protocol messages and logs).
-    pub fn to_hex(&self) -> String {
-        crate::sha256::to_hex(&self.0)
-    }
-}
 
 /// The master secret of an enterprise deployment.
 #[derive(Clone)]
@@ -62,14 +43,12 @@ impl MasterKey {
     pub fn group_keys(&self, group: u32) -> GroupKeys {
         let ctx_enc = format!("zerber/group/{group}/enc");
         let ctx_mac = format!("zerber/group/{group}/mac");
-        let ctx_term = format!("zerber/group/{group}/term");
         GroupKeys {
             group,
             aead: AeadKey::new(
                 derive_key32(b"zerber-salt", &self.secret, ctx_enc.as_bytes()),
                 derive_key32(b"zerber-salt", &self.secret, ctx_mac.as_bytes()),
             ),
-            term_key: derive_key32(b"zerber-salt", &self.secret, ctx_term.as_bytes()),
         }
     }
 }
@@ -79,7 +58,6 @@ impl MasterKey {
 pub struct GroupKeys {
     group: u32,
     aead: AeadKey,
-    term_key: [u8; 32],
 }
 
 impl std::fmt::Debug for GroupKeys {
@@ -97,17 +75,6 @@ impl GroupKeys {
     /// The AEAD key pair for sealing posting-element payloads.
     pub fn aead(&self) -> &AeadKey {
         &self.aead
-    }
-
-    /// Deterministically maps a term string to an opaque token.
-    ///
-    /// The same term always maps to the same token within a group, so clients
-    /// can address posting lists; different groups produce unrelated tokens.
-    pub fn term_token(&self, term: &str) -> TermToken {
-        let mac = HmacSha256::mac(&self.term_key, term.as_bytes());
-        let mut token = [0u8; TERM_TOKEN_LEN];
-        token.copy_from_slice(&mac[..TERM_TOKEN_LEN]);
-        TermToken(token)
     }
 }
 
@@ -137,34 +104,13 @@ mod tests {
     }
 
     #[test]
-    fn term_tokens_are_stable_within_a_group() {
-        let g = master().group_keys(3);
-        assert_eq!(g.term_token("imclone"), g.term_token("imclone"));
-        assert_ne!(g.term_token("imclone"), g.term_token("and"));
-    }
-
-    #[test]
-    fn term_tokens_differ_across_groups() {
-        let m = master();
-        assert_ne!(
-            m.group_keys(0).term_token("imclone"),
-            m.group_keys(1).term_token("imclone")
-        );
-    }
-
-    #[test]
     fn passphrase_derivation_is_deterministic_and_salted() {
         let a = MasterKey::from_passphrase("pcc advisory board", b"salt-1");
         let b = MasterKey::from_passphrase("pcc advisory board", b"salt-1");
         let c = MasterKey::from_passphrase("pcc advisory board", b"salt-2");
-        assert_eq!(
-            a.group_keys(0).term_token("x"),
-            b.group_keys(0).term_token("x")
-        );
-        assert_ne!(
-            a.group_keys(0).term_token("x"),
-            c.group_keys(0).term_token("x")
-        );
+        let seal = |m: &MasterKey| m.group_keys(0).aead().seal(&[0u8; 12], b"x", b"").unwrap();
+        assert_eq!(seal(&a), seal(&b));
+        assert_ne!(seal(&a), seal(&c));
     }
 
     #[test]
@@ -174,11 +120,5 @@ mod tests {
         let g = m.group_keys(9);
         assert!(format!("{g:?}").contains("group=9"));
         assert!(!format!("{g:?}").contains("a5"));
-    }
-
-    #[test]
-    fn token_hex_has_expected_length() {
-        let g = master().group_keys(0);
-        assert_eq!(g.term_token("alpha").to_hex().len(), TERM_TOKEN_LEN * 2);
     }
 }

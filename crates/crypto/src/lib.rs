@@ -2,9 +2,8 @@
 //!
 //! The paper treats encryption of posting elements as a black box; what the
 //! systems experiments need is (a) opaque, authenticated posting-element
-//! payloads, (b) per-group keys so access control can be enforced
-//! cryptographically, and (c) deterministic term tokens so clients can address
-//! posting lists without revealing terms.  All primitives are implemented
+//! payloads and (b) per-group keys so access control can be enforced
+//! cryptographically.  All primitives are implemented
 //! from scratch (DESIGN.md §5) and validated against published test vectors:
 //!
 //! * [`sha256`] — SHA-256 (FIPS 180-4),
@@ -12,7 +11,7 @@
 //! * [`hkdf`] — HKDF (RFC 5869),
 //! * [`chacha20`] — ChaCha20 (RFC 8439),
 //! * [`aead`] — encrypt-then-MAC authenticated encryption,
-//! * [`keys`] — master / group key hierarchy and term tokens,
+//! * [`keys`] — master / group key hierarchy,
 //! * [`rng`] — deterministic ChaCha20-based randomness for reproducible
 //!   experiments.
 //!
@@ -35,6 +34,6 @@ pub use aead::{AeadKey, OVERHEAD, TAG_LEN};
 pub use chacha20::{ChaCha20, KEY_LEN, NONCE_LEN};
 pub use error::CryptoError;
 pub use hmac::HmacSha256;
-pub use keys::{GroupKeys, MasterKey, TermToken, TERM_TOKEN_LEN};
+pub use keys::{GroupKeys, MasterKey};
 pub use rng::DeterministicRng;
 pub use sha256::Sha256;

@@ -9,11 +9,11 @@
 
 use std::collections::{BTreeMap, HashMap};
 
-use zerber_corpus::{Corpus, CorpusStats, DocId, TermId};
+use zerber_corpus::{Corpus, DocId, TermId};
 
 use crate::error::IndexError;
 use crate::posting::{Posting, PostingList};
-use crate::score::{NormalizedTf, ScoringModel};
+use crate::score::normalized_tf;
 use crate::size::IndexSizeReport;
 use crate::topk::{ScoredDoc, TopK};
 
@@ -39,16 +39,11 @@ impl InvertedIndex {
     /// Builds the index from a corpus using normalized-TF scoring
     /// (Equation 4), the model Zerber+R assumes.
     pub fn build(corpus: &Corpus) -> Self {
-        Self::build_with_model(corpus, &NormalizedTf)
-    }
-
-    /// Builds the index from a corpus with an arbitrary scoring model.
-    pub fn build_with_model<M: ScoringModel>(corpus: &Corpus, model: &M) -> Self {
         let mut index = InvertedIndex::new();
         for (doc_id, doc) in corpus.docs() {
             index.doc_lengths.insert(doc_id, doc.length);
             for &(term, tf) in &doc.term_counts {
-                let score = model.score(term, doc_id, tf, doc.length);
+                let score = normalized_tf(tf, doc.length);
                 index
                     .lists
                     .entry(term)
@@ -99,26 +94,13 @@ impl InvertedIndex {
     pub fn insert_document(&mut self, doc: DocId, term_counts: &[(TermId, u32)]) {
         let length: u32 = term_counts.iter().map(|&(_, c)| c).sum();
         self.doc_lengths.insert(doc, length);
-        let model = NormalizedTf;
         for &(term, tf) in term_counts {
-            let score = model.score(term, doc, tf, length);
+            let score = normalized_tf(tf, length);
             self.lists
                 .entry(term)
                 .or_default()
                 .insert(Posting::new(doc, tf, score));
         }
-    }
-
-    /// Removes a document from every posting list, returning how many posting
-    /// elements were deleted.
-    pub fn remove_document(&mut self, doc: DocId) -> usize {
-        let mut removed = 0;
-        self.lists.retain(|_, list| {
-            removed += list.remove_doc(doc);
-            !list.is_empty()
-        });
-        self.doc_lengths.remove(&doc);
-        removed
     }
 
     /// Answers a single-term top-k query: the `k` highest-scored posting
@@ -169,12 +151,6 @@ impl InvertedIndex {
     pub fn size_report(&self) -> IndexSizeReport {
         IndexSizeReport::measure(self.lists.values())
     }
-}
-
-/// Builds an index together with corpus statistics in one pass (convenience
-/// for the benchmark harness).
-pub fn build_with_stats(corpus: &Corpus) -> (InvertedIndex, CorpusStats) {
-    (InvertedIndex::build(corpus), CorpusStats::compute(corpus))
 }
 
 #[cfg(test)]
@@ -267,7 +243,7 @@ mod tests {
     }
 
     #[test]
-    fn insert_and_remove_documents_update_lists() {
+    fn insert_document_updates_lists() {
         let c = corpus();
         let mut idx = InvertedIndex::build(&c);
         let imclone = c.dictionary().get("imclone").unwrap();
@@ -278,20 +254,6 @@ mod tests {
         // New doc has relevance 1.0 and must rank first.
         let top = idx.query_term(imclone, 1).unwrap();
         assert_eq!(top[0].doc, DocId(100));
-        let removed = idx.remove_document(DocId(100));
-        assert_eq!(removed, 1);
-        assert_eq!(idx.doc_freq(imclone), before);
-    }
-
-    #[test]
-    fn removing_the_last_document_of_a_term_drops_its_list() {
-        let c = corpus();
-        let mut idx = InvertedIndex::build(&c);
-        let no = c.dictionary().get("no").unwrap();
-        assert_eq!(idx.doc_freq(no), 1);
-        idx.remove_document(DocId(0));
-        assert_eq!(idx.doc_freq(no), 0);
-        assert!(idx.posting_list(no).is_none());
     }
 
     #[test]
@@ -318,13 +280,5 @@ mod tests {
         assert_eq!(report.num_postings, idx.num_postings());
         assert!(report.plain_bytes > 0);
         assert!(report.compressed_bytes > 0);
-    }
-
-    #[test]
-    fn build_with_stats_is_consistent() {
-        let c = corpus();
-        let (idx, stats) = build_with_stats(&c);
-        let and = c.dictionary().get("and").unwrap();
-        assert_eq!(idx.doc_freq(and) as u32, stats.doc_freq(and).unwrap());
     }
 }

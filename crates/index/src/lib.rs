@@ -9,8 +9,8 @@
 //!
 //! * [`posting::Posting`] / [`posting::PostingList`] — score-sorted posting
 //!   lists with incremental insert/remove,
-//! * [`score`] — the two scoring models of Section 3.2 (normalized TF,
-//!   Equation 4, and TF×IDF, Equation 3),
+//! * [`score`] — normalized-TF scoring (Equation 4; Section 3.2: Zerber+R
+//!   deliberately has no IDF),
 //! * [`index::InvertedIndex`] — index construction, single-term and
 //!   multi-term top-k queries,
 //! * [`topk::TopK`] — a bounded best-k accumulator,
@@ -27,8 +27,8 @@ pub mod size;
 pub mod topk;
 
 pub use error::IndexError;
-pub use index::{build_with_stats, InvertedIndex};
+pub use index::InvertedIndex;
 pub use posting::{Posting, PostingList};
-pub use score::{score_query, NormalizedTf, ScoringModel, TfIdf};
+pub use score::normalized_tf;
 pub use size::{IndexSizeReport, PLAIN_POSTING_BYTES};
 pub use topk::{ScoredDoc, TopK};

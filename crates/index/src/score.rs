@@ -1,174 +1,28 @@
-//! Relevance scoring models.
+//! Relevance scoring.
 //!
-//! Section 3.2 of the paper distinguishes two scoring settings:
-//!
-//! * the full vector-space `TF×IDF` score (Equation 3), which needs
-//!   collection-wide statistics (document frequencies) and therefore leaks
-//!   information about inaccessible documents, and
-//! * the per-document normalized term frequency `TF/|d|` (Equation 4), which
-//!   Zerber+R uses because a single-term query can be ranked exactly from
-//!   information local to one document.
-//!
-//! Both are implemented; the ordinary-index baseline can use either, the
-//! confidential index always uses Equation 4.
+//! Section 3.2 of the paper distinguishes the full vector-space `TF×IDF`
+//! score (Equation 3), which needs collection-wide document frequencies and
+//! therefore leaks information about inaccessible documents, from the
+//! per-document normalized term frequency `TF/|d|` (Equation 4).  Zerber+R
+//! deliberately has no IDF: a single-term query is ranked exactly from
+//! information local to one document, so Equation 4 is the only model here.
 
-use zerber_corpus::{CorpusStats, DocId, TermId};
-
-use crate::error::IndexError;
-
-/// A scoring model maps a `(term, document)` observation to a relevance score.
-pub trait ScoringModel {
-    /// Score of a document for a single query term given the term frequency
-    /// `tf` in the document and the document length `doc_len`.
-    fn score(&self, term: TermId, doc: DocId, tf: u32, doc_len: u32) -> f64;
-
-    /// Human-readable name, used in experiment output.
-    fn name(&self) -> &'static str;
-}
-
-/// Equation 4: `rscore(q, d) = TF_q / |d|`.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NormalizedTf;
-
-impl ScoringModel for NormalizedTf {
-    fn score(&self, _term: TermId, _doc: DocId, tf: u32, doc_len: u32) -> f64 {
-        if doc_len == 0 {
-            0.0
-        } else {
-            f64::from(tf) / f64::from(doc_len)
-        }
+/// Equation 4: `rscore(q, d) = TF_q / |d|` (0 for an empty document).
+pub fn normalized_tf(tf: u32, doc_len: u32) -> f64 {
+    if doc_len == 0 {
+        0.0
+    } else {
+        f64::from(tf) / f64::from(doc_len)
     }
-
-    fn name(&self) -> &'static str {
-        "normalized-tf"
-    }
-}
-
-/// Equation 3: `rscore(Q, d) = Σ_q IDF_q * TF_q / |d|` with
-/// `IDF_q = ln(|D| / n_d(q))`.
-///
-/// The IDF table is precomputed from corpus statistics; this is the scoring
-/// model an *ordinary* (non-confidential) search engine would use and is the
-/// baseline whose result quality multi-term Zerber+R queries are compared
-/// against (Section 3.2).
-#[derive(Debug, Clone)]
-pub struct TfIdf {
-    idf: Vec<f64>,
-}
-
-impl TfIdf {
-    /// Builds the IDF table from corpus statistics.
-    pub fn from_stats(stats: &CorpusStats) -> Self {
-        let mut idf = vec![0.0; stats.num_terms()];
-        for t in stats.terms() {
-            let v = stats.idf(t.term).unwrap_or(0.0);
-            if t.term.index() < idf.len() {
-                idf[t.term.index()] = v;
-            }
-        }
-        TfIdf { idf }
-    }
-
-    /// The IDF of a term (0 for unknown terms).
-    pub fn idf(&self, term: TermId) -> f64 {
-        self.idf.get(term.index()).copied().unwrap_or(0.0)
-    }
-}
-
-impl ScoringModel for TfIdf {
-    fn score(&self, term: TermId, _doc: DocId, tf: u32, doc_len: u32) -> f64 {
-        if doc_len == 0 {
-            return 0.0;
-        }
-        self.idf(term) * f64::from(tf) / f64::from(doc_len)
-    }
-
-    fn name(&self) -> &'static str {
-        "tf-idf"
-    }
-}
-
-/// Scores an entire multi-term query against a document by summing the
-/// per-term scores (the outer sum of Equation 3).
-pub fn score_query<M: ScoringModel>(
-    model: &M,
-    terms: &[(TermId, u32)],
-    doc: DocId,
-    doc_len: u32,
-) -> Result<f64, IndexError> {
-    if terms.is_empty() {
-        return Err(IndexError::InvalidQuery("empty query".into()));
-    }
-    Ok(terms
-        .iter()
-        .map(|&(t, tf)| model.score(t, doc, tf, doc_len))
-        .sum())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use zerber_corpus::{CorpusBuilder, Document, GroupId};
-
-    fn stats() -> (zerber_corpus::Corpus, CorpusStats) {
-        let mut b = CorpusBuilder::new();
-        b.add_document(Document::new(
-            "1",
-            GroupId(0),
-            "and imclone and and compound",
-        ))
-        .unwrap();
-        b.add_document(Document::new("2", GroupId(0), "and process"))
-            .unwrap();
-        b.add_document(Document::new("3", GroupId(0), "compound process"))
-            .unwrap();
-        let c = b.build();
-        let s = CorpusStats::compute(&c);
-        (c, s)
-    }
 
     #[test]
     fn normalized_tf_matches_equation_4() {
-        let m = NormalizedTf;
-        assert!((m.score(TermId(0), DocId(0), 3, 5) - 0.6).abs() < 1e-12);
-        assert_eq!(m.score(TermId(0), DocId(0), 3, 0), 0.0);
-        assert_eq!(m.name(), "normalized-tf");
-    }
-
-    #[test]
-    fn tfidf_weights_rare_terms_higher() {
-        let (c, s) = stats();
-        let m = TfIdf::from_stats(&s);
-        let and = c.dictionary().get("and").unwrap();
-        let imclone = c.dictionary().get("imclone").unwrap();
-        // Same tf and doc length: the rare term must score higher.
-        assert!(m.score(imclone, DocId(0), 1, 5) > m.score(and, DocId(0), 1, 5));
-        assert_eq!(m.name(), "tf-idf");
-    }
-
-    #[test]
-    fn tfidf_of_unknown_term_is_zero() {
-        let (_, s) = stats();
-        let m = TfIdf::from_stats(&s);
-        assert_eq!(m.idf(TermId(10_000)), 0.0);
-        assert_eq!(m.score(TermId(10_000), DocId(0), 3, 10), 0.0);
-    }
-
-    #[test]
-    fn query_score_sums_term_contributions() {
-        let (c, s) = stats();
-        let m = TfIdf::from_stats(&s);
-        let and = c.dictionary().get("and").unwrap();
-        let compound = c.dictionary().get("compound").unwrap();
-        let q = vec![(and, 3u32), (compound, 1u32)];
-        let total = score_query(&m, &q, DocId(0), 5).unwrap();
-        let expected = m.score(and, DocId(0), 3, 5) + m.score(compound, DocId(0), 1, 5);
-        assert!((total - expected).abs() < 1e-12);
-    }
-
-    #[test]
-    fn empty_query_is_rejected() {
-        let m = NormalizedTf;
-        assert!(score_query(&m, &[], DocId(0), 5).is_err());
+        assert!((normalized_tf(3, 5) - 0.6).abs() < 1e-12);
+        assert_eq!(normalized_tf(3, 0), 0.0);
     }
 }

@@ -934,6 +934,45 @@ mod tests {
     }
 
     #[test]
+    fn cursors_evicted_under_capacity_pressure_fall_back_to_the_offset_scan() {
+        let (c, server, _, _) = server_fixture();
+        let john = server.acl().issue_token("john");
+        let list = list_for(&c, &server, "imclone");
+        // Every follow-up without a cursor opens a session; abandon them all
+        // until the list's session table is full and evicts its oldest.
+        let mut sessions = Vec::new();
+        while server.store().session_stats().capacity_evictions == 0 {
+            let follow = server
+                .handle_query(&request("john", list, 2, 2, 10), &john)
+                .unwrap();
+            sessions.push(follow.cursor);
+            assert!(sessions.len() < 1 << 16, "the session table never filled");
+        }
+        let stats = server.store().session_stats();
+        assert_eq!(stats.capacity_evictions, 1);
+        assert_eq!(stats.open + 1, sessions.len());
+        let scan = server
+            .handle_query(&request("john", list, 4, 2, 10), &john)
+            .unwrap();
+        // The evicted session's owner is served the plain offset scan (and
+        // a fresh session); the newest session still resumes in place.
+        let next = |cursor: u64| {
+            let follow_up = QueryRequest {
+                cursor,
+                ..request("john", list, 4, 2, 10)
+            };
+            server.handle_query(&follow_up, &john).unwrap()
+        };
+        let (oldest, newest) = (sessions[0], sessions[sessions.len() - 1]);
+        let fallback = next(oldest);
+        assert_eq!(fallback.elements, scan.elements);
+        assert_ne!(fallback.cursor, oldest);
+        let resumed = next(newest);
+        assert_eq!(resumed.elements, scan.elements);
+        assert_eq!(resumed.cursor, newest);
+    }
+
+    #[test]
     fn batch_queries_match_individual_queries_and_meter_identically() {
         let (c, server, _, _) = server_fixture();
         let token = server.acl().issue_token("john");

@@ -1058,6 +1058,32 @@ mod tests {
     }
 
     #[test]
+    fn a_full_table_evicts_its_oldest_session() {
+        let mut table = table();
+        let batch = table.fetch(0, 0, 1, None).unwrap();
+        let newest = MAX_CURSORS_PER_TABLE as u64 + 1;
+        for id in 1..=newest {
+            table.open_cursor(id, 0, 1, &batch, 1, None).unwrap();
+        }
+        let stats = table.session_stats();
+        assert_eq!(stats.open, MAX_CURSORS_PER_TABLE);
+        assert_eq!(stats.opened_total, newest);
+        assert_eq!(stats.capacity_evictions, 1);
+        assert_eq!(stats.ttl_evictions, 0);
+        // The smallest id went; the newest resumes where its batch stopped.
+        assert!(matches!(
+            table.cursor_fetch(1, 1, 1, None),
+            Err(StoreError::UnknownCursor(1))
+        ));
+        assert!(table.cursor_fetch(2, 1, 1, None).is_ok());
+        let resumed = table.cursor_fetch(newest, 1, 1, None).unwrap();
+        assert_eq!(
+            resumed.elements,
+            table.fetch(0, 1, 1, None).unwrap().elements
+        );
+    }
+
+    #[test]
     fn session_stats_aggregate_across_tables() {
         let a = SessionStats {
             open: 1,

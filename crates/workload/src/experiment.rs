@@ -2,8 +2,8 @@
 //! (corpus → split → RSTF model → merge plan → ordered index → server) from a
 //! single configuration and runs query workloads against it.
 //!
-//! Every figure binary in `zerber-bench` and several integration tests use
-//! this test bed so that experiment setup is defined exactly once.
+//! `zerber_repro`'s experiments, the benchmark and several integration tests
+//! use this test bed so that experiment setup is defined exactly once.
 
 use std::collections::HashMap;
 
@@ -57,7 +57,7 @@ pub struct TestBedConfig {
 
 impl TestBedConfig {
     /// A small, fast configuration for the given dataset (used by tests and
-    /// the quick modes of the figure binaries).
+    /// `zerber_repro`'s default scale).
     pub fn small(dataset: DatasetProfile) -> Self {
         TestBedConfig {
             dataset,
@@ -186,8 +186,7 @@ impl TestBed {
     }
 
     /// The names registered by [`TestBed::build_server`], in registration
-    /// order (the benchmark's callers and `tab_session_pressure` query as
-    /// these users).
+    /// order (the benchmark's callers query as these users).
     pub fn server_users(num_users: usize) -> Vec<String> {
         (0..num_users.max(1)).map(|i| format!("user-{i}")).collect()
     }
@@ -217,7 +216,6 @@ impl TestBed {
                     query_freq: freq,
                     requests: 1,
                     elements_transferred: 0,
-                    bytes_received: 0,
                     satisfied: false,
                 });
                 continue;
@@ -228,8 +226,6 @@ impl TestBed {
                 query_freq: freq,
                 requests: outcome.requests,
                 elements_transferred: outcome.elements_transferred,
-                bytes_received: outcome.elements_transferred
-                    * (zerber_base::SEALED_PAYLOAD_BYTES + 12),
                 satisfied: outcome.satisfied,
             });
         }

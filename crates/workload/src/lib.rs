@@ -26,7 +26,7 @@ pub use error::WorkloadError;
 pub use experiment::{MergeKind, TestBed, TestBedConfig};
 pub use metrics::{
     average_bandwidth_overhead, average_requests, cumulative_workload_curve,
-    efficiency_at_percentiles, efficiency_curve, single_request_fraction, throughput_speedup,
-    EfficiencyPoint, QuerySample, ThroughputPoint, WorkloadPoint,
+    efficiency_at_percentiles, efficiency_curve, single_request_fraction, EfficiencyPoint,
+    QuerySample, WorkloadPoint,
 };
 pub use querylog::{QueryLog, QueryLogConfig};

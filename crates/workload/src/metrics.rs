@@ -22,8 +22,6 @@ pub struct QuerySample {
     pub requests: usize,
     /// Posting elements transferred (`TRes` of Equation 12).
     pub elements_transferred: usize,
-    /// Bytes received by the client.
-    pub bytes_received: usize,
     /// Whether the desired `k` results were obtained.
     pub satisfied: bool,
 }
@@ -187,38 +185,6 @@ pub fn cumulative_workload_curve(per_term: &[TermCost]) -> Vec<WorkloadPoint> {
         .collect()
 }
 
-/// One point of the serving-engine throughput scaling experiment: how many
-/// queries per second a server configuration sustains at a thread count.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct ThroughputPoint {
-    /// Storage engine label ordinal: 0 = single global mutex, otherwise the
-    /// shard count of the sharded engine.
-    pub shards: usize,
-    /// Client thread-pool size.
-    pub threads: usize,
-    /// Sustained queries per second.
-    pub queries_per_second: f64,
-}
-
-/// Speedup of each point over the baseline point with the same thread count
-/// (`(threads, speedup)` pairs; points without a matching baseline are
-/// skipped).  Used to compare the sharded engine against the single-mutex
-/// server thread-for-thread.
-pub fn throughput_speedup(
-    points: &[ThroughputPoint],
-    baseline: &[ThroughputPoint],
-) -> Vec<(usize, f64)> {
-    points
-        .iter()
-        .filter_map(|p| {
-            baseline
-                .iter()
-                .find(|b| b.threads == p.threads && b.queries_per_second > 0.0)
-                .map(|b| (p.threads, p.queries_per_second / b.queries_per_second))
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -235,7 +201,6 @@ mod tests {
             query_freq: freq,
             requests,
             elements_transferred: elements,
-            bytes_received: elements * 58,
             satisfied,
         }
     }
@@ -326,42 +291,5 @@ mod tests {
         assert!((curve.last().unwrap().cumulative_cost_fraction - 1.0).abs() < 1e-12);
         // The most frequent term dominates the workload.
         assert!(curve[0].cumulative_cost_fraction > 0.8);
-    }
-
-    #[test]
-    fn throughput_speedup_matches_points_by_thread_count() {
-        let sharded = [
-            ThroughputPoint {
-                shards: 8,
-                threads: 1,
-                queries_per_second: 100.0,
-            },
-            ThroughputPoint {
-                shards: 8,
-                threads: 4,
-                queries_per_second: 360.0,
-            },
-            ThroughputPoint {
-                shards: 8,
-                threads: 16,
-                queries_per_second: 500.0,
-            },
-        ];
-        let single = [
-            ThroughputPoint {
-                shards: 0,
-                threads: 1,
-                queries_per_second: 100.0,
-            },
-            ThroughputPoint {
-                shards: 0,
-                threads: 4,
-                queries_per_second: 120.0,
-            },
-        ];
-        let speedup = throughput_speedup(&sharded, &single);
-        assert_eq!(speedup.len(), 2, "the 16-thread point has no baseline");
-        assert!((speedup[0].1 - 1.0).abs() < 1e-12);
-        assert!((speedup[1].1 - 3.0).abs() < 1e-12);
     }
 }

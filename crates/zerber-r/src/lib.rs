@@ -63,7 +63,6 @@ pub mod density;
 pub mod error;
 pub mod index;
 pub mod math;
-pub mod publish;
 pub mod query;
 pub mod rstf;
 pub mod sigma;
@@ -72,7 +71,6 @@ pub mod train;
 pub use density::GaussianSum;
 pub use error::ZerberRError;
 pub use index::{OrderedElement, OrderedIndex, TRS_BYTES};
-pub use publish::{load_model, publish_model};
 pub use query::{
     retrieve_multi_term, retrieve_topk, GrowthPolicy, RetrievalConfig, RetrievalOutcome,
 };

@@ -252,33 +252,6 @@ impl RstfModel {
         })
     }
 
-    /// Reassembles a model from its parts (used by [`crate::publish`] when
-    /// loading a previously published model).
-    pub fn from_parts(
-        per_term: HashMap<TermId, Rstf>,
-        kernel: RstfKernel,
-        global_sigma: f64,
-        unseen_seed: u64,
-    ) -> Self {
-        RstfModel {
-            per_term,
-            kernel,
-            global_sigma,
-            global_selection: None,
-            unseen_seed,
-        }
-    }
-
-    /// Iterates over `(TermId, &Rstf)` pairs in unspecified order.
-    pub fn terms(&self) -> impl Iterator<Item = (TermId, &Rstf)> {
-        self.per_term.iter().map(|(&t, r)| (t, r))
-    }
-
-    /// The seed used to derive random TRS values for unseen terms.
-    pub fn unseen_seed(&self) -> u64 {
-        self.unseen_seed
-    }
-
     /// The kernel the model was trained with.
     pub fn kernel(&self) -> RstfKernel {
         self.kernel

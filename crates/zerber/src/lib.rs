@@ -9,15 +9,10 @@
 //! * [`merge`] — term-merging schemes producing r-confidential merged posting
 //!   lists: the paper's BFM scheme plus two ablation baselines.
 //! * [`element`] — fixed-size encrypted posting elements.
-//! * [`index`] — the base Zerber index with random element placement and
-//!   client-side top-k (download the whole merged list).
-//! * [`false_positive`] — the μ-Serv probabilistic baseline of Section 3.
 
 pub mod confidentiality;
 pub mod element;
 pub mod error;
-pub mod false_positive;
-pub mod index;
 pub mod merge;
 
 pub use confidentiality::{
@@ -26,6 +21,4 @@ pub use confidentiality::{
 };
 pub use element::{EncryptedElement, PostingPayload, PAYLOAD_BYTES, SEALED_PAYLOAD_BYTES};
 pub use error::ZerberError;
-pub use false_positive::{FalsePositiveIndex, FuzzyResult};
-pub use index::{build_bfm_index, ClientTopK, ZerberIndex};
 pub use merge::{BfmMerge, MergePlan, MergeScheme, MergedListId, MixedMerge, RandomMerge};

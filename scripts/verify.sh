@@ -13,7 +13,7 @@
 # kill-at-every-injection-point crash stress loop, the fault-injected
 # replication suite plus a repeated disconnect-storm stress loop, a
 # syntax check of the perf gate script (which is run by hand, not here),
-# the line-count ratchet (scripts/loc.sh's total against a fixed ceiling),
+# the two line-count ratchets (scripts/loc.sh totals against fixed ceilings),
 # clippy with warnings denied, and hygiene guards asserting the tests left
 # no stray on-disk files — page files, `.pages.compact` rewrite scratch,
 # WALs, manifests, `.manifest.tmp`/`.manifest.prev` checkpoint scratch or
@@ -24,11 +24,17 @@
 # tests/concurrent_server.rs, whose multi-threaded query + insert tests
 # drive cross-thread shard-lock traffic through it.
 #
-# Right after the workspace tests it also runs the tests of zerber_perf,
-# the benchmark: a detached package (own Cargo.toml and Cargo.lock) that
-# the workspace build never sees.  Its unit tests plus `--smoke` on all
-# four workloads make a signature change in store/protocol break this
-# gate rather than the next benchmark run.
+# Right after the workspace tests it runs the paper as a gate: the release
+# `zerber_repro` binary reproduces every figure and table of the paper's
+# evaluation on both datasets from one seed and exits non-zero when a gated
+# claim of the paper does not hold (`cargo test` already ran the same
+# experiment functions on the StudIP bed alone, in
+# crates/bench/tests/repro_claims.rs).
+#
+# Then it runs the tests of zerber_perf, the benchmark: a detached package
+# (own Cargo.toml and Cargo.lock) that the workspace build never sees.  Its
+# unit tests plus `--smoke` on all four workloads make a signature change in
+# store/protocol break this gate rather than the next benchmark run.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -45,6 +51,10 @@ cargo build --release
 
 echo "==> cargo test -q"
 cargo test -q
+
+echo "==> zerber_repro (the paper's figures and tables, both datasets, gated claims must hold)"
+cargo run --release --offline -q -p zerber_bench --bin zerber_repro -- \
+  all --scale 0.02 --seed 42 --out target/REPRO.json > /dev/null
 
 echo "==> zerber_perf tests (detached benchmark package: unit tests + --smoke on all four workloads)"
 cargo test --offline --manifest-path zerber_perf/Cargo.toml
@@ -144,6 +154,20 @@ loc_total="$(awk '$2 == "total" { print $1 }' <<<"$loc_table")"
 if [ "$loc_total" -gt "$LOC_CEILING" ]; then
   echo "$loc_table" >&2
   echo "non-test line count $loc_total exceeds the ceiling of $LOC_CEILING" >&2
+  exit 1
+fi
+
+# The same ratchet for the paper side: the crates that implement and
+# evaluate the paper, and the examples.
+PAPER_LOC_CEILING=8025
+echo "==> paper-side line-count ratchet (scripts/loc.sh <paper crates> examples <= $PAPER_LOC_CEILING)"
+loc_table="$(scripts/loc.sh crates/adversary/src crates/bench/src crates/corpus/src \
+  crates/crypto/src crates/index/src crates/workload/src crates/zerber/src \
+  crates/zerber-r/src examples)"
+loc_total="$(awk '$2 == "total" { print $1 }' <<<"$loc_table")"
+if [ "$loc_total" -gt "$PAPER_LOC_CEILING" ]; then
+  echo "$loc_table" >&2
+  echo "paper-side non-test line count $loc_total exceeds the ceiling of $PAPER_LOC_CEILING" >&2
   exit 1
 fi
 

@@ -2,9 +2,6 @@
 //! must be statistically silent about which term a posting element belongs
 //! to, while the raw scores of an ordinary index are not.
 
-use std::collections::HashMap;
-
-use zerber_suite::adversary::{identification_experiment, Background};
 use zerber_suite::corpus::{DatasetProfile, TermId};
 use zerber_suite::workload::{TestBed, TestBedConfig};
 use zerber_suite::zerber_r::{uniformity_variance, RstfKernel};
@@ -98,18 +95,8 @@ fn trs_distributions_of_different_terms_are_mutually_indistinguishable() {
 
 #[test]
 fn fingerprinting_accuracy_collapses_from_raw_to_trs() {
-    let bed = bed();
-    let min_df = 25u32;
-    let background = Background::from_stats(&bed.stats);
-    let raw: HashMap<TermId, Vec<f64>> = bed
-        .stats
-        .terms()
-        .filter(|t| t.doc_freq >= min_df)
-        .map(|t| (t.term, t.relevance_scores()))
-        .collect();
-    let trs: HashMap<TermId, Vec<f64>> = raw.keys().map(|&t| (t, trs_values(bed, t))).collect();
-    let raw_report = identification_experiment(&background, &raw, 4, min_df as usize, 11);
-    let trs_report = identification_experiment(&background, &trs, 4, min_df as usize, 11);
+    // Attack 1 of `zerber_repro security`, on this file's ODP bed.
+    let [raw_report, trs_report] = zerber_bench::fingerprint_audit(bed(), 25, 11);
     assert!(raw_report.trials >= 20);
     assert!(
         raw_report.accuracy() > 0.9,

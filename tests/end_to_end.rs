@@ -8,8 +8,8 @@ use std::collections::HashMap;
 
 use zerber_suite::corpus::{DatasetProfile, GroupId};
 use zerber_suite::protocol::{AccessControl, Client, IndexServer};
-use zerber_suite::workload::{QueryLogConfig, TestBed, TestBedConfig};
-use zerber_suite::zerber_r::{GrowthPolicy, RetrievalConfig};
+use zerber_suite::workload::{TestBed, TestBedConfig};
+use zerber_suite::zerber_r::RetrievalConfig;
 
 fn bed() -> &'static TestBed {
     use std::sync::OnceLock;
@@ -162,25 +162,16 @@ fn server_protocol_preserves_results_and_access_control() {
 
 #[test]
 fn workload_replay_reproduces_the_b_equals_k_sweet_spot_shape() {
-    // Figures 11/12 at integration-test scale: the average number of requests
-    // falls as b grows, while the bandwidth overhead is minimal for b <= k
-    // and grows once b exceeds k.
-    let bed = bed();
-    let log = bed
-        .query_log(&QueryLogConfig {
-            distinct_terms: 150,
-            total_queries: 20_000,
-            sample_queries: 50,
-            ..QueryLogConfig::default()
-        })
-        .expect("query log");
+    // Figures 11/12 at integration-test scale, read off the grid the
+    // `zerber_repro` experiments share: the average number of requests falls
+    // as b grows, while the bandwidth overhead grows once b exceeds k.
+    let config = TestBedConfig::small(DatasetProfile::StudIp);
+    let beds = zerber_bench::Beds::new(config.scale, config.seed, vec![config.dataset.clone()]);
     let k = 10;
     let mut avbo = Vec::new();
     let mut requests = Vec::new();
     for b in [k, 5 * k, 10 * k] {
-        let samples = bed
-            .run_workload(&log, k, b, GrowthPolicy::Doubling)
-            .expect("workload runs");
+        let samples = beds.cell(&config.dataset, k, b);
         avbo.push(zerber_suite::workload::average_bandwidth_overhead(
             &samples, k,
         ));
