@@ -12,6 +12,13 @@
 //! decode reproduces the posting sequence element for element even when the
 //! quantization collapses near-equal scores.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
+#![cfg_attr(not(test), deny(clippy::todo, clippy::unimplemented))]
+#![cfg_attr(not(test), deny(clippy::cast_possible_truncation))]
+#![cfg_attr(not(test), deny(clippy::cast_possible_wrap, clippy::cast_sign_loss))]
+#![cfg_attr(not(test), deny(clippy::indexing_slicing))]
+
 use zerber_corpus::DocId;
 
 use crate::error::IndexError;
@@ -24,15 +31,13 @@ const SCORE_SCALE: f64 = 1_000_000.0;
 /// Widens a length or count to the varint domain.  Infallible: `usize` is
 /// at most 64 bits on every supported target.
 fn len_u64(n: usize) -> u64 {
-    // analyze::allow(cast): provably widening — usize is at most 64 bits
     n as u64
 }
 
 /// Appends `value` in variable-byte (LEB128) encoding.
 pub fn write_varint(out: &mut Vec<u8>, mut value: u64) {
     loop {
-        // analyze::allow(cast): masked to the low 7 bits, so the narrowing
-        // to u8 cannot truncate
+        // Masked to the low 7 bits, so the narrowing cannot truncate.
         let byte = (value & 0x7f) as u8;
         value >>= 7;
         if value == 0 {
@@ -64,9 +69,12 @@ pub fn read_varint(buf: &[u8], mut pos: usize) -> Result<(u64, usize), IndexErro
 }
 
 /// Quantizes a score to the fixed-point wire representation.
+#[expect(
+    clippy::cast_possible_truncation,
+    clippy::cast_sign_loss,
+    reason = "clamped into [0, u32::MAX] first, and float-to-int casts saturate (NaN maps to 0)"
+)]
 fn quantize(score: f64) -> u64 {
-    // analyze::allow(cast): clamped into [0, u32::MAX] before the cast, and
-    // float-to-int casts saturate (NaN maps to 0) — no truncation possible
     (score.clamp(0.0, u32::MAX as f64 / SCORE_SCALE) * SCORE_SCALE).round() as u64
 }
 

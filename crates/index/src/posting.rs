@@ -97,14 +97,6 @@ impl PostingList {
         self.postings.insert(pos, p);
     }
 
-    /// Removes all postings that reference `doc`, returning how many were
-    /// removed.  Models document deletion.
-    pub fn remove_doc(&mut self, doc: DocId) -> usize {
-        let before = self.postings.len();
-        self.postings.retain(|p| p.doc != doc);
-        before - self.postings.len()
-    }
-
     /// Looks up the posting for `doc`, if present.
     pub fn find(&self, doc: DocId) -> Option<&Posting> {
         self.postings.iter().find(|p| p.doc == doc)
@@ -169,13 +161,10 @@ mod tests {
     }
 
     #[test]
-    fn remove_doc_deletes_matching_postings() {
-        let mut list = PostingList::from_postings(vec![p(1, 1, 0.1), p(2, 2, 0.2)]);
-        assert_eq!(list.remove_doc(DocId(1)), 1);
-        assert_eq!(list.remove_doc(DocId(1)), 0);
-        assert_eq!(list.len(), 1);
-        assert!(list.find(DocId(2)).is_some());
-        assert!(list.find(DocId(1)).is_none());
+    fn find_locates_postings_by_doc() {
+        let list = PostingList::from_postings(vec![p(1, 1, 0.1), p(2, 2, 0.2)]);
+        assert_eq!(list.find(DocId(2)).map(|q| q.tf), Some(2));
+        assert!(list.find(DocId(3)).is_none());
     }
 
     #[test]

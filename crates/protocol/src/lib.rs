@@ -18,6 +18,10 @@
 //! * [`netsim`] — the 56 Kb/s-client / 100 Mb/s-server network model and
 //!   the snippet/competitor constants of Section 6.6.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
+#![cfg_attr(not(test), deny(clippy::todo, clippy::unimplemented))]
+
 pub mod acl;
 pub mod client;
 pub mod error;

@@ -110,14 +110,6 @@ impl ResponseBreakdown {
     pub fn total_bytes(&self) -> usize {
         self.posting_bytes + self.snippet_bytes
     }
-
-    /// Ratio of this response to a competitor's quoted top-10 size.
-    pub fn ratio_to(&self, competitor_bytes: usize) -> f64 {
-        if competitor_bytes == 0 {
-            return f64::INFINITY;
-        }
-        self.total_bytes() as f64 / competitor_bytes as f64
-    }
 }
 
 #[cfg(test)]
@@ -189,8 +181,7 @@ mod tests {
     fn breakdown_totals_and_ratios() {
         let b = ResponseBreakdown::new(30, 58, 10);
         assert_eq!(b.total_bytes(), 30 * 58 + 2_500);
-        assert!(b.ratio_to(GOOGLE_TOP10_BYTES) < 1.0);
-        assert!(b.ratio_to(0).is_infinite());
+        assert!(b.total_bytes() < GOOGLE_TOP10_BYTES);
     }
 
     #[test]

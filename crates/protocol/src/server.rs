@@ -45,7 +45,7 @@ use zerber_store::{
 
 use crate::acl::{AccessControl, AuthToken};
 use crate::error::ProtocolError;
-use crate::message::{QueryRequest, QueryResponse, WireElement, ELEMENT_HEADER_BYTES};
+use crate::message::{QueryRequest, QueryResponse, WireElement};
 
 /// Cumulative traffic and request counters (a point-in-time snapshot).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -677,17 +677,6 @@ impl IndexServer {
             .bytes_in
             .fetch_add(request.encoded_bytes() as u64, Ordering::Relaxed);
         Ok(())
-    }
-
-    /// Average bytes per element on the wire (header + sealed payload);
-    /// useful for the Section 6.6 style bandwidth table.
-    pub fn avg_wire_element_bytes(&self) -> f64 {
-        let n = self.store.num_elements();
-        if n == 0 {
-            return 0.0;
-        }
-        let total = n * ELEMENT_HEADER_BYTES + self.store.ciphertext_bytes();
-        total as f64 / n as f64
     }
 }
 
@@ -1431,7 +1420,6 @@ mod tests {
         assert_reset_zeroes_counters_and_keeps_gauges(&server, "john", list);
         assert!(server.num_lists() > 0);
         assert!(server.stored_bytes() > 0);
-        assert!(server.avg_wire_element_bytes() > 40.0);
 
         // The durable engine: WAL counters are windowed like the rest.
         let snapshot = |l| server.store().snapshot_list(MergedListId(l)).unwrap();

@@ -1,11 +1,10 @@
 //! Named integer conversions for the codec and metering paths.
 //!
-//! The analyzer bans bare `as` casts to the unsigned integer types inside
-//! the codec files (`segment.rs`, `spill.rs`, `durable.rs`,
-//! `replication.rs`): a silent truncation there corrupts on-disk state or
-//! wire frames.  Conversions instead go through these helpers, so every
-//! cast is either *provably widening* on the targets we build for (and says
-//! so in one audited place) or *checked* and surfaced as a typed
+//! The codec files (`segment.rs`, `spill.rs`, `durable.rs`, `replication.rs`)
+//! deny clippy's lossy-cast lints: a silent truncation there corrupts
+//! on-disk state or wire frames.  Their conversions go through these
+//! helpers instead, each either *provably widening* on the targets we build
+//! for (saying so in one place) or *checked* and surfaced as a typed
 //! [`StoreError`].
 
 use crate::error::StoreError;

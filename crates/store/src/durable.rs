@@ -25,6 +25,10 @@
 //! flip a byte, or drop fsyncs — deterministically — and the recovery tests
 //! can crash the store at every step of every protocol.
 
+#![cfg_attr(not(test), deny(clippy::cast_possible_truncation))]
+#![cfg_attr(not(test), deny(clippy::cast_possible_wrap, clippy::cast_sign_loss))]
+#![cfg_attr(not(test), deny(clippy::indexing_slicing))]
+
 use std::fs::OpenOptions;
 use std::io::{self, Read as _, Seek, SeekFrom, Write as _};
 use std::path::Path;
@@ -39,6 +43,7 @@ use crate::convert::{
     read_bytes, read_f64, read_u16, read_u32, read_u64, try_u32, u64_of, usize_of,
 };
 use crate::error::StoreError;
+use crate::lockrank::check_io;
 
 pub(crate) fn io_err(e: io::Error) -> StoreError {
     StoreError::Io(e.to_string())
@@ -53,6 +58,7 @@ pub(crate) fn io_err(e: io::Error) -> StoreError {
 /// `CRC_TABLES[k][b]` is the CRC register after byte `b` followed by `k`
 /// zero bytes, so eight lookups — one per table — advance the register over
 /// eight input bytes at once.  Table 0 is the classic bytewise table.
+#[expect(clippy::indexing_slicing, reason = "the loop conditions bound indices")]
 const fn crc_tables() -> [[u32; 256]; 8] {
     let mut tables = [[0u32; 256]; 8];
     let mut i = 0usize;
@@ -84,6 +90,7 @@ const fn crc_tables() -> [[u32; 256]; 8] {
 static CRC_TABLES: [[u32; 256]; 8] = crc_tables();
 
 /// CRC32 (IEEE 802.3) of `bytes`.
+#[expect(clippy::indexing_slicing, reason = "8-byte chunks, u8 into [_; 256]")]
 pub fn crc32(bytes: &[u8]) -> u32 {
     let t = &CRC_TABLES;
     let mut c = 0xFFFF_FFFFu32;
@@ -153,7 +160,7 @@ impl Default for DurableConfig {
 // ---------------------------------------------------------------------------
 
 /// One open file of the durable layer (page file, WAL or manifest).
-#[allow(clippy::len_without_is_empty)]
+#[expect(clippy::len_without_is_empty, reason = "file length is a byte offset")]
 pub trait FileIo: Send + std::fmt::Debug {
     /// Reads exactly `buf.len()` bytes at `offset`.
     fn read_at(&mut self, offset: u64, buf: &mut [u8]) -> io::Result<()>;
@@ -209,6 +216,7 @@ impl FileIo for RealFile {
     }
 
     fn sync(&mut self) -> io::Result<()> {
+        check_io("sync");
         self.0.sync_data()
     }
 
@@ -217,12 +225,14 @@ impl FileIo for RealFile {
     }
 
     fn set_len(&mut self, len: u64) -> io::Result<()> {
+        check_io("set_len");
         self.0.set_len(len)
     }
 }
 
 impl PageIo for RealIo {
     fn open(&self, path: &Path, truncate: bool) -> io::Result<Box<dyn FileIo>> {
+        check_io("open");
         let file = OpenOptions::new()
             .read(true)
             .write(true)
@@ -233,10 +243,12 @@ impl PageIo for RealIo {
     }
 
     fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
+        check_io("rename");
         std::fs::rename(from, to)
     }
 
     fn remove(&self, path: &Path) -> io::Result<()> {
+        check_io("remove");
         std::fs::remove_file(path)
     }
 
@@ -384,8 +396,9 @@ impl FileIo for FaultFile {
             if shadow.len() < end {
                 shadow.resize(end, 0);
             }
-            // analyze::allow(panic): the resize above guarantees start..end is in bounds
-            shadow[start..end].copy_from_slice(buf);
+            if let Some(dst) = shadow.get_mut(start..end) {
+                dst.copy_from_slice(buf);
+            }
             let mut ledger = self.ledger.lock();
             ledger.spent += u64_of(buf.len());
             let spent = ledger.spent;
@@ -426,13 +439,15 @@ impl FileIo for FaultFile {
         match flip {
             Some(i) => {
                 let mut copy = buf.to_vec();
-                copy[i] ^= 0x5A;
+                if let Some(byte) = copy.get_mut(i) {
+                    *byte ^= 0x5A;
+                }
                 self.real.write_at(offset, &copy)
             }
-            None if allow == buf.len() => self.real.write_at(offset, buf),
-            // analyze::allow(panic): allow is clamped to buf.len() by the min above
-            None if allow > 0 => self.real.write_at(offset, &buf[..allow]),
-            None => Ok(()),
+            None => match buf.get(..allow) {
+                Some(prefix) if !prefix.is_empty() => self.real.write_at(offset, prefix),
+                _ => Ok(()),
+            },
         }
     }
 

@@ -48,6 +48,10 @@
 //! TTL expiry and eviction behave identically; everything physical is
 //! implemented twice and must answer element-for-element the same.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
+#![cfg_attr(not(test), deny(clippy::todo, clippy::unimplemented))]
+
 pub mod convert;
 pub mod durable;
 pub mod error;

@@ -1,22 +1,21 @@
-//! Debug-only runtime lock-rank checker: turns lock-order inversions into
-//! deterministic assertion failures instead of once-in-a-blue-moon
-//! deadlocks.
+//! Debug-only runtime lock checker.  Three rules turn latent deadlocks and
+//! stalls into assertion failures on every run that merely exercises the
+//! code path:
 //!
-//! The global acquisition order is
+//! * **rank order** — `Store < Shard(0) < Shard(1) < ...` (a replica's
+//!   store-slot lock, then a shard lock): acquiring a rank that is not
+//!   strictly above the top of this thread's stack fires, checked *before*
+//!   blocking so an inversion panics instead of deadlocking;
+//! * **one shard at a time** — acquiring anything while a shard rank is held
+//!   fires;
+//! * **no durable IO under a shard write lock** — the production IO calls
+//!   [`check_io`] on every fsync, truncate, open, rename and remove, and it
+//!   fires while a shard rank is held in [`Mode::Write`] outside a
+//!   [`sanctioned_io`] scope.  Page reads and writes stay unchecked: faults
+//!   read under the read lock, and demotions write pages by design.
 //!
-//! ```text
-//! Store  <  Shard(0)  <  Shard(1)  <  ...
-//! ```
-//!
-//! — a replica's store-slot lock first, then shard locks in ascending
-//! shard-index order.  Each thread keeps a stack of the ranks it holds;
-//! acquiring a rank that is not strictly above the top of the stack
-//! (including re-acquiring a held rank) fires a `debug_assert!` naming both
-//! ranks.  The check runs *before* blocking on the lock, so an inversion
-//! that would deadlock under the right interleaving is reported on **every**
-//! run that merely exercises the code path.  Release builds compile the whole
-//! checker away: [`RankGuard`] is a zero-sized no-op and no thread-local is
-//! touched.
+//! Release builds compile the checker away: [`RankGuard`] and
+//! [`IoSanction`] are zero-sized and no thread-local is touched.
 
 /// Lock classes in their global acquisition order.  The numeric value is
 /// the class's rank; ties within a class are broken by the `id` passed to
@@ -29,6 +28,13 @@ pub enum LockClass {
     Shard = 1,
 }
 
+/// Whether a ranked lock is held shared or exclusive.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Mode {
+    Read,
+    Write,
+}
+
 /// RAII witness of one ranked acquisition; dropping it releases the rank.
 /// Keep it alive exactly as long as the lock guard it ranks — in a wrapper
 /// struct, declare the lock guard field *first* so it drops before the
@@ -36,62 +42,102 @@ pub enum LockClass {
 #[must_use]
 pub struct RankGuard {
     #[cfg(debug_assertions)]
-    key: (u8, usize),
+    key: (LockClass, usize),
 }
+
+/// RAII witness of a [`sanctioned_io`] scope; dropping it ends the scope.
+#[must_use]
+pub struct IoSanction(());
 
 #[cfg(debug_assertions)]
 mod held {
-    use std::cell::RefCell;
+    use std::cell::{Cell, RefCell};
 
     thread_local! {
-        /// The ranks this thread currently holds, always strictly
-        /// ascending (each push must exceed the top, and removals keep
-        /// order).
-        pub(super) static STACK: RefCell<Vec<(u8, usize)>> = const { RefCell::new(Vec::new()) };
+        /// The ranks this thread holds and their modes, strictly ascending
+        /// (each push must exceed the top, and removals keep order).
+        pub(super) static STACK: RefCell<Vec<((super::LockClass, usize), super::Mode)>> =
+            const { RefCell::new(Vec::new()) };
+        /// Open [`super::sanctioned_io`] scopes on this thread.
+        pub(super) static SANCTIONED: Cell<usize> = const { Cell::new(0) };
     }
 }
 
-/// Records an acquisition of `(class, id)` on this thread, asserting that
-/// it ranks strictly above every lock already held.  Call this *before*
-/// blocking on the lock so an inversion panics instead of deadlocking.
+/// Records an acquisition of `(class, id)` in `mode` on this thread,
+/// asserting the rank order and that no shard lock is held.  Call this
+/// *before* blocking on the lock.
 #[track_caller]
-pub fn acquire(class: LockClass, id: usize) -> RankGuard {
+pub fn acquire(class: LockClass, id: usize, mode: Mode) -> RankGuard {
     #[cfg(debug_assertions)]
     {
-        let key = (class as u8, id);
-        held::STACK.with(|stack| {
-            let mut stack = stack.borrow_mut();
-            if let Some(&top) = stack.last() {
+        let key = (class, id);
+        held::STACK.with_borrow_mut(|stack| {
+            if let Some(&(top, _)) = stack.last() {
                 debug_assert!(
                     top < key,
                     "lock-rank inversion: acquiring {class:?}({id}) while already holding \
                      rank {top:?}; the order is Store < Shard(ascending index)"
                 );
+                debug_assert!(
+                    top.0 != LockClass::Shard,
+                    "nested shard locks: acquiring {class:?}({id}) while holding {top:?}"
+                );
             }
-            stack.push(key);
+            stack.push((key, mode));
         });
         RankGuard { key }
     }
     #[cfg(not(debug_assertions))]
     {
-        let _ = (class, id);
+        let _ = (class, id, mode);
         RankGuard {}
     }
 }
 
 impl Drop for RankGuard {
     fn drop(&mut self) {
+        // Guards may drop out of stack order (two guards in one scope drop
+        // in reverse declaration order); remove the matching entry wherever
+        // it sits — the stack stays sorted either way.
         #[cfg(debug_assertions)]
-        held::STACK.with(|stack| {
-            let mut stack = stack.borrow_mut();
-            // Guards may drop out of stack order (two guards in one scope
-            // drop in reverse declaration order); remove the matching entry
-            // wherever it sits — the stack stays sorted either way.
-            if let Some(at) = stack.iter().rposition(|&k| k == self.key) {
+        held::STACK.with_borrow_mut(|stack| {
+            if let Some(at) = stack.iter().rposition(|&(k, _)| k == self.key) {
                 stack.remove(at);
             }
         });
     }
+}
+
+/// Opens a scope in which this thread may do durable IO under a shard
+/// write lock; `reason` says why the IO must happen under the lock.
+pub fn sanctioned_io(reason: &'static str) -> IoSanction {
+    debug_assert!(!reason.is_empty(), "a sanction needs a reason");
+    #[cfg(debug_assertions)]
+    held::SANCTIONED.set(held::SANCTIONED.get() + 1);
+    IoSanction(())
+}
+
+impl Drop for IoSanction {
+    fn drop(&mut self) {
+        #[cfg(debug_assertions)]
+        held::SANCTIONED.set(held::SANCTIONED.get() - 1);
+    }
+}
+
+/// Asserts that durable IO `op` may run on this thread: no shard lock is
+/// held in [`Mode::Write`], or a [`sanctioned_io`] scope is open.
+#[track_caller]
+pub fn check_io(op: &str) {
+    #[cfg(debug_assertions)]
+    debug_assert!(
+        held::SANCTIONED.get() > 0
+            || held::STACK.with_borrow(|stack| {
+                !matches!(stack.last(), Some(((LockClass::Shard, _), Mode::Write)))
+            }),
+        "durable IO ({op}) under a shard write lock outside a sanctioned_io scope"
+    );
+    #[cfg(not(debug_assertions))]
+    let _ = op;
 }
 
 #[cfg(test)]
@@ -100,48 +146,83 @@ mod tests {
 
     #[test]
     fn ascending_acquisitions_pass() {
-        let a = acquire(LockClass::Store, 0);
-        let b = acquire(LockClass::Shard, 0);
-        let c = acquire(LockClass::Shard, 1);
-        drop(c);
+        let a = acquire(LockClass::Store, 0, Mode::Read);
+        let b = acquire(LockClass::Shard, 0, Mode::Write);
         drop(b);
+        let c = acquire(LockClass::Shard, 1, Mode::Read);
+        drop(c);
         drop(a);
         // After release the same ranks are takeable again.
-        let _again = acquire(LockClass::Store, 0);
+        let _again = acquire(LockClass::Store, 0, Mode::Write);
+        let _shard = acquire(LockClass::Shard, 0, Mode::Read);
     }
 
     #[test]
     fn out_of_order_drops_keep_the_stack_consistent() {
-        let a = acquire(LockClass::Shard, 1);
-        let b = acquire(LockClass::Shard, 3);
+        let a = acquire(LockClass::Store, 0, Mode::Read);
+        let b = acquire(LockClass::Shard, 3, Mode::Write);
         drop(a);
-        let c = acquire(LockClass::Shard, 4);
         drop(b);
-        drop(c);
-        let _reuse = acquire(LockClass::Shard, 1);
+        let _reuse = acquire(LockClass::Store, 0, Mode::Read);
+        let _shard = acquire(LockClass::Shard, 1, Mode::Read);
     }
 
     #[cfg(debug_assertions)]
     #[test]
     #[should_panic(expected = "lock-rank inversion")]
     fn descending_shard_acquisition_fires() {
-        let _hi = acquire(LockClass::Shard, 3);
-        let _lo = acquire(LockClass::Shard, 1);
+        let _hi = acquire(LockClass::Shard, 3, Mode::Read);
+        let _lo = acquire(LockClass::Shard, 1, Mode::Read);
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "nested shard locks")]
+    fn ascending_second_shard_fires() {
+        let _lo = acquire(LockClass::Shard, 1, Mode::Read);
+        let _hi = acquire(LockClass::Shard, 3, Mode::Read);
     }
 
     #[cfg(debug_assertions)]
     #[test]
     #[should_panic(expected = "lock-rank inversion")]
     fn reentrant_acquisition_fires() {
-        let _a = acquire(LockClass::Shard, 2);
-        let _b = acquire(LockClass::Shard, 2);
+        let _a = acquire(LockClass::Shard, 2, Mode::Read);
+        let _b = acquire(LockClass::Shard, 2, Mode::Read);
     }
 
     #[cfg(debug_assertions)]
     #[test]
     #[should_panic(expected = "lock-rank inversion")]
     fn store_below_shard_fires() {
-        let _shard = acquire(LockClass::Shard, 0);
-        let _store = acquire(LockClass::Store, 0);
+        let _shard = acquire(LockClass::Shard, 0, Mode::Read);
+        let _store = acquire(LockClass::Store, 0, Mode::Read);
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "durable IO (sync) under a shard write lock")]
+    fn io_under_a_shard_write_rank_fires() {
+        let _shard = acquire(LockClass::Shard, 0, Mode::Write);
+        check_io("sync");
+    }
+
+    #[test]
+    fn io_under_a_shard_read_rank_passes() {
+        let _store = acquire(LockClass::Store, 0, Mode::Write);
+        let _shard = acquire(LockClass::Shard, 0, Mode::Read);
+        check_io("sync");
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    fn sanctioned_io_passes_and_ends_with_its_guard() {
+        let _shard = acquire(LockClass::Shard, 0, Mode::Write);
+        {
+            let _io = sanctioned_io("the commit must cover the locked state");
+            check_io("rename");
+        }
+        let after = std::panic::catch_unwind(|| check_io("rename"));
+        assert!(after.is_err(), "the sanction ended with its guard");
     }
 }

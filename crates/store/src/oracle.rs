@@ -23,7 +23,7 @@ use zerber_r::{OrderedElement, OrderedIndex, TRS_BYTES};
 
 use crate::convert::u64_of;
 use crate::error::StoreError;
-use crate::lockrank::{self, LockClass};
+use crate::lockrank::{self, LockClass, Mode};
 use crate::store::{
     CursorId, GroupFilter, ListStore, ListTable, OrderedList, RangedBatch, RangedFetch,
     SessionStats, StoreJob, StoreMetrics,
@@ -37,7 +37,7 @@ struct ElemMeta {
     group: GroupId,
     sealed_group: GroupId,
     offset: usize,
-    len: u32,
+    len: usize,
 }
 
 /// The reference layout: per-element metadata in one dense vec plus a single
@@ -68,9 +68,7 @@ impl VecList {
                 group: e.group,
                 sealed_group: e.sealed.group,
                 offset,
-                len: u32::try_from(e.sealed.ciphertext.len())
-                    // analyze::allow(panic): oversized ciphertexts are rejected upstream by element_fits and the insert bounds; this constructor is also the test-fixture path
-                    .expect("sealed ciphertext exceeds u32 length"),
+                len: e.sealed.ciphertext.len(),
             });
         }
         VecList { meta, arena }
@@ -84,7 +82,7 @@ impl VecList {
             group: m.group,
             sealed: EncryptedElement {
                 group: m.sealed_group,
-                ciphertext: self.arena[m.offset..m.offset + m.len as usize].to_vec(),
+                ciphertext: self.arena[m.offset..m.offset + m.len].to_vec(),
             },
         }
     }
@@ -168,11 +166,11 @@ impl OrderedList for VecList {
             .meta
             .get(pos)
             .map_or(self.arena.len(), |next| next.offset);
-        let len = u32::try_from(element.sealed.ciphertext.len())
-            .map_err(|_| StoreError::SegmentOverflow)?;
+        let len = element.sealed.ciphertext.len();
+        u32::try_from(len).map_err(|_| StoreError::SegmentOverflow)?;
         self.arena.splice(offset..offset, element.sealed.ciphertext);
         for m in &mut self.meta[pos..] {
-            m.offset += len as usize;
+            m.offset += len;
         }
         self.meta.insert(
             pos,
@@ -254,7 +252,7 @@ impl SingleMutexStore {
     /// oracle is one lock domain, ranked like shard 0 of the sharded store
     /// (see [`crate::lockrank`] for the global order).
     fn locked(&self) -> LockedTable<'_> {
-        let rank = lockrank::acquire(LockClass::Shard, 0);
+        let rank = lockrank::acquire(LockClass::Shard, 0, Mode::Write);
         LockedTable {
             guard: self.inner.lock(),
             _rank: rank,

@@ -37,6 +37,10 @@
 //!   primary's last known head past `max_lag` returns the typed
 //!   [`StoreError::Degraded`] (retry on the primary) instead of stale data.
 
+#![cfg_attr(not(test), deny(clippy::cast_possible_truncation))]
+#![cfg_attr(not(test), deny(clippy::cast_possible_wrap, clippy::cast_sign_loss))]
+#![cfg_attr(not(test), deny(clippy::indexing_slicing))]
+
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -51,7 +55,7 @@ use zerber_r::OrderedElement;
 use crate::convert::{u64_of, usize_of};
 use crate::durable::{crc32, io_err, scan_wal, PageIo, RealIo, WalRecord};
 use crate::error::StoreError;
-use crate::lockrank::{self, LockClass};
+use crate::lockrank::{self, LockClass, Mode};
 use crate::sharded::SpillStore;
 use crate::spill::WalTail;
 use crate::store::{
@@ -452,7 +456,9 @@ impl ReplicaTransport for FaultTransport {
                 if !f.bytes.is_empty() {
                     let at = usize::try_from(Self::next_rand(&mut state) % u64_of(f.bytes.len()))
                         .unwrap_or(0);
-                    f.bytes[at] ^= 0x5A;
+                    if let Some(byte) = f.bytes.get_mut(at) {
+                        *byte ^= 0x5A;
+                    }
                 }
             }
         }
@@ -491,7 +497,9 @@ impl ReplicaTransport for FaultTransport {
                 let at =
                     usize::try_from(Self::next_rand(&mut state) % u64_of(delivered.bytes.len()))
                         .unwrap_or(0);
-                delivered.bytes[at] ^= 0x5A;
+                if let Some(byte) = delivered.bytes.get_mut(at) {
+                    *byte ^= 0x5A;
+                }
             }
             frames.push(delivered);
             if Self::hits(n, self.plan.duplicate_every) {
@@ -595,7 +603,7 @@ impl ReplicaShared {
     /// serving path may hold the slot guard across the store calls it makes
     /// (see [`crate::lockrank`]).
     fn store_read(&self) -> StoreSlotRead<'_> {
-        let rank = lockrank::acquire(LockClass::Store, 0);
+        let rank = lockrank::acquire(LockClass::Store, 0, Mode::Read);
         StoreSlotRead {
             guard: self.store.read(),
             _rank: rank,
@@ -605,7 +613,7 @@ impl ReplicaShared {
     /// Acquires the store-slot write lock (re-snapshot swap only); same
     /// rank as [`Self::store_read`].
     fn store_write(&self) -> StoreSlotWrite<'_> {
-        let rank = lockrank::acquire(LockClass::Store, 0);
+        let rank = lockrank::acquire(LockClass::Store, 0, Mode::Write);
         StoreSlotWrite {
             guard: self.store.write(),
             _rank: rank,
@@ -753,16 +761,7 @@ impl Replica {
         root: impl Into<PathBuf>,
         config: ReplicaConfig,
     ) -> Result<Replica, StoreError> {
-        Self::reopen_with(transport, root, config, RealIo::shared())
-    }
-
-    /// [`Replica::reopen`] with an explicit IO backend.
-    pub fn reopen_with(
-        transport: Arc<dyn ReplicaTransport>,
-        root: impl Into<PathBuf>,
-        config: ReplicaConfig,
-        backend: Arc<dyn PageIo>,
-    ) -> Result<Replica, StoreError> {
+        let backend = RealIo::shared();
         let root = root.into();
         let mut gens: Vec<u64> = fs::read_dir(&root)
             .map_err(io_err)?
@@ -898,24 +897,23 @@ impl Replica {
         // Rejecting the whole batch would never converge against a
         // corruption period smaller than the batch size — the retry
         // redelivers a batch with a fresh fault in it every time.
-        let num_shards = self.shared.applied.len();
-        let mut records: Vec<(usize, WalRecord)> = Vec::with_capacity(batch.frames.len());
+        let mut records = Vec::with_capacity(batch.frames.len());
         let mut corrupt = 0usize;
         for frame in &batch.frames {
             let shard = usize_of(frame.shard);
-            match decode_wire_frame(frame) {
-                Some(record) if shard < num_shards => records.push((shard, record)),
+            match (decode_wire_frame(frame), self.shared.applied.get(shard)) {
+                (Some(record), Some(applied_at)) => records.push((shard, applied_at, record)),
                 _ => corrupt += 1,
             }
         }
         // Arrival order within a batch is transport detail (the fault shim
         // reorders it on purpose); per-shard sequence order is what apply
         // needs.
-        records.sort_by_key(|(shard, r)| (*shard, r.seq));
+        records.sort_by_key(|(shard, _, r)| (*shard, r.seq));
         let store = self.store();
         let mut applied_count = 0usize;
         let mut skipped = 0usize;
-        for (shard, record) in records {
+        for (shard, applied_at, record) in records {
             let list = MergedListId(record.list);
             if store.shard_of(list) != shard {
                 // A frame routed to the wrong shard is corruption the CRC
@@ -923,7 +921,7 @@ impl Replica {
                 corrupt += 1;
                 continue;
             }
-            let applied = self.shared.applied[shard].load(Ordering::Relaxed);
+            let applied = applied_at.load(Ordering::Relaxed);
             if record.seq <= applied {
                 // Duplicate / retransmission: idempotent apply skips it.
                 skipped += 1;
@@ -933,7 +931,7 @@ impl Replica {
                 // assigns exactly this sequence, so its durable state
                 // tracks the primary's sequence space.
                 store.insert(list, record.element)?;
-                self.shared.applied[shard].store(record.seq, Ordering::Relaxed);
+                applied_at.store(record.seq, Ordering::Relaxed);
                 self.shared.frames_streamed.fetch_add(1, Ordering::Relaxed);
                 applied_count += 1;
             }

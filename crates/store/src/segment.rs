@@ -35,6 +35,10 @@
 //! untrusted bytes and must reject every truncation or bit flip with an
 //! error, never a panic.
 
+#![cfg_attr(not(test), deny(clippy::cast_possible_truncation))]
+#![cfg_attr(not(test), deny(clippy::cast_possible_wrap, clippy::cast_sign_loss))]
+#![cfg_attr(not(test), deny(clippy::indexing_slicing))]
+
 use zerber_base::EncryptedElement;
 use zerber_corpus::GroupId;
 use zerber_index::compress::{
@@ -147,17 +151,13 @@ fn corrupt(reason: impl std::fmt::Display) -> StoreError {
     StoreError::CorruptSegment(reason.to_string())
 }
 
-/// Encoded length of one LEB128 varint (mirrors `write_varint`).
-fn varint_len(value: u64) -> usize {
-    (64 - usize_of(value.max(1).leading_zeros())).div_ceil(7)
-}
-
 /// Adds `n` elements of `group` to a per-group count vector kept ascending
 /// by group id — the order [`GroupFilter::visible_in`] merges against.
 pub(crate) fn add_count(counts: &mut Vec<(GroupId, u32)>, group: GroupId, n: u32) {
-    match counts.binary_search_by_key(&group, |&(g, _)| g) {
-        Ok(i) => counts[i].1 += n,
-        Err(i) => counts.insert(i, (group, n)),
+    let at = counts.partition_point(|&(g, _)| g < group);
+    match counts.get_mut(at) {
+        Some((g, count)) if *g == group => *count += n,
+        _ => counts.insert(at, (group, n)),
     }
 }
 
@@ -179,14 +179,17 @@ fn group_totals<'a>(blocks: impl Iterator<Item = &'a BlockMeta>) -> Vec<(GroupId
 /// [`StoreError::SegmentOverflow`] — instead of panicking — if the block
 /// would push the payload past the u32 offset space.
 fn encode_block(chunk: &[OrderedElement], out: &mut Vec<u8>) -> Result<BlockMeta, StoreError> {
+    let [head, ..] = chunk else {
+        return Err(StoreError::Invariant("segment blocks are non-empty"));
+    };
     let offset = out.len();
     let uniform = chunk
         .iter()
-        .all(|e| e.sealed.ciphertext.len() == chunk[0].sealed.ciphertext.len());
+        .all(|e| e.sealed.ciphertext.len() == head.sealed.ciphertext.len());
     write_varint(
         out,
         if uniform {
-            u64_of(chunk[0].sealed.ciphertext.len()) + 1
+            u64_of(head.sealed.ciphertext.len()) + 1
         } else {
             0
         },
@@ -196,8 +199,8 @@ fn encode_block(chunk: &[OrderedElement], out: &mut Vec<u8>) -> Result<BlockMeta
     // the block header and the per-element tags are dropped entirely.
     let uniform_group = chunk
         .iter()
-        .all(|e| e.group == chunk[0].group && e.sealed.group == e.group)
-        .then_some(chunk[0].group);
+        .all(|e| e.group == head.group && e.sealed.group == e.group)
+        .then_some(head.group);
     write_varint(
         out,
         match uniform_group {
@@ -205,7 +208,7 @@ fn encode_block(chunk: &[OrderedElement], out: &mut Vec<u8>) -> Result<BlockMeta
             None => 0,
         },
     );
-    let first = sortable_bits(chunk[0].trs);
+    let first = sortable_bits(head.trs);
     let mut prev = first;
     let mut counts: Vec<(GroupId, u32)> = Vec::new();
     for (i, element) in chunk.iter().enumerate() {
@@ -364,9 +367,8 @@ impl<'a> BlockReader<'a> {
     }
 
     /// Internal (trusted) read: the payload was encoded by this module.
+    #[expect(clippy::expect_used, reason = "a self-encoded block always decodes")]
     fn next_trusted(&mut self) -> RawElement<'a> {
-        // analyze::allow(panic): trusted path — the payload was encoded by
-        // this module, so a decode failure is a codec bug, not bad input
         self.next_raw().expect("self-encoded segment blocks decode")
     }
 }
@@ -397,11 +399,13 @@ fn check_block(
         // An element of a group the skip entry does not list is counted
         // nowhere, which leaves a listed group short of its count: the
         // counts sum to the elements walked.
-        if let Ok(i) = expected
+        if let Some(seen) = expected
             .counts
             .binary_search_by_key(&raw.group, |&(group, _)| group)
+            .ok()
+            .and_then(|i| tally.get_mut(i))
         {
-            tally[i] += 1;
+            *seen += 1;
         }
     }
     if reader.pos != bytes.len() {
@@ -471,9 +475,8 @@ impl Segment {
     }
 
     /// Sortable bits of the last (smallest) TRS held.
+    #[expect(clippy::expect_used, reason = "encoding never yields an empty segment")]
     pub(crate) fn last_bits(&self) -> u64 {
-        // analyze::allow(panic): encode_chunk_split never emits an empty
-        // segment, so the block list is non-empty by construction
         self.blocks.last().expect("segments are never empty").last
     }
 
@@ -500,7 +503,7 @@ impl Segment {
     /// past the skip are appended to `out`; once `out` holds `count`
     /// elements the global next-physical index is returned and the scan
     /// stops.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(clippy::too_many_arguments, reason = "state threads across segments")]
     pub(crate) fn scan_part(
         &self,
         seg_base: usize,
@@ -512,7 +515,7 @@ impl Segment {
         filter: &GroupFilter<'_>,
     ) -> Option<usize> {
         let mut pos = seg_base;
-        for (bi, meta) in self.blocks.iter().enumerate() {
+        for meta in &self.blocks {
             let block_end = pos + usize_of(meta.elems);
             if block_end <= start {
                 pos = block_end;
@@ -531,7 +534,7 @@ impl Segment {
             // Stream the block: skipped or invisible elements are parsed
             // without materializing their ciphertext, and the read stops
             // as soon as the batch is full.
-            let mut reader = self.block_reader(bi);
+            let mut reader = self.block_reader(meta);
             for j in 0..usize_of(meta.elems) {
                 let raw = reader.next_trusted();
                 let idx = pos + j;
@@ -563,7 +566,7 @@ impl Segment {
         filter: &GroupFilter<'_>,
     ) -> Option<usize> {
         let mut pos = seg_base;
-        for (bi, meta) in self.blocks.iter().enumerate() {
+        for meta in &self.blocks {
             if *remaining == 0 {
                 return Some(pos);
             }
@@ -575,7 +578,7 @@ impl Segment {
             }
             // The boundary falls inside this block: stream just it,
             // materializing nothing.
-            let mut reader = self.block_reader(bi);
+            let mut reader = self.block_reader(meta);
             for j in 0..usize_of(meta.elems) {
                 if *remaining == 0 {
                     return Some(pos + j);
@@ -597,19 +600,21 @@ impl Segment {
         // Locate the first block whose smallest element no longer exceeds
         // `trs`, then stream just that block.
         let mut local = 0usize;
-        let mut block = 0usize;
-        for (bi, meta) in self.blocks.iter().enumerate() {
+        let mut block = self.blocks.first();
+        for meta in &self.blocks {
             if meta.last_trs() > trs {
                 local += usize_of(meta.elems);
             } else {
-                block = bi;
+                block = Some(meta);
                 break;
             }
         }
-        let block_elems = self.blocks[block].elems;
-        let mut reader = self.block_reader(block);
+        let Some(meta) = block else {
+            return local;
+        };
+        let mut reader = self.block_reader(meta);
         let mut in_block = 0usize;
-        for _ in 0..block_elems {
+        for _ in 0..meta.elems {
             if reader.next_trusted().trs > trs {
                 in_block += 1;
             } else {
@@ -619,38 +624,24 @@ impl Segment {
         local + in_block
     }
 
-    /// A streaming reader over block `index` (internal, trusted path: the
-    /// blocks were encoded by this module).
-    fn block_reader(&self, index: usize) -> BlockReader<'_> {
-        let meta = &self.blocks[index];
+    /// A streaming reader over one of this segment's blocks.
+    #[expect(clippy::expect_used, reason = "a self-encoded block always decodes")]
+    fn block_reader(&self, meta: &BlockMeta) -> BlockReader<'_> {
         let bytes = payload_slice(
             &self.payload,
             usize_of(meta.offset),
             usize_of(meta.byte_len),
         )
-        // analyze::allow(panic): trusted path — the block offsets were
-        // computed by this module's encoder against this same payload
         .expect("self-encoded block offsets are in bounds");
-        BlockReader::new(bytes, meta.elems, meta.first)
-            // analyze::allow(panic): trusted path — the payload was encoded
-            // by this module, so a decode failure is a codec bug
-            .expect("self-encoded segment blocks decode")
+        BlockReader::new(bytes, meta.elems, meta.first).expect("self-encoded segment blocks decode")
     }
 
-    /// Decodes block `index` in full (internal, trusted path).
-    fn decode_block(&self, index: usize) -> Vec<OrderedElement> {
-        let meta = &self.blocks[index];
-        let mut reader = self.block_reader(index);
-        (0..meta.elems)
-            .map(|_| reader.next_trusted().materialize())
-            .collect()
-    }
-
-    /// Decodes the whole segment in order.
+    /// Decodes the whole segment in order (internal, trusted path).
     pub(crate) fn decode_all(&self) -> Vec<OrderedElement> {
         let mut out = Vec::with_capacity(self.elems);
-        for i in 0..self.blocks.len() {
-            out.extend(self.decode_block(i));
+        for meta in &self.blocks {
+            let mut reader = self.block_reader(meta);
+            out.extend((0..meta.elems).map(|_| reader.next_trusted().materialize()));
         }
         out
     }
@@ -697,27 +688,6 @@ impl Segment {
                 .sum::<usize>()
     }
 
-    /// Exact byte length of [`Segment::to_bytes`] without materializing the
-    /// buffer — the live-byte accounting the spill engine's compaction
-    /// planner reads when deciding whether a page file is worth rewriting.
-    pub fn encoded_len(&self) -> usize {
-        let mut len = varint_len(SEGMENT_MAGIC)
-            + varint_len(SEGMENT_VERSION)
-            + varint_len(u64_of(self.elems))
-            + varint_len(u64_of(self.blocks.len()));
-        for meta in &self.blocks {
-            len += varint_len(u64::from(meta.elems))
-                + varint_len(meta.first)
-                + varint_len(meta.last)
-                + varint_len(u64_of(meta.counts.len()))
-                + varint_len(u64::from(meta.byte_len));
-            for &(group, count) in &meta.counts {
-                len += varint_len(u64::from(group.0)) + varint_len(u64::from(count));
-            }
-        }
-        len + self.payload.len()
-    }
-
     /// Serializes the segment to its validated wire format.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(self.payload.len() + self.blocks.len() * 24 + 16);
@@ -751,13 +721,15 @@ impl Segment {
         let mut elems = 0usize;
         let mut ciphertext_bytes = 0usize;
         let mut tally = Vec::new();
-        for (i, meta) in blocks.iter().enumerate() {
+        let mut prev_last = u64::MAX;
+        for meta in &blocks {
             let block_bytes =
                 payload_slice(&payload, usize_of(meta.offset), usize_of(meta.byte_len))?;
             ciphertext_bytes += check_block(block_bytes, meta, &mut tally)?;
-            if i > 0 && blocks[i - 1].last < meta.first {
+            if prev_last < meta.first {
                 return Err(corrupt("blocks out of TRS order"));
             }
+            prev_last = meta.last;
             elems += usize_of(meta.elems);
         }
         Ok(Segment {

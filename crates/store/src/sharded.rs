@@ -39,7 +39,7 @@ use zerber_r::{OrderedElement, OrderedIndex};
 
 use crate::convert::u64_of;
 use crate::error::StoreError;
-use crate::lockrank::{self, LockClass};
+use crate::lockrank::{self, LockClass, Mode};
 use crate::segment::SegmentConfig;
 use crate::spill::{DurableState, Pager, SpillList};
 use crate::store::{
@@ -217,14 +217,14 @@ impl SpillStore {
     /// (unmetered — the lock meter counts serving-path acquisitions only).
     ///
     /// **Lock order** (enforced at runtime in debug builds by
-    /// [`crate::lockrank`]): a replica's store-slot lock, then shard locks
-    /// in *ascending shard-index* order.  Cursor sessions live inside the
+    /// [`crate::lockrank`]): a replica's store-slot lock, then at most one
+    /// shard lock at a time.  Cursor sessions live inside the
     /// shard that owns their list, so there is no separate session lock to
     /// order — the store slot always ranks before any shard ("store before
     /// session").  Every shard acquisition funnels through here or
     /// [`Self::shard_write`].
     pub(crate) fn shard_read(&self, shard: usize) -> ShardRead<'_> {
-        let rank = lockrank::acquire(LockClass::Shard, shard);
+        let rank = lockrank::acquire(LockClass::Shard, shard, Mode::Read);
         ShardRead {
             guard: self.shards[shard].read(),
             _rank: rank,
@@ -234,7 +234,7 @@ impl SpillStore {
     /// Acquires one shard's write lock under the lock-rank discipline; see
     /// [`Self::shard_read`] for the global order.
     pub(crate) fn shard_write(&self, shard: usize) -> ShardWrite<'_> {
-        let rank = lockrank::acquire(LockClass::Shard, shard);
+        let rank = lockrank::acquire(LockClass::Shard, shard, Mode::Write);
         ShardWrite {
             guard: self.shards[shard].write(),
             _rank: rank,
@@ -454,6 +454,7 @@ impl ListStore for SpillStore {
                 // policy).  A log failure surfaces as the insert's error.
                 Some(durable) => {
                     let pos = guard.insert(slot, element.clone())?;
+                    let _io = lockrank::sanctioned_io("log order is apply order");
                     durable.append(shard, list.0, &element)?;
                     pos
                 }

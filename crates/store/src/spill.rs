@@ -77,6 +77,9 @@
 //!   recovered store is only accepted after `budget_accounting_is_exact`
 //!   and a full ordering/visibility audit pass.
 
+#![cfg_attr(not(test), deny(clippy::cast_possible_truncation))]
+#![cfg_attr(not(test), deny(clippy::cast_possible_wrap, clippy::cast_sign_loss))]
+
 use std::collections::HashMap;
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -95,6 +98,7 @@ use crate::durable::{
     RealIo, StoreMeta, SyncPolicy,
 };
 use crate::error::StoreError;
+use crate::lockrank;
 use crate::segment::{
     add_count, encode_chunk_split, encode_rebuilt, encode_segments, Segment, SegmentConfig,
 };
@@ -297,7 +301,7 @@ impl Drop for Pager {
 }
 
 impl Pager {
-    #[allow(clippy::too_many_arguments)]
+    #[expect(clippy::too_many_arguments, reason = "one argument per lifecycle knob")]
     fn create(
         backend: Arc<dyn PageIo>,
         dir: &Path,
@@ -887,11 +891,6 @@ impl SpillList {
     /// Current tail length (elements not yet sealed).
     pub fn tail_len(&self) -> usize {
         self.tail.len()
-    }
-
-    /// Number of sealed slots currently cold (not resident; tests, reports).
-    pub fn spilled_slots(&self) -> usize {
-        self.slots.iter().filter(|s| !s.is_resident()).count()
     }
 
     /// Number of sealed slots (resident + spilled).
@@ -1702,6 +1701,7 @@ impl DurableState {
         pager: &Pager,
         table: &mut ListTable<SpillList>,
     ) -> Result<(), StoreError> {
+        let _io = lockrank::sanctioned_io("the manifest must match the locked shard state");
         let mut lists = Vec::new();
         for list in table.lists_mut() {
             lists.push(list.manifest_list()?);
@@ -1842,7 +1842,7 @@ impl SpillStore {
     /// (the fault-injection tests substitute [`crate::durable::FaultIo`])
     /// and lifecycle (`ephemeral` roots are temp-dir stores that clean up
     /// on drop but still run the full durability machinery).
-    #[allow(clippy::too_many_arguments)]
+    #[expect(clippy::too_many_arguments, reason = "the full-control constructor")]
     pub fn create_durable_with(
         index: OrderedIndex,
         dir: impl Into<PathBuf>,
@@ -2214,7 +2214,6 @@ impl SpillStore {
         };
         let pager = &self.pagers[shard];
         let mut table = self.shard_write(shard);
-        // analyze::allow(lock): the checkpoint commit is the one sanctioned under-lock IO — the manifest must match the locked shard state exactly, and inserts must not resume before its rename and WAL reset
         durable.commit_checkpoint(shard, pager, &mut table)?;
         debug_assert!(charges_consistent(&table, pager));
         Ok(true)
@@ -2224,18 +2223,6 @@ impl SpillStore {
     /// root).
     pub fn is_durable(&self) -> bool {
         self.durable.is_some()
-    }
-
-    /// Flushes and fsyncs every shard's WAL tail — the graceful-shutdown
-    /// sync `Drop` also performs, exposed for explicit shutdown paths that
-    /// want the error instead of best-effort.  No-op on ephemeral stores.
-    pub fn flush_wals(&self) -> Result<(), StoreError> {
-        if let Some(durable) = &self.durable {
-            for wal in &durable.wals {
-                wal.lock().file.sync().map_err(io_err)?;
-            }
-        }
-        Ok(())
     }
 
     /// The serialized `store.meta` identity block.  Replication snapshots
@@ -2435,7 +2422,9 @@ impl SpillStore {
             }
         }
         let old_path = pager.current_path();
+        let sanction = lockrank::sanctioned_io("the swap must cover the locked pages");
         let map = pager.commit_rewrite(rw)?;
+        drop(sanction);
         for list in table.lists_mut() {
             list.remap_pages(&map)?;
         }
@@ -2447,13 +2436,16 @@ impl SpillStore {
             // entirely-old or entirely-new, never a mix.  The rewrite
             // folded in every applied insert, so this doubles as a full
             // checkpoint (WAL resets too).
-            // analyze::allow(lock): the swap's durable commit must cover exactly the locked state (pages + stragglers), and its WAL reset must not race an insert
             durable.commit_checkpoint(shard, pager, &mut table)?;
-            // Only now is the old generation unreferenced; a failure to
-            // remove it leaves a stray the next `open` sweeps.
-            let _ = durable.backend.remove(&old_path);
         }
         debug_assert!(charges_consistent(&table, pager));
+        drop(table);
+        if let Some(durable) = &self.durable {
+            // Only now is the old generation unreferenced; it is unlinked
+            // off the lock, and a failure to remove it leaves a stray the
+            // next `open` sweeps.
+            let _ = durable.backend.remove(&old_path);
+        }
         Ok(())
     }
 

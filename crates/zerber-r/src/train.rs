@@ -295,9 +295,8 @@ impl RstfModel {
         data[0..8].copy_from_slice(&self.unseen_seed.to_le_bytes());
         data[8..12].copy_from_slice(&term.0.to_le_bytes());
         data[12..16].copy_from_slice(&doc.0.to_le_bytes());
-        let digest = Sha256::digest(&data);
-        // analyze::allow(panic): SHA-256 digests are exactly 32 bytes, so the 8-byte prefix always converts
-        let v = u64::from_le_bytes(digest[..8].try_into().expect("8 bytes"));
+        let [b0, b1, b2, b3, b4, b5, b6, b7, ..] = Sha256::digest(&data);
+        let v = u64::from_le_bytes([b0, b1, b2, b3, b4, b5, b6, b7]);
         // Map to [0, 1) with 53-bit precision.
         (v >> 11) as f64 / (1u64 << 53) as f64
     }

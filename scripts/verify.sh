@@ -2,27 +2,29 @@
 # Tier-1 verification gate for the Zerber+R workspace.
 #
 # Mirrors .github/workflows/ci.yml so the same checks run locally and in
-# CI: rustfmt, release build, full test suite (including the
-# engine-vs-oracle equivalence proptests, whose spill and durable
-# configurations write page files, WALs and manifests into temp-dir
-# roots), the zerber-analyze invariant linter, the release re-run of the
-# concurrency and equivalence suites, the tiering equivalence proptest
-# (maintenance forced on every operation, next to a live-WAL durable
-# store) and a repeated compaction-under-load stress loop, the
-# fault-injected durable recovery suite plus a repeated
-# kill-at-every-injection-point crash stress loop, the fault-injected
-# replication suite plus a repeated disconnect-storm stress loop, a
-# syntax check of the perf gate script (which is run by hand, not here),
-# the two line-count ratchets (scripts/loc.sh totals against fixed ceilings),
-# clippy with warnings denied, and hygiene guards asserting the tests left
-# no stray on-disk files — page files, `.pages.compact` rewrite scratch,
+# CI: rustfmt, release build, clippy with warnings denied (the lint gate:
+# the workspace `[lints]` table plus the per-crate and per-file `deny`
+# attributes, see README "Static analysis"), the full test suite
+# (including the engine-vs-oracle equivalence proptests, whose spill and
+# durable configurations write page files, WALs and manifests into
+# temp-dir roots), the release re-run of the concurrency and equivalence
+# suites, the tiering equivalence proptest (maintenance forced on every
+# operation, next to a live-WAL durable store) and a repeated
+# compaction-under-load stress loop, the fault-injected durable recovery
+# suite plus a repeated kill-at-every-injection-point crash stress loop,
+# the fault-injected replication suite plus a repeated disconnect-storm
+# stress loop, a syntax check of the perf gate script (which is run by
+# hand, not here), the two line-count ratchets (scripts/loc.sh totals
+# against fixed ceilings), and hygiene guards asserting the tests left no
+# stray on-disk files — page files, `.pages.compact` rewrite scratch,
 # WALs, manifests, `.manifest.tmp`/`.manifest.prev` checkpoint scratch or
 # replica generation directories — behind.
 #
-# The debug lock-rank checker needs no step of its own: the plain
-# `cargo test -q` below builds with debug assertions and runs
-# tests/concurrent_server.rs, whose multi-threaded query + insert tests
-# drive cross-thread shard-lock traffic through it.
+# The debug lock checker needs no step of its own: the plain `cargo test -q`
+# below builds with debug assertions, so every test that takes a shard lock
+# checks the rank order and the one-shard-at-a-time rule, and every test
+# that reaches durable IO checks that no shard write lock is held outside a
+# sanctioned scope (crates/store/src/lockrank.rs).
 #
 # Right after the workspace tests it runs the paper as a gate: the release
 # `zerber_repro` binary reproduces every figure and table of the paper's
@@ -49,6 +51,9 @@ cargo fmt --check
 echo "==> cargo build --release"
 cargo build --release
 
+echo "==> cargo clippy --workspace --all-targets -- -D warnings"
+cargo clippy --workspace --all-targets -- -D warnings
+
 echo "==> cargo test -q"
 cargo test -q
 
@@ -58,9 +63,6 @@ cargo run --release --offline -q -p zerber_bench --bin zerber_repro -- \
 
 echo "==> zerber_perf tests (detached benchmark package: unit tests + --smoke on all four workloads)"
 cargo test --offline --manifest-path zerber_perf/Cargo.toml
-
-echo "==> zerber-analyze (workspace invariant linter)"
-cargo run -p zerber-analyze --release
 
 echo "==> cargo test --release (concurrency + engine-vs-oracle + batched-vs-sequential + spill equivalence)"
 cargo test --release --test concurrent_server --test store_equivalence --test spill_store
@@ -170,8 +172,5 @@ if [ "$loc_total" -gt "$PAPER_LOC_CEILING" ]; then
   echo "paper-side non-test line count $loc_total exceeds the ceiling of $PAPER_LOC_CEILING" >&2
   exit 1
 fi
-
-echo "==> cargo clippy --workspace --all-targets -- -D warnings"
-cargo clippy --workspace --all-targets -- -D warnings
 
 echo "verify: OK"
