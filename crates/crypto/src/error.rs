@@ -8,12 +8,9 @@ pub enum CryptoError {
     /// Authentication tag verification failed (ciphertext was tampered with
     /// or the wrong key was used).
     AuthenticationFailed,
-    /// The ciphertext is too short to contain the nonce and tag.
-    CiphertextTooShort,
-    /// A key had the wrong length.
-    InvalidKeyLength { expected: usize, got: usize },
-    /// A nonce had the wrong length.
-    InvalidNonceLength { expected: usize, got: usize },
+    /// A sealed box is not nonce + tag + as many bytes as the plaintext
+    /// buffer it is opened into.
+    CiphertextLength,
     /// HKDF output length request exceeded the RFC 5869 limit (255 blocks).
     OutputTooLong,
 }
@@ -22,19 +19,7 @@ impl fmt::Display for CryptoError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             CryptoError::AuthenticationFailed => write!(f, "authentication tag mismatch"),
-            CryptoError::CiphertextTooShort => write!(f, "ciphertext too short"),
-            CryptoError::InvalidKeyLength { expected, got } => {
-                write!(
-                    f,
-                    "invalid key length: expected {expected} bytes, got {got}"
-                )
-            }
-            CryptoError::InvalidNonceLength { expected, got } => {
-                write!(
-                    f,
-                    "invalid nonce length: expected {expected} bytes, got {got}"
-                )
-            }
+            CryptoError::CiphertextLength => write!(f, "sealed box has the wrong length"),
             CryptoError::OutputTooLong => write!(f, "requested HKDF output is too long"),
         }
     }
@@ -51,12 +36,7 @@ mod tests {
         assert!(CryptoError::AuthenticationFailed
             .to_string()
             .contains("tag"));
-        let e = CryptoError::InvalidKeyLength {
-            expected: 32,
-            got: 16,
-        };
-        assert!(e.to_string().contains("32"));
-        assert!(e.to_string().contains("16"));
+        assert!(CryptoError::CiphertextLength.to_string().contains("length"));
         assert!(CryptoError::OutputTooLong.to_string().contains("HKDF"));
     }
 }

@@ -1,8 +1,8 @@
 //! HKDF (RFC 5869) with HMAC-SHA-256.
 //!
-//! The Zerber group-key hierarchy derives one encryption key and one MAC key
-//! per collaboration group from a master secret (see [`crate::keys`]); HKDF is
-//! the extract-and-expand construction used for these derivations.
+//! The Zerber group-key hierarchy derives one AEAD key per collaboration
+//! group from a master secret (see [`crate::keys`]); HKDF is the
+//! extract-and-expand construction used for these derivations.
 
 use crate::error::CryptoError;
 use crate::hmac::{HmacSha256, MAC_LEN};

@@ -1,7 +1,7 @@
 //! HMAC-SHA-256 (RFC 2104 / FIPS 198-1).
 //!
-//! Used for message authentication in the encrypt-then-MAC AEAD and as the
-//! PRF inside HKDF.  Validated against the RFC 4231 test vectors.
+//! Computes the server's access tokens and is the PRF inside HKDF.
+//! Validated against the RFC 4231 test vectors.
 
 use crate::sha256::{Sha256, BLOCK_LEN, DIGEST_LEN};
 
@@ -10,10 +10,7 @@ pub const MAC_LEN: usize = DIGEST_LEN;
 
 /// Incremental HMAC-SHA-256.
 ///
-/// Holds the SHA-256 states after absorbing the ipad and the opad block, so
-/// a keyed context is cloned instead of re-derived: a holder that MACs many
-/// short messages under one key (the AEAD tag) pays the two key-block
-/// compressions once.
+/// Holds the SHA-256 states after absorbing the ipad and the opad block.
 #[derive(Clone)]
 pub struct HmacSha256 {
     inner: Sha256,
@@ -69,18 +66,12 @@ impl HmacSha256 {
         h.update(data);
         h.finalize()
     }
-
-    /// Constant-time comparison of an expected and received tag.
-    ///
-    /// Avoids the classic early-exit timing side channel when the index
-    /// server (or an adversary controlling it) probes tag verification.
-    pub fn verify(key: &[u8], data: &[u8], tag: &[u8]) -> bool {
-        let expected = Self::mac(key, data);
-        constant_time_eq(&expected, tag)
-    }
 }
 
 /// Constant-time equality over byte slices (false if lengths differ).
+///
+/// Avoids the classic early-exit timing side channel when the index server
+/// (or an adversary controlling it) probes tag or token verification.
 pub fn constant_time_eq(a: &[u8], b: &[u8]) -> bool {
     if a.len() != b.len() {
         return false;
@@ -149,17 +140,6 @@ mod tests {
             h.update(chunk);
         }
         assert_eq!(h.finalize(), HmacSha256::mac(key, data));
-    }
-
-    #[test]
-    fn verify_accepts_valid_and_rejects_invalid_tags() {
-        let key = b"k";
-        let data = b"payload";
-        let mut tag = HmacSha256::mac(key, data);
-        assert!(HmacSha256::verify(key, data, &tag));
-        tag[0] ^= 1;
-        assert!(!HmacSha256::verify(key, data, &tag));
-        assert!(!HmacSha256::verify(key, data, &tag[..16]));
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! The collaboration scenario of Section 2 assigns every document to a group;
 //! only members of the group may decrypt its posting elements.  This module
 //! derives per-group keys from a master secret with HKDF:
-//! an AEAD key pair per group, used to seal posting-element payloads.  A
+//! one ChaCha20-Poly1305 key per group, used to seal posting-element payloads.  A
 //! compromised index server therefore sees only ciphertexts; group members
 //! holding the group secret can decrypt and filter.
 
@@ -41,14 +41,11 @@ impl MasterKey {
 
     /// Derives the key set of one collaboration group.
     pub fn group_keys(&self, group: u32) -> GroupKeys {
-        let ctx_enc = format!("zerber/group/{group}/enc");
-        let ctx_mac = format!("zerber/group/{group}/mac");
+        let info = format!("zerber/group/{group}/enc");
+        let key = derive_key32(b"zerber-salt", &self.secret, info.as_bytes());
         GroupKeys {
             group,
-            aead: AeadKey::new(
-                derive_key32(b"zerber-salt", &self.secret, ctx_enc.as_bytes()),
-                derive_key32(b"zerber-salt", &self.secret, ctx_mac.as_bytes()),
-            ),
+            aead: AeadKey::new(key),
         }
     }
 }
@@ -72,7 +69,7 @@ impl GroupKeys {
         self.group
     }
 
-    /// The AEAD key pair for sealing posting-element payloads.
+    /// The AEAD key for sealing posting-element payloads.
     pub fn aead(&self) -> &AeadKey {
         &self.aead
     }
@@ -92,11 +89,11 @@ mod tests {
         let g0a = m.group_keys(0);
         let g0b = m.group_keys(0);
         let g1 = m.group_keys(1);
-        let sealed_a = g0a.aead().seal(&[0u8; 12], b"x", b"").unwrap();
-        let sealed_b = g0b.aead().seal(&[0u8; 12], b"x", b"").unwrap();
+        let sealed_a = g0a.aead().seal(&[0u8; 12], b"x", b"");
+        let sealed_b = g0b.aead().seal(&[0u8; 12], b"x", b"");
         assert_eq!(sealed_a, sealed_b, "same group, same keys");
         assert!(
-            g1.aead().open(&sealed_a, b"").is_err(),
+            g1.aead().open(&sealed_a, b"", &mut [0u8; 1]).is_err(),
             "other group cannot decrypt"
         );
         assert_eq!(g0a.group(), 0);
@@ -108,7 +105,7 @@ mod tests {
         let a = MasterKey::from_passphrase("pcc advisory board", b"salt-1");
         let b = MasterKey::from_passphrase("pcc advisory board", b"salt-1");
         let c = MasterKey::from_passphrase("pcc advisory board", b"salt-2");
-        let seal = |m: &MasterKey| m.group_keys(0).aead().seal(&[0u8; 12], b"x", b"").unwrap();
+        let seal = |m: &MasterKey| m.group_keys(0).aead().seal(&[0u8; 12], b"x", b"");
         assert_eq!(seal(&a), seal(&b));
         assert_ne!(seal(&a), seal(&c));
     }

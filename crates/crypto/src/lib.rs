@@ -10,7 +10,9 @@
 //! * [`hmac`] — HMAC-SHA-256 (RFC 2104, vectors from RFC 4231),
 //! * [`hkdf`] — HKDF (RFC 5869),
 //! * [`chacha20`] — ChaCha20 (RFC 8439),
-//! * [`aead`] — encrypt-then-MAC authenticated encryption,
+//! * [`poly1305`] — Poly1305 (RFC 8439),
+//! * [`aead`] — ChaCha20-Poly1305 authenticated encryption (RFC 8439 §2.8);
+//!   a nonce must never repeat under one group key,
 //! * [`keys`] — master / group key hierarchy,
 //! * [`rng`] — deterministic ChaCha20-based randomness for reproducible
 //!   experiments.
@@ -27,6 +29,7 @@ pub mod error;
 pub mod hkdf;
 pub mod hmac;
 pub mod keys;
+pub mod poly1305;
 pub mod rng;
 pub mod sha256;
 

@@ -2,12 +2,17 @@
 //!
 //! Nonces and random placements (the random distribution of posting elements
 //! inside a merged posting list, Definition 2) need unpredictable-looking but
-//! *reproducible* randomness so experiments can be replayed bit-for-bit.
+//! *reproducible* randomness so experiments can be replayed bit-for-bit;
+//! only [`DeterministicRng::unique`], for sealers that share a key, is not.
 //! This generator runs ChaCha20 in counter mode over a seed key; it is not a
 //! substitute for an OS CSPRNG in a real deployment, which is documented in
 //! the README's security notes.
 
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::{SystemTime, UNIX_EPOCH};
+
 use crate::chacha20::{ChaCha20, BLOCK_LEN, NONCE_LEN};
+use crate::sha256::Sha256;
 
 /// Deterministic random byte stream seeded from 32 bytes.
 #[derive(Debug, Clone)]
@@ -22,7 +27,7 @@ impl DeterministicRng {
     /// Creates a generator from a 32-byte seed.
     pub fn from_seed(seed: [u8; 32]) -> Self {
         DeterministicRng {
-            cipher: ChaCha20::new(&seed).expect("seed length is fixed at 32 bytes"),
+            cipher: ChaCha20::new(&seed),
             counter: 0,
             buffer: [0u8; BLOCK_LEN],
             used: BLOCK_LEN,
@@ -31,16 +36,30 @@ impl DeterministicRng {
 
     /// Creates a generator from a 64-bit seed (expanded by hashing).
     pub fn from_u64(seed: u64) -> Self {
-        let digest = crate::sha256::Sha256::digest(&seed.to_le_bytes());
+        let digest = Sha256::digest(&seed.to_le_bytes());
         Self::from_seed(digest)
     }
 
+    /// Creates a generator whose stream no other generator shares, for
+    /// sealers that hold one key and must never draw the same nonce: the
+    /// seed hashes `context` (a client's user name and token, say) with a
+    /// per-process counter, the process id and the wall clock.  Not
+    /// reproducible, by design.
+    pub fn unique(context: &[u8]) -> Self {
+        static CREATED: AtomicU64 = AtomicU64::new(0);
+        let nanos = SystemTime::now()
+            .duration_since(UNIX_EPOCH)
+            .map_or(0, |d| d.as_nanos());
+        let mut h = Sha256::new();
+        h.update(context);
+        h.update(&CREATED.fetch_add(1, Ordering::Relaxed).to_le_bytes());
+        h.update(&std::process::id().to_le_bytes());
+        h.update(&nanos.to_le_bytes());
+        Self::from_seed(h.finalize())
+    }
+
     fn refill(&mut self) {
-        let nonce = [0u8; NONCE_LEN];
-        self.buffer = self
-            .cipher
-            .block(self.counter, &nonce)
-            .expect("nonce length is fixed");
+        self.buffer = self.cipher.block(self.counter, &[0u8; NONCE_LEN]);
         self.counter = self.counter.wrapping_add(1);
         self.used = 0;
     }
@@ -105,6 +124,13 @@ mod tests {
         let va: Vec<u64> = (0..10).map(|_| a.next_u64()).collect();
         let vb: Vec<u64> = (0..10).map(|_| b.next_u64()).collect();
         assert_ne!(va, vb);
+    }
+
+    #[test]
+    fn unique_generators_never_share_a_stream() {
+        let mut a = DeterministicRng::unique(b"john");
+        let mut b = DeterministicRng::unique(b"john");
+        assert_ne!(a.nonce(), b.nonce());
     }
 
     #[test]

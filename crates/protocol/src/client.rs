@@ -138,12 +138,7 @@ impl TermRun {
                 // The server should not have sent this; skip defensively.
                 continue;
             };
-            let sealed = EncryptedElement {
-                group: wire.group,
-                ciphertext: wire.ciphertext.clone(),
-            };
-            let payload = sealed
-                .open(keys, list)
+            let payload = EncryptedElement::open_ciphertext(&wire.ciphertext, keys, list)
                 .map_err(|e| ProtocolError::Core(e.to_string()))?;
             if payload.term == self.term {
                 self.results.push((payload.doc, payload.relevance()));
@@ -202,11 +197,13 @@ impl Client {
         token: AuthToken,
         keys: HashMap<GroupId, GroupKeys>,
     ) -> Self {
+        let user = user.into();
         Client {
-            user: user.into(),
+            // Clients share their group's key: never a nonce stream.
+            rng: DeterministicRng::unique(&[user.as_bytes(), &token.0].concat()),
+            user,
             token,
             keys,
-            rng: DeterministicRng::from_u64(0xc11e47),
         }
     }
 
@@ -341,14 +338,10 @@ impl Client {
         group: GroupId,
         term_counts: &[(TermId, u32)],
     ) -> Result<usize, ProtocolError> {
-        let keys = self
-            .keys
-            .get(&group)
-            .ok_or(ProtocolError::AccessDenied {
-                user: self.user.clone(),
-                group: group.0,
-            })?
-            .clone();
+        let keys = self.keys.get(&group).ok_or(ProtocolError::AccessDenied {
+            user: self.user.clone(),
+            group: group.0,
+        })?;
         let doc_len: u32 = term_counts.iter().map(|&(_, c)| c).sum();
         let mut inserted = 0usize;
         for &(term, tf) in term_counts {
@@ -361,7 +354,7 @@ impl Client {
                 tf,
                 doc_len,
             };
-            let sealed = EncryptedElement::seal(&payload, group, &keys, list, &mut self.rng)
+            let sealed = EncryptedElement::seal(&payload, group, keys, list, &mut self.rng)
                 .map_err(|e| ProtocolError::Core(e.to_string()))?;
             let trs = model.transform(term, doc, payload.relevance());
             server.handle_insert(
@@ -557,6 +550,46 @@ mod tests {
         assert!(
             outcome.results.iter().any(|&(d, _)| d == new_doc),
             "newly inserted high-relevance document should reach the top-3"
+        );
+    }
+
+    #[test]
+    fn two_clients_of_one_group_never_share_a_nonce() {
+        // At a shared nonce under the group key the server would see the XOR
+        // of the two plaintexts and could forge tags.
+        let f = fixture();
+        let term = f.stats.terms_by_doc_freq()[0];
+        let doc = DocId(92_000);
+        for _ in 0..2 {
+            client(&f, "john", &[0])
+                .insert_document(&f.server, &f.plan, &f.model, doc, GroupId(0), &[(term, 3)])
+                .unwrap();
+        }
+        let list = f.plan.list_of(term).unwrap();
+        let request = QueryRequest {
+            user: "john".into(),
+            list: list.0,
+            offset: 0,
+            cursor: 0,
+            count: f.server.store().list_len(list).unwrap() as u32,
+            k: 1,
+        };
+        let token = f.server.acl().issue_token("john");
+        let response = f.server.handle_query(&request, &token).unwrap();
+        let keys = f.master.group_keys(0);
+        let sealed: Vec<&[u8]> = response
+            .elements
+            .iter()
+            .map(|w| &w.ciphertext[..])
+            .filter(|c| {
+                EncryptedElement::open_ciphertext(c, &keys, list).is_ok_and(|p| p.doc == doc)
+            })
+            .collect();
+        assert_eq!(sealed.len(), 2);
+        assert_ne!(
+            sealed[0][..12],
+            sealed[1][..12],
+            "the two inserts share a nonce"
         );
     }
 

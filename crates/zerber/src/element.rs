@@ -94,7 +94,7 @@ impl EncryptedElement {
     ) -> Result<Self, ZerberError> {
         let nonce = rng.nonce();
         let aad = list.0.to_le_bytes();
-        let ciphertext = keys.aead().seal(&nonce, &payload.encode(), &aad)?;
+        let ciphertext = keys.aead().seal(&nonce, &payload.encode(), &aad);
         Ok(EncryptedElement { group, ciphertext })
     }
 
@@ -105,8 +105,20 @@ impl EncryptedElement {
         keys: &GroupKeys,
         list: MergedListId,
     ) -> Result<PostingPayload, ZerberError> {
-        let aad = list.0.to_le_bytes();
-        let plain = keys.aead().open(&self.ciphertext, &aad)?;
+        Self::open_ciphertext(&self.ciphertext, keys, list)
+    }
+
+    /// Opens a sealed payload where it lies (a response buffer, say),
+    /// decrypting into the stack: the tag is verified before any payload
+    /// byte is read.
+    pub fn open_ciphertext(
+        ciphertext: &[u8],
+        keys: &GroupKeys,
+        list: MergedListId,
+    ) -> Result<PostingPayload, ZerberError> {
+        let mut plain = [0u8; PAYLOAD_BYTES];
+        keys.aead()
+            .open(ciphertext, &list.0.to_le_bytes(), &mut plain)?;
         PostingPayload::decode(&plain)
     }
 
@@ -179,6 +191,30 @@ mod tests {
             .unwrap();
         assert!(e.open(&keys, MergedListId(4)).is_err());
         assert!(e.open(&other_keys, MergedListId(3)).is_err());
+    }
+
+    #[test]
+    fn every_single_bit_flip_of_a_sealed_element_is_rejected() {
+        let keys = keys();
+        let mut rng = DeterministicRng::from_u64(9);
+        let e = EncryptedElement::seal(&payload(), GroupId(2), &keys, MergedListId(3), &mut rng)
+            .unwrap();
+        assert_eq!(e.ciphertext.len() * 8, 352);
+        for bit in 0..352 {
+            let mut flipped = e.ciphertext.clone();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            assert!(
+                EncryptedElement::open_ciphertext(&flipped, &keys, MergedListId(3)).is_err(),
+                "bit {bit} flipped and still opened"
+            );
+        }
+        let other_group = MasterKey::new([9u8; 32]).group_keys(3);
+        let open = |k: &GroupKeys, list: u64| {
+            EncryptedElement::open_ciphertext(&e.ciphertext, k, MergedListId(list))
+        };
+        assert!(open(&keys, 2).is_err() && open(&keys, 1 << 32).is_err());
+        assert!(open(&other_group, 3).is_err());
+        assert_eq!(open(&keys, 3).unwrap(), payload());
     }
 
     #[test]
