@@ -21,7 +21,7 @@ use zerber_protocol::{
 };
 use zerber_r::math::{ks_two_sample, std_normal_pdf};
 use zerber_r::{cross_validate, default_sigma_grid, uniformity_variance};
-use zerber_r::{GaussianSum, GrowthPolicy, RstfKernel, SigmaPoint, TRS_BYTES};
+use zerber_r::{GaussianSum, RstfKernel, SigmaPoint, TRS_BYTES};
 use zerber_workload::{
     average_bandwidth_overhead, average_requests, cumulative_workload_curve,
     efficiency_at_percentiles, single_request_fraction, workload_cost, MergeKind, QuerySample,
@@ -745,8 +745,7 @@ fn network(beds: &Beds, s: &mut Section) {
     let (k, scale) = (10usize, beds.scale);
     let bed = beds.bed(&DatasetProfile::OdpWeb);
     let log = query_log(bed, 1_500, 1_000_000);
-    let samples = bed.run_workload(&log, k, k, GrowthPolicy::Doubling);
-    let samples = samples.expect("workload runs");
+    let samples = bed.run_workload(&log, k, k).expect("workload runs");
     // AvBO is the mean of TRes / k: with k = 1, the mean of TRes itself.
     let avg_elements = average_bandwidth_overhead(&samples, 1);
     let avg_requests = average_requests(&samples);

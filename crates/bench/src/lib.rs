@@ -26,7 +26,6 @@ use std::path::PathBuf;
 use std::rc::Rc;
 
 use zerber_corpus::DatasetProfile;
-use zerber_r::GrowthPolicy;
 use zerber_workload::{QueryLog, QueryLogConfig, QuerySample, TestBed, TestBedConfig};
 
 pub use experiments::{fingerprint_audit, run, Experiment, EXPERIMENTS};
@@ -191,8 +190,7 @@ impl Beds {
         let bed = self.bed(profile);
         let log = shared.grid_log.get_or_init(|| query_log(bed, 800, 500_000));
         self.cells_evaluated.set(self.cells_evaluated.get() + 1);
-        let samples = bed.run_workload(log, k, b, GrowthPolicy::Doubling);
-        let samples = Rc::new(samples.expect("workload runs"));
+        let samples = Rc::new(bed.run_workload(log, k, b).expect("workload runs"));
         shared
             .cells
             .borrow_mut()

@@ -4,18 +4,19 @@
 //! merge plan (term → merged list) and the published RSTF model.  For a
 //! query she addresses the merged list of her term, asks for the top-`b`
 //! elements, decrypts and filters locally, and sends doubling follow-up
-//! requests until she has `k` results (Section 5.2).  Follow-ups resume the
-//! server-side cursor session opened by the initial request; multi-term
-//! queries send their initial round as one batch so the server visits each
-//! shard once.  All exchanged bytes are accounted so the harness can
-//! reproduce the bandwidth figures.
+//! requests until she has `k` results (Section 5.2): `zerber_r`'s
+//! [`RetrievalRun`], which this module carries over the wire.  Follow-ups
+//! resume the server-side cursor session; multi-term queries send their
+//! initial round as one batch so the server visits each shard once.  All
+//! exchanged bytes are accounted so the harness can reproduce the bandwidth
+//! figures.
 
 use std::collections::HashMap;
 
 use zerber_base::{EncryptedElement, MergePlan, PostingPayload};
 use zerber_corpus::{DocId, GroupId, TermId};
 use zerber_crypto::{DeterministicRng, GroupKeys};
-use zerber_r::{GrowthPolicy, RetrievalConfig, RstfModel};
+use zerber_r::{merge_rankings, RetrievalConfig, RetrievalRun, RstfModel};
 
 use crate::acl::AuthToken;
 use crate::error::ProtocolError;
@@ -52,22 +53,14 @@ impl ClientQueryOutcome {
     }
 }
 
-/// Client-side progress of one single-term retrieval: what has been received,
-/// decrypted and accounted so far, plus the cursor session to resume.
+/// One term's retrieval on the wire: the shared [`RetrievalRun`] plus the
+/// cursor session it resumes and the bytes it exchanged.
 #[derive(Debug)]
 struct TermRun {
-    term: TermId,
-    list: u64,
-    config: RetrievalConfig,
-    results: Vec<(DocId, f64)>,
-    offset: u64,
+    run: RetrievalRun,
     cursor: u64,
-    requests: usize,
-    elements_received: usize,
     bytes_sent: usize,
     bytes_received: usize,
-    visible_total: u64,
-    done: bool,
 }
 
 impl TermRun {
@@ -76,82 +69,43 @@ impl TermRun {
         term: TermId,
         config: &RetrievalConfig,
     ) -> Result<Self, ProtocolError> {
-        if config.k == 0 || config.initial_response == 0 {
-            return Err(ProtocolError::InvalidRequest(
-                "k and b must be greater than 0".into(),
-            ));
-        }
-        let list = plan
-            .list_of(term)
-            .map_err(|e| ProtocolError::InvalidRequest(e.to_string()))?;
         Ok(TermRun {
-            term,
-            list: list.0,
-            config: *config,
-            results: Vec::with_capacity(config.k),
-            offset: 0,
+            run: RetrievalRun::new(plan, term, config)
+                .map_err(|e| ProtocolError::InvalidRequest(e.to_string()))?,
             cursor: 0,
-            requests: 0,
-            elements_received: 0,
             bytes_sent: 0,
             bytes_received: 0,
-            visible_total: u64::MAX,
-            done: false,
         })
     }
 
-    fn finished(&self) -> bool {
-        self.done || self.results.len() >= self.config.k || self.offset >= self.visible_total
-    }
-
+    /// The run's next request.  Sizes past the wire's 32 bits saturate: a
+    /// request can ask for no more than the list holds anyway.
     fn next_request(&self, user: &str) -> QueryRequest {
-        let count = match self.config.growth {
-            GrowthPolicy::Doubling => self.config.initial_response << self.requests.min(30),
-            GrowthPolicy::Constant => self.config.initial_response,
-        } as u32;
         QueryRequest {
             user: user.to_string(),
-            list: self.list,
-            offset: self.offset,
+            list: self.run.list().0,
+            offset: self.run.received() as u64,
             cursor: self.cursor,
-            count,
-            k: self.config.k as u32,
+            count: u32::try_from(self.run.next_size()).unwrap_or(u32::MAX),
+            k: u32::try_from(self.run.config().k).unwrap_or(u32::MAX),
         }
     }
 
-    /// Accounts one request/response exchange and decrypts the batch.
+    /// Accounts one request/response exchange and hands the response to the
+    /// run.
     fn absorb(
         &mut self,
         request: &QueryRequest,
         response: &QueryResponse,
         keys: &HashMap<GroupId, GroupKeys>,
     ) -> Result<(), ProtocolError> {
-        let list = zerber_base::MergedListId(self.list);
         self.bytes_sent += request.encoded_bytes();
         self.bytes_received += response.encoded_bytes();
-        self.requests += 1;
-        self.elements_received += response.elements.len();
-        self.visible_total = response.visible_total;
         self.cursor = response.cursor;
-        for wire in &response.elements {
-            let Some(keys) = keys.get(&wire.group) else {
-                // The server should not have sent this; skip defensively.
-                continue;
-            };
-            let payload = EncryptedElement::open_ciphertext(&wire.ciphertext, keys, list)
-                .map_err(|e| ProtocolError::Core(e.to_string()))?;
-            if payload.term == self.term {
-                self.results.push((payload.doc, payload.relevance()));
-                if self.results.len() == self.config.k {
-                    break;
-                }
-            }
-        }
-        self.offset += response.elements.len() as u64;
-        if response.elements.is_empty() {
-            self.done = true;
-        }
-        Ok(())
+        let visible_total = usize::try_from(response.visible_total).unwrap_or(usize::MAX);
+        let elements = response.elements.iter();
+        let elements = elements.map(|wire| (wire.group, wire.ciphertext.as_slice()));
+        Ok(self.run.absorb(visible_total, elements, keys)?)
     }
 
     /// Releases the server-side session if the run stopped before the list
@@ -163,20 +117,15 @@ impl TermRun {
         }
     }
 
-    fn finish(mut self) -> ClientQueryOutcome {
-        self.results.sort_by(|a, b| {
-            b.1.partial_cmp(&a.1)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.0.cmp(&b.0))
-        });
-        let satisfied = self.results.len() >= self.config.k;
+    fn finish(self) -> ClientQueryOutcome {
+        let outcome = self.run.finish();
         ClientQueryOutcome {
-            results: self.results,
-            requests: self.requests,
-            elements_received: self.elements_received,
+            results: outcome.results,
+            requests: outcome.requests,
+            elements_received: outcome.elements_transferred,
             bytes_sent: self.bytes_sent,
             bytes_received: self.bytes_received,
-            satisfied,
+            satisfied: outcome.satisfied,
         }
     }
 }
@@ -224,7 +173,7 @@ impl Client {
     /// follow-up must not leak an open cursor.
     fn drive(&self, server: &IndexServer, run: &mut TermRun) -> Result<(), ProtocolError> {
         let result = (|| {
-            while !run.finished() {
+            while !run.run.is_done() {
                 let request = run.next_request(&self.user);
                 let response = server.handle_query(&request, &self.token)?;
                 run.absorb(&request, &response, &self.keys)?;
@@ -273,40 +222,28 @@ impl Client {
         let responses = server.handle_query_batch(&initial, &self.token)?;
         let mut error = None;
         for ((run, request), response) in runs.iter_mut().zip(&initial).zip(responses) {
-            match response {
-                Ok(response) => {
-                    // Record the session id unconditionally: after an
-                    // earlier error the response is not absorbed, but the
-                    // release pass below must still close its cursor.
-                    run.cursor = response.cursor;
-                    if error.is_none() {
-                        if let Err(e) = run.absorb(request, &response, &self.keys) {
-                            error = Some(e);
-                        }
-                    }
+            let absorbed = response.and_then(|response| {
+                // Record the session id even after an earlier error: the
+                // release pass below must still close its cursor.
+                run.cursor = response.cursor;
+                match error {
+                    None => run.absorb(request, &response, &self.keys),
+                    Some(_) => Ok(()),
                 }
-                Err(e) => {
-                    if error.is_none() {
-                        error = Some(e);
-                    }
-                }
+            });
+            if let Err(e) = absorbed {
+                error.get_or_insert(e);
             }
         }
-        let mut acc: HashMap<DocId, f64> = HashMap::new();
         let mut per_term = Vec::with_capacity(terms.len());
         for mut run in runs {
             // After a failure, only release the sessions of the remaining
             // runs instead of abandoning them server-side.
             if error.is_none() {
-                if let Err(e) = self.drive(server, &mut run) {
-                    error = Some(e);
-                    continue;
+                match self.drive(server, &mut run) {
+                    Ok(()) => per_term.push(run.finish()),
+                    Err(e) => error = Some(e),
                 }
-                let outcome = run.finish();
-                for &(doc, rel) in &outcome.results {
-                    *acc.entry(doc).or_insert(0.0) += rel;
-                }
-                per_term.push(outcome);
             } else {
                 run.release(server, &self.user);
             }
@@ -314,13 +251,7 @@ impl Client {
         if let Some(e) = error {
             return Err(e);
         }
-        let mut merged: Vec<(DocId, f64)> = acc.into_iter().collect();
-        merged.sort_by(|a, b| {
-            b.1.partial_cmp(&a.1)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.0.cmp(&b.0))
-        });
-        merged.truncate(config.k);
+        let merged = merge_rankings(per_term.iter().map(|o| o.results.as_slice()), config.k);
         Ok((merged, per_term))
     }
 
@@ -377,14 +308,14 @@ impl Client {
 mod tests {
     use super::*;
     use crate::acl::AccessControl;
-    use zerber_base::{BfmMerge, ConfidentialityParam, MergeScheme};
+    use zerber_base::{BfmMerge, ConfidentialityParam, MergeScheme, MergedListId};
     use zerber_corpus::{
         sample_split, Corpus, CorpusGenerator, CorpusStats, CustomProfile, DatasetProfile,
         SplitConfig, SynthConfig,
     };
     use zerber_crypto::MasterKey;
     use zerber_index::InvertedIndex;
-    use zerber_r::{OrderedIndex, RstfConfig};
+    use zerber_r::{retrieve_topk, GrowthPolicy, OrderedIndex, RstfConfig};
 
     struct Fixture {
         corpus: Corpus,
@@ -668,6 +599,43 @@ mod tests {
         assert_eq!(multi_stats.bytes_out, sequential_stats.bytes_out);
         assert!(multi_stats.auth_checks < sequential_stats.auth_checks);
         assert!(multi_stats.lock_acquisitions <= sequential_stats.lock_acquisitions);
+    }
+
+    #[test]
+    fn request_sizes_past_the_wire_width_saturate_instead_of_wrapping() {
+        // `b` and `k` are 32 bits on the wire.  Truncated, b = 2^32 became a
+        // count of 0 and k = 2^32 a k of 0, and the server refused both.
+        let f = fixture();
+        let john = client(&f, "john", &[0, 1]);
+        let keys = john.keys.clone();
+        let index = OrderedIndex::from_parts(
+            (0..f.server.num_lists() as u64)
+                .map(|l| f.server.store().snapshot_list(MergedListId(l)).unwrap())
+                .collect(),
+            f.plan.clone(),
+        );
+        let term = f.stats.terms_by_doc_freq()[0];
+        let wide = |k: usize, initial_response: usize| RetrievalConfig {
+            k,
+            initial_response,
+            growth: GrowthPolicy::Doubling,
+        };
+        for config in [wide(1, 1 << 32), wide(1 << 32, 10)] {
+            let served = john.query(&f.server, &f.plan, term, &config).unwrap();
+            let model = retrieve_topk(&index, term, &keys, &config).unwrap();
+            assert_eq!(served.results, model.results);
+            assert_eq!(served.requests, model.requests);
+            assert_eq!(served.elements_received, model.elements_transferred);
+            assert_eq!(f.server.open_cursors(), 0);
+        }
+        let everything = john
+            .query(&f.server, &f.plan, term, &wide(1 << 32, 10))
+            .unwrap();
+        assert!(!everything.satisfied);
+        assert_eq!(
+            everything.results.len(),
+            f.stats.doc_freq(term).unwrap() as usize
+        );
     }
 
     #[test]

@@ -582,24 +582,26 @@ impl IndexServer {
         if let [request] = requests {
             return Ok(vec![self.serve(request, groups, None, true)]);
         }
-        let jobs: Vec<StoreJob<'_>> = requests
+        let jobs: Vec<StoreJob> = requests
             .iter()
             .map(|request| {
                 let count = request.count as usize;
                 if request.cursor != 0 {
-                    let cursor = CursorId(request.cursor);
-                    StoreJob::resume(cursor, owner_tag(&request.user), count, Some(groups))
+                    StoreJob::Resume {
+                        cursor: CursorId(request.cursor),
+                        owner: owner_tag(&request.user),
+                        count,
+                    }
                 } else {
-                    let fetch = RangedFetch {
+                    StoreJob::Ranged(RangedFetch {
                         list: MergedListId(request.list),
                         offset: request.offset as usize,
                         count,
-                    };
-                    StoreJob::ranged(fetch, Some(groups))
+                    })
                 }
             })
             .collect();
-        let outcomes = self.store.execute_shard_batch(&jobs);
+        let outcomes = self.store.execute_shard_batch(&jobs, Some(groups));
         if outcomes.len() != jobs.len() {
             return Err(ProtocolError::Core(format!(
                 "internal invariant: the store answered {} of {} batch jobs",

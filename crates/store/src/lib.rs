@@ -8,12 +8,12 @@
 //!
 //! * [`ListStore`] — the storage contract: ranged fetches in TRS order,
 //!   resumable cursor sessions for follow-up requests (Section 4.1/5.2),
-//!   position-preserving inserts, cross-user shard batches
-//!   ([`StoreJob`] / [`ListStore::execute_shard_batch`]: jobs from many
-//!   users, each with its own group filter, grouped by shard and served
-//!   under a single lock acquisition per shard per round), and one
-//!   [`ListStore::metrics`] call returning every counter and gauge the
-//!   store keeps as a plain [`StoreMetrics`].
+//!   position-preserving inserts, shard batches
+//!   ([`StoreJob`] / [`ListStore::execute_shard_batch`]: one user's ranged
+//!   fetches and cursor resumptions under one group filter, grouped by
+//!   shard and served under a single lock acquisition per shard per round),
+//!   and one [`ListStore::metrics`] call returning every counter and gauge
+//!   the store keeps as a plain [`StoreMetrics`].
 //! * [`SpillStore`] — the one engine that serves ([`sharded`]): lists
 //!   partitioned across N shards, each behind its own `RwLock` (queries on
 //!   different lists never contend, an insert write-locks exactly one
@@ -305,11 +305,11 @@ mod tests {
                 count: 5,
             }))
             .collect();
-        let jobs: Vec<StoreJob<'_>> = fetches
+        let jobs: Vec<StoreJob> = fetches
             .iter()
-            .map(|&fetch| StoreJob::ranged(fetch, None))
+            .map(|&fetch| StoreJob::Ranged(fetch))
             .collect();
-        let batched = sharded.execute_shard_batch(&jobs);
+        let batched = sharded.execute_shard_batch(&jobs, None);
         assert_eq!(batched.len(), fetches.len());
         for (fetch, result) in fetches.iter().zip(&batched) {
             match sharded.fetch_ranged(fetch, None) {
@@ -320,107 +320,90 @@ mod tests {
     }
 
     #[test]
-    fn shard_batches_serve_cross_user_jobs_under_one_lock_per_shard() {
+    fn shard_batches_serve_a_users_jobs_under_one_lock_per_shard() {
         let (sharded, single) = stores();
         let list = busiest_list(&sharded);
         let g0 = [GroupId(0)];
-        let g12 = [GroupId(1), GroupId(2)];
-        let head = sharded
-            .fetch_ranged(
-                &RangedFetch {
-                    list,
-                    offset: 0,
-                    count: 2,
-                },
-                Some(&g0),
-            )
-            .unwrap();
+        let fetch = |offset, count| RangedFetch {
+            list,
+            offset,
+            count,
+        };
+        let head = sharded.fetch_ranged(&fetch(0, 2), Some(&g0)).unwrap();
         let delivered = head.elements.len();
         let cursor = sharded
             .open_cursor(list, 7, &head, delivered, Some(&g0))
             .unwrap();
         let jobs = [
-            // Two users with different group filters, one stale list, one
-            // live cursor and one bogus cursor — all in one round.
-            StoreJob::ranged(
-                RangedFetch {
-                    list,
-                    offset: 0,
-                    count: 3,
-                },
-                Some(&g12),
-            ),
-            StoreJob::ranged(
-                RangedFetch {
-                    list: MergedListId(999_999),
-                    offset: 0,
-                    count: 3,
-                },
-                None,
-            ),
-            StoreJob::resume(cursor, 7, 2, Some(&g0)),
-            StoreJob::resume(CursorId(0xfe), 9, 2, None),
+            // One user's round: a fresh fetch, one stale list, the user's
+            // live cursor and one bogus cursor.
+            StoreJob::Ranged(fetch(0, 3)),
+            StoreJob::Ranged(RangedFetch {
+                list: MergedListId(999_999),
+                ..fetch(0, 3)
+            }),
+            StoreJob::Resume {
+                cursor,
+                owner: 7,
+                count: 2,
+            },
+            StoreJob::Resume {
+                cursor: CursorId(0xfe),
+                owner: 7,
+                count: 2,
+            },
         ];
         let before = sharded.metrics().lock_acquisitions;
-        let out = sharded.execute_shard_batch(&jobs);
-        // One list => one shard => one lock for the whole cross-user round.
+        let out = sharded.execute_shard_batch(&jobs, Some(&g0));
+        // One list => one shard => one lock for the whole round.
         assert_eq!(sharded.metrics().lock_acquisitions, before + 1);
-        assert_eq!(
-            out[0].as_ref().unwrap(),
-            &sharded
-                .fetch_ranged(
-                    &RangedFetch {
-                        list,
-                        offset: 0,
-                        count: 3
-                    },
-                    Some(&g12)
-                )
-                .unwrap()
-        );
+        let expected = sharded.fetch_ranged(&fetch(0, 3), Some(&g0)).unwrap();
+        assert_eq!(out[0].as_ref().unwrap(), &expected);
         assert!(matches!(out[1], Err(StoreError::UnknownList(_))));
-        // The cursor job resumed user 7's session: same elements as a
-        // stateless offset scan under the session's own filter.
-        let expected = sharded
-            .fetch_ranged(
-                &RangedFetch {
-                    list,
-                    offset: delivered,
-                    count: 2,
-                },
-                Some(&g0),
-            )
-            .unwrap();
-        assert_eq!(out[2].as_ref().unwrap().elements, expected.elements);
+        // The cursor job resumed the session: same elements as a stateless
+        // offset scan under the round's filter.
+        let expected = sharded.fetch_ranged(&fetch(delivered, 2), Some(&g0));
+        assert_eq!(
+            out[2].as_ref().unwrap().elements,
+            expected.unwrap().elements
+        );
         // A bogus cursor errors alone, not the batch.
         assert!(matches!(out[3], Err(StoreError::UnknownCursor(_))));
 
         // The oracle's one mutex serves any round under exactly one lock.
         let before = single.metrics().lock_acquisitions;
         let jobs = [
-            StoreJob::ranged(
-                RangedFetch {
-                    list,
-                    offset: 0,
-                    count: 3,
-                },
-                None,
-            ),
-            StoreJob::ranged(
-                RangedFetch {
-                    list: MergedListId(0),
-                    offset: 0,
-                    count: 1,
-                },
-                None,
-            ),
+            StoreJob::Ranged(fetch(0, 3)),
+            StoreJob::Ranged(RangedFetch {
+                list: MergedListId(0),
+                ..fetch(0, 1)
+            }),
         ];
-        let out = single.execute_shard_batch(&jobs);
+        let out = single.execute_shard_batch(&jobs, None);
         assert_eq!(single.metrics().lock_acquisitions, before + 1);
         assert!(out.iter().all(|r| r.is_ok()));
         // An empty round touches nothing.
-        assert!(single.execute_shard_batch(&[]).is_empty());
+        assert!(single.execute_shard_batch(&[], None).is_empty());
         assert_eq!(single.metrics().lock_acquisitions, before + 1);
+    }
+
+    #[test]
+    fn a_resume_job_without_a_cursor_names_no_session() {
+        // `CursorId::NONE` is "no cursor": a round must refuse to resume it,
+        // not serve it as a ranged fetch of list 0 at offset 0.
+        let (resident, oracle) = stores();
+        let job = StoreJob::Resume {
+            cursor: CursorId::NONE,
+            owner: 1,
+            count: 2,
+        };
+        for store in [&resident as &dyn ListStore, &oracle] {
+            let out = store.execute_shard_batch(&[job], None);
+            assert!(
+                matches!(out[..], [Err(StoreError::UnknownCursor(0))]),
+                "{out:?}"
+            );
+        }
     }
 
     #[test]

@@ -350,28 +350,37 @@ impl ListStore for SingleMutexStore {
         accessible: Option<&[GroupId]>,
     ) -> Result<RangedBatch, StoreError> {
         let slot = self.check(fetch.list)?;
+        let filter = GroupFilter::normalise(accessible);
         self.meter_lock();
         self.locked()
-            .fetch(slot, fetch.offset, fetch.count, accessible)
+            .fetch(slot, fetch.offset, fetch.count, &filter)
     }
 
-    fn execute_shard_batch(&self, jobs: &[StoreJob<'_>]) -> Vec<Result<RangedBatch, StoreError>> {
+    fn execute_shard_batch(
+        &self,
+        jobs: &[StoreJob],
+        accessible: Option<&[GroupId]>,
+    ) -> Vec<Result<RangedBatch, StoreError>> {
         if jobs.is_empty() {
             return Vec::new();
         }
-        // One lock domain: the whole cross-user round is served under a
-        // single mutex acquisition, however many requests it carries.
+        // One lock domain: the whole round is served under a single mutex
+        // acquisition, however many requests it carries.
+        let filter = GroupFilter::normalise(accessible);
         self.meter_lock();
         let mut guard = self.locked();
         let results = jobs
             .iter()
-            .map(|job| {
-                if job.cursor.is_some() {
-                    guard.cursor_fetch(job.cursor.0, job.owner, job.fetch.count, job.accessible)
-                } else {
-                    let slot = self.check(job.fetch.list)?;
-                    guard.fetch(slot, job.fetch.offset, job.fetch.count, job.accessible)
+            .map(|&job| match job {
+                StoreJob::Ranged(fetch) => {
+                    let slot = self.check(fetch.list)?;
+                    guard.fetch(slot, fetch.offset, fetch.count, &filter)
                 }
+                StoreJob::Resume {
+                    cursor,
+                    owner,
+                    count,
+                } => guard.cursor_fetch(cursor.0, owner, count, &filter),
             })
             .collect();
         // Sweep AFTER serving, matching the sharded store's ordering, so a
@@ -409,13 +418,14 @@ impl ListStore for SingleMutexStore {
         if !cursor.is_some() {
             return Err(StoreError::UnknownCursor(cursor.0));
         }
+        let filter = GroupFilter::normalise(accessible);
         self.meter_lock();
         let mut guard = self.locked();
         // The global mutex is already exclusive: sweep idle sessions inline
         // when due, so read-heavy workloads reclaim them too — but only
         // after serving, matching the sharded store's ordering (a resumed
         // session refreshes last_used before the sweep can expire it).
-        let result = guard.cursor_fetch(cursor.0, owner, count, accessible);
+        let result = guard.cursor_fetch(cursor.0, owner, count, &filter);
         if guard.ttl_sweep_due() {
             guard.sweep_expired();
         }

@@ -1216,12 +1216,16 @@ impl ListStore for ReplicaReadStore {
         self.store().fetch_ranged(fetch, accessible)
     }
 
-    fn execute_shard_batch(&self, jobs: &[StoreJob<'_>]) -> Vec<Result<RangedBatch, StoreError>> {
+    fn execute_shard_batch(
+        &self,
+        jobs: &[StoreJob],
+        accessible: Option<&[GroupId]>,
+    ) -> Vec<Result<RangedBatch, StoreError>> {
         // One staleness check per round; a lagging replica degrades every
         // job individually, so the server's per-request error isolation
         // carries the typed response to each client.
         match self.guard() {
-            Ok(()) => self.store().execute_shard_batch(jobs),
+            Ok(()) => self.store().execute_shard_batch(jobs, accessible),
             Err(degraded) => vec![Err(degraded); jobs.len()],
         }
     }

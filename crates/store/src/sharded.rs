@@ -43,8 +43,8 @@ use crate::lockrank::{self, LockClass, Mode};
 use crate::segment::SegmentConfig;
 use crate::spill::{DurableState, Pager, SpillList};
 use crate::store::{
-    CursorId, ListStore, ListTable, OrderedList, RangedBatch, RangedFetch, SessionStats, StoreJob,
-    StoreMetrics,
+    CursorId, GroupFilter, ListStore, ListTable, OrderedList, RangedBatch, RangedFetch,
+    SessionStats, StoreJob, StoreMetrics,
 };
 
 /// Upper bound on shards: cursor ids embed the shard index in their low byte.
@@ -312,25 +312,30 @@ impl ListStore for SpillStore {
         accessible: Option<&[GroupId]>,
     ) -> Result<RangedBatch, StoreError> {
         let (shard, slot) = self.known(fetch.list)?;
+        let filter = GroupFilter::normalise(accessible);
         self.meter_lock();
         let batch = self
             .shard_read(shard)
-            .fetch(slot, fetch.offset, fetch.count, accessible)?;
+            .fetch(slot, fetch.offset, fetch.count, &filter)?;
         self.tier_maintenance(shard);
         Ok(batch)
     }
 
-    fn execute_shard_batch(&self, jobs: &[StoreJob<'_>]) -> Vec<Result<RangedBatch, StoreError>> {
+    fn execute_shard_batch(
+        &self,
+        jobs: &[StoreJob],
+        accessible: Option<&[GroupId]>,
+    ) -> Vec<Result<RangedBatch, StoreError>> {
+        let filter = GroupFilter::normalise(accessible);
         let mut results = vec![Err(StoreError::Invariant("job was never routed")); jobs.len()];
         // Group job indices by shard — ranged jobs route by list id, cursor
         // jobs by the shard index embedded in the cursor.  Jobs no shard
         // can serve fail on their own without touching a lock.
         let mut by_shard: Vec<Vec<usize>> = vec![Vec::new(); self.shards.len()];
         for (i, job) in jobs.iter().enumerate() {
-            let routed = if job.cursor.is_some() {
-                self.cursor_shard(job.cursor)
-            } else {
-                self.known(job.fetch.list).map(|(shard, _)| shard)
+            let routed = match job {
+                StoreJob::Ranged(fetch) => self.known(fetch.list).map(|(shard, _)| shard),
+                StoreJob::Resume { cursor, .. } => self.cursor_shard(*cursor),
             };
             match routed {
                 Ok(shard) => by_shard[shard].push(i),
@@ -346,27 +351,25 @@ impl ListStore for SpillStore {
             // resumptions keep their input order and answer exactly like a
             // sequential run): cold state paged in from disk then faults
             // each touched page at most once per round of ranged jobs, and
-            // same-session follow-ups share their faults too.  (A resume
-            // job's `fetch.list` is a placeholder — the session knows its
-            // own list — so cursors group by id, not list.)
-            indices.sort_by_key(|&i| {
-                let job = &jobs[i];
-                if job.cursor.is_some() {
-                    (1u8, job.cursor.0)
-                } else {
-                    (0u8, job.fetch.list.0)
-                }
+            // same-session follow-ups share their faults too.
+            indices.sort_by_key(|&i| match jobs[i] {
+                StoreJob::Ranged(fetch) => (0u8, fetch.list.0),
+                StoreJob::Resume { cursor, .. } => (1u8, cursor.0),
             });
             self.meter_lock();
             let sweep_due = {
                 let guard = self.shard_read(shard);
                 for i in indices {
-                    let job = &jobs[i];
-                    results[i] = if job.cursor.is_some() {
-                        guard.cursor_fetch(job.cursor.0, job.owner, job.fetch.count, job.accessible)
-                    } else {
-                        let (_, slot) = self.slot(job.fetch.list);
-                        guard.fetch(slot, job.fetch.offset, job.fetch.count, job.accessible)
+                    results[i] = match jobs[i] {
+                        StoreJob::Ranged(fetch) => {
+                            let (_, slot) = self.slot(fetch.list);
+                            guard.fetch(slot, fetch.offset, fetch.count, &filter)
+                        }
+                        StoreJob::Resume {
+                            cursor,
+                            owner,
+                            count,
+                        } => guard.cursor_fetch(cursor.0, owner, count, &filter),
                     };
                 }
                 guard.ttl_sweep_due()
@@ -405,10 +408,11 @@ impl ListStore for SpillStore {
         accessible: Option<&[GroupId]>,
     ) -> Result<RangedBatch, StoreError> {
         let shard = self.cursor_shard(cursor)?;
+        let filter = GroupFilter::normalise(accessible);
         self.meter_lock();
         let (result, sweep_due) = {
             let guard = self.shard_read(shard);
-            let result = guard.cursor_fetch(cursor.0, owner, count, accessible);
+            let result = guard.cursor_fetch(cursor.0, owner, count, &filter);
             (result, guard.ttl_sweep_due())
         };
         if sweep_due {

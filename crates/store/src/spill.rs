@@ -2858,13 +2858,8 @@ mod tests {
             offset: 0,
             count: 12,
         };
-        let jobs = [
-            StoreJob::ranged(fetch(0), None),
-            StoreJob::ranged(fetch(1), None),
-            StoreJob::ranged(fetch(0), None),
-            StoreJob::ranged(fetch(1), None),
-        ];
-        let out = store.execute_shard_batch(&jobs);
+        let jobs = [0, 1, 0, 1].map(|l| StoreJob::Ranged(fetch(l)));
+        let out = store.execute_shard_batch(&jobs, None);
         assert!(out.iter().all(|r| r.is_ok()));
         assert_eq!(store.metrics().lock_acquisitions, 1);
         assert_eq!(
@@ -2932,13 +2927,10 @@ mod tests {
             .insert(MergedListId(1), element(0.0001, 0, &[1, 2, 3]))
             .unwrap();
 
-        // A cross-user shard round isolates the poisoned request the same
-        // way the server's round isolates a stale cursor.
-        let jobs = [
-            StoreJob::ranged(fetch(0), None),
-            StoreJob::ranged(fetch(1), None),
-        ];
-        let out = store.execute_shard_batch(&jobs);
+        // A shard round isolates the poisoned request the same way the
+        // server's round isolates a stale cursor.
+        let jobs = [StoreJob::Ranged(fetch(0)), StoreJob::Ranged(fetch(1))];
+        let out = store.execute_shard_batch(&jobs, None);
         assert!(out[0].is_err());
         assert!(out[1].is_ok());
 

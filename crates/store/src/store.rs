@@ -5,7 +5,9 @@
 //! fetches in TRS order (Section 5.2) and position-preserving inserts of
 //! sealed elements (Section 5).  Both are per-merged-list operations, and
 //! merged lists are independent by construction — which is exactly what makes
-//! the index shardable.  This trait captures the contract.  Two things
+//! the index shardable.  This trait captures the contract, including the
+//! batch round the server serves one user's requests in: [`StoreJob`]s under
+//! that user's one group filter, normalised once per round.  Two things
 //! implement it: the serving store ([`crate::SpillStore`], sharded, over the
 //! segment stack of [`crate::spill`]) and the oracle it is checked against
 //! ([`crate::oracle`]).  The cursor-session table in this module
@@ -66,53 +68,20 @@ pub struct RangedBatch {
     pub generation: u64,
 }
 
-/// One request of a cross-user batch round: either a fresh ranged fetch or a
-/// cursor resumption, carrying the group filter of the user behind it — a
-/// round mixes requests from *different* users, so each job has its own
-/// visibility context.
-#[derive(Debug, Clone, Copy)]
-pub struct StoreJob<'a> {
-    /// The ranged fetch parameters.  For cursor jobs only `count` is used
-    /// (the session remembers its own list and position).
-    pub fetch: RangedFetch,
-    /// Cursor session to resume; [`CursorId::NONE`] serves `fetch` as a
-    /// fresh ranged scan instead.
-    pub cursor: CursorId,
-    /// Owner tag of the cursor session (ignored for ranged jobs).
-    pub owner: u64,
-    /// Groups visible to the requesting user (`None` = unrestricted).
-    pub accessible: Option<&'a [GroupId]>,
-}
-
-impl<'a> StoreJob<'a> {
-    /// A fresh ranged-fetch job.
-    pub fn ranged(fetch: RangedFetch, accessible: Option<&'a [GroupId]>) -> Self {
-        StoreJob {
-            fetch,
-            cursor: CursorId::NONE,
-            owner: 0,
-            accessible,
-        }
-    }
-
-    /// A cursor-resumption job.
-    pub fn resume(
+/// One request of a batch round ([`ListStore::execute_shard_batch`]).  The
+/// group filter belongs to the round, not the job: a round serves one user.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum StoreJob {
+    /// A fresh ranged scan.
+    Ranged(RangedFetch),
+    /// Up to `count` more elements of cursor session `cursor`, presented
+    /// under owner tag `owner` (the session remembers its list and
+    /// position).
+    Resume {
         cursor: CursorId,
         owner: u64,
         count: usize,
-        accessible: Option<&'a [GroupId]>,
-    ) -> Self {
-        StoreJob {
-            fetch: RangedFetch {
-                list: MergedListId(0),
-                offset: 0,
-                count,
-            },
-            cursor,
-            owner,
-            accessible,
-        }
-    }
+    },
 }
 
 /// Every counter and gauge a storage engine exposes, read in one call
@@ -281,15 +250,19 @@ pub trait ListStore: Send + Sync + std::fmt::Debug {
         accessible: Option<&[GroupId]>,
     ) -> Result<RangedBatch, StoreError>;
 
-    /// Serves a cross-user round of fetch/cursor jobs, visiting each touched
-    /// shard under a **single** shared lock acquisition: jobs from many
-    /// users (each with its own group filter) are grouped by shard, served
-    /// within a shard grouped by list / cursor session (stable, so
-    /// same-session resumptions keep their input order), and the results
-    /// come back aligned with the input order.  A job that fails (unknown
-    /// list, stale cursor) errors individually without disturbing the rest
-    /// of the round.
-    fn execute_shard_batch(&self, jobs: &[StoreJob<'_>]) -> Vec<Result<RangedBatch, StoreError>>;
+    /// Serves one user's round of fetch/cursor jobs under that user's group
+    /// filter `accessible`, normalised once for the round, visiting each
+    /// touched shard under a **single** shared lock acquisition: jobs are
+    /// grouped by shard, served within a shard grouped by list / cursor
+    /// session (stable, so same-session resumptions keep their input
+    /// order), and the results come back aligned with the input order.  A
+    /// job that fails (unknown list, stale or absent cursor) errors
+    /// individually without disturbing the rest of the round.
+    fn execute_shard_batch(
+        &self,
+        jobs: &[StoreJob],
+        accessible: Option<&[GroupId]>,
+    ) -> Vec<Result<RangedBatch, StoreError>>;
 
     /// Opens a cursor session continuing after `batch` (previously obtained
     /// from a ranged fetch on `list`).  `owner` is an opaque session tag;
@@ -629,13 +602,12 @@ impl<L: OrderedList> ListTable<L> {
         slot: usize,
         offset: usize,
         count: usize,
-        accessible: Option<&[GroupId]>,
+        filter: &GroupFilter<'_>,
     ) -> Result<RangedBatch, StoreError> {
         self.tick();
-        let filter = GroupFilter::normalise(accessible);
         let list = &self.lists[slot];
-        let visible_total = list.visible_total(&filter, &self.scan_meter);
-        let (elements, next_physical) = list.scan(0, offset, count, &filter)?;
+        let visible_total = list.visible_total(filter, &self.scan_meter);
+        let (elements, next_physical) = list.scan(0, offset, count, filter)?;
         Ok(RangedBatch {
             elements,
             exhausted: next_physical >= list.len(),
@@ -731,7 +703,7 @@ impl<L: OrderedList> ListTable<L> {
         raw: u64,
         owner: u64,
         count: usize,
-        accessible: Option<&[GroupId]>,
+        filter: &GroupFilter<'_>,
     ) -> Result<RangedBatch, StoreError> {
         let now = self.tick();
         let cursor = self
@@ -740,20 +712,19 @@ impl<L: OrderedList> ListTable<L> {
             .filter(|c| c.owner == owner)
             .ok_or(StoreError::UnknownCursor(raw))?;
         cursor.last_used.store(now, Ordering::Relaxed);
-        let filter = GroupFilter::normalise(accessible);
         let list = &self.lists[cursor.slot];
         let generation = self.generations[cursor.slot];
-        let visible_total = if cursor.filter == filter {
+        let visible_total = if cursor.filter == *filter {
             cursor.visible.load(Ordering::Relaxed)
         } else {
             // A follow-up under a different filter than the session was
             // opened with (never produced by the protocol): stay correct by
             // paying the full count.
-            list.visible_total(&filter, &self.scan_meter)
+            list.visible_total(filter, &self.scan_meter)
         };
         let mut start = cursor.position.load(Ordering::Acquire);
         loop {
-            let (elements, next_physical) = list.scan(start, 0, count, &filter)?;
+            let (elements, next_physical) = list.scan(start, 0, count, filter)?;
             match cursor.position.compare_exchange(
                 start,
                 next_physical,
@@ -822,6 +793,9 @@ mod tests {
     use super::*;
     use crate::oracle::VecList;
     use zerber_base::EncryptedElement;
+
+    /// The unrestricted group filter.
+    const ALL: GroupFilter<'static> = GroupFilter(None);
 
     fn element(trs: f64, group: u32) -> OrderedElement {
         OrderedElement {
@@ -898,12 +872,14 @@ mod tests {
     fn batch_reports_visibility_and_exhaustion() {
         let table = table();
         let only_g1 = [GroupId(1)];
-        let batch = table.fetch(0, 0, 10, Some(&only_g1)).unwrap();
+        let batch = table
+            .fetch(0, 0, 10, &GroupFilter::normalise(Some(&only_g1)))
+            .unwrap();
         assert_eq!(batch.visible_total, 2);
         assert_eq!(batch.elements.len(), 2);
         assert!(batch.exhausted);
         assert_eq!(batch.generation, 0);
-        let partial = table.fetch(0, 0, 2, None).unwrap();
+        let partial = table.fetch(0, 0, 2, &ALL).unwrap();
         assert!(!partial.exhausted);
         assert_eq!(partial.next_physical, 2);
     }
@@ -913,7 +889,7 @@ mod tests {
         // A table with one list; serve a batch, then let an insert land
         // before the cursor is opened — the TOCTOU the generation guards.
         let mut table = table();
-        let batch = table.fetch(0, 0, 2, None).unwrap();
+        let batch = table.fetch(0, 0, 2, &ALL).unwrap();
         assert_eq!(batch.generation, 0);
         // Insert at the head (TRS 1.0): every physical index shifts by one.
         assert_eq!(table.insert(0, element(1.0, 0)).unwrap(), 0);
@@ -921,14 +897,14 @@ mod tests {
         // elements delivered the session resumes after the first 2 visible
         // elements of the *current* list ([1.0, 0.9, 0.8, ...] -> index 2).
         table.open_cursor(42, 0, 9, &batch, 2, None).unwrap();
-        let resumed = table.cursor_fetch(42, 9, 1, None).unwrap();
+        let resumed = table.cursor_fetch(42, 9, 1, &ALL).unwrap();
         assert!((resumed.elements[0].trs - 0.8).abs() < 1e-12);
         // A fresh batch (matching generation) is trusted as-is: it delivered
         // [1.0, 0.9] and resumes exactly at 0.8.
-        let fresh = table.fetch(0, 0, 2, None).unwrap();
+        let fresh = table.fetch(0, 0, 2, &ALL).unwrap();
         assert_eq!(fresh.generation, 1);
         table.open_cursor(43, 0, 9, &fresh, 2, None).unwrap();
-        let resumed = table.cursor_fetch(43, 9, 1, None).unwrap();
+        let resumed = table.cursor_fetch(43, 9, 1, &ALL).unwrap();
         assert!((resumed.elements[0].trs - 0.8).abs() < 1e-12);
         assert_eq!(table.open_cursors(), 2);
         // A foreign owner tag cannot close the session; the real one can.
@@ -998,7 +974,9 @@ mod tests {
     fn cursor_cache_answers_follow_ups_without_recounting() {
         let mut table = table();
         let only_g0 = [GroupId(0)];
-        let batch = table.fetch(0, 0, 1, Some(&only_g0)).unwrap();
+        let batch = table
+            .fetch(0, 0, 1, &GroupFilter::normalise(Some(&only_g0)))
+            .unwrap();
         assert_eq!(batch.visible_total, 3);
         table
             .open_cursor(7, 0, 1, &batch, 1, Some(&only_g0))
@@ -1006,7 +984,9 @@ mod tests {
         let counted = table.visibility_scan_cost();
         // Follow-ups under the session's own filter never re-count.
         for _ in 0..3 {
-            let b = table.cursor_fetch(7, 1, 1, Some(&only_g0)).unwrap();
+            let b = table
+                .cursor_fetch(7, 1, 1, &GroupFilter::normalise(Some(&only_g0)))
+                .unwrap();
             assert_eq!(b.visible_total, 3);
         }
         assert_eq!(table.visibility_scan_cost(), counted);
@@ -1014,19 +994,25 @@ mod tests {
         // group-0 element bumps the cached count, a group-1 one does not.
         table.insert(0, element(0.95, 0)).unwrap();
         table.insert(0, element(0.94, 1)).unwrap();
-        let b = table.cursor_fetch(7, 1, 1, Some(&only_g0)).unwrap();
+        let b = table
+            .cursor_fetch(7, 1, 1, &GroupFilter::normalise(Some(&only_g0)))
+            .unwrap();
         assert_eq!(b.visible_total, 4);
         assert_eq!(table.visibility_scan_cost(), counted);
         // The session remembers its filter in normal form: the same groups
         // named twice are still the session's own filter.
         let g0_again = [GroupId(0), GroupId(0)];
-        let b = table.cursor_fetch(7, 1, 1, Some(&g0_again)).unwrap();
+        let b = table
+            .cursor_fetch(7, 1, 1, &GroupFilter::normalise(Some(&g0_again)))
+            .unwrap();
         assert_eq!(b.visible_total, 4);
         assert_eq!(table.visibility_scan_cost(), counted);
         assert_eq!(table.visible_total(0, Some(&only_g0)), 4);
         // A mismatched filter pays the full count but stays correct.
         let only_g1 = [GroupId(1)];
-        let b = table.cursor_fetch(7, 1, 1, Some(&only_g1)).unwrap();
+        let b = table
+            .cursor_fetch(7, 1, 1, &GroupFilter::normalise(Some(&only_g1)))
+            .unwrap();
         assert_eq!(b.visible_total, 3);
         assert!(table.visibility_scan_cost() > counted);
     }
@@ -1034,21 +1020,21 @@ mod tests {
     #[test]
     fn idle_sessions_expire_after_the_ttl() {
         let mut table = table();
-        let batch = table.fetch(0, 0, 1, None).unwrap();
+        let batch = table.fetch(0, 0, 1, &ALL).unwrap();
         table.open_cursor(11, 0, 1, &batch, 1, None).unwrap();
         // Tick the logical clock past the TTL with plain requests.
         for _ in 0..=SESSION_TTL_TICKS {
-            table.fetch(0, 0, 1, None).unwrap();
+            table.fetch(0, 0, 1, &ALL).unwrap();
         }
         // A session used recently survives the sweep; the idle one expires
         // when the table is next written.
         table.open_cursor(12, 0, 1, &batch, 1, None).unwrap();
         assert_eq!(table.open_cursors(), 1);
         assert!(matches!(
-            table.cursor_fetch(11, 1, 1, None),
+            table.cursor_fetch(11, 1, 1, &ALL),
             Err(StoreError::UnknownCursor(11))
         ));
-        assert!(table.cursor_fetch(12, 1, 1, None).is_ok());
+        assert!(table.cursor_fetch(12, 1, 1, &ALL).is_ok());
         let stats = table.session_stats();
         assert_eq!(stats.ttl_evictions, 1);
         assert_eq!(stats.opened_total, 2);
@@ -1060,7 +1046,7 @@ mod tests {
     #[test]
     fn a_full_table_evicts_its_oldest_session() {
         let mut table = table();
-        let batch = table.fetch(0, 0, 1, None).unwrap();
+        let batch = table.fetch(0, 0, 1, &ALL).unwrap();
         let newest = MAX_CURSORS_PER_TABLE as u64 + 1;
         for id in 1..=newest {
             table.open_cursor(id, 0, 1, &batch, 1, None).unwrap();
@@ -1072,14 +1058,14 @@ mod tests {
         assert_eq!(stats.ttl_evictions, 0);
         // The smallest id went; the newest resumes where its batch stopped.
         assert!(matches!(
-            table.cursor_fetch(1, 1, 1, None),
+            table.cursor_fetch(1, 1, 1, &ALL),
             Err(StoreError::UnknownCursor(1))
         ));
-        assert!(table.cursor_fetch(2, 1, 1, None).is_ok());
-        let resumed = table.cursor_fetch(newest, 1, 1, None).unwrap();
+        assert!(table.cursor_fetch(2, 1, 1, &ALL).is_ok());
+        let resumed = table.cursor_fetch(newest, 1, 1, &ALL).unwrap();
         assert_eq!(
             resumed.elements,
-            table.fetch(0, 1, 1, None).unwrap().elements
+            table.fetch(0, 1, 1, &ALL).unwrap().elements
         );
     }
 

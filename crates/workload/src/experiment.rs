@@ -4,8 +4,11 @@
 //!
 //! `zerber_repro`'s experiments, the benchmark and several integration tests
 //! use this test bed so that experiment setup is defined exactly once.
+//! Workloads replay on the served system (`Client::query` against a resident
+//! `IndexServer` built on first use), checked against the server's counters.
 
 use std::collections::HashMap;
+use std::sync::Mutex;
 
 use serde::{Deserialize, Serialize};
 use zerber_base::{
@@ -13,12 +16,12 @@ use zerber_base::{
 };
 use zerber_corpus::{
     sample_split, Corpus, CorpusGenerator, CorpusStats, DatasetProfile, GroupId, SplitConfig,
-    SynthConfig, TrainControlSplit,
+    SynthConfig, TermId, TrainControlSplit,
 };
 use zerber_crypto::{GroupKeys, MasterKey};
 use zerber_index::InvertedIndex;
-use zerber_protocol::{AccessControl, IndexServer, StoreEngine};
-use zerber_r::{retrieve_topk, GrowthPolicy, OrderedIndex, RetrievalConfig, RstfConfig, RstfModel};
+use zerber_protocol::{AccessControl, Client, IndexServer, StoreEngine};
+use zerber_r::{OrderedIndex, RetrievalConfig, RstfConfig, RstfModel};
 
 use crate::error::WorkloadError;
 use crate::metrics::QuerySample;
@@ -93,6 +96,9 @@ pub struct TestBed {
     pub all_memberships: HashMap<GroupId, GroupKeys>,
     /// The configuration the bed was built from.
     pub config: TestBedConfig,
+    /// The served system workloads replay on; the lock keeps concurrent
+    /// replays from mixing their counter deltas.
+    served: Mutex<Option<(IndexServer, Client)>>,
 }
 
 impl TestBed {
@@ -131,6 +137,7 @@ impl TestBed {
             master,
             all_memberships,
             config,
+            served: Mutex::new(None),
         })
     }
 
@@ -162,13 +169,6 @@ impl TestBed {
         self.build_server(num_shards, num_users)
     }
 
-    /// Builds a server over the spill lifecycle (page files in a fresh temp
-    /// directory, removed when the server drops), partitioned across
-    /// `num_shards` shards.
-    pub fn build_spill_server(&self, num_shards: usize, num_users: usize) -> IndexServer {
-        self.build_engine_server(StoreEngine::Spill, num_shards, num_users)
-    }
-
     /// Builds a server over an explicitly selected lifecycle of the engine.
     pub fn build_engine_server(
         &self,
@@ -191,43 +191,71 @@ impl TestBed {
         (0..num_users.max(1)).map(|i| format!("user-{i}")).collect()
     }
 
-    /// Executes the retrieval protocol once per distinct query term of the
-    /// log (as a member of all groups) and returns the per-term samples
-    /// weighted by query frequency, ready for the Section 6.4–6.5 metrics.
+    /// Queries the bed's server for top-`k` once per distinct term of the
+    /// log, as a member of all groups, with initial response size `b` and
+    /// doubling follow-ups; the per-term samples, weighted by query
+    /// frequency, feed the Section 6.4–6.6 metrics.
     pub fn run_workload(
         &self,
         log: &QueryLog,
         k: usize,
-        initial_response: usize,
-        growth: GrowthPolicy,
+        b: usize,
     ) -> Result<Vec<QuerySample>, WorkloadError> {
         let config = RetrievalConfig {
-            k,
-            initial_response,
-            growth,
+            initial_response: b,
+            ..RetrievalConfig::for_k(k)
         };
-        let mut samples = Vec::with_capacity(log.distinct_terms());
-        for &(term, freq) in log.term_frequencies() {
+        self.replay(log.term_frequencies(), &config)
+    }
+
+    /// Replays `(term, query frequency)` pairs on the served system; fails if
+    /// the server's counters disagree with the client's or a session leaks.
+    fn replay(
+        &self,
+        terms: &[(TermId, u64)],
+        config: &RetrievalConfig,
+    ) -> Result<Vec<QuerySample>, WorkloadError> {
+        let mut served = self.served.lock().map_err(|_| {
+            WorkloadError::Protocol("an earlier replay on this bed panicked".into())
+        })?;
+        let (server, client) = served.get_or_insert_with(|| {
+            let server = self.build_server(1, 1);
+            let token = server.acl().issue_token("user-0");
+            let client = Client::new("user-0", token, self.all_memberships.clone());
+            (server, client)
+        });
+        let before = server.stats();
+        let mut sent = (0, 0);
+        let mut samples = Vec::with_capacity(terms.len());
+        for &(term, query_freq) in terms {
             // Terms that never made it into the corpus vocabulary (possible at
-            // small scales) cost one empty round trip.
-            let Ok(_) = self.plan.list_of(term) else {
-                samples.push(QuerySample {
-                    term,
-                    query_freq: freq,
-                    requests: 1,
-                    elements_transferred: 0,
-                    satisfied: false,
-                });
-                continue;
+            // small scales) address no list: one empty round trip that never
+            // reaches the server.
+            let (requests, elements_transferred, satisfied) = match self.plan.list_of(term) {
+                Err(_) => (1, 0, false),
+                Ok(_) => {
+                    let o = client.query(server, &self.plan, term, config)?;
+                    sent = (sent.0 + o.requests, sent.1 + o.elements_received);
+                    (o.requests, o.elements_received, o.satisfied)
+                }
             };
-            let outcome = retrieve_topk(&self.index, term, &self.all_memberships, &config)?;
             samples.push(QuerySample {
                 term,
-                query_freq: freq,
-                requests: outcome.requests,
-                elements_transferred: outcome.elements_transferred,
-                satisfied: outcome.satisfied,
+                query_freq,
+                requests,
+                elements_transferred,
+                satisfied,
             });
+        }
+        let after = server.stats();
+        let requests = after.requests_served.saturating_sub(before.requests_served);
+        let elements = after.elements_sent.saturating_sub(before.elements_sent);
+        let open = server.open_cursors();
+        if (requests, elements, open) != (sent.0 as u64, sent.1 as u64, 0) {
+            return Err(WorkloadError::Protocol(format!(
+                "the replay sent {sent:?} requests and elements, the server served \
+                 ({requests}, {elements}) and kept {open} cursor sessions open"
+            )));
         }
         Ok(samples)
     }
@@ -278,9 +306,7 @@ mod tests {
                 ..QueryLogConfig::default()
             })
             .unwrap();
-        let samples = bed
-            .run_workload(&log, 10, 10, GrowthPolicy::Doubling)
-            .unwrap();
+        let samples = bed.run_workload(&log, 10, 10).unwrap();
         assert_eq!(samples.len(), log.distinct_terms());
         let avbo = average_bandwidth_overhead(&samples, 10);
         let reqs = average_requests(&samples);
@@ -289,6 +315,94 @@ mod tests {
         // With b = k most of the (frequency-weighted) workload should be
         // satisfied quickly (Section 6.5).
         assert!(reqs < 6.0, "requests {reqs}");
+    }
+
+    #[test]
+    fn workload_replays_run_on_the_served_system() {
+        let bed = bed();
+        let log = bed
+            .query_log(&QueryLogConfig {
+                distinct_terms: 60,
+                total_queries: 10_000,
+                sample_queries: 0,
+                ..QueryLogConfig::default()
+            })
+            .unwrap();
+        let absent = TermId(u32::MAX);
+        assert!(bed.plan.list_of(absent).is_err());
+        let mut terms = log.term_frequencies().to_vec();
+        terms.push((absent, 3));
+        let config = RetrievalConfig::for_k(10);
+        let stats = || bed.served.lock().unwrap().as_ref().unwrap().0.stats();
+        // The first replay builds the server; the second is measured.
+        bed.replay(&terms, &config).unwrap();
+        let before = stats();
+        let samples = bed.replay(&terms, &config).unwrap();
+        let after = stats();
+        let (synthetic, served) = samples.split_last().unwrap();
+        assert_eq!(
+            (
+                synthetic.term,
+                synthetic.requests,
+                synthetic.elements_transferred
+            ),
+            (absent, 1, 0)
+        );
+        let sum = |f: fn(&QuerySample) -> usize| served.iter().map(f).sum::<usize>() as u64;
+        assert_eq!(
+            sum(|s| s.requests),
+            after.requests_served - before.requests_served
+        );
+        assert_eq!(
+            sum(|s| s.elements_transferred),
+            after.elements_sent - before.elements_sent
+        );
+        assert_eq!(
+            bed.served
+                .lock()
+                .unwrap()
+                .as_ref()
+                .unwrap()
+                .0
+                .open_cursors(),
+            0
+        );
+        // The served client answers every term exactly as the model does.
+        for sample in served {
+            let model =
+                zerber_r::retrieve_topk(&bed.index, sample.term, &bed.all_memberships, &config)
+                    .unwrap();
+            assert_eq!(
+                (
+                    sample.requests,
+                    sample.elements_transferred,
+                    sample.satisfied
+                ),
+                (model.requests, model.elements_transferred, model.satisfied),
+                "term {}",
+                sample.term
+            );
+        }
+        // A session the replay did not close is an error, not a panic.
+        let served = bed.served.lock().unwrap();
+        let (server, client) = served.as_ref().unwrap();
+        let list = bed.plan.list_of(terms[0].0).unwrap().0;
+        let follow_up = zerber_protocol::QueryRequest {
+            user: client.user().to_string(),
+            list,
+            offset: 1,
+            cursor: 0,
+            count: 1,
+            k: 1,
+        };
+        let token = server.acl().issue_token(client.user());
+        let leaked = server.handle_query(&follow_up, &token).unwrap().cursor;
+        assert_ne!(leaked, 0);
+        drop(served);
+        assert!(matches!(
+            bed.replay(&terms, &config),
+            Err(WorkloadError::Protocol(_))
+        ));
     }
 
     #[test]

@@ -21,7 +21,8 @@
 //! 3. **Query answering** — the server returns the top-`b` accessible
 //!    elements of the requested merged list by TRS; the client decrypts,
 //!    filters by the queried term and issues doubling follow-up requests until
-//!    it holds `k` results ([`query::retrieve_topk`]).
+//!    it holds `k` results ([`query::RetrievalRun`], driven over this index by
+//!    [`query::retrieve_topk`] and over the wire by `zerber_protocol`).
 //!
 //! ```
 //! use std::collections::HashMap;
@@ -76,7 +77,7 @@ pub use density::GaussianSum;
 pub use error::ZerberRError;
 pub use index::{OrderedElement, OrderedIndex, TRS_BYTES};
 pub use query::{
-    retrieve_multi_term, retrieve_topk, GrowthPolicy, RetrievalConfig, RetrievalOutcome,
+    merge_rankings, retrieve_topk, GrowthPolicy, RetrievalConfig, RetrievalOutcome, RetrievalRun,
 };
 pub use rstf::{Rstf, RstfKernel};
 pub use sigma::{

@@ -1,4 +1,4 @@
-//! Top-k query answering over the ordered index (Section 5.2).
+//! Top-k query answering (Section 5.2).
 //!
 //! The client asks the server for the merged posting list containing the
 //! queried term together with `k`.  The server returns the `b` highest-TRS
@@ -7,10 +7,16 @@
 //! than `k` — issues follow-up requests.  Zerber+R doubles the response size
 //! with every follow-up so the number of round trips stays small and leaks
 //! little about the queried term's rarity.
+//!
+//! [`RetrievalRun`] is that client half for one term, written once:
+//! [`retrieve_topk`] drives it over an in-memory [`OrderedIndex`],
+//! `zerber_protocol`'s `Client` over the wire, and both merge multi-term
+//! rankings with [`merge_rankings`].
 
 use std::collections::HashMap;
 
 use serde::{Deserialize, Serialize};
+use zerber_base::{EncryptedElement, MergePlan, MergedListId};
 use zerber_corpus::{DocId, GroupId, TermId};
 use zerber_crypto::GroupKeys;
 
@@ -50,31 +56,20 @@ impl RetrievalConfig {
         }
     }
 
-    fn validate(&self) -> Result<(), ZerberRError> {
-        if self.k == 0 {
-            return Err(ZerberRError::InvalidParameter(
-                "k must be greater than 0".into(),
-            ));
-        }
-        if self.initial_response == 0 {
-            return Err(ZerberRError::InvalidParameter(
-                "initial response size b must be greater than 0".into(),
-            ));
-        }
-        Ok(())
-    }
-
-    /// Size of the `i`-th request (0 = initial request).
+    /// Size of the `i`-th request (0 = initial request), saturating at
+    /// `usize::MAX` once doubling outgrows the word.
     pub fn request_size(&self, i: usize) -> usize {
         match self.growth {
-            GrowthPolicy::Doubling => self.initial_response << i.min(62),
+            GrowthPolicy::Doubling => u32::try_from(i)
+                .ok()
+                .and_then(|i| 1usize.checked_shl(i))
+                .map_or(usize::MAX, |factor| {
+                    self.initial_response.saturating_mul(factor)
+                }),
             GrowthPolicy::Constant => self.initial_response,
         }
     }
 }
-
-/// Merged multi-term ranking plus the per-term outcomes it was built from.
-pub type MultiTermRetrieval = (Vec<(DocId, f64)>, Vec<RetrievalOutcome>);
 
 /// Outcome of one top-k retrieval.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -91,114 +86,156 @@ pub struct RetrievalOutcome {
     pub satisfied: bool,
 }
 
-impl RetrievalOutcome {
-    /// Query efficiency ratio `QRatio_eff = k / TRes` (Equation 14).
-    pub fn efficiency(&self, k: usize) -> f64 {
-        if self.elements_transferred == 0 {
-            return 1.0;
+/// The client half of one single-term retrieval: the caller fetches, the
+/// run decides what to ask for next and when to stop.  The first request is
+/// always sent; the run is done once it holds `k` results, has received
+/// every element visible to the user, or got an empty response.
+#[derive(Debug)]
+pub struct RetrievalRun {
+    term: TermId,
+    list: MergedListId,
+    config: RetrievalConfig,
+    results: Vec<(DocId, f64)>,
+    requests: usize,
+    received: usize,
+    done: bool,
+}
+
+impl RetrievalRun {
+    /// Starts a run for `term`, addressed to its merged list under `plan`.
+    pub fn new(
+        plan: &MergePlan,
+        term: TermId,
+        config: &RetrievalConfig,
+    ) -> Result<Self, ZerberRError> {
+        if config.k == 0 || config.initial_response == 0 {
+            let message = "k and the initial response size b must be greater than 0";
+            return Err(ZerberRError::InvalidParameter(message.into()));
         }
-        (k as f64 / self.elements_transferred as f64).min(1.0)
+        Ok(RetrievalRun {
+            term,
+            list: plan.list_of(term)?,
+            config: *config,
+            results: Vec::new(),
+            requests: 0,
+            received: 0,
+            done: false,
+        })
     }
 
-    /// Bandwidth overhead versus an ordinary index that would have returned
-    /// exactly `k` elements (the per-query term inside Equation 13).
-    pub fn bandwidth_overhead(&self, k: usize) -> f64 {
-        if k == 0 {
-            return 0.0;
+    /// The merged list every request of the run addresses.
+    pub fn list(&self) -> MergedListId {
+        self.list
+    }
+
+    /// The configuration the run follows.
+    pub fn config(&self) -> &RetrievalConfig {
+        &self.config
+    }
+
+    /// Elements received so far: the offset of the next request.
+    pub fn received(&self) -> usize {
+        self.received
+    }
+
+    /// Size of the next request.
+    pub fn next_size(&self) -> usize {
+        self.config.request_size(self.requests)
+    }
+
+    /// Whether the run needs no further request.
+    pub fn is_done(&self) -> bool {
+        self.done
+    }
+
+    /// Absorbs one response: the user's visible element count and the
+    /// `(group, ciphertext)` pairs, in TRS order, opened until `k` match the
+    /// term.  A group `keys` lacks is skipped: the server should not send it.
+    pub fn absorb<'a>(
+        &mut self,
+        visible_total: usize,
+        elements: impl ExactSizeIterator<Item = (GroupId, &'a [u8])>,
+        keys: &HashMap<GroupId, GroupKeys>,
+    ) -> Result<(), ZerberRError> {
+        self.requests += 1;
+        self.received += elements.len();
+        self.done = elements.len() == 0 || self.received >= visible_total;
+        for (group, ciphertext) in elements {
+            let Some(keys) = keys.get(&group) else {
+                continue;
+            };
+            let payload = EncryptedElement::open_ciphertext(ciphertext, keys, self.list)?;
+            if payload.term == self.term {
+                self.results.push((payload.doc, payload.relevance()));
+                if self.results.len() == self.config.k {
+                    self.done = true;
+                    break;
+                }
+            }
         }
-        self.elements_transferred as f64 / k as f64
+        Ok(())
+    }
+
+    /// The run's outcome, results best first (elements of one term arrive
+    /// in TRS order, which is relevance order, but the contract is explicit).
+    pub fn finish(mut self) -> RetrievalOutcome {
+        rank(&mut self.results);
+        RetrievalOutcome {
+            satisfied: self.results.len() >= self.config.k,
+            results: self.results,
+            requests: self.requests,
+            elements_transferred: self.received,
+        }
     }
 }
 
-/// Executes a single-term top-k query against the ordered index.
-///
-/// `memberships` holds the group keys of the querying user; the server only
-/// returns elements of those groups (access control), and the client uses the
-/// same set to decrypt.
+/// Sorts `(doc, score)` pairs best first, ties by ascending doc id.
+fn rank(results: &mut [(DocId, f64)]) {
+    results.sort_by(|a, b| {
+        b.1.partial_cmp(&a.1)
+            .unwrap_or(std::cmp::Ordering::Equal)
+            .then(a.0.cmp(&b.0))
+    });
+}
+
+/// Merges per-term rankings into the top `k` of a multi-term query by
+/// summed relevance (Section 3.2: Zerber+R deliberately omits IDF, trading a
+/// little multi-term accuracy for confidentiality of collection statistics).
+pub fn merge_rankings<'a>(
+    rankings: impl IntoIterator<Item = &'a [(DocId, f64)]>,
+    k: usize,
+) -> Vec<(DocId, f64)> {
+    let mut acc: HashMap<DocId, f64> = HashMap::new();
+    for &(doc, rel) in rankings.into_iter().flatten() {
+        *acc.entry(doc).or_insert(0.0) += rel;
+    }
+    let mut merged: Vec<(DocId, f64)> = acc.into_iter().collect();
+    rank(&mut merged);
+    merged.truncate(k);
+    merged
+}
+
+/// A single-term top-k query as a [`RetrievalRun`] over
+/// [`OrderedIndex::fetch`], restricted to (and decrypted with) the groups of
+/// `memberships`.
 pub fn retrieve_topk(
     index: &OrderedIndex,
     term: TermId,
     memberships: &HashMap<GroupId, GroupKeys>,
     config: &RetrievalConfig,
 ) -> Result<RetrievalOutcome, ZerberRError> {
-    config.validate()?;
-    let list_id = index.plan().list_of(term)?;
+    let mut run = RetrievalRun::new(index.plan(), term, config)?;
     let accessible: Vec<GroupId> = memberships.keys().copied().collect();
-    let visible_total = index.visible_len(list_id, Some(&accessible))?;
-
-    let mut results: Vec<(DocId, f64)> = Vec::with_capacity(config.k);
-    let mut offset = 0usize;
-    let mut requests = 0usize;
-    let mut transferred = 0usize;
-
-    while results.len() < config.k && offset < visible_total {
-        let want = config.request_size(requests);
-        let batch = index.fetch(list_id, offset, want, Some(&accessible))?;
-        requests += 1;
-        transferred += batch.len();
-        for element in &batch {
-            let keys = memberships.get(&element.group).ok_or_else(|| {
-                ZerberRError::Base("server returned an element from an inaccessible group".into())
-            })?;
-            let payload = element.sealed.open(keys, list_id)?;
-            if payload.term == term {
-                results.push((payload.doc, payload.relevance()));
-                if results.len() == config.k {
-                    break;
-                }
-            }
-        }
-        offset += batch.len();
-        if batch.is_empty() {
-            break;
-        }
+    let (list, groups) = (run.list(), Some(accessible.as_slice()));
+    let visible_total = index.visible_len(list, groups)?;
+    while !run.is_done() {
+        let batch = index.fetch(list, run.received(), run.next_size(), groups)?;
+        let elements = batch
+            .iter()
+            .map(|e| (e.group, e.sealed.ciphertext.as_slice()));
+        run.absorb(visible_total, elements, memberships)?;
     }
-    // Elements of one term arrive in TRS order, which is relevance order, but
-    // make the contract explicit for consumers.
-    results.sort_by(|a, b| {
-        b.1.partial_cmp(&a.1)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then(a.0.cmp(&b.0))
-    });
-    let satisfied = results.len() >= config.k;
-    Ok(RetrievalOutcome {
-        results,
-        requests: requests.max(1),
-        elements_transferred: transferred,
-        satisfied,
-    })
-}
-
-/// Executes a multi-term query as a sequence of single-term queries and
-/// merges the per-term rankings by summed normalized TF (Section 3.2:
-/// Zerber+R deliberately omits IDF, trading a little multi-term accuracy for
-/// confidentiality of collection statistics).
-pub fn retrieve_multi_term(
-    index: &OrderedIndex,
-    terms: &[TermId],
-    memberships: &HashMap<GroupId, GroupKeys>,
-    config: &RetrievalConfig,
-) -> Result<MultiTermRetrieval, ZerberRError> {
-    if terms.is_empty() {
-        return Err(ZerberRError::InvalidParameter("empty query".into()));
-    }
-    let mut per_term = Vec::with_capacity(terms.len());
-    let mut acc: HashMap<DocId, f64> = HashMap::new();
-    for &term in terms {
-        let outcome = retrieve_topk(index, term, memberships, config)?;
-        for &(doc, rel) in &outcome.results {
-            *acc.entry(doc).or_insert(0.0) += rel;
-        }
-        per_term.push(outcome);
-    }
-    let mut merged: Vec<(DocId, f64)> = acc.into_iter().collect();
-    merged.sort_by(|a, b| {
-        b.1.partial_cmp(&a.1)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then(a.0.cmp(&b.0))
-    });
-    merged.truncate(config.k);
-    Ok((merged, per_term))
+    Ok(run.finish())
 }
 
 #[cfg(test)]
@@ -344,17 +381,39 @@ mod tests {
     }
 
     #[test]
-    fn efficiency_and_overhead_metrics_are_consistent() {
+    fn runs_send_the_first_request_and_skip_groups_without_a_key() {
         let f = fixture();
         let config = RetrievalConfig::for_k(10);
-        let term = f.stats.terms_by_doc_freq()[5];
-        let outcome = retrieve_topk(&f.index, term, &f.memberships, &config).unwrap();
-        let eff = outcome.efficiency(10);
-        let bo = outcome.bandwidth_overhead(10);
-        assert!((0.0..=1.0).contains(&eff));
-        assert!(bo >= 1.0 || !outcome.satisfied);
-        if outcome.elements_transferred >= 10 {
-            assert!((eff * bo - 1.0).abs() < 1e-9);
+        let term = f.stats.terms_by_doc_freq()[0];
+        // An empty first response ends the run after exactly one request.
+        let mut run = RetrievalRun::new(f.index.plan(), term, &config).unwrap();
+        assert!(!run.is_done());
+        assert_eq!(run.next_size(), 10);
+        run.absorb(0, std::iter::empty(), &f.memberships).unwrap();
+        assert!(run.is_done());
+        let outcome = run.finish();
+        assert_eq!((outcome.requests, outcome.elements_transferred), (1, 0));
+        assert!(!outcome.satisfied);
+        // Elements of a group the user holds no key for are skipped, not an
+        // error: only group-0 documents make it into the results.
+        let only_g0: HashMap<GroupId, GroupKeys> = f
+            .memberships
+            .iter()
+            .filter(|(g, _)| g.0 == 0)
+            .map(|(g, k)| (*g, k.clone()))
+            .collect();
+        let mut run = RetrievalRun::new(f.index.plan(), term, &config).unwrap();
+        let list = run.list();
+        let batch = f.index.fetch(list, 0, 200, None).unwrap();
+        let elements = batch
+            .iter()
+            .map(|e| (e.group, e.sealed.ciphertext.as_slice()));
+        run.absorb(batch.len(), elements, &only_g0).unwrap();
+        assert_eq!(run.received(), batch.len());
+        let outcome = run.finish();
+        assert!(!outcome.results.is_empty());
+        for &(doc, _) in &outcome.results {
+            assert_eq!(f.corpus.doc(doc).unwrap().group, GroupId(0));
         }
     }
 
@@ -404,22 +463,42 @@ mod tests {
             }
         )
         .is_err());
-        assert!(
-            retrieve_multi_term(&f.index, &[], &f.memberships, &RetrievalConfig::for_k(5)).is_err()
-        );
     }
 
     #[test]
     fn multi_term_queries_merge_single_term_results() {
         let f = fixture();
         let order = f.stats.terms_by_doc_freq();
-        let terms = [order[0], order[1]];
         let config = RetrievalConfig::for_k(10);
-        let (merged, per_term) =
-            retrieve_multi_term(&f.index, &terms, &f.memberships, &config).unwrap();
-        assert_eq!(per_term.len(), 2);
+        let per_term: Vec<RetrievalOutcome> = [order[0], order[1]]
+            .iter()
+            .map(|&t| retrieve_topk(&f.index, t, &f.memberships, &config).unwrap())
+            .collect();
+        let merged = merge_rankings(per_term.iter().map(|o| o.results.as_slice()), 10);
         assert!(merged.len() <= 10);
         assert!(merged.windows(2).all(|w| w[0].1 >= w[1].1));
+        // A document found by both terms scores the sum of its relevances.
+        for &(doc, score) in &merged {
+            let found = per_term.iter().flat_map(|o| &o.results);
+            let sum: f64 = found.filter(|r| r.0 == doc).map(|r| r.1).sum();
+            assert!((score - sum).abs() < 1e-12, "doc {doc}");
+        }
+        assert!(merge_rankings([], 10).is_empty());
+    }
+
+    #[test]
+    fn request_sizes_saturate_instead_of_dropping_high_bits() {
+        let wide = RetrievalConfig {
+            k: 1,
+            initial_response: 1 << 32,
+            growth: GrowthPolicy::Doubling,
+        };
+        assert_eq!(wide.request_size(31), 1 << 63);
+        assert_eq!(wide.request_size(32), usize::MAX);
+        assert_eq!(wide.request_size(40), usize::MAX);
+        assert_eq!(RetrievalConfig::for_k(1).request_size(63), 1 << 63);
+        assert_eq!(RetrievalConfig::for_k(3).request_size(63), usize::MAX);
+        assert_eq!(RetrievalConfig::for_k(1).request_size(200), usize::MAX);
     }
 
     #[test]

@@ -17,7 +17,6 @@ use zerber_suite::workload::{
     average_bandwidth_overhead, average_requests, single_request_fraction, MergeKind,
     QueryLogConfig, TestBed, TestBedConfig,
 };
-use zerber_suite::zerber_r::GrowthPolicy;
 
 fn main() {
     let k = 10usize;
@@ -56,19 +55,13 @@ fn main() {
     );
     println!("{}", "-".repeat(58));
     for b in [1usize, 5, 10, 20, 50, 100] {
-        let samples = bed
-            .run_workload(&log, k, b, GrowthPolicy::Doubling)
-            .expect("workload runs");
+        let samples = bed.run_workload(&log, k, b).expect("workload runs");
         let avbo = average_bandwidth_overhead(&samples, k);
         let reqs = average_requests(&samples);
         let one = single_request_fraction(&samples);
         // Latency over the mobile link for an average query: element bytes
-        // plus the top-k snippets.
-        let avg_elements: f64 = samples
-            .iter()
-            .map(|s| s.elements_transferred as f64 * s.query_freq as f64)
-            .sum::<f64>()
-            / samples.iter().map(|s| s.query_freq as f64).sum::<f64>();
+        // plus the top-k snippets (AvBO at k = 1 is the mean element count).
+        let avg_elements = average_bandwidth_overhead(&samples, 1);
         let breakdown = ResponseBreakdown::new(avg_elements.round() as usize, 58, k);
         let latency = net.query_latency_seconds(reqs.ceil() as usize, 64, breakdown.total_bytes());
         println!(
@@ -98,12 +91,8 @@ fn main() {
         ..TestBedConfig::small(DatasetProfile::StudIp)
     })
     .expect("mixed bed");
-    let samples_bfm = bed
-        .run_workload(&log, k, k, GrowthPolicy::Doubling)
-        .unwrap();
-    let samples_mixed = mixed
-        .run_workload(&log, k, k, GrowthPolicy::Doubling)
-        .unwrap();
+    let samples_bfm = bed.run_workload(&log, k, k).unwrap();
+    let samples_mixed = mixed.run_workload(&log, k, k).unwrap();
     println!(
         "\nmerge-scheme ablation (b = k): avg requests BFM = {:.2}, mixed = {:.2}",
         average_requests(&samples_bfm),

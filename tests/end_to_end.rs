@@ -2,7 +2,8 @@
 //! corpus → RSTF training → BFM merge → encrypted ordered index → untrusted
 //! server → client retrieval) must return exactly the documents an ordinary
 //! plaintext inverted index would return for single-term top-k queries, while
-//! keeping the confidentiality invariants.
+//! keeping the confidentiality invariants.  Every query here goes through
+//! `Client` and `IndexServer`, the system that serves.
 
 use std::collections::HashMap;
 
@@ -19,6 +20,14 @@ fn bed() -> &'static TestBed {
     })
 }
 
+/// The bed's index behind a resident server, and an all-group member of it.
+fn served(bed: &TestBed) -> (IndexServer, Client) {
+    let server = bed.build_server(4, 1);
+    let token = server.acl().issue_token("user-0");
+    let client = Client::new("user-0", token, bed.all_memberships.clone());
+    (server, client)
+}
+
 #[test]
 fn confidential_topk_matches_plaintext_topk_for_many_terms() {
     let bed = bed();
@@ -31,15 +40,12 @@ fn confidential_topk_matches_plaintext_topk_for_many_terms() {
         .copied()
         .take(60)
         .collect();
+    let (server, client) = served(bed);
     let mut trained_terms = 0usize;
     for term in picks {
-        let confidential = zerber_suite::zerber_r::retrieve_topk(
-            &bed.index,
-            term,
-            &bed.all_memberships,
-            &RetrievalConfig::for_k(k),
-        )
-        .expect("retrieval succeeds");
+        let confidential = client
+            .query(&server, &bed.plan, term, &RetrievalConfig::for_k(k))
+            .expect("retrieval succeeds");
         let plaintext = bed.plain_index.query_term(term, k).expect("term indexed");
         assert_eq!(
             confidential.results.len(),
@@ -81,6 +87,7 @@ fn confidential_topk_matches_plaintext_topk_for_many_terms() {
         trained_terms >= 20,
         "most sampled terms should have a trained RSTF, got {trained_terms}"
     );
+    assert_eq!(server.open_cursors(), 0);
 }
 
 #[test]
@@ -138,11 +145,12 @@ fn server_protocol_preserves_results_and_access_control() {
         .query(&server, &bed.plan, term, &config)
         .expect("intern queries");
 
-    // John sees the same ranking the core retrieval produces.
-    let reference =
-        zerber_suite::zerber_r::retrieve_topk(&bed.index, term, &bed.all_memberships, &config)
-            .unwrap();
-    assert_eq!(john_out.results, reference.results);
+    // John sees the plaintext ranking.
+    let reference = bed.plain_index.query_term(term, 10).unwrap();
+    assert_eq!(john_out.results.len(), reference.len().min(10));
+    for (got, want) in john_out.results.iter().zip(&reference) {
+        assert!((got.1 - want.score).abs() < 1e-9, "term {term}");
+    }
 
     // The intern only ever receives group-0 documents.
     for &(doc, _) in &intern_out.results {
@@ -192,20 +200,24 @@ fn multi_term_queries_split_into_single_term_queries() {
     let bed = bed();
     let order = bed.stats.terms_by_doc_freq();
     let terms = [order[0], order[2], order[4]];
-    let (merged, per_term) = zerber_suite::zerber_r::retrieve_multi_term(
-        &bed.index,
-        &terms,
-        &bed.all_memberships,
-        &RetrievalConfig::for_k(10),
-    )
-    .expect("multi-term query");
+    let (server, client) = served(bed);
+    let config = RetrievalConfig::for_k(10);
+    let (merged, per_term) = client
+        .query_multi(&server, &bed.plan, &terms, &config)
+        .expect("multi-term query");
     assert_eq!(per_term.len(), 3);
     assert!(merged.len() <= 10);
     assert!(merged.windows(2).all(|w| w[0].1 >= w[1].1));
-    // Every merged result must appear in at least one per-term result list.
-    for &(doc, _) in &merged {
-        assert!(per_term
-            .iter()
-            .any(|o| o.results.iter().any(|&(d, _)| d == doc)));
+    // Each per-term ranking is the single-term query's, and every merged
+    // result scores the sum of its per-term relevances.
+    for (&term, outcome) in terms.iter().zip(&per_term) {
+        let single = client.query(&server, &bed.plan, term, &config).unwrap();
+        assert_eq!(single.results, outcome.results, "term {term}");
     }
+    for &(doc, score) in &merged {
+        let found = per_term.iter().flat_map(|o| &o.results);
+        let sum: f64 = found.filter(|r| r.0 == doc).map(|r| r.1).sum();
+        assert!(sum > 0.0 && (score - sum).abs() < 1e-12, "doc {doc}");
+    }
+    assert_eq!(server.open_cursors(), 0);
 }

@@ -5,7 +5,7 @@
 //! isolation contract a batch round gives stale cursors.
 
 use zerber_suite::corpus::{DatasetProfile, GroupId};
-use zerber_suite::protocol::{IndexServer, ProtocolError, QueryRequest};
+use zerber_suite::protocol::{IndexServer, ProtocolError, QueryRequest, StoreEngine};
 use zerber_suite::store::{ListStore, RangedFetch, SegmentConfig, SpillConfig, SpillStore};
 use zerber_suite::workload::{TestBed, TestBedConfig};
 use zerber_suite::zerber::{EncryptedElement, MergedListId};
@@ -26,7 +26,7 @@ fn request(user: &str, list: u64, count: u32) -> QueryRequest {
 fn spill_server_matches_the_sharded_server_and_meters_faults() {
     let bed = TestBed::build(TestBedConfig::small(DatasetProfile::StudIp)).expect("bed builds");
     let sharded = bed.build_server(4, 2);
-    let spilled = bed.build_spill_server(4, 2);
+    let spilled = bed.build_engine_server(StoreEngine::Spill, 4, 2);
     let token_a = sharded.acl().issue_token("user-0");
     let token_b = spilled.acl().issue_token("user-0");
     for list in 0..sharded.num_lists() as u64 {
