@@ -10,7 +10,7 @@
 //!   confidential index behind a pluggable `zerber_store::ListStore` engine
 //!   (sharded by default), serves ranged TRS-ordered fetches with resumable
 //!   cursor sessions — one request or one user's multi-term batch, both
-//!   through the same serving round — accepts inserts, and meters all
+//!   through the same per-request read path — accepts inserts, and meters all
 //!   traffic in lock-free counters,
 //! * [`client`] — the group member: issues the initial request of size `b`,
 //!   decrypts and filters, resumes the server-side cursor with doubling

@@ -20,16 +20,13 @@
 //!   the list is exhausted.  Evicted or foreign cursors fall back to the
 //!   stateless offset scan, so the responses are element-for-element
 //!   identical either way.
-//! * **One round** — [`IndexServer::handle_query`] and
+//! * **One read path** — [`IndexServer::handle_query`] and
 //!   [`IndexServer::handle_query_batch`] (one user's multi-term round) are
-//!   two fronts over one serving path: the user authenticates once, every
-//!   request of a batch becomes one [`StoreJob`] (a live cursor resumes
-//!   inside the round, anything else is a ranged fetch),
-//!   `ListStore::execute_shard_batch` serves each touched shard under a
-//!   single lock acquisition, and responses come back in input order with
-//!   per-request error isolation.  A round of one is the per-query path.
-//!   `ServerStats` meters `batches`, `lock_acquisitions` and `auth_checks`
-//!   so the amortization is visible.
+//!   two fronts over one per-request path to the store: a live cursor
+//!   resumes, anything else is a ranged fetch.  A batch is validated and
+//!   authenticated once, then each request is served as `handle_query`
+//!   serves it, and the responses come back in input order with
+//!   per-request error isolation.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -39,8 +36,8 @@ use zerber_base::MergedListId;
 use zerber_corpus::GroupId;
 use zerber_r::{OrderedElement, OrderedIndex};
 use zerber_store::{
-    default_shards, CursorId, DurableConfig, ListStore, RangedBatch, RangedFetch, SegmentConfig,
-    SpillConfig, SpillStore, StoreError, StoreJob, StoreMetrics,
+    default_shards, CursorId, DurableConfig, ListStore, RangedFetch, SegmentConfig, SpillConfig,
+    SpillStore, StoreError, StoreMetrics,
 };
 
 use crate::acl::{AccessControl, AuthToken};
@@ -60,21 +57,20 @@ pub struct ServerStats {
     pub bytes_out: u64,
     /// Number of insert operations accepted.
     pub inserts_accepted: u64,
-    /// Batch rounds served: [`IndexServer::handle_query_batch`] calls that
+    /// Batches served: [`IndexServer::handle_query_batch`] calls that
     /// passed validation and authentication, so their requests reached the
     /// store.
     pub batches: u64,
     /// Shard-lock acquisitions the storage engine performed on the serving
-    /// paths (fetches, cursor operations, inserts and batch rounds); audit
-    /// accessors are not metered.  This is what batching amortizes: a
-    /// batch round takes one acquisition per touched shard instead of one
-    /// per request.
+    /// paths (fetches, cursor operations and inserts); audit accessors are
+    /// not metered.  A batch takes exactly the acquisitions of its requests
+    /// served one by one.
     pub lock_acquisitions: u64,
     /// Token verifications the ACL performed: a directory lookup plus one
     /// constant-time compare against the user's stored token each (the HMAC
     /// behind that token is computed when the user is registered, not per
-    /// check).  A batch round authenticates its one user once, so this
-    /// grows by one per batch instead of one per request.
+    /// check).  A batch authenticates its one user once, so this grows by
+    /// one per batch instead of one per request.
     pub auth_checks: u64,
     /// Pages the storage engine read back (and re-validated) from disk —
     /// non-zero only on the paging lifecycles, where it measures how often
@@ -417,17 +413,12 @@ impl IndexServer {
         Ok(())
     }
 
-    /// Serves one validated, authenticated request against the store.
-    /// `prefetched` is the ranged batch a round already fetched for it;
-    /// `try_resume` is false only on a round's stale-cursor fallback, where
-    /// the shard round already proved the cursor dead — retrying it here
-    /// would pay a second lock for a guaranteed failure.
+    /// Serves one validated, authenticated request against the store: the
+    /// one read path of both query fronts.
     fn serve(
         &self,
         request: &QueryRequest,
         groups: &[GroupId],
-        prefetched: Option<RangedBatch>,
-        try_resume: bool,
     ) -> Result<QueryResponse, ProtocolError> {
         let list = MergedListId(request.list);
         let owner = owner_tag(&request.user);
@@ -435,7 +426,7 @@ impl IndexServer {
 
         // Resume the cursor session if the client presents a live one;
         // unknown / evicted / foreign cursors fall back to the offset scan.
-        let resumed = if try_resume && request.cursor != 0 && prefetched.is_none() {
+        let resumed = if request.cursor != 0 {
             self.store
                 .cursor_fetch(CursorId(request.cursor), owner, count, Some(groups))
                 .ok()
@@ -446,20 +437,17 @@ impl IndexServer {
         let (batch, session) = match resumed {
             Some(batch) => (batch, CursorId(request.cursor)),
             None => {
-                let batch = match prefetched {
-                    Some(batch) => batch,
-                    None => self
-                        .store
-                        .fetch_ranged(
-                            &RangedFetch {
-                                list,
-                                offset: request.offset as usize,
-                                count,
-                            },
-                            Some(groups),
-                        )
-                        .map_err(map_store_error)?,
-                };
+                let batch = self
+                    .store
+                    .fetch_ranged(
+                        &RangedFetch {
+                            list,
+                            offset: request.offset as usize,
+                            count,
+                        },
+                        Some(groups),
+                    )
+                    .map_err(map_store_error)?;
                 // Sessions open lazily, on the first follow-up (a non-zero
                 // offset, or a cursor the store evicted): one-shot initial
                 // queries — the common case — stay entirely on the shard
@@ -480,18 +468,7 @@ impl IndexServer {
             }
         };
 
-        Ok(self.finish(request, owner, batch, session))
-    }
-
-    /// Builds and meters the response for a served batch, closing the
-    /// session when the scan exhausted the list.
-    fn finish(
-        &self,
-        request: &QueryRequest,
-        owner: u64,
-        batch: RangedBatch,
-        session: CursorId,
-    ) -> QueryResponse {
+        // A scan that exhausted the list closes its session.
         let cursor = if batch.exhausted {
             if session.is_some() {
                 self.store.close_cursor(session, owner);
@@ -500,15 +477,13 @@ impl IndexServer {
         } else {
             session.0
         };
-        let elements: Vec<WireElement> =
-            batch.elements.into_iter().map(WireElement::from).collect();
         let response = QueryResponse {
-            elements,
+            elements: batch.elements.into_iter().map(WireElement::from).collect(),
             visible_total: batch.visible_total as u64,
             cursor,
         };
         self.stats.record_query(request, &response);
-        response
+        Ok(response)
     }
 
     /// Handles one (initial or follow-up) query request.
@@ -524,21 +499,19 @@ impl IndexServer {
     ) -> Result<QueryResponse, ProtocolError> {
         Self::validate(request)?;
         let groups = self.authenticate(&request.user, token)?;
-        self.serve(request, &groups, None, true)
+        self.serve(request, &groups)
     }
 
     /// Handles a batch of query requests from one user (the initial round of
-    /// a multi-term query).  Authentication happens once and the storage
-    /// engine visits each shard exactly once for the whole batch, cursor
-    /// resumptions included.
+    /// a multi-term query).  The batch is validated and authenticated once;
+    /// each request is then served exactly as [`IndexServer::handle_query`]
+    /// serves it, so the batch costs and meters what its requests cost one
+    /// by one, except for the one token check and the `batches` count.
     ///
     /// The outer `Result` covers whole-batch failures (empty or mixed-user
     /// batches, malformed parameters, authentication); the inner results
     /// align with the input order and carry per-request errors, so one stale
-    /// list id degrades that request alone — exactly as if every request had
-    /// been served (and metered) individually.  A batch of one is served on
-    /// the per-query path and costs exactly what
-    /// [`IndexServer::handle_query`] costs.
+    /// list id degrades that request alone.
     pub fn handle_query_batch(
         &self,
         requests: &[QueryRequest],
@@ -556,77 +529,8 @@ impl IndexServer {
             }
         }
         let groups = self.authenticate(&first.user, token)?;
-        self.round(requests, &groups)
-    }
-
-    /// The serving round behind [`IndexServer::handle_query_batch`]:
-    /// validated requests of one user, authenticated as `groups`.
-    ///
-    /// Every request becomes one shard job — a live cursor resumes inside
-    /// the round, everything else is a fresh ranged fetch — and
-    /// `ListStore::execute_shard_batch` serves all of them under a
-    /// **single** lock acquisition per touched shard (the single-mutex
-    /// engine: one lock for the whole round).  Responses are reassembled in
-    /// input order with per-request error isolation: an unknown list fails
-    /// its own request, and a cursor the store evicted (or another user's)
-    /// falls back to the stateless offset scan, exactly like
-    /// [`IndexServer::handle_query`].
-    fn round(
-        &self,
-        requests: &[QueryRequest],
-        groups: &[GroupId],
-    ) -> Result<Vec<Result<QueryResponse, ProtocolError>>, ProtocolError> {
         self.stats.batches.fetch_add(1, Ordering::Relaxed);
-        // A round of one is the request itself: serve it on the per-query
-        // path so it costs exactly what `handle_query` costs.
-        if let [request] = requests {
-            return Ok(vec![self.serve(request, groups, None, true)]);
-        }
-        let jobs: Vec<StoreJob> = requests
-            .iter()
-            .map(|request| {
-                let count = request.count as usize;
-                if request.cursor != 0 {
-                    StoreJob::Resume {
-                        cursor: CursorId(request.cursor),
-                        owner: owner_tag(&request.user),
-                        count,
-                    }
-                } else {
-                    StoreJob::Ranged(RangedFetch {
-                        list: MergedListId(request.list),
-                        offset: request.offset as usize,
-                        count,
-                    })
-                }
-            })
-            .collect();
-        let outcomes = self.store.execute_shard_batch(&jobs, Some(groups));
-        if outcomes.len() != jobs.len() {
-            return Err(ProtocolError::Core(format!(
-                "internal invariant: the store answered {} of {} batch jobs",
-                outcomes.len(),
-                jobs.len()
-            )));
-        }
-        let responses = requests.iter().zip(outcomes).map(|(request, outcome)| {
-            match outcome {
-                Ok(batch) if request.cursor != 0 => {
-                    // The round resumed a live session.
-                    let owner = owner_tag(&request.user);
-                    Ok(self.finish(request, owner, batch, CursorId(request.cursor)))
-                }
-                Ok(batch) => self.serve(request, groups, Some(batch), true),
-                Err(StoreError::UnknownCursor(_)) if request.cursor != 0 => {
-                    // Evicted or foreign cursor: fall back to the stateless
-                    // offset scan, like the per-query path (without
-                    // retrying the resume the round just saw fail).
-                    self.serve(request, groups, None, false)
-                }
-                Err(e) => Err(map_store_error(e)),
-            }
-        });
-        Ok(responses.collect())
+        Ok(requests.iter().map(|r| self.serve(r, &groups)).collect())
     }
 
     /// Closes a cursor session early (a client that got its `k` results
@@ -986,22 +890,18 @@ mod tests {
             assert_eq!(a.elements, b.elements);
             assert_eq!(a.visible_total, b.visible_total);
         }
-        // Traffic metering is identical; the amortization counters are where
-        // the batch is cheaper (one auth, at most one lock per shard).
+        // The batch meters exactly what its requests cost one by one, but
+        // for the one token check and the batch count.
         let sequential_stats = server.stats();
         assert_eq!(
-            batched_stats.requests_served,
-            sequential_stats.requests_served
+            ServerStats {
+                auth_checks: requests.len() as u64,
+                batches: 0,
+                ..batched_stats
+            },
+            sequential_stats
         );
-        assert_eq!(batched_stats.elements_sent, sequential_stats.elements_sent);
-        assert_eq!(batched_stats.bytes_in, sequential_stats.bytes_in);
-        assert_eq!(batched_stats.bytes_out, sequential_stats.bytes_out);
-        assert_eq!(batched_stats.batches, 1);
-        assert_eq!(sequential_stats.batches, 0);
-        assert_eq!(batched_stats.auth_checks, 1);
-        assert_eq!(sequential_stats.auth_checks, requests.len() as u64);
-        // At most one lock per touched shard, never more than sequential.
-        assert!(batched_stats.lock_acquisitions <= sequential_stats.lock_acquisitions);
+        assert_eq!((batched_stats.auth_checks, batched_stats.batches), (1, 1));
         // Error paths: empty batches and mixed users are rejected outright.
         assert!(server.handle_query_batch(&[], &token).is_err());
         let mixed = vec![
@@ -1058,7 +958,7 @@ mod tests {
             assert_eq!(
                 ServerStats { batches: 0, ..a },
                 b,
-                "a round of one costs what the per-query path costs"
+                "a batch of one costs what the per-query path costs"
             );
             assert_eq!((a.batches, b.batches), (1, 0));
             assert_eq!((a.auth_checks, b.auth_checks), (1, 1));
@@ -1097,8 +997,7 @@ mod tests {
         for (engine, server) in &servers {
             let list = list_for(&c, server, "imclone");
             let token = server.acl().issue_token("john");
-            // 64 requests of one user, all against one merged list — a
-            // single-shard round.
+            // 64 requests of one user, all against one merged list.
             let round = vec![request("john", list, 0, 4, 4); 64];
             server.reset_stats();
             let results = server.handle_query_batch(&round, &token).unwrap();
@@ -1106,10 +1005,16 @@ mod tests {
             let stats = server.stats();
             assert_eq!(stats.requests_served, 64);
             assert_eq!(stats.batches, 1);
-            // One list => one shard => exactly one lock for all 64 requests.
-            assert_eq!(stats.lock_acquisitions, 1, "engine {engine:?}");
             // One token verification for the batch, not one per request.
             assert_eq!(stats.auth_checks, 1);
+            // One lock per request: exactly what the sequential run takes.
+            server.reset_stats();
+            for r in &round {
+                server.handle_query(r, &token).unwrap();
+            }
+            let sequential = server.stats().lock_acquisitions;
+            assert_eq!(stats.lock_acquisitions, sequential, "engine {engine:?}");
+            assert_eq!(sequential, 64, "engine {engine:?}");
             // A batch that never reaches the store is not a served batch:
             // neither one that fails validation (rejected before the token
             // is even checked) nor one that fails authentication.

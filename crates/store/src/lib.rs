@@ -8,11 +8,8 @@
 //!
 //! * [`ListStore`] — the storage contract: ranged fetches in TRS order,
 //!   resumable cursor sessions for follow-up requests (Section 4.1/5.2),
-//!   position-preserving inserts, shard batches
-//!   ([`StoreJob`] / [`ListStore::execute_shard_batch`]: one user's ranged
-//!   fetches and cursor resumptions under one group filter, grouped by
-//!   shard and served under a single lock acquisition per shard per round),
-//!   and one [`ListStore::metrics`] call returning every counter and gauge
+//!   position-preserving inserts, and one [`ListStore::metrics`] call
+//!   returning every counter and gauge
 //!   the store keeps as a plain [`StoreMetrics`].
 //! * [`SpillStore`] — the one engine that serves ([`sharded`]): lists
 //!   partitioned across N shards, each behind its own `RwLock` (queries on
@@ -77,7 +74,7 @@ pub use sharded::{default_shards, SpillStore, MAX_SHARDS};
 pub use spill::{SpillConfig, SpillList};
 pub use store::{
     CursorId, GroupFilter, ListStore, OrderedList, RangedBatch, RangedFetch, SessionStats,
-    StoreJob, StoreMetrics, SESSION_TTL_TICKS,
+    StoreMetrics, SESSION_TTL_TICKS,
 };
 
 #[cfg(test)]
@@ -291,119 +288,38 @@ mod tests {
     }
 
     #[test]
-    fn batched_fetches_match_individual_fetches() {
-        let (sharded, _) = stores();
-        let fetches: Vec<RangedFetch> = (0..sharded.num_lists().min(9) as u64)
-            .map(|l| RangedFetch {
-                list: MergedListId(l),
-                offset: 1,
-                count: 5,
-            })
-            .chain(std::iter::once(RangedFetch {
-                list: MergedListId(999_999),
-                offset: 0,
-                count: 5,
-            }))
-            .collect();
-        let jobs: Vec<StoreJob> = fetches
-            .iter()
-            .map(|&fetch| StoreJob::Ranged(fetch))
-            .collect();
-        let batched = sharded.execute_shard_batch(&jobs, None);
-        assert_eq!(batched.len(), fetches.len());
-        for (fetch, result) in fetches.iter().zip(&batched) {
-            match sharded.fetch_ranged(fetch, None) {
-                Ok(expected) => assert_eq!(result.as_ref().unwrap(), &expected),
-                Err(e) => assert_eq!(result.as_ref().unwrap_err(), &e),
-            }
-        }
-    }
-
-    #[test]
-    fn shard_batches_serve_a_users_jobs_under_one_lock_per_shard() {
-        let (sharded, single) = stores();
-        let list = busiest_list(&sharded);
-        let g0 = [GroupId(0)];
-        let fetch = |offset, count| RangedFetch {
-            list,
-            offset,
-            count,
-        };
-        let head = sharded.fetch_ranged(&fetch(0, 2), Some(&g0)).unwrap();
-        let delivered = head.elements.len();
-        let cursor = sharded
-            .open_cursor(list, 7, &head, delivered, Some(&g0))
-            .unwrap();
-        let jobs = [
-            // One user's round: a fresh fetch, one stale list, the user's
-            // live cursor and one bogus cursor.
-            StoreJob::Ranged(fetch(0, 3)),
-            StoreJob::Ranged(RangedFetch {
-                list: MergedListId(999_999),
-                ..fetch(0, 3)
-            }),
-            StoreJob::Resume {
-                cursor,
-                owner: 7,
-                count: 2,
-            },
-            StoreJob::Resume {
-                cursor: CursorId(0xfe),
-                owner: 7,
-                count: 2,
-            },
-        ];
-        let before = sharded.metrics().lock_acquisitions;
-        let out = sharded.execute_shard_batch(&jobs, Some(&g0));
-        // One list => one shard => one lock for the whole round.
-        assert_eq!(sharded.metrics().lock_acquisitions, before + 1);
-        let expected = sharded.fetch_ranged(&fetch(0, 3), Some(&g0)).unwrap();
-        assert_eq!(out[0].as_ref().unwrap(), &expected);
-        assert!(matches!(out[1], Err(StoreError::UnknownList(_))));
-        // The cursor job resumed the session: same elements as a stateless
-        // offset scan under the round's filter.
-        let expected = sharded.fetch_ranged(&fetch(delivered, 2), Some(&g0));
-        assert_eq!(
-            out[2].as_ref().unwrap().elements,
-            expected.unwrap().elements
-        );
-        // A bogus cursor errors alone, not the batch.
-        assert!(matches!(out[3], Err(StoreError::UnknownCursor(_))));
-
-        // The oracle's one mutex serves any round under exactly one lock.
-        let before = single.metrics().lock_acquisitions;
-        let jobs = [
-            StoreJob::Ranged(fetch(0, 3)),
-            StoreJob::Ranged(RangedFetch {
-                list: MergedListId(0),
-                ..fetch(0, 1)
-            }),
-        ];
-        let out = single.execute_shard_batch(&jobs, None);
-        assert_eq!(single.metrics().lock_acquisitions, before + 1);
-        assert!(out.iter().all(|r| r.is_ok()));
-        // An empty round touches nothing.
-        assert!(single.execute_shard_batch(&[], None).is_empty());
-        assert_eq!(single.metrics().lock_acquisitions, before + 1);
-    }
-
-    #[test]
-    fn a_resume_job_without_a_cursor_names_no_session() {
-        // `CursorId::NONE` is "no cursor": a round must refuse to resume it,
-        // not serve it as a ranged fetch of list 0 at offset 0.
+    fn resuming_no_cursor_names_no_session() {
+        // `CursorId::NONE` is "no cursor": every store refuses to resume it,
+        // never serving it as a ranged fetch of list 0 at offset 0.
         let (resident, oracle) = stores();
-        let job = StoreJob::Resume {
-            cursor: CursorId::NONE,
-            owner: 1,
-            count: 2,
-        };
-        for store in [&resident as &dyn ListStore, &oracle] {
-            let out = store.execute_shard_batch(&[job], None);
-            assert!(
-                matches!(out[..], [Err(StoreError::UnknownCursor(0))]),
-                "{out:?}"
-            );
+        let root = std::env::temp_dir()
+            .join("zerber-replica")
+            .join(format!("{}-resume-no-cursor", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let primary = std::sync::Arc::new(
+            SpillStore::create_durable(
+                index(),
+                root.join("primary"),
+                2,
+                SpillConfig::default(),
+                DurableConfig::default(),
+            )
+            .unwrap(),
+        );
+        let source = ReplicationSource::new(primary.clone()).unwrap();
+        let replica = Replica::bootstrap(
+            InProcessTransport::new(source),
+            root.join("replica"),
+            ReplicaConfig::default(),
+        )
+        .unwrap();
+        let replica_store = replica.serving_store();
+        for store in [&resident as &dyn ListStore, &oracle, &replica_store] {
+            let out = store.cursor_fetch(CursorId::NONE, 1, 2, None);
+            assert!(matches!(out, Err(StoreError::UnknownCursor(0))), "{out:?}");
         }
+        drop((replica_store, replica, primary));
+        std::fs::remove_dir_all(&root).unwrap();
     }
 
     #[test]

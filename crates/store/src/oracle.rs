@@ -26,7 +26,7 @@ use crate::error::StoreError;
 use crate::lockrank::{self, LockClass, Mode};
 use crate::store::{
     CursorId, GroupFilter, ListStore, ListTable, OrderedList, RangedBatch, RangedFetch,
-    SessionStats, StoreJob, StoreMetrics,
+    SessionStats, StoreMetrics,
 };
 
 /// Per-element metadata of the arena layout: the fields scans inspect, plus
@@ -354,42 +354,6 @@ impl ListStore for SingleMutexStore {
         self.meter_lock();
         self.locked()
             .fetch(slot, fetch.offset, fetch.count, &filter)
-    }
-
-    fn execute_shard_batch(
-        &self,
-        jobs: &[StoreJob],
-        accessible: Option<&[GroupId]>,
-    ) -> Vec<Result<RangedBatch, StoreError>> {
-        if jobs.is_empty() {
-            return Vec::new();
-        }
-        // One lock domain: the whole round is served under a single mutex
-        // acquisition, however many requests it carries.
-        let filter = GroupFilter::normalise(accessible);
-        self.meter_lock();
-        let mut guard = self.locked();
-        let results = jobs
-            .iter()
-            .map(|&job| match job {
-                StoreJob::Ranged(fetch) => {
-                    let slot = self.check(fetch.list)?;
-                    guard.fetch(slot, fetch.offset, fetch.count, &filter)
-                }
-                StoreJob::Resume {
-                    cursor,
-                    owner,
-                    count,
-                } => guard.cursor_fetch(cursor.0, owner, count, &filter),
-            })
-            .collect();
-        // Sweep AFTER serving, matching the sharded store's ordering, so a
-        // session resumed in this very round refreshes its last_used before
-        // the TTL check can see it.
-        if guard.ttl_sweep_due() {
-            guard.sweep_expired();
-        }
-        results
     }
 
     fn open_cursor(

@@ -58,9 +58,7 @@ use crate::error::StoreError;
 use crate::lockrank::{self, LockClass, Mode};
 use crate::sharded::SpillStore;
 use crate::spill::WalTail;
-use crate::store::{
-    CursorId, ListStore, RangedBatch, RangedFetch, SessionStats, StoreJob, StoreMetrics,
-};
+use crate::store::{CursorId, ListStore, RangedBatch, RangedFetch, SessionStats, StoreMetrics};
 
 // ---------------------------------------------------------------------------
 // Backoff: the reusable reconnect-delay policy.
@@ -1214,20 +1212,6 @@ impl ListStore for ReplicaReadStore {
     ) -> Result<RangedBatch, StoreError> {
         self.guard()?;
         self.store().fetch_ranged(fetch, accessible)
-    }
-
-    fn execute_shard_batch(
-        &self,
-        jobs: &[StoreJob],
-        accessible: Option<&[GroupId]>,
-    ) -> Vec<Result<RangedBatch, StoreError>> {
-        // One staleness check per round; a lagging replica degrades every
-        // job individually, so the server's per-request error isolation
-        // carries the typed response to each client.
-        match self.guard() {
-            Ok(()) => self.store().execute_shard_batch(jobs, accessible),
-            Err(degraded) => vec![Err(degraded); jobs.len()],
-        }
     }
 
     fn open_cursor(

@@ -44,7 +44,7 @@ use crate::segment::SegmentConfig;
 use crate::spill::{DurableState, Pager, SpillList};
 use crate::store::{
     CursorId, GroupFilter, ListStore, ListTable, OrderedList, RangedBatch, RangedFetch,
-    SessionStats, StoreJob, StoreMetrics,
+    SessionStats, StoreMetrics,
 };
 
 /// Upper bound on shards: cursor ids embed the shard index in their low byte.
@@ -319,68 +319,6 @@ impl ListStore for SpillStore {
             .fetch(slot, fetch.offset, fetch.count, &filter)?;
         self.tier_maintenance(shard);
         Ok(batch)
-    }
-
-    fn execute_shard_batch(
-        &self,
-        jobs: &[StoreJob],
-        accessible: Option<&[GroupId]>,
-    ) -> Vec<Result<RangedBatch, StoreError>> {
-        let filter = GroupFilter::normalise(accessible);
-        let mut results = vec![Err(StoreError::Invariant("job was never routed")); jobs.len()];
-        // Group job indices by shard — ranged jobs route by list id, cursor
-        // jobs by the shard index embedded in the cursor.  Jobs no shard
-        // can serve fail on their own without touching a lock.
-        let mut by_shard: Vec<Vec<usize>> = vec![Vec::new(); self.shards.len()];
-        for (i, job) in jobs.iter().enumerate() {
-            let routed = match job {
-                StoreJob::Ranged(fetch) => self.known(fetch.list).map(|(shard, _)| shard),
-                StoreJob::Resume { cursor, .. } => self.cursor_shard(*cursor),
-            };
-            match routed {
-                Ok(shard) => by_shard[shard].push(i),
-                Err(e) => results[i] = Err(e),
-            }
-        }
-        for (shard, mut indices) in by_shard.into_iter().enumerate() {
-            if indices.is_empty() {
-                continue;
-            }
-            // Within the shard, serve ranged jobs grouped by list and
-            // cursor resumptions grouped by session (stable, so same-cursor
-            // resumptions keep their input order and answer exactly like a
-            // sequential run): cold state paged in from disk then faults
-            // each touched page at most once per round of ranged jobs, and
-            // same-session follow-ups share their faults too.
-            indices.sort_by_key(|&i| match jobs[i] {
-                StoreJob::Ranged(fetch) => (0u8, fetch.list.0),
-                StoreJob::Resume { cursor, .. } => (1u8, cursor.0),
-            });
-            self.meter_lock();
-            let sweep_due = {
-                let guard = self.shard_read(shard);
-                for i in indices {
-                    results[i] = match jobs[i] {
-                        StoreJob::Ranged(fetch) => {
-                            let (_, slot) = self.slot(fetch.list);
-                            guard.fetch(slot, fetch.offset, fetch.count, &filter)
-                        }
-                        StoreJob::Resume {
-                            cursor,
-                            owner,
-                            count,
-                        } => guard.cursor_fetch(cursor.0, owner, count, &filter),
-                    };
-                }
-                guard.ttl_sweep_due()
-            };
-            if sweep_due {
-                self.meter_lock();
-                self.shard_write(shard).sweep_expired();
-            }
-            self.tier_maintenance(shard);
-        }
-        results
     }
 
     fn open_cursor(

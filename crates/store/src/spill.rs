@@ -38,9 +38,6 @@
 //! bounds the sealed bytes each shard keeps resident: segments charge the
 //! budget greedily in build order (within a list, hot end first) and spill
 //! once it is exhausted.
-//! `ListStore::execute_shard_batch` groups a round's ranged jobs by list
-//! (and cursor resumptions by session) before serving them, so a batch of
-//! fresh fetches faults each page at most once per round.
 //!
 //! Two maintenance passes make the tiering **self-managing**:
 //!
@@ -2658,7 +2655,7 @@ impl SpillStore {
 mod tests {
     use super::*;
     use crate::oracle::VecList;
-    use crate::store::{RangedFetch, StoreJob};
+    use crate::store::RangedFetch;
     use zerber_base::{EncryptedElement, MergePlan, MergedListId};
     use zerber_corpus::TermId;
 
@@ -2839,48 +2836,6 @@ mod tests {
     }
 
     #[test]
-    fn shard_batches_fault_each_page_at_most_once_per_round() {
-        // Two single-segment lists on one shard, a one-page cache: an
-        // interleaved round would fault 4 times served in input order; the
-        // batch groups jobs by list, so each page faults exactly once.
-        let store = store_with(
-            vec![sorted_elements(12, 0), sorted_elements(12, 100)],
-            1,
-            SpillConfig {
-                resident_budget_bytes: 0,
-                page_cache_pages: 1,
-                ..SpillConfig::default().without_tiering()
-            },
-        );
-        assert_eq!(store.metrics().page_faults, 0);
-        let fetch = |l: u64| RangedFetch {
-            list: MergedListId(l),
-            offset: 0,
-            count: 12,
-        };
-        let jobs = [0, 1, 0, 1].map(|l| StoreJob::Ranged(fetch(l)));
-        let out = store.execute_shard_batch(&jobs, None);
-        assert!(out.iter().all(|r| r.is_ok()));
-        assert_eq!(store.metrics().lock_acquisitions, 1);
-        assert_eq!(
-            store.metrics().page_faults,
-            2,
-            "one fault per distinct page, not per job"
-        );
-        assert_eq!(
-            store.metrics().page_evictions,
-            1,
-            "the one-page cache rotated once"
-        );
-        // Results are still reported in input order.
-        assert_eq!(out[0].as_ref().unwrap(), out[2].as_ref().unwrap());
-        assert_ne!(
-            out[0].as_ref().unwrap().elements,
-            out[1].as_ref().unwrap().elements
-        );
-    }
-
-    #[test]
     fn corrupt_pages_error_per_request_and_spare_the_rest_of_the_shard() {
         // No page cache: every cold read goes to the (corruptible) disk.
         let store = store_with(
@@ -2926,13 +2881,9 @@ mod tests {
         store
             .insert(MergedListId(1), element(0.0001, 0, &[1, 2, 3]))
             .unwrap();
-
-        // A shard round isolates the poisoned request the same way the
-        // server's round isolates a stale cursor.
-        let jobs = [StoreJob::Ranged(fetch(0)), StoreJob::Ranged(fetch(1))];
-        let out = store.execute_shard_batch(&jobs, None);
-        assert!(out[0].is_err());
-        assert!(out[1].is_ok());
+        // The write left the isolation as it was.
+        assert!(store.fetch_ranged(&fetch(0), None).is_err());
+        assert!(store.fetch_ranged(&fetch(1), None).is_ok());
 
         // Truncation (a torn write) is surfaced too, as an I/O or
         // validation error, never a panic.

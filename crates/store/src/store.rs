@@ -5,12 +5,11 @@
 //! fetches in TRS order (Section 5.2) and position-preserving inserts of
 //! sealed elements (Section 5).  Both are per-merged-list operations, and
 //! merged lists are independent by construction — which is exactly what makes
-//! the index shardable.  This trait captures the contract, including the
-//! batch round the server serves one user's requests in: [`StoreJob`]s under
-//! that user's one group filter, normalised once per round.  Two things
-//! implement it: the serving store ([`crate::SpillStore`], sharded, over the
-//! segment stack of [`crate::spill`]) and the oracle it is checked against
-//! ([`crate::oracle`]).  The cursor-session table in this module
+//! the index shardable.  This trait captures the contract: a query reaches
+//! the store only as a ranged fetch or a cursor operation, one request at a
+//! time.  Two things implement it: the serving store ([`crate::SpillStore`],
+//! sharded, over the segment stack of [`crate::spill`]) and the oracle it is
+//! checked against ([`crate::oracle`]).  The cursor-session table in this module
 //! ([`ListTable`]) is generic over an [`OrderedList`] — the per-list physical
 //! representation — so both share one cursor-session, generation and TTL
 //! implementation and cannot diverge there.
@@ -66,22 +65,6 @@ pub struct RangedBatch {
     /// cursor from this batch compares generations: if an insert moved the
     /// list in between, the position is re-derived instead of trusted.
     pub generation: u64,
-}
-
-/// One request of a batch round ([`ListStore::execute_shard_batch`]).  The
-/// group filter belongs to the round, not the job: a round serves one user.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StoreJob {
-    /// A fresh ranged scan.
-    Ranged(RangedFetch),
-    /// Up to `count` more elements of cursor session `cursor`, presented
-    /// under owner tag `owner` (the session remembers its list and
-    /// position).
-    Resume {
-        cursor: CursorId,
-        owner: u64,
-        count: usize,
-    },
 }
 
 /// Every counter and gauge a storage engine exposes, read in one call
@@ -147,7 +130,7 @@ pub struct StoreMetrics {
     /// sequence.
     pub replica_lag: u64,
     /// Shard-lock acquisitions performed by the serving paths (fetches,
-    /// cursor operations, inserts and batch rounds).  Audit accessors
+    /// cursor operations and inserts).  Audit accessors
     /// (element/byte totals, ordering checks) are not metered, so the
     /// counter reflects request-serving lock traffic.
     pub lock_acquisitions: u64,
@@ -250,20 +233,6 @@ pub trait ListStore: Send + Sync + std::fmt::Debug {
         accessible: Option<&[GroupId]>,
     ) -> Result<RangedBatch, StoreError>;
 
-    /// Serves one user's round of fetch/cursor jobs under that user's group
-    /// filter `accessible`, normalised once for the round, visiting each
-    /// touched shard under a **single** shared lock acquisition: jobs are
-    /// grouped by shard, served within a shard grouped by list / cursor
-    /// session (stable, so same-session resumptions keep their input
-    /// order), and the results come back aligned with the input order.  A
-    /// job that fails (unknown list, stale or absent cursor) errors
-    /// individually without disturbing the rest of the round.
-    fn execute_shard_batch(
-        &self,
-        jobs: &[StoreJob],
-        accessible: Option<&[GroupId]>,
-    ) -> Vec<Result<RangedBatch, StoreError>>;
-
     /// Opens a cursor session continuing after `batch` (previously obtained
     /// from a ranged fetch on `list`).  `owner` is an opaque session tag;
     /// subsequent [`ListStore::cursor_fetch`] calls must present the same
@@ -284,7 +253,8 @@ pub trait ListStore: Send + Sync + std::fmt::Debug {
 
     /// Resumes a cursor: scans from the stored physical position, returns up
     /// to `count` visible elements and advances the cursor past the scanned
-    /// range.
+    /// range.  [`CursorId::NONE`] names no session:
+    /// [`StoreError::UnknownCursor`]`(0)`.
     fn cursor_fetch(
         &self,
         cursor: CursorId,
@@ -618,10 +588,10 @@ impl<L: OrderedList> ListTable<L> {
     }
 
     /// Whether a TTL sweep is due: at most one sweep per
-    /// [`SESSION_TTL_TICKS`] window, and only while sessions exist.  Read
-    /// paths (cursor advances, shard batch rounds) check this under the
-    /// shared lock and upgrade to [`ListTable::sweep_expired`] when true, so
-    /// a read-only workload with stable cursors still drains idle sessions.
+    /// [`SESSION_TTL_TICKS`] window, and only while sessions exist.  Cursor
+    /// advances check this under the shared lock and upgrade to
+    /// [`ListTable::sweep_expired`] when true, so a read-only workload with
+    /// stable cursors still drains idle sessions.
     pub fn ttl_sweep_due(&self) -> bool {
         !self.cursors.is_empty()
             && self

@@ -2,7 +2,7 @@
 //! server must answer byte-identically to the in-memory engines while most
 //! of the sealed index lives in page files, and a corrupted or torn page on
 //! disk must degrade exactly one request — the same per-request error
-//! isolation contract a batch round gives stale cursors.
+//! isolation contract a batch gives stale cursors.
 
 use zerber_suite::corpus::{DatasetProfile, GroupId};
 use zerber_suite::protocol::{IndexServer, ProtocolError, QueryRequest, StoreEngine};
@@ -99,7 +99,7 @@ fn corrupt_pages_degrade_one_request_and_the_stream_round_isolates_it() {
     }
     std::fs::write(&paths[0], &bytes).unwrap();
 
-    // A batch round mixing the poisoned list with healthy requests: the
+    // A batch mixing the poisoned list with healthy requests: the
     // corrupt page fails its own request as a server-side integrity error,
     // everything else still answers.
     let round = [
