@@ -37,4 +37,4 @@ pub use netsim::{
     NetworkModel, ResponseBreakdown, ALTAVISTA_TOP10_BYTES, GOOGLE_TOP10_BYTES, PAPER_POSTING_BITS,
     SNIPPET_BYTES, YAHOO_TOP10_BYTES,
 };
-pub use server::{IndexServer, InsertRequest, ServerStats, StoreEngine};
+pub use server::{IndexServer, InsertRequest, ServerStats};

@@ -11,7 +11,9 @@
 //! * **Sharded storage** — the engine is a
 //!   [`SpillStore`]: merged lists partitioned across per-`RwLock` shards, so
 //!   queries on different lists never contend and an insert write-locks a
-//!   single shard; [`StoreEngine`] picks where its sealed bytes live.
+//!   single shard.  [`IndexServer::new`] serves the resident lifecycle; a
+//!   spill or durable store is built by its owner, in a directory the
+//!   owner names, and handed to [`IndexServer::with_store`].
 //!   Traffic counters are lock-free atomics.
 //! * **Cursor sessions** — the first ranged request of a query opens a
 //!   per-list cursor (a physical position in TRS order).  Follow-up requests
@@ -36,8 +38,8 @@ use zerber_base::MergedListId;
 use zerber_corpus::GroupId;
 use zerber_r::{OrderedElement, OrderedIndex};
 use zerber_store::{
-    default_shards, CursorId, DurableConfig, ListStore, RangedFetch, SegmentConfig, SpillConfig,
-    SpillStore, StoreError, StoreMetrics,
+    default_shards, CursorId, ListStore, RangedFetch, SegmentConfig, SpillStore, StoreError,
+    StoreMetrics,
 };
 
 use crate::acl::{AccessControl, AuthToken};
@@ -126,8 +128,8 @@ pub struct ServerStats {
     /// Estimated bytes of the engine's in-memory physical representation.
     /// A gauge (point-in-time), like the other byte footprints below.
     pub resident_bytes: u64,
-    /// Bytes of index state spilled to secondary storage (0 on the
-    /// resident lifecycle).  A gauge.
+    /// Live page bytes in the on-disk page files, including the kept pages
+    /// of promoted (resident) slots (0 on the resident lifecycle).  A gauge.
     pub spilled_bytes: u64,
     /// Physical length of the on-disk page files backing the spilled state;
     /// exceeds [`ServerStats::spilled_bytes`] by the dead bytes interior
@@ -264,29 +266,6 @@ impl InsertRequest {
     }
 }
 
-/// Which lifecycle of the storage engine a server is built on.
-///
-/// There is one engine — [`SpillStore`]: sharded tables of compressed
-/// block-encoded segments with per-block skip entries — and it answers
-/// element-for-element identically in all three; where the sealed bytes
-/// live is a deployment setting.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StoreEngine {
-    /// Resident: every segment in memory, nothing on disk (the default).
-    Segment,
-    /// Cold sealed segments spill to per-shard page files behind an LRU
-    /// page cache (the beyond-RAM lifecycle; page files live in a fresh
-    /// temp directory removed when the server drops).
-    Spill,
-    /// Spill with the full durability machinery engaged: checkpoint
-    /// manifests, per-shard write-ahead logging of inserts and crash
-    /// recovery.  Rooted in a fresh temp directory (removed when the
-    /// server drops); long-lived deployments build their store with
-    /// [`SpillStore::create_durable`] and pass it to
-    /// [`IndexServer::with_store`].
-    Durable,
-}
-
 /// The index server.
 #[derive(Debug)]
 pub struct IndexServer {
@@ -308,9 +287,13 @@ fn owner_tag(user: &str) -> u64 {
 
 impl IndexServer {
     /// Creates a server from a built index and a user directory on the
-    /// resident lifecycle, with a machine-matched shard count.
+    /// resident lifecycle, with a machine-matched shard count.  Fails only
+    /// when a single element cannot be encoded under the segment payload
+    /// bound.
     pub fn new(index: OrderedIndex, acl: AccessControl) -> Result<Self, ProtocolError> {
-        Self::with_engine(index, acl, StoreEngine::Segment, default_shards())
+        let store = SpillStore::resident(index, default_shards(), SegmentConfig::default())
+            .map_err(map_store_error)?;
+        Ok(Self::with_store(Box::new(store), acl))
     }
 
     /// Creates a server over an explicit store.
@@ -320,34 +303,6 @@ impl IndexServer {
             acl,
             stats: AtomicStats::default(),
         }
-    }
-
-    /// Creates a server over the selected lifecycle with default tuning,
-    /// sharded across `num_shards` storage shards.  Fails only when the
-    /// store itself cannot be built (a segment payload overflow, or the page
-    /// files cannot be created).
-    pub fn with_engine(
-        index: OrderedIndex,
-        acl: AccessControl,
-        engine: StoreEngine,
-        num_shards: usize,
-    ) -> Result<Self, ProtocolError> {
-        let (spill, segment) = (SpillConfig::default(), SegmentConfig::default());
-        let store = match engine {
-            StoreEngine::Segment => SpillStore::resident(index, num_shards, segment),
-            StoreEngine::Spill => SpillStore::in_temp_dir_with(index, num_shards, spill, segment),
-            StoreEngine::Durable => SpillStore::durable_in_temp_dir_with(
-                index,
-                num_shards,
-                spill,
-                segment,
-                DurableConfig::default(),
-            ),
-        };
-        Ok(Self::with_store(
-            Box::new(store.map_err(map_store_error)?),
-            acl,
-        ))
     }
 
     /// The storage engine serving this server.
@@ -622,7 +577,40 @@ mod tests {
     use zerber_corpus::{sample_split, Corpus, CorpusBuilder, CorpusStats, Document, SplitConfig};
     use zerber_crypto::{DeterministicRng, GroupKeys, MasterKey};
     use zerber_r::{RstfConfig, RstfModel};
-    use zerber_store::SingleMutexStore;
+    use zerber_store::{DurableConfig, SingleMutexStore, SpillConfig};
+
+    /// A fresh directory under `$TMPDIR/zerber-test` (the staging dir the
+    /// hygiene guard watches), removed with its contents on drop.  Declare
+    /// it before the server it holds, so it outlives the store.
+    struct TempRoot(std::path::PathBuf);
+
+    impl TempRoot {
+        fn new(name: &str) -> TempRoot {
+            let dir = std::env::temp_dir()
+                .join("zerber-test")
+                .join(format!("{}-protocol-{name}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            std::fs::create_dir_all(&dir).unwrap();
+            TempRoot(dir)
+        }
+
+        fn join(&self, name: &str) -> std::path::PathBuf {
+            self.0.join(name)
+        }
+    }
+
+    impl Drop for TempRoot {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
+    }
+
+    /// A server on a durable store of default tuning in `root`.
+    fn durable_server(index: OrderedIndex, acl: AccessControl, root: &TempRoot) -> IndexServer {
+        let (spill, durable) = (SpillConfig::default(), DurableConfig::default());
+        let store = SpillStore::create_durable(index, root.join("durable"), 2, spill, durable);
+        IndexServer::with_store(Box::new(store.unwrap()), acl)
+    }
 
     fn corpus() -> Corpus {
         let mut b = CorpusBuilder::new();
@@ -979,21 +967,39 @@ mod tests {
         let mut acl = AccessControl::new(b"srv");
         acl.register_user("john", &[GroupId(0), GroupId(1)]);
         // The three lifecycles of the engine, and the oracle.
-        let mut servers: Vec<(String, IndexServer)> = [
-            StoreEngine::Segment,
-            StoreEngine::Spill,
-            StoreEngine::Durable,
-        ]
-        .into_iter()
-        .map(|engine| {
-            let server = IndexServer::with_engine(index.clone(), acl.clone(), engine, 4);
-            (format!("{engine:?}"), server.unwrap())
-        })
-        .collect();
-        servers.push((
-            "oracle".to_string(),
-            IndexServer::with_store(Box::new(SingleMutexStore::new(index)), acl),
-        ));
+        let root = TempRoot::new("stream-batch");
+        let (spill, segment) = (SpillConfig::default(), SegmentConfig::default());
+        let stores: Vec<(&str, Box<dyn ListStore>)> = vec![
+            (
+                "resident",
+                Box::new(SpillStore::resident(index.clone(), 4, segment).unwrap()),
+            ),
+            (
+                "spill",
+                Box::new(
+                    SpillStore::with_configs(index.clone(), 4, root.join("spill"), spill, segment)
+                        .unwrap(),
+                ),
+            ),
+            (
+                "durable",
+                Box::new(
+                    SpillStore::create_durable(
+                        index.clone(),
+                        root.join("durable"),
+                        4,
+                        spill,
+                        DurableConfig::default(),
+                    )
+                    .unwrap(),
+                ),
+            ),
+            ("oracle", Box::new(SingleMutexStore::new(index))),
+        ];
+        let servers: Vec<(&str, IndexServer)> = stores
+            .into_iter()
+            .map(|(engine, store)| (engine, IndexServer::with_store(store, acl.clone())))
+            .collect();
         for (engine, server) in &servers {
             let list = list_for(&c, server, "imclone");
             let token = server.acl().issue_token("john");
@@ -1051,7 +1057,8 @@ mod tests {
         let index = zerber_r::OrderedIndex::build(&c, plan, &model, &master, 7).unwrap();
         let mut acl = AccessControl::new(b"srv");
         acl.register_user("alice", &[GroupId(1)]);
-        let server = IndexServer::with_engine(index, acl, StoreEngine::Durable, 2).unwrap();
+        let root = TempRoot::new("wal-meters");
+        let server = durable_server(index, acl, &root);
         assert_eq!(server.stats().wal_appends, 0);
         assert_eq!(server.stats().truncated_wal_records, 0);
         let term = c.dictionary().get("imclone").unwrap();
@@ -1098,9 +1105,8 @@ mod tests {
         let snapshot = |l| resident.store().snapshot_list(MergedListId(l)).unwrap();
         let lists = (0..resident.num_lists() as u64).map(snapshot).collect();
         let index = OrderedIndex::from_parts(lists, resident.plan().clone());
-        let server =
-            IndexServer::with_engine(index, resident.acl().clone(), StoreEngine::Durable, 2)
-                .unwrap();
+        let root = TempRoot::new("long-insert");
+        let server = durable_server(index, resident.acl().clone(), &root);
         let alice = server.acl().issue_token("alice");
         let insert = |len: usize| InsertRequest {
             user: "alice".into(),
@@ -1340,9 +1346,8 @@ mod tests {
                 ciphertext: vec![7u8; 40],
             },
         };
-        let durable =
-            IndexServer::with_engine(index.clone(), server.acl().clone(), StoreEngine::Durable, 2)
-                .unwrap();
+        let root = TempRoot::new("server-stats-reset");
+        let durable = durable_server(index.clone(), server.acl().clone(), &root);
         durable
             .store()
             .insert(MergedListId(list), filler(0.5))
@@ -1353,10 +1358,6 @@ mod tests {
         // A replica: the replication counters are windowed, the lag gauge
         // is not.  Three primary inserts and one single-frame poll leave the
         // replica one frame in and two behind.
-        let root = std::env::temp_dir()
-            .join("zerber-replica")
-            .join(format!("{}-server-stats-reset", std::process::id()));
-        let _ = std::fs::remove_dir_all(&root);
         let primary = std::sync::Arc::new(
             SpillStore::create_durable(
                 index,
@@ -1388,7 +1389,6 @@ mod tests {
         assert_eq!(stats.replica_lag, 2);
         assert_reset_zeroes_counters_and_keeps_gauges(&fronting, "john", list);
         drop((fronting, replica, primary));
-        std::fs::remove_dir_all(&root).unwrap();
     }
 
     #[test]
@@ -1404,8 +1404,10 @@ mod tests {
         let index = zerber_r::OrderedIndex::build(&c, plan, &model, &master, 7).unwrap();
         let mut acl = AccessControl::new(b"srv");
         acl.register_user("john", &[GroupId(0), GroupId(1)]);
-        let sharded =
-            IndexServer::with_engine(index.clone(), acl.clone(), StoreEngine::Segment, 4).unwrap();
+        let sharded = IndexServer::with_store(
+            Box::new(SpillStore::resident(index.clone(), 4, SegmentConfig::default()).unwrap()),
+            acl.clone(),
+        );
         let single = IndexServer::with_store(Box::new(SingleMutexStore::new(index)), acl);
         let token = sharded.acl().issue_token("john");
         for list in 0..sharded.num_lists() as u64 {

@@ -1251,8 +1251,7 @@ mod tests {
 
     #[test]
     fn kill_after_budget_tears_writes_and_drops_later_ops() {
-        let dir = std::env::temp_dir().join(format!("zerber-durable-ut-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = crate::tests::TempRoot::new("fault-kill");
         let a = dir.join("kill-a");
         let b = dir.join("kill-b");
         let io = FaultIo::new(FaultMode::KillAfter(6));
@@ -1267,14 +1266,11 @@ mod tests {
         io.rename(&a, &b).unwrap();
         assert!(a.exists() && !b.exists());
         assert_eq!(std::fs::read(&a).unwrap(), vec![1, 2, 3, 4, 5, 6]);
-        std::fs::remove_file(&a).unwrap();
-        let _ = std::fs::remove_dir(&dir);
     }
 
     #[test]
     fn buffered_mode_loses_unsynced_writes_and_keeps_synced_ones() {
-        let dir = std::env::temp_dir().join(format!("zerber-durable-ub-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = crate::tests::TempRoot::new("fault-buffered");
         let path = dir.join("buffered");
         {
             let io = FaultIo::new(FaultMode::Buffered);
@@ -1296,14 +1292,11 @@ mod tests {
             f.sync().unwrap(); // dropped
         }
         assert_eq!(std::fs::read(&path).unwrap(), vec![1, 2, 3]);
-        std::fs::remove_file(&path).unwrap();
-        let _ = std::fs::remove_dir(&dir);
     }
 
     #[test]
     fn flip_byte_corrupts_exactly_one_byte() {
-        let dir = std::env::temp_dir().join(format!("zerber-durable-uf-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = crate::tests::TempRoot::new("fault-flip");
         let path = dir.join("flip");
         let io = FaultIo::new(FaultMode::FlipByteAt(2));
         {
@@ -1311,7 +1304,5 @@ mod tests {
             f.write_at(0, &[0u8; 5]).unwrap();
         }
         assert_eq!(std::fs::read(&path).unwrap(), vec![0, 0, 0x5A, 0, 0]);
-        std::fs::remove_file(&path).unwrap();
-        let _ = std::fs::remove_dir(&dir);
     }
 }

@@ -21,16 +21,21 @@
 //!   - *resident* ([`SpillStore::resident`]): everything in memory, nothing
 //!     on disk, no maintenance;
 //!   - *spill* ([`SpillStore::with_configs`]): cold segments page out to
-//!     per-shard files (the segment wire format is the page format) behind
-//!     a byte-budgeted LRU page cache, with access-driven retiering and
-//!     page-file compaction; the files are cache state, deleted on drop;
-//!   - *durable* ([`SpillStore::create_durable`] / [`SpillStore::open`]): a
-//!     persistent root holds a checksummed checkpoint manifest, immutable
-//!     generation-named page files and a per-shard CRC-framed write-ahead
-//!     log ([`durable`]); `open` recovers after a crash — replaying pages
+//!     generation-named per-shard files (the segment wire format is the
+//!     page format) behind a byte-budgeted LRU page cache, with
+//!     access-driven retiering and page-file compaction; the files are
+//!     cache state, deleted on drop;
+//!   - *durable* ([`SpillStore::create_durable`] / [`SpillStore::open`]):
+//!     the same pager, plus a persistent root holding a checksummed
+//!     checkpoint manifest and a per-shard CRC-framed write-ahead log
+//!     ([`durable`]); `open` recovers after a crash — replaying pages
 //!     through full segment validation and the WAL tail through the insert
 //!     path, then re-auditing byte-exact budget accounting and visibility
 //!     before serving.
+//!
+//!   A paging store lives in the directory its caller names, and it is
+//!   durable iff it carries durable state ([`SpillStore::is_durable`]); no
+//!   constructor invents a directory.
 //! * [`oracle`] — [`SingleMutexStore`] over [`VecList`]: the naive model
 //!   the engine is checked against.  Nothing serves from it.
 //!
@@ -88,6 +93,76 @@ mod tests {
     use zerber_crypto::MasterKey;
     use zerber_r::{OrderedElement, OrderedIndex, RstfConfig, RstfModel};
 
+    use std::ops::Deref;
+    use std::path::{Path, PathBuf};
+    use std::sync::atomic::{AtomicU64, Ordering};
+
+    /// A fresh directory under `$TMPDIR/zerber-test` (the one staging dir
+    /// the hygiene guard watches), removed with its contents on drop.
+    /// Declare it before the store it holds, so it outlives the store.
+    pub(crate) struct TempRoot(PathBuf);
+
+    impl TempRoot {
+        pub(crate) fn new(name: &str) -> TempRoot {
+            static NEXT: AtomicU64 = AtomicU64::new(0);
+            let dir = std::env::temp_dir().join("zerber-test").join(format!(
+                "{}-store-{name}-{}",
+                std::process::id(),
+                NEXT.fetch_add(1, Ordering::Relaxed)
+            ));
+            let _ = std::fs::remove_dir_all(&dir);
+            std::fs::create_dir_all(&dir).unwrap();
+            TempRoot(dir)
+        }
+    }
+
+    impl Deref for TempRoot {
+        type Target = Path;
+
+        fn deref(&self) -> &Path {
+            &self.0
+        }
+    }
+
+    /// So `&root` passes wherever a store takes `impl Into<PathBuf>`.
+    impl AsRef<std::ffi::OsStr> for TempRoot {
+        fn as_ref(&self) -> &std::ffi::OsStr {
+            self.0.as_os_str()
+        }
+    }
+
+    impl Drop for TempRoot {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
+    }
+
+    /// A store together with the root it lives in; fields drop in order,
+    /// so the store goes first.
+    pub(crate) struct Rooted {
+        store: SpillStore,
+        _root: TempRoot,
+    }
+
+    impl Rooted {
+        /// Builds a store with `build` in a fresh root named `name`.
+        pub(crate) fn new(name: &str, build: impl FnOnce(&Path) -> SpillStore) -> Rooted {
+            let root = TempRoot::new(name);
+            Rooted {
+                store: build(&root),
+                _root: root,
+            }
+        }
+    }
+
+    impl Deref for Rooted {
+        type Target = SpillStore;
+
+        fn deref(&self) -> &SpillStore {
+            &self.store
+        }
+    }
+
     fn index() -> OrderedIndex {
         let config = SynthConfig {
             profile: DatasetProfile::Custom(CustomProfile {
@@ -137,12 +212,17 @@ mod tests {
         }
     }
 
-    fn spill_store() -> SpillStore {
+    fn spill_store() -> Rooted {
+        Rooted::new("spill", spill_store_in)
+    }
+
+    fn spill_store_in(dir: &Path) -> SpillStore {
         // Budget 0: every sealed segment spills; a small page cache keeps
         // reads honest about faulting.
-        SpillStore::in_temp_dir_with(
+        SpillStore::with_configs(
             index(),
             4,
+            dir,
             SpillConfig {
                 resident_budget_bytes: 0,
                 page_cache_pages: 4,
@@ -292,10 +372,7 @@ mod tests {
         // `CursorId::NONE` is "no cursor": every store refuses to resume it,
         // never serving it as a ranged fetch of list 0 at offset 0.
         let (resident, oracle) = stores();
-        let root = std::env::temp_dir()
-            .join("zerber-replica")
-            .join(format!("{}-resume-no-cursor", std::process::id()));
-        let _ = std::fs::remove_dir_all(&root);
+        let root = TempRoot::new("resume-no-cursor");
         let primary = std::sync::Arc::new(
             SpillStore::create_durable(
                 index(),
@@ -319,7 +396,6 @@ mod tests {
             assert!(matches!(out, Err(StoreError::UnknownCursor(0))), "{out:?}");
         }
         drop((replica_store, replica, primary));
-        std::fs::remove_dir_all(&root).unwrap();
     }
 
     #[test]
@@ -439,7 +515,7 @@ mod tests {
         for store in [
             &resident as &dyn ListStore,
             &oracle as &dyn ListStore,
-            &spilled as &dyn ListStore,
+            &*spilled as &dyn ListStore,
         ] {
             assert!(store.list_len(bad).is_err());
             assert!(store.visible_len(bad, None).is_err());
@@ -529,13 +605,15 @@ mod tests {
 
     #[test]
     fn spill_store_cleans_its_page_files_up_on_drop() {
-        let spilled = spill_store();
+        let root = TempRoot::new("spill-drop");
+        let dir = root.join("spill");
+        let spilled = spill_store_in(&dir);
         let paths = spilled.page_file_paths();
         assert!(!paths.is_empty());
         for path in &paths {
             assert!(path.exists(), "page file {} must exist", path.display());
+            assert_eq!(path.parent(), Some(dir.as_path()));
         }
-        let dir = paths[0].parent().unwrap().to_path_buf();
         drop(spilled);
         for path in &paths {
             assert!(!path.exists(), "stray page file {}", path.display());

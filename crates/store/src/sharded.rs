@@ -23,6 +23,11 @@
 //! * **durable** ([`SpillStore::create_durable`] / [`SpillStore::open`]) —
 //!   the page files are checkpoint state next to a write-ahead log.
 //!
+//! Every store is built in a directory its caller names (none at all for
+//! a resident one), and one fact decides what differs between the two
+//! paging lifecycles: whether the store has durable state (`durable` below,
+//! [`SpillStore::is_durable`]).
+//!
 //! This module holds what the three share — shard locks, routing, sessions
 //! and the [`ListStore`] implementation; the segment stack, the pager and
 //! the paging lifecycles' constructors and maintenance live in
@@ -66,7 +71,9 @@ pub struct SpillStore {
     lock_meter: AtomicU64,
     /// One pager per shard; empty on the resident lifecycle.
     pub(crate) pagers: Vec<Arc<Pager>>,
-    /// WAL/manifest machinery; `None` unless the store is durable.
+    /// WAL/manifest machinery; `None` unless the store is durable.  The
+    /// one lifecycle switch of a paging store: page-file fsyncs, manifests
+    /// and persistence across drops follow from it, nothing else.
     pub(crate) durable: Option<DurableState>,
 }
 

@@ -51,28 +51,37 @@
 //!   A never-touched slot is never promoted.
 //! - **Page-file compaction** ([`SpillConfig::compact_dead_percent`] /
 //!   [`SpillConfig::compact_min_dead_bytes`]): the page files are
-//!   append-only, so a rebuild of a spilled segment (interior insert), a
-//!   promotion, or a re-demotion strands the superseded page as dead bytes.
-//!   Once dead bytes clear both thresholds, the live pages are copied into
-//!   a fresh `.pages.compact` file and re-validated **off the shard lock**;
-//!   only the final swap (straggler copy, atomic rename, slot/cache remap)
-//!   runs under the shard write lock.  A failed or torn rewrite is
-//!   discarded and the old file keeps serving.
+//!   append-only, so a rebuild of a spilled segment (interior insert) or a
+//!   merge of paged resident neighbours strands the superseded page as
+//!   dead bytes.  Once dead bytes clear both thresholds, the live pages are
+//!   copied into a fresh `.pages.compact` file and re-validated **off the
+//!   shard lock**; only the final swap (straggler copy, rename to the next
+//!   generation, slot/cache remap) runs under the shard write lock.  A
+//!   failed or torn rewrite is discarded and the old file keeps serving.
 //!
-//! The two paging lifecycles:
+//! Every paging store names its page files by generation
+//! (`shard-NNN.g<generation>.pages`), keeps a slot's page when the slot is
+//! promoted (it still matches the segment byte for byte, so a later
+//! demotion writes nothing), and commits a compaction by renaming the
+//! rewrite to the next generation, unlinking the old one only past the
+//! swap's commit point.  One fact tells the two paging lifecycles apart —
+//! whether the store has durable state ([`SpillStore::is_durable`]):
 //!
-//! - **Spill** ([`SpillStore::with_configs`]): files are cache state,
-//!   deleted on drop.
+//! - **Spill** ([`SpillStore::with_configs`]): no durable state.  The page
+//!   files are cache state, deleted on drop; the compaction's commit point
+//!   is the rename.
 //! - **Durable** ([`SpillStore::create_durable`] / [`SpillStore::open`]):
 //!   the root directory is persistent state.  Page files are immutable
 //!   checkpoint pages referenced by an atomically-committed, checksummed
 //!   per-shard **manifest**; tail inserts append to a CRC-framed per-shard
-//!   **write-ahead log** ([`crate::durable`]); and [`SpillStore::open`]
-//!   recovers by replaying manifest pages through the fully validating
-//!   [`Segment::from_bytes`] and the WAL tail through the ordinary insert
-//!   path, truncating a torn or corrupt log at the last valid record.  A
-//!   recovered store is only accepted after `budget_accounting_is_exact`
-//!   and a full ordering/visibility audit pass.
+//!   **write-ahead log** ([`crate::durable`]); a compaction's rewrite is
+//!   fsynced and commits with the manifest that references it; and
+//!   [`SpillStore::open`] recovers by replaying manifest pages through the
+//!   fully validating [`Segment::from_bytes`] and the WAL tail through the
+//!   ordinary insert path, truncating a torn or corrupt log at the last
+//!   valid record.  A recovered store is only accepted after
+//!   `budget_accounting_is_exact` and a full ordering/visibility audit
+//!   pass.
 
 #![cfg_attr(not(test), deny(clippy::cast_possible_truncation))]
 #![cfg_attr(not(test), deny(clippy::cast_possible_wrap, clippy::cast_sign_loss))]
@@ -194,28 +203,17 @@ impl PageId {
     }
 }
 
-/// The spill directory.  Ephemeral roots are removed (best effort) once the
-/// last pager drops; durable roots are persistent state and are **never**
-/// removed on drop — stray-scratch cleanup happens on [`SpillStore::open`]
-/// instead.
+/// The directory of a spill store, removed (best effort, and only once
+/// empty) when the last pager drops.  Durable roots have none: they are
+/// persistent state, and stray-scratch cleanup happens on
+/// [`SpillStore::open`] instead.
 #[derive(Debug)]
 struct SpillRoot {
     dir: PathBuf,
-    ephemeral: bool,
 }
 
 impl Drop for SpillRoot {
     fn drop(&mut self) {
-        if !self.ephemeral {
-            return;
-        }
-        // Remove only this store's own unique directory.  The shared
-        // staging parent (`zerber-spill` / `zerber-durable`) is deliberately
-        // left in place: a concurrent store may be between create_dir_all
-        // and opening its page files, and deleting the parent under it
-        // would fail that build spuriously.  An empty staging dir is
-        // harmless (the CI hygiene guard checks for stray *files*, not
-        // directories).
         let _ = fs::remove_dir(&self.dir);
     }
 }
@@ -270,50 +268,46 @@ pub(crate) struct Pager {
     compact_min_dead_bytes: usize,
     retier_interval: u64,
     heat_decay_window: u64,
-    /// Generational page-file naming in durable mode
-    /// (`shard-NNN.g<generation>.pages`); ephemeral mode keeps a single
-    /// un-versioned file and always reads generation 0.
+    /// Generation of the page file serving now
+    /// (`shard-NNN.g<generation>.pages`); a compaction moves to the next.
     generation: AtomicU64,
-    /// Durable stores name their page files generationally and treat them
-    /// as checkpoint state; ephemeral stores treat them as cache.
-    durable: bool,
     dir: PathBuf,
     shard: usize,
     backend: Arc<dyn PageIo>,
-    root: Arc<SpillRoot>,
+    /// The spill root, whose page files are cache state; `None` on a
+    /// durable store, whose page files are checkpoint state.
+    root: Option<Arc<SpillRoot>>,
 }
 
 impl Drop for Pager {
     fn drop(&mut self) {
-        // Ephemeral page files are cache state: leave nothing behind
-        // (including a fresh compaction file an aborted pass may have
-        // left).  Durable page files are checkpoint state referenced by the
-        // shard manifest — never removed on drop; a stray compaction file
-        // from an unclean shutdown is cleaned up by the next `open`.
-        if self.root.ephemeral {
-            let _ = fs::remove_file(self.current_path());
-            let _ = fs::remove_file(self.fresh_path());
+        // Spill page files are cache state: leave nothing behind (an
+        // aborted compaction's file is removed by its `Rewrite`, and the
+        // previous generation goes too in case a compaction's unlink of it
+        // failed).  Durable page files are referenced by the shard manifest
+        // — never removed on drop; a stray compaction file from an unclean
+        // shutdown is cleaned up by the next `open`.
+        if self.root.is_some() {
+            let generation = self.generation.load(Ordering::Relaxed);
+            let _ = fs::remove_file(self.path_for(generation));
+            if let Some(previous) = generation.checked_sub(1) {
+                let _ = fs::remove_file(self.path_for(previous));
+            }
         }
     }
 }
 
 impl Pager {
-    #[expect(clippy::too_many_arguments, reason = "one argument per lifecycle knob")]
     fn create(
         backend: Arc<dyn PageIo>,
         dir: &Path,
         shard: usize,
         config: &SpillConfig,
-        root: Arc<SpillRoot>,
-        durable: bool,
+        root: Option<Arc<SpillRoot>>,
         generation: u64,
         append: u64,
     ) -> Result<Arc<Pager>, StoreError> {
-        let path = if durable {
-            dir.join(format!("shard-{shard:03}.g{generation}.pages"))
-        } else {
-            dir.join(format!("shard-{shard:03}.pages"))
-        };
+        let path = dir.join(format!("shard-{shard:03}.g{generation}.pages"));
         let fresh = append == 0;
         let mut file = backend.open(&path, fresh).map_err(io_err)?;
         if !fresh {
@@ -346,7 +340,6 @@ impl Pager {
             retier_interval: config.retier_interval,
             heat_decay_window: config.heat_decay_window,
             generation: AtomicU64::new(generation),
-            durable,
             dir: dir.to_path_buf(),
             shard,
             backend,
@@ -355,14 +348,10 @@ impl Pager {
         Ok(Arc::new(pager))
     }
 
-    /// Page-file path of `generation` under this pager's naming scheme.
+    /// Page-file path of `generation`.
     fn path_for(&self, generation: u64) -> PathBuf {
-        if self.durable {
-            self.dir
-                .join(format!("shard-{:03}.g{generation}.pages", self.shard))
-        } else {
-            self.dir.join(format!("shard-{:03}.pages", self.shard))
-        }
+        self.dir
+            .join(format!("shard-{:03}.g{generation}.pages", self.shard))
     }
 
     /// Path of the page file currently serving.
@@ -559,26 +548,26 @@ impl Pager {
                 )
     }
 
-    /// The page-file path a committed rewrite renames to: the same path in
-    /// ephemeral mode, the next generation in durable mode (the old
-    /// generation must survive until the manifest referencing the new one
-    /// commits — crash at any point recovers to old or new, never a mix).
-    fn commit_target(&self) -> PathBuf {
-        if self.durable {
-            self.path_for(self.generation.load(Ordering::Relaxed) + 1)
-        } else {
-            self.current_path()
-        }
+    /// The generation a committed rewrite renames to.  The old generation
+    /// survives until the swap's commit point (on a durable store, the
+    /// manifest referencing the new one — a crash at any point recovers to
+    /// old or new, never a mix).  A recovered generation is whatever the
+    /// manifest said, so the successor is checked, not assumed.
+    fn next_generation(&self) -> Result<u64, StoreError> {
+        self.generation
+            .load(Ordering::Relaxed)
+            .checked_add(1)
+            .ok_or_else(|| {
+                StoreError::CorruptSegment("page-file generation space exhausted".to_string())
+            })
     }
 
-    /// Path of the in-progress compaction file next to the page file.
-    fn fresh_path(&self) -> PathBuf {
-        self.commit_target().with_extension("pages.compact")
-    }
-
-    /// Opens a fresh (truncated) compaction file for a page-file rewrite.
+    /// Opens a fresh (truncated) compaction file for a page-file rewrite,
+    /// next to the page file under the next generation's name.
     fn begin_rewrite(&self) -> Result<Rewrite, StoreError> {
-        let path = self.fresh_path();
+        let path = self
+            .path_for(self.next_generation()?)
+            .with_extension("pages.compact");
         let file = self.backend.open(&path, true).map_err(io_err)?;
         Ok(Rewrite {
             file,
@@ -635,20 +624,17 @@ impl Pager {
         Ok(())
     }
 
-    /// Swaps a fully-copied rewrite in as the shard's page file: atomic
-    /// rename over the old file, the io handle and append cursor move to
-    /// the fresh file, and surviving cache entries are re-keyed through the
-    /// offset remap.  Must run under the shard write lock (the caller remaps
-    /// the slots with the returned map under the same lock).  On error the
-    /// rewrite is discarded and the old file keeps serving.
+    /// Swaps a fully-copied rewrite in as the shard's page file: rename to
+    /// the next generation, the io handle and append cursor move to the
+    /// fresh file, and surviving cache entries are re-keyed through the
+    /// offset remap.  The old generation stays on disk for the caller to
+    /// unlink past the commit point.  Must run under the shard write lock
+    /// (the caller remaps the slots with the returned map under the same
+    /// lock).  On error the rewrite is discarded and the old file keeps
+    /// serving.
     fn commit_rewrite(&self, mut rw: Rewrite) -> Result<HashMap<u64, PageId>, StoreError> {
-        // Durable rewrites sync before publishing: once the rename lands (or
-        // the manifest references the new generation), the pages must be on
-        // disk, not in a write-back cache a crash could lose.
-        if self.durable {
-            rw.file.sync().map_err(io_err)?;
-        }
-        let target = self.commit_target();
+        let next = self.next_generation()?;
+        let target = self.path_for(next);
         self.backend.rename(&rw.path, &target).map_err(io_err)?;
         rw.committed = true;
         let map = std::mem::take(&mut rw.map);
@@ -660,11 +646,7 @@ impl Pager {
             io.append = rw.append;
             self.file_len.store(rw.append, Ordering::Relaxed);
         }
-        if self.durable {
-            // The new generation is now current; the old file stays on disk
-            // until the caller commits a manifest referencing the new one.
-            self.generation.fetch_add(1, Ordering::Relaxed);
-        }
+        self.generation.store(next, Ordering::Relaxed);
         let mut cache = self.cache.lock();
         let old_entries = std::mem::take(&mut cache.entries);
         cache.bytes = 0;
@@ -757,11 +739,10 @@ struct ResidentSeg {
 }
 
 /// One sealed segment of a list.  Residency and on-disk presence are
-/// independent: an ephemeral slot is either resident or paged; a durable
-/// slot can be both — promotion keeps the page (it is checkpoint state,
-/// still byte-identical to the segment), and a resident slot without a page
-/// gets one materialized at the next checkpoint.  At least one of the two
-/// is always present.
+/// independent, and a slot can have both: promotion keeps the page (still
+/// byte-identical to the segment), and a durable store materializes a page
+/// for a pageless resident slot at the next checkpoint.  At least one of
+/// the two is always present.
 #[derive(Debug)]
 struct Slot {
     meta: SlotMeta,
@@ -928,9 +909,9 @@ impl SpillList {
             Some(pager) if keep_cold || !pager.try_charge(segment.resident_bytes()) => {
                 Ok(Slot::cold(&segment, pager.write_page(&segment)?))
             }
-            // No pager, or the budget covers it.  A durable resident slot
-            // has no page yet; the next checkpoint materializes it.  The
-            // WAL covers the window in between.
+            // No pager, or the budget covers it.  The slot has no page
+            // until a demotion or (durable) the next checkpoint writes one;
+            // the WAL covers the window in between.
             _ => Ok(Slot::hot(segment, None)),
         }
     }
@@ -1117,8 +1098,7 @@ impl SpillList {
     }
 
     /// Appends the live pages of the list's slots onto `out` (the
-    /// compaction snapshot).  In durable mode this includes the checkpoint
-    /// pages of resident slots.
+    /// compaction snapshot), resident slots' pages included.
     fn live_pages(&self, out: &mut Vec<PageId>) {
         for slot in &self.slots {
             if let Some(page) = slot.page {
@@ -1224,9 +1204,9 @@ impl SpillList {
     }
 
     /// Demotes resident slot `k` to the shard's page file (no-op if it is
-    /// already cold).  A durable slot that still carries its checkpoint
-    /// page skips the write — the page is already byte-identical.  On write
-    /// failure the slot stays resident.
+    /// already cold).  A slot that still carries its page (from before a
+    /// promotion, or a checkpoint) skips the write — the page is already
+    /// byte-identical.  On write failure the slot stays resident.
     fn demote_slot(&mut self, k: usize) -> Result<(), StoreError> {
         if !self.slots[k].is_resident() {
             return Ok(());
@@ -1251,10 +1231,9 @@ impl SpillList {
     }
 
     /// Promotes cold slot `k` back to the resident tier; `Ok(false)` when
-    /// the budget cannot cover its exact decoded size.  Ephemeral mode
-    /// releases the page (stranding its file bytes for compaction); durable
-    /// mode keeps it — the page is checkpoint state and still matches the
-    /// segment byte for byte.
+    /// the budget cannot cover its exact decoded size.  The slot keeps its
+    /// page: it still matches the segment byte for byte, so a later
+    /// demotion writes nothing and strands no dead bytes.
     fn promote_slot(&mut self, k: usize) -> Result<bool, StoreError> {
         if self.slots[k].is_resident() {
             return Ok(false);
@@ -1270,12 +1249,7 @@ impl SpillList {
         if !pager.try_charge(charge) {
             return Ok(false);
         }
-        let keep_page = pager.durable;
         pager.promotions.fetch_add(1, Ordering::Relaxed);
-        if !keep_page {
-            self.release_page(Some(page));
-            self.slots[k].page = None;
-        }
         self.slots[k].meta.resident_cost = charge;
         self.slots[k].cold_counts = None;
         self.slots[k].resident = Some(ResidentSeg {
@@ -1555,20 +1529,6 @@ impl OrderedList for SpillList {
     }
 }
 
-/// Allocates a fresh unique directory under a shared temp staging root
-/// (`<tmp>/<staging>/<pid>-<n>`), removed again when the store drops:
-/// `zerber-spill` for spill stores, `zerber-durable` for *ephemeral-durable*
-/// ones (full WAL/manifest machinery, temp-dir lifetime — the server's
-/// `StoreEngine::Durable` and the equivalence suite).
-fn unique_temp_dir(staging: &str) -> PathBuf {
-    static NEXT: AtomicU64 = AtomicU64::new(0);
-    std::env::temp_dir().join(staging).join(format!(
-        "{}-{}",
-        std::process::id(),
-        NEXT.fetch_add(1, Ordering::Relaxed)
-    ))
-}
-
 /// Per-shard write-ahead-log handle.
 #[derive(Debug)]
 struct WalFile {
@@ -1580,6 +1540,14 @@ struct WalFile {
     next_seq: u64,
     /// Appends since the last fsync (the `EveryN` policy counter).
     appends_since_sync: u32,
+}
+
+/// The WAL sequence number after `seq`.  Sequence numbers come back from
+/// disk and wire, where a CRC-valid `u64::MAX` is possible: running out is
+/// an error, not an overflow.
+fn successor_seq(seq: u64) -> Result<u64, StoreError> {
+    seq.checked_add(1)
+        .ok_or_else(|| StoreError::CorruptSegment("WAL sequence space exhausted".to_string()))
 }
 
 /// The durability side of a [`SpillStore`]: per-shard WALs, manifest
@@ -1594,7 +1562,6 @@ pub(crate) struct DurableState {
     wal_bytes: AtomicU64,
     recovered_pages: AtomicU64,
     truncated_wal: AtomicU64,
-    root: Arc<SpillRoot>,
 }
 
 impl Drop for DurableState {
@@ -1608,19 +1575,6 @@ impl Drop for DurableState {
         for wal in &self.wals {
             let _ = wal.lock().file.sync();
         }
-        // Durable roots persist; only the ephemeral-durable flavour (temp
-        // dir lifetime) cleans its files up so the staging root stays free
-        // of strays.
-        if !self.root.ephemeral {
-            return;
-        }
-        for shard in 0..self.wals.len() {
-            let _ = fs::remove_file(self.wal_path(shard));
-            let _ = fs::remove_file(self.manifest_path(shard));
-            let _ = fs::remove_file(manifest_tmp_path(&self.manifest_path(shard)));
-            let _ = fs::remove_file(manifest_prev_path(&self.manifest_path(shard)));
-        }
-        let _ = fs::remove_file(self.dir.join(STORE_META_NAME));
     }
 }
 
@@ -1653,11 +1607,12 @@ impl DurableState {
         element: &OrderedElement,
     ) -> Result<(), StoreError> {
         let mut wal = self.wals[shard].lock();
+        let next_seq = successor_seq(wal.next_seq)?;
         let frame = encode_wal_frame(wal.next_seq, list, element)?;
         let at = wal.len;
         wal.file.write_at(at, &frame).map_err(io_err)?;
         wal.len += u64_of(frame.len());
-        wal.next_seq += 1;
+        wal.next_seq = next_seq;
         self.wal_appends.fetch_add(1, Ordering::Relaxed);
         self.wal_bytes
             .fetch_add(u64_of(frame.len()), Ordering::Relaxed);
@@ -1771,45 +1726,16 @@ impl SpillStore {
         // opened with truncate and deleted on drop, so sharing a root would
         // silently clobber the other store's cold data.
         refuse_occupied_root(&dir)?;
-        let root = Arc::new(SpillRoot {
-            dir: dir.clone(),
-            ephemeral: true,
-        });
+        let root = Arc::new(SpillRoot { dir: dir.clone() });
         let num_shards = num_shards.clamp(1, MAX_SHARDS);
         let backend = RealIo::shared();
         let pagers: Vec<Arc<Pager>> = (0..num_shards)
             .map(|shard| {
-                Pager::create(
-                    Arc::clone(&backend),
-                    &dir,
-                    shard,
-                    &config,
-                    Arc::clone(&root),
-                    false,
-                    0,
-                    0,
-                )
+                let root = Some(Arc::clone(&root));
+                Pager::create(Arc::clone(&backend), &dir, shard, &config, root, 0, 0)
             })
             .collect::<Result<_, _>>()?;
         SpillStore::build(index, num_shards, segment, pagers)
-    }
-
-    /// [`SpillStore::with_configs`] in a fresh unique directory under the
-    /// system temp dir (removed on drop) — the zero-configuration entry
-    /// point the server and test bed use.
-    pub fn in_temp_dir_with(
-        index: OrderedIndex,
-        num_shards: usize,
-        config: SpillConfig,
-        segment: SegmentConfig,
-    ) -> Result<Self, StoreError> {
-        Self::with_configs(
-            index,
-            num_shards,
-            unique_temp_dir("zerber-spill"),
-            config,
-            segment,
-        )
     }
 
     /// Creates a **durable** store rooted at `dir` with default segment
@@ -1831,15 +1757,12 @@ impl SpillStore {
             SegmentConfig::default(),
             durable,
             RealIo::shared(),
-            false,
         )
     }
 
-    /// Full-control durable creation: explicit segment tuning, IO backend
-    /// (the fault-injection tests substitute [`crate::durable::FaultIo`])
-    /// and lifecycle (`ephemeral` roots are temp-dir stores that clean up
-    /// on drop but still run the full durability machinery).
-    #[expect(clippy::too_many_arguments, reason = "the full-control constructor")]
+    /// Full-control durable creation: explicit segment tuning and IO
+    /// backend (the fault-injection tests substitute
+    /// [`crate::durable::FaultIo`]).
     pub fn create_durable_with(
         index: OrderedIndex,
         dir: impl Into<PathBuf>,
@@ -1848,7 +1771,6 @@ impl SpillStore {
         segment: SegmentConfig,
         durable: DurableConfig,
         backend: Arc<dyn PageIo>,
-        ephemeral: bool,
     ) -> Result<Self, StoreError> {
         let dir = dir.into();
         fs::create_dir_all(&dir).map_err(io_err)?;
@@ -1859,10 +1781,6 @@ impl SpillStore {
             )));
         }
         refuse_occupied_root(&dir)?;
-        let root = Arc::new(SpillRoot {
-            dir: dir.clone(),
-            ephemeral,
-        });
         let num_shards = num_shards.clamp(1, MAX_SHARDS);
         // Persist the store's identity first: shard count, segment layout
         // and the merge plan, everything `open` needs before it can touch a
@@ -1891,18 +1809,7 @@ impl SpillStore {
         }
         backend.rename(&meta_tmp, &meta_path).map_err(io_err)?;
         let pagers: Vec<Arc<Pager>> = (0..num_shards)
-            .map(|shard| {
-                Pager::create(
-                    Arc::clone(&backend),
-                    &dir,
-                    shard,
-                    &config,
-                    Arc::clone(&root),
-                    true,
-                    0,
-                    0,
-                )
-            })
+            .map(|shard| Pager::create(Arc::clone(&backend), &dir, shard, &config, None, 0, 0))
             .collect::<Result<_, _>>()?;
         let mut store = SpillStore::build(index, num_shards, segment, pagers)?;
         let wals = (0..num_shards)
@@ -1926,35 +1833,11 @@ impl SpillStore {
             wal_bytes: AtomicU64::new(0),
             recovered_pages: AtomicU64::new(0),
             truncated_wal: AtomicU64::new(0),
-            root,
         });
         // The initial checkpoint makes the store openable from the first
         // moment: every shard gets a manifest covering the built state.
         store.checkpoint()?;
         Ok(store)
-    }
-
-    /// Builds an ephemeral-durable store in a fresh temp directory: full
-    /// WAL/checkpoint machinery, temp-dir lifetime (files removed on drop).
-    /// The `StoreEngine::Durable` entry point; the equivalence suite passes
-    /// tiny segments.
-    pub fn durable_in_temp_dir_with(
-        index: OrderedIndex,
-        num_shards: usize,
-        config: SpillConfig,
-        segment: SegmentConfig,
-        durable: DurableConfig,
-    ) -> Result<Self, StoreError> {
-        Self::create_durable_with(
-            index,
-            unique_temp_dir("zerber-durable"),
-            num_shards,
-            config,
-            segment,
-            durable,
-            RealIo::shared(),
-            true,
-        )
     }
 
     /// Recovers a durable store from `dir` (production IO): reads the
@@ -2001,10 +1884,6 @@ impl SpillStore {
             &meta.scheme,
             meta.r,
         );
-        let root = Arc::new(SpillRoot {
-            dir: dir.clone(),
-            ephemeral: false,
-        });
         let mut manifests = Vec::with_capacity(num_shards);
         let mut pagers = Vec::with_capacity(num_shards);
         for shard in 0..num_shards {
@@ -2036,20 +1915,26 @@ impl SpillStore {
             };
             // The append cursor resumes exactly past the manifest extent;
             // anything beyond it in the file is a torn page write.
+            // A CRC only catches accidents: an extent past `u64::MAX` is
+            // refused, not computed.
             let append = manifest
                 .lists
                 .iter()
                 .flat_map(|l| l.pages.iter())
-                .map(|&(offset, len, _crc)| offset + u64::from(len))
-                .max()
-                .unwrap_or(0);
+                .try_fold(0u64, |end, &(offset, len, _crc)| {
+                    Some(end.max(offset.checked_add(u64::from(len))?))
+                })
+                .ok_or_else(|| {
+                    StoreError::CorruptSegment(format!(
+                        "shard {shard} manifest references a page past the end of the address space"
+                    ))
+                })?;
             pagers.push(Pager::create(
                 Arc::clone(&backend),
                 &dir,
                 shard,
                 &config,
-                Arc::clone(&root),
-                true,
+                None,
                 manifest.generation,
                 append,
             )?);
@@ -2097,7 +1982,7 @@ impl SpillStore {
             wals.push(Mutex::new(WalFile {
                 file,
                 len: scan.valid_len,
-                next_seq: last_seq.max(manifest.applied_seq) + 1,
+                next_seq: successor_seq(last_seq.max(manifest.applied_seq))?,
                 appends_since_sync: 0,
             }));
             // A crash between a manifest commit and its WAL reset leaves
@@ -2118,7 +2003,6 @@ impl SpillStore {
             wal_bytes: AtomicU64::new(0),
             recovered_pages: AtomicU64::new(recovered_pages),
             truncated_wal: AtomicU64::new(truncated),
-            root,
         });
         for (shard, records) in replays.into_iter().enumerate() {
             for record in records {
@@ -2216,8 +2100,8 @@ impl SpillStore {
         Ok(true)
     }
 
-    /// Whether this store persists across drops (durable, non-ephemeral
-    /// root).
+    /// Whether this store persists across drops: the one fact that tells
+    /// the durable lifecycle from the spill one.
     pub fn is_durable(&self) -> bool {
         self.durable.is_some()
     }
@@ -2293,7 +2177,7 @@ impl SpillStore {
         // complete and CRC-valid.
         let scan = scan_wal(&image);
         match scan.records.first() {
-            Some(first) if from + 1 < first.seq => return Ok(WalTail::Gap { head }),
+            Some(first) if from.saturating_add(1) < first.seq => return Ok(WalTail::Gap { head }),
             None if from < head => return Ok(WalTail::Gap { head }),
             _ => {}
         }
@@ -2365,8 +2249,9 @@ impl SpillStore {
     /// shard read lock, copies them into a fresh `.pages.compact` file and
     /// re-validates every copy off the lock, then takes the shard write
     /// lock only for the finish — copy the few straggler pages written
-    /// since the snapshot, atomically rename the fresh file in, remap the
-    /// slots and the page cache.  `Ok(false)` when the shard has no page
+    /// since the snapshot, rename the fresh file in as the next generation,
+    /// remap the slots and the page cache — and unlinks the old generation
+    /// once the swap has committed.  `Ok(false)` when the shard has no page
     /// file (a resident store) or another compaction of it is already
     /// running; on any failure the fresh file is removed and the old file
     /// keeps serving untouched.
@@ -2420,6 +2305,12 @@ impl SpillStore {
         }
         let old_path = pager.current_path();
         let sanction = lockrank::sanctioned_io("the swap must cover the locked pages");
+        if self.durable.is_some() {
+            // Durable rewrites sync before publishing: once the manifest
+            // references the new generation, its pages must be on disk,
+            // not in a write-back cache a crash could lose.
+            rw.file.sync().map_err(io_err)?;
+        }
         let map = pager.commit_rewrite(rw)?;
         drop(sanction);
         for list in table.lists_mut() {
@@ -2437,12 +2328,11 @@ impl SpillStore {
         }
         debug_assert!(charges_consistent(&table, pager));
         drop(table);
-        if let Some(durable) = &self.durable {
-            // Only now is the old generation unreferenced; it is unlinked
-            // off the lock, and a failure to remove it leaves a stray the
-            // next `open` sweeps.
-            let _ = durable.backend.remove(&old_path);
-        }
+        // Only now is the old generation unreferenced (on a spill store the
+        // rename was the commit point).  It is unlinked off the lock; if
+        // that fails, the stray is swept by the next `open` (durable) or by
+        // the pager's drop (spill).
+        let _ = pager.backend.remove(&old_path);
         Ok(())
     }
 
@@ -2656,6 +2546,7 @@ mod tests {
     use super::*;
     use crate::oracle::VecList;
     use crate::store::RangedFetch;
+    use crate::tests::{Rooted, TempRoot};
     use zerber_base::{EncryptedElement, MergePlan, MergedListId};
     use zerber_corpus::TermId;
 
@@ -2701,12 +2592,22 @@ mod tests {
         }
     }
 
-    fn store_with(
-        lists: Vec<Vec<OrderedElement>>,
-        shards: usize,
-        config: SpillConfig,
-    ) -> SpillStore {
-        SpillStore::in_temp_dir_with(index(lists), shards, config, small_segment_config()).unwrap()
+    fn store_with(lists: Vec<Vec<OrderedElement>>, shards: usize, config: SpillConfig) -> Rooted {
+        Rooted::new("spill", |dir| {
+            let segment = small_segment_config();
+            SpillStore::with_configs(index(lists), shards, dir, config, segment).unwrap()
+        })
+    }
+
+    /// The `*.pages` and `*.pages.compact` files in `dir`, sorted.
+    fn page_files_in(dir: &Path) -> Vec<String> {
+        let mut names: Vec<String> = fs::read_dir(dir)
+            .unwrap()
+            .map(|entry| entry.unwrap().file_name().to_string_lossy().into_owned())
+            .filter(|name| name.ends_with(".pages") || name.ends_with(".pages.compact"))
+            .collect();
+        names.sort();
+        names
     }
 
     #[test]
@@ -3000,8 +2901,88 @@ mod tests {
             );
         }
         assert!(store.budget_accounting_is_exact());
-        let fresh = store.page_file_paths()[0].with_extension("pages.compact");
-        assert!(!fresh.exists(), "no compaction file outlives the swap");
+        // The swap committed to the next generation and unlinked the old
+        // one: the root holds exactly one page file and no rewrite scratch.
+        let current = store.page_file_paths()[0].clone();
+        assert_eq!(
+            page_files_in(current.parent().unwrap()),
+            ["shard-000.g1.pages"]
+        );
+        assert!(current.ends_with("shard-000.g1.pages"));
+    }
+
+    #[test]
+    fn a_promoted_slot_keeps_its_page_so_its_demotion_writes_nothing() {
+        let store = store_with(
+            vec![sorted_elements(32, 0)],
+            1,
+            SpillConfig {
+                resident_budget_bytes: usize::MAX,
+                page_cache_pages: 0,
+                ..SpillConfig::default().without_tiering()
+            },
+        );
+        assert_eq!(
+            store.metrics().page_file_bytes,
+            0,
+            "everything starts resident"
+        );
+        let reference = store.snapshot_list(MergedListId(0)).unwrap();
+        let tier = |demote: bool| {
+            let mut table = store.shard_write(0);
+            let list = &mut table.lists_mut()[0];
+            if demote {
+                list.demote_slot(0).unwrap();
+            } else {
+                assert!(list.promote_slot(0).unwrap());
+            }
+        };
+        // The first demotion writes the slot's page...
+        tier(true);
+        let written = store.metrics();
+        assert!(written.page_file_bytes > 0);
+        // ...which a promotion keeps, so the next demotion writes nothing
+        // and strands no dead bytes.
+        tier(false);
+        tier(true);
+        let after = store.metrics();
+        assert_eq!((after.promotions, after.demotions), (1, 2));
+        assert_eq!(after.page_file_bytes, written.page_file_bytes);
+        assert_eq!(after.spilled_bytes, written.spilled_bytes);
+        assert_eq!(after.dead_page_bytes, 0);
+        assert_eq!(store.snapshot_list(MergedListId(0)).unwrap(), reference);
+        assert!(store.budget_accounting_is_exact());
+    }
+
+    #[test]
+    fn dropping_a_spill_store_sweeps_an_old_generation_its_compaction_stranded() {
+        let root = TempRoot::new("spill-stray-generation");
+        let dir = root.join("spill");
+        let store = SpillStore::with_configs(
+            index(vec![sorted_elements(32, 0)]),
+            1,
+            &dir,
+            SpillConfig {
+                resident_budget_bytes: 0,
+                page_cache_pages: 2,
+                ..SpillConfig::default().without_tiering()
+            },
+            small_segment_config(),
+        )
+        .unwrap();
+        for i in 0..3u64 {
+            let trs = 0.4 + 0.05 * i as f64;
+            store
+                .insert(MergedListId(0), element(trs, 0, &[9u8; 8]))
+                .unwrap();
+        }
+        assert!(store.compact_shard(0).unwrap());
+        assert_eq!(page_files_in(&dir), ["shard-000.g1.pages"]);
+        // Stand-in for a failed unlink of the superseded generation: the
+        // pager's drop removes it too, so the root is left empty and goes.
+        fs::write(dir.join("shard-000.g0.pages"), b"stale").unwrap();
+        drop(store);
+        assert!(!dir.exists(), "a spill store leaves nothing behind");
     }
 
     #[test]
@@ -3247,7 +3228,8 @@ mod tests {
 
     #[test]
     fn explicit_spill_roots_are_cleaned_up_too() {
-        let dir = unique_temp_dir("zerber-spill");
+        let root = TempRoot::new("explicit-spill");
+        let dir = root.join("spill");
         let store = SpillStore::with_configs(
             index(vec![sorted_elements(8, 0)]),
             2,
@@ -3285,7 +3267,6 @@ mod tests {
             small_segment_config(),
             durable,
             RealIo::shared(),
-            false,
         )
         .unwrap()
     }
@@ -3298,7 +3279,7 @@ mod tests {
 
     #[test]
     fn durable_store_round_trips_through_drop_and_open() {
-        let dir = unique_temp_dir("zerber-spill");
+        let dir = TempRoot::new("durable-round-trip");
         let spill_config = SpillConfig {
             resident_budget_bytes: 0,
             page_cache_pages: 2,
@@ -3346,13 +3327,11 @@ mod tests {
         drop(reopened);
         let again = SpillStore::open(&dir, spill_config, DurableConfig::default()).unwrap();
         assert_eq!(snapshot_all(&again), want);
-        drop(again);
-        fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn creating_over_an_existing_durable_store_is_refused() {
-        let dir = unique_temp_dir("zerber-spill");
+        let dir = TempRoot::new("durable-recreate");
         let config = SpillConfig::default().without_tiering();
         let store = durable_store_at(
             &dir,
@@ -3372,12 +3351,11 @@ mod tests {
             ),
             Err(StoreError::Io(_))
         ));
-        fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn open_sweeps_stray_scratch_files_left_by_an_unclean_drop() {
-        let dir = unique_temp_dir("zerber-spill");
+        let dir = TempRoot::new("durable-sweep");
         let spill_config = SpillConfig {
             resident_budget_bytes: 0,
             page_cache_pages: 1,
@@ -3408,8 +3386,6 @@ mod tests {
             assert!(!stray.exists(), "stray {} must be swept", stray.display());
         }
         assert_eq!(snapshot_all(&reopened), want);
-        drop(reopened);
-        fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -79,10 +79,9 @@ pub struct StoreMetrics {
     /// Estimated bytes of memory the engine's physical representation
     /// occupies — what the compressed-segment engine is measured against.
     pub resident_bytes: u64,
-    /// Bytes of index state spilled to secondary storage.  For the spill
-    /// engine, `spilled_bytes + resident_bytes` approximates the in-memory
-    /// segment engine's resident footprint: the same encoded pages, just
-    /// cold ones living on disk.
+    /// Live page bytes in the on-disk page files: the pages of spilled
+    /// slots plus the kept pages of promoted (resident) slots, so it
+    /// overlaps `resident_bytes` once a slot has been promoted.
     pub spilled_bytes: u64,
     /// Pages read back (and re-validated) from secondary storage.
     pub page_faults: u64,

@@ -20,8 +20,9 @@ use zerber_corpus::{
 };
 use zerber_crypto::{GroupKeys, MasterKey};
 use zerber_index::InvertedIndex;
-use zerber_protocol::{AccessControl, Client, IndexServer, StoreEngine};
+use zerber_protocol::{AccessControl, Client, IndexServer};
 use zerber_r::{OrderedIndex, RetrievalConfig, RstfConfig, RstfModel};
+use zerber_store::{SegmentConfig, SpillStore};
 
 use crate::error::WorkloadError;
 use crate::metrics::QuerySample;
@@ -146,7 +147,7 @@ impl TestBed {
         QueryLog::generate(&self.stats, config)
     }
 
-    /// The user directory used by [`TestBed::build_server`]: `num_users`
+    /// The user directory used by [`TestBed::build_segment_server`]: `num_users`
     /// all-group members named `user-0`, `user-1`, ...
     fn server_acl(&self, num_users: usize) -> AccessControl {
         let mut acl = AccessControl::new(b"testbed-server");
@@ -160,32 +161,13 @@ impl TestBed {
     /// Builds an index server over a copy of the ordered index on the
     /// engine's resident lifecycle, partitioned across `num_shards` storage
     /// shards, with `num_users` registered all-group users (`user-0`, ...).
-    pub fn build_server(&self, num_shards: usize, num_users: usize) -> IndexServer {
-        self.build_engine_server(StoreEngine::Segment, num_shards, num_users)
-    }
-
-    /// [`TestBed::build_server`] under the name the benchmark calls.
     pub fn build_segment_server(&self, num_shards: usize, num_users: usize) -> IndexServer {
-        self.build_server(num_shards, num_users)
+        let store = SpillStore::resident(self.index.clone(), num_shards, SegmentConfig::default())
+            .expect("resident server builds");
+        IndexServer::with_store(Box::new(store), self.server_acl(num_users))
     }
 
-    /// Builds a server over an explicitly selected lifecycle of the engine.
-    pub fn build_engine_server(
-        &self,
-        engine: StoreEngine,
-        num_shards: usize,
-        num_users: usize,
-    ) -> IndexServer {
-        IndexServer::with_engine(
-            self.index.clone(),
-            self.server_acl(num_users),
-            engine,
-            num_shards,
-        )
-        .expect("engine server builds")
-    }
-
-    /// The names registered by [`TestBed::build_server`], in registration
+    /// The names registered by [`TestBed::build_segment_server`], in registration
     /// order (the benchmark's callers query as these users).
     pub fn server_users(num_users: usize) -> Vec<String> {
         (0..num_users.max(1)).map(|i| format!("user-{i}")).collect()
@@ -219,7 +201,7 @@ impl TestBed {
             WorkloadError::Protocol("an earlier replay on this bed panicked".into())
         })?;
         let (server, client) = served.get_or_insert_with(|| {
-            let server = self.build_server(1, 1);
+            let server = self.build_segment_server(1, 1);
             let token = server.acl().issue_token("user-0");
             let client = Client::new("user-0", token, self.all_memberships.clone());
             (server, client)
@@ -408,7 +390,7 @@ mod tests {
     #[test]
     fn built_servers_serve_the_workload_from_a_thread_pool() {
         let bed = bed();
-        let sharded = bed.build_server(4, 2);
+        let sharded = bed.build_segment_server(4, 2);
         let single = IndexServer::with_store(
             Box::new(SingleMutexStore::new(bed.index.clone())),
             bed.server_acl(2),

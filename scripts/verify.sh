@@ -13,12 +13,18 @@
 # compaction-under-load stress loop, the fault-injected durable recovery
 # suite plus a repeated kill-at-every-injection-point crash stress loop,
 # the fault-injected replication suite plus a repeated disconnect-storm
-# stress loop, a syntax check of the perf gate script (which is run by
-# hand, not here), the two line-count ratchets (scripts/loc.sh totals
-# against fixed ceilings), and hygiene guards asserting the tests left no
-# stray on-disk files — page files, `.pages.compact` rewrite scratch,
-# WALs, manifests, `.manifest.tmp`/`.manifest.prev` checkpoint scratch or
-# replica generation directories — behind.
+# stress loop, a hygiene guard, a syntax check of the perf gate script
+# (which is run by hand, not here) and the two line-count ratchets
+# (scripts/loc.sh totals against fixed ceilings).
+#
+# Hygiene: the store library creates no directory of its own — every
+# store lives in a root its caller names.  The tests put every root they
+# use (spill, durable, replica and fault-injection alike) in a drop-guarded
+# `TempRoot` under one staging dir, `$TMPDIR/zerber-test`
+# (tests/common/mod.rs, and its twins in the store and protocol unit
+# tests), so one guard asserts the runs left no file behind there: a
+# root that outlived its test, with its page files, `.pages.compact`
+# rewrite scratch, WALs, manifests or replica generation directories.
 #
 # The debug lock checker needs no step of its own: the plain `cargo test -q`
 # below builds with debug assertions, so every test that takes a shard lock
@@ -41,9 +47,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-SPILL_STAGING="${TMPDIR:-/tmp}/zerber-spill"
-DURABLE_STAGING="${TMPDIR:-/tmp}/zerber-durable"
-REPLICA_STAGING="${TMPDIR:-/tmp}/zerber-replica"
+TEST_STAGING="${TMPDIR:-/tmp}/zerber-test"
 
 echo "==> cargo fmt --check"
 cargo fmt --check
@@ -113,33 +117,10 @@ for i in 1 2 3 4 5; do
     }
 done
 
-echo "==> spill hygiene: no stray page files (or compaction scratch files) after the test runs"
-# Covers both live page files (*.pages) and compaction rewrite scratch
-# files (*.pages.compact): an aborted or committed compaction must never
-# leak its fresh file.
-if [ -d "$SPILL_STAGING" ] && [ -n "$(find "$SPILL_STAGING" -type f 2>/dev/null | head -1)" ]; then
-  echo "stray spill files left behind under $SPILL_STAGING:" >&2
-  find "$SPILL_STAGING" -type f >&2
-  exit 1
-fi
-
-echo "==> durable hygiene: ephemeral durable roots leave no WALs, manifests or checkpoint scratch behind"
-# Temp-dir durable stores (the equivalence proptest engine, unit tests)
-# clean their whole root on drop: any leftover *.wal, *.manifest,
-# *.manifest.tmp, *.manifest.prev, store.meta or page file is a leak.
-if [ -d "$DURABLE_STAGING" ] && [ -n "$(find "$DURABLE_STAGING" -type f 2>/dev/null | head -1)" ]; then
-  echo "stray durable-store files left behind under $DURABLE_STAGING:" >&2
-  find "$DURABLE_STAGING" -type f >&2
-  exit 1
-fi
-
-echo "==> replica hygiene: replication tests remove their primary and replica roots"
-# Replica roots hold full durable stores (generation dirs with pages,
-# WALs and manifests) for both ends of the stream: every test and the
-# equivalence proptest must remove its whole root on the way out.
-if [ -d "$REPLICA_STAGING" ] && [ -n "$(find "$REPLICA_STAGING" -type f 2>/dev/null | head -1)" ]; then
-  echo "stray replica files left behind under $REPLICA_STAGING:" >&2
-  find "$REPLICA_STAGING" -type f >&2
+echo "==> test hygiene: no test root left files behind under the staging dir"
+if [ -d "$TEST_STAGING" ] && [ -n "$(find "$TEST_STAGING" -type f 2>/dev/null | head -1)" ]; then
+  echo "stray files left behind under $TEST_STAGING:" >&2
+  find "$TEST_STAGING" -type f >&2
   exit 1
 fi
 
@@ -149,7 +130,7 @@ bash -n scripts/perf_gate.sh
 # The non-test lines of crates/store/src + crates/protocol/src may only go
 # down: lower the ceiling (the landed total, rounded up to the next 25)
 # when a PR removes code, never raise it to make room.
-LOC_CEILING=9225
+LOC_CEILING=9075
 echo "==> line-count ratchet (scripts/loc.sh total <= $LOC_CEILING)"
 loc_table="$(scripts/loc.sh)"
 loc_total="$(awk '$2 == "total" { print $1 }' <<<"$loc_table")"

@@ -167,7 +167,7 @@ fn busiest_list(server: &IndexServer) -> u64 {
 #[test]
 fn interleaved_cursor_follow_ups_match_a_sequential_run() {
     let bed = TestBed::build(TestBedConfig::small(DatasetProfile::StudIp)).expect("bed builds");
-    let server = Arc::new(bed.build_server(4, 2));
+    let server = Arc::new(bed.build_segment_server(4, 2));
     let list = busiest_list(&server);
     let list_len = server.store().list_len(MergedListId(list)).unwrap();
     assert!(list_len > 10, "need a non-trivial list, got {list_len}");

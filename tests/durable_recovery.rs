@@ -21,11 +21,14 @@ use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
+mod common;
+
+use common::TempRoot;
 use proptest::prelude::*;
 use zerber_suite::corpus::{GroupId, TermId};
 use zerber_suite::store::{
-    DurableConfig, FaultIo, FaultMode, ListStore, PageIo, SegmentConfig, SingleMutexStore,
-    SpillConfig, SpillStore, SyncPolicy,
+    crc32, DurableConfig, FaultIo, FaultMode, ListStore, PageIo, SegmentConfig, SingleMutexStore,
+    SpillConfig, SpillStore, StoreError, SyncPolicy,
 };
 use zerber_suite::zerber::{EncryptedElement, MergePlan, MergedListId};
 use zerber_suite::zerber_r::{OrderedElement, OrderedIndex};
@@ -92,16 +95,6 @@ fn durable_config(sync: SyncPolicy) -> DurableConfig {
         // every crash point is placed by the workload itself.
         checkpoint_wal_bytes: 1 << 30,
     }
-}
-
-fn test_root(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!(
-        "zerber-durable-recovery-{}-{name}",
-        std::process::id()
-    ));
-    let _ = fs::remove_dir_all(&dir);
-    fs::create_dir_all(&dir).unwrap();
-    dir
 }
 
 /// Flat copy of a store root (the layout has no subdirectories).
@@ -210,7 +203,7 @@ fn kill_at_every_injection_point_recovers_a_prefix_of_history() {
     let states = oracle_states(&index);
 
     // Baseline directory: a cleanly created store, dropped intact.
-    let root = test_root("kill-loop");
+    let root = TempRoot::new("kill-loop");
     let baseline = root.join("baseline");
     drop(
         SpillStore::create_durable_with(
@@ -221,7 +214,6 @@ fn kill_at_every_injection_point_recovers_a_prefix_of_history() {
             segment_config(),
             durable_config(SyncPolicy::Always),
             FaultIo::new(FaultMode::KillAfter(u64::MAX)) as Arc<dyn PageIo>,
-            false,
         )
         .unwrap(),
     );
@@ -287,7 +279,6 @@ fn kill_at_every_injection_point_recovers_a_prefix_of_history() {
             .iter()
             .any(|e| e.sealed.ciphertext == b"post-crash"));
     }
-    let _ = fs::remove_dir_all(&root);
 }
 
 /// A crash in the middle of recovery itself (while truncating a torn WAL
@@ -296,7 +287,7 @@ fn kill_at_every_injection_point_recovers_a_prefix_of_history() {
 fn crash_during_recovery_truncation_is_itself_recoverable() {
     let index = fixture_index(NUM_LISTS, true);
     let states = oracle_states(&index);
-    let root = test_root("crash-in-recovery");
+    let root = TempRoot::new("crash-in-recovery");
     let baseline = root.join("baseline");
     let store = SpillStore::create_durable(
         index,
@@ -337,7 +328,6 @@ fn crash_during_recovery_truncation_is_itself_recoverable() {
         let recovered = audit_recovered(&crash_dir, &states, at);
         assert!(recovered.metrics().truncated_wal_records <= NUM_SHARDS as u64);
     }
-    let _ = fs::remove_dir_all(&root);
 }
 
 /// A lying fsync (`DropSyncs`: buffered writes, `sync` silently dropped)
@@ -347,7 +337,7 @@ fn crash_during_recovery_truncation_is_itself_recoverable() {
 #[test]
 fn dropped_fsyncs_recover_to_the_last_durable_state() {
     let index = fixture_index(NUM_LISTS, true);
-    let root = test_root("drop-syncs");
+    let root = TempRoot::new("drop-syncs");
     let dir = root.join("store");
     let store = SpillStore::create_durable(
         index,
@@ -400,7 +390,6 @@ fn dropped_fsyncs_recover_to_the_last_durable_state() {
             "list {l} does not match the last durable state"
         );
     }
-    let _ = fs::remove_dir_all(&root);
 }
 
 /// Under `SyncPolicy::Always` every acknowledged insert survives a
@@ -409,7 +398,7 @@ fn dropped_fsyncs_recover_to_the_last_durable_state() {
 #[test]
 fn buffered_power_loss_keeps_every_acknowledged_insert() {
     let index = fixture_index(NUM_LISTS, true);
-    let root = test_root("buffered-always");
+    let root = TempRoot::new("buffered-always");
     let dir = root.join("store");
     drop(
         SpillStore::create_durable(
@@ -444,7 +433,6 @@ fn buffered_power_loss_keeps_every_acknowledged_insert() {
             "list {l} lost acknowledged inserts"
         );
     }
-    let _ = fs::remove_dir_all(&root);
 }
 
 /// Under `SyncPolicy::EveryN` a *clean* shutdown must still keep every
@@ -456,7 +444,7 @@ fn buffered_power_loss_keeps_every_acknowledged_insert() {
 #[test]
 fn clean_drop_under_batched_sync_keeps_every_acknowledged_insert() {
     let index = fixture_index(NUM_LISTS, true);
-    let root = test_root("buffered-everyn-drop");
+    let root = TempRoot::new("buffered-everyn-drop");
     let dir = root.join("store");
     let durable = durable_config(SyncPolicy::EveryN(1000));
     drop(
@@ -487,7 +475,6 @@ fn clean_drop_under_batched_sync_keeps_every_acknowledged_insert() {
             "list {l} lost acknowledged inserts across a clean shutdown"
         );
     }
-    let _ = fs::remove_dir_all(&root);
 }
 
 /// A bit-flip inside the WAL truncates the log at the corrupt frame and
@@ -496,7 +483,7 @@ fn clean_drop_under_batched_sync_keeps_every_acknowledged_insert() {
 #[test]
 fn bit_flip_in_wal_truncates_at_the_corrupt_frame_and_serves() {
     let index = fixture_index(1, false);
-    let root = test_root("wal-flip");
+    let root = TempRoot::new("wal-flip");
     let dir = root.join("store");
     let store = SpillStore::create_durable(
         index,
@@ -533,7 +520,6 @@ fn bit_flip_in_wal_truncates_at_the_corrupt_frame_and_serves() {
     let reopened =
         SpillStore::open(&dir, spill_config(), durable_config(SyncPolicy::Never)).unwrap();
     assert_eq!(reopened.num_elements(), 4);
-    let _ = fs::remove_dir_all(&root);
 }
 
 /// A bit-flip inside a checkpointed page referenced by the manifest is
@@ -542,7 +528,7 @@ fn bit_flip_in_wal_truncates_at_the_corrupt_frame_and_serves() {
 #[test]
 fn bit_flip_in_a_checkpointed_page_fails_recovery_cleanly() {
     let index = fixture_index(2, true);
-    let root = test_root("page-flip");
+    let root = TempRoot::new("page-flip");
     let dir = root.join("store");
     let store = SpillStore::create_durable_with(
         index,
@@ -552,7 +538,6 @@ fn bit_flip_in_a_checkpointed_page_fails_recovery_cleanly() {
         segment_config(),
         durable_config(SyncPolicy::Always),
         FaultIo::new(FaultMode::KillAfter(u64::MAX)) as Arc<dyn PageIo>,
-        false,
     )
     .unwrap();
     for i in 0..8u32 {
@@ -578,7 +563,6 @@ fn bit_flip_in_a_checkpointed_page_fails_recovery_cleanly() {
         result.is_err(),
         "recovery accepted a corrupted checkpointed page"
     );
-    let _ = fs::remove_dir_all(&root);
 }
 
 /// Recovery metering: reopening a checkpointed store reports the pages it
@@ -586,7 +570,7 @@ fn bit_flip_in_a_checkpointed_page_fails_recovery_cleanly() {
 #[test]
 fn reopening_a_checkpointed_store_meters_recovered_pages() {
     let index = fixture_index(2, true);
-    let root = test_root("recovered-pages");
+    let root = TempRoot::new("recovered-pages");
     let dir = root.join("store");
     let store = SpillStore::create_durable_with(
         index,
@@ -596,7 +580,6 @@ fn reopening_a_checkpointed_store_meters_recovered_pages() {
         segment_config(),
         durable_config(SyncPolicy::Always),
         FaultIo::new(FaultMode::KillAfter(u64::MAX)) as Arc<dyn PageIo>,
-        false,
     )
     .unwrap();
     for i in 0..8u32 {
@@ -616,7 +599,6 @@ fn reopening_a_checkpointed_store_meters_recovered_pages() {
         "checkpointed segments were not recovered from pages"
     );
     assert_eq!(recovered.metrics().truncated_wal_records, 0);
-    let _ = fs::remove_dir_all(&root);
 }
 
 /// Fixed-size WAL frames for the truncation property:
@@ -631,7 +613,7 @@ const PREFIX_INSERTS: usize = 8;
 /// still accepts and round-trips new inserts.
 fn wal_prefix_case(cut: u64) {
     let index = fixture_index(1, false);
-    let root = test_root("wal-prefix");
+    let root = TempRoot::new("wal-prefix");
     let dir = root.join("store");
     let store = SpillStore::create_durable(
         index.clone(),
@@ -684,7 +666,110 @@ fn wal_prefix_case(cut: u64) {
     let reopened =
         SpillStore::open(&dir, spill_config(), durable_config(SyncPolicy::Never)).unwrap();
     assert_eq!(reopened.num_elements(), fitting + 1);
-    let _ = fs::remove_dir_all(&root);
+}
+
+/// A one-shard durable store in `root/store` with checkpointed pages and
+/// one logged insert past the checkpoint, dropped cleanly.
+fn checkpointed_store_with_a_logged_insert(root: &Path) -> PathBuf {
+    let dir = root.join("store");
+    let store = SpillStore::create_durable_with(
+        fixture_index(2, true),
+        &dir,
+        1,
+        spill_config(),
+        segment_config(),
+        durable_config(SyncPolicy::Always),
+        FaultIo::new(FaultMode::KillAfter(u64::MAX)) as Arc<dyn PageIo>,
+    )
+    .unwrap();
+    store
+        .insert(MergedListId(0), element(50.0, 1, b"logged"))
+        .unwrap();
+    drop(store);
+    dir
+}
+
+/// Rewrites the trailing CRC32 of a manifest after a field was patched: the
+/// value stays CRC-valid, as a deliberate or unlucky corruption can be.
+fn patch_manifest(path: &Path, at: usize, value: u64) {
+    let mut bytes = fs::read(path).unwrap();
+    bytes[at..at + 8].copy_from_slice(&value.to_le_bytes());
+    let body = bytes.len() - 4;
+    let crc = crc32(&bytes[..body]);
+    bytes[body..].copy_from_slice(&crc.to_le_bytes());
+    fs::write(path, bytes).unwrap();
+}
+
+/// Manifest layout: magic, version, generation, applied seq, list count
+/// (8 bytes each), then list 0's page count and its first page's offset.
+const MANIFEST_GENERATION: usize = 16;
+const MANIFEST_FIRST_PAGE_OFFSET: usize = 48;
+
+/// A CRC-valid manifest whose page extent `offset + len` passes `u64::MAX`
+/// is refused with a typed error, not computed with an overflow.
+#[test]
+fn a_manifest_page_extent_past_u64_max_fails_open_cleanly() {
+    let root = TempRoot::new("manifest-extent-overflow");
+    let dir = checkpointed_store_with_a_logged_insert(&root);
+    patch_manifest(
+        &dir.join("shard-000.manifest"),
+        MANIFEST_FIRST_PAGE_OFFSET,
+        u64::MAX - 1,
+    );
+    let result = SpillStore::open(&dir, spill_config(), durable_config(SyncPolicy::Always));
+    assert!(
+        matches!(result, Err(StoreError::CorruptSegment(_))),
+        "{result:?}"
+    );
+}
+
+/// A CRC-valid WAL frame carrying sequence number `u64::MAX` leaves no
+/// successor for the next append: `open` refuses the log with a typed error.
+#[test]
+fn a_wal_frame_with_the_last_sequence_number_fails_open_cleanly() {
+    let root = TempRoot::new("wal-seq-overflow");
+    let dir = checkpointed_store_with_a_logged_insert(&root);
+    // Frame layout: payload length, payload CRC32, then the payload, whose
+    // first field is the sequence number.
+    let wal = dir.join("shard-000.wal");
+    let mut bytes = fs::read(&wal).unwrap();
+    let len = u32::from_le_bytes(bytes[0..4].try_into().unwrap()) as usize;
+    assert_eq!(bytes.len(), 8 + len, "exactly one logged frame");
+    bytes[8..16].copy_from_slice(&u64::MAX.to_le_bytes());
+    let crc = crc32(&bytes[8..8 + len]);
+    bytes[4..8].copy_from_slice(&crc.to_le_bytes());
+    fs::write(&wal, bytes).unwrap();
+    let result = SpillStore::open(&dir, spill_config(), durable_config(SyncPolicy::Always));
+    assert!(
+        matches!(result, Err(StoreError::CorruptSegment(_))),
+        "{result:?}"
+    );
+}
+
+/// A store recovered at page-file generation `u64::MAX` serves, but has no
+/// next generation to compact into: compaction fails with a typed error
+/// and the store keeps serving.
+#[test]
+fn compaction_at_the_last_page_file_generation_fails_cleanly() {
+    let root = TempRoot::new("generation-overflow");
+    let dir = checkpointed_store_with_a_logged_insert(&root);
+    patch_manifest(
+        &dir.join("shard-000.manifest"),
+        MANIFEST_GENERATION,
+        u64::MAX,
+    );
+    fs::rename(
+        dir.join("shard-000.g0.pages"),
+        dir.join(format!("shard-000.g{}.pages", u64::MAX)),
+    )
+    .unwrap();
+    let store = SpillStore::open(&dir, spill_config(), durable_config(SyncPolicy::Always)).unwrap();
+    let before = store.snapshot_list(MergedListId(0)).unwrap();
+    assert!(matches!(
+        store.compact_shard(0),
+        Err(StoreError::CorruptSegment(_))
+    ));
+    assert_eq!(store.snapshot_list(MergedListId(0)).unwrap(), before);
 }
 
 /// Every cut point is a distinct crash: exhaustively sweep the frame

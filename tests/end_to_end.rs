@@ -22,7 +22,7 @@ fn bed() -> &'static TestBed {
 
 /// The bed's index behind a resident server, and an all-group member of it.
 fn served(bed: &TestBed) -> (IndexServer, Client) {
-    let server = bed.build_server(4, 1);
+    let server = bed.build_segment_server(4, 1);
     let token = server.acl().issue_token("user-0");
     let client = Client::new("user-0", token, bed.all_memberships.clone());
     (server, client)

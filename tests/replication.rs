@@ -17,11 +17,14 @@
 //! every recorded injection point, reopens the frozen directory with the
 //! production IO path, re-subscribes and requires convergence.
 
+mod common;
+
 use std::fs;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::Arc;
 use std::time::Duration;
 
+use common::TempRoot;
 use zerber_suite::corpus::{GroupId, TermId};
 use zerber_suite::protocol::{AccessControl, IndexServer, ProtocolError, QueryRequest};
 use zerber_suite::store::{
@@ -108,17 +111,6 @@ fn replica_config() -> ReplicaConfig {
     }
 }
 
-/// All replica (and primary) roots live under `$TMPDIR/zerber-replica`, the
-/// staging tree the repo's hygiene guard sweeps for leaks.
-fn test_root(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir()
-        .join("zerber-replica")
-        .join(format!("{}-{name}", std::process::id()));
-    let _ = fs::remove_dir_all(&dir);
-    fs::create_dir_all(&dir).unwrap();
-    dir
-}
-
 fn create_primary(dir: &Path, index: OrderedIndex) -> Arc<SpillStore> {
     Arc::new(
         SpillStore::create_durable_with(
@@ -129,7 +121,6 @@ fn create_primary(dir: &Path, index: OrderedIndex) -> Arc<SpillStore> {
             segment_config(),
             durable_config(),
             RealIo::shared(),
-            false,
         )
         .unwrap(),
     )
@@ -193,7 +184,7 @@ fn assert_converged(store: &SpillStore, states: &[Vec<Vec<OrderedElement>>], ctx
 fn replica_bootstraps_streams_and_matches_the_oracle() {
     let index = fixture_index(true);
     let states = oracle_states(&index);
-    let root = test_root("baseline");
+    let root = TempRoot::new("baseline");
     let primary = create_primary(&root.join("primary"), index);
     let history = insert_history();
     let (before, after) = history.split_at(history.len() / 2);
@@ -246,7 +237,6 @@ fn replica_bootstraps_streams_and_matches_the_oracle() {
     // Replica-side durable metrics pass through: streamed frames were
     // re-logged into the replica's own WAL.
     assert!(serving.metrics().wal_appends >= after.len() as u64);
-    let _ = fs::remove_dir_all(&root);
 }
 
 /// The full transport fault matrix — torn frames, bit flips, duplicates,
@@ -258,7 +248,7 @@ fn replica_bootstraps_streams_and_matches_the_oracle() {
 fn fault_matrix_keeps_every_replica_state_a_prefix_of_history() {
     let index = fixture_index(true);
     let states = oracle_states(&index);
-    let root = test_root("fault-matrix");
+    let root = TempRoot::new("fault-matrix");
     let primary = create_primary(&root.join("primary"), index);
     let source = ReplicationSource::new(Arc::clone(&primary)).unwrap();
     let faults = FaultTransport::new(
@@ -316,7 +306,6 @@ fn fault_matrix_keeps_every_replica_state_a_prefix_of_history() {
     )
     .unwrap();
     assert_converged(&reopened.store(), &states, "reopened");
-    let _ = fs::remove_dir_all(&root);
 }
 
 /// A checkpoint on the primary resets its WAL; a replica whose position
@@ -326,7 +315,7 @@ fn fault_matrix_keeps_every_replica_state_a_prefix_of_history() {
 fn checkpoint_gap_forces_a_resnapshot_instead_of_divergence() {
     let index = fixture_index(true);
     let states = oracle_states(&index);
-    let root = test_root("resnapshot");
+    let root = TempRoot::new("resnapshot");
     let primary = create_primary(&root.join("primary"), index);
     let source = ReplicationSource::new(Arc::clone(&primary)).unwrap();
     let transport = InProcessTransport::new(source);
@@ -356,7 +345,6 @@ fn checkpoint_gap_forces_a_resnapshot_instead_of_divergence() {
         "stale generation left behind"
     );
     assert!(root.join("replica").join("gen-1").exists());
-    let _ = fs::remove_dir_all(&root);
 }
 
 /// Bounded staleness: a replica that cannot apply (every frame torn) sees
@@ -367,7 +355,7 @@ fn checkpoint_gap_forces_a_resnapshot_instead_of_divergence() {
 fn lagging_replica_degrades_reads_until_it_catches_up() {
     let index = fixture_index(true);
     let states = oracle_states(&index);
-    let root = test_root("degraded");
+    let root = TempRoot::new("degraded");
     let primary = create_primary(&root.join("primary"), index);
     let source = ReplicationSource::new(Arc::clone(&primary)).unwrap();
     let faults = FaultTransport::new(
@@ -455,7 +443,6 @@ fn lagging_replica_degrades_reads_until_it_catches_up() {
         primary.fetch_ranged(&fetch, None).unwrap()
     );
     assert_eq!(serving.metrics().replica_lag, 0);
-    let _ = fs::remove_dir_all(&root);
 }
 
 /// One run of the replication workload with the replica's own disk frozen
@@ -507,7 +494,7 @@ fn run_replica_until_frozen(root: &Path, at: u64) -> Arc<FaultIo> {
 fn kill_at_every_boundary_replica_recovers_and_catches_up() {
     let index = fixture_index(true);
     let states = oracle_states(&index);
-    let root = test_root("kill-loop");
+    let root = TempRoot::new("kill-loop");
 
     // Probe run: unlimited budget records every IO boundary of the replica's
     // own disk (snapshot install, WAL appends from applied frames, page
@@ -583,7 +570,6 @@ fn kill_at_every_boundary_replica_recovers_and_catches_up() {
             .iter()
             .any(|e| e.sealed.ciphertext == b"post-crash"));
     }
-    let _ = fs::remove_dir_all(&root);
 }
 
 /// The disconnect-storm stress case verify.sh loops 5× under `--release`:
@@ -592,7 +578,7 @@ fn kill_at_every_boundary_replica_recovers_and_catches_up() {
 /// transport kill (process death) and reopen in the middle.
 #[test]
 fn disconnect_storm_replication_converges() {
-    let root = test_root("disconnect-storm");
+    let root = TempRoot::new("disconnect-storm");
     let primary = create_primary(&root.join("primary"), fixture_index(true));
     let source = ReplicationSource::new(Arc::clone(&primary)).unwrap();
     let plan = FaultPlan {
@@ -657,7 +643,6 @@ fn disconnect_storm_replication_converges() {
     assert!(killed, "the kill budget must have fired");
     assert!(replica.stats().reconnects > 0);
     assert!(replica.stats().frames_skipped > 0);
-    let _ = fs::remove_dir_all(&root);
 }
 
 /// Graceful-shutdown durability companion (the satellite fix lives in the
@@ -667,7 +652,7 @@ fn disconnect_storm_replication_converges() {
 fn clean_replica_shutdown_keeps_every_applied_frame() {
     let index = fixture_index(true);
     let states = oracle_states(&index);
-    let root = test_root("clean-shutdown");
+    let root = TempRoot::new("clean-shutdown");
     let primary = create_primary(&root.join("primary"), index);
     let source = ReplicationSource::new(Arc::clone(&primary)).unwrap();
     let transport = InProcessTransport::new(source);
@@ -699,16 +684,39 @@ fn clean_replica_shutdown_keeps_every_applied_frame() {
     .unwrap();
     assert_converged(&reopened.store(), &states, "post-clean-shutdown");
     assert_eq!(reopened.lag(), 0);
-    let _ = fs::remove_dir_all(&root);
+}
+
+/// A subscriber position of `u64::MAX` — anything the transport hands
+/// over — never panics the source: past the end of every shard's log it
+/// simply yields no frames, even once the primary's WAL holds records.
+#[test]
+fn frames_after_the_last_sequence_number_yield_nothing() {
+    let root = TempRoot::new("frames-after-max");
+    let primary = create_primary(&root.join("primary"), fixture_index(true));
+    let source = ReplicationSource::new(Arc::clone(&primary)).unwrap();
+    for l in 0..NUM_LISTS as u64 {
+        primary
+            .insert(MergedListId(l), element(0.5, l as u32, b"logged"))
+            .unwrap();
+    }
+    let batch = source
+        .frames_after(&[u64::MAX; NUM_SHARDS], 16)
+        .expect("a position past the log is an answer, not an error");
+    assert!(batch.frames.is_empty());
+    assert!(!batch.need_snapshot);
+    assert_eq!(batch.heads.len(), NUM_SHARDS);
+    assert!(batch.heads.iter().all(|&head| head > 0));
 }
 
 /// Replication refuses a non-durable primary: without a WAL and manifests
 /// there is nothing to snapshot or stream.
 #[test]
 fn ephemeral_primary_is_refused() {
-    let store = SpillStore::in_temp_dir_with(
+    let root = TempRoot::new("spill-primary");
+    let store = SpillStore::with_configs(
         fixture_index(true),
         NUM_SHARDS,
+        &root,
         spill_config(),
         segment_config(),
     )

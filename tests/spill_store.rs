@@ -4,8 +4,11 @@
 //! disk must degrade exactly one request — the same per-request error
 //! isolation contract a batch gives stale cursors.
 
+mod common;
+
+use common::TempRoot;
 use zerber_suite::corpus::{DatasetProfile, GroupId};
-use zerber_suite::protocol::{IndexServer, ProtocolError, QueryRequest, StoreEngine};
+use zerber_suite::protocol::{IndexServer, ProtocolError, QueryRequest};
 use zerber_suite::store::{ListStore, RangedFetch, SegmentConfig, SpillConfig, SpillStore};
 use zerber_suite::workload::{TestBed, TestBedConfig};
 use zerber_suite::zerber::{EncryptedElement, MergedListId};
@@ -25,8 +28,13 @@ fn request(user: &str, list: u64, count: u32) -> QueryRequest {
 #[test]
 fn spill_server_matches_the_sharded_server_and_meters_faults() {
     let bed = TestBed::build(TestBedConfig::small(DatasetProfile::StudIp)).expect("bed builds");
-    let sharded = bed.build_server(4, 2);
-    let spilled = bed.build_engine_server(StoreEngine::Spill, 4, 2);
+    let sharded = bed.build_segment_server(4, 2);
+    let root = TempRoot::new("spill-server");
+    let (spill, segment) = (SpillConfig::default(), SegmentConfig::default());
+    let store = SpillStore::with_configs(bed.index.clone(), 4, &root, spill, segment)
+        .expect("spill store builds");
+    let acl = sharded.acl().clone();
+    let spilled = IndexServer::with_store(Box::new(store), acl);
     let token_a = sharded.acl().issue_token("user-0");
     let token_b = spilled.acl().issue_token("user-0");
     for list in 0..sharded.num_lists() as u64 {
@@ -58,9 +66,11 @@ fn corrupt_pages_degrade_one_request_and_the_stream_round_isolates_it() {
     // Build the spill store by hand so the page-file paths stay reachable
     // for corruption; zero budget + no cache forces every sealed read
     // through the (corruptible) disk.
-    let store = SpillStore::in_temp_dir_with(
+    let root = TempRoot::new("corrupt-pages");
+    let store = SpillStore::with_configs(
         bed.index.clone(),
         1,
+        &root,
         SpillConfig {
             resident_budget_bytes: 0,
             page_cache_pages: 0,
@@ -145,10 +155,12 @@ fn compaction_under_concurrent_load_never_tears_an_answer() {
 
     let bed = TestBed::build(TestBedConfig::small(DatasetProfile::StudIp)).expect("bed builds");
     const SHARDS: usize = 2;
+    let root = TempRoot::new("compaction-under-load");
     let store = Arc::new(
-        SpillStore::in_temp_dir_with(
+        SpillStore::with_configs(
             bed.index.clone(),
             SHARDS,
+            &root,
             SpillConfig {
                 resident_budget_bytes: 4096,
                 page_cache_pages: 2,
@@ -234,10 +246,24 @@ fn compaction_under_concurrent_load_never_tears_an_answer() {
         store.metrics().page_file_bytes,
         store.metrics().spilled_bytes
     );
-    for path in store.page_file_paths() {
-        assert!(
-            !path.with_extension("pages.compact").exists(),
-            "no compaction scratch file may outlive its pass"
-        );
-    }
+    // Every pass committed to the next generation and unlinked the old one:
+    // the root holds exactly the current page file of each shard — no
+    // rewrite scratch (`*.pages.compact`), no superseded generation.
+    let mut on_disk: Vec<String> = std::fs::read_dir(&*root)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .collect();
+    on_disk.sort();
+    let mut current: Vec<String> = store
+        .page_file_paths()
+        .iter()
+        .map(|p| p.file_name().unwrap().to_string_lossy().into_owned())
+        .collect();
+    current.sort();
+    assert_eq!(current.len(), SHARDS);
+    assert!(current.iter().all(|n| n.ends_with(".pages")));
+    assert_eq!(
+        on_disk, current,
+        "no compaction scratch file or old generation may outlive its pass"
+    );
 }

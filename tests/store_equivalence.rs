@@ -21,12 +21,15 @@
 //! plain `Vec` with a linear `contains` on the caller's filter exactly as
 //! given — unsorted, duplicated, empty or naming absent groups.
 
+mod common;
+
+use common::TempRoot;
 use proptest::prelude::*;
 use zerber_suite::corpus::{GroupId, TermId};
 use zerber_suite::protocol::{AccessControl, IndexServer, QueryRequest, ServerStats};
 use zerber_suite::store::{
-    CursorId, DurableConfig, ListStore, RangedFetch, SegmentConfig, SingleMutexStore, SpillConfig,
-    SpillStore, SyncPolicy,
+    CursorId, DurableConfig, ListStore, RangedFetch, RealIo, SegmentConfig, SingleMutexStore,
+    SpillConfig, SpillStore, SyncPolicy,
 };
 use zerber_suite::zerber::{EncryptedElement, MergePlan, MergedListId};
 use zerber_suite::zerber_r::{OrderedElement, OrderedIndex};
@@ -116,12 +119,14 @@ fn fixture_index(lists: &[Vec<OrderedElement>]) -> OrderedIndex {
 /// Stores under comparison: the oracle first, then the engine's lifecycles.
 const STORES: usize = 5;
 
-/// The engine's configurations, in the order [`engines`] builds them.
+/// The engine's configurations, in the order [`engines`] builds them, and
+/// the root the paging ones live in (declared last, so it drops last).
 struct Engine {
     resident: SpillStore,
     spilled: SpillStore,
     tiering: SpillStore,
     durable: SpillStore,
+    root: TempRoot,
 }
 
 impl Engine {
@@ -151,13 +156,15 @@ fn engines(lists: &[Vec<OrderedElement>]) -> (SingleMutexStore, Engine) {
     };
     let index = fixture_index(lists);
     let oracle = SingleMutexStore::new(index.clone());
+    let root = TempRoot::new("equivalence");
     let engine = Engine {
         resident: SpillStore::resident(index.clone(), 2, segment_config).unwrap(),
         // Zero resident budget + a tiny page cache: every sealed segment
         // round-trips through the on-disk page format under this workload.
-        spilled: SpillStore::in_temp_dir_with(
+        spilled: SpillStore::with_configs(
             index.clone(),
             2,
+            root.join("spilled"),
             SpillConfig {
                 resident_budget_bytes: 0,
                 page_cache_pages: 2,
@@ -170,9 +177,10 @@ fn engines(lists: &[Vec<OrderedElement>]) -> (SingleMutexStore, Engine) {
         // aggressive maintenance knobs, so every operation can trigger a
         // retier pass and a page-file compaction mid-workload.  Promotion,
         // demotion and live-page rewrites must all stay answer-invisible.
-        tiering: SpillStore::in_temp_dir_with(
+        tiering: SpillStore::with_configs(
             index.clone(),
             2,
+            root.join("tiering"),
             SpillConfig {
                 resident_budget_bytes: 512,
                 page_cache_pages: 1,
@@ -188,8 +196,9 @@ fn engines(lists: &[Vec<OrderedElement>]) -> (SingleMutexStore, Engine) {
         // every insert is write-ahead logged, a tiny checkpoint threshold
         // forces manifest commits and WAL resets mid-workload, and none of
         // it may be visible in any answer.
-        durable: SpillStore::durable_in_temp_dir_with(
+        durable: SpillStore::create_durable_with(
             index,
+            root.join("durable"),
             2,
             SpillConfig {
                 resident_budget_bytes: 0,
@@ -201,8 +210,10 @@ fn engines(lists: &[Vec<OrderedElement>]) -> (SingleMutexStore, Engine) {
                 sync: SyncPolicy::Never,
                 checkpoint_wal_bytes: 256,
             },
+            RealIo::shared(),
         )
         .unwrap(),
+        root,
     };
     (oracle, engine)
 }
@@ -211,8 +222,9 @@ fn engines(lists: &[Vec<OrderedElement>]) -> (SingleMutexStore, Engine) {
 /// (oracle first), sharing one user directory with
 /// deliberately different group views per user (so the users' rounds run
 /// under different visibility filters): `user-0` sees everything, `user-3`
-/// nothing.
-fn servers(lists: &[Vec<OrderedElement>]) -> Vec<IndexServer> {
+/// nothing.  The root the paging stores live in comes first, so a caller
+/// that binds the pair drops it last.
+fn servers(lists: &[Vec<OrderedElement>]) -> (TempRoot, Vec<IndexServer>) {
     let (oracle, engine) = engines(lists);
     let mut acl = AccessControl::new(b"batch-oracle");
     acl.register_user("user-0", &[GroupId(0), GroupId(1), GroupId(2), GroupId(3)]);
@@ -226,10 +238,11 @@ fn servers(lists: &[Vec<OrderedElement>]) -> Vec<IndexServer> {
         Box::new(engine.tiering),
         Box::new(engine.durable),
     ];
-    stores
+    let servers = stores
         .into_iter()
         .map(|store| IndexServer::with_store(store, acl.clone()))
-        .collect()
+        .collect();
+    (engine.root, servers)
 }
 
 /// A session as each store sees it: the store-local cursor id plus the
@@ -467,11 +480,12 @@ proptest! {
             1..40,
         ),
     ) {
-        let servers = servers(&lists);
+        let (_root, servers) = servers(&lists);
+        let (_twin_root, twins) = self::servers(&lists);
         // One user's round through `handle_query_batch`, against the
         // sequential replay on a twin with the identical history.
         let mut per_engine: Vec<Vec<_>> = Vec::with_capacity(servers.len());
-        for (batching, sequential) in servers.iter().zip(&self::servers(&lists)) {
+        for (batching, sequential) in servers.iter().zip(&twins) {
             let mut answers = Vec::new();
             for u in 0..4usize {
                 let user = format!("user-{u}");
@@ -552,21 +566,6 @@ proptest! {
     }
 }
 
-/// Unique on-disk root per proptest case for the replica equivalence
-/// property, under the staging tree the hygiene guard sweeps.
-fn replica_case_root() -> std::path::PathBuf {
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    static CASE: AtomicUsize = AtomicUsize::new(0);
-    let dir = std::env::temp_dir().join("zerber-replica").join(format!(
-        "{}-equivalence-{}",
-        std::process::id(),
-        CASE.fetch_add(1, Ordering::Relaxed)
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
@@ -595,7 +594,7 @@ proptest! {
     ) {
         use std::sync::Arc;
         use zerber_suite::store::{
-            InProcessTransport, RealIo, Replica, ReplicaConfig, ReplicaTransport,
+            InProcessTransport, Replica, ReplicaConfig, ReplicaTransport,
             ReplicationSource,
         };
 
@@ -622,7 +621,7 @@ proptest! {
         };
         let index = OrderedIndex::from_parts(lists.to_vec(), plan);
         let oracle = SingleMutexStore::new(index.clone());
-        let root = replica_case_root();
+        let root = TempRoot::new("replica-equivalence");
         let primary = Arc::new(
             SpillStore::create_durable_with(
                 index,
@@ -632,7 +631,6 @@ proptest! {
                 segment_config,
                 durable_config,
                 RealIo::shared(),
-                false,
             )
             .unwrap(),
         );
@@ -692,7 +690,6 @@ proptest! {
         prop_assert!(serving.insert(MergedListId(0), element(0.5, 0, b"w".to_vec())).is_err());
         drop(replica);
         drop(serving);
-        let _ = std::fs::remove_dir_all(&root);
     }
 }
 
@@ -783,7 +780,7 @@ mod failing_io {
 fn spilled_counts_come_from_running_totals_through_failures_and_recovery() {
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::Arc;
-    use zerber_suite::store::{RealIo, StoreError};
+    use zerber_suite::store::StoreError;
 
     let segment_config = SegmentConfig {
         block_len: 3,
@@ -811,7 +808,7 @@ fn spilled_counts_come_from_running_totals_through_failures_and_recovery() {
         })
         .collect();
     let mut model = fixture_index(&lists);
-    let root = replica_case_root();
+    let root = TempRoot::new("failed-page-write");
     let armed = Arc::new(AtomicBool::new(false));
     let io = Arc::new(failing_io::FailingPages {
         inner: RealIo::shared(),
@@ -825,7 +822,6 @@ fn spilled_counts_come_from_running_totals_through_failures_and_recovery() {
         segment_config,
         durable_config,
         io,
-        false,
     )
     .unwrap();
 
@@ -932,5 +928,4 @@ fn spilled_counts_come_from_running_totals_through_failures_and_recovery() {
         assert_eq!(reopened.snapshot_list(id).unwrap(), model.list(id).unwrap());
     }
     drop(reopened);
-    let _ = std::fs::remove_dir_all(&root);
 }
