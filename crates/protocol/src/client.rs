@@ -315,7 +315,7 @@ mod tests {
     };
     use zerber_crypto::MasterKey;
     use zerber_index::InvertedIndex;
-    use zerber_r::{retrieve_topk, GrowthPolicy, OrderedIndex, RstfConfig};
+    use zerber_r::{retrieve_topk, OrderedIndex, RstfConfig};
 
     struct Fixture {
         corpus: Corpus,
@@ -564,7 +564,6 @@ mod tests {
                 &RetrievalConfig {
                     k: 0,
                     initial_response: 1,
-                    growth: GrowthPolicy::Doubling
                 }
             )
             .is_err());
@@ -619,7 +618,6 @@ mod tests {
         let wide = |k: usize, initial_response: usize| RetrievalConfig {
             k,
             initial_response,
-            growth: GrowthPolicy::Doubling,
         };
         for config in [wide(1, 1 << 32), wide(1 << 32, 10)] {
             let served = john.query(&f.server, &f.plan, term, &config).unwrap();

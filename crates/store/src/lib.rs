@@ -302,15 +302,10 @@ mod tests {
             ratio < 1.0,
             "segments must be smaller than the vec layout, got {ratio:.3}"
         );
-        // The group-filtered visible_len calls above were answered from the
-        // running per-group totals: the segment stack examined no element,
-        // the oracle walked every list in full.
-        assert_eq!(segmented.metrics().visibility_scan_cost, 0);
-        assert!(oracle.metrics().visibility_scan_cost > 0);
     }
 
     #[test]
-    fn cursor_follow_ups_skip_the_visibility_count() {
+    fn cursor_follow_ups_report_the_current_visible_total() {
         let (resident, oracle) = stores();
         for store in [
             Box::new(resident) as Box<dyn ListStore>,
@@ -331,14 +326,15 @@ mod tests {
             let cursor = store
                 .open_cursor(list, 5, &first, first.elements.len(), Some(&groups))
                 .unwrap();
-            let counted = store.metrics().visibility_scan_cost;
-            // Follow-ups are answered from the per-session cached count: no
-            // O(list-length) visibility scan, whatever the engine.
-            for _ in 0..4 {
+            for _ in 0..2 {
                 let batch = store.cursor_fetch(cursor, 5, 2, Some(&groups)).unwrap();
                 assert_eq!(batch.visible_total, first.visible_total);
             }
-            assert_eq!(store.metrics().visibility_scan_cost, counted);
+            // An element the session can see, inserted mid-session, counts
+            // on the very next follow-up, whatever the engine.
+            store.insert(list, first.elements[0].clone()).unwrap();
+            let batch = store.cursor_fetch(cursor, 5, 2, Some(&groups)).unwrap();
+            assert_eq!(batch.visible_total, first.visible_total + 1);
             store.close_cursor(cursor, 5);
         }
     }
@@ -430,9 +426,9 @@ mod tests {
         assert_eq!(collected, whole);
         // A foreign owner cannot close the session.
         sharded.close_cursor(cursor, 78);
-        assert_eq!(sharded.open_cursors(), 1);
+        assert_eq!(sharded.session_stats().open, 1);
         sharded.close_cursor(cursor, 77);
-        assert_eq!(sharded.open_cursors(), 0);
+        assert_eq!(sharded.session_stats().open, 0);
     }
 
     #[test]
@@ -641,7 +637,7 @@ mod tests {
             .unwrap();
         let idle = sharded.open_cursor(list, 1, &head, 1, None).unwrap();
         let active = sharded.open_cursor(list, 2, &head, 1, None).unwrap();
-        assert_eq!(sharded.open_cursors(), 2);
+        assert_eq!(sharded.session_stats().open, 2);
         // Only cursor advances from here on — no fetches, no opens, no
         // inserts.  The active session's follow-ups tick the logical clock
         // past the TTL; the idle session must be reclaimed by the read-path

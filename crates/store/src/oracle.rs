@@ -9,10 +9,11 @@
 //! replication suites and the unit tests of [`crate::segment`] and
 //! [`crate::spill`] all hold their results against it (and against
 //! `OrderedIndex::{fetch, visible_len}`).  It is deliberately naive about
-//! visibility — every count walks the whole list and every membership test
-//! is a linear `contains` — and deliberately shares only the session table
-//! ([`ListTable`]) with the engine it checks, so cursor, generation and TTL
-//! behaviour cannot diverge while everything physical can.
+//! visibility — every count, a cursor follow-up's included, walks the whole
+//! list and every membership test is a linear `contains` — and deliberately
+//! shares only the session table ([`ListTable`]) with the engine it checks,
+//! so cursor, generation and TTL behaviour cannot diverge while everything
+//! physical can.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -97,18 +98,12 @@ impl OrderedList for VecList {
         Ok((0..self.meta.len()).map(|i| self.materialize(i)).collect())
     }
 
-    fn visible_total(&self, filter: &GroupFilter<'_>, meter: &AtomicU64) -> usize {
-        match filter.groups() {
-            None => self.meta.len(),
-            Some(groups) => {
-                // Group-filtered counts examine every element of the list.
-                meter.fetch_add(self.meta.len() as u64, Ordering::Relaxed);
-                self.meta
-                    .iter()
-                    .filter(|m| groups.contains(&m.group))
-                    .count()
-            }
-        }
+    fn visible_total(&self, filter: &GroupFilter<'_>) -> usize {
+        let accessible = filter.groups();
+        self.meta
+            .iter()
+            .filter(|m| is_visible_group(m.group, accessible))
+            .count()
     }
 
     fn scan(
@@ -137,24 +132,6 @@ impl OrderedList for VecList {
             }
         }
         Ok((elements, next))
-    }
-
-    fn position_after_visible(
-        &self,
-        delivered: usize,
-        filter: &GroupFilter<'_>,
-    ) -> Result<usize, StoreError> {
-        let accessible = filter.groups();
-        let mut seen = 0usize;
-        for (i, m) in self.meta.iter().enumerate() {
-            if seen == delivered {
-                return Ok(i);
-            }
-            if is_visible_group(m.group, accessible) {
-                seen += 1;
-            }
-        }
-        Ok(self.meta.len())
     }
 
     fn insert(&mut self, element: OrderedElement) -> Result<usize, StoreError> {
@@ -320,7 +297,6 @@ impl ListStore for SingleMutexStore {
         StoreMetrics {
             resident_bytes: u64_of(guard.resident_bytes()),
             lock_acquisitions: self.lock_meter.load(Ordering::Relaxed),
-            visibility_scan_cost: guard.visibility_scan_cost(),
             ..StoreMetrics::default()
         }
     }
@@ -399,10 +375,6 @@ impl ListStore for SingleMutexStore {
     fn close_cursor(&self, cursor: CursorId, owner: u64) {
         self.meter_lock();
         self.locked().close_cursor(cursor.0, owner);
-    }
-
-    fn open_cursors(&self) -> usize {
-        self.locked().open_cursors()
     }
 
     fn session_stats(&self) -> SessionStats {

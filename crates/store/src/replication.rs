@@ -1242,10 +1242,6 @@ impl ListStore for ReplicaReadStore {
         self.store().close_cursor(cursor, owner)
     }
 
-    fn open_cursors(&self) -> usize {
-        self.store().open_cursors()
-    }
-
     fn session_stats(&self) -> SessionStats {
         self.store().session_stats()
     }

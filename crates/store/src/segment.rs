@@ -555,43 +555,6 @@ impl Segment {
         None
     }
 
-    /// Resolves the resume position inside this segment for a session that
-    /// still has `remaining` visible elements to account for.  Returns the
-    /// global physical index when the boundary falls inside the segment;
-    /// `None` (with `remaining` decremented) when it lies further down.
-    pub(crate) fn position_part(
-        &self,
-        seg_base: usize,
-        remaining: &mut usize,
-        filter: &GroupFilter<'_>,
-    ) -> Option<usize> {
-        let mut pos = seg_base;
-        for meta in &self.blocks {
-            if *remaining == 0 {
-                return Some(pos);
-            }
-            let visible = meta.visible_under(filter);
-            if visible < *remaining {
-                *remaining -= visible;
-                pos += usize_of(meta.elems);
-                continue;
-            }
-            // The boundary falls inside this block: stream just it,
-            // materializing nothing.
-            let mut reader = self.block_reader(meta);
-            for j in 0..usize_of(meta.elems) {
-                if *remaining == 0 {
-                    return Some(pos + j);
-                }
-                if filter.admits(reader.next_trusted().group) {
-                    *remaining -= 1;
-                }
-            }
-            pos += usize_of(meta.elems);
-        }
-        None
-    }
-
     /// The local insertion index for `trs` inside this segment (after
     /// strictly greater elements, before equal ones).  The caller has
     /// already established that the partition point lies in this segment
@@ -997,8 +960,6 @@ mod tests {
     //! [`SpillList`] on its resident (pager-less) lifecycle, held against
     //! the oracle's `Vec` layout.
 
-    use std::sync::atomic::AtomicU64;
-
     use super::oracle::same_verdict;
     use super::*;
     use crate::oracle::VecList;
@@ -1039,8 +1000,7 @@ mod tests {
     }
 
     /// The running per-group totals must equal a recount of the snapshot,
-    /// and `visible_total` must answer from them without examining an
-    /// element.
+    /// and `visible_total` must answer from them.
     fn assert_totals_exact(seg: &SpillList) {
         let mut recount = std::collections::BTreeMap::new();
         for e in seg.snapshot().unwrap() {
@@ -1050,13 +1010,11 @@ mod tests {
             seg.totals(),
             recount.iter().map(|(&g, &n)| (g, n)).collect::<Vec<_>>()
         );
-        let meter = AtomicU64::new(0);
         for (&group, &n) in &recount {
             let only = [group];
             let filter = GroupFilter::normalise(Some(&only));
-            assert_eq!(seg.visible_total(&filter, &meter), n as usize);
+            assert_eq!(seg.visible_total(&filter), n as usize);
         }
-        assert_eq!(meter.into_inner(), 0);
     }
 
     #[test]
@@ -1138,7 +1096,6 @@ mod tests {
         let vec = VecList::from_elements(elements);
         assert_eq!(seg.len(), vec.len());
         assert_eq!(seg.snapshot().unwrap(), vec.snapshot().unwrap());
-        let meter = AtomicU64::new(0);
         // Filters as callers may hand them in — ascending, unsorted with a
         // duplicate, empty, naming only absent groups — all normalise to
         // something the skip entries can be merged against.
@@ -1150,10 +1107,7 @@ mod tests {
             Some(&[GroupId(7)]),
         ];
         for accessible in &filters.map(GroupFilter::normalise) {
-            assert_eq!(
-                seg.visible_total(accessible, &meter),
-                vec.visible_total(accessible, &meter)
-            );
+            assert_eq!(seg.visible_total(accessible), vec.visible_total(accessible));
             for start in [0usize, 3, 17, 36, 37, 40] {
                 for skip in [0usize, 1, 5, 30] {
                     for count in [1usize, 4, 100] {
@@ -1164,12 +1118,6 @@ mod tests {
                         );
                     }
                 }
-            }
-            for delivered in 0..40 {
-                assert_eq!(
-                    seg.position_after_visible(delivered, accessible).unwrap(),
-                    vec.position_after_visible(delivered, accessible).unwrap()
-                );
             }
         }
     }
@@ -1258,7 +1206,6 @@ mod tests {
         assert!(seg.is_empty());
         let all = GroupFilter::normalise(None);
         assert_eq!(seg.scan(0, 0, 5, &all).unwrap(), (Vec::new(), 0));
-        assert_eq!(seg.position_after_visible(0, &all).unwrap(), 0);
         assert_eq!(seg.insert(element(0.5, 0, &[1])).unwrap(), 0);
         assert_eq!(seg.len(), 1);
     }

@@ -59,8 +59,8 @@ pub const MAX_SHARDS: usize = 256;
 ///
 /// `resident_bytes`, `spilled_bytes`, `page_faults` and `page_evictions`
 /// (see [`StoreMetrics`]) make the memory/disk split observable; on the
-/// resident lifecycle everything but `resident_bytes`, `lock_acquisitions`
-/// and `visibility_scan_cost` reads 0.
+/// resident lifecycle everything but `resident_bytes` and
+/// `lock_acquisitions` reads 0.
 #[derive(Debug)]
 pub struct SpillStore {
     shards: Vec<RwLock<ListTable<SpillList>>>,
@@ -286,9 +286,7 @@ impl ListStore for SpillStore {
             ..StoreMetrics::default()
         };
         for s in 0..self.shards.len() {
-            let guard = self.shard_read(s);
-            metrics.resident_bytes += u64_of(guard.resident_bytes());
-            metrics.visibility_scan_cost += guard.visibility_scan_cost();
+            metrics.resident_bytes += u64_of(self.shard_read(s).resident_bytes());
         }
         self.add_paging_metrics(&mut metrics);
         metrics
@@ -378,12 +376,6 @@ impl ListStore for SpillStore {
             self.meter_lock();
             self.shard_write(shard).close_cursor(cursor.0, owner);
         }
-    }
-
-    fn open_cursors(&self) -> usize {
-        (0..self.shards.len())
-            .map(|s| self.shard_read(s).open_cursors())
-            .sum()
     }
 
     fn session_stats(&self) -> SessionStats {

@@ -1331,10 +1331,9 @@ impl OrderedList for SpillList {
         Ok(out)
     }
 
-    fn visible_total(&self, filter: &GroupFilter<'_>, _meter: &AtomicU64) -> usize {
+    fn visible_total(&self, filter: &GroupFilter<'_>) -> usize {
         // The running totals answer for slots and tail alike: no page is
-        // faulted and no element examined, so nothing is charged to the
-        // meter.
+        // faulted and no element examined.
         filter.visible_in(self.len(), &self.totals)
     }
 
@@ -1390,43 +1389,6 @@ impl OrderedList for SpillList {
             }
         }
         Ok((elements, total.max(start)))
-    }
-
-    fn position_after_visible(
-        &self,
-        delivered: usize,
-        filter: &GroupFilter<'_>,
-    ) -> Result<usize, StoreError> {
-        let mut remaining = delivered;
-        let mut pos = 0usize;
-        for k in 0..self.slots.len() {
-            if remaining == 0 {
-                return Ok(pos);
-            }
-            if let Some(visible) = self.slots[k].cold_visible(filter) {
-                if visible < remaining {
-                    // The whole slot is consumed: account for it from the
-                    // summary alone, no page fault.
-                    remaining -= visible;
-                    pos += self.slots[k].meta.elems;
-                    continue;
-                }
-            }
-            let segment = self.segment(k)?;
-            if let Some(found) = segment.position_part(pos, &mut remaining, filter) {
-                return Ok(found);
-            }
-            pos += self.slots[k].meta.elems;
-        }
-        for (j, element) in self.tail.iter().enumerate() {
-            if remaining == 0 {
-                return Ok(self.seg_elems + j);
-            }
-            if filter.admits(element.group) {
-                remaining -= 1;
-            }
-        }
-        Ok(self.len())
     }
 
     fn insert(&mut self, element: OrderedElement) -> Result<usize, StoreError> {

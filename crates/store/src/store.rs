@@ -12,7 +12,11 @@
 //! checked against ([`crate::oracle`]).  The cursor-session table in this module
 //! ([`ListTable`]) is generic over an [`OrderedList`] — the per-list physical
 //! representation — so both share one cursor-session, generation and TTL
-//! implementation and cannot diverge there.
+//! implementation and cannot diverge there.  A session keeps no visibility
+//! state: every `visible_total`, a follow-up's included, is counted by the
+//! list itself ([`OrderedList::visible_total`]), and a session opened from
+//! an outdated batch finds its resume point with the list's own
+//! [`OrderedList::scan`].
 
 use std::borrow::Cow;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -72,8 +76,7 @@ pub struct RangedBatch {
 /// opened; the five gauges (`resident_bytes`, `spilled_bytes`,
 /// `page_file_bytes`, `dead_page_bytes`, `replica_lag`) are point-in-time.
 /// Fields a store has no notion of stay 0: the resident lifecycle and the
-/// oracle fill `resident_bytes`, `lock_acquisitions` and
-/// `visibility_scan_cost` only.
+/// oracle fill `resident_bytes` and `lock_acquisitions` only.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StoreMetrics {
     /// Estimated bytes of memory the engine's physical representation
@@ -133,10 +136,6 @@ pub struct StoreMetrics {
     /// (element/byte totals, ordering checks) are not metered, so the
     /// counter reflects request-serving lock traffic.
     pub lock_acquisitions: u64,
-    /// Elements individually examined for visibility accounting (the
-    /// scan-cost assertions read this; cached cursor follow-ups and the
-    /// segment stack's running totals leave it untouched).
-    pub visibility_scan_cost: u64,
 }
 
 /// Counters of one session table (aggregated across shards by
@@ -267,9 +266,6 @@ pub trait ListStore: Send + Sync + std::fmt::Debug {
     /// one user cannot tear down another user's session by guessing its id.
     fn close_cursor(&self, cursor: CursorId, owner: u64);
 
-    /// Number of currently open cursors.
-    fn open_cursors(&self) -> usize;
-
     /// Occupancy and eviction pressure of the cursor-session tables.
     fn session_stats(&self) -> SessionStats;
 
@@ -310,11 +306,6 @@ impl<'a> GroupFilter<'a> {
                 Cow::Owned(owned)
             }
         }))
-    }
-
-    /// The same filter, owning its groups (what a cursor session keeps).
-    pub(crate) fn into_owned(self) -> GroupFilter<'static> {
-        GroupFilter(self.0.map(|groups| Cow::Owned(groups.into_owned())))
     }
 
     /// The normalised groups (`None` = unrestricted).
@@ -372,12 +363,8 @@ pub trait OrderedList: Send + Sync + std::fmt::Debug {
     /// backed by spilled pages may fail here if a page no longer decodes.
     fn snapshot(&self) -> Result<Vec<OrderedElement>, StoreError>;
 
-    /// Number of elements visible under `filter`.  `meter` counts the
-    /// elements *individually examined* to produce the answer — layouts with
-    /// aggregate visibility metadata (running per-group totals, slot
-    /// summaries) answer without touching elements and charge (almost)
-    /// nothing.
-    fn visible_total(&self, filter: &GroupFilter<'_>, meter: &AtomicU64) -> usize;
+    /// Number of elements visible under `filter`.
+    fn visible_total(&self, filter: &GroupFilter<'_>) -> usize;
 
     /// Scans from physical index `start`, skipping `skip` visible elements,
     /// then collecting up to `count` visible elements.  Returns the
@@ -392,14 +379,6 @@ pub trait OrderedList: Send + Sync + std::fmt::Debug {
         count: usize,
         filter: &GroupFilter<'_>,
     ) -> Result<(Vec<OrderedElement>, usize), StoreError>;
-
-    /// The physical index just past the first `delivered` visible elements —
-    /// where a session that has received `delivered` elements resumes.
-    fn position_after_visible(
-        &self,
-        delivered: usize,
-        filter: &GroupFilter<'_>,
-    ) -> Result<usize, StoreError>;
 
     /// Inserts an element at its TRS position (after strictly greater,
     /// before equal), returning the physical insertion index.  Fails —
@@ -436,22 +415,15 @@ pub(crate) const MAX_CURSORS_PER_TABLE: usize = 1024;
 /// ongoing traffic instead of waiting for capacity pressure.
 pub const SESSION_TTL_TICKS: u64 = 1 << 14;
 
-/// One cursor session: the local slot of its list, the physical position of
-/// the next element to scan, and the cached visibility state of its owner.
-/// Position and cached count are atomic so a follow-up can read them under a
-/// shared read lock; inserts adjust both under the exclusive lock.
+/// One cursor session: the local slot of its list, its owner's tag and the
+/// physical position of the next element to scan.  The position is atomic
+/// so a follow-up can advance it under a shared read lock; inserts shift it
+/// under the exclusive lock.
 #[derive(Debug)]
 struct Cursor {
     slot: usize,
     owner: u64,
     position: AtomicUsize,
-    /// The group filter the session was opened with, in normal form — so a
-    /// follow-up naming the same groups in another order still hits the
-    /// cache below.
-    filter: GroupFilter<'static>,
-    /// Cached `visible_total` under `filter`, maintained by the insert path
-    /// under the same write lock — follow-ups answer without re-counting.
-    visible: AtomicUsize,
     /// Logical clock value of the session's last use (for TTL expiry).
     last_used: AtomicU64,
 }
@@ -459,9 +431,8 @@ struct Cursor {
 /// The storage state owned by one lock domain — a shard of the sharded
 /// store, or the whole oracle: the ordered lists, their insert
 /// generations, and the cursor sessions bound to them.  Keeping cursors in
-/// the same lock domain as their lists means the position and visibility
-/// adjustments an insert must apply happen under the same exclusive lock as
-/// the insert.
+/// the same lock domain as their lists means the position shifts an insert
+/// must apply happen under the same exclusive lock as the insert.
 #[derive(Debug)]
 pub(crate) struct ListTable<L> {
     lists: Vec<L>,
@@ -469,9 +440,6 @@ pub(crate) struct ListTable<L> {
     cursors: std::collections::HashMap<u64, Cursor>,
     /// Logical clock: ticks once per request served by this table.
     clock: AtomicU64,
-    /// Elements individually examined for visibility accounting (the
-    /// scan-cost assertion of the cursor cache reads this).
-    scan_meter: AtomicU64,
     /// Clock value of the last TTL sweep.  Read paths use it to decide when
     /// a sweep is due, so a read-heavy workload still reclaims idle
     /// sessions (writes always sweep).
@@ -488,7 +456,6 @@ impl<L> Default for ListTable<L> {
             generations: Vec::new(),
             cursors: std::collections::HashMap::new(),
             clock: AtomicU64::new(0),
-            scan_meter: AtomicU64::new(0),
             last_sweep: AtomicU64::new(0),
             opened: 0,
             capacity_evictions: 0,
@@ -546,12 +513,7 @@ impl<L: OrderedList> ListTable<L> {
 
     /// Number of elements of a slot visible under `accessible`.
     pub fn visible_total(&self, slot: usize, accessible: Option<&[GroupId]>) -> usize {
-        self.lists[slot].visible_total(&GroupFilter::normalise(accessible), &self.scan_meter)
-    }
-
-    /// Elements individually examined for visibility accounting so far.
-    pub fn visibility_scan_cost(&self) -> u64 {
-        self.scan_meter.load(Ordering::Relaxed)
+        self.lists[slot].visible_total(&GroupFilter::normalise(accessible))
     }
 
     /// Session-table pressure counters.
@@ -575,7 +537,7 @@ impl<L: OrderedList> ListTable<L> {
     ) -> Result<RangedBatch, StoreError> {
         self.tick();
         let list = &self.lists[slot];
-        let visible_total = list.visible_total(filter, &self.scan_meter);
+        let visible_total = list.visible_total(filter);
         let (elements, next_physical) = list.scan(0, offset, count, filter)?;
         Ok(RangedBatch {
             elements,
@@ -613,8 +575,9 @@ impl<L: OrderedList> ListTable<L> {
 
     /// Opens a cursor session with the caller-allocated id `raw`, continuing
     /// after `batch`.  If inserts moved the list since the batch was served
-    /// (generation mismatch), the position is re-derived by skipping the
-    /// `delivered` visible elements the session has already received.
+    /// (generation mismatch), the session resumes just past the
+    /// `delivered`-th visible element of the current list (the list length
+    /// when it holds fewer), found by the same scan a fetch runs.
     /// Before inserting, idle sessions past [`SESSION_TTL_TICKS`] are
     /// expired, then capacity pressure evicts the oldest session.
     pub fn open_cursor(
@@ -635,15 +598,14 @@ impl<L: OrderedList> ListTable<L> {
                 self.capacity_evictions += 1;
             }
         }
-        let filter = GroupFilter::normalise(accessible);
         let list = &self.lists[slot];
-        let (position, visible) = if batch.generation == self.generations[slot] {
-            (batch.next_physical.min(list.len()), batch.visible_total)
+        let position = if batch.generation == self.generations[slot] {
+            batch.next_physical.min(list.len())
+        } else if delivered == 0 {
+            0
         } else {
-            (
-                list.position_after_visible(delivered, &filter)?,
-                list.visible_total(&filter, &self.scan_meter),
-            )
+            let filter = GroupFilter::normalise(accessible);
+            list.scan(0, delivered - 1, 1, &filter)?.1
         };
         self.opened += 1;
         self.cursors.insert(
@@ -652,8 +614,6 @@ impl<L: OrderedList> ListTable<L> {
                 slot,
                 owner,
                 position: AtomicUsize::new(position),
-                filter: filter.into_owned(),
-                visible: AtomicUsize::new(visible),
                 last_used: AtomicU64::new(now),
             },
         );
@@ -664,9 +624,7 @@ impl<L: OrderedList> ListTable<L> {
     /// advances it past the scanned range.  A compare-exchange loop makes a
     /// concurrent fetch of the same cursor (a retried follow-up) re-scan
     /// from the freshly observed position instead of rewinding or
-    /// duplicating elements.  The visibility total comes from the session
-    /// cache when the caller presents the group filter the session was
-    /// opened with, so a follow-up never re-counts the list.
+    /// duplicating elements.
     pub fn cursor_fetch(
         &self,
         raw: u64,
@@ -683,14 +641,7 @@ impl<L: OrderedList> ListTable<L> {
         cursor.last_used.store(now, Ordering::Relaxed);
         let list = &self.lists[cursor.slot];
         let generation = self.generations[cursor.slot];
-        let visible_total = if cursor.filter == *filter {
-            cursor.visible.load(Ordering::Relaxed)
-        } else {
-            // A follow-up under a different filter than the session was
-            // opened with (never produced by the protocol): stay correct by
-            // paying the full count.
-            list.visible_total(filter, &self.scan_meter)
-        };
+        let visible_total = list.visible_total(filter);
         let mut start = cursor.position.load(Ordering::Acquire);
         loop {
             let (elements, next_physical) = list.scan(start, 0, count, filter)?;
@@ -722,30 +673,16 @@ impl<L: OrderedList> ListTable<L> {
         }
     }
 
-    /// Number of open sessions.
-    pub fn open_cursors(&self) -> usize {
-        self.cursors.len()
-    }
-
     /// Inserts an element at its TRS position, bumps the list generation and
     /// shifts cursors that already scanned past the insertion point so they
     /// neither repeat the shifted element nor skip one.  A cursor exactly at
     /// the insertion point stays: the new element is its next in TRS order.
-    /// Cached visibility totals of sessions that can see the new element are
-    /// bumped under this same write lock.
     pub fn insert(&mut self, slot: usize, element: OrderedElement) -> Result<usize, StoreError> {
-        let group = element.group;
         let pos = self.lists[slot].insert(element)?;
         self.generations[slot] += 1;
         for cursor in self.cursors.values() {
-            if cursor.slot != slot {
-                continue;
-            }
-            if cursor.position.load(Ordering::Relaxed) > pos {
+            if cursor.slot == slot && cursor.position.load(Ordering::Relaxed) > pos {
                 cursor.position.fetch_add(1, Ordering::Relaxed);
-            }
-            if cursor.filter.admits(group) {
-                cursor.visible.fetch_add(1, Ordering::Relaxed);
             }
         }
         Ok(pos)
@@ -875,28 +812,40 @@ mod tests {
         table.open_cursor(43, 0, 9, &fresh, 2, None).unwrap();
         let resumed = table.cursor_fetch(43, 9, 1, &ALL).unwrap();
         assert!((resumed.elements[0].trs - 0.8).abs() < 1e-12);
-        assert_eq!(table.open_cursors(), 2);
+        assert_eq!(table.session_stats().open, 2);
         // A foreign owner tag cannot close the session; the real one can.
         table.close_cursor(42, 1234);
-        assert_eq!(table.open_cursors(), 2);
+        assert_eq!(table.session_stats().open, 2);
         table.close_cursor(42, 9);
         table.close_cursor(43, 9);
-        assert_eq!(table.open_cursors(), 0);
+        assert_eq!(table.session_stats().open, 0);
     }
 
     #[test]
-    fn position_after_visible_respects_group_filters() {
-        let l = VecList::from_elements(list());
+    fn stale_opens_resume_past_the_delivered_visible_elements() {
+        // Serve a group-0 batch, then insert a group-1 element at the head
+        // (TRS 1.0) so every open from the batch is stale.  The list is now
+        // [1.0/g1, 0.9/g0, 0.8/g1, 0.7/g0, 0.6/g1, 0.5/g0].
+        let mut table = table();
         let only_g0 = [GroupId(0)];
-        // After 1 delivered group-0 element the session resumes at index 1
-        // (the first index past the 0.9 element); after 2, at index 3.
-        let only_g0 = GroupFilter::normalise(Some(&only_g0));
-        assert_eq!(l.position_after_visible(0, &only_g0).unwrap(), 0);
-        assert_eq!(l.position_after_visible(1, &only_g0).unwrap(), 1);
-        assert_eq!(l.position_after_visible(2, &only_g0).unwrap(), 3);
-        assert_eq!(l.position_after_visible(3, &only_g0).unwrap(), 5);
-        let all = GroupFilter::normalise(None);
-        assert_eq!(l.position_after_visible(99, &all).unwrap(), 5);
+        let g0 = GroupFilter::normalise(Some(&only_g0));
+        let batch = table.fetch(0, 0, 1, &g0).unwrap();
+        table.insert(0, element(1.0, 1)).unwrap();
+        // A session that received `delivered` group-0 elements resumes just
+        // past the `delivered`-th of them: the next follow-up yields the
+        // group-0 elements after it, or nothing once they ran out.
+        let g0_trs = [0.9, 0.7, 0.5];
+        for delivered in 0..=4 {
+            let raw = 100 + delivered as u64;
+            table
+                .open_cursor(raw, 0, 9, &batch, delivered, Some(&only_g0))
+                .unwrap();
+            let rest = table.cursor_fetch(raw, 9, 10, &g0).unwrap();
+            let trs: Vec<f64> = rest.elements.iter().map(|e| e.trs).collect();
+            assert_eq!(trs, g0_trs[delivered.min(3)..], "delivered {delivered}");
+            assert!(rest.exhausted);
+            assert_eq!(rest.visible_total, 3);
+        }
     }
 
     #[test]
@@ -940,7 +889,7 @@ mod tests {
     }
 
     #[test]
-    fn cursor_cache_answers_follow_ups_without_recounting() {
+    fn cursor_follow_ups_count_what_their_filter_sees_now() {
         let mut table = table();
         let only_g0 = [GroupId(0)];
         let batch = table
@@ -950,40 +899,33 @@ mod tests {
         table
             .open_cursor(7, 0, 1, &batch, 1, Some(&only_g0))
             .unwrap();
-        let counted = table.visibility_scan_cost();
-        // Follow-ups under the session's own filter never re-count.
         for _ in 0..3 {
             let b = table
                 .cursor_fetch(7, 1, 1, &GroupFilter::normalise(Some(&only_g0)))
                 .unwrap();
             assert_eq!(b.visible_total, 3);
         }
-        assert_eq!(table.visibility_scan_cost(), counted);
-        // The insert path maintains the cache under the same lock: a new
-        // group-0 element bumps the cached count, a group-1 one does not.
+        // Inserts mid-session are counted: a new group-0 element raises the
+        // count, a group-1 one does not.
         table.insert(0, element(0.95, 0)).unwrap();
         table.insert(0, element(0.94, 1)).unwrap();
         let b = table
             .cursor_fetch(7, 1, 1, &GroupFilter::normalise(Some(&only_g0)))
             .unwrap();
         assert_eq!(b.visible_total, 4);
-        assert_eq!(table.visibility_scan_cost(), counted);
-        // The session remembers its filter in normal form: the same groups
-        // named twice are still the session's own filter.
+        // The same groups named twice are the same filter.
         let g0_again = [GroupId(0), GroupId(0)];
         let b = table
             .cursor_fetch(7, 1, 1, &GroupFilter::normalise(Some(&g0_again)))
             .unwrap();
         assert_eq!(b.visible_total, 4);
-        assert_eq!(table.visibility_scan_cost(), counted);
         assert_eq!(table.visible_total(0, Some(&only_g0)), 4);
-        // A mismatched filter pays the full count but stays correct.
+        // Another filter gets its own count.
         let only_g1 = [GroupId(1)];
         let b = table
             .cursor_fetch(7, 1, 1, &GroupFilter::normalise(Some(&only_g1)))
             .unwrap();
         assert_eq!(b.visible_total, 3);
-        assert!(table.visibility_scan_cost() > counted);
     }
 
     #[test]
@@ -998,7 +940,7 @@ mod tests {
         // A session used recently survives the sweep; the idle one expires
         // when the table is next written.
         table.open_cursor(12, 0, 1, &batch, 1, None).unwrap();
-        assert_eq!(table.open_cursors(), 1);
+        assert_eq!(table.session_stats().open, 1);
         assert!(matches!(
             table.cursor_fetch(11, 1, 1, &ALL),
             Err(StoreError::UnknownCursor(11))

@@ -76,9 +76,7 @@ pub mod train;
 pub use density::GaussianSum;
 pub use error::ZerberRError;
 pub use index::{OrderedElement, OrderedIndex, TRS_BYTES};
-pub use query::{
-    merge_rankings, retrieve_topk, GrowthPolicy, RetrievalConfig, RetrievalOutcome, RetrievalRun,
-};
+pub use query::{merge_rankings, retrieve_topk, RetrievalConfig, RetrievalOutcome, RetrievalRun};
 pub use rstf::{Rstf, RstfKernel};
 pub use sigma::{
     cross_validate, default_sigma_grid, uniformity_variance, SigmaPoint, SigmaSelection,

@@ -23,16 +23,6 @@ use zerber_crypto::GroupKeys;
 use crate::error::ZerberRError;
 use crate::index::OrderedIndex;
 
-/// How the response size evolves over follow-up requests.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub enum GrowthPolicy {
-    /// Zerber+R's policy: request `b`, then `2b`, then `4b`, ... (Equation 12).
-    #[default]
-    Doubling,
-    /// Ablation baseline: every request returns exactly `b` elements.
-    Constant,
-}
-
 /// Parameters of a top-k retrieval.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct RetrievalConfig {
@@ -41,8 +31,6 @@ pub struct RetrievalConfig {
     /// Initial response size `b` (the paper's sweet spot is `b = k`,
     /// Section 6.4).
     pub initial_response: usize,
-    /// Follow-up growth policy.
-    pub growth: GrowthPolicy,
 }
 
 impl RetrievalConfig {
@@ -52,22 +40,19 @@ impl RetrievalConfig {
         RetrievalConfig {
             k,
             initial_response: k,
-            growth: GrowthPolicy::Doubling,
         }
     }
 
-    /// Size of the `i`-th request (0 = initial request), saturating at
-    /// `usize::MAX` once doubling outgrows the word.
+    /// Size of the `i`-th request (0 = initial request): `b`, then `2b`,
+    /// then `4b`, ... (Equation 12), saturating at `usize::MAX` once
+    /// doubling outgrows the word.
     pub fn request_size(&self, i: usize) -> usize {
-        match self.growth {
-            GrowthPolicy::Doubling => u32::try_from(i)
-                .ok()
-                .and_then(|i| 1usize.checked_shl(i))
-                .map_or(usize::MAX, |factor| {
-                    self.initial_response.saturating_mul(factor)
-                }),
-            GrowthPolicy::Constant => self.initial_response,
-        }
+        u32::try_from(i)
+            .ok()
+            .and_then(|i| 1usize.checked_shl(i))
+            .map_or(usize::MAX, |factor| {
+                self.initial_response.saturating_mul(factor)
+            })
     }
 }
 
@@ -348,39 +333,6 @@ mod tests {
     }
 
     #[test]
-    fn doubling_growth_reduces_request_count_versus_constant() {
-        let f = fixture();
-        let order = f.stats.terms_by_doc_freq();
-        // Pick a mid-frequency term so several follow-ups are needed.
-        let term = order[order.len() / 3];
-        let doubling = retrieve_topk(
-            &f.index,
-            term,
-            &f.memberships,
-            &RetrievalConfig {
-                k: 10,
-                initial_response: 2,
-                growth: GrowthPolicy::Doubling,
-            },
-        )
-        .unwrap();
-        let constant = retrieve_topk(
-            &f.index,
-            term,
-            &f.memberships,
-            &RetrievalConfig {
-                k: 10,
-                initial_response: 2,
-                growth: GrowthPolicy::Constant,
-            },
-        )
-        .unwrap();
-        assert!(doubling.requests <= constant.requests);
-        // Both find the same results.
-        assert_eq!(doubling.results, constant.results);
-    }
-
-    #[test]
     fn runs_send_the_first_request_and_skip_groups_without_a_key() {
         let f = fixture();
         let config = RetrievalConfig::for_k(10);
@@ -448,7 +400,6 @@ mod tests {
             &RetrievalConfig {
                 k: 0,
                 initial_response: 5,
-                growth: GrowthPolicy::Doubling
             }
         )
         .is_err());
@@ -459,7 +410,6 @@ mod tests {
             &RetrievalConfig {
                 k: 5,
                 initial_response: 0,
-                growth: GrowthPolicy::Doubling
             }
         )
         .is_err());
@@ -491,7 +441,6 @@ mod tests {
         let wide = RetrievalConfig {
             k: 1,
             initial_response: 1 << 32,
-            growth: GrowthPolicy::Doubling,
         };
         assert_eq!(wide.request_size(31), 1 << 63);
         assert_eq!(wide.request_size(32), usize::MAX);
@@ -506,17 +455,10 @@ mod tests {
         let c = RetrievalConfig {
             k: 10,
             initial_response: 10,
-            growth: GrowthPolicy::Doubling,
         };
         assert_eq!(c.request_size(0), 10);
         assert_eq!(c.request_size(1), 20);
         assert_eq!(c.request_size(2), 40);
-        let c = RetrievalConfig {
-            growth: GrowthPolicy::Constant,
-            ..c
-        };
-        assert_eq!(c.request_size(5), 10);
         assert_eq!(RetrievalConfig::for_k(7).initial_response, 7);
-        assert_eq!(GrowthPolicy::default(), GrowthPolicy::Doubling);
     }
 }

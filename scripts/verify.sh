@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
 # Tier-1 verification gate for the Zerber+R workspace.
 #
-# Mirrors .github/workflows/ci.yml so the same checks run locally and in
-# CI: rustfmt, release build, clippy with warnings denied (the lint gate:
-# the workspace `[lints]` table plus the per-crate and per-file `deny`
-# attributes, see README "Static analysis"), the full test suite
+# CI (.github/workflows/ci.yml) runs this script as its one step, so the
+# same checks run locally and in CI: rustfmt, release build, clippy with
+# warnings denied (the lint gate: the workspace `[lints]` table plus the
+# per-crate and per-file `deny` attributes, see README "Static
+# analysis"), the full test suite
 # (including the engine-vs-oracle equivalence proptests, whose spill and
 # durable configurations write page files, WALs and manifests into
 # temp-dir roots), the release re-run of the concurrency and equivalence
@@ -130,7 +131,7 @@ bash -n scripts/perf_gate.sh
 # The non-test lines of crates/store/src + crates/protocol/src may only go
 # down: lower the ceiling (the landed total, rounded up to the next 25)
 # when a PR removes code, never raise it to make room.
-LOC_CEILING=9075
+LOC_CEILING=8900
 echo "==> line-count ratchet (scripts/loc.sh total <= $LOC_CEILING)"
 loc_table="$(scripts/loc.sh)"
 loc_total="$(awk '$2 == "total" { print $1 }' <<<"$loc_table")"
@@ -142,7 +143,7 @@ fi
 
 # The same ratchet for the paper side: the crates that implement and
 # evaluate the paper, and the examples.
-PAPER_LOC_CEILING=8150
+PAPER_LOC_CEILING=8125
 echo "==> paper-side line-count ratchet (scripts/loc.sh <paper crates> examples <= $PAPER_LOC_CEILING)"
 loc_table="$(scripts/loc.sh crates/adversary/src crates/bench/src crates/corpus/src \
   crates/crypto/src crates/index/src crates/workload/src crates/zerber/src \

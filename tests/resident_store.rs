@@ -105,7 +105,6 @@ fn a_resident_store_creates_nothing_on_disk_and_runs_no_paging_machinery() {
 
     let m = store.metrics();
     assert!(m.resident_bytes > 0 && m.lock_acquisitions > 0);
-    assert_eq!(m.visibility_scan_cost, 0);
     assert_eq!(
         (m.spilled_bytes, m.page_faults, m.page_cache_hits),
         (0, 0, 0)
