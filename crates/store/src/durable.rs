@@ -1,5 +1,5 @@
-//! Durability primitives of the paging store: the page/file IO abstraction
-//! (with a deterministic fault-injection shim), CRC32 framing, the per-shard
+//! Durability primitives of the paging store: the page/file IO abstraction,
+//! CRC32 framing, the per-shard
 //! write-ahead log codec, the checkpoint manifest codec and the store
 //! metadata codec.
 //!
@@ -21,9 +21,10 @@
 //!   never panics and never applies a record out of order.
 //!
 //! Everything talks to the disk through [`PageIo`]/[`FileIo`], so the
-//! fault-injection shim ([`FaultIo`]) can kill writes after a byte budget,
-//! flip a byte, or drop fsyncs — deterministically — and the recovery tests
-//! can crash the store at every step of every protocol.
+//! recovery suite's fault-injection shim (`tests/common/fault_io.rs`) can
+//! kill writes after a byte budget, flip a byte, or drop fsyncs —
+//! deterministically — and crash the store at every step of every
+//! protocol.
 
 #![cfg_attr(not(test), deny(clippy::cast_possible_truncation))]
 #![cfg_attr(not(test), deny(clippy::cast_possible_wrap, clippy::cast_sign_loss))]
@@ -34,7 +35,6 @@ use std::io::{self, Read as _, Seek, SeekFrom, Write as _};
 use std::path::Path;
 use std::sync::Arc;
 
-use parking_lot::Mutex;
 use zerber_base::EncryptedElement;
 use zerber_corpus::GroupId;
 use zerber_r::OrderedElement;
@@ -156,7 +156,7 @@ impl Default for DurableConfig {
 // ---------------------------------------------------------------------------
 // The IO abstraction: a page file handle and the directory-level operations
 // the pager, WAL and manifest writer need.  The real implementation is std
-// fs; the fault shim below wraps it.
+// fs; the test suites' fault shim wraps it.
 // ---------------------------------------------------------------------------
 
 /// One open file of the durable layer (page file, WAL or manifest).
@@ -176,8 +176,8 @@ pub trait FileIo: Send + std::fmt::Debug {
 
 /// Directory-level IO: opening, renaming and removing the files of a spill
 /// root.  `Arc<dyn PageIo>` is threaded through the pager, the WAL and the
-/// manifest writer, so a test can substitute [`FaultIo`] for all of them at
-/// once.
+/// manifest writer, so a test can substitute a fault-injecting IO for all of
+/// them at once.
 pub trait PageIo: Send + Sync + std::fmt::Debug {
     /// Opens (creating if missing) `path` for reading and writing,
     /// truncating it first when `truncate` is set.
@@ -258,314 +258,6 @@ impl PageIo for RealIo {
 }
 
 // ---------------------------------------------------------------------------
-// Deterministic fault injection.
-// ---------------------------------------------------------------------------
-
-/// What the fault shim does to the IO stream.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FaultMode {
-    /// Write-through until `n` budget units are consumed (one unit per
-    /// written byte; renames, removes, truncations and syncs cost one unit
-    /// each), then the process is considered dead: every later write,
-    /// rename, remove, truncation and sync silently does nothing.  A write
-    /// straddling the budget persists only its prefix — a torn write.
-    KillAfter(u64),
-    /// Write-through, but the byte at global write offset `n` is XORed with
-    /// `0x5A` on its way to disk — a single deterministic bit-flip.
-    FlipByteAt(u64),
-    /// Buffer every write in memory; `sync` flushes the file's buffer to
-    /// disk.  Dropping the store without syncing models a power failure
-    /// that loses everything since the last fsync.
-    Buffered,
-    /// Like [`FaultMode::Buffered`], but `sync` is silently dropped too — a
-    /// lying fsync.  Nothing written through this shim ever reaches disk.
-    DropSyncs,
-}
-
-#[derive(Debug, Default)]
-struct FaultLedger {
-    /// Budget units consumed so far (bytes written + 1 per metadata op).
-    spent: u64,
-    /// Set once a [`FaultMode::KillAfter`] budget is exhausted.
-    crashed: bool,
-    /// Cumulative `spent` after each IO operation — the injection points a
-    /// kill-at-every-step loop iterates over.
-    boundaries: Vec<u64>,
-}
-
-/// The deterministic fault-injection IO shim: wraps [`RealIo`] over the real
-/// directory, so whatever "survives" the injected fault is exactly what a
-/// later [`crate::SpillStore::open`] with [`RealIo`] will find.
-#[derive(Debug)]
-pub struct FaultIo {
-    inner: Arc<dyn PageIo>,
-    mode: FaultMode,
-    ledger: Arc<Mutex<FaultLedger>>,
-}
-
-impl FaultIo {
-    /// A fault shim over the production IO.
-    pub fn new(mode: FaultMode) -> Arc<FaultIo> {
-        Arc::new(FaultIo {
-            inner: RealIo::shared(),
-            mode,
-            ledger: Arc::new(Mutex::new(FaultLedger::default())),
-        })
-    }
-
-    /// Budget units consumed so far (bytes written plus one per rename /
-    /// remove / truncate / sync).
-    pub fn spent(&self) -> u64 {
-        self.ledger.lock().spent
-    }
-
-    /// Whether a `KillAfter` budget has been exhausted.
-    pub fn crashed(&self) -> bool {
-        self.ledger.lock().crashed
-    }
-
-    /// The cumulative budget after each IO operation: every value (and its
-    /// ±1 neighbours) is a distinct crash point for a kill-at-every-step
-    /// recovery loop.
-    pub fn op_boundaries(&self) -> Vec<u64> {
-        self.ledger.lock().boundaries.clone()
-    }
-
-    /// Consumes one metadata-op unit; `true` if the op should proceed.
-    fn charge_op(&self) -> bool {
-        let mut ledger = self.ledger.lock();
-        match self.mode {
-            FaultMode::KillAfter(n) => {
-                if ledger.crashed {
-                    return false;
-                }
-                if ledger.spent >= n {
-                    ledger.crashed = true;
-                    return false;
-                }
-                ledger.spent += 1;
-                let spent = ledger.spent;
-                ledger.boundaries.push(spent);
-                true
-            }
-            _ => {
-                ledger.spent += 1;
-                let spent = ledger.spent;
-                ledger.boundaries.push(spent);
-                true
-            }
-        }
-    }
-}
-
-#[derive(Debug)]
-struct FaultFile {
-    real: Box<dyn FileIo>,
-    mode: FaultMode,
-    ledger: Arc<Mutex<FaultLedger>>,
-    /// Full in-memory shadow of the file in the buffered modes; `sync`
-    /// flushes it (unless dropped).  The shadow is per handle: the durable
-    /// protocols sync before every rename/reopen, so a fresh handle always
-    /// sees flushed state.
-    shadow: Option<Vec<u8>>,
-}
-
-impl FileIo for FaultFile {
-    fn read_at(&mut self, offset: u64, buf: &mut [u8]) -> io::Result<()> {
-        match &self.shadow {
-            Some(shadow) => {
-                let start = usize::try_from(offset).unwrap_or(usize::MAX);
-                let end = start.saturating_add(buf.len());
-                let Some(src) = shadow.get(start..end) else {
-                    return Err(io::Error::new(
-                        io::ErrorKind::UnexpectedEof,
-                        "read past buffered length",
-                    ));
-                };
-                buf.copy_from_slice(src);
-                Ok(())
-            }
-            None => self.real.read_at(offset, buf),
-        }
-    }
-
-    fn write_at(&mut self, offset: u64, buf: &[u8]) -> io::Result<()> {
-        if let Some(shadow) = &mut self.shadow {
-            let start = usize::try_from(offset).unwrap_or(usize::MAX);
-            let end = start.saturating_add(buf.len());
-            if shadow.len() < end {
-                shadow.resize(end, 0);
-            }
-            if let Some(dst) = shadow.get_mut(start..end) {
-                dst.copy_from_slice(buf);
-            }
-            let mut ledger = self.ledger.lock();
-            ledger.spent += u64_of(buf.len());
-            let spent = ledger.spent;
-            ledger.boundaries.push(spent);
-            return Ok(());
-        }
-        let (allow, flip) = {
-            let mut ledger = self.ledger.lock();
-            let start = ledger.spent;
-            ledger.spent += u64_of(buf.len());
-            let spent = ledger.spent;
-            ledger.boundaries.push(spent);
-            match self.mode {
-                FaultMode::KillAfter(n) => {
-                    if ledger.crashed {
-                        (0usize, None)
-                    } else {
-                        let allow = usize::try_from(n.saturating_sub(start))
-                            .unwrap_or(usize::MAX)
-                            .min(buf.len());
-                        if allow < buf.len() {
-                            ledger.crashed = true;
-                        }
-                        (allow, None)
-                    }
-                }
-                FaultMode::FlipByteAt(n) => {
-                    let flip = (start..start + u64_of(buf.len()))
-                        .contains(&n)
-                        .then(|| usize::try_from(n - start).ok())
-                        .flatten()
-                        .filter(|&i| i < buf.len());
-                    (buf.len(), flip)
-                }
-                _ => (buf.len(), None),
-            }
-        };
-        match flip {
-            Some(i) => {
-                let mut copy = buf.to_vec();
-                if let Some(byte) = copy.get_mut(i) {
-                    *byte ^= 0x5A;
-                }
-                self.real.write_at(offset, &copy)
-            }
-            None => match buf.get(..allow) {
-                Some(prefix) if !prefix.is_empty() => self.real.write_at(offset, prefix),
-                _ => Ok(()),
-            },
-        }
-    }
-
-    fn sync(&mut self) -> io::Result<()> {
-        match self.mode {
-            FaultMode::DropSyncs => Ok(()),
-            FaultMode::Buffered => {
-                let mut ledger = self.ledger.lock();
-                ledger.spent += 1;
-                let spent = ledger.spent;
-                ledger.boundaries.push(spent);
-                drop(ledger);
-                // Buffered mode always carries a shadow; a missing one is a
-                // harness misconfiguration, degraded to a plain sync.
-                let Some(shadow) = self.shadow.clone() else {
-                    return self.real.sync();
-                };
-                self.real.write_at(0, &shadow)?;
-                self.real.set_len(u64_of(shadow.len()))?;
-                self.real.sync()
-            }
-            FaultMode::KillAfter(n) => {
-                let mut ledger = self.ledger.lock();
-                if ledger.crashed || ledger.spent >= n {
-                    ledger.crashed = true;
-                    return Ok(());
-                }
-                ledger.spent += 1;
-                let spent = ledger.spent;
-                ledger.boundaries.push(spent);
-                drop(ledger);
-                self.real.sync()
-            }
-            FaultMode::FlipByteAt(_) => self.real.sync(),
-        }
-    }
-
-    fn len(&mut self) -> io::Result<u64> {
-        match &self.shadow {
-            Some(shadow) => Ok(u64_of(shadow.len())),
-            None => self.real.len(),
-        }
-    }
-
-    fn set_len(&mut self, len: u64) -> io::Result<()> {
-        if let Some(shadow) = &mut self.shadow {
-            shadow.resize(usize::try_from(len).unwrap_or(usize::MAX), 0);
-            return Ok(());
-        }
-        match self.mode {
-            FaultMode::KillAfter(n) => {
-                let mut ledger = self.ledger.lock();
-                if ledger.crashed || ledger.spent >= n {
-                    ledger.crashed = true;
-                    return Ok(());
-                }
-                ledger.spent += 1;
-                let spent = ledger.spent;
-                ledger.boundaries.push(spent);
-                drop(ledger);
-                self.real.set_len(len)
-            }
-            _ => self.real.set_len(len),
-        }
-    }
-}
-
-impl PageIo for FaultIo {
-    fn open(&self, path: &Path, truncate: bool) -> io::Result<Box<dyn FileIo>> {
-        // Opening never tears: the interesting faults live in writes and the
-        // commit ops.  In the buffered modes truncation is deferred to the
-        // shadow, so an unflushed truncate is lost like any other write.
-        let buffered = matches!(self.mode, FaultMode::Buffered | FaultMode::DropSyncs);
-        let mut real = self.inner.open(path, truncate && !buffered)?;
-        let shadow = if buffered {
-            if truncate {
-                Some(Vec::new())
-            } else {
-                let len = usize::try_from(real.len()?).unwrap_or(usize::MAX);
-                let mut content = vec![0u8; len];
-                real.read_at(0, &mut content)?;
-                Some(content)
-            }
-        } else {
-            None
-        };
-        Ok(Box::new(FaultFile {
-            real,
-            mode: self.mode,
-            ledger: Arc::clone(&self.ledger),
-            shadow,
-        }))
-    }
-
-    fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
-        // Renames are atomic: they either happen or the crash dropped them.
-        // In the buffered modes the rename moves whatever the *disk* holds —
-        // renaming an unflushed file publishes its stale (possibly empty)
-        // on-disk content, exactly the hazard a missing fsync creates.
-        if matches!(self.mode, FaultMode::KillAfter(_)) && !self.charge_op() {
-            return Ok(());
-        }
-        self.inner.rename(from, to)
-    }
-
-    fn remove(&self, path: &Path) -> io::Result<()> {
-        if matches!(self.mode, FaultMode::KillAfter(_)) && !self.charge_op() {
-            return Ok(());
-        }
-        self.inner.remove(path)
-    }
-
-    fn exists(&self, path: &Path) -> bool {
-        self.inner.exists(path)
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Element codec: the wire layout queries already ship (8-byte TRS, 4-byte
 // group, 2-byte ciphertext length, ciphertext), reused for WAL records and
 // the manifest's tail section.
@@ -604,8 +296,8 @@ pub(crate) fn decode_element(buf: &[u8], pos: &mut usize) -> Result<OrderedEleme
 }
 
 // ---------------------------------------------------------------------------
-// WAL framing: `[payload_len: u32][crc32(payload): u32][payload]` where the
-// payload is `[seq: u64][list: u64][element]`.
+// WAL framing: `[len: u32][crc32(payload): u32][payload]`, where `len`
+// counts the payload and the payload is `[seq: u64][list: u64][element]`.
 // ---------------------------------------------------------------------------
 
 /// Bytes of the frame header (length + CRC).
@@ -869,6 +561,10 @@ pub(crate) struct StoreMeta {
     /// Segment layout knobs, persisted so reopened lists split/seal exactly
     /// like the original store (replay determinism).
     pub segment: crate::segment::SegmentConfig,
+    /// The fourth knob slot, which once held a segment-stack depth bound:
+    /// new stores write that bound's old default, 8, so the file reads the
+    /// same to an older version; `open` never interprets it.
+    pub retired_knob: u64,
     /// Merge-plan scheme name.
     pub scheme: String,
     /// Merge-plan confidentiality parameter.
@@ -883,13 +579,13 @@ pub(crate) fn encode_store_meta(meta: &StoreMeta) -> Vec<u8> {
     out.extend_from_slice(&META_VERSION.to_le_bytes());
     out.extend_from_slice(&meta.num_shards.to_le_bytes());
     for knob in [
-        meta.segment.block_len,
-        meta.segment.tail_threshold,
-        meta.segment.max_segment_elems,
-        meta.segment.max_segments,
-        meta.segment.max_payload_bytes,
+        u64_of(meta.segment.block_len),
+        u64_of(meta.segment.tail_threshold),
+        u64_of(meta.segment.max_segment_elems),
+        meta.retired_knob,
+        u64_of(meta.segment.max_payload_bytes),
     ] {
-        out.extend_from_slice(&u64_of(knob).to_le_bytes());
+        out.extend_from_slice(&knob.to_le_bytes());
     }
     out.extend_from_slice(&meta.r.to_le_bytes());
     out.extend_from_slice(&u64_of(meta.scheme.len()).to_le_bytes());
@@ -930,7 +626,6 @@ pub(crate) fn decode_store_meta(bytes: &[u8]) -> Result<StoreMeta, StoreError> {
         tail_threshold: usize::try_from(knobs[1]).map_err(|_| Reader::corrupt("segment knob"))?,
         max_segment_elems: usize::try_from(knobs[2])
             .map_err(|_| Reader::corrupt("segment knob"))?,
-        max_segments: usize::try_from(knobs[3]).map_err(|_| Reader::corrupt("segment knob"))?,
         max_payload_bytes: usize::try_from(knobs[4])
             .map_err(|_| Reader::corrupt("segment knob"))?,
     };
@@ -962,6 +657,7 @@ pub(crate) fn decode_store_meta(bytes: &[u8]) -> Result<StoreMeta, StoreError> {
     Ok(StoreMeta {
         num_shards,
         segment,
+        retired_knob: knobs[3],
         scheme,
         r: r_param,
         term_lists,
@@ -1115,9 +811,9 @@ mod tests {
                 block_len: 2,
                 tail_threshold: 3,
                 max_segment_elems: 16,
-                max_segments: 3,
                 max_payload_bytes: 1 << 20,
             },
+            retired_knob: 3,
             scheme: "bfm".to_string(),
             r: 2.5,
             term_lists: vec![vec![5, 9], vec![2]],
@@ -1235,9 +931,9 @@ mod tests {
                 block_len: 4,
                 tail_threshold: 3,
                 max_segment_elems: 16,
-                max_segments: 3,
                 max_payload_bytes: 1 << 20,
             },
+            retired_knob: 3,
             scheme: "test-scheme".to_string(),
             r: 2.5,
             term_lists: vec![vec![1, 2, 3], vec![], vec![7]],
@@ -1247,62 +943,5 @@ mod tests {
         let mut bad = bytes.clone();
         bad[20] ^= 0x01;
         assert!(decode_store_meta(&bad).is_err());
-    }
-
-    #[test]
-    fn kill_after_budget_tears_writes_and_drops_later_ops() {
-        let dir = crate::tests::TempRoot::new("fault-kill");
-        let a = dir.join("kill-a");
-        let b = dir.join("kill-b");
-        let io = FaultIo::new(FaultMode::KillAfter(6));
-        {
-            let mut f = io.open(&a, true).unwrap();
-            f.write_at(0, &[1, 2, 3, 4]).unwrap();
-            // This write straddles the budget: only 2 of 4 bytes land.
-            f.write_at(4, &[5, 6, 7, 8]).unwrap();
-        }
-        assert!(io.crashed());
-        // Post-crash ops silently do nothing.
-        io.rename(&a, &b).unwrap();
-        assert!(a.exists() && !b.exists());
-        assert_eq!(std::fs::read(&a).unwrap(), vec![1, 2, 3, 4, 5, 6]);
-    }
-
-    #[test]
-    fn buffered_mode_loses_unsynced_writes_and_keeps_synced_ones() {
-        let dir = crate::tests::TempRoot::new("fault-buffered");
-        let path = dir.join("buffered");
-        {
-            let io = FaultIo::new(FaultMode::Buffered);
-            let mut f = io.open(&path, true).unwrap();
-            f.write_at(0, &[1, 2, 3]).unwrap();
-            f.sync().unwrap();
-            f.write_at(3, &[4, 5, 6]).unwrap();
-            // Reads see the buffered bytes (the live process view)...
-            let mut buf = [0u8; 6];
-            f.read_at(0, &mut buf).unwrap();
-            assert_eq!(buf, [1, 2, 3, 4, 5, 6]);
-            // ...but the crash (drop without sync) loses the unflushed tail.
-        }
-        assert_eq!(std::fs::read(&path).unwrap(), vec![1, 2, 3]);
-        {
-            let io = FaultIo::new(FaultMode::DropSyncs);
-            let mut f = io.open(&path, false).unwrap();
-            f.write_at(3, &[9, 9]).unwrap();
-            f.sync().unwrap(); // dropped
-        }
-        assert_eq!(std::fs::read(&path).unwrap(), vec![1, 2, 3]);
-    }
-
-    #[test]
-    fn flip_byte_corrupts_exactly_one_byte() {
-        let dir = crate::tests::TempRoot::new("fault-flip");
-        let path = dir.join("flip");
-        let io = FaultIo::new(FaultMode::FlipByteAt(2));
-        {
-            let mut f = io.open(&path, true).unwrap();
-            f.write_at(0, &[0u8; 5]).unwrap();
-        }
-        assert_eq!(std::fs::read(&path).unwrap(), vec![0, 0, 0x5A, 0, 0]);
     }
 }

@@ -65,14 +65,14 @@ pub mod sharded;
 pub mod spill;
 pub mod store;
 
-pub use durable::{crc32, DurableConfig, FaultIo, FaultMode, FileIo, PageIo, RealIo, SyncPolicy};
+pub use durable::{crc32, DurableConfig, FileIo, PageIo, RealIo, SyncPolicy};
 pub use error::StoreError;
 pub use lockrank::{LockClass, RankGuard};
 pub use oracle::{SingleMutexStore, VecList};
 pub use replication::{
-    Backoff, FaultPlan, FaultTransport, FrameBatch, InProcessTransport, PumpOutcome, Replica,
-    ReplicaConfig, ReplicaReadStore, ReplicaStats, ReplicaTransport, ReplicationSource,
-    SnapshotFile, SnapshotPayload, TransportError, WireFrame,
+    Backoff, FrameBatch, InProcessTransport, PumpOutcome, Replica, ReplicaConfig, ReplicaReadStore,
+    ReplicaStats, ReplicaTransport, ReplicationSource, SnapshotFile, SnapshotPayload,
+    TransportError, WireFrame,
 };
 pub use segment::{Segment, SegmentConfig};
 pub use sharded::{default_shards, SpillStore, MAX_SHARDS};
@@ -202,12 +202,11 @@ mod tests {
 
     fn small_segment_config() -> SegmentConfig {
         // Small blocks/tail so the fixtures exercise block and segment
-        // boundaries, sealing and compaction.
+        // boundaries and sealing.
         SegmentConfig {
             block_len: 4,
             tail_threshold: 3,
             max_segment_elems: 64,
-            max_segments: 4,
             max_payload_bytes: u32::MAX as usize,
         }
     }

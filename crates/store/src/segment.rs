@@ -27,8 +27,7 @@
 //! ([`encode_segments`], [`encode_chunk_split`], [`encode_rebuilt`]: by
 //! [`SegmentConfig::max_segment_elems`] and the payload bound, splitting
 //! instead of overflowing); the stack built from them — slots, mutable tail,
-//! sealing, compaction, running per-group totals — is
-//! [`crate::spill::SpillList`].
+//! sealing, running per-group totals — is [`crate::spill::SpillList`].
 //!
 //! Segments serialize to a validated byte format ([`Segment::to_bytes`] /
 //! [`Segment::from_bytes`]): like the posting codec, the decoder faces
@@ -61,13 +60,14 @@ const SEGMENT_VERSION: u64 = 2;
 pub struct SegmentConfig {
     /// Elements per compressed block (the skip-entry granularity).
     pub block_len: usize,
-    /// The tail is sealed into a segment once it grows past this.
+    /// The tail is sealed once it grows past this: into the last segment
+    /// while that stays within `max_segment_elems`, into a new one
+    /// otherwise.
     pub tail_threshold: usize,
-    /// Compaction never merges beyond this many elements per segment, which
-    /// bounds the cost of an interior-insert rebuild.
+    /// Most elements one segment holds, which bounds the cost of a rebuild
+    /// (an interior insert or a tail seal): a rebuild past it splits in
+    /// half, and a seal that would pass it starts a new segment instead.
     pub max_segment_elems: usize,
-    /// Compaction runs while the stack is deeper than this.
-    pub max_segments: usize,
     /// Upper bound on one segment's encoded payload in bytes (clamped to
     /// the u32 offset space of the wire format).  Oversized encodes split
     /// the segment instead of panicking; tests inject small bounds to
@@ -84,7 +84,6 @@ impl Default for SegmentConfig {
             block_len: 128,
             tail_threshold: 128,
             max_segment_elems: 4096,
-            max_segments: 8,
             max_payload_bytes: usize_of(u32::MAX),
         }
     }
@@ -469,11 +468,6 @@ impl Segment {
         self.blocks.len()
     }
 
-    /// Encoded payload length in bytes (compaction's byte-bound check).
-    pub(crate) fn payload_len(&self) -> usize {
-        self.payload.len()
-    }
-
     /// Sortable bits of the last (smallest) TRS held.
     #[expect(clippy::expect_used, reason = "encoding never yields an empty segment")]
     pub(crate) fn last_bits(&self) -> u64 {
@@ -607,36 +601,6 @@ impl Segment {
             out.extend((0..meta.elems).map(|_| reader.next_trusted().materialize()));
         }
         out
-    }
-
-    /// Appends another segment (the positionally next one) onto this one:
-    /// pure block concatenation, no re-encode.  Refuses — before mutating
-    /// anything, handing `other` back untouched — a merge whose combined
-    /// payload would overflow the u32 offset space; compaction keeps the
-    /// pair separate instead of panicking.
-    pub(crate) fn absorb(&mut self, other: Segment) -> Result<(), Segment> {
-        if self
-            .payload
-            .len()
-            .checked_add(other.payload.len())
-            .is_none_or(|total| total > usize_of(u32::MAX))
-        {
-            return Err(other);
-        }
-        // In the u32 range by the check above.
-        let Ok(shift) = try_u32(self.payload.len()) else {
-            return Err(other);
-        };
-        self.payload.extend_from_slice(&other.payload);
-        self.payload.shrink_to_fit();
-        self.blocks.extend(other.blocks.into_iter().map(|mut b| {
-            b.offset += shift;
-            b
-        }));
-        self.elems += other.elems;
-        self.stored_bytes += other.stored_bytes;
-        self.ciphertext_bytes += other.ciphertext_bytes;
-        Ok(())
     }
 
     /// Estimated resident memory of the segment.
@@ -994,7 +958,6 @@ mod tests {
             block_len: 4,
             tail_threshold: 3,
             max_segment_elems: 16,
-            max_segments: 3,
             max_payload_bytes: u32::MAX as usize,
         }
     }
@@ -1146,23 +1109,24 @@ mod tests {
     }
 
     #[test]
-    fn compaction_keeps_the_stack_shallow() {
+    fn tail_seals_fill_the_last_segment() {
         let config = small_config();
         let mut seg = SpillList::build(sorted_elements(16), config, None).unwrap();
         let mut vec = VecList::from_elements(sorted_elements(16));
-        // A long run of low-TRS inserts seals many tail segments.
+        // A long run of low-TRS inserts seals the tail many times.
         for i in 0..40 {
             let trs = 1e-6 * (40 - i) as f64;
             let e = element(trs, (i % 3) as u32, &[7u8; 4]);
             assert_eq!(seg.insert(e.clone()).unwrap(), vec.insert(e).unwrap());
         }
         assert_eq!(seg.snapshot().unwrap(), vec.snapshot().unwrap());
-        // max_segments is a soft bound: compaction merges adjacent pairs as
-        // long as the merged segment respects max_segment_elems.
-        assert!(
-            seg.num_slots() <= config.max_segments + 1,
-            "stack depth {} after compaction",
-            seg.num_slots()
+        // A seal rebuilds the last segment while it has room, so every
+        // segment but the last is full.
+        let sealed = seg.len() - seg.tail_len();
+        assert_eq!(
+            seg.num_slots(),
+            sealed.div_ceil(config.max_segment_elems),
+            "stack depth after {sealed} sealed elements"
         );
         assert_eq!(seg.stored_bytes(), vec.stored_bytes());
         assert_eq!(seg.ciphertext_bytes(), vec.ciphertext_bytes());
@@ -1221,7 +1185,6 @@ mod tests {
             block_len: 2,
             tail_threshold: 2,
             max_segment_elems: 64,
-            max_segments: 3,
             max_payload_bytes: 96,
         };
         let elements: Vec<OrderedElement> = (0..24)
@@ -1231,9 +1194,9 @@ mod tests {
         let mut vec = VecList::from_elements(elements);
         assert_eq!(seg.snapshot().unwrap(), vec.snapshot().unwrap());
         assert_totals_exact(&seg);
-        // Every segment respects the byte bound, so the stack is forced
-        // deeper than max_segments would otherwise allow.
-        assert!(seg.num_slots() > config.max_segments);
+        // Every segment respects the byte bound: 24 elements would fit one
+        // segment by count, so only the payload bound splits them.
+        assert!(seg.num_slots() > 1);
         // Inserts across the whole range (tail seals and interior rebuilds
         // both re-encode under the bound), into old groups and a new one.
         for (i, trs) in [0.99, 0.5, 0.01, 0.5, 0.73, 0.005, 0.004]

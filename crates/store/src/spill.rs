@@ -8,9 +8,10 @@
 //! their TRS sorts below every sealed element; interior inserts rebuild the
 //! one segment they hit (bounded by [`SegmentConfig::max_segment_elems`]).
 //! When the tail outgrows [`SegmentConfig::tail_threshold`] it is sealed
-//! into a new slot and an insert-amortized compaction merges adjacent
-//! resident segments (pure block concatenation — no re-encode) to keep the
-//! stack shallow.  Every slot keeps a tiny summary (element count, TRS
+//! through the same rebuild into the last slot while that slot has room
+//! under the element bound, into a new slot otherwise — so on an
+//! append-only list every slot but the last is full.  A stack changes in
+//! no other way.  Every slot keeps a tiny summary (element count, TRS
 //! bounds, byte totals — and, while it is cold, per-group visible counts)
 //! and the list keeps running per-group totals bumped by each successful
 //! insert, so `visible_total` is one merge pass of the caller's
@@ -51,13 +52,13 @@
 //!   A never-touched slot is never promoted.
 //! - **Page-file compaction** ([`SpillConfig::compact_dead_percent`] /
 //!   [`SpillConfig::compact_min_dead_bytes`]): the page files are
-//!   append-only, so a rebuild of a spilled segment (interior insert) or a
-//!   merge of paged resident neighbours strands the superseded page as
-//!   dead bytes.  Once dead bytes clear both thresholds, the live pages are
-//!   copied into a fresh `.pages.compact` file and re-validated **off the
-//!   shard lock**; only the final swap (straggler copy, rename to the next
-//!   generation, slot/cache remap) runs under the shard write lock.  A
-//!   failed or torn rewrite is discarded and the old file keeps serving.
+//!   append-only, so a rebuild of a paged segment (interior insert or tail
+//!   seal) strands the superseded page as dead bytes.  Once dead bytes
+//!   clear both thresholds, the live pages are copied into a fresh
+//!   `.pages.compact` file and re-validated **off the shard lock**; only
+//!   the final swap (straggler copy, rename to the next generation,
+//!   slot/cache remap) runs under the shard write lock.  A failed or torn
+//!   rewrite is discarded and the old file keeps serving.
 //!
 //! Every paging store names its page files by generation
 //! (`shard-NNN.g<generation>.pages`), keeps a slot's page when the slot is
@@ -134,13 +135,6 @@ pub struct SpillConfig {
     /// (promotion/demotion of sealed slots by access recency).  `0`
     /// disables retiering: residency stays as placed at seal time.
     pub retier_interval: u64,
-    /// Access-clock distance after which a slot's heat is considered
-    /// decayed: a slot last read more than this many ticks ago counts as
-    /// cold in the retier pass — it no longer outranks never-read slots and
-    /// its residency is up for grabs by currently-hot ones.  Closes the
-    /// "access clock is a high-water mark" gap: a burst a million ops ago
-    /// eventually cools.  `0` disables decay (heat never expires).
-    pub heat_decay_window: u64,
 }
 
 impl Default for SpillConfig {
@@ -151,7 +145,6 @@ impl Default for SpillConfig {
             compact_dead_percent: 40,
             compact_min_dead_bytes: 64 << 10,
             retier_interval: 1024,
-            heat_decay_window: 1 << 20,
         }
     }
 }
@@ -267,7 +260,6 @@ pub(crate) struct Pager {
     compact_dead_percent: u8,
     compact_min_dead_bytes: usize,
     retier_interval: u64,
-    heat_decay_window: u64,
     /// Generation of the page file serving now
     /// (`shard-NNN.g<generation>.pages`); a compaction moves to the next.
     generation: AtomicU64,
@@ -307,7 +299,7 @@ impl Pager {
         generation: u64,
         append: u64,
     ) -> Result<Arc<Pager>, StoreError> {
-        let path = dir.join(format!("shard-{shard:03}.g{generation}.pages"));
+        let path = dir.join(pages_name(shard, generation));
         let fresh = append == 0;
         let mut file = backend.open(&path, fresh).map_err(io_err)?;
         if !fresh {
@@ -338,7 +330,6 @@ impl Pager {
             compact_dead_percent: config.compact_dead_percent,
             compact_min_dead_bytes: config.compact_min_dead_bytes,
             retier_interval: config.retier_interval,
-            heat_decay_window: config.heat_decay_window,
             generation: AtomicU64::new(generation),
             dir: dir.to_path_buf(),
             shard,
@@ -350,8 +341,7 @@ impl Pager {
 
     /// Page-file path of `generation`.
     fn path_for(&self, generation: u64) -> PathBuf {
-        self.dir
-            .join(format!("shard-{:03}.g{generation}.pages", self.shard))
+        self.dir.join(pages_name(self.shard, generation))
     }
 
     /// Path of the page file currently serving.
@@ -385,7 +375,8 @@ impl Pager {
         }
     }
 
-    /// Charges unconditionally (compaction's keep-resident fallback).
+    /// Charges unconditionally: a failed rebuild restores the charge it
+    /// released up front.
     fn force_charge(&self, bytes: usize) {
         self.resident_charge.fetch_add(bytes, Ordering::Relaxed);
     }
@@ -566,8 +557,8 @@ impl Pager {
     /// next to the page file under the next generation's name.
     fn begin_rewrite(&self) -> Result<Rewrite, StoreError> {
         let path = self
-            .path_for(self.next_generation()?)
-            .with_extension("pages.compact");
+            .dir
+            .join(rewrite_name(self.shard, self.next_generation()?));
         let file = self.backend.open(&path, true).map_err(io_err)?;
         Ok(Rewrite {
             file,
@@ -705,8 +696,9 @@ struct SlotMeta {
     stored_bytes: usize,
     ciphertext_bytes: usize,
     /// Exact memory charge of the decoded segment — what residency costs
-    /// against the shard budget.  Updated on promotion (decoded capacities
-    /// can differ from the pre-spill encode).
+    /// against the shard budget, and what a resident slot is charged.
+    /// Updated on promotion (decoded capacities can differ from the
+    /// pre-spill encode).
     resident_cost: usize,
     /// Access-clock stamp of the last scan/fault that actually read this
     /// slot's segment (0 = never read; summary-only answers don't stamp).
@@ -731,13 +723,6 @@ impl SlotMeta {
     }
 }
 
-/// A decoded segment held in memory, with its budget charge.
-#[derive(Debug)]
-struct ResidentSeg {
-    segment: Segment,
-    charged: usize,
-}
-
 /// One sealed segment of a list.  Residency and on-disk presence are
 /// independent, and a slot can have both: promotion keeps the page (still
 /// byte-identical to the segment), and a durable store materializes a page
@@ -746,8 +731,9 @@ struct ResidentSeg {
 #[derive(Debug)]
 struct Slot {
     meta: SlotMeta,
-    /// Hot copy, charged against the shard's resident budget.
-    resident: Option<ResidentSeg>,
+    /// Hot copy, charged `meta.resident_cost` against the shard's resident
+    /// budget.
+    resident: Option<Segment>,
     /// Location of the sealed page in the shard's page file.
     page: Option<PageId>,
     /// Per-group element counts, ascending by group id: what a segment
@@ -761,11 +747,9 @@ struct Slot {
 impl Slot {
     /// A resident slot, its charge the segment's exact resident cost.
     fn hot(segment: Segment, page: Option<PageId>) -> Slot {
-        let meta = SlotMeta::of(&segment);
-        let charged = meta.resident_cost;
         Slot {
-            meta,
-            resident: Some(ResidentSeg { segment, charged }),
+            meta: SlotMeta::of(&segment),
+            resident: Some(segment),
             page,
             cold_counts: None,
         }
@@ -783,6 +767,16 @@ impl Slot {
 
     fn is_resident(&self) -> bool {
         self.resident.is_some()
+    }
+
+    /// What the slot holds against the shard budget: its resident cost
+    /// while resident, nothing while cold.
+    fn charge(&self) -> usize {
+        if self.is_resident() {
+            self.meta.resident_cost
+        } else {
+            0
+        }
     }
 
     /// Visible elements of a cold slot under `filter`, from its summary;
@@ -903,8 +897,9 @@ impl SpillList {
 
     fn place(&self, segment: Segment, keep_cold: bool) -> Result<Slot, StoreError> {
         // Charge exactly the slot's metered resident cost: the budget
-        // invariant (`resident_charge` == Σ charged == Σ exact resident
-        // bytes) holds by construction on every placement path.
+        // invariant (`resident_charge` == Σ `resident_cost` of resident
+        // slots == Σ exact resident bytes) holds by construction on every
+        // placement path.
         match &self.pager {
             Some(pager) if keep_cold || !pager.try_charge(segment.resident_bytes()) => {
                 Ok(Slot::cold(&segment, pager.write_page(&segment)?))
@@ -930,13 +925,6 @@ impl SpillList {
         }
     }
 
-    /// Charges `bytes` even past the budget (no-op without one).
-    fn force_charge(&self, bytes: usize) {
-        if let Some(pager) = &self.pager {
-            pager.force_charge(bytes);
-        }
-    }
-
     /// Drops a superseded page from the live accounting.  Pages only exist
     /// where a pager wrote them.
     fn release_page(&self, page: Option<PageId>) {
@@ -946,9 +934,7 @@ impl SpillList {
     }
 
     fn release_slot(&self, slot: &Slot) {
-        if let Some(resident) = &slot.resident {
-            self.uncharge(resident.charged);
-        }
+        self.uncharge(slot.charge());
         self.release_page(slot.page);
     }
 
@@ -965,115 +951,63 @@ impl SpillList {
                 .store(pager.touch_tick(), Ordering::Relaxed);
         }
         match (&slot.resident, slot.page) {
-            (Some(resident), _) => Ok(SegRef::Resident(&resident.segment)),
+            (Some(segment), _) => Ok(SegRef::Resident(segment)),
             (None, Some(page)) => Ok(SegRef::Paged(self.pager()?.fetch(page)?)),
             (None, None) => Err(StoreError::Invariant("a slot is resident or paged")),
         }
     }
 
-    /// Seals the tail into new slot(s) and compacts resident neighbours.
-    /// The tail is only cleared once every piece is placed, so a failed
-    /// seal leaves the list untouched.
+    /// Seals the tail: into the last slot through [`SpillList::rebuild_slot`]
+    /// while the merged segment stays within `max_segment_elems`, into new
+    /// slot(s) otherwise.  The tail is only cleared once every piece is
+    /// placed, so a failed seal leaves the list untouched.
     fn seal_tail(&mut self) -> Result<(), StoreError> {
-        if self.tail.is_empty() {
-            return Ok(());
+        let added = self.tail.len();
+        match self.slots.len().checked_sub(1) {
+            Some(k) if self.slots[k].meta.elems + added <= self.config.max_segment_elems => {
+                let mut decoded = self.segment(k)?.decode_all();
+                decoded.extend_from_slice(&self.tail);
+                self.rebuild_slot(k, decoded, added)?;
+            }
+            _ => {
+                let mut sealed = Vec::new();
+                encode_chunk_split(&self.tail, &self.config, &mut sealed)?;
+                let slots = self.place_segments(sealed, false)?;
+                self.seg_elems += added;
+                self.slots.extend(slots);
+            }
         }
-        let mut sealed = Vec::new();
-        encode_chunk_split(&self.tail, &self.config, &mut sealed)?;
-        let slots = self.place_segments(sealed, false)?;
-        self.seg_elems += self.tail.len();
-        self.slots.extend(slots);
         self.tail.clear();
-        self.compact()?;
         Ok(())
     }
 
-    /// Insert-amortized compaction: while the stack is deeper than
-    /// `max_segments`, merge the adjacent **resident** pair with the
-    /// smallest combined size (pure block concatenation), as long as the
-    /// merged segment stays under `max_segment_elems` elements and the
-    /// payload bound.  Spilled segments are immutable cold storage —
-    /// merging them would mean paying page faults on the write path — so a
-    /// stack held deep by spilled slots is tolerated.
-    fn compact(&mut self) -> Result<(), StoreError> {
-        let byte_bound = self.config.payload_bound();
-        while self.slots.len() > self.config.max_segments {
-            let mut best: Option<(usize, usize)> = None;
-            for i in 0..self.slots.len() - 1 {
-                let (Some(a), Some(b)) = (&self.slots[i].resident, &self.slots[i + 1].resident)
-                else {
-                    continue;
-                };
-                let combined = self.slots[i].meta.elems + self.slots[i + 1].meta.elems;
-                if combined <= self.config.max_segment_elems
-                    && a.segment.payload_len() + b.segment.payload_len() <= byte_bound
-                    && best.is_none_or(|(_, c)| combined < c)
-                {
-                    best = Some((i, combined));
-                }
-            }
-            let Some((i, _)) = best else { break };
-            let right = self.slots.remove(i + 1);
-            let left = self.slots.remove(i);
-            let (Some(left_res), Some(right_res)) = (left.resident, right.resident) else {
-                return Err(StoreError::Invariant(
-                    "compaction only selects resident pairs",
-                ));
-            };
-            let mut merged = left_res.segment;
-            match merged.absorb(right_res.segment) {
-                Ok(()) => {
-                    self.uncharge(left_res.charged + right_res.charged);
-                    // The merged segment supersedes both slots' checkpoint
-                    // pages (if any): release them, the next checkpoint
-                    // writes the merged page.
-                    self.release_page(left.page);
-                    self.release_page(right.page);
-                    // The merged segment stays resident: compaction must not
-                    // turn a hot pair cold.  If the budget cannot cover the
-                    // (small) delta, charge it anyway; tail seals will spill
-                    // against the deficit, and the next retier pass settles
-                    // it.  The charge is still the exact resident cost, so
-                    // the budget invariant never drifts.
-                    let slot = Slot::hot(merged, None);
-                    self.force_charge(slot.meta.resident_cost);
-                    self.slots.insert(i, slot);
-                }
-                Err(right_seg) => {
-                    // Unreachable given the byte-bound pre-check; reattach
-                    // both (untouched, so at their old charges) and stop
-                    // compacting.
-                    self.slots.insert(i, Slot::hot(right_seg, right.page));
-                    self.slots.insert(i, Slot::hot(merged, left.page));
-                    break;
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Rebuilds slot `k` as `decoded` (already containing the inserted
-    /// element).  The old slot is only replaced after every new piece is
-    /// placed; a spilled slot's rebuild appends fresh pages and strands the
-    /// old page as file garbage.
-    fn rebuild_slot(&mut self, k: usize, decoded: Vec<OrderedElement>) -> Result<(), StoreError> {
+    /// Rebuilds slot `k` as `decoded`, which holds the slot's elements plus
+    /// the `added` new ones (the inserted element, or a sealed tail).  The
+    /// old slot is only replaced after every new piece is placed; a spilled
+    /// slot's rebuild appends fresh pages and strands the old page as file
+    /// garbage.
+    fn rebuild_slot(
+        &mut self,
+        k: usize,
+        decoded: Vec<OrderedElement>,
+        added: usize,
+    ) -> Result<(), StoreError> {
         let rebuilt = encode_rebuilt(&decoded, &self.config)?;
         let was_cold = !self.slots[k].is_resident();
         // Free the old slot's budget charge up front so the rebuilt
         // segments compete for the bytes the slot itself was holding —
         // otherwise a near-full budget would demote a hot resident head to
         // disk on every interior insert.  Restored if placement fails.
-        let old_charge = self.slots[k]
-            .resident
-            .as_ref()
-            .map_or(0, |resident| resident.charged);
+        let old_charge = self.slots[k].charge();
         self.uncharge(old_charge);
         // A cold slot stays cold: the segment was not worth resident bytes
         // before the insert and one insert does not make it hot.
         let new_slots = match self.place_segments(rebuilt, was_cold) {
             Ok(slots) => slots,
             Err(e) => {
-                self.force_charge(old_charge);
+                if let Some(pager) = &self.pager {
+                    pager.force_charge(old_charge);
+                }
                 return Err(e);
             }
         };
@@ -1084,15 +1018,12 @@ impl SpillList {
         for slot in &new_slots {
             slot.meta.last_access.store(heat, Ordering::Relaxed);
         }
-        self.seg_elems += 1;
+        self.seg_elems += added;
         let old: Vec<Slot> = self.slots.splice(k..=k, new_slots).collect();
         for slot in old {
             // The budget charge was already released above; only the
             // superseded page (now file garbage) remains to account for.
             self.release_page(slot.page);
-        }
-        if self.slots.len() > self.config.max_segments {
-            self.compact()?;
         }
         Ok(())
     }
@@ -1127,11 +1058,11 @@ impl SpillList {
         if let Some(page) = self.slots[k].page {
             return Ok(page);
         }
-        let resident = self.slots[k]
+        let segment = self.slots[k]
             .resident
             .as_ref()
             .ok_or(StoreError::Invariant("a pageless slot is resident"))?;
-        let page = self.pager()?.write_page(&resident.segment)?;
+        let page = self.pager()?.write_page(segment)?;
         self.slots[k].page = Some(page);
         Ok(page)
     }
@@ -1188,17 +1119,12 @@ impl SpillList {
     /// Appends the list's sealed slots as retier candidates onto `out`.
     fn tier_candidates(&self, list: usize, out: &mut Vec<TierSlot>) {
         for (k, slot) in self.slots.iter().enumerate() {
-            let (resident, cost) = match &slot.resident {
-                Some(res) => (true, res.charged),
-                None => (false, slot.meta.resident_cost),
-            };
             out.push(TierSlot {
                 list,
                 slot: k,
                 heat: slot.meta.last_access.load(Ordering::Relaxed),
-                cost,
-                resident,
-                decayed: false,
+                cost: slot.meta.resident_cost,
+                resident: slot.is_resident(),
             });
         }
     }
@@ -1208,24 +1134,15 @@ impl SpillList {
     /// promotion, or a checkpoint) skips the write — the page is already
     /// byte-identical.  On write failure the slot stays resident.
     fn demote_slot(&mut self, k: usize) -> Result<(), StoreError> {
-        if !self.slots[k].is_resident() {
+        let Some(segment) = &self.slots[k].resident else {
             return Ok(());
-        }
-        if self.slots[k].page.is_none() {
-            let resident = self.slots[k]
-                .resident
-                .as_ref()
-                .ok_or(StoreError::Invariant("demotion checked the slot resident"))?;
-            let page = self.pager()?.write_page(&resident.segment)?;
-            self.slots[k].page = Some(page);
-        }
-        let resident = self.slots[k]
-            .resident
-            .take()
-            .ok_or(StoreError::Invariant("demotion checked the slot resident"))?;
-        self.slots[k].cold_counts = Some(resident.segment.group_counts().into_boxed_slice());
+        };
+        let counts = segment.group_counts().into_boxed_slice();
+        self.ensure_page(k)?;
+        self.slots[k].resident = None;
+        self.slots[k].cold_counts = Some(counts);
         let pager = self.pager()?;
-        pager.uncharge(resident.charged);
+        pager.uncharge(self.slots[k].meta.resident_cost);
         pager.demotions.fetch_add(1, Ordering::Relaxed);
         Ok(())
     }
@@ -1252,31 +1169,23 @@ impl SpillList {
         pager.promotions.fetch_add(1, Ordering::Relaxed);
         self.slots[k].meta.resident_cost = charge;
         self.slots[k].cold_counts = None;
-        self.slots[k].resident = Some(ResidentSeg {
-            segment,
-            charged: charge,
-        });
+        self.slots[k].resident = Some(segment);
         Ok(true)
     }
 
     /// Sum of the budget charges of the list's resident slots.
     fn charged_bytes(&self) -> usize {
-        self.slots
-            .iter()
-            .filter_map(|slot| slot.resident.as_ref().map(|res| res.charged))
-            .sum()
+        self.slots.iter().map(Slot::charge).sum()
     }
 
-    /// Whether every resident slot's charge equals both its segment's exact
-    /// resident bytes and its metered `resident_cost` (the per-slot half of
-    /// the budget invariant).
+    /// Whether every resident slot's charge, its metered `resident_cost`,
+    /// equals its segment's exact resident bytes (the per-slot half of the
+    /// budget invariant).
     fn charges_exact(&self) -> bool {
-        self.slots.iter().all(|slot| match &slot.resident {
-            Some(res) => {
-                res.charged == res.segment.resident_bytes()
-                    && res.charged == slot.meta.resident_cost
-            }
-            None => true,
+        self.slots.iter().all(|slot| {
+            slot.resident
+                .as_ref()
+                .is_none_or(|segment| segment.resident_bytes() == slot.meta.resident_cost)
         })
     }
 }
@@ -1292,7 +1201,7 @@ fn running_totals(slots: &[Slot], tail: &[OrderedElement]) -> Vec<(GroupId, u32)
     };
     for slot in slots {
         match (&slot.resident, &slot.cold_counts) {
-            (Some(resident), _) => add(&resident.segment.group_counts()),
+            (Some(segment), _) => add(&segment.group_counts()),
             (None, Some(counts)) => add(counts),
             (None, None) => {}
         }
@@ -1312,9 +1221,6 @@ struct TierSlot {
     heat: u64,
     cost: usize,
     resident: bool,
-    /// Set by the retier pass when the slot's heat fell outside the decay
-    /// window: treated as never-read, including for the resident-keep rule.
-    decayed: bool,
 }
 
 impl OrderedList for SpillList {
@@ -1414,7 +1320,7 @@ impl OrderedList for SpillList {
             };
             decoded.insert(local, element);
             let pos = base + local;
-            self.rebuild_slot(k, decoded)?;
+            self.rebuild_slot(k, decoded, 1)?;
             add_count(&mut self.totals, group, 1);
             return Ok(pos);
         }
@@ -1470,9 +1376,7 @@ impl OrderedList for SpillList {
                         + s.cold_counts.as_ref().map_or(0, |counts| {
                             counts.len() * std::mem::size_of::<(GroupId, u32)>()
                         })
-                        + s.resident
-                            .as_ref()
-                            .map_or(0, |res| res.segment.resident_bytes())
+                        + s.resident.as_ref().map_or(0, Segment::resident_bytes)
                 })
                 .sum::<usize>()
             + self.tail.capacity() * std::mem::size_of::<OrderedElement>()
@@ -1540,25 +1444,45 @@ impl Drop for DurableState {
     }
 }
 
-const STORE_META_NAME: &str = "store.meta";
+// The names of the files in a paging store's root, each spelled out here
+// and nowhere else: existing roots and replication snapshots depend on them.
+// A `.tmp` name is a file before its commit rename; `.manifest.prev` is the
+// fallback recovery reads; `.pages.compact` is a compaction's rewrite of
+// the next generation's page file.
 
-fn manifest_tmp_path(manifest: &Path) -> PathBuf {
-    manifest.with_extension("manifest.tmp")
+pub(crate) const STORE_META_NAME: &str = "store.meta";
+const STORE_META_TMP_NAME: &str = "store.meta.tmp";
+
+fn wal_name(shard: usize) -> String {
+    format!("shard-{shard:03}.wal")
 }
 
-fn manifest_prev_path(manifest: &Path) -> PathBuf {
-    manifest.with_extension("manifest.prev")
+fn manifest_name(shard: usize) -> String {
+    format!("shard-{shard:03}.manifest")
+}
+
+fn manifest_tmp_name(shard: usize) -> String {
+    manifest_name(shard) + ".tmp"
+}
+
+fn manifest_prev_name(shard: usize) -> String {
+    manifest_name(shard) + ".prev"
+}
+
+fn pages_name(shard: usize, generation: u64) -> String {
+    format!("shard-{shard:03}.g{generation}.pages")
+}
+
+fn rewrite_name(shard: usize, generation: u64) -> String {
+    pages_name(shard, generation) + ".compact"
+}
+
+/// Whether `name` is a page file or a compaction's rewrite of one.
+fn is_page_file(name: &str) -> bool {
+    name.ends_with(".pages") || name.ends_with(".pages.compact")
 }
 
 impl DurableState {
-    fn wal_path(&self, shard: usize) -> PathBuf {
-        self.dir.join(format!("shard-{shard:03}.wal"))
-    }
-
-    fn manifest_path(&self, shard: usize) -> PathBuf {
-        self.dir.join(format!("shard-{shard:03}.manifest"))
-    }
-
     /// Appends one insert to the shard's WAL, applying the configured fsync
     /// policy.  Called under the shard write lock, immediately after the
     /// in-memory apply — log order is apply order.
@@ -1635,8 +1559,8 @@ impl DurableState {
     /// tmp file is swept by the next `open`.
     fn commit_manifest(&self, shard: usize, manifest: &Manifest) -> Result<(), StoreError> {
         let bytes = encode_manifest(manifest)?;
-        let path = self.manifest_path(shard);
-        let tmp = manifest_tmp_path(&path);
+        let path = self.dir.join(manifest_name(shard));
+        let tmp = self.dir.join(manifest_tmp_name(shard));
         {
             let mut file = self.backend.open(&tmp, true).map_err(io_err)?;
             file.write_at(0, &bytes).map_err(io_err)?;
@@ -1650,7 +1574,7 @@ impl DurableState {
         // only truncated after this commit returns).
         if self.backend.exists(&path) {
             self.backend
-                .rename(&path, &manifest_prev_path(&path))
+                .rename(&path, &self.dir.join(manifest_prev_name(shard)))
                 .map_err(io_err)?;
         }
         self.backend.rename(&tmp, &path).map_err(io_err)
@@ -1723,8 +1647,8 @@ impl SpillStore {
     }
 
     /// Full-control durable creation: explicit segment tuning and IO
-    /// backend (the fault-injection tests substitute
-    /// [`crate::durable::FaultIo`]).
+    /// backend (the fault-injection tests substitute a shim that crashes
+    /// writes).
     pub fn create_durable_with(
         index: OrderedIndex,
         dir: impl Into<PathBuf>,
@@ -1751,6 +1675,7 @@ impl SpillStore {
         let meta = StoreMeta {
             num_shards: u64_of(num_shards),
             segment,
+            retired_knob: 8,
             scheme: plan.scheme().to_string(),
             r: plan.r(),
             term_lists: (0..plan.num_lists())
@@ -1762,7 +1687,7 @@ impl SpillStore {
                 .map_err(|_| StoreError::Io("merge plan enumeration failed".to_string()))?,
         };
         let meta_path = dir.join(STORE_META_NAME);
-        let meta_tmp = dir.join("store.meta.tmp");
+        let meta_tmp = dir.join(STORE_META_TMP_NAME);
         {
             let mut file = backend.open(&meta_tmp, true).map_err(io_err)?;
             file.write_at(0, &encode_store_meta(&meta))
@@ -1776,8 +1701,9 @@ impl SpillStore {
         let mut store = SpillStore::build(index, num_shards, segment, pagers)?;
         let wals = (0..num_shards)
             .map(|shard| {
-                let path = dir.join(format!("shard-{shard:03}.wal"));
-                let file = backend.open(&path, true).map_err(io_err)?;
+                let file = backend
+                    .open(&dir.join(wal_name(shard)), true)
+                    .map_err(io_err)?;
                 Ok(Mutex::new(WalFile {
                     file,
                     len: 0,
@@ -1849,7 +1775,7 @@ impl SpillStore {
         let mut manifests = Vec::with_capacity(num_shards);
         let mut pagers = Vec::with_capacity(num_shards);
         for shard in 0..num_shards {
-            let manifest_path = dir.join(format!("shard-{shard:03}.manifest"));
+            let manifest_path = dir.join(manifest_name(shard));
             // Prefer the current manifest; if it is missing or corrupt (a
             // crash between the commit renames, or a lying fsync that
             // published a hollow file) fall back to the previous one.  The
@@ -1861,7 +1787,7 @@ impl SpillStore {
             {
                 Ok(manifest) => manifest,
                 Err(primary) => {
-                    let prev_path = manifest_prev_path(&manifest_path);
+                    let prev_path = dir.join(manifest_prev_name(shard));
                     match read_all(&*backend, &prev_path).and_then(|bytes| decode_manifest(&bytes))
                     {
                         Ok(manifest) => {
@@ -1925,7 +1851,7 @@ impl SpillStore {
         let mut replays = Vec::with_capacity(num_shards);
         let mut truncated = 0u64;
         for (shard, manifest) in manifests.iter().enumerate() {
-            let path = dir.join(format!("shard-{shard:03}.wal"));
+            let path = dir.join(wal_name(shard));
             let image = if backend.exists(&path) {
                 read_all(&*backend, &path)?
             } else {
@@ -2051,7 +1977,7 @@ impl SpillStore {
     /// in-memory tails, then truncates the WAL.  Crash-safe at every step:
     /// until the manifest rename lands, the old checkpoint plus the old WAL
     /// stay authoritative.  `Ok(false)` unless the store is durable.
-    pub fn checkpoint_shard(&self, shard: usize) -> Result<bool, StoreError> {
+    fn checkpoint_shard(&self, shard: usize) -> Result<bool, StoreError> {
         let Some(durable) = &self.durable else {
             return Ok(false);
         };
@@ -2088,17 +2014,17 @@ impl SpillStore {
     ) -> Result<Vec<(String, Vec<u8>)>, StoreError> {
         let durable = self.replication_durable()?;
         let _table = self.shard_read(shard);
-        let manifest_name = format!("shard-{shard:03}.manifest");
+        let manifest_name = manifest_name(shard);
         let manifest_bytes = read_all(&*durable.backend, &durable.dir.join(&manifest_name))?;
         let manifest = decode_manifest(&manifest_bytes)?;
-        let pages_name = format!("shard-{shard:03}.g{}.pages", manifest.generation);
+        let pages_name = pages_name(shard, manifest.generation);
         let pages_path = durable.dir.join(&pages_name);
         let pages_bytes = if durable.backend.exists(&pages_path) {
             read_all(&*durable.backend, &pages_path)?
         } else {
             Vec::new()
         };
-        let wal_name = format!("shard-{shard:03}.wal");
+        let wal_name = wal_name(shard);
         let wal_bytes = {
             let mut wal = durable.wals[shard].lock();
             let len = usize::try_from(wal.len)
@@ -2171,7 +2097,9 @@ impl SpillStore {
     /// The per-shard WAL paths (tests and tooling).
     pub fn wal_paths(&self) -> Vec<PathBuf> {
         match &self.durable {
-            Some(d) => (0..self.pagers.len()).map(|s| d.wal_path(s)).collect(),
+            Some(d) => (0..self.pagers.len())
+                .map(|s| d.dir.join(wal_name(s)))
+                .collect(),
             None => Vec::new(),
         }
     }
@@ -2179,21 +2107,6 @@ impl SpillStore {
     /// The per-shard page files backing the spilled segments.
     pub fn page_file_paths(&self) -> Vec<PathBuf> {
         self.pagers.iter().map(|p| p.current_path()).collect()
-    }
-
-    /// Bytes currently held by the LRU page caches (part of
-    /// [`StoreMetrics::resident_bytes`]).
-    pub fn page_cache_bytes(&self) -> usize {
-        self.pagers.iter().map(|p| p.cache_bytes()).sum()
-    }
-
-    /// Bytes of sealed segments currently charged against the per-shard
-    /// resident budgets (the budget-side view of what stayed hot).
-    pub fn resident_charge_bytes(&self) -> usize {
-        self.pagers
-            .iter()
-            .map(|p| p.resident_charge.load(Ordering::Relaxed))
-            .sum()
     }
 
     /// Budget-accounting invariant: on every shard, the pager's
@@ -2318,18 +2231,6 @@ impl SpillStore {
         for (list, l) in table.lists().iter().enumerate() {
             l.tier_candidates(list, &mut candidates);
         }
-        // Heat decay: a stamp further than the decay window behind the
-        // current access clock is treated as cold — the access clock is
-        // otherwise a high-water mark, and a burst long ago would hold
-        // residency forever against currently-warm slots.
-        let now = pager.access_clock.load(Ordering::Relaxed);
-        let window = pager.heat_decay_window;
-        for c in &mut candidates {
-            if window > 0 && c.heat > 0 && now.saturating_sub(c.heat) >= window {
-                c.heat = 0;
-                c.decayed = true;
-            }
-        }
         // Hottest first; equal heat prefers the current resident (no
         // churn between equally-warm slots), then slot order.
         candidates.sort_by(|a, b| {
@@ -2342,11 +2243,7 @@ impl SpillStore {
         let desired: Vec<bool> = candidates
             .iter()
             .map(|c| {
-                // A decayed slot relinquishes residency outright: unlike
-                // a never-read resident (kept while spare budget lasts),
-                // its stale burst no longer buys anything — the freed
-                // budget goes to currently-warm slots or stays spare.
-                let granted = (c.heat > 0 || (c.resident && !c.decayed)) && c.cost <= spare;
+                let granted = (c.heat > 0 || c.resident) && c.cost <= spare;
                 if granted {
                     spare -= c.cost;
                 }
@@ -2417,7 +2314,7 @@ fn refuse_occupied_root(dir: &Path) -> Result<(), StoreError> {
     for entry in fs::read_dir(dir).map_err(io_err)? {
         let name = entry.map_err(io_err)?.file_name();
         let name = name.to_string_lossy();
-        if name.ends_with(".pages") || name.ends_with(".pages.compact") {
+        if is_page_file(&name) {
             return Err(StoreError::Io(format!(
                 "spill directory {} already holds page files ({name}); \
                  every store needs its own root",
@@ -2446,11 +2343,10 @@ fn read_all(backend: &dyn PageIo, path: &Path) -> Result<Vec<u8>, StoreError> {
 fn sweep_stray_files(backend: &dyn PageIo, dir: &Path, num_shards: usize, manifests: &[Manifest]) {
     let mut keep: Vec<PathBuf> = vec![dir.join(STORE_META_NAME)];
     for (shard, manifest) in manifests.iter().enumerate().take(num_shards) {
-        let manifest_path = dir.join(format!("shard-{shard:03}.manifest"));
-        keep.push(dir.join(format!("shard-{shard:03}.wal")));
-        keep.push(manifest_prev_path(&manifest_path));
-        keep.push(manifest_path);
-        keep.push(dir.join(format!("shard-{shard:03}.g{}.pages", manifest.generation)));
+        keep.push(dir.join(wal_name(shard)));
+        keep.push(dir.join(manifest_prev_name(shard)));
+        keep.push(dir.join(manifest_name(shard)));
+        keep.push(dir.join(pages_name(shard, manifest.generation)));
     }
     let Ok(entries) = fs::read_dir(dir) else {
         return;
@@ -2482,8 +2378,8 @@ impl SpillStore {
     /// per-list state: they come on top of the per-list summaries, tails
     /// and resident segments already counted.
     pub(crate) fn add_paging_metrics(&self, metrics: &mut StoreMetrics) {
-        metrics.resident_bytes += u64_of(self.page_cache_bytes());
         for p in &self.pagers {
+            metrics.resident_bytes += u64_of(p.cache_bytes());
             metrics.spilled_bytes += u64_of(p.spilled.load(Ordering::Relaxed));
             metrics.page_faults += p.faults.load(Ordering::Relaxed);
             metrics.page_evictions += p.evictions.load(Ordering::Relaxed);
@@ -2549,7 +2445,6 @@ mod tests {
             block_len: 4,
             tail_threshold: 3,
             max_segment_elems: 16,
-            max_segments: 3,
             max_payload_bytes: u32::MAX as usize,
         }
     }
@@ -2559,6 +2454,15 @@ mod tests {
             let segment = small_segment_config();
             SpillStore::with_configs(index(lists), shards, dir, config, segment).unwrap()
         })
+    }
+
+    /// Bytes of sealed segments charged against the shard budgets.
+    fn resident_charge_bytes(store: &SpillStore) -> usize {
+        store
+            .pagers
+            .iter()
+            .map(|p| p.resident_charge.load(Ordering::Relaxed))
+            .sum()
     }
 
     /// The `*.pages` and `*.pages.compact` files in `dir`, sorted.
@@ -2772,7 +2676,7 @@ mod tests {
                 ..SpillConfig::default().without_tiering()
             },
         );
-        let charge = probe.resident_charge_bytes();
+        let charge = resident_charge_bytes(&probe);
         assert!(charge > 0);
         drop(probe);
         let store = store_with(
@@ -2958,7 +2862,6 @@ mod tests {
                 compact_dead_percent: 1,
                 compact_min_dead_bytes: 1,
                 retier_interval: 0,
-                heat_decay_window: 0,
             },
         );
         for i in 0..8u64 {
@@ -3069,7 +2972,7 @@ mod tests {
                 ..SpillConfig::default().without_tiering()
             },
         );
-        let charge = probe.resident_charge_bytes();
+        let charge = resident_charge_bytes(&probe);
         drop(probe);
         let store = store_with(
             vec![sorted_elements(32, 0), sorted_elements(32, 80)],
@@ -3125,7 +3028,6 @@ mod tests {
                 compact_dead_percent: 1,
                 compact_min_dead_bytes: 1,
                 retier_interval: 4,
-                heat_decay_window: 0,
             },
         );
         assert!(store.budget_accounting_is_exact());
@@ -3351,67 +3253,110 @@ mod tests {
     }
 
     #[test]
-    fn heat_decay_demotes_an_old_burst_in_favour_of_current_traffic() {
-        let build = || vec![sorted_elements(32, 0), sorted_elements(32, 80)];
+    fn retier_keeps_an_idle_resident_slot_while_the_budget_holds_it() {
         let fetch = |l: u64, offset: usize| RangedFetch {
             list: MergedListId(l),
             offset,
             count: 4,
         };
         // Both lists fit the budget; manual retier passes only.
-        let config = |window: u64| SpillConfig {
-            resident_budget_bytes: usize::MAX,
-            page_cache_pages: 0,
-            heat_decay_window: window,
-            ..SpillConfig::default().without_tiering()
-        };
-        let run = |window: u64| {
-            let store = store_with(build(), 1, config(window));
-            assert_eq!(
-                store.metrics().spilled_bytes,
-                0,
-                "everything starts resident"
-            );
-            // An old burst on list 0...
-            for offset in [0usize, 12, 24] {
-                store.fetch_ranged(&fetch(0, offset), None).unwrap();
-            }
-            // ...then sustained traffic on list 1 only, pushing the access
-            // clock well past the burst.
-            for _ in 0..16 {
-                for offset in [0usize, 12, 24] {
-                    store.fetch_ranged(&fetch(1, offset), None).unwrap();
-                }
-            }
-            let moves = store.retier_shard(0).unwrap();
-            assert!(store.budget_accounting_is_exact());
-            assert!(store.verify_ordering());
-            (store, moves)
-        };
-        // Decay on: the burst decayed, list 0 loses residency to disk even
-        // though the budget could hold it — its heat no longer buys
-        // anything.  List 1, currently hot, stays resident and fault-free.
-        let (store, (promoted, demoted)) = run(4);
-        assert_eq!(promoted, 0);
-        assert!(demoted > 0, "the old burst must cool and demote");
-        assert!(store.metrics().spilled_bytes > 0);
-        let faults = store.metrics().page_faults;
+        let store = store_with(
+            vec![sorted_elements(32, 0), sorted_elements(32, 80)],
+            1,
+            SpillConfig {
+                resident_budget_bytes: usize::MAX,
+                page_cache_pages: 0,
+                ..SpillConfig::default().without_tiering()
+            },
+        );
+        assert_eq!(
+            store.metrics().spilled_bytes,
+            0,
+            "everything starts resident"
+        );
+        // An old burst on list 0...
         for offset in [0usize, 12, 24] {
-            store.fetch_ranged(&fetch(1, offset), None).unwrap();
+            store.fetch_ranged(&fetch(0, offset), None).unwrap();
+        }
+        // ...then sustained traffic on list 1 only, pushing the access
+        // clock well past the burst.
+        for _ in 0..16 {
+            for offset in [0usize, 12, 24] {
+                store.fetch_ranged(&fetch(1, offset), None).unwrap();
+            }
+        }
+        // Recency ranks list 1 first, but the budget holds both: the idle
+        // list keeps its seat.
+        assert_eq!(store.retier_shard(0).unwrap(), (0, 0));
+        assert_eq!(store.metrics().spilled_bytes, 0);
+        assert!(store.budget_accounting_is_exact());
+        assert!(store.verify_ordering());
+    }
+
+    /// Appends two tails' worth of elements below list 0 of `store` (the
+    /// 20 elements of `sorted_elements(20, 0)`, every slot cold, the small
+    /// layout: slots of 16 and 4) and checks that each seal rebuilds the
+    /// last slot, cold, instead of adding one.  Returns the reference.
+    fn seal_twice_into_the_cold_last_slot(store: &SpillStore) -> VecList {
+        let last_page_len = || {
+            let table = store.shard_read(0);
+            let last = table.lists()[0].slots.last().unwrap();
+            u64::from(last.page.unwrap().len)
+        };
+        let mut reference = VecList::from_elements(sorted_elements(20, 0));
+        assert_eq!(store.shard_read(0).lists()[0].num_slots(), 2);
+        for seal in 0..2usize {
+            let (dead, stranded) = (store.metrics().dead_page_bytes, last_page_len());
+            for i in 0..4usize {
+                let e = element(1e-3 * (8 - 4 * seal - i) as f64, 1, &[seal as u8; 8]);
+                assert_eq!(
+                    store.insert(MergedListId(0), e.clone()).unwrap(),
+                    reference.insert(e).unwrap()
+                );
+            }
+            {
+                let table = store.shard_read(0);
+                let list = &table.lists()[0];
+                assert_eq!(list.tail_len(), 0, "seal {seal} emptied the tail");
+                assert_eq!(list.num_slots(), 2, "seal {seal} rebuilt the last slot");
+                assert!(!list.slots[1].is_resident(), "a cold slot stays cold");
+            }
+            assert_eq!(store.metrics().dead_page_bytes, dead + stranded);
         }
         assert_eq!(
-            store.metrics().page_faults,
-            faults,
-            "current traffic stays hot"
+            store.snapshot_list(MergedListId(0)).unwrap(),
+            reference.snapshot().unwrap()
         );
-        store.fetch_ranged(&fetch(0, 12), None).unwrap();
-        assert!(
-            store.metrics().page_faults > faults,
-            "the demoted burst faults"
+        reference
+    }
+
+    #[test]
+    fn tail_seals_rebuild_the_cold_last_slot_instead_of_adding_one() {
+        let config = SpillConfig {
+            resident_budget_bytes: 0,
+            page_cache_pages: 2,
+            ..SpillConfig::default().without_tiering()
+        };
+        let store = store_with(vec![sorted_elements(20, 0)], 1, config);
+        seal_twice_into_the_cold_last_slot(&store);
+        assert!(store.budget_accounting_is_exact());
+
+        let dir = TempRoot::new("durable-seal");
+        let durable = durable_store_at(
+            &dir,
+            vec![sorted_elements(20, 0)],
+            1,
+            config,
+            DurableConfig::default(),
         );
-        // Control: decay off (window 0), identical traffic — the burst's
-        // high-water stamp holds residency forever.
-        let (_store, moves) = run(0);
-        assert_eq!(moves, (0, 0), "without decay the old burst keeps its seat");
+        let reference = seal_twice_into_the_cold_last_slot(&durable);
+        drop(durable);
+        let reopened = SpillStore::open(&dir, config, DurableConfig::default()).unwrap();
+        assert_eq!(
+            reopened.snapshot_list(MergedListId(0)).unwrap(),
+            reference.snapshot().unwrap()
+        );
+        assert_eq!(reopened.shard_read(0).lists()[0].num_slots(), 2);
+        assert!(reopened.budget_accounting_is_exact());
     }
 }

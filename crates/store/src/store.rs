@@ -157,20 +157,16 @@ pub struct SessionStats {
 }
 
 impl SessionStats {
-    fn absorb(&mut self, other: SessionStats) {
-        self.open += other.open;
-        self.opened_total += other.opened_total;
-        self.capacity_evictions += other.capacity_evictions;
-        self.ttl_evictions += other.ttl_evictions;
-        self.clock += other.clock;
-    }
-
     /// Sums per-shard stats into one table-wide view (clocks add up, so the
     /// aggregate clock counts requests across all shards).
     pub fn aggregate(stats: impl IntoIterator<Item = SessionStats>) -> SessionStats {
         let mut total = SessionStats::default();
         for s in stats {
-            total.absorb(s);
+            total.open += s.open;
+            total.opened_total += s.opened_total;
+            total.capacity_evictions += s.capacity_evictions;
+            total.ttl_evictions += s.ttl_evictions;
+            total.clock += s.clock;
         }
         total
     }

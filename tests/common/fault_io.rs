@@ -1,0 +1,386 @@
+//! The deterministic fault-injection IO shim the durable-recovery and
+//! replication suites crash stores with: a [`PageIo`] over the production
+//! [`RealIo`] that kills writes after a byte budget, flips one byte, or
+//! buffers writes and drops fsyncs — the same way on every run.
+//!
+//! Included by path (`#[path = "common/fault_io.rs"] mod fault_io;`) into
+//! the suites that use it, so the store library ships none of it.
+
+use std::io;
+use std::path::Path;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+
+use zerber_suite::store::convert::u64_of;
+use zerber_suite::store::{FileIo, PageIo, RealIo};
+
+/// The ledger behind its lock (a panicking test thread poisons nothing
+/// the others care about).
+fn lock(ledger: &Mutex<FaultLedger>) -> MutexGuard<'_, FaultLedger> {
+    ledger.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// What the fault shim does to the IO stream.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FaultMode {
+    /// Write-through until `n` budget units are consumed (one unit per
+    /// written byte; renames, removes, truncations and syncs cost one unit
+    /// each), then the process is considered dead: every later write,
+    /// rename, remove, truncation and sync silently does nothing.  A write
+    /// straddling the budget persists only its prefix — a torn write.
+    KillAfter(u64),
+    /// Write-through, but the byte at global write offset `n` is XORed with
+    /// `0x5A` on its way to disk — a single deterministic bit-flip.
+    FlipByteAt(u64),
+    /// Buffer every write in memory; `sync` flushes the file's buffer to
+    /// disk.  Dropping the store without syncing models a power failure
+    /// that loses everything since the last fsync.
+    Buffered,
+    /// Like [`FaultMode::Buffered`], but `sync` is silently dropped too — a
+    /// lying fsync.  Nothing written through this shim ever reaches disk.
+    DropSyncs,
+}
+
+#[derive(Debug, Default)]
+struct FaultLedger {
+    /// Budget units consumed so far (bytes written + 1 per metadata op).
+    spent: u64,
+    /// Set once a [`FaultMode::KillAfter`] budget is exhausted.
+    crashed: bool,
+    /// Cumulative `spent` after each IO operation — the injection points a
+    /// kill-at-every-step loop iterates over.
+    boundaries: Vec<u64>,
+}
+
+/// The deterministic fault-injection IO shim: wraps [`RealIo`] over the real
+/// directory, so whatever "survives" the injected fault is exactly what a
+/// later `SpillStore::open` with [`RealIo`] will find.
+#[derive(Debug)]
+pub struct FaultIo {
+    inner: Arc<dyn PageIo>,
+    mode: FaultMode,
+    ledger: Arc<Mutex<FaultLedger>>,
+}
+
+impl FaultIo {
+    /// A fault shim over the production IO.
+    pub fn new(mode: FaultMode) -> Arc<FaultIo> {
+        Arc::new(FaultIo {
+            inner: RealIo::shared(),
+            mode,
+            ledger: Arc::default(),
+        })
+    }
+
+    /// Budget units consumed so far (bytes written plus one per rename /
+    /// remove / truncate / sync).
+    pub fn spent(&self) -> u64 {
+        lock(&self.ledger).spent
+    }
+
+    /// Whether a `KillAfter` budget has been exhausted.
+    pub fn crashed(&self) -> bool {
+        lock(&self.ledger).crashed
+    }
+
+    /// The cumulative budget after each IO operation: every value (and its
+    /// ±1 neighbours) is a distinct crash point for a kill-at-every-step
+    /// recovery loop.
+    pub fn op_boundaries(&self) -> Vec<u64> {
+        lock(&self.ledger).boundaries.clone()
+    }
+
+    /// Consumes one metadata-op unit; `true` if the op should proceed.
+    fn charge_op(&self) -> bool {
+        let mut ledger = lock(&self.ledger);
+        match self.mode {
+            FaultMode::KillAfter(n) => {
+                if ledger.crashed {
+                    return false;
+                }
+                if ledger.spent >= n {
+                    ledger.crashed = true;
+                    return false;
+                }
+                ledger.spent += 1;
+                let spent = ledger.spent;
+                ledger.boundaries.push(spent);
+                true
+            }
+            _ => {
+                ledger.spent += 1;
+                let spent = ledger.spent;
+                ledger.boundaries.push(spent);
+                true
+            }
+        }
+    }
+}
+
+#[derive(Debug)]
+struct FaultFile {
+    real: Box<dyn FileIo>,
+    mode: FaultMode,
+    ledger: Arc<Mutex<FaultLedger>>,
+    /// Full in-memory shadow of the file in the buffered modes; `sync`
+    /// flushes it (unless dropped).  The shadow is per handle: the durable
+    /// protocols sync before every rename/reopen, so a fresh handle always
+    /// sees flushed state.
+    shadow: Option<Vec<u8>>,
+}
+
+impl FileIo for FaultFile {
+    fn read_at(&mut self, offset: u64, buf: &mut [u8]) -> io::Result<()> {
+        match &self.shadow {
+            Some(shadow) => {
+                let start = usize::try_from(offset).unwrap_or(usize::MAX);
+                let end = start.saturating_add(buf.len());
+                let Some(src) = shadow.get(start..end) else {
+                    return Err(io::Error::new(
+                        io::ErrorKind::UnexpectedEof,
+                        "read past buffered length",
+                    ));
+                };
+                buf.copy_from_slice(src);
+                Ok(())
+            }
+            None => self.real.read_at(offset, buf),
+        }
+    }
+
+    fn write_at(&mut self, offset: u64, buf: &[u8]) -> io::Result<()> {
+        if let Some(shadow) = &mut self.shadow {
+            let start = usize::try_from(offset).unwrap_or(usize::MAX);
+            let end = start.saturating_add(buf.len());
+            if shadow.len() < end {
+                shadow.resize(end, 0);
+            }
+            if let Some(dst) = shadow.get_mut(start..end) {
+                dst.copy_from_slice(buf);
+            }
+            let mut ledger = lock(&self.ledger);
+            ledger.spent += u64_of(buf.len());
+            let spent = ledger.spent;
+            ledger.boundaries.push(spent);
+            return Ok(());
+        }
+        let (allow, flip) = {
+            let mut ledger = lock(&self.ledger);
+            let start = ledger.spent;
+            ledger.spent += u64_of(buf.len());
+            let spent = ledger.spent;
+            ledger.boundaries.push(spent);
+            match self.mode {
+                FaultMode::KillAfter(n) => {
+                    if ledger.crashed {
+                        (0usize, None)
+                    } else {
+                        let allow = usize::try_from(n.saturating_sub(start))
+                            .unwrap_or(usize::MAX)
+                            .min(buf.len());
+                        if allow < buf.len() {
+                            ledger.crashed = true;
+                        }
+                        (allow, None)
+                    }
+                }
+                FaultMode::FlipByteAt(n) => {
+                    let flip = (start..start + u64_of(buf.len()))
+                        .contains(&n)
+                        .then(|| usize::try_from(n - start).ok())
+                        .flatten()
+                        .filter(|&i| i < buf.len());
+                    (buf.len(), flip)
+                }
+                _ => (buf.len(), None),
+            }
+        };
+        match flip {
+            Some(i) => {
+                let mut copy = buf.to_vec();
+                if let Some(byte) = copy.get_mut(i) {
+                    *byte ^= 0x5A;
+                }
+                self.real.write_at(offset, &copy)
+            }
+            None => match buf.get(..allow) {
+                Some(prefix) if !prefix.is_empty() => self.real.write_at(offset, prefix),
+                _ => Ok(()),
+            },
+        }
+    }
+
+    fn sync(&mut self) -> io::Result<()> {
+        match self.mode {
+            FaultMode::DropSyncs => Ok(()),
+            FaultMode::Buffered => {
+                let mut ledger = lock(&self.ledger);
+                ledger.spent += 1;
+                let spent = ledger.spent;
+                ledger.boundaries.push(spent);
+                drop(ledger);
+                // Buffered mode always carries a shadow; a missing one is a
+                // harness misconfiguration, degraded to a plain sync.
+                let Some(shadow) = self.shadow.clone() else {
+                    return self.real.sync();
+                };
+                self.real.write_at(0, &shadow)?;
+                self.real.set_len(u64_of(shadow.len()))?;
+                self.real.sync()
+            }
+            FaultMode::KillAfter(n) => {
+                let mut ledger = lock(&self.ledger);
+                if ledger.crashed || ledger.spent >= n {
+                    ledger.crashed = true;
+                    return Ok(());
+                }
+                ledger.spent += 1;
+                let spent = ledger.spent;
+                ledger.boundaries.push(spent);
+                drop(ledger);
+                self.real.sync()
+            }
+            FaultMode::FlipByteAt(_) => self.real.sync(),
+        }
+    }
+
+    fn len(&mut self) -> io::Result<u64> {
+        match &self.shadow {
+            Some(shadow) => Ok(u64_of(shadow.len())),
+            None => self.real.len(),
+        }
+    }
+
+    fn set_len(&mut self, len: u64) -> io::Result<()> {
+        if let Some(shadow) = &mut self.shadow {
+            shadow.resize(usize::try_from(len).unwrap_or(usize::MAX), 0);
+            return Ok(());
+        }
+        match self.mode {
+            FaultMode::KillAfter(n) => {
+                let mut ledger = lock(&self.ledger);
+                if ledger.crashed || ledger.spent >= n {
+                    ledger.crashed = true;
+                    return Ok(());
+                }
+                ledger.spent += 1;
+                let spent = ledger.spent;
+                ledger.boundaries.push(spent);
+                drop(ledger);
+                self.real.set_len(len)
+            }
+            _ => self.real.set_len(len),
+        }
+    }
+}
+
+impl PageIo for FaultIo {
+    fn open(&self, path: &Path, truncate: bool) -> io::Result<Box<dyn FileIo>> {
+        // Opening never tears: the interesting faults live in writes and the
+        // commit ops.  In the buffered modes truncation is deferred to the
+        // shadow, so an unflushed truncate is lost like any other write.
+        let buffered = matches!(self.mode, FaultMode::Buffered | FaultMode::DropSyncs);
+        let mut real = self.inner.open(path, truncate && !buffered)?;
+        let shadow = if buffered {
+            if truncate {
+                Some(Vec::new())
+            } else {
+                let len = usize::try_from(real.len()?).unwrap_or(usize::MAX);
+                let mut content = vec![0u8; len];
+                real.read_at(0, &mut content)?;
+                Some(content)
+            }
+        } else {
+            None
+        };
+        Ok(Box::new(FaultFile {
+            real,
+            mode: self.mode,
+            ledger: Arc::clone(&self.ledger),
+            shadow,
+        }))
+    }
+
+    fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
+        // Renames are atomic: they either happen or the crash dropped them.
+        // In the buffered modes the rename moves whatever the *disk* holds —
+        // renaming an unflushed file publishes its stale (possibly empty)
+        // on-disk content, exactly the hazard a missing fsync creates.
+        if matches!(self.mode, FaultMode::KillAfter(_)) && !self.charge_op() {
+            return Ok(());
+        }
+        self.inner.rename(from, to)
+    }
+
+    fn remove(&self, path: &Path) -> io::Result<()> {
+        if matches!(self.mode, FaultMode::KillAfter(_)) && !self.charge_op() {
+            return Ok(());
+        }
+        self.inner.remove(path)
+    }
+
+    fn exists(&self, path: &Path) -> bool {
+        self.inner.exists(path)
+    }
+}
+
+mod tests {
+    use super::*;
+    use crate::common::TempRoot;
+
+    #[test]
+    fn kill_after_budget_tears_writes_and_drops_later_ops() {
+        let dir = TempRoot::new("fault-kill");
+        let a = dir.join("kill-a");
+        let b = dir.join("kill-b");
+        let io = FaultIo::new(FaultMode::KillAfter(6));
+        {
+            let mut f = io.open(&a, true).unwrap();
+            f.write_at(0, &[1, 2, 3, 4]).unwrap();
+            // This write straddles the budget: only 2 of 4 bytes land.
+            f.write_at(4, &[5, 6, 7, 8]).unwrap();
+        }
+        assert!(io.crashed());
+        // Post-crash ops silently do nothing.
+        io.rename(&a, &b).unwrap();
+        assert!(a.exists() && !b.exists());
+        assert_eq!(std::fs::read(&a).unwrap(), vec![1, 2, 3, 4, 5, 6]);
+    }
+
+    #[test]
+    fn buffered_mode_loses_unsynced_writes_and_keeps_synced_ones() {
+        let dir = TempRoot::new("fault-buffered");
+        let path = dir.join("buffered");
+        {
+            let io = FaultIo::new(FaultMode::Buffered);
+            let mut f = io.open(&path, true).unwrap();
+            f.write_at(0, &[1, 2, 3]).unwrap();
+            f.sync().unwrap();
+            f.write_at(3, &[4, 5, 6]).unwrap();
+            // Reads see the buffered bytes (the live process view)...
+            let mut buf = [0u8; 6];
+            f.read_at(0, &mut buf).unwrap();
+            assert_eq!(buf, [1, 2, 3, 4, 5, 6]);
+            // ...but the crash (drop without sync) loses the unflushed tail.
+        }
+        assert_eq!(std::fs::read(&path).unwrap(), vec![1, 2, 3]);
+        {
+            let io = FaultIo::new(FaultMode::DropSyncs);
+            let mut f = io.open(&path, false).unwrap();
+            f.write_at(3, &[9, 9]).unwrap();
+            f.sync().unwrap(); // dropped
+        }
+        assert_eq!(std::fs::read(&path).unwrap(), vec![1, 2, 3]);
+    }
+
+    #[test]
+    fn flip_byte_corrupts_exactly_one_byte() {
+        let dir = TempRoot::new("fault-flip");
+        let path = dir.join("flip");
+        let io = FaultIo::new(FaultMode::FlipByteAt(2));
+        {
+            let mut f = io.open(&path, true).unwrap();
+            f.write_at(0, &[0u8; 5]).unwrap();
+        }
+        assert_eq!(std::fs::read(&path).unwrap(), vec![0, 0, 0x5A, 0, 0]);
+    }
+}

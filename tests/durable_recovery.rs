@@ -22,13 +22,20 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 mod common;
+#[path = "common/fault_io.rs"]
+#[expect(
+    dead_code,
+    reason = "only the replication suite reads `FaultIo::spent`"
+)]
+mod fault_io;
 
 use common::TempRoot;
+use fault_io::{FaultIo, FaultMode};
 use proptest::prelude::*;
 use zerber_suite::corpus::{GroupId, TermId};
 use zerber_suite::store::{
-    crc32, DurableConfig, FaultIo, FaultMode, ListStore, PageIo, SegmentConfig, SingleMutexStore,
-    SpillConfig, SpillStore, StoreError, SyncPolicy,
+    crc32, DurableConfig, ListStore, PageIo, SegmentConfig, SingleMutexStore, SpillConfig,
+    SpillStore, StoreError, SyncPolicy,
 };
 use zerber_suite::zerber::{EncryptedElement, MergePlan, MergedListId};
 use zerber_suite::zerber_r::{OrderedElement, OrderedIndex};
@@ -75,7 +82,6 @@ fn segment_config() -> SegmentConfig {
         block_len: 3,
         tail_threshold: 2,
         max_segment_elems: 12,
-        max_segments: 2,
         max_payload_bytes: u32::MAX as usize,
     }
 }

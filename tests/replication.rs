@@ -18,6 +18,10 @@
 //! production IO path, re-subscribes and requires convergence.
 
 mod common;
+#[path = "common/fault_io.rs"]
+mod fault_io;
+#[path = "common/fault_transport.rs"]
+mod fault_transport;
 
 use std::fs;
 use std::path::Path;
@@ -25,13 +29,14 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use common::TempRoot;
+use fault_io::{FaultIo, FaultMode};
+use fault_transport::{FaultPlan, FaultTransport};
 use zerber_suite::corpus::{GroupId, TermId};
 use zerber_suite::protocol::{AccessControl, IndexServer, ProtocolError, QueryRequest};
 use zerber_suite::store::{
-    DurableConfig, FaultIo, FaultMode, FaultPlan, FaultTransport, InProcessTransport, ListStore,
-    PageIo, PumpOutcome, RangedFetch, RealIo, Replica, ReplicaConfig, ReplicaTransport,
-    ReplicationSource, SegmentConfig, SingleMutexStore, SpillConfig, SpillStore, StoreError,
-    SyncPolicy,
+    DurableConfig, InProcessTransport, ListStore, PageIo, PumpOutcome, RangedFetch, RealIo,
+    Replica, ReplicaConfig, ReplicaTransport, ReplicationSource, SegmentConfig, SingleMutexStore,
+    SpillConfig, SpillStore, StoreError, SyncPolicy,
 };
 use zerber_suite::zerber::{EncryptedElement, MergePlan, MergedListId};
 use zerber_suite::zerber_r::{OrderedElement, OrderedIndex};
@@ -75,7 +80,6 @@ fn segment_config() -> SegmentConfig {
         block_len: 3,
         tail_threshold: 2,
         max_segment_elems: 12,
-        max_segments: 2,
         max_payload_bytes: u32::MAX as usize,
     }
 }

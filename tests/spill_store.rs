@@ -167,7 +167,6 @@ fn compaction_under_concurrent_load_never_tears_an_answer() {
                 compact_dead_percent: 5,
                 compact_min_dead_bytes: 512,
                 retier_interval: 16,
-                heat_decay_window: 0,
             },
             SegmentConfig {
                 block_len: 8,

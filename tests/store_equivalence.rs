@@ -150,12 +150,11 @@ impl Engine {
 /// fabricated indexes.
 fn engines(lists: &[Vec<OrderedElement>]) -> (SingleMutexStore, Engine) {
     // Tiny blocks and tail so every case crosses block boundaries, seals
-    // the tail and compacts the segment stack.
+    // the tail into the last segment and starts new ones.
     let segment_config = SegmentConfig {
         block_len: 3,
         tail_threshold: 2,
         max_segment_elems: 12,
-        max_segments: 2,
         max_payload_bytes: u32::MAX as usize,
     };
     let index = fixture_index(lists);
@@ -191,7 +190,6 @@ fn engines(lists: &[Vec<OrderedElement>]) -> (SingleMutexStore, Engine) {
                 compact_dead_percent: 1,
                 compact_min_dead_bytes: 1,
                 retier_interval: 1,
-                heat_decay_window: 16,
             },
             segment_config,
         )
@@ -637,7 +635,6 @@ proptest! {
             block_len: 3,
             tail_threshold: 2,
             max_segment_elems: 12,
-            max_segments: 2,
             max_payload_bytes: u32::MAX as usize,
         };
         let spill_config = SpillConfig {
@@ -815,7 +812,6 @@ fn spilled_counts_come_from_running_totals_through_failures_and_recovery() {
         block_len: 3,
         tail_threshold: 2,
         max_segment_elems: 12,
-        max_segments: 2,
         max_payload_bytes: 4096,
     };
     let spill_config = SpillConfig {
