@@ -32,6 +32,7 @@
 
 use std::fs::OpenOptions;
 use std::io::{self, Read as _, Seek, SeekFrom, Write as _};
+use std::ops::Range;
 use std::path::Path;
 use std::sync::Arc;
 
@@ -308,12 +309,16 @@ const WAL_MIN_PAYLOAD: usize = 16 + ELEMENT_BYTES;
 /// beyond it is corruption, not data.
 const WAL_MAX_PAYLOAD: usize = 16 << 20;
 
-/// One decoded WAL record: the `seq`-th insert of its shard.
+/// One decoded WAL record: the `seq`-th insert of its shard, and where its
+/// frame sits in the scanned image.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct WalRecord {
     pub seq: u64,
     pub list: u64,
     pub element: OrderedElement,
+    /// The frame's byte range, header included: the record as it was
+    /// logged, the bytes replication ships.
+    pub frame: Range<usize>,
 }
 
 /// Encodes one insert as a CRC-framed WAL record.
@@ -384,8 +389,14 @@ pub(crate) fn scan_wal(bytes: &[u8]) -> WalScan {
             Ok(e) if at == payload.len() => e,
             _ => return torn(records),
         };
-        records.push(WalRecord { seq, list, element });
-        pos += WAL_FRAME_HEADER + len;
+        let end = pos + WAL_FRAME_HEADER + len;
+        records.push(WalRecord {
+            seq,
+            list,
+            element,
+            frame: pos..end,
+        });
+        pos = end;
     }
 }
 

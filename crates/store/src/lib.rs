@@ -41,9 +41,11 @@
 //!
 //! The durable layout doubles as the replication substrate ([`replication`]):
 //! a [`ReplicationSource`] streams checkpoint snapshots and the live WAL
-//! tail to [`Replica`]s, which bootstrap through the same validating
-//! recovery path, apply frames through the normal logged-insert path and
-//! serve bounded-staleness reads behind a [`ReplicaReadStore`].
+//! tail to [`Replica`]s.  A replica starts one way — recover its own root,
+//! or install one snapshot, through the same validating recovery path —
+//! applies frames through the normal logged-insert path, retries in one
+//! loop ([`Replica::catch_up`]) and serves bounded-staleness reads behind a
+//! [`ReplicaReadStore`].
 //!
 //! Engine and oracle share one generic cursor-session table
 //! ([`store::OrderedList`]), so sessions, insert generations, owner checks,
@@ -70,7 +72,7 @@ pub use error::StoreError;
 pub use lockrank::{LockClass, RankGuard};
 pub use oracle::{SingleMutexStore, VecList};
 pub use replication::{
-    Backoff, FrameBatch, InProcessTransport, PumpOutcome, Replica, ReplicaConfig, ReplicaReadStore,
+    FrameBatch, InProcessTransport, PumpOutcome, Replica, ReplicaConfig, ReplicaReadStore,
     ReplicaStats, ReplicaTransport, ReplicationSource, SnapshotFile, SnapshotPayload,
     TransportError, WireFrame,
 };

@@ -17,6 +17,8 @@
 //! Release builds compile the checker away: [`RankGuard`] and
 //! [`IoSanction`] are zero-sized and no thread-local is touched.
 
+use std::ops::{Deref, DerefMut};
+
 /// Lock classes in their global acquisition order.  The numeric value is
 /// the class's rank; ties within a class are broken by the `id` passed to
 /// [`acquire`] (the shard index for [`LockClass::Shard`]).
@@ -36,13 +38,35 @@ pub enum Mode {
 }
 
 /// RAII witness of one ranked acquisition; dropping it releases the rank.
-/// Keep it alive exactly as long as the lock guard it ranks — in a wrapper
-/// struct, declare the lock guard field *first* so it drops before the
-/// rank does.
+/// Keep it alive exactly as long as the lock guard it ranks — [`Ranked`]
+/// pairs the two.
 #[must_use]
 pub struct RankGuard {
     #[cfg(debug_assertions)]
     key: (LockClass, usize),
+}
+
+/// A lock guard paired with the rank it holds, dereferencing to what the
+/// lock protects.  The lock guard is declared first, so it drops before
+/// the rank pops.
+#[must_use]
+pub(crate) struct Ranked<G> {
+    guard: G,
+    _rank: RankGuard,
+}
+
+impl<G: Deref> Deref for Ranked<G> {
+    type Target = G::Target;
+
+    fn deref(&self) -> &G::Target {
+        &self.guard
+    }
+}
+
+impl<G: DerefMut> DerefMut for Ranked<G> {
+    fn deref_mut(&mut self) -> &mut G::Target {
+        &mut self.guard
+    }
 }
 
 /// RAII witness of a [`sanctioned_io`] scope; dropping it ends the scope.
@@ -91,6 +115,22 @@ pub fn acquire(class: LockClass, id: usize, mode: Mode) -> RankGuard {
     {
         let _ = (class, id, mode);
         RankGuard {}
+    }
+}
+
+/// Takes a lock under the rank discipline: records `(class, id)` in `mode`
+/// via [`acquire`], then blocks in `lock`.
+#[track_caller]
+pub(crate) fn ranked<G>(
+    class: LockClass,
+    id: usize,
+    mode: Mode,
+    lock: impl FnOnce() -> G,
+) -> Ranked<G> {
+    let rank = acquire(class, id, mode);
+    Ranked {
+        guard: lock(),
+        _rank: rank,
     }
 }
 
@@ -165,6 +205,26 @@ mod tests {
         drop(b);
         let _reuse = acquire(LockClass::Store, 0, Mode::Read);
         let _shard = acquire(LockClass::Shard, 1, Mode::Read);
+    }
+
+    #[test]
+    fn a_ranked_guard_derefs_to_the_lock_and_releases_its_rank() {
+        let table = std::sync::Mutex::new(1);
+        {
+            let mut guard = ranked(LockClass::Shard, 2, Mode::Write, || table.lock().unwrap());
+            *guard += 1;
+        }
+        assert_eq!(*table.lock().unwrap(), 2);
+        let _again = acquire(LockClass::Shard, 2, Mode::Read);
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "lock-rank inversion")]
+    fn a_ranked_lock_records_its_rank_before_blocking() {
+        let _guard = ranked(LockClass::Shard, 3, Mode::Read, || {
+            acquire(LockClass::Shard, 1, Mode::Read)
+        });
     }
 
     #[cfg(debug_assertions)]

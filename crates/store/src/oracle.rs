@@ -24,7 +24,7 @@ use zerber_r::{OrderedElement, OrderedIndex, TRS_BYTES};
 
 use crate::convert::u64_of;
 use crate::error::StoreError;
-use crate::lockrank::{self, LockClass, Mode};
+use crate::lockrank::{self, LockClass, Mode, Ranked};
 use crate::store::{
     CursorId, GroupFilter, ListStore, ListTable, OrderedList, RangedBatch, RangedFetch,
     SessionStats, StoreMetrics,
@@ -228,12 +228,8 @@ impl SingleMutexStore {
     /// Acquires the global mutex under the lock-rank discipline.  The
     /// oracle is one lock domain, ranked like shard 0 of the sharded store
     /// (see [`crate::lockrank`] for the global order).
-    fn locked(&self) -> LockedTable<'_> {
-        let rank = lockrank::acquire(LockClass::Shard, 0, Mode::Write);
-        LockedTable {
-            guard: self.inner.lock(),
-            _rank: rank,
-        }
+    fn locked(&self) -> Ranked<MutexGuard<'_, ListTable<VecList>>> {
+        lockrank::ranked(LockClass::Shard, 0, Mode::Write, || self.inner.lock())
     }
 
     fn check(&self, list: MergedListId) -> Result<usize, StoreError> {
@@ -243,27 +239,6 @@ impl SingleMutexStore {
         } else {
             Err(StoreError::UnknownList(list.0))
         }
-    }
-}
-
-/// The ranked guard over the global table mutex (lock guard declared first
-/// so it drops before the rank pops).
-struct LockedTable<'a> {
-    guard: MutexGuard<'a, ListTable<VecList>>,
-    _rank: lockrank::RankGuard,
-}
-
-impl std::ops::Deref for LockedTable<'_> {
-    type Target = ListTable<VecList>;
-
-    fn deref(&self) -> &ListTable<VecList> {
-        &self.guard
-    }
-}
-
-impl std::ops::DerefMut for LockedTable<'_> {
-    fn deref_mut(&mut self) -> &mut ListTable<VecList> {
-        &mut self.guard
     }
 }
 

@@ -1,5 +1,5 @@
 //! Primary→replica index replication: checkpoint/WAL streaming with
-//! fault-injected catch-up, retry/backoff and bounded-staleness reads.
+//! fault-tolerant catch-up and bounded-staleness reads.
 //!
 //! The durable [`SpillStore`] already mints everything a replication stream
 //! needs: CRC-framed `(seq, list, element)` WAL records (the live tail) and
@@ -9,29 +9,32 @@
 //! * [`ReplicationSource`] — the primary side.  Serves a **snapshot** (the
 //!   `store.meta` identity block plus, per shard, the current manifest, the
 //!   page file of the generation it references and the live WAL tail — every
-//!   byte CRC-carried) and a **WAL tail subscription**: wire-ready frames
-//!   with `seq > from`, per shard, straight out of the live log.  When a
+//!   byte CRC-carried) and a **WAL tail subscription**: the logged frames
+//!   with `seq > from`, per shard, sliced out of the live log.  When a
 //!   checkpoint has already reset the records a subscriber needs, the source
 //!   says so (`need_snapshot`) instead of silently skipping history.
-//! * [`Replica`] — bootstraps by writing the snapshot into its own root and
-//!   opening it through the existing *fully validating* recovery path
-//!   (`SpillStore::assemble`, per-page CRC, WAL replay, post-recovery
-//!   audit), then applies streamed frames through the normal logged-insert
-//!   path — so the replica's own WAL/checkpoint state tracks the primary's
-//!   sequence space exactly and a crashed replica recovers like any durable
-//!   store.  Apply is idempotent: `seq <= applied` frames are skipped and
-//!   metered; out-of-order frames are dropped and re-polled (the transport
-//!   resumes from the last applied sequence); a true history gap — the
-//!   source can no longer supply the tail — triggers a full re-snapshot
-//!   rather than silent divergence.
+//! * [`Replica`] — starts one way ([`Replica::bootstrap`]): it recovers the
+//!   newest generation directory under its root through the *fully
+//!   validating* recovery path (`SpillStore::open`: per-page CRC, WAL
+//!   replay, post-recovery audit), and only when none recovers installs one
+//!   fetched snapshot as `gen-0`.  It then applies streamed frames through
+//!   the normal logged-insert path — so the replica's own WAL/checkpoint
+//!   state tracks the primary's sequence space exactly and a crashed replica
+//!   restarts like any durable store.  Apply is idempotent: `seq <= applied`
+//!   frames are skipped and metered; out-of-order frames are dropped and
+//!   re-polled (the transport resumes from the last applied sequence); a
+//!   true history gap — the source can no longer supply the tail — installs
+//!   the next snapshot as `gen-N+1` the same way, rather than diverging.
 //! * [`ReplicaTransport`] — the fallible seam between them.  The in-process
 //!   implementation ([`InProcessTransport`]) calls the source directly but
 //!   ships the same wire-shaped bytes a socket implementation would, and the
 //!   replication suite's deterministic fault shim
 //!   (`tests/common/fault_transport.rs`) tears, bit-flips, duplicates and
-//!   reorders frames, drops connections and kills the stream after a budget
-//!   — every fault the reconnect loop (capped exponential [`Backoff`] with
-//!   jitter, resume-from-last-applied) must absorb.
+//!   reorders frames, corrupts snapshots, drops connections and kills the
+//!   stream after a budget.  Every such failure is one
+//!   [`PumpOutcome::Disconnected`]: [`Replica::pump`] never sleeps or
+//!   retries, and [`Replica::catch_up`] — the one retry loop — sleeps a
+//!   capped exponential backoff, jittered per replica root, between pumps.
 //! * [`ReplicaReadStore`] — the serving wrapper: a [`ListStore`] over the
 //!   replica that an `IndexServer` serves from like any engine, but guards
 //!   every read with a bounded-staleness check — a replica lagging the
@@ -48,7 +51,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use parking_lot::RwLock;
+use parking_lot::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 use zerber_base::{MergePlan, MergedListId};
 use zerber_corpus::GroupId;
 use zerber_r::OrderedElement;
@@ -56,41 +59,33 @@ use zerber_r::OrderedElement;
 use crate::convert::{u64_of, usize_of};
 use crate::durable::{crc32, io_err, scan_wal, PageIo, RealIo, WalRecord};
 use crate::error::StoreError;
-use crate::lockrank::{self, LockClass, Mode};
+use crate::lockrank::{self, LockClass, Mode, Ranked};
 use crate::sharded::SpillStore;
 use crate::spill::{WalTail, STORE_META_NAME};
 use crate::store::{CursorId, ListStore, RangedBatch, RangedFetch, SessionStats, StoreMetrics};
 
 // ---------------------------------------------------------------------------
-// Backoff: the reusable reconnect-delay policy.
+// Backoff: the reconnect-delay policy of `Replica::catch_up`.
 // ---------------------------------------------------------------------------
 
-/// Capped exponential backoff with deterministic jitter: delay doubles from
-/// `base` up to `cap`, each draw jittered uniformly into `[delay/2, delay]`
-/// so a fleet of replicas reconnecting after the same outage spreads out.
-/// `reset` (called on any successful exchange) returns to `base`.  The
-/// jitter source is a seeded xorshift, so a fixed seed replays the exact
-/// same delay sequence — the unit tests (and any future socket ingress
-/// reusing this helper) get reproducible schedules.
+/// Capped exponential backoff with deterministic jitter: the delay doubles
+/// from [`Backoff::BASE`] up to [`Backoff::CAP`], each draw jittered
+/// uniformly into `[delay/2, delay]`.  `reset` (called on any successful
+/// exchange) returns to the base.  The jitter source is a xorshift seeded
+/// per replica root, so replicas reconnecting after the same outage spread
+/// out, and one root replays the same delay sequence.
 #[derive(Debug, Clone)]
-pub struct Backoff {
-    base: Duration,
-    cap: Duration,
+struct Backoff {
     attempt: u32,
     rng: u64,
 }
 
 impl Backoff {
-    /// A backoff from `base` doubling up to `cap`, with the default seed.
-    pub fn new(base: Duration, cap: Duration) -> Backoff {
-        Backoff::with_seed(base, cap, 0x9e37_79b9_7f4a_7c15)
-    }
+    const BASE: Duration = Duration::from_millis(10);
+    const CAP: Duration = Duration::from_secs(5);
 
-    /// Like [`Backoff::new`] with an explicit jitter seed (tests).
-    pub fn with_seed(base: Duration, cap: Duration, seed: u64) -> Backoff {
+    fn new(seed: u64) -> Backoff {
         Backoff {
-            base,
-            cap,
             attempt: 0,
             // Xorshift needs a non-zero state.
             rng: seed | 1,
@@ -106,49 +101,44 @@ impl Backoff {
         x
     }
 
-    /// The next reconnect delay: `min(cap, base * 2^attempts)` jittered
+    /// The next reconnect delay: `min(CAP, BASE * 2^attempts)` jittered
     /// into `[delay/2, delay]`.  Advances the attempt counter.
-    pub fn next_delay(&mut self) -> Duration {
+    fn next_delay(&mut self) -> Duration {
         // Cap the shift so the multiplier cannot overflow; the duration
-        // itself saturates at `cap` anyway.
+        // itself saturates at `CAP` anyway.
         let factor = 1u32 << self.attempt.min(20);
         self.attempt = self.attempt.saturating_add(1);
-        let full = self.base.saturating_mul(factor).min(self.cap);
+        let full = Self::BASE.saturating_mul(factor).min(Self::CAP);
         let half = full / 2;
-        let jitter_nanos = full.saturating_sub(half).as_nanos();
-        if jitter_nanos == 0 {
-            return full;
-        }
-        let draw = self.next_rand() as u128 % (jitter_nanos + 1);
-        // Saturating narrow: a draw past u64 nanoseconds (itself centuries)
-        // can only shorten the jitter, never panic or wrap.
-        half + Duration::from_nanos(u64::try_from(draw).unwrap_or(u64::MAX))
+        let jitter = u64::try_from(full.saturating_sub(half).as_nanos()).unwrap_or(u64::MAX);
+        half + Duration::from_nanos(self.next_rand() % jitter.saturating_add(1))
     }
 
-    /// Reconnect attempts since the last reset.
-    pub fn attempts(&self) -> u32 {
-        self.attempt
-    }
-
-    /// Returns to the base delay (called after any successful exchange).
-    pub fn reset(&mut self) {
+    fn reset(&mut self) {
         self.attempt = 0;
     }
+}
+
+/// FNV-1a over a replica root's path: the seed of its backoff jitter.
+fn root_seed(root: &Path) -> u64 {
+    root.as_os_str()
+        .as_encoded_bytes()
+        .iter()
+        .fold(0xcbf2_9ce4_8422_2325, |hash, &byte| {
+            (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3)
+        })
 }
 
 // ---------------------------------------------------------------------------
 // The wire shapes and the transport seam.
 // ---------------------------------------------------------------------------
 
-/// Transport-level failures the catch-up loop must absorb.
+/// A transport failure: the pump reports it as
+/// [`PumpOutcome::Disconnected`], and the next pump resumes from the last
+/// applied sequence.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TransportError {
-    /// Connection-level failure — reconnect with backoff and resume from
-    /// the last applied sequence.
     Disconnected(String),
-    /// Simulated death of the replica process (fault injection): the
-    /// harness tears the replica down and recovers it from its own root.
-    Killed,
 }
 
 /// One file of a snapshot, CRC-carried so a corrupted transfer is detected
@@ -338,13 +328,6 @@ pub struct ReplicaConfig {
     pub max_lag: u64,
     /// Most frames one transport poll requests.
     pub batch_frames: usize,
-    /// Reconnect backoff: initial delay.
-    pub backoff_base: Duration,
-    /// Reconnect backoff: delay cap.
-    pub backoff_cap: Duration,
-    /// Most consecutive transport attempts a bootstrap or re-snapshot makes
-    /// before giving up.
-    pub max_attempts: u32,
 }
 
 impl Default for ReplicaConfig {
@@ -354,9 +337,6 @@ impl Default for ReplicaConfig {
             durable: crate::durable::DurableConfig::default(),
             max_lag: 1024,
             batch_frames: 256,
-            backoff_base: Duration::from_millis(10),
-            backoff_cap: Duration::from_secs(5),
-            max_attempts: 16,
         }
     }
 }
@@ -404,57 +384,14 @@ impl ReplicaShared {
     /// the slot ranks *above* pool state and *below* every shard lock, so a
     /// serving path may hold the slot guard across the store calls it makes
     /// (see [`crate::lockrank`]).
-    fn store_read(&self) -> StoreSlotRead<'_> {
-        let rank = lockrank::acquire(LockClass::Store, 0, Mode::Read);
-        StoreSlotRead {
-            guard: self.store.read(),
-            _rank: rank,
-        }
+    fn store_read(&self) -> Ranked<RwLockReadGuard<'_, Arc<SpillStore>>> {
+        lockrank::ranked(LockClass::Store, 0, Mode::Read, || self.store.read())
     }
 
     /// Acquires the store-slot write lock (re-snapshot swap only); same
     /// rank as [`Self::store_read`].
-    fn store_write(&self) -> StoreSlotWrite<'_> {
-        let rank = lockrank::acquire(LockClass::Store, 0, Mode::Write);
-        StoreSlotWrite {
-            guard: self.store.write(),
-            _rank: rank,
-        }
-    }
-}
-
-/// Ranked read guard over the replica's store slot (lock guard declared
-/// first so it drops before the rank pops).
-struct StoreSlotRead<'a> {
-    guard: parking_lot::RwLockReadGuard<'a, Arc<SpillStore>>,
-    _rank: lockrank::RankGuard,
-}
-
-impl std::ops::Deref for StoreSlotRead<'_> {
-    type Target = Arc<SpillStore>;
-
-    fn deref(&self) -> &Arc<SpillStore> {
-        &self.guard
-    }
-}
-
-/// Ranked write guard over the replica's store slot; see [`StoreSlotRead`].
-struct StoreSlotWrite<'a> {
-    guard: parking_lot::RwLockWriteGuard<'a, Arc<SpillStore>>,
-    _rank: lockrank::RankGuard,
-}
-
-impl std::ops::Deref for StoreSlotWrite<'_> {
-    type Target = Arc<SpillStore>;
-
-    fn deref(&self) -> &Arc<SpillStore> {
-        &self.guard
-    }
-}
-
-impl std::ops::DerefMut for StoreSlotWrite<'_> {
-    fn deref_mut(&mut self) -> &mut Arc<SpillStore> {
-        &mut self.guard
+    fn store_write(&self) -> Ranked<RwLockWriteGuard<'_, Arc<SpillStore>>> {
+        lockrank::ranked(LockClass::Store, 0, Mode::Write, || self.store.write())
     }
 }
 
@@ -475,18 +412,19 @@ pub enum PumpOutcome {
     /// A batch was delivered; `applied` frames advanced the replica,
     /// `skipped` were duplicates the idempotent apply discarded.
     Progress { applied: usize, skipped: usize },
-    /// The transport failed (or delivered a corrupt frame); the reconnect
-    /// will resume from the last applied sequence after `retry_in`.
+    /// The transport failed, or delivered a corrupt frame or snapshot; the
+    /// next pump, due after `retry_in`, resumes from the last applied
+    /// sequence.
     Disconnected { retry_in: Duration },
-    /// A history gap forced a full snapshot re-bootstrap.
+    /// A history gap was closed by installing a fresh snapshot.
     Resnapshotted,
     /// The replica is at the primary's head.
     CaughtUp,
 }
 
-/// A read replica: a durable [`SpillStore`] of its own, bootstrapped from a
-/// primary snapshot and kept current by applying streamed WAL frames
-/// through the normal logged-insert path.
+/// A read replica: a durable [`SpillStore`] of its own, recovered from its
+/// root or installed from a primary snapshot, and kept current by applying
+/// streamed WAL frames through the normal logged-insert path.
 #[derive(Debug)]
 pub struct Replica {
     transport: Arc<dyn ReplicaTransport>,
@@ -499,10 +437,11 @@ pub struct Replica {
 }
 
 impl Replica {
-    /// Bootstraps a fresh replica under `root` (production IO): fetch a
-    /// snapshot (retrying with backoff up to `max_attempts`), write it into
-    /// `root/gen-0`, open it through the validating recovery path and
-    /// subscribe from the recovered position.
+    /// Starts a replica under `root` (production IO): recover the newest
+    /// generation directory that passes the full recovery audit, removing
+    /// every other one, or — when none recovers — fetch one snapshot and
+    /// install it as `root/gen-0`; then subscribe from the local position.
+    /// A failed or corrupt fetch is an error: there is nothing to serve.
     pub fn bootstrap(
         transport: Arc<dyn ReplicaTransport>,
         root: impl Into<PathBuf>,
@@ -521,92 +460,32 @@ impl Replica {
     ) -> Result<Replica, StoreError> {
         let root = root.into();
         fs::create_dir_all(&root).map_err(io_err)?;
-        let mut backoff = Backoff::new(config.backoff_base, config.backoff_cap);
-        let mut retries = 0u64;
-        let (store, heads) = fetch_and_open(
-            &*transport,
-            &root.join("gen-0"),
-            &config,
-            &backend,
-            &mut backoff,
-            &mut retries,
-        )?;
-        let num_shards = store.num_shards();
-        let applied = store.wal_applied_seqs();
-        let shared = Arc::new(ReplicaShared {
-            store: RwLock::new(Arc::new(store)),
-            applied: applied.into_iter().map(AtomicU64::new).collect(),
-            heads: (0..num_shards).map(|_| AtomicU64::new(0)).collect(),
-            frames_streamed: AtomicU64::new(0),
-            frames_skipped: AtomicU64::new(0),
-            resnapshots: AtomicU64::new(0),
-            reconnects: AtomicU64::new(retries),
-        });
-        store_heads(&shared, &heads);
-        Ok(Replica {
-            transport,
-            root,
-            backend,
-            config,
-            shared,
-            backoff,
-            generation: 0,
-        })
-    }
-
-    /// Reopens a crashed or cleanly shut down replica from its root
-    /// (production IO): recover the newest generation directory that passes
-    /// the full recovery audit, discard half-written newer ones, and
-    /// re-subscribe from the recovered position.
-    pub fn reopen(
-        transport: Arc<dyn ReplicaTransport>,
-        root: impl Into<PathBuf>,
-        config: ReplicaConfig,
-    ) -> Result<Replica, StoreError> {
-        let backend = RealIo::shared();
-        let root = root.into();
-        let mut gens: Vec<u64> = fs::read_dir(&root)
-            .map_err(io_err)?
-            .flatten()
-            .filter_map(|e| {
-                e.file_name()
-                    .to_str()
-                    .and_then(|n| n.strip_prefix("gen-").and_then(|g| g.parse().ok()))
-            })
-            .collect();
-        gens.sort_unstable_by(|a, b| b.cmp(a));
-        let mut adopted = None;
-        for gen in gens {
-            let dir = root.join(format!("gen-{gen}"));
-            if adopted.is_some() {
-                // An older generation a completed re-snapshot superseded.
-                let _ = fs::remove_dir_all(&dir);
-                continue;
+        let (generation, store, heads) = match recover(&root, &config, &backend)? {
+            Some((generation, store)) => {
+                // Until the first poll the primary's head is unknown; start
+                // at the local position (lag reads 0, the first exchange
+                // corrects it).
+                let heads = store.wal_applied_seqs();
+                (generation, store, heads)
             }
-            match SpillStore::open_with_io(&dir, config.spill, config.durable, Arc::clone(&backend))
-            {
-                Ok(store) => adopted = Some((gen, store)),
-                Err(_) => {
-                    // A half-written re-snapshot a crash interrupted.
-                    let _ = fs::remove_dir_all(&dir);
-                }
+            None => {
+                let payload = fetch_snapshot(&*transport).map_err(
+                    |TransportError::Disconnected(reason)| {
+                        StoreError::Io(format!("replica bootstrap: {reason}"))
+                    },
+                )?;
+                let store = install(&root.join("gen-0"), &payload, &config, &backend)?;
+                (0, store, payload.heads)
             }
-        }
-        let (generation, store) = adopted.ok_or_else(|| {
-            StoreError::RecoveryFailed(format!(
-                "no recoverable replica generation under {}",
-                root.display()
-            ))
-        })?;
-        let applied = store.wal_applied_seqs();
-        let backoff = Backoff::new(config.backoff_base, config.backoff_cap);
+        };
         let shared = Arc::new(ReplicaShared {
+            applied: store
+                .wal_applied_seqs()
+                .into_iter()
+                .map(AtomicU64::new)
+                .collect(),
+            heads: heads.into_iter().map(AtomicU64::new).collect(),
             store: RwLock::new(Arc::new(store)),
-            applied: applied.iter().copied().map(AtomicU64::new).collect(),
-            // Until the first poll the primary's head is unknown; start at
-            // the local position (lag reads 0, the first exchange corrects
-            // it).
-            heads: applied.into_iter().map(AtomicU64::new).collect(),
             frames_streamed: AtomicU64::new(0),
             frames_skipped: AtomicU64::new(0),
             resnapshots: AtomicU64::new(0),
@@ -614,11 +493,11 @@ impl Replica {
         });
         Ok(Replica {
             transport,
+            backoff: Backoff::new(root_seed(&root)),
             root,
             backend,
             config,
             shared,
-            backoff,
             generation,
         })
     }
@@ -666,28 +545,21 @@ impl Replica {
     }
 
     /// One transport exchange: poll the tail from the last applied
-    /// position, validate and apply what arrived.  Never sleeps — a
-    /// [`PumpOutcome::Disconnected`] returns the delay the backoff chose
-    /// and the caller decides ([`Replica::catch_up`] sleeps it).
+    /// position, validate and apply what arrived — or, past a history gap,
+    /// fetch and install one snapshot.  Never sleeps and never retries: a
+    /// transport failure is a [`PumpOutcome::Disconnected`] carrying the
+    /// delay the backoff chose, and the caller decides
+    /// ([`Replica::catch_up`] sleeps it).  `Err` is the replica's own
+    /// store failing.
     pub fn pump(&mut self) -> Result<PumpOutcome, StoreError> {
         let from = self.applied_seqs();
         let batch = match self.transport.poll_frames(&from, self.config.batch_frames) {
-            Ok(batch) => batch,
-            Err(TransportError::Killed) => {
-                return Err(StoreError::Io(
-                    "replica transport killed (injected fault)".to_string(),
-                ))
-            }
-            Err(TransportError::Disconnected(_)) => return Ok(self.disconnected()),
+            Ok(batch) if batch.heads.len() == self.shared.heads.len() => batch,
+            _ => return Ok(self.disconnected()),
         };
-        if batch.heads.len() == self.shared.heads.len() {
-            store_heads(&self.shared, &batch.heads);
-        } else {
-            return Ok(self.disconnected());
-        }
+        store_heads(&self.shared, &batch.heads);
         if batch.need_snapshot {
-            self.resnapshot()?;
-            return Ok(PumpOutcome::Resnapshotted);
+            return self.resnapshot();
         }
         // Per-frame CRC validation: a torn or bit-flipped frame is counted
         // and discarded, the clean frames of the same batch still apply.
@@ -761,11 +633,7 @@ impl Replica {
         for _ in 0..max_pumps {
             match self.pump()? {
                 PumpOutcome::CaughtUp => return Ok(()),
-                PumpOutcome::Disconnected { retry_in } => {
-                    if !retry_in.is_zero() {
-                        std::thread::sleep(retry_in);
-                    }
-                }
+                PumpOutcome::Disconnected { retry_in } => std::thread::sleep(retry_in),
                 PumpOutcome::Progress { .. } | PumpOutcome::Resnapshotted => {}
             }
         }
@@ -781,28 +649,28 @@ impl Replica {
         }
     }
 
-    /// Full snapshot re-bootstrap into a fresh generation directory; the
-    /// serving store is swapped atomically and the superseded generation
-    /// removed.
-    fn resnapshot(&mut self) -> Result<(), StoreError> {
-        self.shared.resnapshots.fetch_add(1, Ordering::Relaxed);
-        let old_dir = self.root.join(format!("gen-{}", self.generation));
+    /// Closes a history gap: fetch one snapshot and install it as the next
+    /// generation, swap the serving store atomically and remove the
+    /// superseded generation.  A failed or corrupt fetch leaves the current
+    /// generation serving and reports a disconnect.
+    fn resnapshot(&mut self) -> Result<PumpOutcome, StoreError> {
+        let Ok(payload) = fetch_snapshot(&*self.transport) else {
+            return Ok(self.disconnected());
+        };
         let gen = self.generation + 1;
-        let mut retries = 0u64;
-        let (store, heads) = fetch_and_open(
-            &*self.transport,
+        let store = install(
             &self.root.join(format!("gen-{gen}")),
+            &payload,
             &self.config,
             &self.backend,
-            &mut self.backoff,
-            &mut retries,
         )?;
-        self.shared.reconnects.fetch_add(retries, Ordering::Relaxed);
         self.shared.adopt(Arc::new(store));
-        store_heads(&self.shared, &heads);
+        store_heads(&self.shared, &payload.heads);
+        let _ = fs::remove_dir_all(self.root.join(format!("gen-{}", self.generation)));
         self.generation = gen;
-        let _ = fs::remove_dir_all(&old_dir);
-        Ok(())
+        self.shared.resnapshots.fetch_add(1, Ordering::Relaxed);
+        self.backoff.reset();
+        Ok(PumpOutcome::Resnapshotted)
     }
 }
 
@@ -822,62 +690,46 @@ fn decode_wire_frame(frame: &WireFrame) -> Option<WalRecord> {
     scan.records.into_iter().next()
 }
 
-/// Fetches a snapshot (retrying transport failures and CRC mismatches with
-/// backoff), writes it into `dir` and opens it through the fully validating
-/// recovery path.
-fn fetch_and_open(
-    transport: &dyn ReplicaTransport,
-    dir: &Path,
+/// Recovers the newest `gen-*` directory under `root` that opens through
+/// the full recovery audit, and removes every other one: older generations
+/// a completed re-snapshot superseded, and newer ones a crash left
+/// half-written.  `None` when no generation recovers.
+fn recover(
+    root: &Path,
     config: &ReplicaConfig,
     backend: &Arc<dyn PageIo>,
-    backoff: &mut Backoff,
-    retries: &mut u64,
-) -> Result<(SpillStore, Vec<u64>), StoreError> {
-    let mut last_error = String::new();
-    for _ in 0..config.max_attempts.max(1) {
-        let payload = match transport.fetch_snapshot() {
-            Ok(payload) => payload,
-            Err(TransportError::Killed) => {
-                return Err(StoreError::Io(
-                    "replica transport killed (injected fault)".to_string(),
-                ))
-            }
-            Err(TransportError::Disconnected(reason)) => {
-                last_error = reason;
-                *retries += 1;
-                let delay = backoff.next_delay();
-                if !delay.is_zero() {
-                    std::thread::sleep(delay);
-                }
+) -> Result<Option<(u64, SpillStore)>, StoreError> {
+    let mut gens: Vec<u64> = fs::read_dir(root)
+        .map_err(io_err)?
+        .flatten()
+        .filter_map(|e| {
+            e.file_name()
+                .to_str()
+                .and_then(|n| n.strip_prefix("gen-").and_then(|g| g.parse().ok()))
+        })
+        .collect();
+    gens.sort_unstable_by(|a, b| b.cmp(a));
+    let mut adopted = None;
+    for gen in gens {
+        let dir = root.join(format!("gen-{gen}"));
+        if adopted.is_none() {
+            if let Ok(store) =
+                SpillStore::open_with_io(&dir, config.spill, config.durable, Arc::clone(backend))
+            {
+                adopted = Some((gen, store));
                 continue;
             }
-        };
-        if let Err(reason) = verify_snapshot(&payload) {
-            last_error = reason;
-            *retries += 1;
-            let delay = backoff.next_delay();
-            if !delay.is_zero() {
-                std::thread::sleep(delay);
-            }
-            continue;
         }
-        write_snapshot(dir, &payload, backend)?;
-        let store =
-            SpillStore::open_with_io(dir, config.spill, config.durable, Arc::clone(backend))?;
-        if payload.heads.len() != store.num_shards() {
-            return Err(StoreError::Io(format!(
-                "snapshot carries {} heads, store has {} shards",
-                payload.heads.len(),
-                store.num_shards()
-            )));
-        }
-        backoff.reset();
-        return Ok((store, payload.heads));
+        let _ = fs::remove_dir_all(&dir);
     }
-    Err(StoreError::Io(format!(
-        "snapshot fetch failed after {} attempts: {last_error}",
-        config.max_attempts.max(1)
-    )))
+    Ok(adopted)
+}
+
+/// Fetches one snapshot and checks it before anything touches the root.
+fn fetch_snapshot(transport: &dyn ReplicaTransport) -> Result<SnapshotPayload, TransportError> {
+    let payload = transport.fetch_snapshot()?;
+    verify_snapshot(&payload).map_err(TransportError::Disconnected)?;
+    Ok(payload)
 }
 
 fn verify_snapshot(payload: &SnapshotPayload) -> Result<(), String> {
@@ -897,18 +749,29 @@ fn verify_snapshot(payload: &SnapshotPayload) -> Result<(), String> {
     Ok(())
 }
 
-fn write_snapshot(
+/// Writes a verified snapshot into `dir` and opens it through the fully
+/// validating recovery path; the snapshot must carry one head per shard.
+fn install(
     dir: &Path,
     payload: &SnapshotPayload,
+    config: &ReplicaConfig,
     backend: &Arc<dyn PageIo>,
-) -> Result<(), StoreError> {
+) -> Result<SpillStore, StoreError> {
     fs::create_dir_all(dir).map_err(io_err)?;
     for file in &payload.files {
         let mut out = backend.open(&dir.join(&file.name), true).map_err(io_err)?;
         out.write_at(0, &file.bytes).map_err(io_err)?;
         out.sync().map_err(io_err)?;
     }
-    Ok(())
+    let store = SpillStore::open_with_io(dir, config.spill, config.durable, Arc::clone(backend))?;
+    if payload.heads.len() != store.num_shards() {
+        return Err(StoreError::Io(format!(
+            "snapshot carries {} heads, store has {} shards",
+            payload.heads.len(),
+            store.num_shards()
+        )));
+    }
+    Ok(store)
 }
 
 // ---------------------------------------------------------------------------
@@ -1076,46 +939,42 @@ mod tests {
 
     #[test]
     fn backoff_doubles_to_the_cap_with_bounded_jitter() {
-        let base = Duration::from_millis(10);
-        let cap = Duration::from_millis(100);
-        let mut b = Backoff::with_seed(base, cap, 7);
-        let mut expected_full = base;
-        for _ in 0..8 {
+        let mut b = Backoff::new(7);
+        let mut expected_full = Backoff::BASE;
+        // 10 ms doubles past the 5 s cap on the tenth draw.
+        for _ in 0..12 {
             let d = b.next_delay();
             assert!(d >= expected_full / 2, "jitter fell below half: {d:?}");
             assert!(d <= expected_full, "jitter exceeded the full delay: {d:?}");
-            expected_full = (expected_full * 2).min(cap);
+            expected_full = (expected_full * 2).min(Backoff::CAP);
         }
-        // Saturated at the cap: the draw stays within [cap/2, cap].
-        let d = b.next_delay();
-        assert!(d >= cap / 2 && d <= cap);
-        assert_eq!(b.attempts(), 9);
+        assert_eq!(expected_full, Backoff::CAP);
+        assert_eq!(b.attempt, 12);
     }
 
     #[test]
     fn backoff_reset_returns_to_the_base_and_replays_deterministically() {
-        let base = Duration::from_millis(4);
-        let cap = Duration::from_secs(1);
-        let mut a = Backoff::with_seed(base, cap, 99);
+        let mut a = Backoff::new(99);
         let first: Vec<Duration> = (0..5).map(|_| a.next_delay()).collect();
         a.reset();
-        assert_eq!(a.attempts(), 0);
+        assert_eq!(a.attempt, 0);
         // After reset the *schedule* restarts at the base even though the
         // jitter stream continues.
-        let after_reset = a.next_delay();
-        assert!(after_reset <= base);
+        assert!(a.next_delay() <= Backoff::BASE);
         // A fresh backoff with the same seed replays the same sequence.
-        let mut b = Backoff::with_seed(base, cap, 99);
+        let mut b = Backoff::new(99);
         let replay: Vec<Duration> = (0..5).map(|_| b.next_delay()).collect();
         assert_eq!(first, replay);
     }
 
     #[test]
-    fn zero_base_backoff_never_sleeps() {
-        let mut b = Backoff::new(Duration::ZERO, Duration::ZERO);
-        for _ in 0..40 {
-            assert_eq!(b.next_delay(), Duration::ZERO);
-        }
+    fn replicas_in_different_roots_draw_different_jitter() {
+        let draws = |root: &str| {
+            let mut b = Backoff::new(root_seed(Path::new(root)));
+            (0..8).map(|_| b.next_delay()).collect::<Vec<_>>()
+        };
+        assert_eq!(draws("/srv/replica-a"), draws("/srv/replica-a"));
+        assert_ne!(draws("/srv/replica-a"), draws("/srv/replica-b"));
     }
 
     #[test]

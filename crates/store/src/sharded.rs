@@ -33,7 +33,6 @@
 //! the paging lifecycles' constructors and maintenance live in
 //! [`crate::spill`].
 
-use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -44,7 +43,7 @@ use zerber_r::{OrderedElement, OrderedIndex};
 
 use crate::convert::u64_of;
 use crate::error::StoreError;
-use crate::lockrank::{self, LockClass, Mode};
+use crate::lockrank::{self, LockClass, Mode, Ranked};
 use crate::segment::SegmentConfig;
 use crate::spill::{DurableState, Pager, SpillList};
 use crate::store::{
@@ -77,41 +76,10 @@ pub struct SpillStore {
     pub(crate) durable: Option<DurableState>,
 }
 
-/// A ranked shard read guard: the lock rank is registered *before* blocking
-/// on the lock and released after the guard drops (field order: the lock
-/// guard is declared first, so it drops before the rank pops).
-pub(crate) struct ShardRead<'a> {
-    guard: RwLockReadGuard<'a, ListTable<SpillList>>,
-    _rank: lockrank::RankGuard,
-}
-
-impl Deref for ShardRead<'_> {
-    type Target = ListTable<SpillList>;
-
-    fn deref(&self) -> &ListTable<SpillList> {
-        &self.guard
-    }
-}
-
-/// A ranked shard write guard; see [`ShardRead`].
-pub(crate) struct ShardWrite<'a> {
-    guard: RwLockWriteGuard<'a, ListTable<SpillList>>,
-    _rank: lockrank::RankGuard,
-}
-
-impl Deref for ShardWrite<'_> {
-    type Target = ListTable<SpillList>;
-
-    fn deref(&self) -> &ListTable<SpillList> {
-        &self.guard
-    }
-}
-
-impl DerefMut for ShardWrite<'_> {
-    fn deref_mut(&mut self) -> &mut ListTable<SpillList> {
-        &mut self.guard
-    }
-}
+/// A ranked shard read guard (see [`lockrank::ranked`]).
+pub(crate) type ShardRead<'a> = Ranked<RwLockReadGuard<'a, ListTable<SpillList>>>;
+/// A ranked shard write guard.
+pub(crate) type ShardWrite<'a> = Ranked<RwLockWriteGuard<'a, ListTable<SpillList>>>;
 
 /// The shard count matched to the machine (`available_parallelism`, clamped
 /// to `[1, 64]`).
@@ -231,21 +199,17 @@ impl SpillStore {
     /// session").  Every shard acquisition funnels through here or
     /// [`Self::shard_write`].
     pub(crate) fn shard_read(&self, shard: usize) -> ShardRead<'_> {
-        let rank = lockrank::acquire(LockClass::Shard, shard, Mode::Read);
-        ShardRead {
-            guard: self.shards[shard].read(),
-            _rank: rank,
-        }
+        lockrank::ranked(LockClass::Shard, shard, Mode::Read, || {
+            self.shards[shard].read()
+        })
     }
 
     /// Acquires one shard's write lock under the lock-rank discipline; see
     /// [`Self::shard_read`] for the global order.
     pub(crate) fn shard_write(&self, shard: usize) -> ShardWrite<'_> {
-        let rank = lockrank::acquire(LockClass::Shard, shard, Mode::Write);
-        ShardWrite {
-            guard: self.shards[shard].write(),
-            _rank: rank,
-        }
+        lockrank::ranked(LockClass::Shard, shard, Mode::Write, || {
+            self.shards[shard].write()
+        })
     }
 }
 

@@ -1516,6 +1516,17 @@ impl DurableState {
         Ok(())
     }
 
+    /// The shard's WAL up to its acknowledged length, read under the append
+    /// mutex: it scans clean, every frame in it complete and CRC-valid.
+    fn wal_image(&self, shard: usize) -> Result<Vec<u8>, StoreError> {
+        let mut wal = self.wals[shard].lock();
+        let len = usize::try_from(wal.len)
+            .map_err(|_| StoreError::Io("WAL too large to read".to_string()))?;
+        let mut image = vec![0u8; len];
+        wal.file.read_at(0, &mut image).map_err(io_err)?;
+        Ok(image)
+    }
+
     /// Sequence number of the last record applied (and logged) on `shard`.
     /// Stable while the shard write lock is held.
     fn applied_seq(&self, shard: usize) -> u64 {
@@ -2024,26 +2035,17 @@ impl SpillStore {
         } else {
             Vec::new()
         };
-        let wal_name = wal_name(shard);
-        let wal_bytes = {
-            let mut wal = durable.wals[shard].lock();
-            let len = usize::try_from(wal.len)
-                .map_err(|_| StoreError::Io("WAL too large to snapshot".to_string()))?;
-            let mut buf = vec![0u8; len];
-            wal.file.read_at(0, &mut buf).map_err(io_err)?;
-            buf
-        };
         Ok(vec![
             (manifest_name, manifest_bytes),
             (pages_name, pages_bytes),
-            (wal_name, wal_bytes),
+            (wal_name(shard), durable.wal_image(shard)?),
         ])
     }
 
-    /// The live WAL tail of one shard past `from`, as wire-ready frames.
-    /// Returns [`WalTail::Gap`] when a checkpoint already reset the records
-    /// the subscriber needs — the caller must re-snapshot rather than
-    /// silently diverge.
+    /// The live WAL tail of one shard past `from`: at most `max` frames,
+    /// each the logged record's own bytes.  Returns [`WalTail::Gap`] when a
+    /// checkpoint already reset the records the subscriber needs — the
+    /// caller must re-snapshot rather than silently diverge.
     pub(crate) fn wal_frames_after(
         &self,
         shard: usize,
@@ -2051,31 +2053,26 @@ impl SpillStore {
         max: usize,
     ) -> Result<WalTail, StoreError> {
         let durable = self.replication_durable()?;
-        let image = {
-            let mut wal = durable.wals[shard].lock();
-            let len = usize::try_from(wal.len)
-                .map_err(|_| StoreError::Io("WAL too large to stream".to_string()))?;
-            let mut buf = vec![0u8; len];
-            wal.file.read_at(0, &mut buf).map_err(io_err)?;
-            buf
-        };
+        let image = durable.wal_image(shard)?;
         let head = durable.applied_seq(shard);
-        // The image is read under the append mutex against the
-        // acknowledged length, so it scans clean — every frame in it is
-        // complete and CRC-valid.
         let scan = scan_wal(&image);
         match scan.records.first() {
             Some(first) if from.saturating_add(1) < first.seq => return Ok(WalTail::Gap { head }),
             None if from < head => return Ok(WalTail::Gap { head }),
             _ => {}
         }
-        let mut frames = Vec::new();
-        for record in scan.records.into_iter().filter(|r| r.seq > from) {
-            if frames.len() >= max {
-                break;
-            }
-            frames.push(encode_wal_frame(record.seq, record.list, &record.element)?);
-        }
+        let frames = scan
+            .records
+            .into_iter()
+            .filter(|r| r.seq > from)
+            .take(max)
+            .map(|r| {
+                image
+                    .get(r.frame)
+                    .map(<[u8]>::to_vec)
+                    .ok_or(StoreError::Invariant("WAL frame outside its image"))
+            })
+            .collect::<Result<_, _>>()?;
         Ok(WalTail::Frames { frames, head })
     }
 
@@ -2301,8 +2298,8 @@ impl SpillStore {
 /// checkpoint already discarded them.
 #[derive(Debug)]
 pub(crate) enum WalTail {
-    /// Frames with `seq > from`, re-encoded in the WAL wire format, plus
-    /// the shard's current head (last applied) sequence.
+    /// Frames with `seq > from`, as logged, plus the shard's current head
+    /// (last applied) sequence.
     Frames { frames: Vec<Vec<u8>>, head: u64 },
     /// The records past `from` were folded into a checkpoint and reset out
     /// of the WAL — the subscriber must re-snapshot.

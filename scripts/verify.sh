@@ -131,7 +131,7 @@ bash -n scripts/perf_gate.sh
 # The non-test lines of crates/store/src + crates/protocol/src may only go
 # down: lower the ceiling (the landed total, rounded up to the next 25)
 # when a PR removes code, never raise it to make room.
-LOC_CEILING=8250
+LOC_CEILING=8100
 echo "==> line-count ratchet (scripts/loc.sh total <= $LOC_CEILING)"
 loc_table="$(scripts/loc.sh)"
 loc_total="$(awk '$2 == "total" { print $1 }' <<<"$loc_table")"

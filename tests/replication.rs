@@ -14,8 +14,8 @@
 //! durable layer's crash shim) freezes the replica's *own disk* at an
 //! exact IO boundary, modelling a replica process death mid-bootstrap or
 //! mid-apply.  The kill-at-every-boundary loop sweeps the latter over
-//! every recorded injection point, reopens the frozen directory with the
-//! production IO path, re-subscribes and requires convergence.
+//! every recorded injection point, restarts the replica on the frozen
+//! directory with the production IO path and requires convergence.
 
 mod common;
 #[path = "common/fault_io.rs"]
@@ -26,7 +26,6 @@ mod fault_transport;
 use std::fs;
 use std::path::Path;
 use std::sync::Arc;
-use std::time::Duration;
 
 use common::TempRoot;
 use fault_io::{FaultIo, FaultMode};
@@ -101,17 +100,13 @@ fn durable_config() -> DurableConfig {
     }
 }
 
-/// Zero-delay backoff (deterministic tests never sleep), small batches so
-/// catch-up takes several polls.
+/// Small batches, so catch-up takes several polls.
 fn replica_config() -> ReplicaConfig {
     ReplicaConfig {
         spill: spill_config(),
         durable: durable_config(),
         max_lag: 1 << 20,
         batch_frames: 5,
-        backoff_base: Duration::ZERO,
-        backoff_cap: Duration::ZERO,
-        max_attempts: 64,
     }
 }
 
@@ -300,10 +295,10 @@ fn fault_matrix_keeps_every_replica_state_a_prefix_of_history() {
         "faults forced retransmission"
     );
 
-    // The replica's own durable root survives all of it: reopen from disk
+    // The replica's own durable root survives all of it: restart from disk
     // and verify the converged state again through the full recovery path.
     drop(replica);
-    let reopened = Replica::reopen(
+    let reopened = Replica::bootstrap(
         faults as Arc<dyn ReplicaTransport>,
         root.join("replica"),
         replica_config(),
@@ -349,6 +344,138 @@ fn checkpoint_gap_forces_a_resnapshot_instead_of_divergence() {
         "stale generation left behind"
     );
     assert!(root.join("replica").join("gen-1").exists());
+}
+
+/// A snapshot that arrives corrupt is a disconnect like any other: the pump
+/// returns at once, the current generation keeps serving, and the next pump
+/// asks again and installs.
+#[test]
+fn a_corrupt_resnapshot_is_a_disconnect_and_the_next_pump_installs() {
+    let index = fixture_index(true);
+    let states = oracle_states(&index);
+    let root = TempRoot::new("corrupt-resnapshot");
+    let primary = create_primary(&root.join("primary"), index);
+    let source = ReplicationSource::new(Arc::clone(&primary)).unwrap();
+    // The bootstrap's fetch is the first (clean); the first re-snapshot
+    // fetch is the second (corrupt); the retry is the third (clean).
+    let faults = FaultTransport::new(
+        InProcessTransport::new(source) as Arc<dyn ReplicaTransport>,
+        FaultPlan {
+            corrupt_snapshot_every: 2,
+            ..FaultPlan::default()
+        },
+    );
+    let mut replica = Replica::bootstrap(
+        faults as Arc<dyn ReplicaTransport>,
+        root.join("replica"),
+        replica_config(),
+    )
+    .unwrap();
+    for (list, el) in insert_history() {
+        primary.insert(MergedListId(list as u64), el).unwrap();
+    }
+    primary.checkpoint().unwrap();
+
+    assert!(matches!(
+        replica.pump().unwrap(),
+        PumpOutcome::Disconnected { .. }
+    ));
+    let stats = replica.stats();
+    assert_eq!(stats.resnapshots, 0, "a failed fetch installs nothing");
+    assert_eq!(stats.reconnects, 1);
+    assert_prefix(&replica.store(), &states, "after the corrupt fetch");
+    assert!(root.join("replica").join("gen-0").exists());
+
+    assert_eq!(replica.pump().unwrap(), PumpOutcome::Resnapshotted);
+    assert_converged(&replica.store(), &states, "post-resnapshot");
+    assert_eq!(replica.stats().resnapshots, 1);
+    assert_eq!(replica.lag(), 0);
+    assert!(!root.join("replica").join("gen-0").exists());
+    assert!(root.join("replica").join("gen-1").exists());
+}
+
+/// A replica restarts from its own root: the second bootstrap of a root
+/// recovers what the first one held, through a transport that is dead.
+#[test]
+fn bootstrap_recovers_its_own_root_without_the_transport() {
+    let index = fixture_index(true);
+    let states = oracle_states(&index);
+    let root = TempRoot::new("restart-offline");
+    let primary = create_primary(&root.join("primary"), index);
+    let history = insert_history();
+    let (before, after) = history.split_at(history.len() / 2);
+    for (list, el) in before {
+        primary
+            .insert(MergedListId(*list as u64), el.clone())
+            .unwrap();
+    }
+    let source = ReplicationSource::new(Arc::clone(&primary)).unwrap();
+    let faults = FaultTransport::new(
+        InProcessTransport::new(source) as Arc<dyn ReplicaTransport>,
+        FaultPlan {
+            kill_after: Some(0),
+            ..FaultPlan::default()
+        },
+    );
+    let mut replica = Replica::bootstrap(
+        Arc::clone(&faults) as Arc<dyn ReplicaTransport>,
+        root.join("replica"),
+        replica_config(),
+    )
+    .unwrap();
+    let (list, el) = &after[0];
+    primary
+        .insert(MergedListId(*list as u64), el.clone())
+        .unwrap();
+    // The first frame delivered kills the transport; nothing applies.
+    let _ = replica.pump();
+    assert!(faults.killed());
+    let held: Vec<_> = (0..NUM_LISTS as u64)
+        .map(|l| replica.store().snapshot_list(MergedListId(l)).unwrap())
+        .collect();
+    let applied = replica.applied_seqs();
+    drop(replica);
+
+    let restarted = Replica::bootstrap(
+        faults as Arc<dyn ReplicaTransport>,
+        root.join("replica"),
+        replica_config(),
+    )
+    .expect("a replica with a recoverable root needs no transport to start");
+    let store = restarted.store();
+    assert_prefix(&store, &states, "restarted");
+    for (l, list) in held.iter().enumerate() {
+        assert_eq!(
+            &store.snapshot_list(MergedListId(l as u64)).unwrap(),
+            list,
+            "list {l} differs from what the replica held"
+        );
+    }
+    assert_eq!(restarted.applied_seqs(), applied);
+}
+
+/// The tail ships the log itself: one poll of the whole history, joined
+/// per shard, is byte for byte that shard's WAL file.
+#[test]
+fn streamed_frames_are_the_logged_bytes() {
+    let root = TempRoot::new("logged-bytes");
+    let primary = create_primary(&root.join("primary"), fixture_index(true));
+    for (list, el) in insert_history() {
+        primary.insert(MergedListId(list as u64), el).unwrap();
+    }
+    let source = ReplicationSource::new(Arc::clone(&primary)).unwrap();
+    let batch = source.frames_after(&[0; NUM_SHARDS], usize::MAX).unwrap();
+    assert!(!batch.need_snapshot);
+    assert_eq!(batch.frames.len(), insert_history().len());
+    for (shard, wal) in primary.wal_paths().iter().enumerate() {
+        let streamed: Vec<u8> = batch
+            .frames
+            .iter()
+            .filter(|f| f.shard as usize == shard)
+            .flat_map(|f| f.bytes.iter().copied())
+            .collect();
+        assert_eq!(streamed, fs::read(wal).unwrap(), "shard {shard}");
+    }
 }
 
 /// Bounded staleness: a replica that cannot apply (every frame torn) sees
@@ -429,11 +556,11 @@ fn lagging_replica_degrades_reads_until_it_catches_up() {
     }
     assert_eq!(server.stats().replica_lag, lag);
 
-    // Recovery: reopen the same root behind a clean transport, catch up,
-    // and the exact same read serves — fresh data, not an error.
+    // Recovery: restart on the same root behind a clean transport, catch
+    // up, and the exact same read serves — fresh data, not an error.
     drop(replica);
     let clean = InProcessTransport::new(source);
-    let mut healed = Replica::reopen(
+    let mut healed = Replica::bootstrap(
         clean as Arc<dyn ReplicaTransport>,
         root.join("replica"),
         config,
@@ -488,12 +615,12 @@ fn run_replica_until_frozen(root: &Path, at: u64) -> Arc<FaultIo> {
     io
 }
 
-/// Satellite acceptance loop: crash the replica's disk at every recorded
-/// IO boundary (and one unit before it, to land inside multi-byte writes),
-/// reopen the frozen directory with the production IO path, audit the
-/// recovered state against the oracle prefix property, re-subscribe and
-/// require element-for-element convergence — including a post-recovery
-/// write round-tripping primary → replica.
+/// Crash the replica's disk at every recorded IO boundary (and one unit
+/// before it, to land inside multi-byte writes), restart the replica on the
+/// frozen directory with the production IO path, audit the recovered state
+/// against the oracle prefix property and require element-for-element
+/// convergence — including a post-recovery write round-tripping primary →
+/// replica.
 #[test]
 fn kill_at_every_boundary_replica_recovers_and_catches_up() {
     let index = fixture_index(true);
@@ -524,10 +651,10 @@ fn kill_at_every_boundary_replica_recovers_and_catches_up() {
         assert!(at == u64::MAX || io.crashed() || io.spent() <= at);
         let replica_dir = root.join("replica");
 
-        // Reopen whatever survived with the production IO path.  A root
-        // with no recoverable generation (the freeze hit before the first
-        // durable byte) bootstraps from scratch instead — either way the
-        // replica must come back.
+        // Restart on whatever survived with the production IO path: a
+        // recoverable generation is adopted, and a root with none (the
+        // freeze hit before the first durable byte) installs a fresh
+        // snapshot — either way the replica must come back.
         let primary = Arc::new(
             SpillStore::open_with_io(
                 root.join("primary"),
@@ -539,24 +666,15 @@ fn kill_at_every_boundary_replica_recovers_and_catches_up() {
         );
         let source = ReplicationSource::new(Arc::clone(&primary)).unwrap();
         let transport = InProcessTransport::new(source);
-        let mut replica = match Replica::reopen(
-            Arc::clone(&transport) as Arc<dyn ReplicaTransport>,
+        let mut replica = Replica::bootstrap(
+            transport as Arc<dyn ReplicaTransport>,
             &replica_dir,
             replica_config(),
-        ) {
-            Ok(replica) => {
-                // The recovered (pre-catch-up) state must already be an
-                // exact prefix of the history.
-                assert_prefix(&replica.store(), &states, &format!("recovered at {at}"));
-                replica
-            }
-            Err(_) => Replica::bootstrap(
-                transport as Arc<dyn ReplicaTransport>,
-                &replica_dir,
-                replica_config(),
-            )
-            .unwrap_or_else(|e| panic!("re-bootstrap after freeze at {at} failed: {e}")),
-        };
+        )
+        .unwrap_or_else(|e| panic!("restart after freeze at {at} failed: {e}"));
+        // The recovered (pre-catch-up) state must already be an exact
+        // prefix of the history.
+        assert_prefix(&replica.store(), &states, &format!("recovered at {at}"));
         replica
             .catch_up(1000)
             .unwrap_or_else(|e| panic!("catch-up after freeze at {at} failed: {e}"));
@@ -579,7 +697,7 @@ fn kill_at_every_boundary_replica_recovers_and_catches_up() {
 /// The disconnect-storm stress case verify.sh loops 5× under `--release`:
 /// rounds of primary writes against a transport that disconnects every
 /// other poll and duplicates/reorders what it does deliver, with a
-/// transport kill (process death) and reopen in the middle.
+/// transport kill (process death) and restart in the middle.
 #[test]
 fn disconnect_storm_replication_converges() {
     let root = TempRoot::new("disconnect-storm");
@@ -614,24 +732,23 @@ fn disconnect_storm_replication_converges() {
         }
         // Pump through the storm until this round is fully replicated; a
         // transport kill models the replica process dying mid-storm — the
-        // harness revives the transport and reopens the replica from its
-        // own durable root.
+        // pump sees a disconnect, and the harness drops the replica, revives
+        // the transport and restarts the replica on its own durable root.
         loop {
-            match replica.pump() {
-                Ok(PumpOutcome::CaughtUp) => break,
-                Ok(_) => {}
-                Err(_) => {
-                    assert!(faults.killed(), "only the injected kill may error");
-                    assert!(!killed, "the kill budget fires once");
-                    killed = true;
-                    faults.revive();
-                    replica = Replica::reopen(
-                        Arc::clone(&faults) as Arc<dyn ReplicaTransport>,
-                        root.join("replica"),
-                        replica_config(),
-                    )
-                    .unwrap();
-                }
+            let outcome = replica.pump().unwrap();
+            if faults.killed() {
+                assert!(!killed, "the kill budget fires once");
+                killed = true;
+                drop(replica);
+                faults.revive();
+                replica = Replica::bootstrap(
+                    Arc::clone(&faults) as Arc<dyn ReplicaTransport>,
+                    root.join("replica"),
+                    replica_config(),
+                )
+                .unwrap();
+            } else if outcome == PumpOutcome::CaughtUp {
+                break;
             }
         }
         // Converged mid-storm: every list equals the primary exactly.
@@ -680,7 +797,7 @@ fn clean_replica_shutdown_keeps_every_applied_frame() {
     assert_converged(&replica.store(), &states, "pre-shutdown");
     drop(replica);
 
-    let reopened = Replica::reopen(
+    let reopened = Replica::bootstrap(
         transport as Arc<dyn ReplicaTransport>,
         root.join("replica"),
         config,

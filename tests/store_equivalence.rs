@@ -671,8 +671,6 @@ proptest! {
                 spill: spill_config,
                 durable: durable_config,
                 batch_frames: 4,
-                backoff_base: std::time::Duration::ZERO,
-                backoff_cap: std::time::Duration::ZERO,
                 ..ReplicaConfig::default()
             },
         )
