@@ -76,34 +76,6 @@ impl AccessControl {
         self.users.insert(user.to_string(), entry);
     }
 
-    /// Adds a user to an additional group.
-    pub fn grant(&mut self, user: &str, group: GroupId) {
-        let mut groups = self
-            .users
-            .get(user)
-            .map_or_else(Vec::new, |entry| entry.groups.to_vec());
-        groups.push(group);
-        self.register_user(user, &groups);
-    }
-
-    /// Removes a user from a group.
-    pub fn revoke(&mut self, user: &str, group: GroupId) {
-        if let Some(entry) = self.users.get_mut(user) {
-            // Dropping one group keeps the rest ascending.
-            entry.groups = entry
-                .groups
-                .iter()
-                .copied()
-                .filter(|g| *g != group)
-                .collect();
-        }
-    }
-
-    /// Number of registered users.
-    pub fn num_users(&self) -> usize {
-        self.users.len()
-    }
-
     /// The token a legitimate user obtains out of band (e.g. from the
     /// enterprise identity provider).
     pub fn issue_token(&self, user: &str) -> AuthToken {
@@ -163,7 +135,7 @@ mod tests {
         let token = acl.issue_token("john");
         let groups = acl.authenticate("john", &token).unwrap();
         assert_eq!(*groups, [GroupId(0), GroupId(2)]);
-        assert_eq!(acl.num_users(), 2);
+        assert_eq!(acl.users.len(), 2);
     }
 
     #[test]
@@ -200,32 +172,11 @@ mod tests {
     }
 
     #[test]
-    fn grant_and_revoke_update_memberships() {
-        let mut acl = acl();
-        let token = acl.issue_token("alice");
-        assert!(acl.check_member("alice", &token, GroupId(3)).is_err());
-        acl.grant("alice", GroupId(3));
-        assert!(acl.check_member("alice", &token, GroupId(3)).is_ok());
-        acl.revoke("alice", GroupId(3));
-        assert!(acl.check_member("alice", &token, GroupId(3)).is_err());
-    }
-
-    #[test]
     fn membership_changes_are_seen_by_the_very_next_authenticate() {
         let mut acl = acl();
         let token = acl.issue_token("alice");
         let groups = |acl: &AccessControl| acl.authenticate("alice", &token).unwrap().to_vec();
         assert_eq!(groups(&acl), [GroupId(1)]);
-        acl.grant("alice", GroupId(0));
-        assert_eq!(groups(&acl), [GroupId(0), GroupId(1)]);
-        // Granting a group twice keeps the membership deduplicated.
-        acl.grant("alice", GroupId(0));
-        assert_eq!(groups(&acl), [GroupId(0), GroupId(1)]);
-        acl.revoke("alice", GroupId(1));
-        assert_eq!(groups(&acl), [GroupId(0)]);
-        // Revoking a group she is not in changes nothing.
-        acl.revoke("alice", GroupId(9));
-        assert_eq!(groups(&acl), [GroupId(0)]);
         // A re-registration replaces the membership, whatever order and
         // multiplicity the caller lists it in; the token stays valid.
         acl.register_user(
@@ -241,12 +192,12 @@ mod tests {
         assert_eq!(groups(&acl), [GroupId(2), GroupId(7), GroupId(u32::MAX)]);
         acl.register_user("alice", &[]);
         assert!(groups(&acl).is_empty());
-        // A grant to a name the directory has not seen registers it.
+        // Registering a name the directory has not seen admits it.
         let carol = acl.issue_token("carol");
         assert!(acl.authenticate("carol", &carol).is_err());
-        acl.grant("carol", GroupId(4));
+        acl.register_user("carol", &[GroupId(4)]);
         assert_eq!(*acl.authenticate("carol", &carol).unwrap(), [GroupId(4)]);
-        assert_eq!(acl.num_users(), 3);
+        assert_eq!(acl.users.len(), 3);
     }
 
     #[test]

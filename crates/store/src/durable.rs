@@ -51,9 +51,9 @@ pub(crate) fn io_err(e: io::Error) -> StoreError {
 }
 
 // ---------------------------------------------------------------------------
-// CRC32 (IEEE), slicing-by-8.  Hand-rolled so the store crate stays free of
-// new dependencies; pages, WAL frames, both manifest codecs and the
-// replication files use it.
+// CRC32 (IEEE), slicing-by-8, four streams at a time over long inputs.
+// Hand-rolled so the store crate stays free of new dependencies; pages, WAL
+// frames, both manifest codecs and the replication files use it.
 // ---------------------------------------------------------------------------
 
 /// `CRC_TABLES[k][b]` is the CRC register after byte `b` followed by `k`
@@ -90,11 +90,38 @@ const fn crc_tables() -> [[u32; 256]; 8] {
 
 static CRC_TABLES: [[u32; 256]; 8] = crc_tables();
 
+/// Inputs at least this long run as four streams: below ~0.7–1 KiB (measured
+/// on a 2-thread Xeon) the join costs more than the streams save.
+const STRIPED_MIN_LEN: usize = 1024;
+
 /// CRC32 (IEEE 802.3) of `bytes`.
-#[expect(clippy::indexing_slicing, reason = "8-byte chunks, u8 into [_; 256]")]
 pub fn crc32(bytes: &[u8]) -> u32 {
+    crc_advance(0xFFFF_FFFF, bytes) ^ 0xFFFF_FFFF
+}
+
+/// The register after `bytes`, from register `c`.  A long input is cut into
+/// four equal stripes of whole words advanced side by side, four independent
+/// dependency chains (the first from `c`, the others from zero), joined by
+/// linearity: the register over `A‖B` is the one over `A` times `x^(8|B|)`
+/// plus the zero-start one over `B`.  The tail (< 32 B) runs as one stream.
+#[expect(clippy::indexing_slicing, reason = "stripes in bounds, u8 in [_; 256]")]
+fn crc_advance(mut c: u32, mut bytes: &[u8]) -> u32 {
     let t = &CRC_TABLES;
-    let mut c = 0xFFFF_FFFFu32;
+    if bytes.len() >= STRIPED_MIN_LEN {
+        let n = bytes.len() / 32 * 8;
+        let (body, tail) = bytes.split_at(4 * n);
+        let stripe = |k: usize| body[k * n..][..n].as_chunks::<8>().0.iter();
+        let mut r = [c, 0, 0, 0];
+        for (((&w0, &w1), &w2), &w3) in stripe(0).zip(stripe(1)).zip(stripe(2)).zip(stripe(3)) {
+            r[0] = crc_word(r[0], w0);
+            r[1] = crc_word(r[1], w1);
+            r[2] = crc_word(r[2], w2);
+            r[3] = crc_word(r[3], w3);
+        }
+        let shift = crc_shift(n);
+        c = r[1..].iter().fold(r[0], |j, &x| gf2_mul(j, shift) ^ x);
+        bytes = tail;
+    }
     let mut chunks = bytes.chunks_exact(8);
     for chunk in &mut chunks {
         let r = c.to_le_bytes();
@@ -110,7 +137,48 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     for &b in chunks.remainder() {
         c = t[0][usize::from(b ^ c.to_le_bytes()[0])] ^ (c >> 8);
     }
-    c ^ 0xFFFF_FFFF
+    c
+}
+
+/// One slicing-by-8 step on a whole word, the form four streams run fastest
+/// in (one stream is faster on bytes: half of them skip the register).
+#[expect(clippy::indexing_slicing, reason = "u8 into [_; 256]")]
+fn crc_word(c: u32, word: [u8; 8]) -> u32 {
+    let t = &CRC_TABLES;
+    let x = (u64::from_le_bytes(word) ^ u64::from(c)).to_le_bytes();
+    t[7][usize::from(x[0])]
+        ^ t[6][usize::from(x[1])]
+        ^ t[5][usize::from(x[2])]
+        ^ t[4][usize::from(x[3])]
+        ^ t[3][usize::from(x[4])]
+        ^ t[2][usize::from(x[5])]
+        ^ t[1][usize::from(x[6])]
+        ^ t[0][usize::from(x[7])]
+}
+
+/// `x^(8n)` mod P by square-and-multiply: the factor that advances a register
+/// over `n` zero bytes (bit-reflected: `x^0` is the top bit, `x^8` 8 below).
+fn crc_shift(mut n: usize) -> u32 {
+    let (mut power, mut square) = (1u32 << 31, 1u32 << 23);
+    while n != 0 {
+        if n & 1 != 0 {
+            power = gf2_mul(power, square);
+        }
+        square = gf2_mul(square, square);
+        n >>= 1;
+    }
+    power
+}
+
+/// `a·b` mod P: the carry-less product, shifted so bit 63 is `x^0`, is
+/// `l·x^32 + h` (halves `l`, `h`), and `l·x^32` is `l` after 4 zero bytes.
+fn gf2_mul(a: u32, b: u32) -> u32 {
+    let b = u64::from(b) << 1;
+    let product = (0..32).fold(0, |p, i| {
+        p ^ ((b << i) & u64::from((a >> i) & 1).wrapping_neg())
+    });
+    let [l0, l1, l2, l3, h0, h1, h2, h3] = product.to_le_bytes();
+    u32::from_le_bytes([h0, h1, h2, h3]) ^ crc_word(0, [0, 0, 0, 0, l0, l1, l2, l3])
 }
 
 // ---------------------------------------------------------------------------
@@ -757,8 +825,67 @@ mod tests {
             }
         }
         assert_eq!(crc32_bytewise(b"123456789"), 0xCBF4_3926);
-        let page = seeded_bytes(7, 45_000);
-        assert_eq!(crc32(&page), crc32_bytewise(&page));
+        // Around the striping threshold, from every start offset: the last
+        // single-stream lengths, the first striped ones, and every tail
+        // length the stripes can leave.
+        let buf = seeded_bytes(3, STRIPED_MIN_LEN + 72);
+        for start in 0..=8 {
+            for len in STRIPED_MIN_LEN - 64..=STRIPED_MIN_LEN + 64 {
+                let slice = &buf[start..start + len];
+                assert_eq!(
+                    crc32(slice),
+                    crc32_bytewise(slice),
+                    "start {start} len {len}"
+                );
+            }
+        }
+        // Every tail length (len mod 32) at a page's size, from every start
+        // offset, and at 1 MiB.
+        let big = seeded_bytes(7, (1 << 20) + 40);
+        for (base, starts) in [(45_000 - 45_000 % 32, 0..8), (1 << 20, 0..2)] {
+            for len in base..base + 32 {
+                for start in starts.clone() {
+                    let slice = &big[start..start + len];
+                    assert_eq!(
+                        crc32(slice),
+                        crc32_bytewise(slice),
+                        "start {start} len {len}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn registers_join_across_any_split() {
+        // The identity the stripes are joined by: the register over `A‖B`
+        // is the register over `A` shifted past `|B|` zero bytes, plus the
+        // zero-start register over `B`.
+        let buf = seeded_bytes(11, 50_000);
+        let mut x = 5u64;
+        for _ in 0..64 {
+            x = x
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            let len = (x >> 40) as usize % buf.len();
+            let split = (x >> 8) as usize % (len + 1);
+            let (a, b) = buf[..len].split_at(split);
+            let joined =
+                gf2_mul(crc_advance(0xFFFF_FFFF, a), crc_shift(b.len())) ^ crc_advance(0, b);
+            assert_eq!(
+                joined ^ 0xFFFF_FFFF,
+                crc32_bytewise(&buf[..len]),
+                "len {len} split {split}"
+            );
+        }
+        // Shifting by zero bytes is the identity, and by one byte is one
+        // bytewise step over a zero byte.
+        assert_eq!(crc_shift(0), 1 << 31);
+        assert_eq!(gf2_mul(0x1234_5678, crc_shift(0)), 0x1234_5678);
+        assert_eq!(
+            gf2_mul(0x1234_5678, crc_shift(1)),
+            crc_advance(0x1234_5678, &[0])
+        );
     }
 
     fn hex(bytes: &[u8]) -> String {

@@ -304,10 +304,15 @@ impl Pager {
         let mut file = backend.open(&path, fresh).map_err(io_err)?;
         if !fresh {
             // Recovery adopts exactly the manifest-referenced prefix; any
-            // bytes past it (a torn page write mid-crash) are garbage and
-            // are trimmed away.  A file *shorter* than the manifest extent
-            // is zero-extended here and then rejected by the per-page
-            // validation — either way, never served.
+            // bytes past it (a torn page write mid-crash) are trimmed away.
+            // A file *shorter* than that lost referenced pages: the open
+            // fails and leaves the file as it found it.
+            if file.len().map_err(io_err)? < append {
+                return Err(StoreError::CorruptSegment(format!(
+                    "page file {} is shorter than its manifest's extent {append}",
+                    path.display()
+                )));
+            }
             file.set_len(append).map_err(io_err)?;
         }
         let pager = Pager {
@@ -347,12 +352,6 @@ impl Pager {
     /// Path of the page file currently serving.
     fn current_path(&self) -> PathBuf {
         self.path_for(self.generation.load(Ordering::Relaxed))
-    }
-
-    /// Fsyncs the page file (checkpoints call this before committing a
-    /// manifest that references its pages).
-    fn sync_file(&self) -> Result<(), StoreError> {
-        self.io.lock().file.sync().map_err(io_err)
     }
 
     /// Charges `bytes` against the shard's resident budget; `false` (and no
@@ -402,12 +401,6 @@ impl Pager {
         Ok(PageId { offset, len, crc })
     }
 
-    /// Adopts an existing page (recovery): counts its bytes as live without
-    /// writing anything.
-    fn note_live_page(&self, len: u32) {
-        self.spilled.fetch_add(usize_of(len), Ordering::Relaxed);
-    }
-
     /// Drops a page from the live-byte accounting and the cache (the bytes
     /// in the file become garbage until background compaction).
     fn release_page(&self, page: PageId) {
@@ -431,28 +424,14 @@ impl Pager {
     /// rare once the cache holds the hot set); a per-page in-flight map
     /// would restore miss parallelism if profiles ever show contention.
     fn fetch(&self, page: PageId) -> Result<Arc<Segment>, StoreError> {
-        {
-            let mut cache = self.cache.lock();
-            cache.clock += 1;
-            let now = cache.clock;
-            if let Some(slot) = cache.entries.get_mut(&page.offset) {
-                slot.last_used = now;
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                return Ok(Arc::clone(&slot.segment));
-            }
+        if let Some(segment) = self.cached(page) {
+            return Ok(segment);
         }
         let mut io = self.io.lock();
         // Re-probe under the file lock: a racing fault may have populated
         // the cache while this thread waited.
-        if self.cache_capacity > 0 {
-            let mut cache = self.cache.lock();
-            cache.clock += 1;
-            let now = cache.clock;
-            if let Some(slot) = cache.entries.get_mut(&page.offset) {
-                slot.last_used = now;
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                return Ok(Arc::clone(&slot.segment));
-            }
+        if let Some(segment) = self.cached(page) {
+            return Ok(segment);
         }
         // The page crossed a trust boundary (the disk): checksum plus full
         // validation, so a torn or tampered page is an error for this
@@ -489,8 +468,15 @@ impl Pager {
         Ok(segment)
     }
 
-    fn cache_bytes(&self) -> usize {
-        self.cache.lock().bytes
+    /// A cache hit on `page`, bumping its recency; `None` on a miss.
+    fn cached(&self, page: PageId) -> Option<Arc<Segment>> {
+        let mut cache = self.cache.lock();
+        cache.clock += 1;
+        let now = cache.clock;
+        let slot = cache.entries.get_mut(&page.offset)?;
+        slot.last_used = now;
+        self.hits.fetch_add(1, Ordering::Relaxed);
+        Some(Arc::clone(&slot.segment))
     }
 
     /// Reads and validates one page without touching the cache or the fault
@@ -499,11 +485,6 @@ impl Pager {
     fn read_page_uncached(&self, page: PageId) -> Result<Segment, StoreError> {
         let buf = page.read_verified(|offset, buf| self.io.lock().file.read_at(offset, buf))?;
         Segment::from_bytes(&buf)
-    }
-
-    /// Next access-clock tick (stamped onto the slot a read touched).
-    fn touch_tick(&self) -> u64 {
-        self.access_clock.fetch_add(1, Ordering::Relaxed) + 1
     }
 
     /// Counts one serving operation; `true` when a retier pass is due (the
@@ -571,48 +552,24 @@ impl Pager {
     }
 
     /// Copies one live page of the main file onto the rewrite (raw bytes;
-    /// [`Pager::verify_rewrite`] validates the copies before they can ever
-    /// serve), recording the old → new offset remap.  Idempotent per page.
-    fn copy_page(&self, rw: &mut Rewrite, page: PageId) -> Result<(), StoreError> {
-        if rw.map.contains_key(&page.offset) {
-            return Ok(());
+    /// each copy is read back and validated before it can ever serve),
+    /// recording the old → new offset remap and returning the copy's id.
+    /// Idempotent per page.
+    fn copy_page(&self, rw: &mut Rewrite, page: PageId) -> Result<PageId, StoreError> {
+        if let Some(&copy) = rw.map.get(&page.offset) {
+            return Ok(copy);
         }
         // Refuse to propagate corruption into the rewrite: the copied page
         // must still match the checksum recorded when it was written.
         let buf = page.read_verified(|offset, buf| self.io.lock().file.read_at(offset, buf))?;
         rw.file.write_at(rw.append, &buf).map_err(io_err)?;
-        rw.map.insert(
-            page.offset,
-            PageId {
-                offset: rw.append,
-                len: page.len,
-                crc: page.crc,
-            },
-        );
+        let copy = PageId {
+            offset: rw.append,
+            ..page
+        };
+        rw.map.insert(page.offset, copy);
         rw.append += u64::from(page.len);
-        Ok(())
-    }
-
-    /// Like [`Pager::copy_page`] but validates the fresh copy immediately —
-    /// the straggler path, which runs under the shard write lock after the
-    /// bulk of the rewrite was already verified off-lock.
-    fn copy_page_verified(&self, rw: &mut Rewrite, page: PageId) -> Result<(), StoreError> {
-        self.copy_page(rw, page)?;
-        if let Some(new) = rw.map.get(&page.offset).copied() {
-            rw.read_back(new)?;
-        }
-        Ok(())
-    }
-
-    /// Re-validates every page copied onto the rewrite by reading it back
-    /// from the fresh file and decoding it through `Segment::from_bytes`.
-    /// A torn or bit-flipped rewrite fails here and never swaps in.
-    fn verify_rewrite(&self, rw: &mut Rewrite) -> Result<(), StoreError> {
-        let pages: Vec<PageId> = rw.map.values().copied().collect();
-        for page in pages {
-            rw.read_back(page)?;
-        }
-        Ok(())
+        Ok(copy)
     }
 
     /// Swaps a fully-copied rewrite in as the shard's page file: rename to
@@ -946,9 +903,8 @@ impl SpillList {
     fn segment(&self, k: usize) -> Result<SegRef<'_>, StoreError> {
         let slot = &self.slots[k];
         if let Some(pager) = &self.pager {
-            slot.meta
-                .last_access
-                .store(pager.touch_tick(), Ordering::Relaxed);
+            let tick = pager.access_clock.fetch_add(1, Ordering::Relaxed) + 1;
+            slot.meta.last_access.store(tick, Ordering::Relaxed);
         }
         match (&slot.resident, slot.page) {
             (Some(segment), _) => Ok(SegRef::Resident(segment)),
@@ -1097,7 +1053,7 @@ impl SpillList {
             let page = PageId { offset, len, crc };
             let segment = pager.read_page_uncached(page)?;
             seg_elems += segment.num_elements();
-            pager.note_live_page(len);
+            pager.spilled.fetch_add(usize_of(len), Ordering::Relaxed);
             slots.push(if pager.try_charge(segment.resident_bytes()) {
                 Slot::hot(segment, Some(page))
             } else {
@@ -1560,7 +1516,8 @@ impl DurableState {
             applied_seq: self.applied_seq(shard),
             lists,
         };
-        pager.sync_file()?;
+        // The manifest references the file's pages: they reach disk first.
+        pager.io.lock().file.sync().map_err(io_err)?;
         self.commit_manifest(shard, &manifest)?;
         self.reset_wal(shard)
     }
@@ -2161,7 +2118,12 @@ impl SpillStore {
     /// in under the shard write lock.
     fn finish_compaction(&self, shard: usize, mut rw: Rewrite) -> Result<(), StoreError> {
         let pager = &self.pagers[shard];
-        pager.verify_rewrite(&mut rw)?;
+        // Every copy is read back and decoded through `Segment::from_bytes`:
+        // a torn or bit-flipped rewrite fails here and never swaps in.
+        let copies: Vec<PageId> = rw.map.values().copied().collect();
+        for copy in copies {
+            rw.read_back(copy)?;
+        }
         let mut table = self.shard_write(shard);
         // Stragglers: pages written between the snapshot and this lock
         // (rebuilds, demotions).  Copied and validated here, so the map
@@ -2172,7 +2134,8 @@ impl SpillStore {
         }
         for page in pages {
             if !rw.map.contains_key(&page.offset) {
-                pager.copy_page_verified(&mut rw, page)?;
+                let copy = pager.copy_page(&mut rw, page)?;
+                rw.read_back(copy)?;
             }
         }
         let old_path = pager.current_path();
@@ -2376,7 +2339,7 @@ impl SpillStore {
     /// and resident segments already counted.
     pub(crate) fn add_paging_metrics(&self, metrics: &mut StoreMetrics) {
         for p in &self.pagers {
-            metrics.resident_bytes += u64_of(p.cache_bytes());
+            metrics.resident_bytes += u64_of(p.cache.lock().bytes);
             metrics.spilled_bytes += u64_of(p.spilled.load(Ordering::Relaxed));
             metrics.page_faults += p.faults.load(Ordering::Relaxed);
             metrics.page_evictions += p.evictions.load(Ordering::Relaxed);

@@ -2,19 +2,20 @@
 # Performance gate: the parent commit against the working tree on
 # zerber_perf, the repository's one benchmark (BENCHMARK.json).
 #
-#   scripts/perf_gate.sh [--base REV] [--pairs N] [--workloads a,b,...]
+#   scripts/perf_gate.sh [--base REV] [--pairs N] [--first-seed S] [--workloads a,b,...]
 #
 # Builds zerber_perf twice — from a `git archive` of REV (default HEAD~1)
 # and from the working tree — each into its own target directory under
 # ${PERF_GATE_DIR:-${TMPDIR:-/tmp}/zerber-perf-gate}, then runs N (default
 # 10) pairs per workload at BENCHMARK.json's `run_seconds`, untraced, pair i
-# on seed i, alternating which side goes first.  Every run is printed as it
-# finishes; at the end each end-to-end metric gets one row per workload:
-# median and quartiles of both sides, the change's median against the
-# parent's, in how many pairs the change read better, and a verdict: `WORSE`
-# (see below), `better` (ten or more pairs, the change ahead in nine tenths
-# of them, medians apart by more than the parent's interquartile range) or
-# `ok`.
+# on seed S+i-1 (S = --first-seed, default 1: a claim is re-checked on seeds
+# it was not written on by starting past them), alternating which side goes
+# first.  Every run is printed as it finishes; at the end each end-to-end
+# metric gets one row per workload: median and quartiles of both sides, the
+# change's median against the parent's, in how many pairs the change read
+# better, and a verdict: `WORSE` (see below), `better` (ten or more pairs,
+# the change ahead in nine tenths of them, medians apart by more than the
+# parent's interquartile range) or `ok`.
 #
 # Exits 1 when, on any workload, a median is worse than the parent's by more
 # than the metric's BENCHMARK.json bound, or any op failed a check on either
@@ -29,13 +30,15 @@ cd "$(dirname "$0")/.."
 
 BASE="HEAD~1"
 PAIRS=10
+FIRST_SEED=1
 WORKLOADS=""
 while [ $# -gt 0 ]; do
   case "$1" in
     --base) BASE="$2"; shift 2 ;;
     --pairs) PAIRS="$2"; shift 2 ;;
+    --first-seed) FIRST_SEED="$2"; shift 2 ;;
     --workloads) WORKLOADS="$2"; shift 2 ;;
-    *) echo "usage: $0 [--base REV] [--pairs N] [--workloads a,b,...]" >&2; exit 2 ;;
+    *) echo "usage: $0 [--base REV] [--pairs N] [--first-seed S] [--workloads a,b,...]" >&2; exit 2 ;;
   esac
 done
 
@@ -52,7 +55,7 @@ git archive "$BASE" | tar -x -C "$DIR/parent-src"
 echo "==> change: the working tree"
 CARGO_TARGET_DIR="$DIR/change-target" "${BUILD[@]}"
 
-exec python3 - "$DIR" "$PAIRS" "$WORKLOADS" <<'PY'
+exec python3 - "$DIR" "$PAIRS" "$WORKLOADS" "$FIRST_SEED" <<'PY'
 import json
 import statistics
 import subprocess
@@ -60,6 +63,8 @@ import sys
 
 gate_dir, pairs = sys.argv[1], int(sys.argv[2])
 only = set(filter(None, sys.argv[3].split(",")))
+first_seed = int(sys.argv[4])
+seeds = range(first_seed, first_seed + pairs)
 contract = json.load(open("BENCHMARK.json"))
 seconds = str(contract["run_seconds"])
 workloads = [w["name"] for w in contract["workloads"]]
@@ -102,8 +107,8 @@ broken = []
 tables = []
 for workload in workloads:
     runs = {side: [] for side in sides}
-    for seed in range(1, pairs + 1):
-        order = sides if seed % 2 else sides[::-1]
+    for i, seed in enumerate(seeds):
+        order = sides if i % 2 == 0 else sides[::-1]
         for side in order:
             runs[side].append(run(side, workload, seed))
     for side in sides:
@@ -138,7 +143,7 @@ for workload in workloads:
 print()
 print(f"median [q1, q3] parent -> change, change/parent, pairs the change read better in ({seconds} s phases)")
 for workload, n, rows in tables:
-    print(f"{workload} ({n} pairs, seeds 1-{n})")
+    print(f"{workload} ({n} pairs, seeds {seeds[0]}-{seeds[-1]})")
     print("\n".join(rows))
 if broken:
     print("\nperf gate: FAILED")

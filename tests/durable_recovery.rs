@@ -571,6 +571,50 @@ fn bit_flip_in_a_checkpointed_page_fails_recovery_cleanly() {
     );
 }
 
+/// A page file shorter than its manifest's extent has lost pages the
+/// manifest references: `open` fails with a typed error and leaves the file
+/// the length it found it, instead of zero-extending it to the extent.
+#[test]
+fn a_page_file_cut_below_its_extent_fails_open_and_is_not_grown() {
+    let root = TempRoot::new("short-page-file");
+    let dir = root.join("store");
+    let store = SpillStore::create_durable_with(
+        fixture_index(2, true),
+        &dir,
+        1,
+        spill_config(),
+        segment_config(),
+        durable_config(SyncPolicy::Always),
+        FaultIo::new(FaultMode::KillAfter(u64::MAX)) as Arc<dyn PageIo>,
+    )
+    .unwrap();
+    for i in 0..8u32 {
+        store
+            .insert(MergedListId(0), element(80.0 - i as f64, i, b"shortcut"))
+            .unwrap();
+    }
+    store.checkpoint().unwrap();
+    drop(store);
+
+    // The file ends with the last page the checkpoint sealed, so cutting it
+    // in half cuts referenced pages.
+    let pages = dir.join("shard-000.g0.pages");
+    let cut = fs::metadata(&pages).unwrap().len() / 2;
+    fs::OpenOptions::new()
+        .write(true)
+        .open(&pages)
+        .unwrap()
+        .set_len(cut)
+        .unwrap();
+
+    let result = SpillStore::open(&dir, spill_config(), durable_config(SyncPolicy::Always));
+    assert!(
+        matches!(result, Err(StoreError::CorruptSegment(_))),
+        "{result:?}"
+    );
+    assert_eq!(fs::metadata(&pages).unwrap().len(), cut);
+}
+
 /// Recovery metering: reopening a checkpointed store reports the pages it
 /// loaded from the manifest.
 #[test]
