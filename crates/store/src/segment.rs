@@ -61,12 +61,14 @@ pub struct SegmentConfig {
     /// Elements per compressed block (the skip-entry granularity).
     pub block_len: usize,
     /// The tail is sealed once it grows past this: into the last segment
-    /// while that stays within `max_segment_elems`, into a new one
+    /// while that stays within `max_segment_elems`, into new ones within it
     /// otherwise.
     pub tail_threshold: usize,
-    /// Most elements one segment holds, which bounds the cost of a rebuild
-    /// (an interior insert or a tail seal): a rebuild past it splits in
-    /// half, and a seal that would pass it starts a new segment instead.
+    /// Most elements one segment holds.  It caps what an interior insert
+    /// re-encodes (`SpillList::insert` → `rebuild_slot`), what a tail seal
+    /// rebuilds (`seal_tail`) and what a cold fault reads, checksums and
+    /// validates (`Pager::fetch`): a rebuild past it splits in half, and a
+    /// seal that would pass it starts new segments instead.
     pub max_segment_elems: usize,
     /// Upper bound on one segment's encoded payload in bytes (clamped to
     /// the u32 offset space of the wire format).  Oversized encodes split
@@ -78,12 +80,12 @@ pub struct SegmentConfig {
 impl Default for SegmentConfig {
     fn default() -> Self {
         SegmentConfig {
-            // Streaming decode stops as soon as a batch is full, so larger
-            // blocks do not slow point reads down — they amortize the skip
-            // entry across more elements.
+            // Streaming decode stops once a batch is full: big blocks only
+            // amortize the skip entry.
             block_len: 128,
             tail_threshold: 128,
-            max_segment_elems: 4096,
+            // Two blocks, so an insert, a seal or a fault touches ≤ 256.
+            max_segment_elems: 256,
             max_payload_bytes: usize_of(u32::MAX),
         }
     }
@@ -775,7 +777,7 @@ impl Segment {
 /// single element that cannot fit at any granularity surfaces as
 /// [`StoreError::SegmentOverflow`] — the caller degrades instead of the
 /// server crashing on a ~4 GiB list.
-pub(crate) fn encode_chunk_split(
+fn encode_chunk_split(
     chunk: &[OrderedElement],
     config: &SegmentConfig,
     out: &mut Vec<Segment>,

@@ -6,17 +6,17 @@
 //! logical sequence is `slots[0] ++ slots[1] ++ ... ++ tail`, descending in
 //! TRS.  Position-preserving inserts land in the uncompressed tail when
 //! their TRS sorts below every sealed element; interior inserts rebuild the
-//! one segment they hit (bounded by [`SegmentConfig::max_segment_elems`]).
-//! When the tail outgrows [`SegmentConfig::tail_threshold`] it is sealed
-//! through the same rebuild into the last slot while that slot has room
-//! under the element bound, into a new slot otherwise — so on an
-//! append-only list every slot but the last is full.  A stack changes in
-//! no other way.  Every slot keeps a tiny summary (element count, TRS
-//! bounds, byte totals — and, while it is cold, per-group visible counts)
-//! and the list keeps running per-group totals bumped by each successful
-//! insert, so `visible_total` is one merge pass of the caller's
-//! [`GroupFilter`] and deep-offset skip-scans pass over cold slots without
-//! faulting them.
+//! one segment they hit.  [`SegmentConfig::max_segment_elems`] (256: two
+//! blocks) bounds every segment, and so what an insert, a tail seal or a
+//! cold fault touches.  When the tail outgrows
+//! [`SegmentConfig::tail_threshold`] it is sealed through the same rebuild
+//! into the last slot while that slot has room for it, into new slots
+//! within the bound otherwise.  A stack changes in no other way.  Every
+//! slot keeps a tiny summary (element count, TRS bounds, byte totals — and,
+//! while it is cold, per-group visible counts) and the list keeps running
+//! per-group totals bumped by each successful insert, so `visible_total` is
+//! one merge pass of the caller's [`GroupFilter`] and deep-offset
+//! skip-scans pass over cold slots without faulting them.
 //!
 //! On the **resident** lifecycle ([`SpillStore::resident`]) that is all
 //! there is: the list has no pager, every slot is resident, nothing is
@@ -106,9 +106,7 @@ use crate::durable::{
 };
 use crate::error::StoreError;
 use crate::lockrank;
-use crate::segment::{
-    add_count, encode_chunk_split, encode_rebuilt, encode_segments, Segment, SegmentConfig,
-};
+use crate::segment::{add_count, encode_rebuilt, encode_segments, Segment, SegmentConfig};
 use crate::sharded::{SpillStore, MAX_SHARDS};
 use crate::store::{GroupFilter, ListStore, ListTable, OrderedList, StoreMetrics};
 
@@ -926,9 +924,8 @@ impl SpillList {
                 self.rebuild_slot(k, decoded, added)?;
             }
             _ => {
-                let mut sealed = Vec::new();
-                encode_chunk_split(&self.tail, &self.config, &mut sealed)?;
-                let slots = self.place_segments(sealed, false)?;
+                let slots =
+                    self.place_segments(encode_segments(&self.tail, &self.config)?, false)?;
                 self.seg_elems += added;
                 self.slots.extend(slots);
             }
@@ -3318,5 +3315,160 @@ mod tests {
         );
         assert_eq!(reopened.shard_read(0).lists()[0].num_slots(), 2);
         assert!(reopened.budget_accounting_is_exact());
+    }
+
+    /// Element counts of list 0's slots in `store`.
+    fn slot_sizes(store: &SpillStore) -> Vec<usize> {
+        let table = store.shard_read(0);
+        table.lists()[0]
+            .slots
+            .iter()
+            .map(|s| s.meta.elems)
+            .collect()
+    }
+
+    /// Checks list 0 of `store` against the sorted-`Vec` model: every slot
+    /// within `bound`, and `scan` / `visible_total` equal under three
+    /// filters at several depths.
+    fn assert_bounded_like(store: &SpillStore, reference: &VecList, bound: usize) {
+        let sizes = slot_sizes(store);
+        assert!(
+            sizes.iter().all(|&n| n <= bound),
+            "slots {sizes:?} pass {bound}"
+        );
+        let table = store.shard_read(0);
+        let list = &table.lists()[0];
+        let len = reference.len();
+        for groups in [
+            None,
+            Some(&[GroupId(0), GroupId(2)][..]),
+            Some(&[GroupId(1)][..]),
+        ] {
+            let filter = GroupFilter::normalise(groups);
+            assert_eq!(
+                list.visible_total(&filter),
+                reference.visible_total(&filter)
+            );
+            for skip in [0, 1, len / 3, len / 2, len.saturating_sub(3)] {
+                assert_eq!(
+                    list.scan(0, skip, 7, &filter).unwrap(),
+                    reference.scan(0, skip, 7, &filter).unwrap(),
+                    "skip {skip} under {groups:?}"
+                );
+            }
+        }
+        assert_eq!(list.snapshot().unwrap(), reference.snapshot().unwrap());
+    }
+
+    /// `list` built resident and spilled with nothing resident, under
+    /// `segment`.
+    fn both_lifecycles(list: Vec<OrderedElement>, segment: SegmentConfig) -> [Rooted; 2] {
+        let spill = SpillConfig {
+            resident_budget_bytes: 0,
+            page_cache_pages: 2,
+            ..SpillConfig::default().without_tiering()
+        };
+        [
+            Rooted::new("bound-resident", |_| {
+                SpillStore::resident(index(vec![list.clone()]), 1, segment).unwrap()
+            }),
+            Rooted::new("bound-spilled", |dir| {
+                SpillStore::with_configs(index(vec![list.clone()]), 1, dir, spill, segment).unwrap()
+            }),
+        ]
+    }
+
+    #[test]
+    fn a_tail_longer_than_the_element_bound_seals_into_bounded_slots() {
+        let segment = SegmentConfig {
+            block_len: 2,
+            tail_threshold: 8,
+            max_segment_elems: 4,
+            max_payload_bytes: u32::MAX as usize,
+        };
+        for store in both_lifecycles(sorted_elements(10, 0), segment) {
+            let mut reference = VecList::from_elements(sorted_elements(10, 0));
+            // Below every sealed element: 20 tail inserts, two seals of 9.
+            for i in 0..20 {
+                let e = element(0.05 - 1e-3 * i as f64, (i % 3) as u32, &[7; 8]);
+                let want = reference.insert(e.clone()).unwrap();
+                assert_eq!(store.insert(MergedListId(0), e).unwrap(), want);
+                assert_bounded_like(&store, &reference, 4);
+            }
+            // One interior insert into the first sealed tail's slots.
+            let e = element(0.0475, 1, &[8; 8]);
+            let want = reference.insert(e.clone()).unwrap();
+            assert_eq!(store.insert(MergedListId(0), e).unwrap(), want);
+            assert_bounded_like(&store, &reference, 4);
+        }
+    }
+
+    #[test]
+    fn the_default_layout_keeps_every_slot_within_two_blocks() {
+        let elements = sorted_elements(1000, 0);
+        for store in both_lifecycles(elements.clone(), SegmentConfig::default()) {
+            assert_eq!(slot_sizes(&store), [256, 256, 256, 232]);
+            let mut reference = VecList::from_elements(elements.clone());
+            let mut state = 0x9E37_79B9_7F4A_7C15u64;
+            let mut tail_trs = 1e-3;
+            for i in 0..300u32 {
+                state = state
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                let unit = (state >> 11) as f64 / (1u64 << 53) as f64;
+                // Half interior, half below everything (so the tail seals).
+                let trs = if i % 2 == 0 {
+                    1e-3 + unit * (1.0 - 1e-3)
+                } else {
+                    tail_trs *= 0.999;
+                    tail_trs
+                };
+                let e = element(trs, i % 3, &[i as u8; 8]);
+                let want = reference.insert(e.clone()).unwrap();
+                assert_eq!(store.insert(MergedListId(0), e).unwrap(), want);
+                if i % 50 == 49 {
+                    assert_bounded_like(&store, &reference, 256);
+                }
+            }
+            assert!(
+                slot_sizes(&store).len() > 4,
+                "the inserts split or sealed slots"
+            );
+            assert!(store.verify_ordering());
+        }
+    }
+
+    #[test]
+    fn a_root_keeps_the_element_bound_it_was_created_with() {
+        let dir = TempRoot::new("durable-old-bound");
+        let segment = SegmentConfig {
+            max_segment_elems: 4096,
+            ..SegmentConfig::default()
+        };
+        let config = SpillConfig::default().without_tiering();
+        let store = SpillStore::create_durable_with(
+            index(vec![sorted_elements(1000, 0)]),
+            &dir,
+            1,
+            config,
+            segment,
+            DurableConfig::default(),
+            RealIo::shared(),
+        )
+        .unwrap();
+        assert_eq!(slot_sizes(&store), [1000]);
+        drop(store);
+        let reopened = SpillStore::open(&dir, config, DurableConfig::default()).unwrap();
+        assert_eq!(slot_sizes(&reopened), [1000]);
+        // One interior insert and one full tail seal: under the default bound
+        // either would cut the slot.
+        reopened
+            .insert(MergedListId(0), element(0.5, 1, &[3; 8]))
+            .unwrap();
+        for i in 0..=SegmentConfig::default().tail_threshold {
+            let e = element(1e-4 / (i + 1) as f64, 2, &[4; 8]);
+            reopened.insert(MergedListId(0), e).unwrap();
+        }
+        assert_eq!(slot_sizes(&reopened), [1130]);
     }
 }

@@ -2,7 +2,7 @@
 # Performance gate: the parent commit against the working tree on
 # zerber_perf, the repository's one benchmark (BENCHMARK.json).
 #
-#   scripts/perf_gate.sh [--base REV] [--pairs N] [--first-seed S] [--workloads a,b,...]
+#   scripts/perf_gate.sh [--base REV] [--pairs N] [--first-seed S] [--workloads a,b,...] [--traced]
 #
 # Builds zerber_perf twice — from a `git archive` of REV (default HEAD~1)
 # and from the working tree — each into its own target directory under
@@ -16,6 +16,11 @@
 # better, and a verdict: `WORSE` (see below), `better` (ten or more pairs,
 # the change ahead in nine tenths of them, medians apart by more than the
 # parent's interquartile range) or `ok`.
+#
+# With --traced, after the pairs each side runs once more per workload with
+# `--trace 1` on seed 42, and every per-layer metric of BENCHMARK.json is
+# printed as parent -> change: it shows which layer a change moved, and it
+# is informational only (no verdict, no effect on the exit code).
 #
 # Exits 1 when, on any workload, a median is worse than the parent's by more
 # than the metric's BENCHMARK.json bound, or any op failed a check on either
@@ -32,13 +37,15 @@ BASE="HEAD~1"
 PAIRS=10
 FIRST_SEED=1
 WORKLOADS=""
+TRACED=0
 while [ $# -gt 0 ]; do
   case "$1" in
     --base) BASE="$2"; shift 2 ;;
     --pairs) PAIRS="$2"; shift 2 ;;
     --first-seed) FIRST_SEED="$2"; shift 2 ;;
     --workloads) WORKLOADS="$2"; shift 2 ;;
-    *) echo "usage: $0 [--base REV] [--pairs N] [--first-seed S] [--workloads a,b,...]" >&2; exit 2 ;;
+    --traced) TRACED=1; shift ;;
+    *) echo "usage: $0 [--base REV] [--pairs N] [--first-seed S] [--workloads a,b,...] [--traced]" >&2; exit 2 ;;
   esac
 done
 
@@ -55,7 +62,7 @@ git archive "$BASE" | tar -x -C "$DIR/parent-src"
 echo "==> change: the working tree"
 CARGO_TARGET_DIR="$DIR/change-target" "${BUILD[@]}"
 
-exec python3 - "$DIR" "$PAIRS" "$WORKLOADS" "$FIRST_SEED" <<'PY'
+exec python3 - "$DIR" "$PAIRS" "$WORKLOADS" "$FIRST_SEED" "$TRACED" <<'PY'
 import json
 import statistics
 import subprocess
@@ -64,6 +71,7 @@ import sys
 gate_dir, pairs = sys.argv[1], int(sys.argv[2])
 only = set(filter(None, sys.argv[3].split(",")))
 first_seed = int(sys.argv[4])
+traced = sys.argv[5] == "1"
 seeds = range(first_seed, first_seed + pairs)
 contract = json.load(open("BENCHMARK.json"))
 seconds = str(contract["run_seconds"])
@@ -76,10 +84,10 @@ metrics = contract["end_to_end"]
 sides = ("parent", "change")
 
 
-def run(side, workload, seed):
-    """One untraced run; None when it exits non-zero or prints no JSON."""
+def run(side, workload, seed, trace=0):
+    """One run; None when it exits non-zero or prints no JSON."""
     exe = f"{gate_dir}/{side}-target/release/zerber_perf"
-    argv = [exe, "--workload", workload, "--seed", str(seed), "--seconds", seconds, "--trace", "0"]
+    argv = [exe, "--workload", workload, "--seed", str(seed), "--seconds", seconds, "--trace", str(trace)]
     done = subprocess.run(argv, stdin=subprocess.DEVNULL, stdout=subprocess.PIPE, text=True)
     try:
         line = json.loads(done.stdout.strip().splitlines()[-1])
@@ -88,6 +96,8 @@ def run(side, workload, seed):
     if done.returncode != 0 or line is None:
         print(f"{workload} seed {seed} {side}: exit {done.returncode}, no result", flush=True)
         return None
+    if trace:
+        return line
     shown = "  ".join(f"{m['name']}={line['metrics'][m['name']]['value']:.6g}" for m in metrics)
     print(
         f"{workload} seed {seed} {side}: failed {line['failed']}/{line['attempted']}"
@@ -140,11 +150,20 @@ for workload in workloads:
         )
     tables.append((workload, len(paired), rows))
 
+traces = {w: {side: run(side, w, 42, trace=1) for side in sides} for w in workloads} if traced else {}
+
 print()
 print(f"median [q1, q3] parent -> change, change/parent, pairs the change read better in ({seconds} s phases)")
 for workload, n, rows in tables:
     print(f"{workload} ({n} pairs, seeds {seeds[0]}-{seeds[-1]})")
     print("\n".join(rows))
+if traces:
+    print("\nper-layer metrics, one --trace 1 run per side on seed 42: parent -> change (informational)")
+for workload, runs in traces.items():
+    print(workload)
+    for m in contract["per_layer"]:
+        p, c = (r["metrics"][m["name"]]["value"] if r else float("nan") for r in (runs["parent"], runs["change"]))
+        print(f"  {m['name']:<40} {p:>12.6g}  ->  {c:>12.6g} {m['unit']}")
 if broken:
     print("\nperf gate: FAILED")
     print("\n".join(f"  {b}" for b in broken))

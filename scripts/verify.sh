@@ -125,8 +125,16 @@ if [ -d "$TEST_STAGING" ] && [ -n "$(find "$TEST_STAGING" -type f 2>/dev/null | 
   exit 1
 fi
 
-echo "==> perf gate script parses (scripts/perf_gate.sh; running it takes ~40 min and an idle machine)"
+echo "==> perf gate script parses (scripts/perf_gate.sh and its embedded Python; running it takes ~40 min and an idle machine)"
 bash -n scripts/perf_gate.sh
+python3 - scripts/perf_gate.sh <<'PY'
+import ast
+import sys
+
+# Padded with the lines before the heredoc, so errors cite the file's lines.
+head, body = open(sys.argv[1]).read().split("<<'PY'\n", 1)
+ast.parse("\n" * (head.count("\n") + 1) + body.split("\nPY\n", 1)[0], sys.argv[1])
+PY
 
 # The non-test lines of crates/store/src + crates/protocol/src may only go
 # down: lower the ceiling (the landed total, rounded up to the next 25)
