@@ -576,7 +576,7 @@ mod tests {
     use zerber_corpus::{sample_split, Corpus, CorpusBuilder, CorpusStats, Document, SplitConfig};
     use zerber_crypto::{DeterministicRng, GroupKeys, MasterKey};
     use zerber_r::{RstfConfig, RstfModel};
-    use zerber_store::{DurableConfig, SingleMutexStore, SpillConfig};
+    use zerber_store::{DurableConfig, SpillConfig};
 
     /// A fresh directory under `$TMPDIR/zerber-test` (the staging dir the
     /// hygiene guard watches), removed with its contents on drop.  Declare
@@ -964,7 +964,8 @@ mod tests {
         let index = zerber_r::OrderedIndex::build(&c, plan, &model, &master, 7).unwrap();
         let mut acl = AccessControl::new(b"srv");
         acl.register_user("john", &[GroupId(0), GroupId(1)]);
-        // The three lifecycles of the engine, and the oracle.
+        // The three lifecycles of the engine, and the resident one on a
+        // single shard: one lock domain for every list.
         let root = TempRoot::new("stream-batch");
         let (spill, segment) = (SpillConfig::default(), SegmentConfig::default());
         let stores: Vec<(&str, Box<dyn ListStore>)> = vec![
@@ -992,7 +993,10 @@ mod tests {
                     .unwrap(),
                 ),
             ),
-            ("oracle", Box::new(SingleMutexStore::new(index))),
+            (
+                "one shard",
+                Box::new(SpillStore::resident(index, 1, segment).unwrap()),
+            ),
         ];
         let servers: Vec<(&str, IndexServer)> = stores
             .into_iter()
@@ -1390,7 +1394,7 @@ mod tests {
     }
 
     #[test]
-    fn sharded_and_single_mutex_servers_answer_identically() {
+    fn sharded_and_single_shard_servers_answer_identically() {
         let c = corpus();
         let stats = CorpusStats::compute(&c);
         let split = sample_split(&c, SplitConfig::default()).unwrap();
@@ -1406,7 +1410,10 @@ mod tests {
             Box::new(SpillStore::resident(index.clone(), 4, SegmentConfig::default()).unwrap()),
             acl.clone(),
         );
-        let single = IndexServer::with_store(Box::new(SingleMutexStore::new(index)), acl);
+        let single = IndexServer::with_store(
+            Box::new(SpillStore::resident(index, 1, SegmentConfig::default()).unwrap()),
+            acl,
+        );
         let token = sharded.acl().issue_token("john");
         for list in 0..sharded.num_lists() as u64 {
             for offset in [0u64, 2, 7] {
@@ -1418,8 +1425,8 @@ mod tests {
                 assert_eq!(a.visible_total, b.visible_total);
             }
         }
-        // Same traffic, byte for byte; what differs is physical — resident
-        // bytes and the elements the oracle examines to count visibility.
+        // Same traffic, byte for byte, and one lock per request however the
+        // lists are sharded.
         let (a, b) = (sharded.stats(), single.stats());
         assert_eq!(
             (a.requests_served, a.elements_sent, a.bytes_in, a.bytes_out),

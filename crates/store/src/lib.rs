@@ -36,8 +36,6 @@
 //!   A paging store lives in the directory its caller names, and it is
 //!   durable iff it carries durable state ([`SpillStore::is_durable`]); no
 //!   constructor invents a directory.
-//! * [`oracle`] — [`SingleMutexStore`] over [`VecList`]: the naive model
-//!   the engine is checked against.  Nothing serves from it.
 //!
 //! The durable layout doubles as the replication substrate ([`replication`]):
 //! a [`ReplicationSource`] streams checkpoint snapshots and the live WAL
@@ -47,10 +45,12 @@
 //! loop ([`Replica::catch_up`]) and serves bounded-staleness reads behind a
 //! [`ReplicaReadStore`].
 //!
-//! Engine and oracle share one generic cursor-session table
-//! ([`store::OrderedList`]), so sessions, insert generations, owner checks,
-//! TTL expiry and eviction behave identically; everything physical is
-//! implemented twice and must answer element-for-element the same.
+//! The crate holds no second implementation of the contract.  The engine is
+//! checked against a naive model that lives with the integration suites
+//! (`tests/common/oracle.rs`): plain `Vec` lists behind one mutex, with
+//! cursor sessions written as the contract states them.  It shares no code
+//! with the engine, the session table included, and must answer
+//! element-for-element the same.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 #![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
@@ -60,7 +60,6 @@ pub mod convert;
 pub mod durable;
 pub mod error;
 pub mod lockrank;
-pub mod oracle;
 pub mod replication;
 pub mod segment;
 pub mod sharded;
@@ -70,7 +69,6 @@ pub mod store;
 pub use durable::{crc32, DurableConfig, FileIo, PageIo, RealIo, SyncPolicy};
 pub use error::StoreError;
 pub use lockrank::{LockClass, RankGuard};
-pub use oracle::{SingleMutexStore, VecList};
 pub use replication::{
     FrameBatch, InProcessTransport, PumpOutcome, Replica, ReplicaConfig, ReplicaReadStore,
     ReplicaStats, ReplicaTransport, ReplicationSource, SnapshotFile, SnapshotPayload,
@@ -80,8 +78,8 @@ pub use segment::{Segment, SegmentConfig};
 pub use sharded::{default_shards, SpillStore, MAX_SHARDS};
 pub use spill::{SpillConfig, SpillList};
 pub use store::{
-    CursorId, GroupFilter, ListStore, OrderedList, RangedBatch, RangedFetch, SessionStats,
-    StoreMetrics, SESSION_TTL_TICKS,
+    CursorId, GroupFilter, ListStore, RangedBatch, RangedFetch, SessionStats, StoreMetrics,
+    SESSION_TTL_TICKS,
 };
 
 #[cfg(test)]
@@ -165,6 +163,57 @@ mod tests {
         }
     }
 
+    /// The naive model the single-list unit tests hold the segment stack
+    /// against: a sorted `Vec`, visibility by a linear `contains`, and the
+    /// one-line insert rule.
+    pub(crate) mod model {
+        use crate::store::GroupFilter;
+        use zerber_r::{OrderedElement, TRS_BYTES};
+
+        fn visible(element: &OrderedElement, filter: &GroupFilter<'_>) -> bool {
+            filter.groups().is_none_or(|g| g.contains(&element.group))
+        }
+
+        /// After every strictly greater TRS, before equal ones.
+        pub(crate) fn insert(list: &mut Vec<OrderedElement>, element: OrderedElement) -> usize {
+            let pos = list.partition_point(|e| e.trs > element.trs);
+            list.insert(pos, element);
+            pos
+        }
+
+        pub(crate) fn visible_total(list: &[OrderedElement], filter: &GroupFilter<'_>) -> usize {
+            list.iter().filter(|e| visible(e, filter)).count()
+        }
+
+        /// `SpillList::scan` by its definition: from `start`, skip `skip`
+        /// visible elements, collect up to `count`, and return the position
+        /// just past the last collected one (`max(len, start)` otherwise).
+        pub(crate) fn scan(
+            list: &[OrderedElement],
+            start: usize,
+            skip: usize,
+            count: usize,
+            filter: &GroupFilter<'_>,
+        ) -> (Vec<OrderedElement>, usize) {
+            let picked: Vec<usize> = (start..list.len())
+                .filter(|&i| visible(&list[i], filter))
+                .skip(skip)
+                .take(count)
+                .collect();
+            let next = match picked.last() {
+                Some(&last) if picked.len() == count => last + 1,
+                _ => list.len().max(start),
+            };
+            (picked.iter().map(|&i| list[i].clone()).collect(), next)
+        }
+
+        pub(crate) fn stored_bytes(list: &[OrderedElement]) -> usize {
+            list.iter()
+                .map(|e| e.sealed.stored_bytes() + TRS_BYTES)
+                .sum()
+        }
+    }
+
     fn index() -> OrderedIndex {
         let config = SynthConfig {
             profile: DatasetProfile::Custom(CustomProfile {
@@ -193,12 +242,13 @@ mod tests {
         OrderedIndex::build(&corpus, plan, &model, &master, 11).unwrap()
     }
 
-    /// The engine on its resident lifecycle and the oracle, over one index.
-    fn stores() -> (SpillStore, SingleMutexStore) {
+    /// The engine on its resident lifecycle, and the index it was built
+    /// from: the naive model its answers are held against.
+    fn stores() -> (SpillStore, OrderedIndex) {
         let idx = index();
         (
             SpillStore::resident(idx.clone(), 4, small_segment_config()).unwrap(),
-            SingleMutexStore::new(idx),
+            idx,
         )
     }
 
@@ -261,9 +311,9 @@ mod tests {
 
     #[test]
     fn all_stores_serve_identical_ranged_batches() {
-        let (resident, oracle) = stores();
+        let (resident, model) = stores();
         let spilled = spill_store();
-        let list = busiest_list(&oracle);
+        let list = busiest_list(&resident);
         let groups = [GroupId(0), GroupId(2)];
         for offset in [0usize, 3, 10] {
             let fetch = RangedFetch {
@@ -271,9 +321,16 @@ mod tests {
                 offset,
                 count: 7,
             };
-            let want = oracle.fetch_ranged(&fetch, Some(&groups)).unwrap();
-            assert_eq!(resident.fetch_ranged(&fetch, Some(&groups)).unwrap(), want);
+            let want = resident.fetch_ranged(&fetch, Some(&groups)).unwrap();
             assert_eq!(spilled.fetch_ranged(&fetch, Some(&groups)).unwrap(), want);
+            assert_eq!(
+                want.elements.iter().collect::<Vec<_>>(),
+                model.fetch(list, offset, 7, Some(&groups)).unwrap()
+            );
+            assert_eq!(
+                want.visible_total,
+                model.visible_len(list, Some(&groups)).unwrap()
+            );
         }
         // The spill engine served from disk: cold pages were faulted in.
         assert!(spilled.metrics().page_faults > 0);
@@ -281,24 +338,31 @@ mod tests {
 
     #[test]
     fn segment_store_matches_snapshots_and_compresses_the_index() {
-        let (segmented, oracle) = stores();
-        for l in 0..oracle.num_lists() as u64 {
+        let (segmented, model) = stores();
+        // The arena layout the segments are measured against: per element a
+        // dense metadata record (TRS, both group tags, the ciphertext's
+        // offset and length) plus the ciphertext itself.
+        let mut arena_bytes = 0usize;
+        for l in 0..model.num_lists() as u64 {
             let id = MergedListId(l);
+            let list = model.list(id).unwrap();
+            assert_eq!(segmented.snapshot_list(id).unwrap(), list);
             assert_eq!(
-                oracle.snapshot_list(id).unwrap(),
-                segmented.snapshot_list(id).unwrap()
+                segmented.visible_len(id, Some(&[GroupId(1)])).unwrap(),
+                model.visible_len(id, Some(&[GroupId(1)])).unwrap()
             );
-            assert_eq!(
-                oracle.visible_len(id, Some(&[GroupId(1)])).unwrap(),
-                segmented.visible_len(id, Some(&[GroupId(1)])).unwrap()
-            );
+            arena_bytes += list
+                .iter()
+                .map(|e| {
+                    std::mem::size_of::<(f64, GroupId, GroupId, usize, usize)>()
+                        + e.sealed.ciphertext.len()
+                })
+                .sum::<usize>();
         }
         assert!(segmented.verify_ordering());
-        assert_eq!(segmented.num_elements(), oracle.num_elements());
-        assert_eq!(segmented.stored_bytes(), oracle.stored_bytes());
-        assert_eq!(segmented.ciphertext_bytes(), oracle.ciphertext_bytes());
-        let ratio =
-            segmented.metrics().resident_bytes as f64 / oracle.metrics().resident_bytes as f64;
+        assert_eq!(segmented.num_elements(), model.num_elements());
+        assert_eq!(segmented.stored_bytes(), model.stored_bytes());
+        let ratio = segmented.metrics().resident_bytes as f64 / arena_bytes as f64;
         assert!(
             ratio < 1.0,
             "segments must be smaller than the vec layout, got {ratio:.3}"
@@ -307,37 +371,32 @@ mod tests {
 
     #[test]
     fn cursor_follow_ups_report_the_current_visible_total() {
-        let (resident, oracle) = stores();
-        for store in [
-            Box::new(resident) as Box<dyn ListStore>,
-            Box::new(oracle) as Box<dyn ListStore>,
-        ] {
-            let list = busiest_list(store.as_ref());
-            let groups = [GroupId(0), GroupId(2)];
-            let first = store
-                .fetch_ranged(
-                    &RangedFetch {
-                        list,
-                        offset: 0,
-                        count: 2,
-                    },
-                    Some(&groups),
-                )
-                .unwrap();
-            let cursor = store
-                .open_cursor(list, 5, &first, first.elements.len(), Some(&groups))
-                .unwrap();
-            for _ in 0..2 {
-                let batch = store.cursor_fetch(cursor, 5, 2, Some(&groups)).unwrap();
-                assert_eq!(batch.visible_total, first.visible_total);
-            }
-            // An element the session can see, inserted mid-session, counts
-            // on the very next follow-up, whatever the engine.
-            store.insert(list, first.elements[0].clone()).unwrap();
+        let (store, _) = stores();
+        let list = busiest_list(&store);
+        let groups = [GroupId(0), GroupId(2)];
+        let first = store
+            .fetch_ranged(
+                &RangedFetch {
+                    list,
+                    offset: 0,
+                    count: 2,
+                },
+                Some(&groups),
+            )
+            .unwrap();
+        let cursor = store
+            .open_cursor(list, 5, &first, first.elements.len(), Some(&groups))
+            .unwrap();
+        for _ in 0..2 {
             let batch = store.cursor_fetch(cursor, 5, 2, Some(&groups)).unwrap();
-            assert_eq!(batch.visible_total, first.visible_total + 1);
-            store.close_cursor(cursor, 5);
+            assert_eq!(batch.visible_total, first.visible_total);
         }
+        // An element the session can see, inserted mid-session, counts
+        // on the very next follow-up.
+        store.insert(list, first.elements[0].clone()).unwrap();
+        let batch = store.cursor_fetch(cursor, 5, 2, Some(&groups)).unwrap();
+        assert_eq!(batch.visible_total, first.visible_total + 1);
+        store.close_cursor(cursor, 5);
     }
 
     #[test]
@@ -368,7 +427,7 @@ mod tests {
     fn resuming_no_cursor_names_no_session() {
         // `CursorId::NONE` is "no cursor": every store refuses to resume it,
         // never serving it as a ranged fetch of list 0 at offset 0.
-        let (resident, oracle) = stores();
+        let (resident, _) = stores();
         let root = TempRoot::new("resume-no-cursor");
         let primary = std::sync::Arc::new(
             SpillStore::create_durable(
@@ -388,7 +447,7 @@ mod tests {
         )
         .unwrap();
         let replica_store = replica.serving_store();
-        for store in [&resident as &dyn ListStore, &oracle, &replica_store] {
+        for store in [&resident as &dyn ListStore, &replica_store] {
             let out = store.cursor_fetch(CursorId::NONE, 1, 2, None);
             assert!(matches!(out, Err(StoreError::UnknownCursor(0))), "{out:?}");
         }
@@ -506,14 +565,10 @@ mod tests {
 
     #[test]
     fn unknown_lists_error_on_every_accessor() {
-        let (resident, oracle) = stores();
+        let (resident, _) = stores();
         let spilled = spill_store();
         let bad = MergedListId(10_000_000);
-        for store in [
-            &resident as &dyn ListStore,
-            &oracle as &dyn ListStore,
-            &*spilled as &dyn ListStore,
-        ] {
+        for store in [&resident as &dyn ListStore, &*spilled] {
             assert!(store.list_len(bad).is_err());
             assert!(store.visible_len(bad, None).is_err());
             assert!(store.snapshot_list(bad).is_err());
@@ -553,12 +608,11 @@ mod tests {
 
     #[test]
     fn stores_agree_on_sizes() {
-        let (resident, oracle) = stores();
-        assert_eq!(resident.num_elements(), oracle.num_elements());
-        assert_eq!(resident.stored_bytes(), oracle.stored_bytes());
-        assert_eq!(resident.ciphertext_bytes(), oracle.ciphertext_bytes());
-        assert_eq!(resident.num_lists(), oracle.num_lists());
-        assert_eq!((resident.num_shards(), oracle.num_shards()), (4, 1));
+        let (resident, model) = stores();
+        assert_eq!(resident.num_elements(), model.num_elements());
+        assert_eq!(resident.stored_bytes(), model.stored_bytes());
+        assert_eq!(resident.num_lists(), model.num_lists());
+        assert_eq!(resident.num_shards(), 4);
         // The resident lifecycle never spills or faults.
         assert_eq!(resident.metrics().spilled_bytes, 0);
         assert_eq!(resident.metrics().page_faults, 0);
@@ -567,21 +621,17 @@ mod tests {
 
     #[test]
     fn spill_store_moves_cold_bytes_to_disk_and_keeps_answers_identical() {
-        let (segmented, oracle) = stores();
+        let (segmented, model) = stores();
         let spilled = spill_store();
         // Logical accounting is lifecycle-independent.
-        assert_eq!(spilled.num_elements(), oracle.num_elements());
-        assert_eq!(spilled.stored_bytes(), oracle.stored_bytes());
-        assert_eq!(spilled.ciphertext_bytes(), oracle.ciphertext_bytes());
-        for l in 0..oracle.num_lists() as u64 {
+        assert_eq!(spilled.num_elements(), model.num_elements());
+        assert_eq!(spilled.stored_bytes(), model.stored_bytes());
+        for l in 0..model.num_lists() as u64 {
             let id = MergedListId(l);
+            assert_eq!(spilled.snapshot_list(id).unwrap(), model.list(id).unwrap());
             assert_eq!(
-                oracle.snapshot_list(id).unwrap(),
-                spilled.snapshot_list(id).unwrap()
-            );
-            assert_eq!(
-                oracle.visible_len(id, Some(&[GroupId(1)])).unwrap(),
-                spilled.visible_len(id, Some(&[GroupId(1)])).unwrap()
+                spilled.visible_len(id, Some(&[GroupId(1)])).unwrap(),
+                model.visible_len(id, Some(&[GroupId(1)])).unwrap()
             );
         }
         assert!(spilled.verify_ordering());

@@ -836,10 +836,6 @@ impl ListStore for ReplicaReadStore {
         self.store().stored_bytes()
     }
 
-    fn ciphertext_bytes(&self) -> usize {
-        self.store().ciphertext_bytes()
-    }
-
     fn metrics(&self) -> StoreMetrics {
         StoreMetrics {
             frames_streamed: self.shared.frames_streamed.load(Ordering::Relaxed),

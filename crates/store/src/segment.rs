@@ -10,7 +10,7 @@
 //!
 //! * TRS values are delta-encoded through the order-preserving
 //!   [`sortable_bits`] mapping — bit-exact, so decoded elements compare
-//!   identically to the oracle's even across quantization-free ties;
+//!   identically to the plain ones even across quantization-free ties;
 //! * group tags and ciphertext lengths are varints (with a per-block
 //!   "uniform ciphertext length" fast path, since sealed payloads have one
 //!   fixed size in practice), and blocks whose elements all share one group
@@ -145,7 +145,6 @@ pub struct Segment {
     blocks: Vec<BlockMeta>,
     elems: usize,
     stored_bytes: usize,
-    ciphertext_bytes: usize,
 }
 
 fn corrupt(reason: impl std::fmt::Display) -> StoreError {
@@ -456,7 +455,6 @@ impl Segment {
                 .iter()
                 .map(|e| e.sealed.stored_bytes() + TRS_BYTES)
                 .sum(),
-            ciphertext_bytes: elements.iter().map(|e| e.sealed.ciphertext.len()).sum(),
         })
     }
 
@@ -479,11 +477,6 @@ impl Segment {
     /// Logical stored bytes (sealed payloads + TRS) of the elements held.
     pub(crate) fn stored_bytes(&self) -> usize {
         self.stored_bytes
-    }
-
-    /// Ciphertext bytes across the elements held.
-    pub(crate) fn ciphertext_bytes(&self) -> usize {
-        self.ciphertext_bytes
     }
 
     /// Per-group element counts aggregated over the segment's blocks,
@@ -666,7 +659,6 @@ impl Segment {
             blocks,
             elems,
             stored_bytes: ciphertext_bytes + elems * (GROUP_TAG_BYTES + TRS_BYTES),
-            ciphertext_bytes,
         })
     }
 
@@ -871,7 +863,6 @@ mod oracle {
         let (blocks, payload) = Segment::parse_header(buf)?;
         let mut elems = 0usize;
         let mut stored = 0usize;
-        let mut ciphertext = 0usize;
         for (i, meta) in blocks.iter().enumerate() {
             let block_bytes =
                 payload_slice(&payload, usize_of(meta.offset), usize_of(meta.byte_len))?;
@@ -880,10 +871,6 @@ mod oracle {
             stored += decoded
                 .iter()
                 .map(|e| e.sealed.stored_bytes() + TRS_BYTES)
-                .sum::<usize>();
-            ciphertext += decoded
-                .iter()
-                .map(|e| e.sealed.ciphertext.len())
                 .sum::<usize>();
             if i > 0 && blocks[i - 1].last < meta.first {
                 return Err(corrupt("blocks out of TRS order"));
@@ -894,7 +881,6 @@ mod oracle {
             blocks,
             elems,
             stored_bytes: stored,
-            ciphertext_bytes: ciphertext,
         })
     }
 
@@ -909,7 +895,6 @@ mod oracle {
                 assert_eq!(new, old);
                 assert_eq!(new.decode_all(), old.decode_all());
                 assert_eq!(new.stored_bytes(), old.stored_bytes());
-                assert_eq!(new.ciphertext_bytes(), old.ciphertext_bytes());
                 assert_eq!(new.resident_bytes(), old.resident_bytes());
             }
             (Err(new), Err(old)) => assert_eq!(new, old),
@@ -924,13 +909,12 @@ mod tests {
     //! The segment codec's tests, and — under their original names — the
     //! list tests of the stack built from segments: they run against
     //! [`SpillList`] on its resident (pager-less) lifecycle, held against
-    //! the oracle's `Vec` layout.
+    //! a sorted `Vec` ([`crate::tests::model`]).
 
     use super::oracle::same_verdict;
     use super::*;
-    use crate::oracle::VecList;
     use crate::spill::SpillList;
-    use crate::store::OrderedList;
+    use crate::tests::model;
 
     fn element(trs: f64, group: u32, ct: &[u8]) -> OrderedElement {
         OrderedElement {
@@ -1058,9 +1042,8 @@ mod tests {
     fn segment_list_matches_the_vec_layout_on_scans() {
         let elements = sorted_elements(37);
         let seg = SpillList::build(elements.clone(), small_config(), None).unwrap();
-        let vec = VecList::from_elements(elements);
-        assert_eq!(seg.len(), vec.len());
-        assert_eq!(seg.snapshot().unwrap(), vec.snapshot().unwrap());
+        assert_eq!(seg.len(), elements.len());
+        assert_eq!(seg.snapshot().unwrap(), elements);
         // Filters as callers may hand them in — ascending, unsorted with a
         // duplicate, empty, naming only absent groups — all normalise to
         // something the skip entries can be merged against.
@@ -1072,13 +1055,16 @@ mod tests {
             Some(&[GroupId(7)]),
         ];
         for accessible in &filters.map(GroupFilter::normalise) {
-            assert_eq!(seg.visible_total(accessible), vec.visible_total(accessible));
+            assert_eq!(
+                seg.visible_total(accessible),
+                model::visible_total(&elements, accessible)
+            );
             for start in [0usize, 3, 17, 36, 37, 40] {
                 for skip in [0usize, 1, 5, 30] {
                     for count in [1usize, 4, 100] {
                         assert_eq!(
                             seg.scan(start, skip, count, accessible).unwrap(),
-                            vec.scan(start, skip, count, accessible).unwrap(),
+                            model::scan(&elements, start, skip, count, accessible),
                             "start {start} skip {skip} count {count}"
                         );
                     }
@@ -1090,7 +1076,7 @@ mod tests {
     #[test]
     fn inserts_match_the_vec_layout_and_seal_the_tail() {
         let mut seg = SpillList::build(sorted_elements(20), small_config(), None).unwrap();
-        let mut vec = VecList::from_elements(sorted_elements(20));
+        let mut expected = sorted_elements(20);
         // Tail inserts (below every sealed element), interior inserts and
         // head inserts, with ties.
         let probes = [0.001, 0.002, 0.5, 0.925, 1.5, 0.5, 0.0015, 0.85, 0.0];
@@ -1098,12 +1084,12 @@ mod tests {
             let e = element(trs, (i % 3) as u32, &[i as u8; 6]);
             assert_eq!(
                 seg.insert(e.clone()).unwrap(),
-                vec.insert(e).unwrap(),
+                model::insert(&mut expected, e),
                 "probe {trs}"
             );
-            assert_eq!(seg.len(), vec.len());
+            assert_eq!(seg.len(), expected.len());
         }
-        assert_eq!(seg.snapshot().unwrap(), vec.snapshot().unwrap());
+        assert_eq!(seg.snapshot().unwrap(), expected);
         assert!(seg.ordering_ok());
         // The tail stayed bounded by the threshold (sealing happened).
         assert!(seg.tail_len() <= small_config().tail_threshold);
@@ -1114,14 +1100,17 @@ mod tests {
     fn tail_seals_fill_the_last_segment() {
         let config = small_config();
         let mut seg = SpillList::build(sorted_elements(16), config, None).unwrap();
-        let mut vec = VecList::from_elements(sorted_elements(16));
+        let mut expected = sorted_elements(16);
         // A long run of low-TRS inserts seals the tail many times.
         for i in 0..40 {
             let trs = 1e-6 * (40 - i) as f64;
             let e = element(trs, (i % 3) as u32, &[7u8; 4]);
-            assert_eq!(seg.insert(e.clone()).unwrap(), vec.insert(e).unwrap());
+            assert_eq!(
+                seg.insert(e.clone()).unwrap(),
+                model::insert(&mut expected, e)
+            );
         }
-        assert_eq!(seg.snapshot().unwrap(), vec.snapshot().unwrap());
+        assert_eq!(seg.snapshot().unwrap(), expected);
         // A seal rebuilds the last segment while it has room, so every
         // segment but the last is full.
         let sealed = seg.len() - seg.tail_len();
@@ -1130,23 +1119,29 @@ mod tests {
             sealed.div_ceil(config.max_segment_elems),
             "stack depth after {sealed} sealed elements"
         );
-        assert_eq!(seg.stored_bytes(), vec.stored_bytes());
-        assert_eq!(seg.ciphertext_bytes(), vec.ciphertext_bytes());
+        assert_eq!(seg.stored_bytes(), model::stored_bytes(&expected));
         assert_totals_exact(&seg);
     }
 
     #[test]
     fn compressed_lists_are_smaller_than_the_vec_layout() {
-        // The baseline is the arena `VecList` (one ciphertext arena per
-        // list), which is already much tighter than the historical
-        // one-heap-allocation-per-element layout — the fair comparison the
-        // ROADMAP asked for.  Mixed groups pay a 1-byte tag per element.
+        // The baseline is an arena layout: per element one dense metadata
+        // record (TRS, both group tags, the ciphertext's offset and length)
+        // plus one ciphertext arena per list — already much tighter than a
+        // heap allocation per element.  Mixed groups pay a 1-byte tag per
+        // element.
+        let arena = |elements: &[OrderedElement]| {
+            elements.len() * std::mem::size_of::<(f64, GroupId, GroupId, usize, usize)>()
+                + elements
+                    .iter()
+                    .map(|e| e.sealed.ciphertext.len())
+                    .sum::<usize>()
+        };
         let elements: Vec<OrderedElement> = (0..512)
             .map(|i| element(1.0 - i as f64 / 512.0, (i % 4) as u32, &[3u8; 44]))
             .collect();
         let seg = SpillList::build(elements.clone(), SegmentConfig::default(), None).unwrap();
-        let vec = VecList::from_elements(elements);
-        let ratio = seg.resident_bytes() as f64 / vec.resident_bytes() as f64;
+        let ratio = seg.resident_bytes() as f64 / arena(&elements) as f64;
         assert!(
             ratio <= 0.75,
             "segment layout should be <= 75% of the arena vec layout, got {ratio:.3}"
@@ -1157,8 +1152,7 @@ mod tests {
             .map(|i| element(1.0 - i as f64 / 512.0, 2, &[3u8; 44]))
             .collect();
         let useg = SpillList::build(uniform.clone(), SegmentConfig::default(), None).unwrap();
-        let uvec = VecList::from_elements(uniform);
-        let uratio = useg.resident_bytes() as f64 / uvec.resident_bytes() as f64;
+        let uratio = useg.resident_bytes() as f64 / arena(&uniform) as f64;
         assert!(
             uratio < ratio,
             "group-uniform blocks should beat mixed blocks: {uratio:.3} vs {ratio:.3}"
@@ -1169,7 +1163,6 @@ mod tests {
     fn empty_lists_behave() {
         let mut seg = SpillList::build(Vec::new(), small_config(), None).unwrap();
         assert_eq!(seg.len(), 0);
-        assert!(seg.is_empty());
         let all = GroupFilter::normalise(None);
         assert_eq!(seg.scan(0, 0, 5, &all).unwrap(), (Vec::new(), 0));
         assert_eq!(seg.insert(element(0.5, 0, &[1])).unwrap(), 0);
@@ -1193,8 +1186,8 @@ mod tests {
             .map(|i| element(1.0 - i as f64 / 24.0, (i % 2) as u32, &[i as u8; 20]))
             .collect();
         let mut seg = SpillList::build(elements.clone(), config, None).unwrap();
-        let mut vec = VecList::from_elements(elements);
-        assert_eq!(seg.snapshot().unwrap(), vec.snapshot().unwrap());
+        let mut expected = elements;
+        assert_eq!(seg.snapshot().unwrap(), expected);
         assert_totals_exact(&seg);
         // Every segment respects the byte bound: 24 elements would fit one
         // segment by count, so only the payload bound splits them.
@@ -1208,12 +1201,12 @@ mod tests {
             let e = element(trs, (i % 3) as u32, &[7u8; 20]);
             assert_eq!(
                 seg.insert(e.clone()).unwrap(),
-                vec.insert(e).unwrap(),
+                model::insert(&mut expected, e),
                 "probe {trs}"
             );
             assert_totals_exact(&seg);
         }
-        assert_eq!(seg.snapshot().unwrap(), vec.snapshot().unwrap());
+        assert_eq!(seg.snapshot().unwrap(), expected);
         assert!(seg.ordering_ok());
         // A seal that fails rolls its insert back, totals included.  Fill
         // the tail to its threshold with +0.0, then offer -0.0: it compares

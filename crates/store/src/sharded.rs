@@ -47,8 +47,8 @@ use crate::lockrank::{self, LockClass, Mode, Ranked};
 use crate::segment::SegmentConfig;
 use crate::spill::{DurableState, Pager, SpillList};
 use crate::store::{
-    CursorId, GroupFilter, ListStore, ListTable, OrderedList, RangedBatch, RangedFetch,
-    SessionStats, StoreMetrics,
+    CursorId, GroupFilter, ListStore, ListTable, RangedBatch, RangedFetch, SessionStats,
+    StoreMetrics,
 };
 
 /// Upper bound on shards: cursor ids embed the shard index in their low byte.
@@ -62,7 +62,7 @@ pub const MAX_SHARDS: usize = 256;
 /// `lock_acquisitions` reads 0.
 #[derive(Debug)]
 pub struct SpillStore {
-    shards: Vec<RwLock<ListTable<SpillList>>>,
+    shards: Vec<RwLock<ListTable>>,
     plan: MergePlan,
     next_cursor: AtomicU64,
     /// Shard-lock acquisitions by the serving paths (see
@@ -77,9 +77,9 @@ pub struct SpillStore {
 }
 
 /// A ranked shard read guard (see [`lockrank::ranked`]).
-pub(crate) type ShardRead<'a> = Ranked<RwLockReadGuard<'a, ListTable<SpillList>>>;
+pub(crate) type ShardRead<'a> = Ranked<RwLockReadGuard<'a, ListTable>>;
 /// A ranked shard write guard.
-pub(crate) type ShardWrite<'a> = Ranked<RwLockWriteGuard<'a, ListTable<SpillList>>>;
+pub(crate) type ShardWrite<'a> = Ranked<RwLockWriteGuard<'a, ListTable>>;
 
 /// The shard count matched to the machine (`available_parallelism`, clamped
 /// to `[1, 64]`).
@@ -235,12 +235,6 @@ impl ListStore for SpillStore {
     fn stored_bytes(&self) -> usize {
         (0..self.shards.len())
             .map(|s| self.shard_read(s).stored_bytes())
-            .sum()
-    }
-
-    fn ciphertext_bytes(&self) -> usize {
-        (0..self.shards.len())
-            .map(|s| self.shard_read(s).ciphertext_bytes())
             .sum()
     }
 

@@ -108,7 +108,7 @@ use crate::error::StoreError;
 use crate::lockrank;
 use crate::segment::{add_count, encode_rebuilt, encode_segments, Segment, SegmentConfig};
 use crate::sharded::{SpillStore, MAX_SHARDS};
-use crate::store::{GroupFilter, ListStore, ListTable, OrderedList, StoreMetrics};
+use crate::store::{GroupFilter, ListStore, ListTable, StoreMetrics};
 
 /// Tuning knobs of the paging lifecycles.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -251,8 +251,9 @@ pub(crate) struct Pager {
     /// Logical access clock, ticked on every sealed-slot read; slot
     /// summaries stamp it so the retier pass can rank slots by recency.
     access_clock: AtomicU64,
-    /// Serving operations since the last retier pass of this shard.
-    ops_since_retier: AtomicU64,
+    /// Serving operations of this shard so far; a retier pass is due at
+    /// every multiple of `retier_interval`.
+    serving_ops: AtomicU64,
     /// Single-flight guard: at most one compaction per shard at a time.
     compacting: AtomicBool,
     compact_dead_percent: u8,
@@ -328,7 +329,7 @@ impl Pager {
             promotions: AtomicU64::new(0),
             demotions: AtomicU64::new(0),
             access_clock: AtomicU64::new(0),
-            ops_since_retier: AtomicU64::new(0),
+            serving_ops: AtomicU64::new(0),
             compacting: AtomicBool::new(false),
             compact_dead_percent: config.compact_dead_percent,
             compact_min_dead_bytes: config.compact_min_dead_bytes,
@@ -485,18 +486,15 @@ impl Pager {
         Segment::from_bytes(&buf)
     }
 
-    /// Counts one serving operation; `true` when a retier pass is due (the
-    /// counter re-arms, so exactly one caller gets the `true`).
+    /// Counts one serving operation; `true` when a retier pass is due.  One
+    /// `fetch_add` decides, so of every `retier_interval` consecutive calls
+    /// exactly one caller gets the `true`, however the threads interleave.
     fn take_retier_due(&self) -> bool {
         if self.retier_interval == 0 {
             return false;
         }
-        if self.ops_since_retier.fetch_add(1, Ordering::Relaxed) + 1 >= self.retier_interval {
-            self.ops_since_retier.store(0, Ordering::Relaxed);
-            true
-        } else {
-            false
-        }
+        let prev = self.serving_ops.fetch_add(1, Ordering::Relaxed);
+        (prev + 1).is_multiple_of(self.retier_interval)
     }
 
     /// Bytes stranded in the page file by superseded pages.
@@ -649,7 +647,6 @@ struct SlotMeta {
     /// Sortable bits of the segment's smallest (last) TRS.
     last_bits: u64,
     stored_bytes: usize,
-    ciphertext_bytes: usize,
     /// Exact memory charge of the decoded segment — what residency costs
     /// against the shard budget, and what a resident slot is charged.
     /// Updated on promotion (decoded capacities can differ from the
@@ -667,7 +664,6 @@ impl SlotMeta {
             elems: segment.num_elements(),
             last_bits: segment.last_bits(),
             stored_bytes: segment.stored_bytes(),
-            ciphertext_bytes: segment.ciphertext_bytes(),
             resident_cost: segment.resident_bytes(),
             last_access: AtomicU64::new(0),
         }
@@ -762,7 +758,7 @@ impl std::ops::Deref for SegRef<'_> {
 /// A merged list stored as a stack of sealed segments plus a mutable
 /// uncompressed tail.  The logical sequence is
 /// `slots[0] ++ slots[1] ++ ... ++ tail`, descending in TRS — positionally
-/// identical to the oracle's `Vec` layout.
+/// identical to the plain sorted `Vec` of its elements.
 #[derive(Debug)]
 pub struct SpillList {
     slots: Vec<Slot>,
@@ -1176,12 +1172,17 @@ struct TierSlot {
     resident: bool,
 }
 
-impl OrderedList for SpillList {
-    fn len(&self) -> usize {
+/// The list operations the session table ([`ListTable`]) serves from.  All
+/// positions are *physical* indices in the logical descending-TRS sequence.
+impl SpillList {
+    /// Number of elements held.
+    pub(crate) fn len(&self) -> usize {
         self.seg_elems + self.tail.len()
     }
 
-    fn snapshot(&self) -> Result<Vec<OrderedElement>, StoreError> {
+    /// A full ordered copy of the list (audits and tests only); fails if a
+    /// spilled page no longer decodes.
+    pub(crate) fn snapshot(&self) -> Result<Vec<OrderedElement>, StoreError> {
         let mut out = Vec::with_capacity(self.len());
         for k in 0..self.slots.len() {
             out.extend(self.segment(k)?.decode_all());
@@ -1190,13 +1191,19 @@ impl OrderedList for SpillList {
         Ok(out)
     }
 
-    fn visible_total(&self, filter: &GroupFilter<'_>) -> usize {
+    /// Number of elements visible under `filter`.
+    pub(crate) fn visible_total(&self, filter: &GroupFilter<'_>) -> usize {
         // The running totals answer for slots and tail alike: no page is
         // faulted and no element examined.
         filter.visible_in(self.len(), &self.totals)
     }
 
-    fn scan(
+    /// Scans from physical index `start`, skipping `skip` visible elements,
+    /// then collecting up to `count` visible elements.  Returns them and the
+    /// physical index just past the last scanned element (`max(len, start)`
+    /// if the scan ran off the end); a corrupt or unreadable page is an
+    /// error, not a panic.
+    pub(crate) fn scan(
         &self,
         start: usize,
         skip: usize,
@@ -1250,7 +1257,12 @@ impl OrderedList for SpillList {
         Ok((elements, total.max(start)))
     }
 
-    fn insert(&mut self, element: OrderedElement) -> Result<usize, StoreError> {
+    /// Inserts an element at its TRS position (after strictly greater,
+    /// before equal), returning the physical insertion index.  Fails —
+    /// without changing the list — if the element cannot be encoded
+    /// ([`StoreError::SegmentOverflow`]) or a page it must touch cannot be
+    /// read or written.
+    pub(crate) fn insert(&mut self, element: OrderedElement) -> Result<usize, StoreError> {
         if !self.config.element_fits(&element) {
             return Err(StoreError::SegmentOverflow);
         }
@@ -1295,7 +1307,9 @@ impl OrderedList for SpillList {
         Ok(pos)
     }
 
-    fn stored_bytes(&self) -> usize {
+    /// Logical bytes stored (sealed payloads + TRS), the byte accounting of
+    /// the experiments.
+    pub(crate) fn stored_bytes(&self) -> usize {
         self.slots
             .iter()
             .map(|s| s.meta.stored_bytes)
@@ -1307,19 +1321,9 @@ impl OrderedList for SpillList {
                 .sum::<usize>()
     }
 
-    fn ciphertext_bytes(&self) -> usize {
-        self.slots
-            .iter()
-            .map(|s| s.meta.ciphertext_bytes)
-            .sum::<usize>()
-            + self
-                .tail
-                .iter()
-                .map(|e| e.sealed.ciphertext.len())
-                .sum::<usize>()
-    }
-
-    fn resident_bytes(&self) -> usize {
+    /// Estimated bytes of memory the representation occupies (structs, heap
+    /// buffers, summaries).
+    pub(crate) fn resident_bytes(&self) -> usize {
         std::mem::size_of::<Self>()
             + self
                 .slots
@@ -1341,7 +1345,8 @@ impl OrderedList for SpillList {
             + self.totals.capacity() * std::mem::size_of::<(GroupId, u32)>()
     }
 
-    fn ordering_ok(&self) -> bool {
+    /// Checks the descending-TRS invariant.
+    pub(crate) fn ordering_ok(&self) -> bool {
         self.snapshot()
             .map(|s| s.windows(2).all(|w| w[0].trs >= w[1].trs))
             .unwrap_or(false)
@@ -1501,7 +1506,7 @@ impl DurableState {
         &self,
         shard: usize,
         pager: &Pager,
-        table: &mut ListTable<SpillList>,
+        table: &mut ListTable,
     ) -> Result<(), StoreError> {
         let _io = lockrank::sanctioned_io("the manifest must match the locked shard state");
         let mut lists = Vec::new();
@@ -2319,7 +2324,7 @@ fn sweep_stray_files(backend: &dyn PageIo, dir: &Path, num_shards: usize, manife
 /// The shard-local budget invariant (see
 /// [`SpillStore::budget_accounting_is_exact`]), checkable while already
 /// holding the shard lock.
-fn charges_consistent(table: &ListTable<SpillList>, pager: &Pager) -> bool {
+fn charges_consistent(table: &ListTable, pager: &Pager) -> bool {
     table.lists().iter().all(SpillList::charges_exact)
         && table
             .lists()
@@ -2359,9 +2364,8 @@ impl SpillStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::oracle::VecList;
     use crate::store::RangedFetch;
-    use crate::tests::{Rooted, TempRoot};
+    use crate::tests::{model, Rooted, TempRoot};
     use zerber_base::{EncryptedElement, MergePlan, MergedListId};
     use zerber_corpus::TermId;
 
@@ -2445,18 +2449,15 @@ mod tests {
                 ..SpillConfig::default().without_tiering()
             },
         );
-        let mut reference = VecList::from_elements(elements);
+        let mut reference = elements;
         let list = MergedListId(0);
-        assert_eq!(
-            store.snapshot_list(list).unwrap(),
-            reference.snapshot().unwrap()
-        );
+        assert_eq!(store.snapshot_list(list).unwrap(), reference);
         // Interleave inserts across the whole TRS range with fetches.
         for (i, trs) in [0.95, 0.5, 0.005, 0.5, 0.31, 0.0].into_iter().enumerate() {
             let e = element(trs, (i % 3) as u32, &[0xAB; 8]);
             assert_eq!(
                 store.insert(list, e.clone()).unwrap(),
-                reference.insert(e).unwrap(),
+                model::insert(&mut reference, e),
                 "probe {trs}"
             );
             let groups = [GroupId(0), GroupId(2)];
@@ -2468,14 +2469,11 @@ mod tests {
                 };
                 let got = store.fetch_ranged(&fetch, Some(&groups)).unwrap();
                 let filter = GroupFilter::normalise(Some(&groups));
-                let (expected, _) = reference.scan(0, offset, 4, &filter).unwrap();
+                let (expected, _) = model::scan(&reference, 0, offset, 4, &filter);
                 assert_eq!(got.elements, expected);
             }
         }
-        assert_eq!(
-            store.snapshot_list(list).unwrap(),
-            reference.snapshot().unwrap()
-        );
+        assert_eq!(store.snapshot_list(list).unwrap(), reference);
         assert!(store.verify_ordering());
         // A cursor walk over the spilled list equals the reference order.
         let head = store
@@ -2497,7 +2495,7 @@ mod tests {
                 break;
             }
         }
-        assert_eq!(walked, reference.snapshot().unwrap());
+        assert_eq!(walked, reference);
     }
 
     #[test]
@@ -3254,13 +3252,13 @@ mod tests {
     /// 20 elements of `sorted_elements(20, 0)`, every slot cold, the small
     /// layout: slots of 16 and 4) and checks that each seal rebuilds the
     /// last slot, cold, instead of adding one.  Returns the reference.
-    fn seal_twice_into_the_cold_last_slot(store: &SpillStore) -> VecList {
+    fn seal_twice_into_the_cold_last_slot(store: &SpillStore) -> Vec<OrderedElement> {
         let last_page_len = || {
             let table = store.shard_read(0);
             let last = table.lists()[0].slots.last().unwrap();
             u64::from(last.page.unwrap().len)
         };
-        let mut reference = VecList::from_elements(sorted_elements(20, 0));
+        let mut reference = sorted_elements(20, 0);
         assert_eq!(store.shard_read(0).lists()[0].num_slots(), 2);
         for seal in 0..2usize {
             let (dead, stranded) = (store.metrics().dead_page_bytes, last_page_len());
@@ -3268,7 +3266,7 @@ mod tests {
                 let e = element(1e-3 * (8 - 4 * seal - i) as f64, 1, &[seal as u8; 8]);
                 assert_eq!(
                     store.insert(MergedListId(0), e.clone()).unwrap(),
-                    reference.insert(e).unwrap()
+                    model::insert(&mut reference, e)
                 );
             }
             {
@@ -3280,10 +3278,7 @@ mod tests {
             }
             assert_eq!(store.metrics().dead_page_bytes, dead + stranded);
         }
-        assert_eq!(
-            store.snapshot_list(MergedListId(0)).unwrap(),
-            reference.snapshot().unwrap()
-        );
+        assert_eq!(store.snapshot_list(MergedListId(0)).unwrap(), reference);
         reference
     }
 
@@ -3309,10 +3304,7 @@ mod tests {
         let reference = seal_twice_into_the_cold_last_slot(&durable);
         drop(durable);
         let reopened = SpillStore::open(&dir, config, DurableConfig::default()).unwrap();
-        assert_eq!(
-            reopened.snapshot_list(MergedListId(0)).unwrap(),
-            reference.snapshot().unwrap()
-        );
+        assert_eq!(reopened.snapshot_list(MergedListId(0)).unwrap(), reference);
         assert_eq!(reopened.shard_read(0).lists()[0].num_slots(), 2);
         assert!(reopened.budget_accounting_is_exact());
     }
@@ -3330,7 +3322,7 @@ mod tests {
     /// Checks list 0 of `store` against the sorted-`Vec` model: every slot
     /// within `bound`, and `scan` / `visible_total` equal under three
     /// filters at several depths.
-    fn assert_bounded_like(store: &SpillStore, reference: &VecList, bound: usize) {
+    fn assert_bounded_like(store: &SpillStore, reference: &[OrderedElement], bound: usize) {
         let sizes = slot_sizes(store);
         assert!(
             sizes.iter().all(|&n| n <= bound),
@@ -3347,17 +3339,17 @@ mod tests {
             let filter = GroupFilter::normalise(groups);
             assert_eq!(
                 list.visible_total(&filter),
-                reference.visible_total(&filter)
+                model::visible_total(reference, &filter)
             );
             for skip in [0, 1, len / 3, len / 2, len.saturating_sub(3)] {
                 assert_eq!(
                     list.scan(0, skip, 7, &filter).unwrap(),
-                    reference.scan(0, skip, 7, &filter).unwrap(),
+                    model::scan(reference, 0, skip, 7, &filter),
                     "skip {skip} under {groups:?}"
                 );
             }
         }
-        assert_eq!(list.snapshot().unwrap(), reference.snapshot().unwrap());
+        assert_eq!(list.snapshot().unwrap(), reference);
     }
 
     /// `list` built resident and spilled with nothing resident, under
@@ -3387,17 +3379,17 @@ mod tests {
             max_payload_bytes: u32::MAX as usize,
         };
         for store in both_lifecycles(sorted_elements(10, 0), segment) {
-            let mut reference = VecList::from_elements(sorted_elements(10, 0));
+            let mut reference = sorted_elements(10, 0);
             // Below every sealed element: 20 tail inserts, two seals of 9.
             for i in 0..20 {
                 let e = element(0.05 - 1e-3 * i as f64, (i % 3) as u32, &[7; 8]);
-                let want = reference.insert(e.clone()).unwrap();
+                let want = model::insert(&mut reference, e.clone());
                 assert_eq!(store.insert(MergedListId(0), e).unwrap(), want);
                 assert_bounded_like(&store, &reference, 4);
             }
             // One interior insert into the first sealed tail's slots.
             let e = element(0.0475, 1, &[8; 8]);
-            let want = reference.insert(e.clone()).unwrap();
+            let want = model::insert(&mut reference, e.clone());
             assert_eq!(store.insert(MergedListId(0), e).unwrap(), want);
             assert_bounded_like(&store, &reference, 4);
         }
@@ -3408,7 +3400,7 @@ mod tests {
         let elements = sorted_elements(1000, 0);
         for store in both_lifecycles(elements.clone(), SegmentConfig::default()) {
             assert_eq!(slot_sizes(&store), [256, 256, 256, 232]);
-            let mut reference = VecList::from_elements(elements.clone());
+            let mut reference = elements.clone();
             let mut state = 0x9E37_79B9_7F4A_7C15u64;
             let mut tail_trs = 1e-3;
             for i in 0..300u32 {
@@ -3424,7 +3416,7 @@ mod tests {
                     tail_trs
                 };
                 let e = element(trs, i % 3, &[i as u8; 8]);
-                let want = reference.insert(e.clone()).unwrap();
+                let want = model::insert(&mut reference, e.clone());
                 assert_eq!(store.insert(MergedListId(0), e).unwrap(), want);
                 if i % 50 == 49 {
                     assert_bounded_like(&store, &reference, 256);
@@ -3470,5 +3462,25 @@ mod tests {
             reopened.insert(MergedListId(0), e).unwrap();
         }
         assert_eq!(slot_sizes(&reopened), [1130]);
+    }
+
+    #[test]
+    fn one_retier_pass_is_due_per_interval_however_threads_interleave() {
+        let config = SpillConfig {
+            retier_interval: 4,
+            ..SpillConfig::default()
+        };
+        let store = store_with(vec![sorted_elements(20, 0)], 1, config);
+        let pager = &store.pagers[0];
+        let due = std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..2)
+                .map(|_| scope.spawn(|| (0..4096).filter(|_| pager.take_retier_due()).count()))
+                .collect();
+            workers
+                .into_iter()
+                .map(|w| w.join().unwrap())
+                .sum::<usize>()
+        });
+        assert_eq!(due, 2 * 4096 / 4);
     }
 }

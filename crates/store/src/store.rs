@@ -7,16 +7,15 @@
 //! merged lists are independent by construction — which is exactly what makes
 //! the index shardable.  This trait captures the contract: a query reaches
 //! the store only as a ranged fetch or a cursor operation, one request at a
-//! time.  Two things implement it: the serving store ([`crate::SpillStore`],
-//! sharded, over the segment stack of [`crate::spill`]) and the oracle it is
-//! checked against ([`crate::oracle`]).  The cursor-session table in this module
-//! ([`ListTable`]) is generic over an [`OrderedList`] — the per-list physical
-//! representation — so both share one cursor-session, generation and TTL
-//! implementation and cannot diverge there.  A session keeps no visibility
-//! state: every `visible_total`, a follow-up's included, is counted by the
-//! list itself ([`OrderedList::visible_total`]), and a session opened from
-//! an outdated batch finds its resume point with the list's own
-//! [`OrderedList::scan`].
+//! time.  One engine implements it ([`crate::SpillStore`], sharded, over the
+//! segment stack of [`crate::spill`]); the integration suites hold it against
+//! a naive model of their own.  The cursor-session table in this module
+//! ([`ListTable`]) is one shard's state: its [`SpillList`]s, their insert
+//! generations and the sessions bound to them.  A session keeps no
+//! visibility state: every `visible_total`, a follow-up's included, is
+//! counted by the list itself ([`SpillList::visible_total`]), and a session
+//! opened from an outdated batch finds its resume point with the list's own
+//! [`SpillList::scan`].
 
 use std::borrow::Cow;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -27,6 +26,7 @@ use zerber_r::OrderedElement;
 
 use crate::convert::usize_of;
 use crate::error::StoreError;
+use crate::spill::SpillList;
 
 /// Identifier of an open cursor session.  `CursorId(0)` means "no cursor".
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -75,8 +75,8 @@ pub struct RangedBatch {
 /// ([`ListStore::metrics`]).  Counters run since the store was built or
 /// opened; the five gauges (`resident_bytes`, `spilled_bytes`,
 /// `page_file_bytes`, `dead_page_bytes`, `replica_lag`) are point-in-time.
-/// Fields a store has no notion of stay 0: the resident lifecycle and the
-/// oracle fill `resident_bytes` and `lock_acquisitions` only.
+/// Fields a lifecycle has no notion of stay 0: the resident one fills
+/// `resident_bytes` and `lock_acquisitions` only.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StoreMetrics {
     /// Estimated bytes of memory the engine's physical representation
@@ -195,12 +195,9 @@ pub trait ListStore: Send + Sync + std::fmt::Debug {
     fn num_elements(&self) -> usize;
 
     /// Total bytes stored for the index (sealed payloads + TRS).  This is
-    /// the *logical* byte accounting of the experiments and is identical
-    /// across engines.
+    /// the *logical* byte accounting of the experiments, identical across
+    /// lifecycles and to `OrderedIndex::stored_bytes`.
     fn stored_bytes(&self) -> usize;
-
-    /// Total ciphertext bytes across all elements (for wire-size accounting).
-    fn ciphertext_bytes(&self) -> usize;
 
     /// Every counter and gauge of the engine, read together.
     fn metrics(&self) -> StoreMetrics;
@@ -277,13 +274,13 @@ pub trait ListStore: Send + Sync + std::fmt::Debug {
 /// A caller's group filter in normal form: the groups strictly ascending
 /// (sorted, no duplicates), or unrestricted.
 ///
-/// [`ListTable`] — which every engine's [`ListStore`] entry points funnel
-/// through — builds one per call and hands it to the [`OrderedList`]
-/// layouts, so a request pays `O(groups)` once instead of a linear
+/// [`ListTable`] — which every [`ListStore`] entry point of the engine
+/// funnels through — builds one per call and hands it to the [`SpillList`]
+/// layout, so a request pays `O(groups)` once instead of a linear
 /// `contains` per element or per skip entry: a single membership test is a
 /// binary search, and a per-block / per-slot / per-list count is one merge
 /// pass over two ascending sequences.  Only this crate can construct one,
-/// which is what lets the layouts rely on the order.
+/// which is what lets the layout rely on the order.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GroupFilter<'a>(Option<Cow<'a, [GroupId]>>);
 
@@ -339,69 +336,8 @@ impl<'a> GroupFilter<'a> {
     }
 }
 
-/// The physical representation of one ordered merged list.
-///
-/// The cursor-session table ([`ListTable`]) is generic over this trait, so
-/// the segment stack and the oracle's `Vec` layout inherit identical
-/// session, generation and eviction behaviour.  All positions are *physical*
-/// indices in the logical descending-TRS sequence; the segment stack must
-/// agree element-for-element with the oracle.
-pub trait OrderedList: Send + Sync + std::fmt::Debug {
-    /// Number of elements held.
-    fn len(&self) -> usize;
-
-    /// Whether the list holds no elements.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// A full ordered copy of the list (audits and tests only).  Layouts
-    /// backed by spilled pages may fail here if a page no longer decodes.
-    fn snapshot(&self) -> Result<Vec<OrderedElement>, StoreError>;
-
-    /// Number of elements visible under `filter`.
-    fn visible_total(&self, filter: &GroupFilter<'_>) -> usize;
-
-    /// Scans from physical index `start`, skipping `skip` visible elements,
-    /// then collecting up to `count` visible elements.  Returns the
-    /// collected elements and the physical index just past the last scanned
-    /// element (`max(len, start)` if the scan ran off the end).  Fallible:
-    /// a layout reading spilled pages surfaces corrupt or unreadable pages
-    /// as a [`StoreError`] instead of panicking.
-    fn scan(
-        &self,
-        start: usize,
-        skip: usize,
-        count: usize,
-        filter: &GroupFilter<'_>,
-    ) -> Result<(Vec<OrderedElement>, usize), StoreError>;
-
-    /// Inserts an element at its TRS position (after strictly greater,
-    /// before equal), returning the physical insertion index.  Fails —
-    /// without corrupting the list — if the element cannot be encoded
-    /// ([`StoreError::SegmentOverflow`]) or a spilled page it must touch
-    /// cannot be read back.
-    fn insert(&mut self, element: OrderedElement) -> Result<usize, StoreError>;
-
-    /// Logical bytes stored (sealed payloads + TRS) — identical across
-    /// layouts, used by the byte-budget experiments.
-    fn stored_bytes(&self) -> usize;
-
-    /// Total ciphertext bytes across the elements.
-    fn ciphertext_bytes(&self) -> usize;
-
-    /// Estimated bytes of memory the representation actually occupies
-    /// (structs, heap buffers, metadata) — what the compression experiments
-    /// compare across engines.
-    fn resident_bytes(&self) -> usize;
-
-    /// Checks the descending-TRS invariant.
-    fn ordering_ok(&self) -> bool;
-}
-
 /// Open cursors a session table holds before the oldest is evicted
-/// (abandoned sessions must not grow the table without bound).  Applied per
-/// shard by the sharded store and to the whole table by the oracle.
+/// (abandoned sessions must not grow the table without bound), per shard.
 pub(crate) const MAX_CURSORS_PER_TABLE: usize = 1024;
 
 /// Idle sessions older than this many logical clock ticks (one tick per
@@ -424,14 +360,14 @@ struct Cursor {
     last_used: AtomicU64,
 }
 
-/// The storage state owned by one lock domain — a shard of the sharded
-/// store, or the whole oracle: the ordered lists, their insert
-/// generations, and the cursor sessions bound to them.  Keeping cursors in
+/// The storage state owned by one lock domain — a shard of the store: the
+/// ordered lists, their insert generations, and the cursor sessions bound to
+/// them.  Keeping cursors in
 /// the same lock domain as their lists means the position shifts an insert
 /// must apply happen under the same exclusive lock as the insert.
 #[derive(Debug)]
-pub(crate) struct ListTable<L> {
-    lists: Vec<L>,
+pub(crate) struct ListTable {
+    lists: Vec<SpillList>,
     generations: Vec<u64>,
     cursors: std::collections::HashMap<u64, Cursor>,
     /// Logical clock: ticks once per request served by this table.
@@ -445,7 +381,7 @@ pub(crate) struct ListTable<L> {
     ttl_evictions: u64,
 }
 
-impl<L> Default for ListTable<L> {
+impl Default for ListTable {
     fn default() -> Self {
         ListTable {
             lists: Vec::new(),
@@ -460,9 +396,9 @@ impl<L> Default for ListTable<L> {
     }
 }
 
-impl<L: OrderedList> ListTable<L> {
+impl ListTable {
     /// Appends one list (used while partitioning an index into tables).
-    pub fn push_list(&mut self, list: L) {
+    pub fn push_list(&mut self, list: SpillList) {
         self.lists.push(list);
         self.generations.push(0);
     }
@@ -472,39 +408,34 @@ impl<L: OrderedList> ListTable<L> {
     }
 
     /// The list stored at a local slot.
-    pub fn list(&self, slot: usize) -> &L {
+    pub fn list(&self, slot: usize) -> &SpillList {
         &self.lists[slot]
     }
 
     /// All lists of the table (tiering/compaction maintenance passes).
-    pub fn lists(&self) -> &[L] {
+    pub fn lists(&self) -> &[SpillList] {
         &self.lists
     }
 
     /// Mutable access to all lists of the table (tiering/compaction
     /// maintenance passes run under the owning shard's write lock).
-    pub fn lists_mut(&mut self) -> &mut [L] {
+    pub fn lists_mut(&mut self) -> &mut [SpillList] {
         &mut self.lists
     }
 
     /// Total elements across the table's lists.
     pub fn num_elements(&self) -> usize {
-        self.lists.iter().map(L::len).sum()
+        self.lists.iter().map(SpillList::len).sum()
     }
 
     /// Logical stored bytes across the table's lists.
     pub fn stored_bytes(&self) -> usize {
-        self.lists.iter().map(L::stored_bytes).sum()
-    }
-
-    /// Ciphertext bytes across the table's lists.
-    pub fn ciphertext_bytes(&self) -> usize {
-        self.lists.iter().map(L::ciphertext_bytes).sum()
+        self.lists.iter().map(SpillList::stored_bytes).sum()
     }
 
     /// Estimated resident bytes of the physical representation.
     pub fn resident_bytes(&self) -> usize {
-        self.lists.iter().map(L::resident_bytes).sum()
+        self.lists.iter().map(SpillList::resident_bytes).sum()
     }
 
     /// Number of elements of a slot visible under `accessible`.
@@ -693,7 +624,8 @@ impl<L: OrderedList> ListTable<L> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::oracle::VecList;
+    use crate::segment::SegmentConfig;
+    use crate::tests::model;
     use zerber_base::EncryptedElement;
 
     /// The unrestricted group filter.
@@ -720,15 +652,27 @@ mod tests {
         ]
     }
 
-    fn table() -> ListTable<VecList> {
+    /// The fixture list on the resident segment stack, cut small enough
+    /// that scans and inserts cross block and segment boundaries.
+    fn spill_list() -> SpillList {
+        let config = SegmentConfig {
+            block_len: 2,
+            tail_threshold: 2,
+            max_segment_elems: 4,
+            max_payload_bytes: u32::MAX as usize,
+        };
+        SpillList::build(list(), config, None).unwrap()
+    }
+
+    fn table() -> ListTable {
         let mut table = ListTable::default();
-        table.push_list(VecList::from_elements(list()));
+        table.push_list(spill_list());
         table
     }
 
     #[test]
     fn scan_skips_visible_elements_only() {
-        let l = VecList::from_elements(list());
+        let l = spill_list();
         let only_g0 = [GroupId(0)];
         let only_g0 = GroupFilter::normalise(Some(&only_g0));
         let (elements, next) = l.scan(0, 1, 1, &only_g0).unwrap();
@@ -740,7 +684,7 @@ mod tests {
 
     #[test]
     fn scan_from_start_resumes_mid_list() {
-        let l = VecList::from_elements(list());
+        let l = spill_list();
         let all = GroupFilter::normalise(None);
         let (elements, next) = l.scan(2, 0, 2, &all).unwrap();
         assert_eq!(elements.len(), 2);
@@ -750,24 +694,6 @@ mod tests {
         let (rest, end) = l.scan(next, 0, 10, &all).unwrap();
         assert_eq!(rest.len(), 1);
         assert_eq!(end, l.len());
-    }
-
-    #[test]
-    fn arena_layout_round_trips_and_splices_inserts() {
-        let mut l = VecList::from_elements(list());
-        assert_eq!(l.snapshot().unwrap(), list());
-        assert_eq!(l.ciphertext_bytes(), 5 * 4);
-        // An interior insert splices its ciphertext into the arena and
-        // shifts the spans of everything after it.
-        let e = element(0.65, 1);
-        assert_eq!(l.insert(e.clone()).unwrap(), 3);
-        let mut expected = list();
-        expected.insert(3, e);
-        assert_eq!(l.snapshot().unwrap(), expected);
-        assert!(l.ordering_ok());
-        assert_eq!(l.ciphertext_bytes(), 6 * 4);
-        // Resident accounting covers exactly the meta vec and the arena.
-        assert!(l.resident_bytes() >= std::mem::size_of::<VecList>() + 6 * 4);
     }
 
     #[test]
@@ -877,11 +803,45 @@ mod tests {
 
     #[test]
     fn insertion_point_is_stable_for_ties() {
-        // Equal TRS inserts before the existing element.
+        // Equal TRS inserts before the existing element: after strictly
+        // greater, before equal.
         for (trs, want) in [(0.7, 2), (0.95, 0), (0.1, 5)] {
-            let mut l = VecList::from_elements(list());
-            assert_eq!(l.insert(element(trs, 0)).unwrap(), want, "trs {trs}");
+            let mut l = spill_list();
+            let mut expected = list();
+            assert_eq!(l.insert(element(trs, 1)).unwrap(), want, "trs {trs}");
+            assert_eq!(model::insert(&mut expected, element(trs, 1)), want);
+            assert_eq!(l.snapshot().unwrap(), expected, "trs {trs}");
         }
+    }
+
+    #[test]
+    fn an_insert_shifts_only_the_cursors_past_its_position() {
+        // Over [0.9/g0, 0.8/g1, 0.7/g0, 0.6/g1, 0.5/g0]: cursor 1 has
+        // delivered two elements, cursor 2 three.
+        let mut table = table();
+        let two = table.fetch(0, 0, 2, &ALL).unwrap();
+        let three = table.fetch(0, 0, 3, &ALL).unwrap();
+        table.open_cursor(1, 0, 9, &two, 2, None).unwrap();
+        table.open_cursor(2, 0, 9, &three, 3, None).unwrap();
+        let next = |table: &ListTable, raw| {
+            let e = &table.cursor_fetch(raw, 9, 1, &ALL).unwrap().elements[0];
+            (e.trs, e.group.0)
+        };
+        // 0.75 lands exactly at cursor 1, which delivers it next; cursor 2
+        // is past it and never does.
+        assert_eq!(table.insert(0, element(0.75, 1)).unwrap(), 2);
+        assert_eq!(next(&table, 1), (0.75, 1));
+        assert_eq!(next(&table, 1), (0.7, 0));
+        assert_eq!(next(&table, 2), (0.6, 1));
+        // Ties land after strictly greater, before equal: a second 0.6 sits
+        // at cursor 1 (whose next was the old 0.6) and comes first; a
+        // second 0.7 sits before both cursors' last delivered element.
+        assert_eq!(table.insert(0, element(0.6, 0)).unwrap(), 4);
+        assert_eq!(table.insert(0, element(0.7, 1)).unwrap(), 3);
+        assert_eq!(next(&table, 1), (0.6, 0));
+        assert_eq!(next(&table, 1), (0.6, 1));
+        assert_eq!(next(&table, 2), (0.5, 0));
+        assert!(table.cursor_fetch(2, 9, 1, &ALL).unwrap().exhausted);
     }
 
     #[test]

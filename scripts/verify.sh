@@ -9,9 +9,9 @@
 # (including the engine-vs-oracle equivalence proptests, whose spill and
 # durable configurations write page files, WALs and manifests into
 # temp-dir roots), the release re-run of the concurrency and equivalence
-# suites, the tiering equivalence proptest (maintenance forced on every
-# operation, next to a live-WAL durable store) and a repeated
-# compaction-under-load stress loop, the fault-injected durable recovery
+# suites (every equivalence case once, the tiering configuration's
+# included: maintenance forced on every operation, next to a live-WAL
+# durable store), a repeated compaction-under-load stress loop, the fault-injected durable recovery
 # suite plus a repeated kill-at-every-injection-point crash stress loop,
 # the fault-injected replication suite plus a repeated disconnect-storm
 # stress loop, a hygiene guard, a syntax check of the perf gate script
@@ -69,12 +69,8 @@ cargo run --release --offline -q -p zerber_bench --bin zerber_repro -- \
 echo "==> zerber_perf tests (detached benchmark package: unit tests + --smoke on all four workloads)"
 cargo test --offline --manifest-path zerber_perf/Cargo.toml
 
-echo "==> cargo test --release (concurrency + engine-vs-oracle + batched-vs-sequential + spill equivalence)"
+echo "==> cargo test --release (concurrency + engine-vs-oracle, the tiering configuration's maintenance-on-every-op included, + batched-vs-sequential + spill equivalence)"
 cargo test --release --test concurrent_server --test store_equivalence --test spill_store
-
-echo "==> tiering equivalence proptest (release, maintenance forced on every op)"
-cargo test --release --test store_equivalence \
-  engines_answer_interleaved_workloads_identically
 
 echo "==> compaction-under-load stress (release, repeated)"
 for i in 1 2 3 4 5; do
@@ -139,7 +135,7 @@ PY
 # The non-test lines of crates/store/src + crates/protocol/src may only go
 # down: lower the ceiling (the landed total, rounded up to the next 25)
 # when a PR removes code, never raise it to make room.
-LOC_CEILING=8100
+LOC_CEILING=7650
 echo "==> line-count ratchet (scripts/loc.sh total <= $LOC_CEILING)"
 loc_table="$(scripts/loc.sh)"
 loc_total="$(awk '$2 == "total" { print $1 }' <<<"$loc_table")"

@@ -28,14 +28,17 @@ mod common;
     reason = "only the replication suite reads `FaultIo::spent`"
 )]
 mod fault_io;
+#[path = "common/oracle.rs"]
+mod oracle;
 
 use common::TempRoot;
 use fault_io::{FaultIo, FaultMode};
+use oracle::Oracle;
 use proptest::prelude::*;
 use zerber_suite::corpus::{GroupId, TermId};
 use zerber_suite::store::{
-    crc32, DurableConfig, ListStore, PageIo, SegmentConfig, SingleMutexStore, SpillConfig,
-    SpillStore, StoreError, SyncPolicy,
+    crc32, DurableConfig, ListStore, PageIo, SegmentConfig, SpillConfig, SpillStore, StoreError,
+    SyncPolicy,
 };
 use zerber_suite::zerber::{EncryptedElement, MergePlan, MergedListId};
 use zerber_suite::zerber_r::{OrderedElement, OrderedIndex};
@@ -152,7 +155,7 @@ fn run_workload(store: &SpillStore) {
 /// inserts from the history.  WAL replay preserves per-shard apply order,
 /// so any recovered list must equal one of these prefixes exactly.
 fn oracle_states(index: &OrderedIndex) -> Vec<Vec<Vec<OrderedElement>>> {
-    let oracle = SingleMutexStore::new(index.clone());
+    let oracle = Oracle::new(index.clone());
     let mut states: Vec<Vec<Vec<OrderedElement>>> = (0..NUM_LISTS)
         .map(|l| vec![oracle.snapshot_list(MergedListId(l as u64)).unwrap()])
         .collect();
@@ -673,7 +676,7 @@ fn wal_prefix_case(cut: u64) {
         durable_config(SyncPolicy::Never),
     )
     .unwrap();
-    let oracle = SingleMutexStore::new(index);
+    let oracle = Oracle::new(index);
     let mut states = vec![oracle.snapshot_list(MergedListId(0)).unwrap()];
     for i in 0..PREFIX_INSERTS as u32 {
         let el = element(50.0 - 3.0 * i as f64, i, &i.to_le_bytes());

@@ -3,8 +3,8 @@
 //! The acceptance bar for the replication stream is the same one the
 //! durable store holds for crashes, extended across the wire: **every
 //! observable replica state is an exact per-list prefix of the primary's
-//! insert history** (verified against an in-memory `SingleMutexStore`
-//! oracle), catch-up converges to element-for-element equality at
+//! insert history** (verified against the in-memory oracle of
+//! `common/oracle.rs`), catch-up converges to element-for-element equality at
 //! quiescence, and a replica lagging past its staleness bound returns the
 //! typed `Degraded` error instead of stale answers.
 //!
@@ -22,6 +22,8 @@ mod common;
 mod fault_io;
 #[path = "common/fault_transport.rs"]
 mod fault_transport;
+#[path = "common/oracle.rs"]
+mod oracle;
 
 use std::fs;
 use std::path::Path;
@@ -30,12 +32,13 @@ use std::sync::Arc;
 use common::TempRoot;
 use fault_io::{FaultIo, FaultMode};
 use fault_transport::{FaultPlan, FaultTransport};
+use oracle::Oracle;
 use zerber_suite::corpus::{GroupId, TermId};
 use zerber_suite::protocol::{AccessControl, IndexServer, ProtocolError, QueryRequest};
 use zerber_suite::store::{
     DurableConfig, InProcessTransport, ListStore, PageIo, PumpOutcome, RangedFetch, RealIo,
-    Replica, ReplicaConfig, ReplicaTransport, ReplicationSource, SegmentConfig, SingleMutexStore,
-    SpillConfig, SpillStore, StoreError, SyncPolicy,
+    Replica, ReplicaConfig, ReplicaTransport, ReplicationSource, SegmentConfig, SpillConfig,
+    SpillStore, StoreError, SyncPolicy,
 };
 use zerber_suite::zerber::{EncryptedElement, MergePlan, MergedListId};
 use zerber_suite::zerber_r::{OrderedElement, OrderedIndex};
@@ -142,7 +145,7 @@ fn insert_history() -> Vec<(usize, OrderedElement)> {
 /// a list lives in exactly one shard, so any observable replica list must
 /// equal one of these prefixes exactly.
 fn oracle_states(index: &OrderedIndex) -> Vec<Vec<Vec<OrderedElement>>> {
-    let oracle = SingleMutexStore::new(index.clone());
+    let oracle = Oracle::new(index.clone());
     let mut states: Vec<Vec<Vec<OrderedElement>>> = (0..NUM_LISTS)
         .map(|l| vec![oracle.snapshot_list(MergedListId(l as u64)).unwrap()])
         .collect();

@@ -1,34 +1,42 @@
 //! Engine-vs-oracle equivalence property test: random interleavings of
 //! position-preserving inserts, ranged queries and cursor sessions must be
 //! answered element-for-element identically by the oracle
-//! (`SingleMutexStore` over the plain `Vec` layout) and by the one serving
-//! engine (`SpillStore`: compressed block-encoded segments with a mutable
-//! tail) in each of its lifecycles — resident; spilled with cold segments
+//! (`common/oracle.rs`: plain `Vec` lists, sessions as the contract states
+//! them) and by the one serving engine (`SpillStore`: compressed
+//! block-encoded segments with a mutable tail) in each of its
+//! lifecycles — resident; spilled with cold segments
 //! living in on-disk page files behind an LRU page cache, once statically
 //! placed and once tiering-tuned (with maintenance — promotion, demotion,
 //! page-file compaction — forced on every operation); and durable
 //! (write-ahead logging plus aggressive checkpointing live during the
 //! workload).
 //!
-//! Oracle and engine share one generic session table, so this test pins
-//! down the layer where they *can* diverge: the physical list representation
-//! (scan, visibility counting, block skipping, insert placement, tail
-//! sealing and compaction in the segment stack).
+//! The oracle shares no code with the engine, its session table included,
+//! so this is a refinement check of every layer at once: the physical list
+//! representation (scan, visibility counting, block skipping, insert
+//! placement, tail sealing and compaction in the segment stack) and the
+//! sessions on top of it (resume points, stale opens, the cursor shift an
+//! insert applies, owner checks).  Inserts aimed exactly at an open cursor
+//! pin the shift: a cursor at the insertion point delivers the new element
+//! next.  The insert generation is the engine's own bookkeeping, so it is
+//! compared between the engine's configurations but not with the oracle.
 //!
-//! They also share the normalised group filter, so agreeing with each other
-//! is not enough: every count, ranged fetch and undisturbed cursor walk is
-//! also held against `OrderedIndex::{visible_len, fetch}`, which filters the
-//! plain `Vec` with a linear `contains` on the caller's filter exactly as
-//! given — unsorted, duplicated, empty or naming absent groups.
+//! Every count, ranged fetch and undisturbed cursor walk is also held
+//! against `OrderedIndex::{visible_len, fetch}`, which filters the plain
+//! `Vec` with a linear `contains` on the caller's filter exactly as given —
+//! unsorted, duplicated, empty or naming absent groups.
 
 mod common;
+#[path = "common/oracle.rs"]
+mod oracle;
 
 use common::TempRoot;
+use oracle::Oracle;
 use proptest::prelude::*;
 use zerber_suite::corpus::{GroupId, TermId};
 use zerber_suite::protocol::{AccessControl, IndexServer, QueryRequest, ServerStats};
 use zerber_suite::store::{
-    CursorId, DurableConfig, ListStore, RangedFetch, RealIo, SegmentConfig, SingleMutexStore,
+    CursorId, DurableConfig, ListStore, RangedBatch, RangedFetch, RealIo, SegmentConfig,
     SpillConfig, SpillStore, SyncPolicy,
 };
 use zerber_suite::zerber::{EncryptedElement, MergePlan, MergedListId};
@@ -62,6 +70,15 @@ enum Op {
     },
     /// Resume one of the previously opened sessions.
     CursorFetch { session: usize, count: usize },
+    /// Insert exactly where one of the sessions resumes — its TRS strictly
+    /// between the session's last delivered element and the next element
+    /// of the list, or tied with that next element — then resume it.
+    InsertAtCursor {
+        session: usize,
+        tie: bool,
+        group: u32,
+        count: usize,
+    },
     /// Close one of the sessions — with the right or a foreign owner tag.
     CursorClose { session: usize, foreign: bool },
 }
@@ -135,7 +152,7 @@ struct Engine {
 
 impl Engine {
     /// The oracle and every configuration of the engine as trait objects.
-    fn with<'a>(&'a self, oracle: &'a SingleMutexStore) -> [&'a dyn ListStore; STORES] {
+    fn with<'a>(&'a self, oracle: &'a Oracle) -> [&'a dyn ListStore; STORES] {
         [
             oracle,
             &self.resident,
@@ -148,7 +165,7 @@ impl Engine {
 
 /// Builds the oracle and the engine's four configurations over identical
 /// fabricated indexes.
-fn engines(lists: &[Vec<OrderedElement>]) -> (SingleMutexStore, Engine) {
+fn engines(lists: &[Vec<OrderedElement>]) -> (Oracle, Engine) {
     // Tiny blocks and tail so every case crosses block boundaries, seals
     // the tail into the last segment and starts new ones.
     let segment_config = SegmentConfig {
@@ -158,7 +175,7 @@ fn engines(lists: &[Vec<OrderedElement>]) -> (SingleMutexStore, Engine) {
         max_payload_bytes: u32::MAX as usize,
     };
     let index = fixture_index(lists);
-    let oracle = SingleMutexStore::new(index.clone());
+    let oracle = Oracle::new(index.clone());
     let root = TempRoot::new("equivalence");
     let engine = Engine {
         resident: SpillStore::resident(index.clone(), 2, segment_config).unwrap(),
@@ -287,6 +304,81 @@ fn insert_everywhere(
     }
 }
 
+/// The oracle's batch first, then the engine configurations': the engine
+/// answers identically in every configuration, generation included, and
+/// the oracle the same but for the generation, which it does not keep.
+fn assert_agree(batches: &[&RangedBatch]) {
+    for batch in &batches[2..] {
+        assert_eq!(batches[1], *batch);
+    }
+    let modelled = RangedBatch {
+        generation: 0,
+        ..batches[1].clone()
+    };
+    assert_eq!(batches[0], &modelled);
+}
+
+/// Resumes `session` on every store: one outcome everywhere, agreeing
+/// batches, the current visible total and — while no insert moved the
+/// list — the model's offset scan.
+fn follow_up(stores: &[&dyn ListStore], model: &OrderedIndex, session: &mut Session, count: usize) {
+    let groups = session.groups.as_deref();
+    let results: Vec<_> = stores
+        .iter()
+        .enumerate()
+        .map(|(i, s)| s.cursor_fetch(session.cursors[i], session.owner, count, groups))
+        .collect();
+    // Error payloads carry store-local cursor ids, so compare outcomes,
+    // then batches.
+    for result in &results[1..] {
+        assert_eq!(results[0].is_ok(), result.is_ok());
+    }
+    let Ok(a) = &results[0] else {
+        return;
+    };
+    assert_agree(&results.iter().flatten().collect::<Vec<_>>());
+    assert_eq!(
+        a.visible_total,
+        model.visible_len(session.list, groups).unwrap()
+    );
+    if !session.moved {
+        let naive = model
+            .fetch(session.list, session.delivered, count, groups)
+            .unwrap();
+        assert_eq!(a.elements.iter().collect::<Vec<_>>(), naive);
+    }
+    session.delivered += a.elements.len();
+}
+
+/// A TRS that lands exactly where an undisturbed session resumes (just past
+/// the `delivered`-th element its filter sees): strictly between the
+/// neighbours there or, with `tie`, equal to the next one.  `None` when
+/// equal TRS across that point leave no such value.
+fn trs_at_cursor(
+    list: &[OrderedElement],
+    groups: Option<&[GroupId]>,
+    delivered: usize,
+    tie: bool,
+) -> Option<f64> {
+    let position = match delivered.checked_sub(1) {
+        None => 0,
+        Some(last) => (0..list.len())
+            .filter(|&i| groups.is_none_or(|g| g.contains(&list[i].group)))
+            .nth(last)
+            .map_or(list.len(), |i| i + 1),
+    };
+    let above = position.checked_sub(1).map(|i| list[i].trs);
+    let trs = match (above, list.get(position).map(|e| e.trs)) {
+        (_, Some(next)) if tie => next,
+        (Some(a), Some(b)) => (a + b) / 2.0,
+        (None, Some(b)) => b + 1.0,
+        (Some(a), None) => a - 1.0,
+        (None, None) => 0.5,
+    };
+    // After every strictly greater TRS, before equal ones.
+    (list.partition_point(|e| e.trs > trs) == position).then_some(trs)
+}
+
 fn sorted(mut items: Vec<(f64, u32, Vec<u8>)>) -> Vec<OrderedElement> {
     items.sort_by(|a, b| b.0.partial_cmp(&a.0).expect("finite TRS"));
     items
@@ -316,6 +408,10 @@ fn op_strategy(num_lists: usize) -> impl Strategy<Value = Op> {
             }),
         3 => (any::<usize>(), 1usize..8)
             .prop_map(|(session, count)| Op::CursorFetch { session, count }),
+        2 => (any::<usize>(), any::<bool>(), 0..NUM_GROUPS, 1usize..8)
+            .prop_map(|(session, tie, group, count)| {
+                Op::InsertAtCursor { session, tie, group, count }
+            }),
         1 => (any::<usize>(), any::<bool>())
             .prop_map(|(session, foreign)| Op::CursorClose { session, foreign }),
     ]
@@ -354,9 +450,7 @@ proptest! {
                         .iter()
                         .map(|s| s.fetch_ranged(&fetch, groups.as_deref()).unwrap())
                         .collect();
-                    for batch in &batches[1..] {
-                        prop_assert_eq!(&batches[0], batch);
-                    }
+                    assert_agree(&batches.iter().collect::<Vec<_>>());
                     let naive = model.fetch(list, offset, count, groups.as_deref()).unwrap();
                     prop_assert_eq!(batches[0].elements.iter().collect::<Vec<_>>(), naive);
                     prop_assert_eq!(
@@ -394,41 +488,21 @@ proptest! {
                         continue;
                     }
                     let at = session % sessions.len();
-                    let session = &mut sessions[at];
-                    let results: Vec<_> = stores
-                        .iter()
-                        .enumerate()
-                        .map(|(i, s)| {
-                            s.cursor_fetch(
-                                session.cursors[i],
-                                session.owner,
-                                count,
-                                session.groups.as_deref(),
-                            )
-                        })
-                        .collect();
-                    // Error payloads carry store-local cursor ids, so
-                    // compare outcomes, then batches.
-                    for result in &results[1..] {
-                        prop_assert_eq!(results[0].is_ok(), result.is_ok());
+                    follow_up(&stores, &model, &mut sessions[at], count);
+                }
+                Op::InsertAtCursor { session, tie, group, count } => {
+                    if sessions.is_empty() {
+                        continue;
                     }
-                    if let Ok(a) = &results[0] {
-                        for b in results[1..].iter().flatten() {
-                            prop_assert_eq!(a, b);
-                        }
-                        let groups = session.groups.as_deref();
-                        prop_assert_eq!(
-                            a.visible_total,
-                            model.visible_len(session.list, groups).unwrap()
-                        );
-                        if !session.moved {
-                            let naive = model
-                                .fetch(session.list, session.delivered, count, groups)
-                                .unwrap();
-                            prop_assert_eq!(a.elements.iter().collect::<Vec<_>>(), naive);
-                        }
-                        session.delivered += a.elements.len();
+                    let at = session % sessions.len();
+                    let (list, delivered) = (sessions[at].list, sessions[at].delivered);
+                    let groups = sessions[at].groups.clone();
+                    let elements = model.list(list).unwrap();
+                    if let Some(trs) = trs_at_cursor(elements, groups.as_deref(), delivered, tie) {
+                        let e = element(trs, group, vec![0xc5; 2]);
+                        insert_everywhere(&stores, &mut model, &mut sessions, list, &e);
                     }
+                    follow_up(&stores, &model, &mut sessions[at], count);
                 }
                 Op::CursorClose { session, foreign } => {
                     if sessions.is_empty() {
@@ -465,7 +539,6 @@ proptest! {
             prop_assert!(store.verify_ordering());
             prop_assert_eq!(store.num_elements(), oracle.num_elements());
             prop_assert_eq!(store.stored_bytes(), oracle.stored_bytes());
-            prop_assert_eq!(store.ciphertext_bytes(), oracle.ciphertext_bytes());
             prop_assert_eq!(store.session_stats().open, oracle.session_stats().open);
         }
         // The self-managing configuration's exact budget accounting must
@@ -647,7 +720,7 @@ proptest! {
             checkpoint_wal_bytes: 1 << 30,
         };
         let index = OrderedIndex::from_parts(lists.to_vec(), plan);
-        let oracle = SingleMutexStore::new(index.clone());
+        let oracle = Oracle::new(index.clone());
         let root = TempRoot::new("replica-equivalence");
         let primary = Arc::new(
             SpillStore::create_durable_with(
