@@ -9,12 +9,11 @@
 use serde::{Deserialize, Serialize};
 use zerber_corpus::GroupId;
 use zerber_r::OrderedElement;
+// The per-element header on the wire is the store's element layout: 8-byte
+// TRS + 4-byte group + 2-byte payload length.
+pub use zerber_store::ELEMENT_HEADER_BYTES;
 
 use crate::error::ProtocolError;
-
-/// Fixed size of the per-element header on the wire: 8-byte TRS + 4-byte
-/// group + 2-byte payload length.
-pub const ELEMENT_HEADER_BYTES: usize = 14;
 
 /// Size of a query request message: list id (8) + offset (8) + cursor (8) +
 /// count (4) + k (4) + user-name length prefix (2).
@@ -112,6 +111,8 @@ impl QueryResponse {
         for e in &self.elements {
             out.extend_from_slice(&e.trs.to_le_bytes());
             out.extend_from_slice(&e.group.0.to_le_bytes());
+            // Lossless: the store refuses a ciphertext longer than
+            // `zerber_store::MAX_CIPHERTEXT_BYTES` (`u16::MAX`).
             out.extend_from_slice(&(e.ciphertext.len() as u16).to_le_bytes());
             out.extend_from_slice(&e.ciphertext);
         }

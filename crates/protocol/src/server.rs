@@ -287,8 +287,8 @@ fn owner_tag(user: &str) -> u64 {
 impl IndexServer {
     /// Creates a server from a built index and a user directory on the
     /// resident lifecycle, with a machine-matched shard count.  Fails only
-    /// when a single element cannot be encoded under the segment payload
-    /// bound.
+    /// when an element of `index` breaks the store's element contract
+    /// (`ListStore::insert`).
     pub fn new(index: OrderedIndex, acl: AccessControl) -> Result<Self, ProtocolError> {
         let store = SpillStore::resident(index, default_shards(), SegmentConfig::default())
             .map_err(map_store_error)?;
@@ -507,18 +507,10 @@ impl IndexServer {
     ) -> Result<(), ProtocolError> {
         self.stats.auth_checks.fetch_add(1, Ordering::Relaxed);
         self.acl.check_member(&request.user, token, request.group)?;
-        if !(0.0..=1.0).contains(&request.trs) || !request.trs.is_finite() {
+        if !(0.0..=1.0).contains(&request.trs) {
             return Err(ProtocolError::InvalidRequest(format!(
                 "TRS must lie in [0,1], got {}",
                 request.trs
-            )));
-        }
-        // The wire format carries a 2-byte payload length; a longer payload
-        // could be stored but never shipped back intact.
-        if request.ciphertext.len() > usize::from(u16::MAX) {
-            return Err(ProtocolError::InvalidRequest(format!(
-                "ciphertext of {} bytes exceeds the 2-byte wire length prefix",
-                request.ciphertext.len()
             )));
         }
         let element = OrderedElement {
@@ -554,6 +546,11 @@ fn map_store_error(e: StoreError) -> ProtocolError {
         StoreError::SegmentOverflow => {
             ProtocolError::Core("segment payload exceeds the u32 offset bound".into())
         }
+        // An element the store's element contract refuses (a ciphertext
+        // the 2-byte wire length cannot carry, say) is client misuse.
+        StoreError::InvalidElement(why) => {
+            ProtocolError::InvalidRequest(format!("invalid element: {why}"))
+        }
         StoreError::Io(reason) => ProtocolError::Core(format!("spill storage I/O: {reason}")),
         StoreError::RecoveryFailed(reason) => {
             ProtocolError::Core(format!("store recovery refused: {reason}"))
@@ -576,7 +573,7 @@ mod tests {
     use zerber_corpus::{sample_split, Corpus, CorpusBuilder, CorpusStats, Document, SplitConfig};
     use zerber_crypto::{DeterministicRng, GroupKeys, MasterKey};
     use zerber_r::{RstfConfig, RstfModel};
-    use zerber_store::{DurableConfig, SpillConfig};
+    use zerber_store::{DurableConfig, SpillConfig, MAX_CIPHERTEXT_BYTES};
 
     /// A fresh directory under `$TMPDIR/zerber-test` (the staging dir the
     /// hygiene guard watches), removed with its contents on drop.  Declare
@@ -1140,6 +1137,95 @@ mod tests {
         let bytes = response.encode();
         assert_eq!(bytes.len(), response.encoded_bytes());
         assert_eq!(QueryResponse::decode(&bytes).unwrap(), response);
+    }
+
+    /// The index `server` serves, with `edit` applied to list `list`.
+    fn edited_index(
+        server: &IndexServer,
+        list: u64,
+        edit: impl FnOnce(&mut Vec<OrderedElement>),
+    ) -> OrderedIndex {
+        let mut lists: Vec<Vec<OrderedElement>> = (0..server.num_lists() as u64)
+            .map(|l| server.store().snapshot_list(MergedListId(l)).unwrap())
+            .collect();
+        edit(&mut lists[list as usize]);
+        OrderedIndex::from_parts(lists, server.plan().clone())
+    }
+
+    fn sealed(trs: f64, ciphertext: Vec<u8>) -> OrderedElement {
+        OrderedElement {
+            trs,
+            group: GroupId(1),
+            sealed: zerber_base::EncryptedElement {
+                group: GroupId(1),
+                ciphertext,
+            },
+        }
+    }
+
+    #[test]
+    fn builds_refuse_an_index_that_holds_an_invalid_element() {
+        let (c, resident, _, _) = server_fixture();
+        let list = list_for(&c, &resident, "imclone");
+        let mut split = sealed(0.0, vec![4; 8]);
+        split.sealed.group = GroupId(0);
+        // Each at the head (0) or the end of the list, where its TRS sorts.
+        let invalid = [
+            (0, sealed(f64::INFINITY, vec![1; 8])),
+            (usize::MAX, sealed(f64::NEG_INFINITY, vec![2; 8])),
+            (usize::MAX, sealed(f64::NAN, vec![3; 8])),
+            (usize::MAX, sealed(0.0, vec![5; MAX_CIPHERTEXT_BYTES + 1])),
+            (usize::MAX, split),
+        ];
+        for (at, element) in invalid {
+            let what = format!("TRS {} group {:?}", element.trs, element.sealed.group);
+            let index = edited_index(&resident, list, |l| l.insert(at.min(l.len()), element));
+            let store = SpillStore::resident(index.clone(), 2, SegmentConfig::default());
+            assert!(
+                matches!(store, Err(StoreError::InvalidElement(_))),
+                "{what}: {:?}",
+                store.err()
+            );
+            assert!(
+                matches!(
+                    IndexServer::new(index, resident.acl().clone()),
+                    Err(ProtocolError::InvalidRequest(_))
+                ),
+                "{what}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_negative_zero_trs_insert_lands_beside_positive_zeros_and_is_served() {
+        // -0.0 passes the protocol's [0, 1] check.  It ties with the two
+        // +0.0 elements sealed at the end of the list, so it lands in front
+        // of them, inside their segment.
+        let (c, resident, _, _) = server_fixture();
+        let list = list_for(&c, &resident, "imclone");
+        let zeros = [sealed(0.0, vec![1; 8]), sealed(0.0, vec![2; 8])];
+        let index = edited_index(&resident, list, |l| l.extend(zeros));
+        let server = IndexServer::new(index, resident.acl().clone()).unwrap();
+        let alice = server.acl().issue_token("alice");
+        let insert = InsertRequest {
+            user: "alice".into(),
+            list,
+            group: GroupId(1),
+            trs: -0.0,
+            ciphertext: vec![3; 8],
+        };
+        server.handle_insert(&insert, &alice).unwrap();
+        let len = server.store().list_len(MergedListId(list)).unwrap() as u32;
+        let response = server
+            .handle_query(&request("alice", list, 0, len, len), &alice)
+            .unwrap();
+        let last = &response.elements[response.elements.len() - 3..];
+        assert_eq!(
+            last.iter().map(|e| e.ciphertext[0]).collect::<Vec<_>>(),
+            [3, 1, 2]
+        );
+        // Stored, and served, as +0.0.
+        assert!(last.iter().all(|e| e.trs.to_bits() == 0.0f64.to_bits()));
     }
 
     #[test]

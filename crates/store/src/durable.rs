@@ -327,13 +327,38 @@ impl PageIo for RealIo {
 }
 
 // ---------------------------------------------------------------------------
-// Element codec: the wire layout queries already ship (8-byte TRS, 4-byte
-// group, 2-byte ciphertext length, ciphertext), reused for WAL records and
-// the manifest's tail section.
+// Element contract and codec: the wire layout queries ship (8-byte TRS,
+// 4-byte group, 2-byte ciphertext length, ciphertext), reused for WAL
+// records and the manifest's tail section.
 // ---------------------------------------------------------------------------
 
 /// Bytes of the element header (TRS + group + ciphertext length).
-pub(crate) const ELEMENT_BYTES: usize = 14;
+pub const ELEMENT_HEADER_BYTES: usize = 14;
+
+/// Longest ciphertext an element may carry: what its 2-byte length states.
+pub const MAX_CIPHERTEXT_BYTES: usize = u16::MAX as usize;
+
+/// The element contract, checked where an element enters the store (a
+/// build, an insert, WAL replay, replica apply) before anything changes: a
+/// finite TRS, at most [`MAX_CIPHERTEXT_BYTES`] of ciphertext and one group
+/// (the log, the manifest tail and the wire carry one), else
+/// [`StoreError::InvalidElement`].  A `-0.0` TRS is stored as `+0.0`, so the
+/// `>` order inserts place by agrees with the bit order segments encode.
+pub(crate) fn check_element(element: &mut OrderedElement) -> Result<(), StoreError> {
+    let broken = if !element.trs.is_finite() {
+        "non-finite TRS"
+    } else if element.sealed.ciphertext.len() > MAX_CIPHERTEXT_BYTES {
+        "ciphertext longer than MAX_CIPHERTEXT_BYTES"
+    } else if element.sealed.group != element.group {
+        "sealed group differs from the routing group"
+    } else {
+        if element.trs == 0.0 {
+            element.trs = 0.0;
+        }
+        return Ok(());
+    };
+    Err(StoreError::InvalidElement(broken))
+}
 
 pub(crate) fn encode_element(e: &OrderedElement, out: &mut Vec<u8>) -> Result<(), StoreError> {
     let len = u16::try_from(e.sealed.ciphertext.len())
@@ -349,7 +374,7 @@ pub(crate) fn decode_element(buf: &[u8], pos: &mut usize) -> Result<OrderedEleme
     let trs = read_f64(buf, *pos)?;
     let group = GroupId(read_u32(buf, *pos + 8)?);
     let len = usize::from(read_u16(buf, *pos + 12)?);
-    *pos += ELEMENT_BYTES;
+    *pos += ELEMENT_HEADER_BYTES;
     let ciphertext = read_bytes(buf, *pos, len)?.to_vec();
     *pos += len;
     if !trs.is_finite() {
@@ -372,10 +397,10 @@ pub(crate) fn decode_element(buf: &[u8], pos: &mut usize) -> Result<OrderedEleme
 /// Bytes of the frame header (length + CRC).
 pub(crate) const WAL_FRAME_HEADER: usize = 8;
 /// Smallest possible payload: sequence + list id + element header.
-const WAL_MIN_PAYLOAD: usize = 16 + ELEMENT_BYTES;
-/// Sanity bound: no insert record is remotely this large, so a length field
-/// beyond it is corruption, not data.
-const WAL_MAX_PAYLOAD: usize = 16 << 20;
+const WAL_MIN_PAYLOAD: usize = 16 + ELEMENT_HEADER_BYTES;
+/// Largest possible payload: `encode_element` writes no longer ciphertext,
+/// so a longer length field is corruption, not data.
+const WAL_MAX_PAYLOAD: usize = WAL_MIN_PAYLOAD + MAX_CIPHERTEXT_BYTES;
 
 /// One decoded WAL record: the `seq`-th insert of its shard, and where its
 /// frame sits in the scanned image.
@@ -395,7 +420,7 @@ pub(crate) fn encode_wal_frame(
     list: u64,
     element: &OrderedElement,
 ) -> Result<Vec<u8>, StoreError> {
-    let mut payload = Vec::with_capacity(16 + ELEMENT_BYTES + element.sealed.ciphertext.len());
+    let mut payload = Vec::with_capacity(WAL_MIN_PAYLOAD + element.sealed.ciphertext.len());
     payload.extend_from_slice(&seq.to_le_bytes());
     payload.extend_from_slice(&list.to_le_bytes());
     encode_element(element, &mut payload)?;
@@ -605,7 +630,7 @@ pub(crate) fn decode_manifest(bytes: &[u8]) -> Result<Manifest, StoreError> {
             pages.push((offset, len, crc));
         }
         let num_tail = r.u64("manifest tail count")?;
-        let num_tail = r.counted(num_tail, ELEMENT_BYTES, "manifest tail element")?;
+        let num_tail = r.counted(num_tail, ELEMENT_HEADER_BYTES, "manifest tail element")?;
         let mut tail = Vec::with_capacity(num_tail);
         for _ in 0..num_tail {
             tail.push(decode_element(body, &mut r.pos)?);
@@ -640,10 +665,10 @@ pub(crate) struct StoreMeta {
     /// Segment layout knobs, persisted so reopened lists split/seal exactly
     /// like the original store (replay determinism).
     pub segment: crate::segment::SegmentConfig,
-    /// The fourth knob slot, which once held a segment-stack depth bound:
-    /// new stores write that bound's old default, 8, so the file reads the
-    /// same to an older version; `open` never interprets it.
-    pub retired_knob: u64,
+    /// Knob slots four and five, which once held a stack-depth and a payload
+    /// bound: new stores write their old defaults, 8 and `u32::MAX`, so the
+    /// file reads the same to an older version; `open` never reads them.
+    pub retired_knobs: [u64; 2],
     /// Merge-plan scheme name.
     pub scheme: String,
     /// Merge-plan confidentiality parameter.
@@ -661,8 +686,8 @@ pub(crate) fn encode_store_meta(meta: &StoreMeta) -> Vec<u8> {
         u64_of(meta.segment.block_len),
         u64_of(meta.segment.tail_threshold),
         u64_of(meta.segment.max_segment_elems),
-        meta.retired_knob,
-        u64_of(meta.segment.max_payload_bytes),
+        meta.retired_knobs[0],
+        meta.retired_knobs[1],
     ] {
         out.extend_from_slice(&knob.to_le_bytes());
     }
@@ -705,8 +730,6 @@ pub(crate) fn decode_store_meta(bytes: &[u8]) -> Result<StoreMeta, StoreError> {
         tail_threshold: usize::try_from(knobs[1]).map_err(|_| Reader::corrupt("segment knob"))?,
         max_segment_elems: usize::try_from(knobs[2])
             .map_err(|_| Reader::corrupt("segment knob"))?,
-        max_payload_bytes: usize::try_from(knobs[4])
-            .map_err(|_| Reader::corrupt("segment knob"))?,
     };
     let r_param = f64::from_bits(r.u64("confidentiality parameter")?);
     let scheme_len = r.u64("scheme length")?;
@@ -736,7 +759,7 @@ pub(crate) fn decode_store_meta(bytes: &[u8]) -> Result<StoreMeta, StoreError> {
     Ok(StoreMeta {
         num_shards,
         segment,
-        retired_knob: knobs[3],
+        retired_knobs: [knobs[3], knobs[4]],
         scheme,
         r: r_param,
         term_lists,
@@ -918,7 +941,7 @@ mod tests {
         .map(|(i, &(trs, group, len))| element(trs, group, &filler[i * 9..i * 9 + len]))
         .collect();
         elements[3].sealed.group = GroupId(77);
-        let segment = crate::segment::Segment::from_elements(&elements[..6], 2, 1 << 20).unwrap();
+        let segment = crate::segment::Segment::from_elements(&elements[..6], 2).unwrap();
         let page = segment.to_bytes();
         assert_eq!(hex(&page), GOLDEN_PAGE);
         assert_eq!(crc32(&page), GOLDEN_PAGE_CRC);
@@ -949,9 +972,8 @@ mod tests {
                 block_len: 2,
                 tail_threshold: 3,
                 max_segment_elems: 16,
-                max_payload_bytes: 1 << 20,
             },
-            retired_knob: 3,
+            retired_knobs: [3, 1 << 20],
             scheme: "bfm".to_string(),
             r: 2.5,
             term_lists: vec![vec![5, 9], vec![2]],
@@ -1069,9 +1091,8 @@ mod tests {
                 block_len: 4,
                 tail_threshold: 3,
                 max_segment_elems: 16,
-                max_payload_bytes: 1 << 20,
             },
-            retired_knob: 3,
+            retired_knobs: [3, 1 << 20],
             scheme: "test-scheme".to_string(),
             r: 2.5,
             term_lists: vec![vec![1, 2, 3], vec![], vec![7]],

@@ -13,9 +13,12 @@ pub enum StoreError {
     /// otherwise inconsistent bytes).
     CorruptSegment(String),
     /// An encoded payload would exceed the u32 offset space of the segment
-    /// wire format (~4 GiB).  Oversized lists split automatically; this
-    /// error surfaces only when a single element cannot fit at all.
+    /// wire format (~4 GiB): as no element outgrows `MAX_CIPHERTEXT_BYTES`,
+    /// only a `max_segment_elems` in the tens of thousands reaches it.
     SegmentOverflow,
+    /// An element broke the element contract ([`crate::ListStore::insert`])
+    /// and was refused before anything changed.
+    InvalidElement(&'static str),
     /// An operation against the on-disk spill state failed at the I/O layer.
     Io(String),
     /// A recovered durable store failed its post-recovery audit (budget
@@ -40,6 +43,7 @@ impl fmt::Display for StoreError {
             StoreError::SegmentOverflow => {
                 write!(f, "segment payload exceeds the u32 offset bound")
             }
+            StoreError::InvalidElement(why) => write!(f, "invalid element: {why}"),
             StoreError::Io(reason) => write!(f, "spill storage I/O failure: {reason}"),
             StoreError::RecoveryFailed(reason) => {
                 write!(f, "recovered store failed its audit: {reason}")

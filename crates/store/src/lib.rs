@@ -67,6 +67,7 @@ pub mod spill;
 pub mod store;
 
 pub use durable::{crc32, DurableConfig, FileIo, PageIo, RealIo, SyncPolicy};
+pub use durable::{ELEMENT_HEADER_BYTES, MAX_CIPHERTEXT_BYTES};
 pub use error::StoreError;
 pub use lockrank::{LockClass, RankGuard};
 pub use replication::{
@@ -259,7 +260,6 @@ mod tests {
             block_len: 4,
             tail_threshold: 3,
             max_segment_elems: 64,
-            max_payload_bytes: u32::MAX as usize,
         }
     }
 

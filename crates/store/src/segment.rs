@@ -23,11 +23,10 @@
 //! `O(#elements)`, and point reads only decode the one or two blocks they
 //! actually touch.
 //!
-//! This module also owns how a list is cut into segments
-//! ([`encode_segments`], [`encode_chunk_split`], [`encode_rebuilt`]: by
-//! [`SegmentConfig::max_segment_elems`] and the payload bound, splitting
-//! instead of overflowing); the stack built from them — slots, mutable tail,
-//! sealing, running per-group totals — is [`crate::spill::SpillList`].
+//! This module also owns how a list is cut into segments ([`encode_segments`],
+//! [`encode_rebuilt`]: by [`SegmentConfig::max_segment_elems`]); the stack
+//! built from them — slots, mutable tail, sealing, running per-group totals —
+//! is [`crate::spill::SpillList`].
 //!
 //! Segments serialize to a validated byte format ([`Segment::to_bytes`] /
 //! [`Segment::from_bytes`]): like the posting codec, the decoder faces
@@ -70,11 +69,6 @@ pub struct SegmentConfig {
     /// validates (`Pager::fetch`): a rebuild past it splits in half, and a
     /// seal that would pass it starts new segments instead.
     pub max_segment_elems: usize,
-    /// Upper bound on one segment's encoded payload in bytes (clamped to
-    /// the u32 offset space of the wire format).  Oversized encodes split
-    /// the segment instead of panicking; tests inject small bounds to
-    /// exercise the near-overflow paths without 4 GiB payloads.
-    pub max_payload_bytes: usize,
 }
 
 impl Default for SegmentConfig {
@@ -86,24 +80,7 @@ impl Default for SegmentConfig {
             tail_threshold: 128,
             // Two blocks, so an insert, a seal or a fault touches ≤ 256.
             max_segment_elems: 256,
-            max_payload_bytes: usize_of(u32::MAX),
         }
-    }
-}
-
-impl SegmentConfig {
-    /// The effective payload bound: the configured maximum, never beyond
-    /// what u32 block offsets can address.
-    pub(crate) fn payload_bound(&self) -> usize {
-        self.max_payload_bytes.min(usize_of(u32::MAX))
-    }
-
-    /// Conservative ceiling on the encoded size of one element (ciphertext
-    /// plus varint headers and group tags).  An element whose ceiling
-    /// exceeds the payload bound cannot be stored at any split granularity
-    /// and is rejected upfront with [`StoreError::SegmentOverflow`].
-    pub(crate) fn element_fits(&self, element: &OrderedElement) -> bool {
-        element.sealed.ciphertext.len().saturating_add(64) <= self.payload_bound()
     }
 }
 
@@ -234,9 +211,9 @@ fn encode_block(chunk: &[OrderedElement], out: &mut Vec<u8>) -> Result<BlockMeta
         }
         add_count(&mut counts, element.group, 1);
     }
-    // A payload past the u32 offset space (~4 GiB of ciphertext per
-    // segment; max_segment_elems bounds elements, not bytes) degrades to an
-    // error the caller answers with a segment split, never a panic.
+    // Every element is at most `MAX_CIPHERTEXT_BYTES` long, so only a
+    // segment of tens of thousands of elements reaches past the u32 offset
+    // space: an error, never a panic.
     Ok(BlockMeta {
         offset: u32::try_from(offset).map_err(|_| StoreError::SegmentOverflow)?,
         byte_len: u32::try_from(out.len() - offset).map_err(|_| StoreError::SegmentOverflow)?,
@@ -428,22 +405,16 @@ impl Segment {
     /// Encodes a non-empty TRS-descending slice into a segment of
     /// `block_len`-element blocks.  Fails with
     /// [`StoreError::SegmentOverflow`] if the encoded payload would exceed
-    /// `max_payload` bytes (or the u32 offset space) — callers split the
-    /// slice and retry instead of crashing.
+    /// the u32 offset space.
     pub(crate) fn from_elements(
         elements: &[OrderedElement],
         block_len: usize,
-        max_payload: usize,
     ) -> Result<Segment, StoreError> {
         debug_assert!(!elements.is_empty(), "segments are never empty");
-        let max_payload = max_payload.min(usize_of(u32::MAX));
         let mut payload = Vec::new();
         let mut blocks = Vec::with_capacity(elements.len().div_ceil(block_len.max(1)));
         for chunk in elements.chunks(block_len.max(1)) {
             blocks.push(encode_block(chunk, &mut payload)?);
-            if payload.len() > max_payload {
-                return Err(StoreError::SegmentOverflow);
-            }
         }
         // Sealed segments are immutable: give the growth slack back.
         payload.shrink_to_fit();
@@ -489,9 +460,9 @@ impl Segment {
     /// Scans this segment's slice of the logical list.  `seg_base` is the
     /// global physical index of the segment's first element; `skipped`
     /// carries the visible-skip state across segments.  Visible elements
-    /// past the skip are appended to `out`; once `out` holds `count`
-    /// elements the global next-physical index is returned and the scan
-    /// stops.
+    /// past the skip are appended to `out`; once `out` holds `count` (> 0,
+    /// the caller answers 0 itself) elements the global next-physical index
+    /// is returned and the scan stops.
     #[expect(clippy::too_many_arguments, reason = "state threads across segments")]
     pub(crate) fn scan_part(
         &self,
@@ -764,44 +735,16 @@ impl Segment {
     }
 }
 
-/// Encodes a TRS-descending chunk into one or more segments, splitting in
-/// half whenever the encoded payload would exceed the configured bound.  A
-/// single element that cannot fit at any granularity surfaces as
-/// [`StoreError::SegmentOverflow`] — the caller degrades instead of the
-/// server crashing on a ~4 GiB list.
-fn encode_chunk_split(
-    chunk: &[OrderedElement],
-    config: &SegmentConfig,
-    out: &mut Vec<Segment>,
-) -> Result<(), StoreError> {
-    if chunk.is_empty() {
-        return Ok(());
-    }
-    match Segment::from_elements(chunk, config.block_len, config.payload_bound()) {
-        Ok(segment) => {
-            out.push(segment);
-            Ok(())
-        }
-        Err(StoreError::SegmentOverflow) if chunk.len() > 1 => {
-            let (lo, hi) = chunk.split_at(chunk.len() / 2);
-            encode_chunk_split(lo, config, out)?;
-            encode_chunk_split(hi, config, out)
-        }
-        Err(e) => Err(e),
-    }
-}
-
-/// Encodes a full ordered list into a segment stack respecting both the
-/// element and payload bounds of `config`.
+/// Encodes a full ordered list into a segment stack of at most
+/// `max_segment_elems` elements per segment.
 pub(crate) fn encode_segments(
     elements: &[OrderedElement],
     config: &SegmentConfig,
 ) -> Result<Vec<Segment>, StoreError> {
-    let mut out = Vec::new();
-    for chunk in elements.chunks(config.max_segment_elems.max(1)) {
-        encode_chunk_split(chunk, config, &mut out)?;
-    }
-    Ok(out)
+    elements
+        .chunks(config.max_segment_elems.max(1))
+        .map(|chunk| Segment::from_elements(chunk, config.block_len))
+        .collect()
 }
 
 /// Re-encodes one rebuilt (post-insert) segment's elements, splitting in
@@ -811,15 +754,16 @@ pub(crate) fn encode_rebuilt(
     decoded: &[OrderedElement],
     config: &SegmentConfig,
 ) -> Result<Vec<Segment>, StoreError> {
-    let mut rebuilt = Vec::new();
-    if decoded.len() > config.max_segment_elems {
-        let (lo, hi) = decoded.split_at(decoded.len() / 2);
-        encode_chunk_split(lo, config, &mut rebuilt)?;
-        encode_chunk_split(hi, config, &mut rebuilt)?;
+    let (lo, hi) = if decoded.len() > config.max_segment_elems {
+        decoded.split_at(decoded.len() / 2)
     } else {
-        encode_chunk_split(decoded, config, &mut rebuilt)?;
-    }
-    Ok(rebuilt)
+        (decoded, &[][..])
+    };
+    [lo, hi]
+        .into_iter()
+        .filter(|half| !half.is_empty())
+        .map(|half| Segment::from_elements(half, config.block_len))
+        .collect()
 }
 
 #[cfg(test)]
@@ -944,7 +888,6 @@ mod tests {
             block_len: 4,
             tail_threshold: 3,
             max_segment_elems: 16,
-            max_payload_bytes: u32::MAX as usize,
         }
     }
 
@@ -969,7 +912,7 @@ mod tests {
     #[test]
     fn segment_roundtrips_through_bytes() {
         let elements = sorted_elements(23);
-        let segment = Segment::from_elements(&elements, 5, u32::MAX as usize).unwrap();
+        let segment = Segment::from_elements(&elements, 5).unwrap();
         assert_eq!(segment.num_elements(), 23);
         assert_eq!(segment.num_blocks(), 5);
         assert_eq!(segment.decode_all(), elements);
@@ -984,7 +927,7 @@ mod tests {
         let mut elements = sorted_elements(9);
         // One element whose sealed group differs from the routing group.
         elements[4].sealed.group = GroupId(99);
-        let segment = Segment::from_elements(&elements, 4, u32::MAX as usize).unwrap();
+        let segment = Segment::from_elements(&elements, 4).unwrap();
         let back = same_verdict(&segment.to_bytes()).unwrap();
         assert_eq!(back.decode_all(), elements);
     }
@@ -1000,8 +943,8 @@ mod tests {
             e.group = g;
             e.sealed.group = g;
         }
-        let u = Segment::from_elements(&uniform, 8, u32::MAX as usize).unwrap();
-        let m = Segment::from_elements(&mixed, 8, u32::MAX as usize).unwrap();
+        let u = Segment::from_elements(&uniform, 8).unwrap();
+        let m = Segment::from_elements(&mixed, 8).unwrap();
         assert_eq!(u.decode_all(), uniform);
         assert_eq!(m.decode_all(), mixed);
         // Every element of the mixed encoding pays a 1-byte group tag; the
@@ -1011,7 +954,7 @@ mod tests {
         // use the uniform mode, even if the routing groups agree.
         let mut split = uniform.clone();
         split[5].sealed.group = GroupId(99);
-        let s = Segment::from_elements(&split, 8, u32::MAX as usize).unwrap();
+        let s = Segment::from_elements(&split, 8).unwrap();
         assert_eq!(s.decode_all(), split);
         assert!(s.payload.len() > u.payload.len());
         // And all three round-trip through the wire format.
@@ -1022,7 +965,7 @@ mod tests {
 
     #[test]
     fn truncations_and_garbage_are_rejected() {
-        let bytes = Segment::from_elements(&sorted_elements(12), 4, u32::MAX as usize)
+        let bytes = Segment::from_elements(&sorted_elements(12), 4)
             .unwrap()
             .to_bytes();
         for cut in 0..bytes.len() {
@@ -1061,7 +1004,7 @@ mod tests {
             );
             for start in [0usize, 3, 17, 36, 37, 40] {
                 for skip in [0usize, 1, 5, 30] {
-                    for count in [1usize, 4, 100] {
+                    for count in [0usize, 1, 4, 100] {
                         assert_eq!(
                             seg.scan(start, skip, count, accessible).unwrap(),
                             model::scan(&elements, start, skip, count, accessible),
@@ -1170,84 +1113,51 @@ mod tests {
     }
 
     #[test]
-    fn near_overflow_payloads_split_instead_of_panicking() {
-        // Regression for the former
-        // `expect("segment payload exceeds u32 offsets")` panics: with a
-        // small injected payload bound, builds and inserts must degrade by
-        // splitting segments, never crash, and stay element-identical to
-        // the reference layout.
-        let config = SegmentConfig {
-            block_len: 2,
-            tail_threshold: 2,
-            max_segment_elems: 64,
-            max_payload_bytes: 96,
-        };
-        let elements: Vec<OrderedElement> = (0..24)
-            .map(|i| element(1.0 - i as f64 / 24.0, (i % 2) as u32, &[i as u8; 20]))
-            .collect();
-        let mut seg = SpillList::build(elements.clone(), config, None).unwrap();
-        let mut expected = elements;
-        assert_eq!(seg.snapshot().unwrap(), expected);
-        assert_totals_exact(&seg);
-        // Every segment respects the byte bound: 24 elements would fit one
-        // segment by count, so only the payload bound splits them.
-        assert!(seg.num_slots() > 1);
-        // Inserts across the whole range (tail seals and interior rebuilds
-        // both re-encode under the bound), into old groups and a new one.
-        for (i, trs) in [0.99, 0.5, 0.01, 0.5, 0.73, 0.005, 0.004]
-            .into_iter()
-            .enumerate()
-        {
-            let e = element(trs, (i % 3) as u32, &[7u8; 20]);
-            assert_eq!(
-                seg.insert(e.clone()).unwrap(),
-                model::insert(&mut expected, e),
-                "probe {trs}"
-            );
-            assert_totals_exact(&seg);
-        }
-        assert_eq!(seg.snapshot().unwrap(), expected);
-        assert!(seg.ordering_ok());
-        // A seal that fails rolls its insert back, totals included.  Fill
-        // the tail to its threshold with +0.0, then offer -0.0: it compares
-        // equal, so it sorts in front, but its sortable bits are smaller,
-        // so the tail no longer encodes as a descending block.
-        while seg.tail_len() < config.tail_threshold {
-            seg.insert(element(0.0, 0, &[1u8; 20])).unwrap();
-        }
-        let before = seg.snapshot().unwrap();
-        assert!(matches!(
-            seg.insert(element(-0.0, 5, &[2u8; 20])),
-            Err(StoreError::Invariant(_))
-        ));
-        assert_eq!(seg.snapshot().unwrap(), before);
-        assert_eq!(seg.tail_len(), config.tail_threshold);
-        assert_totals_exact(&seg);
-    }
-
-    #[test]
     fn oversized_single_elements_error_without_corrupting_the_list() {
-        let config = SegmentConfig {
-            max_payload_bytes: 128,
-            ..small_config()
-        };
-        let mut seg = SpillList::build(sorted_elements(8), config, None).unwrap();
+        let mut seg = SpillList::build(sorted_elements(8), small_config(), None).unwrap();
         let before = seg.snapshot().unwrap();
-        // One element whose ciphertext alone cannot fit under the bound at
-        // any split granularity: a clean error, list untouched.
-        let huge = element(0.5, 0, &[9u8; 256]);
+        // One element whose ciphertext the 2-byte element length cannot
+        // state: a clean error, list untouched.
+        let huge = element(0.5, 0, &vec![9u8; crate::MAX_CIPHERTEXT_BYTES + 1]);
         assert!(matches!(
             seg.insert(huge.clone()),
-            Err(StoreError::SegmentOverflow)
+            Err(StoreError::InvalidElement(_))
         ));
         assert_eq!(seg.snapshot().unwrap(), before);
+        assert_totals_exact(&seg);
         // The same element poisons a fresh build the same way.
         let mut poisoned = sorted_elements(8);
         poisoned.insert(4, huge);
         assert!(matches!(
-            SpillList::build(poisoned, config, None),
-            Err(StoreError::SegmentOverflow)
+            SpillList::build(poisoned, small_config(), None),
+            Err(StoreError::InvalidElement(_))
         ));
+    }
+
+    #[test]
+    fn a_negative_zero_trs_is_stored_as_positive_zero() {
+        // -0.0 compares equal to +0.0, so it sorts in front of them, but its
+        // sortable bits are smaller: stored as it came, it would break the
+        // descending block encoding at the next seal or rebuild.
+        let config = small_config();
+        let mut seg = SpillList::build(sorted_elements(20), config, None).unwrap();
+        let mut expected = sorted_elements(20);
+        for i in 0..2 * config.tail_threshold {
+            let trs = if i % 2 == 0 { 0.0 } else { -0.0 };
+            let e = element(trs, (i % 3) as u32, &[i as u8; 4]);
+            let pos = seg.insert(e.clone()).unwrap();
+            assert_eq!(
+                pos,
+                model::insert(&mut expected, element(0.0, (i % 3) as u32, &[i as u8; 4]))
+            );
+        }
+        let snapshot = seg.snapshot().unwrap();
+        assert_eq!(snapshot, expected);
+        assert!(snapshot
+            .iter()
+            .all(|e| e.trs.to_bits() != (-0.0f64).to_bits()));
+        assert!(seg.ordering_ok());
+        assert_totals_exact(&seg);
     }
 
     /// Re-encodes `bytes` with varint field `index` replaced by `value`
@@ -1278,7 +1188,7 @@ mod tests {
         let elements: Vec<OrderedElement> = (0..4)
             .map(|i| element(1.0 - i as f64 / 8.0, 1, &[i as u8; 6]))
             .collect();
-        let segment = Segment::from_elements(&elements, 8, u32::MAX as usize).unwrap();
+        let segment = Segment::from_elements(&elements, 8).unwrap();
         let bytes = segment.to_bytes();
         assert!(same_verdict(&bytes).is_ok());
         const FIELDS: usize = 11;
@@ -1328,7 +1238,7 @@ mod tests {
         let elements: Vec<OrderedElement> = (0..8)
             .map(|i| element(0.5f64.powi(i as i32), [0, 2, 2, 5][i % 4], &[i as u8; 5]))
             .collect();
-        let honest = Segment::from_elements(&elements, 4, u32::MAX as usize).unwrap();
+        let honest = Segment::from_elements(&elements, 4).unwrap();
         assert_eq!(same_verdict(&honest.to_bytes()).unwrap(), honest);
         let rejected = |forge: &dyn Fn(&mut Segment), reason: &str| {
             let mut forged = honest.clone();
@@ -1438,7 +1348,7 @@ mod fuzz {
         ) {
             let elements = arbitrary_elements(items);
             let segment =
-                Segment::from_elements(&elements, block_len, u32::MAX as usize).unwrap();
+                Segment::from_elements(&elements, block_len).unwrap();
             prop_assert_eq!(segment.decode_all(), elements.clone());
             let back = same_verdict(&segment.to_bytes()).unwrap();
             prop_assert_eq!(back.decode_all(), elements);
@@ -1460,7 +1370,7 @@ mod fuzz {
                 items.into_iter().map(|(trs, ct)| (trs, group, ct)).collect(),
             );
             let segment =
-                Segment::from_elements(&elements, block_len, u32::MAX as usize).unwrap();
+                Segment::from_elements(&elements, block_len).unwrap();
             prop_assert_eq!(segment.decode_all(), elements.clone());
             let back = same_verdict(&segment.to_bytes()).unwrap();
             prop_assert_eq!(back.decode_all(), elements);
@@ -1471,7 +1381,7 @@ mod fuzz {
             items in proptest::collection::vec(element_strategy(), 1..40),
             cut in any::<usize>()
         ) {
-            let bytes = Segment::from_elements(&arbitrary_elements(items), 4, u32::MAX as usize).unwrap().to_bytes();
+            let bytes = Segment::from_elements(&arbitrary_elements(items), 4).unwrap().to_bytes();
             let cut = cut % bytes.len();
             prop_assert!(same_verdict(&bytes[..cut]).is_err());
         }
@@ -1498,7 +1408,7 @@ mod fuzz {
             // the page varint-consistent: the decoder must reject any claim
             // that disagrees with the per-block element counts / payload,
             // and must never panic or over-allocate.
-            let bytes = Segment::from_elements(&arbitrary_elements(items), 4, u32::MAX as usize)
+            let bytes = Segment::from_elements(&arbitrary_elements(items), 4)
                 .unwrap()
                 .to_bytes();
             let mut fields = Vec::new();
@@ -1528,7 +1438,7 @@ mod fuzz {
             items in proptest::collection::vec(element_strategy(), 1..40),
             flip in any::<(usize, u8)>()
         ) {
-            let mut bytes = Segment::from_elements(&arbitrary_elements(items), 4, u32::MAX as usize).unwrap().to_bytes();
+            let mut bytes = Segment::from_elements(&arbitrary_elements(items), 4).unwrap().to_bytes();
             let pos = flip.0 % bytes.len();
             bytes[pos] ^= flip.1 | 1;
             // Either a clean error or a differently-valued segment — the
@@ -1546,8 +1456,8 @@ mod fuzz {
             // Overwrite a run of one page with a run of another: headers
             // and blocks that are each well-formed but belong to different
             // segments, the shape a misdirected write leaves behind.
-            let mut bytes = Segment::from_elements(&arbitrary_elements(items), 4, u32::MAX as usize).unwrap().to_bytes();
-            let donor = Segment::from_elements(&arbitrary_elements(donor), 3, u32::MAX as usize).unwrap().to_bytes();
+            let mut bytes = Segment::from_elements(&arbitrary_elements(items), 4).unwrap().to_bytes();
+            let donor = Segment::from_elements(&arbitrary_elements(donor), 3).unwrap().to_bytes();
             let len = 1 + cut.2 % bytes.len().min(donor.len());
             let at = cut.0 % (bytes.len() - len + 1);
             let from = cut.1 % (donor.len() - len + 1);

@@ -93,8 +93,8 @@ pub fn default_shards() -> usize {
 impl SpillStore {
     /// Builds a resident store across exactly `num_shards` shards: every
     /// segment stays in memory, nothing is created on disk and no
-    /// maintenance ever runs.  Fails with [`StoreError::SegmentOverflow`]
-    /// only if a single element cannot be encoded under the payload bound.
+    /// maintenance ever runs.  Fails with [`StoreError::InvalidElement`]
+    /// if an element of `index` breaks the contract of [`ListStore::insert`].
     pub fn resident(
         index: OrderedIndex,
         num_shards: usize,
@@ -340,7 +340,7 @@ impl ListStore for SpillStore {
         SessionStats::aggregate((0..self.shards.len()).map(|s| self.shard_read(s).session_stats()))
     }
 
-    fn insert(&self, list: MergedListId, element: OrderedElement) -> Result<usize, StoreError> {
+    fn insert(&self, list: MergedListId, mut element: OrderedElement) -> Result<usize, StoreError> {
         let (shard, slot) = self.known(list)?;
         self.meter_lock();
         let pos = {
@@ -351,7 +351,9 @@ impl ListStore for SpillStore {
                 // order is apply order, and an insert is only acknowledged
                 // once its WAL record is written (and fsynced per the
                 // policy).  A log failure surfaces as the insert's error.
+                // Checked first, so the log holds the element as stored.
                 Some(durable) => {
+                    crate::durable::check_element(&mut element)?;
                     let pos = guard.insert(slot, element.clone())?;
                     let _io = lockrank::sanctioned_io("log order is apply order");
                     durable.append(shard, list.0, &element)?;

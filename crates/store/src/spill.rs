@@ -100,7 +100,7 @@ use zerber_r::{OrderedElement, OrderedIndex};
 
 use crate::convert::{u64_of, usize_of};
 use crate::durable::{
-    crc32, decode_manifest, decode_store_meta, encode_manifest, encode_store_meta,
+    check_element, crc32, decode_manifest, decode_store_meta, encode_manifest, encode_store_meta,
     encode_wal_frame, io_err, scan_wal, DurableConfig, FileIo, Manifest, ManifestList, PageIo,
     RealIo, StoreMeta, SyncPolicy,
 };
@@ -781,10 +781,13 @@ impl SpillList {
     /// Builds the list against its shard's pager — or, with `None`, for the
     /// resident lifecycle: every segment in memory, nothing on disk.
     pub(crate) fn build(
-        elements: Vec<OrderedElement>,
+        mut elements: Vec<OrderedElement>,
         config: SegmentConfig,
         pager: Option<Arc<Pager>>,
     ) -> Result<Self, StoreError> {
+        for element in &mut elements {
+            check_element(element)?;
+        }
         let seg_elems = elements.len();
         let segments = encode_segments(&elements, &config)?;
         let mut list = SpillList {
@@ -1211,6 +1214,9 @@ impl SpillList {
         filter: &GroupFilter<'_>,
     ) -> Result<(Vec<OrderedElement>, usize), StoreError> {
         let total = self.len();
+        if count == 0 {
+            return Ok((Vec::new(), total.max(start)));
+        }
         let mut elements = Vec::with_capacity(count.min(total.saturating_sub(start)));
         let mut skipped = 0usize;
         let mut pos = 0usize;
@@ -1259,13 +1265,11 @@ impl SpillList {
 
     /// Inserts an element at its TRS position (after strictly greater,
     /// before equal), returning the physical insertion index.  Fails —
-    /// without changing the list — if the element cannot be encoded
-    /// ([`StoreError::SegmentOverflow`]) or a page it must touch cannot be
-    /// read or written.
-    pub(crate) fn insert(&mut self, element: OrderedElement) -> Result<usize, StoreError> {
-        if !self.config.element_fits(&element) {
-            return Err(StoreError::SegmentOverflow);
-        }
+    /// without changing the list — if the element breaks the element
+    /// contract ([`check_element`]: [`StoreError::InvalidElement`]) or a
+    /// page it must touch cannot be read or written.
+    pub(crate) fn insert(&mut self, mut element: OrderedElement) -> Result<usize, StoreError> {
+        check_element(&mut element)?;
         let trs = element.trs;
         let group = element.group;
         let mut base = 0usize;
@@ -1645,7 +1649,7 @@ impl SpillStore {
         let meta = StoreMeta {
             num_shards: u64_of(num_shards),
             segment,
-            retired_knob: 8,
+            retired_knobs: [8, u64::from(u32::MAX)],
             scheme: plan.scheme().to_string(),
             r: plan.r(),
             term_lists: (0..plan.num_lists())
@@ -2406,7 +2410,6 @@ mod tests {
             block_len: 4,
             tail_threshold: 3,
             max_segment_elems: 16,
-            max_payload_bytes: u32::MAX as usize,
         }
     }
 
@@ -3376,7 +3379,6 @@ mod tests {
             block_len: 2,
             tail_threshold: 8,
             max_segment_elems: 4,
-            max_payload_bytes: u32::MAX as usize,
         };
         for store in both_lifecycles(sorted_elements(10, 0), segment) {
             let mut reference = sorted_elements(10, 0);

@@ -265,6 +265,11 @@ pub trait ListStore: Send + Sync + std::fmt::Debug {
     /// Inserts a sealed element at its TRS position, returning the physical
     /// insertion index.  Open cursors on the list positioned after the
     /// insertion point are shifted so they neither skip nor repeat elements.
+    /// The element contract: a finite TRS, at most
+    /// [`crate::MAX_CIPHERTEXT_BYTES`] of ciphertext and a sealed group equal
+    /// to the routing group; an element that breaks it is refused with
+    /// [`StoreError::InvalidElement`] before anything is applied or logged.
+    /// A `-0.0` TRS is stored as `+0.0`.
     fn insert(&self, list: MergedListId, element: OrderedElement) -> Result<usize, StoreError>;
 
     /// Checks the descending-TRS invariant of every list.
@@ -659,7 +664,6 @@ mod tests {
             block_len: 2,
             tail_threshold: 2,
             max_segment_elems: 4,
-            max_payload_bytes: u32::MAX as usize,
         };
         SpillList::build(list(), config, None).unwrap()
     }

@@ -37,8 +37,8 @@ use oracle::Oracle;
 use proptest::prelude::*;
 use zerber_suite::corpus::{GroupId, TermId};
 use zerber_suite::store::{
-    crc32, DurableConfig, ListStore, PageIo, SegmentConfig, SpillConfig, SpillStore, StoreError,
-    SyncPolicy,
+    crc32, DurableConfig, ListStore, PageIo, RealIo, SegmentConfig, SpillConfig, SpillStore,
+    StoreError, SyncPolicy, MAX_CIPHERTEXT_BYTES,
 };
 use zerber_suite::zerber::{EncryptedElement, MergePlan, MergedListId};
 use zerber_suite::zerber_r::{OrderedElement, OrderedIndex};
@@ -85,7 +85,6 @@ fn segment_config() -> SegmentConfig {
         block_len: 3,
         tail_threshold: 2,
         max_segment_elems: 12,
-        max_payload_bytes: u32::MAX as usize,
     }
 }
 
@@ -442,6 +441,91 @@ fn buffered_power_loss_keeps_every_acknowledged_insert() {
             "list {l} lost acknowledged inserts"
         );
     }
+}
+
+/// The element contract on every lifecycle: an element the store could not
+/// log, checkpoint, recover or ship unchanged — a non-finite TRS, a
+/// ciphertext the 2-byte element length cannot state, a sealed group other
+/// than the routing group — is refused before anything changes: nothing
+/// applied, nothing logged.  On the durable store the acknowledged inserts
+/// around the refused ones then survive a checkpoint and a reopen, exactly.
+#[test]
+fn invalid_elements_are_refused_on_every_lifecycle_and_recovery_keeps_the_acknowledged() {
+    let index = fixture_index(NUM_LISTS, true);
+    let root = TempRoot::new("invalid-elements");
+    let dir = root.join("durable");
+    let durable = || durable_config(SyncPolicy::Always);
+    let stores = [
+        SpillStore::resident(index.clone(), NUM_SHARDS, segment_config()).unwrap(),
+        SpillStore::with_configs(
+            index.clone(),
+            NUM_SHARDS,
+            root.join("spill"),
+            spill_config(),
+            segment_config(),
+        )
+        .unwrap(),
+        SpillStore::create_durable_with(
+            index.clone(),
+            &dir,
+            NUM_SHARDS,
+            spill_config(),
+            segment_config(),
+            durable(),
+            RealIo::shared(),
+        )
+        .unwrap(),
+    ];
+    let mut split = element(0.5, 1, b"split");
+    split.sealed.group = GroupId(2);
+    let refused = [
+        element(f64::INFINITY, 1, b"+inf"),
+        element(f64::NEG_INFINITY, 1, b"-inf"),
+        element(f64::NAN, 1, b"nan"),
+        element(0.5, 1, &vec![7; MAX_CIPHERTEXT_BYTES + 1]),
+        split,
+    ];
+    let list = MergedListId(0);
+    let mut expected = index.list(list).unwrap().to_vec();
+    let mut acknowledge = |trs: f64, stores: &[SpillStore]| {
+        let e = element(trs, 3, b"ok");
+        let pos = expected.partition_point(|m| m.trs > trs);
+        for store in stores {
+            assert_eq!(store.insert(list, e.clone()).unwrap(), pos);
+        }
+        expected.insert(pos, e);
+    };
+    for (i, bad) in refused.iter().enumerate() {
+        // An acknowledged insert before each refused one, so on the
+        // durable store the refused ones lie among logged ones.
+        acknowledge(95.0 - 7.0 * i as f64, &stores);
+        for (s, store) in stores.iter().enumerate() {
+            let state = |store: &SpillStore| {
+                (
+                    store.list_len(list).unwrap(),
+                    store.snapshot_list(list).unwrap(),
+                    store.metrics().wal_appends,
+                )
+            };
+            let before = state(store);
+            let result = store.insert(list, bad.clone());
+            assert!(
+                matches!(result, Err(StoreError::InvalidElement(_))),
+                "store {s}, element {i}: {result:?}"
+            );
+            assert_eq!(state(store), before, "store {s}, element {i}");
+        }
+    }
+    // A checkpoint folds the logged inserts into pages and manifest tails;
+    // one more insert lands in the fresh log.
+    stores[2].checkpoint().unwrap();
+    acknowledge(0.25, &stores);
+    for store in &stores {
+        assert_eq!(store.snapshot_list(list).unwrap(), expected);
+    }
+    drop(stores);
+    let recovered = SpillStore::open(&dir, spill_config(), durable()).unwrap();
+    assert_eq!(recovered.snapshot_list(list).unwrap(), expected);
 }
 
 /// Under `SyncPolicy::EveryN` a *clean* shutdown must still keep every

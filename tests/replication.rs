@@ -82,7 +82,6 @@ fn segment_config() -> SegmentConfig {
         block_len: 3,
         tail_threshold: 2,
         max_segment_elems: 12,
-        max_payload_bytes: u32::MAX as usize,
     }
 }
 

@@ -64,7 +64,6 @@ fn a_resident_store_creates_nothing_on_disk_and_runs_no_paging_machinery() {
         block_len: 3,
         tail_threshold: 2,
         max_segment_elems: 12,
-        max_payload_bytes: u32::MAX as usize,
     };
     let oracle = Oracle::new(index.clone());
     let store = SpillStore::resident(index, 2, config).unwrap();

@@ -172,7 +172,6 @@ fn engines(lists: &[Vec<OrderedElement>]) -> (Oracle, Engine) {
         block_len: 3,
         tail_threshold: 2,
         max_segment_elems: 12,
-        max_payload_bytes: u32::MAX as usize,
     };
     let index = fixture_index(lists);
     let oracle = Oracle::new(index.clone());
@@ -708,7 +707,6 @@ proptest! {
             block_len: 3,
             tail_threshold: 2,
             max_segment_elems: 12,
-            max_payload_bytes: u32::MAX as usize,
         };
         let spill_config = SpillConfig {
             resident_budget_bytes: 0,
@@ -870,20 +868,19 @@ mod failing_io {
 /// still one merge pass over the list's running totals: no page is
 /// faulted, and the count is the naive recount —
 /// through interior inserts into cold slots, inserts that fail and roll
-/// back (an element no segment can hold, a page write the disk refuses,
+/// back (an element the store refuses, a page write the disk refuses,
 /// both on the rebuild and on the seal path) and a crash recovery that
 /// rebuilds the totals from checkpoint pages plus the replayed WAL tail.
 #[test]
 fn spilled_counts_come_from_running_totals_through_failures_and_recovery() {
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::Arc;
-    use zerber_suite::store::StoreError;
+    use zerber_suite::store::{StoreError, MAX_CIPHERTEXT_BYTES};
 
     let segment_config = SegmentConfig {
         block_len: 3,
         tail_threshold: 2,
         max_segment_elems: 12,
-        max_payload_bytes: 4096,
     };
     let spill_config = SpillConfig {
         resident_budget_bytes: 0,
@@ -981,10 +978,10 @@ fn spilled_counts_come_from_running_totals_through_failures_and_recovery() {
     audit(&store, &model);
 
     // Failed inserts leave the totals where they were.
-    let huge = element(0.5, 1, vec![7; 8192]);
+    let huge = element(0.5, 1, vec![7; MAX_CIPHERTEXT_BYTES + 1]);
     assert!(matches!(
         store.insert(MergedListId(0), huge),
-        Err(StoreError::SegmentOverflow)
+        Err(StoreError::InvalidElement(_))
     ));
     armed.store(true, Ordering::Relaxed);
     // The rebuild of a cold slot cannot write its pages...
