@@ -6,9 +6,9 @@
 //! The layering mirrors classical recovery managers:
 //!
 //! * **Checkpoint manifest** — an atomically-renamed, checksummed file per
-//!   shard enumerating the sealed pages of every list (plus the small
-//!   mutable tails and the WAL sequence number the checkpoint covers).  The
-//!   page files it references are immutable checkpoint state, not cache.
+//!   shard enumerating the sealed pages of every list (plus the WAL
+//!   sequence number the checkpoint covers).  The page files it
+//!   references are immutable checkpoint state, not cache.
 //! * **Write-ahead log** — length-delimited, CRC-framed insert records
 //!   (reusing the element wire encoding: 8-byte TRS, 4-byte group, 2-byte
 //!   ciphertext length, ciphertext).  Appends happen under the same shard
@@ -502,8 +502,8 @@ pub(crate) fn scan_wal(bytes: &[u8]) -> WalScan {
 const MANIFEST_MAGIC: u64 = 0x4e41_4d5a; // "ZMAN"
 const MANIFEST_VERSION: u64 = 1;
 
-/// Checkpoint state of one list: the sealed pages (in stack order) and the
-/// mutable tail at checkpoint time.
+/// Checkpoint state of one list: the sealed pages (in stack order) and a
+/// tail of inline elements.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub(crate) struct ManifestList {
     /// `(offset, len, crc32)` of each sealed page in the shard's page
@@ -511,8 +511,10 @@ pub(crate) struct ManifestList {
     /// payload corruption that segment structure validation alone cannot
     /// (a flipped ciphertext byte decodes fine).
     pub pages: Vec<(u64, u32, u32)>,
-    /// The tail elements (descending TRS), stored inline — small by
-    /// construction (bounded by the segment config's tail threshold).
+    /// Elements (descending TRS, below every page's) stored inline.  Lists
+    /// once kept a mutable tail that checkpoints wrote here; new manifests
+    /// write it empty, and recovery seals a non-empty one into segments
+    /// behind the last page.
     pub tail: Vec<OrderedElement>,
 }
 
@@ -662,13 +664,14 @@ const META_VERSION: u64 = 1;
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct StoreMeta {
     pub num_shards: u64,
-    /// Segment layout knobs, persisted so reopened lists split/seal exactly
-    /// like the original store (replay determinism).
+    /// Segment layout knobs, persisted so reopened lists split exactly like
+    /// the original store (replay determinism).
     pub segment: crate::segment::SegmentConfig,
-    /// Knob slots four and five, which once held a stack-depth and a payload
-    /// bound: new stores write their old defaults, 8 and `u32::MAX`, so the
-    /// file reads the same to an older version; `open` never reads them.
-    pub retired_knobs: [u64; 2],
+    /// Knob slots two, four and five, which once held a tail threshold, a
+    /// stack-depth and a payload bound: new stores write their old
+    /// defaults, 128, 8 and `u32::MAX`, so the file reads the same to an
+    /// older version; `open` never reads them.
+    pub retired_knobs: [u64; 3],
     /// Merge-plan scheme name.
     pub scheme: String,
     /// Merge-plan confidentiality parameter.
@@ -684,10 +687,10 @@ pub(crate) fn encode_store_meta(meta: &StoreMeta) -> Vec<u8> {
     out.extend_from_slice(&meta.num_shards.to_le_bytes());
     for knob in [
         u64_of(meta.segment.block_len),
-        u64_of(meta.segment.tail_threshold),
-        u64_of(meta.segment.max_segment_elems),
         meta.retired_knobs[0],
+        u64_of(meta.segment.max_segment_elems),
         meta.retired_knobs[1],
+        meta.retired_knobs[2],
     ] {
         out.extend_from_slice(&knob.to_le_bytes());
     }
@@ -727,7 +730,6 @@ pub(crate) fn decode_store_meta(bytes: &[u8]) -> Result<StoreMeta, StoreError> {
     }
     let segment = crate::segment::SegmentConfig {
         block_len: usize::try_from(knobs[0]).map_err(|_| Reader::corrupt("segment knob"))?,
-        tail_threshold: usize::try_from(knobs[1]).map_err(|_| Reader::corrupt("segment knob"))?,
         max_segment_elems: usize::try_from(knobs[2])
             .map_err(|_| Reader::corrupt("segment knob"))?,
     };
@@ -759,7 +761,7 @@ pub(crate) fn decode_store_meta(bytes: &[u8]) -> Result<StoreMeta, StoreError> {
     Ok(StoreMeta {
         num_shards,
         segment,
-        retired_knobs: [knobs[3], knobs[4]],
+        retired_knobs: [knobs[1], knobs[3], knobs[4]],
         scheme,
         r: r_param,
         term_lists,
@@ -970,10 +972,9 @@ mod tests {
             num_shards: 2,
             segment: SegmentConfig {
                 block_len: 2,
-                tail_threshold: 3,
                 max_segment_elems: 16,
             },
-            retired_knobs: [3, 1 << 20],
+            retired_knobs: [3, 3, 1 << 20],
             scheme: "bfm".to_string(),
             r: 2.5,
             term_lists: vec![vec![5, 9], vec![2]],
@@ -1089,10 +1090,9 @@ mod tests {
             num_shards: 4,
             segment: SegmentConfig {
                 block_len: 4,
-                tail_threshold: 3,
                 max_segment_elems: 16,
             },
-            retired_knobs: [3, 1 << 20],
+            retired_knobs: [3, 3, 1 << 20],
             scheme: "test-scheme".to_string(),
             r: 2.5,
             term_lists: vec![vec![1, 2, 3], vec![], vec![7]],

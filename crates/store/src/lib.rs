@@ -14,10 +14,10 @@
 //! * [`SpillStore`] — the one engine that serves ([`sharded`]): lists
 //!   partitioned across N shards, each behind its own `RwLock` (queries on
 //!   different lists never contend, an insert write-locks exactly one
-//!   shard), each list a stack of compressed [`segment`]s plus a small
-//!   mutable tail ([`spill`]).  It runs in three lifecycles that differ only
-//!   in where the sealed bytes live — a deployment setting, not a different
-//!   engine:
+//!   shard), each list a stack of compressed [`segment`]s, of which an
+//!   insert rebuilds the one it lands in ([`spill`]).  It runs in three
+//!   lifecycles that differ only in where the sealed bytes live — a
+//!   deployment setting, not a different engine:
 //!   - *resident* ([`SpillStore::resident`]): everything in memory, nothing
 //!     on disk, no maintenance;
 //!   - *spill* ([`SpillStore::with_configs`]): cold segments page out to
@@ -29,9 +29,9 @@
 //!     the same pager, plus a persistent root holding a checksummed
 //!     checkpoint manifest and a per-shard CRC-framed write-ahead log
 //!     ([`durable`]); `open` recovers after a crash — replaying pages
-//!     through full segment validation and the WAL tail through the insert
-//!     path, then re-auditing byte-exact budget accounting and visibility
-//!     before serving.
+//!     through full segment validation and the inserts the WAL holds since
+//!     the checkpoint through the insert path, then re-auditing byte-exact
+//!     budget accounting and visibility before serving.
 //!
 //!   A paging store lives in the directory its caller names, and it is
 //!   durable iff it carries durable state ([`SpillStore::is_durable`]); no
@@ -254,11 +254,10 @@ mod tests {
     }
 
     fn small_segment_config() -> SegmentConfig {
-        // Small blocks/tail so the fixtures exercise block and segment
-        // boundaries and sealing.
+        // Small blocks and segments so the fixtures exercise block and
+        // segment boundaries and splits.
         SegmentConfig {
             block_len: 4,
-            tail_threshold: 3,
             max_segment_elems: 64,
         }
     }
@@ -542,7 +541,7 @@ mod tests {
         // The cursor must now deliver the same element it would have next.
         let batch = sharded.cursor_fetch(cursor, 9, 1, None).unwrap();
         assert_eq!(batch.elements[0], before[4]);
-        // A tail insert does not disturb a cursor at the front.  The list
+        // A bottom insert does not disturb a cursor at the front.  The list
         // now starts with the freshly inserted 2.0 element, so a cursor
         // opened after one delivered element points at the original head.
         let one = sharded
@@ -637,8 +636,8 @@ mod tests {
         assert!(spilled.verify_ordering());
         // With a zero resident budget, the sealed payload lives on disk:
         // spilled bytes are substantial and the resident footprint sits well
-        // under the resident lifecycle (summaries + tails + whatever the
-        // small page cache holds).
+        // under the resident lifecycle (summaries + whatever the small page
+        // cache holds).
         assert!(spilled.metrics().spilled_bytes > 0);
         assert!(
             spilled.metrics().resident_bytes < segmented.metrics().resident_bytes,

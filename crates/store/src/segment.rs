@@ -25,8 +25,8 @@
 //!
 //! This module also owns how a list is cut into segments ([`encode_segments`],
 //! [`encode_rebuilt`]: by [`SegmentConfig::max_segment_elems`]); the stack
-//! built from them — slots, mutable tail, sealing, running per-group totals —
-//! is [`crate::spill::SpillList`].
+//! built from them — slots, the rebuild an insert runs, running per-group
+//! totals — is [`crate::spill::SpillList`].
 //!
 //! Segments serialize to a validated byte format ([`Segment::to_bytes`] /
 //! [`Segment::from_bytes`]): like the posting codec, the decoder faces
@@ -59,15 +59,10 @@ const SEGMENT_VERSION: u64 = 2;
 pub struct SegmentConfig {
     /// Elements per compressed block (the skip-entry granularity).
     pub block_len: usize,
-    /// The tail is sealed once it grows past this: into the last segment
-    /// while that stays within `max_segment_elems`, into new ones within it
-    /// otherwise.
-    pub tail_threshold: usize,
-    /// Most elements one segment holds.  It caps what an interior insert
-    /// re-encodes (`SpillList::insert` → `rebuild_slot`), what a tail seal
-    /// rebuilds (`seal_tail`) and what a cold fault reads, checksums and
-    /// validates (`Pager::fetch`): a rebuild past it splits in half, and a
-    /// seal that would pass it starts new segments instead.
+    /// Most elements one segment holds.  It caps what an insert re-encodes
+    /// (`SpillList::insert` → `rebuild_slot`) and what a cold fault reads,
+    /// checksums and validates (`Pager::fetch`): a rebuild past it splits
+    /// in half.
     pub max_segment_elems: usize,
 }
 
@@ -77,8 +72,7 @@ impl Default for SegmentConfig {
             // Streaming decode stops once a batch is full: big blocks only
             // amortize the skip entry.
             block_len: 128,
-            tail_threshold: 128,
-            // Two blocks, so an insert, a seal or a fault touches ≤ 256.
+            // Two blocks, so an insert or a fault touches ≤ 256.
             max_segment_elems: 256,
         }
     }
@@ -516,14 +510,13 @@ impl Segment {
     }
 
     /// The local insertion index for `trs` inside this segment (after
-    /// strictly greater elements, before equal ones).  The caller has
-    /// already established that the partition point lies in this segment
-    /// (`min_trs() <= trs`).
+    /// strictly greater elements, before equal ones): `len` when every
+    /// element sorts strictly before `trs`.
     pub(crate) fn insert_pos(&self, trs: f64) -> usize {
         // Locate the first block whose smallest element no longer exceeds
         // `trs`, then stream just that block.
         let mut local = 0usize;
-        let mut block = self.blocks.first();
+        let mut block = None;
         for meta in &self.blocks {
             if meta.last_trs() > trs {
                 local += usize_of(meta.elems);
@@ -886,7 +879,6 @@ mod tests {
     fn small_config() -> SegmentConfig {
         SegmentConfig {
             block_len: 4,
-            tail_threshold: 3,
             max_segment_elems: 16,
         }
     }
@@ -1017,11 +1009,11 @@ mod tests {
     }
 
     #[test]
-    fn inserts_match_the_vec_layout_and_seal_the_tail() {
+    fn inserts_match_the_vec_layout_at_the_head_inside_and_below() {
         let mut seg = SpillList::build(sorted_elements(20), small_config(), None).unwrap();
         let mut expected = sorted_elements(20);
-        // Tail inserts (below every sealed element), interior inserts and
-        // head inserts, with ties.
+        // Bottom inserts (below every element), interior inserts and head
+        // inserts, with ties.
         let probes = [0.001, 0.002, 0.5, 0.925, 1.5, 0.5, 0.0015, 0.85, 0.0];
         for (i, &trs) in probes.iter().enumerate() {
             let e = element(trs, (i % 3) as u32, &[i as u8; 6]);
@@ -1034,17 +1026,16 @@ mod tests {
         }
         assert_eq!(seg.snapshot().unwrap(), expected);
         assert!(seg.ordering_ok());
-        // The tail stayed bounded by the threshold (sealing happened).
-        assert!(seg.tail_len() <= small_config().tail_threshold);
         assert_totals_exact(&seg);
     }
 
     #[test]
-    fn tail_seals_fill_the_last_segment() {
+    fn bottom_inserts_split_the_full_last_segment_in_half() {
         let config = small_config();
         let mut seg = SpillList::build(sorted_elements(16), config, None).unwrap();
         let mut expected = sorted_elements(16);
-        // A long run of low-TRS inserts seals the tail many times.
+        // A long run of inserts below every element, each absorbed by the
+        // last segment.
         for i in 0..40 {
             let trs = 1e-6 * (40 - i) as f64;
             let e = element(trs, (i % 3) as u32, &[7u8; 4]);
@@ -1054,13 +1045,11 @@ mod tests {
             );
         }
         assert_eq!(seg.snapshot().unwrap(), expected);
-        // A seal rebuilds the last segment while it has room, so every
-        // segment but the last is full.
-        let sealed = seg.len() - seg.tail_len();
+        // The full last segment splits 17 → 8 + 9 and then absorbs seven
+        // more, so the stack grows by one segment per eight inserts.
         assert_eq!(
             seg.num_slots(),
-            sealed.div_ceil(config.max_segment_elems),
-            "stack depth after {sealed} sealed elements"
+            1 + 40usize.div_ceil(config.max_segment_elems / 2)
         );
         assert_eq!(seg.stored_bytes(), model::stored_bytes(&expected));
         assert_totals_exact(&seg);
@@ -1138,11 +1127,11 @@ mod tests {
     fn a_negative_zero_trs_is_stored_as_positive_zero() {
         // -0.0 compares equal to +0.0, so it sorts in front of them, but its
         // sortable bits are smaller: stored as it came, it would break the
-        // descending block encoding at the next seal or rebuild.
+        // descending block encoding at the next rebuild.
         let config = small_config();
         let mut seg = SpillList::build(sorted_elements(20), config, None).unwrap();
         let mut expected = sorted_elements(20);
-        for i in 0..2 * config.tail_threshold {
+        for i in 0..6 {
             let trs = if i % 2 == 0 { 0.0 } else { -0.0 };
             let e = element(trs, (i % 3) as u32, &[i as u8; 4]);
             let pos = seg.insert(e.clone()).unwrap();

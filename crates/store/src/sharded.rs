@@ -5,7 +5,8 @@
 //! (lists are dense `0..num_lists`, so `id % N` is a perfect hash).  Each
 //! shard is a [`ListTable`] behind its own `RwLock`: queries on different
 //! lists never contend, concurrent queries on the same shard share a read
-//! lock, and an insert write-locks exactly one shard.
+//! lock, and an insert write-locks exactly one shard and rebuilds one
+//! segment of one list (see [`crate::spill`]).
 //!
 //! Cursor sessions live *inside* the shard that owns their list, so the
 //! position adjustment an insert must apply to open cursors happens under
@@ -350,8 +351,9 @@ impl ListStore for SpillStore {
                 // Apply, then log, under the same shard write lock: log
                 // order is apply order, and an insert is only acknowledged
                 // once its WAL record is written (and fsynced per the
-                // policy).  A log failure surfaces as the insert's error.
-                // Checked first, so the log holds the element as stored.
+                // policy).  A log failure surfaces as the insert's error,
+                // but the element stays applied.  Checked first, so the log
+                // holds the element as stored.
                 Some(durable) => {
                     crate::durable::check_element(&mut element)?;
                     let pos = guard.insert(slot, element.clone())?;

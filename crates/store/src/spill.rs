@@ -1,17 +1,14 @@
 //! The segment stack and its pager: each merged list is a stack of sealed
-//! segments plus a small mutable tail; where the sealed bytes live is the
-//! store's lifecycle.
+//! segments; where the sealed bytes live is the store's lifecycle.
 //!
 //! [`SpillList`] is the one physical list representation that serves: the
-//! logical sequence is `slots[0] ++ slots[1] ++ ... ++ tail`, descending in
-//! TRS.  Position-preserving inserts land in the uncompressed tail when
-//! their TRS sorts below every sealed element; interior inserts rebuild the
-//! one segment they hit.  [`SegmentConfig::max_segment_elems`] (256: two
-//! blocks) bounds every segment, and so what an insert, a tail seal or a
-//! cold fault touches.  When the tail outgrows
-//! [`SegmentConfig::tail_threshold`] it is sealed through the same rebuild
-//! into the last slot while that slot has room for it, into new slots
-//! within the bound otherwise.  A stack changes in no other way.  Every
+//! logical sequence is `slots[0] ++ slots[1] ++ ...`, descending in TRS.
+//! A position-preserving insert rebuilds the one segment it lands in: the
+//! first whose smallest TRS does not sort strictly before it, or the last
+//! one when it sorts below every element (an empty list gets its first
+//! segment).  [`SegmentConfig::max_segment_elems`] (256: two blocks) bounds
+//! every segment, and so what an insert or a cold fault touches: a rebuild
+//! past it splits in half.  A stack changes in no other way.  Every
 //! slot keeps a tiny summary (element count, TRS bounds, byte totals — and,
 //! while it is cold, per-group visible counts) and the list keeps running
 //! per-group totals bumped by each successful insert, so `visible_total` is
@@ -52,13 +49,13 @@
 //!   A never-touched slot is never promoted.
 //! - **Page-file compaction** ([`SpillConfig::compact_dead_percent`] /
 //!   [`SpillConfig::compact_min_dead_bytes`]): the page files are
-//!   append-only, so a rebuild of a paged segment (interior insert or tail
-//!   seal) strands the superseded page as dead bytes.  Once dead bytes
-//!   clear both thresholds, the live pages are copied into a fresh
-//!   `.pages.compact` file and re-validated **off the shard lock**; only
-//!   the final swap (straggler copy, rename to the next generation,
-//!   slot/cache remap) runs under the shard write lock.  A failed or torn
-//!   rewrite is discarded and the old file keeps serving.
+//!   append-only, so the rebuild of a paged segment an insert runs strands
+//!   the superseded page as dead bytes.  Once dead bytes clear both
+//!   thresholds, the live pages are copied into a fresh `.pages.compact`
+//!   file and re-validated **off the shard lock**; only the final swap
+//!   (straggler copy, rename to the next generation, slot/cache remap)
+//!   runs under the shard write lock.  A failed or torn rewrite is
+//!   discarded and the old file keeps serving.
 //!
 //! Every paging store names its page files by generation
 //! (`shard-NNN.g<generation>.pages`), keeps a slot's page when the slot is
@@ -74,12 +71,12 @@
 //! - **Durable** ([`SpillStore::create_durable`] / [`SpillStore::open`]):
 //!   the root directory is persistent state.  Page files are immutable
 //!   checkpoint pages referenced by an atomically-committed, checksummed
-//!   per-shard **manifest**; tail inserts append to a CRC-framed per-shard
-//!   **write-ahead log** ([`crate::durable`]); a compaction's rewrite is
-//!   fsynced and commits with the manifest that references it; and
-//!   [`SpillStore::open`] recovers by replaying manifest pages through the
-//!   fully validating [`Segment::from_bytes`] and the WAL tail through the
-//!   ordinary insert path, truncating a torn or corrupt log at the last
+//!   per-shard **manifest**; every insert since the last checkpoint is in
+//!   a CRC-framed per-shard **write-ahead log** ([`crate::durable`]); a
+//!   compaction's rewrite is fsynced and commits with the manifest that
+//!   references it; and [`SpillStore::open`] recovers by replaying manifest
+//!   pages through the fully validating [`Segment::from_bytes`] and the WAL
+//!   through the ordinary insert path, truncating a torn or corrupt log at the last
 //!   valid record.  A recovered store is only accepted after
 //!   `budget_accounting_is_exact` and a full ordering/visibility audit
 //!   pass.
@@ -115,8 +112,8 @@ use crate::store::{GroupFilter, ListStore, ListTable, StoreMetrics};
 pub struct SpillConfig {
     /// Sealed-segment bytes each shard may keep resident; segments beyond
     /// the budget are written to the shard's page file and dropped from
-    /// memory.  `0` spills every sealed segment (the tails and summaries
-    /// always stay resident).
+    /// memory.  `0` spills every sealed segment (the summaries always stay
+    /// resident).
     pub resident_budget_bytes: usize,
     /// Pages the per-shard LRU page cache retains after a fault.  `0`
     /// disables caching: every cold read goes to disk.
@@ -755,25 +752,22 @@ impl std::ops::Deref for SegRef<'_> {
     }
 }
 
-/// A merged list stored as a stack of sealed segments plus a mutable
-/// uncompressed tail.  The logical sequence is
-/// `slots[0] ++ slots[1] ++ ... ++ tail`, descending in TRS — positionally
-/// identical to the plain sorted `Vec` of its elements.
+/// A merged list stored as a stack of sealed segments.  The logical
+/// sequence is `slots[0] ++ slots[1] ++ ...`, descending in TRS —
+/// positionally identical to the plain sorted `Vec` of its elements.
 #[derive(Debug)]
 pub struct SpillList {
     slots: Vec<Slot>,
-    tail: Vec<OrderedElement>,
     config: SegmentConfig,
     /// The shard's pager; `None` on the resident lifecycle, where every slot
     /// stays in memory and nothing is budgeted, stamped or written.
     pager: Option<Arc<Pager>>,
-    /// Cached sum of slot element counts (the tail adds `tail.len()`).
+    /// Cached sum of slot element counts.
     seg_elems: usize,
-    /// Running per-group element totals of the whole list — slots *and*
-    /// tail — ascending by group id: built from the slot summaries and
-    /// bumped by each insert that succeeds (a rolled-back insert never
-    /// touches them), so `visible_total` neither walks the slots nor
-    /// examines the tail.
+    /// Running per-group element totals of the whole list, ascending by
+    /// group id: built from the slot summaries and bumped by each insert
+    /// that succeeds (a rolled-back insert never touches them), so
+    /// `visible_total` walks no slot.
     totals: Vec<(GroupId, u32)>,
 }
 
@@ -788,14 +782,11 @@ impl SpillList {
         for element in &mut elements {
             check_element(element)?;
         }
-        let seg_elems = elements.len();
-        let segments = encode_segments(&elements, &config)?;
         let mut list = SpillList {
             slots: Vec::new(),
-            tail: Vec::new(),
             config,
             pager,
-            seg_elems,
+            seg_elems: 0,
             totals: Vec::new(),
         };
         // Greedy budget charging in build order: within this list the hot
@@ -803,8 +794,8 @@ impl SpillList {
         // but the shard budget is shared first-come across its lists — a
         // partial budget favours lists built earlier, until the retier
         // pass re-grants it by access recency.
-        list.slots = list.place_segments(segments, false)?;
-        list.totals = running_totals(&list.slots, &list.tail);
+        list.append_segments(&elements)?;
+        list.totals = running_totals(&list.slots);
         Ok(list)
     }
 
@@ -814,14 +805,18 @@ impl SpillList {
         &self.totals
     }
 
-    /// Current tail length (elements not yet sealed).
-    pub fn tail_len(&self) -> usize {
-        self.tail.len()
-    }
-
     /// Number of sealed slots (resident + spilled).
     pub fn num_slots(&self) -> usize {
         self.slots.len()
+    }
+
+    /// Seals `elements`, which sort below every element of the list, into
+    /// new slots behind the last one.  On failure the list is untouched.
+    fn append_segments(&mut self, elements: &[OrderedElement]) -> Result<(), StoreError> {
+        let slots = self.place_segments(encode_segments(elements, &self.config)?, false)?;
+        self.seg_elems += elements.len();
+        self.slots.extend(slots);
+        Ok(())
     }
 
     /// Places freshly encoded segments: resident while the shard budget
@@ -910,40 +905,11 @@ impl SpillList {
         }
     }
 
-    /// Seals the tail: into the last slot through [`SpillList::rebuild_slot`]
-    /// while the merged segment stays within `max_segment_elems`, into new
-    /// slot(s) otherwise.  The tail is only cleared once every piece is
-    /// placed, so a failed seal leaves the list untouched.
-    fn seal_tail(&mut self) -> Result<(), StoreError> {
-        let added = self.tail.len();
-        match self.slots.len().checked_sub(1) {
-            Some(k) if self.slots[k].meta.elems + added <= self.config.max_segment_elems => {
-                let mut decoded = self.segment(k)?.decode_all();
-                decoded.extend_from_slice(&self.tail);
-                self.rebuild_slot(k, decoded, added)?;
-            }
-            _ => {
-                let slots =
-                    self.place_segments(encode_segments(&self.tail, &self.config)?, false)?;
-                self.seg_elems += added;
-                self.slots.extend(slots);
-            }
-        }
-        self.tail.clear();
-        Ok(())
-    }
-
     /// Rebuilds slot `k` as `decoded`, which holds the slot's elements plus
-    /// the `added` new ones (the inserted element, or a sealed tail).  The
-    /// old slot is only replaced after every new piece is placed; a spilled
-    /// slot's rebuild appends fresh pages and strands the old page as file
-    /// garbage.
-    fn rebuild_slot(
-        &mut self,
-        k: usize,
-        decoded: Vec<OrderedElement>,
-        added: usize,
-    ) -> Result<(), StoreError> {
+    /// the inserted one.  The old slot is only replaced after every new
+    /// piece is placed; a spilled slot's rebuild appends fresh pages and
+    /// strands the old page as file garbage.
+    fn rebuild_slot(&mut self, k: usize, decoded: Vec<OrderedElement>) -> Result<(), StoreError> {
         let rebuilt = encode_rebuilt(&decoded, &self.config)?;
         let was_cold = !self.slots[k].is_resident();
         // Free the old slot's budget charge up front so the rebuilt
@@ -970,7 +936,7 @@ impl SpillList {
         for slot in &new_slots {
             slot.meta.last_access.store(heat, Ordering::Relaxed);
         }
-        self.seg_elems += added;
+        self.seg_elems += 1;
         let old: Vec<Slot> = self.slots.splice(k..=k, new_slots).collect();
         for slot in old {
             // The budget charge was already released above; only the
@@ -1020,7 +986,7 @@ impl SpillList {
     }
 
     /// Checkpoint view of this list: every sealed slot's page (materialized
-    /// on demand) plus the current tail.  Runs under the shard write lock.
+    /// on demand) and an empty tail.  Runs under the shard write lock.
     fn manifest_list(&mut self) -> Result<ManifestList, StoreError> {
         let mut pages = Vec::with_capacity(self.slots.len());
         for k in 0..self.slots.len() {
@@ -1029,15 +995,18 @@ impl SpillList {
         }
         Ok(ManifestList {
             pages,
-            tail: self.tail.clone(),
+            tail: Vec::new(),
         })
     }
 
     /// Rebuilds a list from checkpoint state: every manifest page is read
-    /// and fully validated (`Segment::from_bytes`), kept resident while the
-    /// shard budget lasts (the page is retained either way — it is
-    /// checkpoint state), and the manifest's tail is adopted as the mutable
-    /// tail.  Returns the list and the number of pages recovered.
+    /// and fully validated (`Segment::from_bytes`) and kept resident while
+    /// the shard budget lasts (the page is retained either way — it is
+    /// checkpoint state).  A manifest written while lists kept a mutable
+    /// tail may carry one: it sorts below every sealed element and becomes
+    /// new segments behind the last slot, in its own order (inserting it
+    /// element by element would put each tie before its predecessor).
+    /// Returns the list and the number of pages recovered.
     fn from_recovered(
         manifest: &ManifestList,
         config: SegmentConfig,
@@ -1057,14 +1026,19 @@ impl SpillList {
             });
         }
         let recovered = u64_of(manifest.pages.len());
-        let list = SpillList {
-            totals: running_totals(&slots, &manifest.tail),
+        let mut list = SpillList {
             slots,
-            tail: manifest.tail.clone(),
             config,
             pager: Some(pager),
             seg_elems,
+            totals: Vec::new(),
         };
+        let mut tail = manifest.tail.clone();
+        for element in &mut tail {
+            check_element(element)?;
+        }
+        list.append_segments(&tail)?;
+        list.totals = running_totals(&list.slots);
         Ok((list, recovered))
     }
 
@@ -1142,9 +1116,9 @@ impl SpillList {
     }
 }
 
-/// Per-group element counts of a whole list — slot summaries plus tail —
+/// Per-group element counts of a whole list from its slot summaries,
 /// ascending by group id and exact-sized.
-fn running_totals(slots: &[Slot], tail: &[OrderedElement]) -> Vec<(GroupId, u32)> {
+fn running_totals(slots: &[Slot]) -> Vec<(GroupId, u32)> {
     let mut totals = Vec::new();
     let mut add = |counts: &[(GroupId, u32)]| {
         for &(group, n) in counts {
@@ -1157,9 +1131,6 @@ fn running_totals(slots: &[Slot], tail: &[OrderedElement]) -> Vec<(GroupId, u32)
             (None, Some(counts)) => add(counts),
             (None, None) => {}
         }
-    }
-    for element in tail {
-        add_count(&mut totals, element.group, 1);
     }
     totals.shrink_to_fit();
     totals
@@ -1180,7 +1151,7 @@ struct TierSlot {
 impl SpillList {
     /// Number of elements held.
     pub(crate) fn len(&self) -> usize {
-        self.seg_elems + self.tail.len()
+        self.seg_elems
     }
 
     /// A full ordered copy of the list (audits and tests only); fails if a
@@ -1190,14 +1161,13 @@ impl SpillList {
         for k in 0..self.slots.len() {
             out.extend(self.segment(k)?.decode_all());
         }
-        out.extend(self.tail.iter().cloned());
         Ok(out)
     }
 
     /// Number of elements visible under `filter`.
     pub(crate) fn visible_total(&self, filter: &GroupFilter<'_>) -> usize {
-        // The running totals answer for slots and tail alike: no page is
-        // faulted and no element examined.
+        // The running totals answer: no page is faulted and no element
+        // examined.
         filter.visible_in(self.len(), &self.totals)
     }
 
@@ -1246,20 +1216,6 @@ impl SpillList {
             }
             pos += elems;
         }
-        for (j, element) in self.tail.iter().enumerate() {
-            let idx = self.seg_elems + j;
-            if idx < start || !filter.admits(element.group) {
-                continue;
-            }
-            if skipped < skip {
-                skipped += 1;
-                continue;
-            }
-            elements.push(element.clone());
-            if elements.len() == count {
-                return Ok((elements, idx + 1));
-            }
-        }
         Ok((elements, total.max(start)))
     }
 
@@ -1272,43 +1228,27 @@ impl SpillList {
         check_element(&mut element)?;
         let trs = element.trs;
         let group = element.group;
-        let mut base = 0usize;
-        for k in 0..self.slots.len() {
-            if self.slots[k].meta.min_trs() > trs {
-                // Every element of this slot sorts strictly before the new
-                // one (summary-only check): the partition point is further
-                // down.
-                base += self.slots[k].meta.elems;
-                continue;
-            }
-            // The partition point lies inside this slot: fault it (if
-            // cold), locate the exact position and rebuild.
-            let (local, mut decoded) = {
-                let segment = self.segment(k)?;
-                (segment.insert_pos(trs), segment.decode_all())
-            };
-            decoded.insert(local, element);
-            let pos = base + local;
-            self.rebuild_slot(k, decoded, 1)?;
+        // The partition point lies in the first slot whose smallest TRS does
+        // not sort strictly before the new one (a summary-only check), or at
+        // the end of the last slot when every element does.
+        let landing = self.slots.iter().position(|s| s.meta.min_trs() <= trs);
+        let Some(k) = landing.or(self.slots.len().checked_sub(1)) else {
+            // An empty list: the element is its first slot.
+            self.append_segments(std::slice::from_ref(&element))?;
             add_count(&mut self.totals, group, 1);
-            return Ok(pos);
-        }
-        // Every sealed element sorts strictly before the new one: the tail
-        // absorbs the insert.
-        let local = self.tail.partition_point(|e| e.trs > trs);
-        self.tail.insert(local, element);
-        let pos = base + local;
-        if self.tail.len() > self.config.tail_threshold {
-            if let Err(e) = self.seal_tail() {
-                // A failed seal leaves the tail intact: take the new element
-                // back out so an errored insert never half-applies (the
-                // caller skips the generation bump and cursor shifts).
-                self.tail.remove(local);
-                return Err(e);
-            }
-        }
+            return Ok(0);
+        };
+        // Fault the slot in (if cold), locate the exact position and
+        // rebuild.
+        let base: usize = self.slots[..k].iter().map(|s| s.meta.elems).sum();
+        let (local, mut decoded) = {
+            let segment = self.segment(k)?;
+            (segment.insert_pos(trs), segment.decode_all())
+        };
+        decoded.insert(local, element);
+        self.rebuild_slot(k, decoded)?;
         add_count(&mut self.totals, group, 1);
-        Ok(pos)
+        Ok(base + local)
     }
 
     /// Logical bytes stored (sealed payloads + TRS), the byte accounting of
@@ -1318,11 +1258,6 @@ impl SpillList {
             .iter()
             .map(|s| s.meta.stored_bytes)
             .sum::<usize>()
-            + self
-                .tail
-                .iter()
-                .map(|e| e.sealed.stored_bytes() + zerber_r::TRS_BYTES)
-                .sum::<usize>()
     }
 
     /// Estimated bytes of memory the representation occupies (structs, heap
@@ -1339,12 +1274,6 @@ impl SpillList {
                         })
                         + s.resident.as_ref().map_or(0, Segment::resident_bytes)
                 })
-                .sum::<usize>()
-            + self.tail.capacity() * std::mem::size_of::<OrderedElement>()
-            + self
-                .tail
-                .iter()
-                .map(|e| e.sealed.ciphertext.capacity())
                 .sum::<usize>()
             + self.totals.capacity() * std::mem::size_of::<(GroupId, u32)>()
     }
@@ -1505,7 +1434,7 @@ impl DurableState {
     /// caller passes the target of its shard write guard, so nothing moves
     /// underneath: materializes a page for every sealed slot that lacks
     /// one, fsyncs the page file, commits a manifest enumerating every
-    /// sealed page plus the in-memory tails, then truncates the WAL.
+    /// sealed page, then truncates the WAL.
     fn commit_checkpoint(
         &self,
         shard: usize,
@@ -1599,7 +1528,7 @@ impl SpillStore {
     }
 
     /// Creates a **durable** store rooted at `dir` with default segment
-    /// tuning: page files become checkpoint state, tail inserts are
+    /// tuning: page files become checkpoint state, every insert is
     /// write-ahead logged, and the directory survives drop —
     /// [`SpillStore::open`] brings the store back.
     pub fn create_durable(
@@ -1649,7 +1578,7 @@ impl SpillStore {
         let meta = StoreMeta {
             num_shards: u64_of(num_shards),
             segment,
-            retired_knobs: [8, u64::from(u32::MAX)],
+            retired_knobs: [128, 8, u64::from(u32::MAX)],
             scheme: plan.scheme().to_string(),
             r: plan.r(),
             term_lists: (0..plan.num_lists())
@@ -1947,10 +1876,10 @@ impl SpillStore {
 
     /// Checkpoints one shard under its write lock: materializes pages for
     /// resident slots sealed since the last checkpoint, fsyncs the page
-    /// file, commits a manifest enumerating every sealed page plus the
-    /// in-memory tails, then truncates the WAL.  Crash-safe at every step:
-    /// until the manifest rename lands, the old checkpoint plus the old WAL
-    /// stay authoritative.  `Ok(false)` unless the store is durable.
+    /// file, commits a manifest enumerating every sealed page, then
+    /// truncates the WAL.  Crash-safe at every step: until the manifest
+    /// rename lands, the old checkpoint plus the old WAL stay
+    /// authoritative.  `Ok(false)` unless the store is durable.
     fn checkpoint_shard(&self, shard: usize) -> Result<bool, StoreError> {
         let Some(durable) = &self.durable else {
             return Ok(false);
@@ -2341,8 +2270,8 @@ fn charges_consistent(table: &ListTable, pager: &Pager) -> bool {
 impl SpillStore {
     /// Adds what the pagers and the WAL meter to `metrics` (nothing on a
     /// resident store).  The shared page caches are shard state, not
-    /// per-list state: they come on top of the per-list summaries, tails
-    /// and resident segments already counted.
+    /// per-list state: they come on top of the per-list summaries and
+    /// resident segments already counted.
     pub(crate) fn add_paging_metrics(&self, metrics: &mut StoreMetrics) {
         for p in &self.pagers {
             metrics.resident_bytes += u64_of(p.cache.lock().bytes);
@@ -2408,7 +2337,6 @@ mod tests {
     fn small_segment_config() -> SegmentConfig {
         SegmentConfig {
             block_len: 4,
-            tail_threshold: 3,
             max_segment_elems: 16,
         }
     }
@@ -3251,11 +3179,12 @@ mod tests {
         assert!(store.verify_ordering());
     }
 
-    /// Appends two tails' worth of elements below list 0 of `store` (the
-    /// 20 elements of `sorted_elements(20, 0)`, every slot cold, the small
-    /// layout: slots of 16 and 4) and checks that each seal rebuilds the
-    /// last slot, cold, instead of adding one.  Returns the reference.
-    fn seal_twice_into_the_cold_last_slot(store: &SpillStore) -> Vec<OrderedElement> {
+    /// Inserts eight elements below every element of list 0 of `store`
+    /// (the 20 elements of `sorted_elements(20, 0)`, every slot cold, the
+    /// small layout: slots of 16 and 4) and checks that each rebuilds the
+    /// last slot, cold, stranding exactly its old page, instead of adding
+    /// one.  Returns the reference.
+    fn bottom_inserts_into_the_cold_last_slot(store: &SpillStore) -> Vec<OrderedElement> {
         let last_page_len = || {
             let table = store.shard_read(0);
             let last = table.lists()[0].slots.last().unwrap();
@@ -3263,20 +3192,17 @@ mod tests {
         };
         let mut reference = sorted_elements(20, 0);
         assert_eq!(store.shard_read(0).lists()[0].num_slots(), 2);
-        for seal in 0..2usize {
+        for i in 0..8usize {
             let (dead, stranded) = (store.metrics().dead_page_bytes, last_page_len());
-            for i in 0..4usize {
-                let e = element(1e-3 * (8 - 4 * seal - i) as f64, 1, &[seal as u8; 8]);
-                assert_eq!(
-                    store.insert(MergedListId(0), e.clone()).unwrap(),
-                    model::insert(&mut reference, e)
-                );
-            }
+            let e = element(1e-3 * (8 - i) as f64, 1, &[i as u8; 8]);
+            assert_eq!(
+                store.insert(MergedListId(0), e.clone()).unwrap(),
+                model::insert(&mut reference, e)
+            );
             {
                 let table = store.shard_read(0);
                 let list = &table.lists()[0];
-                assert_eq!(list.tail_len(), 0, "seal {seal} emptied the tail");
-                assert_eq!(list.num_slots(), 2, "seal {seal} rebuilt the last slot");
+                assert_eq!(list.num_slots(), 2, "insert {i} rebuilt the last slot");
                 assert!(!list.slots[1].is_resident(), "a cold slot stays cold");
             }
             assert_eq!(store.metrics().dead_page_bytes, dead + stranded);
@@ -3286,17 +3212,17 @@ mod tests {
     }
 
     #[test]
-    fn tail_seals_rebuild_the_cold_last_slot_instead_of_adding_one() {
+    fn a_bottom_insert_rebuilds_the_cold_last_slot() {
         let config = SpillConfig {
             resident_budget_bytes: 0,
             page_cache_pages: 2,
             ..SpillConfig::default().without_tiering()
         };
         let store = store_with(vec![sorted_elements(20, 0)], 1, config);
-        seal_twice_into_the_cold_last_slot(&store);
+        bottom_inserts_into_the_cold_last_slot(&store);
         assert!(store.budget_accounting_is_exact());
 
-        let dir = TempRoot::new("durable-seal");
+        let dir = TempRoot::new("durable-bottom");
         let durable = durable_store_at(
             &dir,
             vec![sorted_elements(20, 0)],
@@ -3304,12 +3230,61 @@ mod tests {
             config,
             DurableConfig::default(),
         );
-        let reference = seal_twice_into_the_cold_last_slot(&durable);
+        let reference = bottom_inserts_into_the_cold_last_slot(&durable);
         drop(durable);
         let reopened = SpillStore::open(&dir, config, DurableConfig::default()).unwrap();
         assert_eq!(reopened.snapshot_list(MergedListId(0)).unwrap(), reference);
         assert_eq!(reopened.shard_read(0).lists()[0].num_slots(), 2);
         assert!(reopened.budget_accounting_is_exact());
+    }
+
+    #[test]
+    fn a_root_whose_manifest_carries_a_tail_still_opens() {
+        // Roots written while lists kept a mutable tail checkpointed it
+        // inline in the manifest: here 20 elements below every sealed one,
+        // with ties, longer than the small layout's 16-element bound, and
+        // the whole of a list without pages.
+        let tail: Vec<OrderedElement> = (0..20usize)
+            .map(|i| element(1e-3 * (10 - i / 2) as f64, (i % 3) as u32, &[i as u8; 5]))
+            .collect();
+        let mut reference = sorted_elements(20, 0);
+        reference.extend(tail.iter().cloned());
+        let only_tail = vec![element(0.5, 1, &[1]), element(0.5, 2, &[2])];
+        let budgets = [0, SpillConfig::default().resident_budget_bytes];
+        for resident_budget_bytes in budgets {
+            let config = SpillConfig {
+                resident_budget_bytes,
+                ..SpillConfig::default().without_tiering()
+            };
+            let dir = TempRoot::new("durable-old-tail");
+            let lists = vec![sorted_elements(20, 0), Vec::new()];
+            drop(durable_store_at(
+                &dir,
+                lists,
+                1,
+                config,
+                DurableConfig::default(),
+            ));
+            let path = dir.join(manifest_name(0));
+            let mut manifest = decode_manifest(&fs::read(&path).unwrap()).unwrap();
+            manifest.lists[0].tail = tail.clone();
+            manifest.lists[1].tail = only_tail.clone();
+            fs::write(&path, encode_manifest(&manifest).unwrap()).unwrap();
+
+            let store = SpillStore::open(&dir, config, DurableConfig::default()).unwrap();
+            assert_eq!(store.snapshot_list(MergedListId(0)).unwrap(), reference);
+            assert_eq!(store.snapshot_list(MergedListId(1)).unwrap(), only_tail);
+            assert!(store.budget_accounting_is_exact());
+            assert!(slot_sizes(&store).iter().all(|&n| n <= 16));
+            store.checkpoint().unwrap();
+            let manifest = decode_manifest(&fs::read(&path).unwrap()).unwrap();
+            assert!(manifest.lists.iter().all(|l| l.tail.is_empty()));
+            drop(store);
+            let reopened = SpillStore::open(&dir, config, DurableConfig::default()).unwrap();
+            assert_eq!(reopened.snapshot_list(MergedListId(0)).unwrap(), reference);
+            assert_eq!(reopened.snapshot_list(MergedListId(1)).unwrap(), only_tail);
+            assert!(reopened.budget_accounting_is_exact());
+        }
     }
 
     /// Element counts of list 0's slots in `store`.
@@ -3374,22 +3349,22 @@ mod tests {
     }
 
     #[test]
-    fn a_tail_longer_than_the_element_bound_seals_into_bounded_slots() {
+    fn bottom_inserts_keep_every_slot_within_the_bound() {
         let segment = SegmentConfig {
             block_len: 2,
-            tail_threshold: 8,
             max_segment_elems: 4,
         };
         for store in both_lifecycles(sorted_elements(10, 0), segment) {
             let mut reference = sorted_elements(10, 0);
-            // Below every sealed element: 20 tail inserts, two seals of 9.
+            // 20 inserts below every element, each absorbed by the last
+            // slot, which splits whenever it passes the bound.
             for i in 0..20 {
                 let e = element(0.05 - 1e-3 * i as f64, (i % 3) as u32, &[7; 8]);
                 let want = model::insert(&mut reference, e.clone());
                 assert_eq!(store.insert(MergedListId(0), e).unwrap(), want);
                 assert_bounded_like(&store, &reference, 4);
             }
-            // One interior insert into the first sealed tail's slots.
+            // One interior insert among the slots the bottom inserts made.
             let e = element(0.0475, 1, &[8; 8]);
             let want = model::insert(&mut reference, e.clone());
             assert_eq!(store.insert(MergedListId(0), e).unwrap(), want);
@@ -3404,18 +3379,19 @@ mod tests {
             assert_eq!(slot_sizes(&store), [256, 256, 256, 232]);
             let mut reference = elements.clone();
             let mut state = 0x9E37_79B9_7F4A_7C15u64;
-            let mut tail_trs = 1e-3;
+            let mut bottom_trs = 1e-3;
             for i in 0..300u32 {
                 state = state
                     .wrapping_mul(6_364_136_223_846_793_005)
                     .wrapping_add(1_442_695_040_888_963_407);
                 let unit = (state >> 11) as f64 / (1u64 << 53) as f64;
-                // Half interior, half below everything (so the tail seals).
+                // Half interior, half below everything (absorbed by the last
+                // slot).
                 let trs = if i % 2 == 0 {
                     1e-3 + unit * (1.0 - 1e-3)
                 } else {
-                    tail_trs *= 0.999;
-                    tail_trs
+                    bottom_trs *= 0.999;
+                    bottom_trs
                 };
                 let e = element(trs, i % 3, &[i as u8; 8]);
                 let want = model::insert(&mut reference, e.clone());
@@ -3424,10 +3400,7 @@ mod tests {
                     assert_bounded_like(&store, &reference, 256);
                 }
             }
-            assert!(
-                slot_sizes(&store).len() > 4,
-                "the inserts split or sealed slots"
-            );
+            assert!(slot_sizes(&store).len() > 4, "the inserts split slots");
             assert!(store.verify_ordering());
         }
     }
@@ -3454,12 +3427,12 @@ mod tests {
         drop(store);
         let reopened = SpillStore::open(&dir, config, DurableConfig::default()).unwrap();
         assert_eq!(slot_sizes(&reopened), [1000]);
-        // One interior insert and one full tail seal: under the default bound
-        // either would cut the slot.
+        // One interior insert and 129 bottom inserts: under the default
+        // bound any of them would cut the slot.
         reopened
             .insert(MergedListId(0), element(0.5, 1, &[3; 8]))
             .unwrap();
-        for i in 0..=SegmentConfig::default().tail_threshold {
+        for i in 0..129 {
             let e = element(1e-4 / (i + 1) as f64, 2, &[4; 8]);
             reopened.insert(MergedListId(0), e).unwrap();
         }

@@ -262,8 +262,11 @@ pub trait ListStore: Send + Sync + std::fmt::Debug {
     /// Occupancy and eviction pressure of the cursor-session tables.
     fn session_stats(&self) -> SessionStats;
 
-    /// Inserts a sealed element at its TRS position, returning the physical
-    /// insertion index.  Open cursors on the list positioned after the
+    /// Inserts a sealed element at its TRS position (after strictly greater
+    /// TRS, before equal), returning the physical insertion index.  The
+    /// engine rebuilds the one segment the element lands in — the last one
+    /// when it sorts below every element — and a durable store logs it to
+    /// the shard's WAL.  Open cursors on the list positioned after the
     /// insertion point are shifted so they neither skip nor repeat elements.
     /// The element contract: a finite TRS, at most
     /// [`crate::MAX_CIPHERTEXT_BYTES`] of ciphertext and a sealed group equal
@@ -662,7 +665,6 @@ mod tests {
     fn spill_list() -> SpillList {
         let config = SegmentConfig {
             block_len: 2,
-            tail_threshold: 2,
             max_segment_elems: 4,
         };
         SpillList::build(list(), config, None).unwrap()

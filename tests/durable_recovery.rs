@@ -83,7 +83,6 @@ fn fixture_index(num_lists: usize, seeded: bool) -> OrderedIndex {
 fn segment_config() -> SegmentConfig {
     SegmentConfig {
         block_len: 3,
-        tail_threshold: 2,
         max_segment_elems: 12,
     }
 }
@@ -516,8 +515,8 @@ fn invalid_elements_are_refused_on_every_lifecycle_and_recovery_keeps_the_acknow
             assert_eq!(state(store), before, "store {s}, element {i}");
         }
     }
-    // A checkpoint folds the logged inserts into pages and manifest tails;
-    // one more insert lands in the fresh log.
+    // A checkpoint folds the logged inserts into pages; one more insert
+    // lands in the fresh log.
     stores[2].checkpoint().unwrap();
     acknowledge(0.25, &stores);
     for store in &stores {

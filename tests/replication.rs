@@ -80,7 +80,6 @@ fn fixture_index(seeded: bool) -> OrderedIndex {
 fn segment_config() -> SegmentConfig {
     SegmentConfig {
         block_len: 3,
-        tail_threshold: 2,
         max_segment_elems: 12,
     }
 }

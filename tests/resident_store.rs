@@ -58,11 +58,9 @@ fn index(rng: &mut Rng) -> OrderedIndex {
 fn a_resident_store_creates_nothing_on_disk_and_runs_no_paging_machinery() {
     let mut rng = Rng(0x5eed_cafe);
     let index = index(&mut rng);
-    // Tiny segments: the mix seals tails and rebuilds interior segments
-    // many times over.
+    // Tiny segments: the mix rebuilds and splits segments many times over.
     let config = SegmentConfig {
         block_len: 3,
-        tail_threshold: 2,
         max_segment_elems: 12,
     };
     let oracle = Oracle::new(index.clone());

@@ -171,7 +171,6 @@ fn compaction_under_concurrent_load_never_tears_an_answer() {
             SegmentConfig {
                 block_len: 8,
                 max_segment_elems: 32,
-                ..SegmentConfig::default()
             },
         )
         .expect("spill store builds"),

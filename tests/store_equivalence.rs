@@ -2,8 +2,8 @@
 //! position-preserving inserts, ranged queries and cursor sessions must be
 //! answered element-for-element identically by the oracle
 //! (`common/oracle.rs`: plain `Vec` lists, sessions as the contract states
-//! them) and by the one serving engine (`SpillStore`: compressed
-//! block-encoded segments with a mutable tail) in each of its
+//! them) and by the one serving engine (`SpillStore`: stacks of compressed
+//! block-encoded segments) in each of its
 //! lifecycles — resident; spilled with cold segments
 //! living in on-disk page files behind an LRU page cache, once statically
 //! placed and once tiering-tuned (with maintenance — promotion, demotion,
@@ -14,7 +14,7 @@
 //! The oracle shares no code with the engine, its session table included,
 //! so this is a refinement check of every layer at once: the physical list
 //! representation (scan, visibility counting, block skipping, insert
-//! placement, tail sealing and compaction in the segment stack) and the
+//! placement, segment rebuilds and compaction in the segment stack) and the
 //! sessions on top of it (resume points, stale opens, the cursor shift an
 //! insert applies, owner checks).  Inserts aimed exactly at an open cursor
 //! pin the shift: a cursor at the insertion point delivers the new element
@@ -166,11 +166,10 @@ impl Engine {
 /// Builds the oracle and the engine's four configurations over identical
 /// fabricated indexes.
 fn engines(lists: &[Vec<OrderedElement>]) -> (Oracle, Engine) {
-    // Tiny blocks and tail so every case crosses block boundaries, seals
-    // the tail into the last segment and starts new ones.
+    // Tiny blocks and segments so every case crosses block boundaries and
+    // splits segments, the last one included.
     let segment_config = SegmentConfig {
         block_len: 3,
-        tail_threshold: 2,
         max_segment_elems: 12,
     };
     let index = fixture_index(lists);
@@ -525,8 +524,8 @@ proptest! {
             }
             for mask in AUDIT_MASKS {
                 let groups = groups_from_mask(mask);
-                // The running totals stay exact through tail inserts,
-                // rebuilds, seals and compactions: every store's count is
+                // The running totals stay exact through inserts, rebuilds,
+                // splits and compactions: every store's count is
                 // the naive recount of the final list.
                 let expected = model.visible_len(id, groups.as_deref()).unwrap();
                 for store in stores {
@@ -705,7 +704,6 @@ proptest! {
         );
         let segment_config = SegmentConfig {
             block_len: 3,
-            tail_threshold: 2,
             max_segment_elems: 12,
         };
         let spill_config = SpillConfig {
@@ -866,11 +864,11 @@ mod failing_io {
 
 /// With every sealed segment on disk (budget 0), a group-filtered count is
 /// still one merge pass over the list's running totals: no page is
-/// faulted, and the count is the naive recount —
-/// through interior inserts into cold slots, inserts that fail and roll
-/// back (an element the store refuses, a page write the disk refuses,
-/// both on the rebuild and on the seal path) and a crash recovery that
-/// rebuilds the totals from checkpoint pages plus the replayed WAL tail.
+/// faulted, and the count is the naive recount — through interior and
+/// bottom inserts into cold slots, inserts that fail and roll back (an
+/// element the store refuses, a page write the disk refuses, for an
+/// interior and for a bottom insert) and a crash recovery that rebuilds
+/// the totals from checkpoint pages plus the replayed WAL tail.
 #[test]
 fn spilled_counts_come_from_running_totals_through_failures_and_recovery() {
     use std::sync::atomic::{AtomicBool, Ordering};
@@ -879,7 +877,6 @@ fn spilled_counts_come_from_running_totals_through_failures_and_recovery() {
 
     let segment_config = SegmentConfig {
         block_len: 3,
-        tail_threshold: 2,
         max_segment_elems: 12,
     };
     let spill_config = SpillConfig {
@@ -950,8 +947,8 @@ fn spilled_counts_come_from_running_totals_through_failures_and_recovery() {
     };
     audit(&store, &model);
 
-    // Interior inserts rebuild cold slots; the inserts below every sealed
-    // TRS stay in the tails (one element in list 0's, two in list 1's).
+    // Interior inserts rebuild cold slots; the inserts below every element
+    // rebuild the cold last slot of their list.
     let mut apply = |store: &SpillStore, list: u64, trs: f64, group: u32| {
         let id = MergedListId(list);
         let e = element(trs, group, vec![0xee; 6]);
@@ -989,22 +986,12 @@ fn spilled_counts_come_from_running_totals_through_failures_and_recovery() {
         store.insert(MergedListId(0), element(0.6, 2, vec![1; 6])),
         Err(StoreError::Io(_))
     ));
-    // ...and neither can a tail seal: tail inserts succeed until the one
-    // that crosses the threshold, which rolls back.
-    let mut sealed_failed = false;
-    for _ in 0..=segment_config.tail_threshold {
-        match store.insert(MergedListId(1), element(0.0, 3, vec![2; 6])) {
-            Ok(_) => model
-                .insert_sealed(MergedListId(1), element(0.0, 3, vec![2; 6]))
-                .unwrap(),
-            Err(e) => {
-                assert!(matches!(e, StoreError::Io(_)), "{e:?}");
-                sealed_failed = true;
-                break;
-            }
-        }
-    }
-    assert!(sealed_failed, "a seal must have been attempted");
+    // ...and neither can the rebuild of the last slot a bottom insert
+    // lands in.
+    assert!(matches!(
+        store.insert(MergedListId(1), element(-2.0, 3, vec![2; 6])),
+        Err(StoreError::Io(_))
+    ));
     armed.store(false, Ordering::Relaxed);
     audit(&store, &model);
 
@@ -1020,4 +1007,83 @@ fn spilled_counts_come_from_running_totals_through_failures_and_recovery() {
         assert_eq!(reopened.snapshot_list(id).unwrap(), model.list(id).unwrap());
     }
     drop(reopened);
+}
+
+/// The two inserts the generated workloads reach only by chance, pinned:
+/// one below every element of a non-empty list, which the last segment
+/// absorbs at its end (splitting once it passes the bound), and the first
+/// element of an empty list.  Every configuration places and serves them
+/// like the oracle, and the durable root reopens to the same lists.
+#[test]
+fn bottom_inserts_and_inserts_into_an_empty_list_answer_like_the_oracle() {
+    let lists = vec![
+        sorted(
+            (0..30u32)
+                .map(|i| (0.5 + f64::from(i) / 64.0, i, vec![i as u8; 4]))
+                .collect(),
+        ),
+        Vec::new(),
+    ];
+    let (oracle, engine) = engines(&lists);
+    let stores = engine.with(&oracle);
+    let mut model = fixture_index(&lists);
+    let audit = |model: &OrderedIndex| {
+        for l in 0..lists.len() as u64 {
+            let id = MergedListId(l);
+            let reference = model.list(id).unwrap();
+            for store in stores {
+                assert_eq!(store.snapshot_list(id).unwrap(), reference, "list {l}");
+            }
+            for mask in AUDIT_MASKS {
+                let groups = groups_from_mask(mask);
+                for offset in [0, reference.len() / 2, reference.len().saturating_sub(3)] {
+                    let fetch = RangedFetch {
+                        list: id,
+                        offset,
+                        count: 5,
+                    };
+                    let batches: Vec<_> = stores
+                        .iter()
+                        .map(|s| s.fetch_ranged(&fetch, groups.as_deref()).unwrap())
+                        .collect();
+                    assert_agree(&batches.iter().collect::<Vec<_>>());
+                    assert_eq!(
+                        batches[0].elements.iter().collect::<Vec<_>>(),
+                        model.fetch(id, offset, 5, groups.as_deref()).unwrap()
+                    );
+                }
+            }
+        }
+    };
+    // List 0: thirty inserts at its bottom, in pairs of equal TRS — the
+    // first of a pair below every element, the second tied with it.
+    for i in 0..30u32 {
+        let trs = 0.5 - f64::from(1 + i / 2) / 128.0;
+        let e = element(trs, i, vec![0xb0 ^ i as u8; 3]);
+        insert_everywhere(&stores, &mut model, &mut [], MergedListId(0), &e);
+        audit(&model);
+    }
+    // List 1 starts empty: its first element, then one below it, one above,
+    // a tie, an interior one and a run below everything.
+    let trs = [0.25, 0.125, 0.75, 0.25, 0.5]
+        .into_iter()
+        .chain((0..15).map(|i| 0.1 - f64::from(i) / 256.0));
+    for (i, trs) in trs.enumerate() {
+        let e = element(trs, i as u32, vec![i as u8; 2]);
+        insert_everywhere(&stores, &mut model, &mut [], MergedListId(1), &e);
+        audit(&model);
+    }
+    let Engine { durable, root, .. } = engine;
+    drop(durable);
+    let reopened = SpillStore::open(
+        root.join("durable"),
+        SpillConfig::default(),
+        DurableConfig::default(),
+    )
+    .unwrap();
+    for l in 0..lists.len() as u64 {
+        let id = MergedListId(l);
+        assert_eq!(reopened.snapshot_list(id).unwrap(), model.list(id).unwrap());
+    }
+    assert!(reopened.budget_accounting_is_exact());
 }
