@@ -22,7 +22,8 @@
 //!     on disk, no maintenance;
 //!   - *spill* ([`SpillStore::with_configs`]): cold segments page out to
 //!     generation-named per-shard files (the segment wire format is the
-//!     page format) behind a byte-budgeted LRU page cache, with
+//!     page format) behind an LRU page cache of a fixed page count, with
+//!     a per-shard resident budget the resident bytes never exceed,
 //!     access-driven retiering and page-file compaction; the files are
 //!     cache state, deleted on drop;
 //!   - *durable* ([`SpillStore::create_durable`] / [`SpillStore::open`]):
@@ -30,8 +31,8 @@
 //!     checkpoint manifest and a per-shard CRC-framed write-ahead log
 //!     ([`durable`]); `open` recovers after a crash — replaying pages
 //!     through full segment validation and the inserts the WAL holds since
-//!     the checkpoint through the insert path, then re-auditing byte-exact
-//!     budget accounting and visibility before serving.
+//!     the checkpoint through the insert path, then re-auditing ordering
+//!     and visibility before serving.
 //!
 //!   A paging store lives in the directory its caller names, and it is
 //!   durable iff it carries durable state ([`SpillStore::is_durable`]); no

@@ -976,7 +976,7 @@ mod tests {
     #[test]
     fn segment_list_matches_the_vec_layout_on_scans() {
         let elements = sorted_elements(37);
-        let seg = SpillList::build(elements.clone(), small_config(), None).unwrap();
+        let seg = SpillList::build(elements.clone(), small_config(), None, &mut 0).unwrap();
         assert_eq!(seg.len(), elements.len());
         assert_eq!(seg.snapshot().unwrap(), elements);
         // Filters as callers may hand them in — ascending, unsorted with a
@@ -1010,7 +1010,7 @@ mod tests {
 
     #[test]
     fn inserts_match_the_vec_layout_at_the_head_inside_and_below() {
-        let mut seg = SpillList::build(sorted_elements(20), small_config(), None).unwrap();
+        let mut seg = SpillList::build(sorted_elements(20), small_config(), None, &mut 0).unwrap();
         let mut expected = sorted_elements(20);
         // Bottom inserts (below every element), interior inserts and head
         // inserts, with ties.
@@ -1018,7 +1018,7 @@ mod tests {
         for (i, &trs) in probes.iter().enumerate() {
             let e = element(trs, (i % 3) as u32, &[i as u8; 6]);
             assert_eq!(
-                seg.insert(e.clone()).unwrap(),
+                seg.insert(e.clone(), 0).unwrap(),
                 model::insert(&mut expected, e),
                 "probe {trs}"
             );
@@ -1032,7 +1032,7 @@ mod tests {
     #[test]
     fn bottom_inserts_split_the_full_last_segment_in_half() {
         let config = small_config();
-        let mut seg = SpillList::build(sorted_elements(16), config, None).unwrap();
+        let mut seg = SpillList::build(sorted_elements(16), config, None, &mut 0).unwrap();
         let mut expected = sorted_elements(16);
         // A long run of inserts below every element, each absorbed by the
         // last segment.
@@ -1040,7 +1040,7 @@ mod tests {
             let trs = 1e-6 * (40 - i) as f64;
             let e = element(trs, (i % 3) as u32, &[7u8; 4]);
             assert_eq!(
-                seg.insert(e.clone()).unwrap(),
+                seg.insert(e.clone(), 0).unwrap(),
                 model::insert(&mut expected, e)
             );
         }
@@ -1072,7 +1072,8 @@ mod tests {
         let elements: Vec<OrderedElement> = (0..512)
             .map(|i| element(1.0 - i as f64 / 512.0, (i % 4) as u32, &[3u8; 44]))
             .collect();
-        let seg = SpillList::build(elements.clone(), SegmentConfig::default(), None).unwrap();
+        let seg =
+            SpillList::build(elements.clone(), SegmentConfig::default(), None, &mut 0).unwrap();
         let ratio = seg.resident_bytes() as f64 / arena(&elements) as f64;
         assert!(
             ratio <= 0.75,
@@ -1083,7 +1084,8 @@ mod tests {
         let uniform: Vec<OrderedElement> = (0..512)
             .map(|i| element(1.0 - i as f64 / 512.0, 2, &[3u8; 44]))
             .collect();
-        let useg = SpillList::build(uniform.clone(), SegmentConfig::default(), None).unwrap();
+        let useg =
+            SpillList::build(uniform.clone(), SegmentConfig::default(), None, &mut 0).unwrap();
         let uratio = useg.resident_bytes() as f64 / arena(&uniform) as f64;
         assert!(
             uratio < ratio,
@@ -1093,23 +1095,23 @@ mod tests {
 
     #[test]
     fn empty_lists_behave() {
-        let mut seg = SpillList::build(Vec::new(), small_config(), None).unwrap();
+        let mut seg = SpillList::build(Vec::new(), small_config(), None, &mut 0).unwrap();
         assert_eq!(seg.len(), 0);
         let all = GroupFilter::normalise(None);
         assert_eq!(seg.scan(0, 0, 5, &all).unwrap(), (Vec::new(), 0));
-        assert_eq!(seg.insert(element(0.5, 0, &[1])).unwrap(), 0);
+        assert_eq!(seg.insert(element(0.5, 0, &[1]), 0).unwrap(), 0);
         assert_eq!(seg.len(), 1);
     }
 
     #[test]
     fn oversized_single_elements_error_without_corrupting_the_list() {
-        let mut seg = SpillList::build(sorted_elements(8), small_config(), None).unwrap();
+        let mut seg = SpillList::build(sorted_elements(8), small_config(), None, &mut 0).unwrap();
         let before = seg.snapshot().unwrap();
         // One element whose ciphertext the 2-byte element length cannot
         // state: a clean error, list untouched.
         let huge = element(0.5, 0, &vec![9u8; crate::MAX_CIPHERTEXT_BYTES + 1]);
         assert!(matches!(
-            seg.insert(huge.clone()),
+            seg.insert(huge.clone(), 0),
             Err(StoreError::InvalidElement(_))
         ));
         assert_eq!(seg.snapshot().unwrap(), before);
@@ -1118,7 +1120,7 @@ mod tests {
         let mut poisoned = sorted_elements(8);
         poisoned.insert(4, huge);
         assert!(matches!(
-            SpillList::build(poisoned, small_config(), None),
+            SpillList::build(poisoned, small_config(), None, &mut 0),
             Err(StoreError::InvalidElement(_))
         ));
     }
@@ -1129,12 +1131,12 @@ mod tests {
         // sortable bits are smaller: stored as it came, it would break the
         // descending block encoding at the next rebuild.
         let config = small_config();
-        let mut seg = SpillList::build(sorted_elements(20), config, None).unwrap();
+        let mut seg = SpillList::build(sorted_elements(20), config, None, &mut 0).unwrap();
         let mut expected = sorted_elements(20);
         for i in 0..6 {
             let trs = if i % 2 == 0 { 0.0 } else { -0.0 };
             let e = element(trs, (i % 3) as u32, &[i as u8; 4]);
-            let pos = seg.insert(e.clone()).unwrap();
+            let pos = seg.insert(e.clone(), 0).unwrap();
             assert_eq!(
                 pos,
                 model::insert(&mut expected, element(0.0, (i % 3) as u32, &[i as u8; 4]))

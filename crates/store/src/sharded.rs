@@ -106,7 +106,8 @@ impl SpillStore {
 
     /// Partitions `index` across `num_shards` shards (list `id` lands in
     /// shard `id % num_shards`), building each list against its shard's
-    /// pager — `pagers` holds one per shard, or none for a resident store.
+    /// pager — `pagers` holds one per shard, or none for a resident store —
+    /// and the budget the shard's earlier lists left spare.
     pub(crate) fn build(
         index: OrderedIndex,
         num_shards: usize,
@@ -116,9 +117,13 @@ impl SpillStore {
         let num_shards = num_shards.clamp(1, MAX_SHARDS);
         let (lists, plan) = index.into_parts();
         let mut tables: Vec<Vec<SpillList>> = (0..num_shards).map(|_| Vec::new()).collect();
+        let mut spare: Vec<usize> = (0..num_shards)
+            .map(|shard| pagers.get(shard).map_or(0, |pager| pager.resident_budget))
+            .collect();
         for (id, list) in lists.into_iter().enumerate() {
             let shard = id % num_shards;
-            tables[shard].push(SpillList::build(list, segment, pagers.get(shard).cloned())?);
+            let pager = pagers.get(shard).cloned();
+            tables[shard].push(SpillList::build(list, segment, pager, &mut spare[shard])?);
         }
         Self::assemble(plan, tables, pagers)
     }
@@ -348,18 +353,17 @@ impl ListStore for SpillStore {
             let mut guard = self.shard_write(shard);
             match &self.durable {
                 None => guard.insert(slot, element)?,
-                // Apply, then log, under the same shard write lock: log
-                // order is apply order, and an insert is only acknowledged
-                // once its WAL record is written (and fsynced per the
-                // policy).  A log failure surfaces as the insert's error,
-                // but the element stays applied.  Checked first, so the log
-                // holds the element as stored.
+                // Log and apply under the same shard write lock: log order
+                // is apply order, an insert is only acknowledged once its
+                // WAL record is written (and fsynced per the policy), and
+                // one that fails is neither served nor logged.  Checked
+                // first, so the log holds the element as stored.
                 Some(durable) => {
                     crate::durable::check_element(&mut element)?;
-                    let pos = guard.insert(slot, element.clone())?;
                     let _io = lockrank::sanctioned_io("log order is apply order");
-                    durable.append(shard, list.0, &element)?;
-                    pos
+                    durable.append_and_apply(shard, list.0, &element, || {
+                        guard.insert(slot, element.clone())
+                    })?
                 }
             }
         };

@@ -33,9 +33,11 @@
 //! page surfaces as [`StoreError`] for that one request, never a panic and
 //! never a wrong answer — and park it in a per-shard LRU **page cache**
 //! ([`SpillConfig::page_cache_pages`]).  [`SpillConfig::resident_budget_bytes`]
-//! bounds the sealed bytes each shard keeps resident: segments charge the
+//! bounds the sealed bytes each shard keeps resident: segments take the
 //! budget greedily in build order (within a list, hot end first) and spill
-//! once it is exhausted.
+//! once it is spent, so resident bytes never exceed the budget.  No total
+//! is stored: a placement reads what the shard's resident slots hold off
+//! the slots, under the shard lock it already holds.
 //!
 //! Two maintenance passes make the tiering **self-managing**:
 //!
@@ -77,9 +79,8 @@
 //!   references it; and [`SpillStore::open`] recovers by replaying manifest
 //!   pages through the fully validating [`Segment::from_bytes`] and the WAL
 //!   through the ordinary insert path, truncating a torn or corrupt log at the last
-//!   valid record.  A recovered store is only accepted after
-//!   `budget_accounting_is_exact` and a full ordering/visibility audit
-//!   pass.
+//!   valid record.  A recovered store is only accepted after a full
+//!   ordering/visibility audit passes.
 
 #![cfg_attr(not(test), deny(clippy::cast_possible_truncation))]
 #![cfg_attr(not(test), deny(clippy::cast_possible_wrap, clippy::cast_sign_loss))]
@@ -227,14 +228,13 @@ struct PageCache {
 }
 
 /// One shard's spill state: the append-only page file, the LRU page cache
-/// and the residency-budget accounting, shared by every list of the shard.
+/// and the resident budget, shared by every list of the shard.
 #[derive(Debug)]
 pub(crate) struct Pager {
     io: Mutex<PageFile>,
     cache: Mutex<PageCache>,
     cache_capacity: usize,
-    resident_budget: usize,
-    resident_charge: AtomicUsize,
+    pub(crate) resident_budget: usize,
     spilled: AtomicUsize,
     faults: AtomicU64,
     hits: AtomicU64,
@@ -316,7 +316,6 @@ impl Pager {
             cache: Mutex::new(PageCache::default()),
             cache_capacity: config.page_cache_pages,
             resident_budget: config.resident_budget_bytes,
-            resident_charge: AtomicUsize::new(0),
             spilled: AtomicUsize::new(0),
             faults: AtomicU64::new(0),
             hits: AtomicU64::new(0),
@@ -348,36 +347,6 @@ impl Pager {
     /// Path of the page file currently serving.
     fn current_path(&self) -> PathBuf {
         self.path_for(self.generation.load(Ordering::Relaxed))
-    }
-
-    /// Charges `bytes` against the shard's resident budget; `false` (and no
-    /// charge) if the budget cannot cover them.
-    fn try_charge(&self, bytes: usize) -> bool {
-        let mut current = self.resident_charge.load(Ordering::Relaxed);
-        loop {
-            if current.saturating_add(bytes) > self.resident_budget {
-                return false;
-            }
-            match self.resident_charge.compare_exchange(
-                current,
-                current + bytes,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => return true,
-                Err(now) => current = now,
-            }
-        }
-    }
-
-    /// Charges unconditionally: a failed rebuild restores the charge it
-    /// released up front.
-    fn force_charge(&self, bytes: usize) {
-        self.resident_charge.fetch_add(bytes, Ordering::Relaxed);
-    }
-
-    fn uncharge(&self, bytes: usize) {
-        self.resident_charge.fetch_sub(bytes, Ordering::Relaxed);
     }
 
     /// Serializes a segment into the page file, returning its page id.
@@ -644,10 +613,10 @@ struct SlotMeta {
     /// Sortable bits of the segment's smallest (last) TRS.
     last_bits: u64,
     stored_bytes: usize,
-    /// Exact memory charge of the decoded segment — what residency costs
-    /// against the shard budget, and what a resident slot is charged.
-    /// Updated on promotion (decoded capacities can differ from the
-    /// pre-spill encode).
+    /// Memory the decoded segment costs resident — a cold slot's promotion
+    /// estimate, the figure the retier pass ranks with.  Refreshed on
+    /// promotion (decoded capacities can differ from the pre-spill encode);
+    /// a resident slot's charge is read off its segment, not from here.
     resident_cost: usize,
     /// Access-clock stamp of the last scan/fault that actually read this
     /// slot's segment (0 = never read; summary-only answers don't stamp).
@@ -679,7 +648,7 @@ impl SlotMeta {
 #[derive(Debug)]
 struct Slot {
     meta: SlotMeta,
-    /// Hot copy, charged `meta.resident_cost` against the shard's resident
+    /// Hot copy, which holds its `resident_bytes()` of the shard's resident
     /// budget.
     resident: Option<Segment>,
     /// Location of the sealed page in the shard's page file.
@@ -693,7 +662,7 @@ struct Slot {
 }
 
 impl Slot {
-    /// A resident slot, its charge the segment's exact resident cost.
+    /// A resident slot, holding the segment's resident bytes of the budget.
     fn hot(segment: Segment, page: Option<PageId>) -> Slot {
         Slot {
             meta: SlotMeta::of(&segment),
@@ -717,14 +686,10 @@ impl Slot {
         self.resident.is_some()
     }
 
-    /// What the slot holds against the shard budget: its resident cost
-    /// while resident, nothing while cold.
+    /// What the slot holds of the shard budget: its segment's resident
+    /// bytes while resident, nothing while cold.
     fn charge(&self) -> usize {
-        if self.is_resident() {
-            self.meta.resident_cost
-        } else {
-            0
-        }
+        self.resident.as_ref().map_or(0, Segment::resident_bytes)
     }
 
     /// Visible elements of a cold slot under `filter`, from its summary;
@@ -774,10 +739,13 @@ pub struct SpillList {
 impl SpillList {
     /// Builds the list against its shard's pager — or, with `None`, for the
     /// resident lifecycle: every segment in memory, nothing on disk.
+    /// `spare` is the shard budget the lists built before it left unspent;
+    /// the segments this list keeps resident are taken out of it.
     pub(crate) fn build(
         mut elements: Vec<OrderedElement>,
         config: SegmentConfig,
         pager: Option<Arc<Pager>>,
+        spare: &mut usize,
     ) -> Result<Self, StoreError> {
         for element in &mut elements {
             check_element(element)?;
@@ -789,12 +757,12 @@ impl SpillList {
             seg_elems: 0,
             totals: Vec::new(),
         };
-        // Greedy budget charging in build order: within this list the hot
-        // end (what top-k queries touch) charges before the cold depths,
+        // Greedy placement in build order: within this list the hot end
+        // (what top-k queries touch) takes budget before the cold depths,
         // but the shard budget is shared first-come across its lists — a
         // partial budget favours lists built earlier, until the retier
         // pass re-grants it by access recency.
-        list.append_segments(&elements)?;
+        list.append_segments(&elements, spare)?;
         list.totals = running_totals(&list.slots);
         Ok(list)
     }
@@ -812,30 +780,34 @@ impl SpillList {
 
     /// Seals `elements`, which sort below every element of the list, into
     /// new slots behind the last one.  On failure the list is untouched.
-    fn append_segments(&mut self, elements: &[OrderedElement]) -> Result<(), StoreError> {
-        let slots = self.place_segments(encode_segments(elements, &self.config)?, false)?;
+    fn append_segments(
+        &mut self,
+        elements: &[OrderedElement],
+        spare: &mut usize,
+    ) -> Result<(), StoreError> {
+        let slots = self.place_segments(encode_segments(elements, &self.config)?, false, spare)?;
         self.seg_elems += elements.len();
         self.slots.extend(slots);
         Ok(())
     }
 
-    /// Places freshly encoded segments: resident while the shard budget
-    /// covers them (never, when `keep_cold` — the rebuild of a spilled
-    /// slot), spilled otherwise.  On any failure the pages written so far
-    /// are released, leaving the accounting consistent and the list
-    /// untouched.
+    /// Places freshly encoded segments: resident while `spare` covers them
+    /// (never, when `keep_cold` — the rebuild of a spilled slot), spilled
+    /// otherwise.  On any failure the pages written so far are released
+    /// and the list is untouched.
     fn place_segments(
         &self,
         segments: Vec<Segment>,
         keep_cold: bool,
+        spare: &mut usize,
     ) -> Result<Vec<Slot>, StoreError> {
         let mut slots = Vec::with_capacity(segments.len());
         for segment in segments {
-            match self.place(segment, keep_cold) {
+            match self.place(segment, keep_cold, spare) {
                 Ok(slot) => slots.push(slot),
                 Err(e) => {
                     for slot in slots {
-                        self.release_slot(&slot);
+                        self.release_page(slot.page);
                     }
                     return Err(e);
                 }
@@ -844,13 +816,14 @@ impl SpillList {
         Ok(slots)
     }
 
-    fn place(&self, segment: Segment, keep_cold: bool) -> Result<Slot, StoreError> {
-        // Charge exactly the slot's metered resident cost: the budget
-        // invariant (`resident_charge` == Σ `resident_cost` of resident
-        // slots == Σ exact resident bytes) holds by construction on every
-        // placement path.
+    fn place(
+        &self,
+        segment: Segment,
+        keep_cold: bool,
+        spare: &mut usize,
+    ) -> Result<Slot, StoreError> {
         match &self.pager {
-            Some(pager) if keep_cold || !pager.try_charge(segment.resident_bytes()) => {
+            Some(pager) if keep_cold || !take_spare(spare, segment.resident_bytes()) => {
                 Ok(Slot::cold(&segment, pager.write_page(&segment)?))
             }
             // No pager, or the budget covers it.  The slot has no page
@@ -867,24 +840,12 @@ impl SpillList {
             .ok_or(StoreError::Invariant("a resident list has no pager"))
     }
 
-    /// Returns `bytes` to the shard's resident budget (no-op without one).
-    fn uncharge(&self, bytes: usize) {
-        if let Some(pager) = &self.pager {
-            pager.uncharge(bytes);
-        }
-    }
-
     /// Drops a superseded page from the live accounting.  Pages only exist
     /// where a pager wrote them.
     fn release_page(&self, page: Option<PageId>) {
         if let (Some(pager), Some(page)) = (&self.pager, page) {
             pager.release_page(page);
         }
-    }
-
-    fn release_slot(&self, slot: &Slot) {
-        self.uncharge(slot.charge());
-        self.release_page(slot.page);
     }
 
     /// Resolves slot `k` to a readable segment, faulting its page in from
@@ -906,29 +867,24 @@ impl SpillList {
     }
 
     /// Rebuilds slot `k` as `decoded`, which holds the slot's elements plus
-    /// the inserted one.  The old slot is only replaced after every new
-    /// piece is placed; a spilled slot's rebuild appends fresh pages and
-    /// strands the old page as file garbage.
-    fn rebuild_slot(&mut self, k: usize, decoded: Vec<OrderedElement>) -> Result<(), StoreError> {
+    /// the inserted one, against the `spare` budget the shard's resident
+    /// slots leave.  The old slot is only replaced after every new piece is
+    /// placed; a spilled slot's rebuild appends fresh pages and strands the
+    /// old page as file garbage.
+    fn rebuild_slot(
+        &mut self,
+        k: usize,
+        decoded: Vec<OrderedElement>,
+        spare: usize,
+    ) -> Result<(), StoreError> {
         let rebuilt = encode_rebuilt(&decoded, &self.config)?;
-        let was_cold = !self.slots[k].is_resident();
-        // Free the old slot's budget charge up front so the rebuilt
-        // segments compete for the bytes the slot itself was holding —
-        // otherwise a near-full budget would demote a hot resident head to
-        // disk on every interior insert.  Restored if placement fails.
-        let old_charge = self.slots[k].charge();
-        self.uncharge(old_charge);
+        // The rebuilt segments compete for the bytes the slot itself holds
+        // as well: otherwise a near-full budget would demote a hot resident
+        // head to disk on every interior insert.
+        let mut spare = spare + self.slots[k].charge();
         // A cold slot stays cold: the segment was not worth resident bytes
         // before the insert and one insert does not make it hot.
-        let new_slots = match self.place_segments(rebuilt, was_cold) {
-            Ok(slots) => slots,
-            Err(e) => {
-                if let Some(pager) = &self.pager {
-                    pager.force_charge(old_charge);
-                }
-                return Err(e);
-            }
-        };
+        let new_slots = self.place_segments(rebuilt, !self.slots[k].is_resident(), &mut spare)?;
         // The rebuilt slots inherit the old slot's access recency: an
         // interior insert must not make a hot slot look cold to the next
         // retier pass.
@@ -939,8 +895,7 @@ impl SpillList {
         self.seg_elems += 1;
         let old: Vec<Slot> = self.slots.splice(k..=k, new_slots).collect();
         for slot in old {
-            // The budget charge was already released above; only the
-            // superseded page (now file garbage) remains to account for.
+            // The superseded page is now file garbage.
             self.release_page(slot.page);
         }
         Ok(())
@@ -1001,16 +956,18 @@ impl SpillList {
 
     /// Rebuilds a list from checkpoint state: every manifest page is read
     /// and fully validated (`Segment::from_bytes`) and kept resident while
-    /// the shard budget lasts (the page is retained either way — it is
-    /// checkpoint state).  A manifest written while lists kept a mutable
-    /// tail may carry one: it sorts below every sealed element and becomes
-    /// new segments behind the last slot, in its own order (inserting it
-    /// element by element would put each tie before its predecessor).
+    /// `spare`, the shard budget the lists before it left, lasts (the page
+    /// is retained either way — it is checkpoint state).  A manifest
+    /// written while lists kept a mutable tail may carry one: it sorts
+    /// below every sealed element and becomes new segments behind the last
+    /// slot, in its own order (inserting it element by element would put
+    /// each tie before its predecessor).
     /// Returns the list and the number of pages recovered.
     fn from_recovered(
         manifest: &ManifestList,
         config: SegmentConfig,
         pager: Arc<Pager>,
+        spare: &mut usize,
     ) -> Result<(Self, u64), StoreError> {
         let mut slots = Vec::with_capacity(manifest.pages.len());
         let mut seg_elems = 0usize;
@@ -1019,7 +976,7 @@ impl SpillList {
             let segment = pager.read_page_uncached(page)?;
             seg_elems += segment.num_elements();
             pager.spilled.fetch_add(usize_of(len), Ordering::Relaxed);
-            slots.push(if pager.try_charge(segment.resident_bytes()) {
+            slots.push(if take_spare(spare, segment.resident_bytes()) {
                 Slot::hot(segment, Some(page))
             } else {
                 Slot::cold(&segment, page)
@@ -1037,7 +994,7 @@ impl SpillList {
         for element in &mut tail {
             check_element(element)?;
         }
-        list.append_segments(&tail)?;
+        list.append_segments(&tail, spare)?;
         list.totals = running_totals(&list.slots);
         Ok((list, recovered))
     }
@@ -1067,17 +1024,15 @@ impl SpillList {
         self.ensure_page(k)?;
         self.slots[k].resident = None;
         self.slots[k].cold_counts = Some(counts);
-        let pager = self.pager()?;
-        pager.uncharge(self.slots[k].meta.resident_cost);
-        pager.demotions.fetch_add(1, Ordering::Relaxed);
+        self.pager()?.demotions.fetch_add(1, Ordering::Relaxed);
         Ok(())
     }
 
-    /// Promotes cold slot `k` back to the resident tier; `Ok(false)` when
-    /// the budget cannot cover its exact decoded size.  The slot keeps its
-    /// page: it still matches the segment byte for byte, so a later
-    /// demotion writes nothing and strands no dead bytes.
-    fn promote_slot(&mut self, k: usize) -> Result<bool, StoreError> {
+    /// Promotes cold slot `k` back to the resident tier, taking its decoded
+    /// size out of `spare`; `Ok(false)` when `spare` cannot cover it.  The
+    /// slot keeps its page: it still matches the segment byte for byte, so
+    /// a later demotion writes nothing and strands no dead bytes.
+    fn promote_slot(&mut self, k: usize, spare: &mut usize) -> Result<bool, StoreError> {
         if self.slots[k].is_resident() {
             return Ok(false);
         }
@@ -1087,33 +1042,50 @@ impl SpillList {
         let pager = self.pager()?;
         let segment = pager.read_page_uncached(page)?;
         // The decoded capacities can differ from the cost metered at the
-        // pre-spill encode: re-meter so the charge stays exact.
-        let charge = segment.resident_bytes();
-        if !pager.try_charge(charge) {
+        // pre-spill encode: the segment in hand is what residency costs.
+        let cost = segment.resident_bytes();
+        if !take_spare(spare, cost) {
             return Ok(false);
         }
         pager.promotions.fetch_add(1, Ordering::Relaxed);
-        self.slots[k].meta.resident_cost = charge;
+        self.slots[k].meta.resident_cost = cost;
         self.slots[k].cold_counts = None;
         self.slots[k].resident = Some(segment);
         Ok(true)
     }
+}
 
-    /// Sum of the budget charges of the list's resident slots.
-    fn charged_bytes(&self) -> usize {
-        self.slots.iter().map(Slot::charge).sum()
+/// Takes `bytes` out of `spare` when they fit; whether they did.
+fn take_spare(spare: &mut usize, bytes: usize) -> bool {
+    let fits = bytes <= *spare;
+    if fits {
+        *spare -= bytes;
     }
+    fits
+}
 
-    /// Whether every resident slot's charge, its metered `resident_cost`,
-    /// equals its segment's exact resident bytes (the per-slot half of the
-    /// budget invariant).
-    fn charges_exact(&self) -> bool {
-        self.slots.iter().all(|slot| {
-            slot.resident
-                .as_ref()
-                .is_none_or(|segment| segment.resident_bytes() == slot.meta.resident_cost)
-        })
+/// The resident budget a shard's lists leave unspent: the budget less the
+/// charges of their resident slots.  Read off the slots under the shard
+/// lock whenever a placement needs it; 0 without a budget (and on the
+/// resident lifecycle, which places without one).
+pub(crate) fn spare_budget(lists: &[SpillList]) -> usize {
+    let budget = lists
+        .first()
+        .and_then(|list| list.pager.as_ref())
+        .map_or(0, |pager| pager.resident_budget);
+    if budget == 0 {
+        return 0;
     }
+    budget.saturating_sub(held_bytes(lists))
+}
+
+/// Bytes a shard's resident slots hold of its budget.
+fn held_bytes(lists: &[SpillList]) -> usize {
+    lists
+        .iter()
+        .flat_map(|list| &list.slots)
+        .map(Slot::charge)
+        .sum()
 }
 
 /// Per-group element counts of a whole list from its slot summaries,
@@ -1220,11 +1192,16 @@ impl SpillList {
     }
 
     /// Inserts an element at its TRS position (after strictly greater,
-    /// before equal), returning the physical insertion index.  Fails —
-    /// without changing the list — if the element breaks the element
-    /// contract ([`check_element`]: [`StoreError::InvalidElement`]) or a
-    /// page it must touch cannot be read or written.
-    pub(crate) fn insert(&mut self, mut element: OrderedElement) -> Result<usize, StoreError> {
+    /// before equal), returning the physical insertion index; `spare` is
+    /// the budget the shard's resident slots leave ([`spare_budget`]).
+    /// Fails — without changing the list — if the element breaks the
+    /// element contract ([`check_element`]: [`StoreError::InvalidElement`])
+    /// or a page it must touch cannot be read or written.
+    pub(crate) fn insert(
+        &mut self,
+        mut element: OrderedElement,
+        mut spare: usize,
+    ) -> Result<usize, StoreError> {
         check_element(&mut element)?;
         let trs = element.trs;
         let group = element.group;
@@ -1234,7 +1211,7 @@ impl SpillList {
         let landing = self.slots.iter().position(|s| s.meta.min_trs() <= trs);
         let Some(k) = landing.or(self.slots.len().checked_sub(1)) else {
             // An empty list: the element is its first slot.
-            self.append_segments(std::slice::from_ref(&element))?;
+            self.append_segments(std::slice::from_ref(&element), &mut spare)?;
             add_count(&mut self.totals, group, 1);
             return Ok(0);
         };
@@ -1246,7 +1223,7 @@ impl SpillList {
             (segment.insert_pos(trs), segment.decode_all())
         };
         decoded.insert(local, element);
-        self.rebuild_slot(k, decoded)?;
+        self.rebuild_slot(k, decoded, spare)?;
         add_count(&mut self.totals, group, 1);
         Ok(base + local)
     }
@@ -1374,41 +1351,65 @@ fn is_page_file(name: &str) -> bool {
 }
 
 impl DurableState {
-    /// Appends one insert to the shard's WAL, applying the configured fsync
-    /// policy.  Called under the shard write lock, immediately after the
-    /// in-memory apply — log order is apply order.
-    pub(crate) fn append(
+    /// Logs one insert to the shard's WAL and runs `apply`, the in-memory
+    /// insert, with the WAL mutex held throughout.  Called under the shard
+    /// write lock: log order is apply order.  The frame is written at the
+    /// log's end (and fsynced as the policy says) *before* the apply, but
+    /// published — `len` and `next_seq` advanced, so that `wal_image` and
+    /// `applied_seq`, which read under the same mutex, can see it — only
+    /// after the apply succeeds.  So an insert that returns `Err` is
+    /// neither served nor logged: a failed write or fsync returns before
+    /// the apply, and a failed apply cuts the unpublished bytes off again.
+    ///
+    /// When the apply fails *and* that cut (or its fsync) fails too, the
+    /// frame's bytes stay in the file past `len`.  Nothing serves or ships them, and the
+    /// next append (which reuses the sequence number) or checkpoint
+    /// overwrites them; but a crash before either replays them, so recovery
+    /// can hold an insert that was reported failed.
+    pub(crate) fn append_and_apply(
         &self,
         shard: usize,
         list: u64,
         element: &OrderedElement,
-    ) -> Result<(), StoreError> {
+        apply: impl FnOnce() -> Result<usize, StoreError>,
+    ) -> Result<usize, StoreError> {
         let mut wal = self.wals[shard].lock();
         let next_seq = successor_seq(wal.next_seq)?;
         let frame = encode_wal_frame(wal.next_seq, list, element)?;
         let at = wal.len;
-        wal.file.write_at(at, &frame).map_err(io_err)?;
+        let sync = match self.config.sync {
+            SyncPolicy::Always => true,
+            SyncPolicy::EveryN(n) => n > 0 && wal.appends_since_sync + 1 >= n,
+            SyncPolicy::Never => false,
+        };
+        let logged = wal
+            .file
+            .write_at(at, &frame)
+            .and_then(|()| if sync { wal.file.sync() } else { Ok(()) })
+            .map_err(io_err);
+        let pos = match logged.and_then(|()| apply()) {
+            Ok(pos) => pos,
+            Err(e) => {
+                let _ = wal.file.set_len(at).and_then(|()| wal.file.sync());
+                return Err(e);
+            }
+        };
         wal.len += u64_of(frame.len());
         wal.next_seq = next_seq;
+        wal.appends_since_sync = if sync {
+            0
+        } else {
+            wal.appends_since_sync.saturating_add(1)
+        };
         self.wal_appends.fetch_add(1, Ordering::Relaxed);
         self.wal_bytes
             .fetch_add(u64_of(frame.len()), Ordering::Relaxed);
-        match self.config.sync {
-            SyncPolicy::Always => wal.file.sync().map_err(io_err)?,
-            SyncPolicy::EveryN(n) => {
-                wal.appends_since_sync += 1;
-                if n > 0 && wal.appends_since_sync >= n {
-                    wal.file.sync().map_err(io_err)?;
-                    wal.appends_since_sync = 0;
-                }
-            }
-            SyncPolicy::Never => {}
-        }
-        Ok(())
+        Ok(pos)
     }
 
-    /// The shard's WAL up to its acknowledged length, read under the append
-    /// mutex: it scans clean, every frame in it complete and CRC-valid.
+    /// The shard's WAL up to its published length, read under the append
+    /// mutex: it scans clean, every frame in it complete, CRC-valid and
+    /// applied.
     fn wal_image(&self, shard: usize) -> Result<Vec<u8>, StoreError> {
         let mut wal = self.wals[shard].lock();
         let len = usize::try_from(wal.len)
@@ -1648,10 +1649,10 @@ impl SpillStore {
     /// (compaction leftovers, superseded page-file generations, manifest
     /// temp files), then replay the WAL tail through the ordinary insert
     /// path — a torn or corrupt tail truncates at the last valid record and
-    /// the store keeps serving.  Before the store is returned it must pass
-    /// `budget_accounting_is_exact` plus a full ordering/visibility audit;
-    /// a store that cannot satisfy its own invariants is refused, never
-    /// served.
+    /// the store keeps serving.  Resident slots are placed within the
+    /// budget as they are read, and before the store is returned it must
+    /// pass a full ordering/visibility audit; a store that cannot satisfy
+    /// its own invariants is refused, never served.
     pub fn open_with_io(
         dir: impl Into<PathBuf>,
         config: SpillConfig,
@@ -1734,13 +1735,15 @@ impl SpillStore {
         sweep_stray_files(&*backend, &dir, num_shards, &manifests);
         let mut recovered_pages = 0u64;
         let mut tables = Vec::with_capacity(num_shards);
-        for (shard, manifest) in manifests.iter().enumerate() {
+        for (manifest, pager) in manifests.iter().zip(&pagers) {
             let mut lists = Vec::with_capacity(manifest.lists.len());
+            let mut spare = pager.resident_budget;
             for manifest_list in &manifest.lists {
                 let (list, recovered) = SpillList::from_recovered(
                     manifest_list,
                     meta.segment,
-                    Arc::clone(&pagers[shard]),
+                    Arc::clone(pager),
+                    &mut spare,
                 )?;
                 recovered_pages += recovered;
                 lists.push(list);
@@ -1824,17 +1827,12 @@ impl SpillStore {
         self.shard_write(shard).insert(slot, element).map(|_| ())
     }
 
-    /// Post-recovery acceptance audit: the byte-exact budget invariant, the
-    /// descending-TRS ordering of every list, and a full visibility audit
-    /// (per-group summary counts must agree with a brute-force recount of
-    /// the decoded elements).  A recovered state is *checked against the
-    /// store's invariants, not trusted*.
+    /// Post-recovery acceptance audit: the descending-TRS ordering of every
+    /// list and a full visibility audit (per-group summary counts must
+    /// agree with a brute-force recount of the decoded elements).  A
+    /// recovered state is *checked against the store's invariants, not
+    /// trusted*.
     fn recovery_audit(&self) -> Result<(), StoreError> {
-        if !self.budget_accounting_is_exact() {
-            return Err(StoreError::RecoveryFailed(
-                "budget accounting inconsistent after recovery".to_string(),
-            ));
-        }
         for l in 0..self.num_lists() {
             let list = zerber_base::MergedListId(u64_of(l));
             let elements = self.snapshot_list(list)?;
@@ -1884,10 +1882,8 @@ impl SpillStore {
         let Some(durable) = &self.durable else {
             return Ok(false);
         };
-        let pager = &self.pagers[shard];
         let mut table = self.shard_write(shard);
-        durable.commit_checkpoint(shard, pager, &mut table)?;
-        debug_assert!(charges_consistent(&table, pager));
+        durable.commit_checkpoint(shard, &self.pagers[shard], &mut table)?;
         Ok(true)
     }
 
@@ -1998,15 +1994,15 @@ impl SpillStore {
         self.pagers.iter().map(|p| p.current_path()).collect()
     }
 
-    /// Budget-accounting invariant: on every shard, the pager's
-    /// `resident_charge` equals the sum of the resident slots' charges, and
-    /// each charge equals that slot's exact resident bytes.  Debug builds
-    /// assert this after every maintenance pass; tests call it directly.
-    pub fn budget_accounting_is_exact(&self) -> bool {
-        self.pagers
-            .iter()
-            .enumerate()
-            .all(|(shard, pager)| charges_consistent(&self.shard_read(shard), pager))
+    /// The bound the resident budget exists for: on every shard, the
+    /// resident slots hold no more bytes than
+    /// [`SpillConfig::resident_budget_bytes`] (vacuous on the resident
+    /// lifecycle, which has no budget).  Tests check it after every kind of
+    /// step.
+    pub fn resident_bytes_within_budget(&self) -> bool {
+        self.pagers.iter().enumerate().all(|(shard, pager)| {
+            held_bytes(self.shard_read(shard).lists()) <= pager.resident_budget
+        })
     }
 
     /// Compacts one shard's page file: snapshots the live pages under the
@@ -2096,7 +2092,6 @@ impl SpillStore {
             // checkpoint (WAL resets too).
             durable.commit_checkpoint(shard, pager, &mut table)?;
         }
-        debug_assert!(charges_consistent(&table, pager));
         drop(table);
         // Only now is the old generation unreferenced (on a spill store the
         // rename was the commit point).  It is unlinked off the lock; if
@@ -2134,21 +2129,16 @@ impl SpillStore {
                 .then_with(|| b.resident.cmp(&a.resident))
                 .then_with(|| (a.list, a.slot).cmp(&(b.list, b.slot)))
         });
-        let mut spare = pager.resident_budget;
+        let mut grantable = pager.resident_budget;
         let desired: Vec<bool> = candidates
             .iter()
-            .map(|c| {
-                let granted = (c.heat > 0 || c.resident) && c.cost <= spare;
-                if granted {
-                    spare -= c.cost;
-                }
-                granted
-            })
+            .map(|c| (c.heat > 0 || c.resident) && take_spare(&mut grantable, c.cost))
             .collect();
         let mut moves = 0usize;
         let mut demoted = 0usize;
         let mut promoted = 0usize;
-        // Demotions first: they free the budget the promotions charge.
+        // Demotions first: the promotions take what the resident slots
+        // leave spare after them.
         for (c, &keep) in candidates.iter().zip(&desired) {
             if c.resident && !keep && moves < MAX_TIER_MOVES {
                 table.lists_mut()[c.list].demote_slot(c.slot)?;
@@ -2156,15 +2146,15 @@ impl SpillStore {
                 moves += 1;
             }
         }
+        let mut spare = spare_budget(table.lists());
         for (c, &keep) in candidates.iter().zip(&desired) {
             if !c.resident && keep && moves < MAX_TIER_MOVES {
-                if table.lists_mut()[c.list].promote_slot(c.slot)? {
+                if table.lists_mut()[c.list].promote_slot(c.slot, &mut spare)? {
                     promoted += 1;
                 }
                 moves += 1;
             }
         }
-        debug_assert!(charges_consistent(&table, pager));
         Ok((promoted, demoted))
     }
 
@@ -2254,19 +2244,6 @@ fn sweep_stray_files(backend: &dyn PageIo, dir: &Path, num_shards: usize, manife
     }
 }
 
-/// The shard-local budget invariant (see
-/// [`SpillStore::budget_accounting_is_exact`]), checkable while already
-/// holding the shard lock.
-fn charges_consistent(table: &ListTable, pager: &Pager) -> bool {
-    table.lists().iter().all(SpillList::charges_exact)
-        && table
-            .lists()
-            .iter()
-            .map(SpillList::charged_bytes)
-            .sum::<usize>()
-            == pager.resident_charge.load(Ordering::Relaxed)
-}
-
 impl SpillStore {
     /// Adds what the pagers and the WAL meter to `metrics` (nothing on a
     /// resident store).  The shared page caches are shard state, not
@@ -2348,12 +2325,10 @@ mod tests {
         })
     }
 
-    /// Bytes of sealed segments charged against the shard budgets.
-    fn resident_charge_bytes(store: &SpillStore) -> usize {
-        store
-            .pagers
-            .iter()
-            .map(|p| p.resident_charge.load(Ordering::Relaxed))
+    /// Bytes the resident slots of every shard hold of the budget.
+    fn resident_slot_bytes(store: &SpillStore) -> usize {
+        (0..store.pagers.len())
+            .map(|shard| held_bytes(store.shard_read(shard).lists()))
             .sum()
     }
 
@@ -2562,7 +2537,7 @@ mod tests {
                 ..SpillConfig::default().without_tiering()
             },
         );
-        let charge = resident_charge_bytes(&probe);
+        let charge = resident_slot_bytes(&probe);
         assert!(charge > 0);
         drop(probe);
         let store = store_with(
@@ -2652,7 +2627,7 @@ mod tests {
                 "list {l} must read identically from the compacted file"
             );
         }
-        assert!(store.budget_accounting_is_exact());
+        assert!(store.resident_bytes_within_budget());
         // The swap committed to the next generation and unlinked the old
         // one: the root holds exactly one page file and no rewrite scratch.
         let current = store.page_file_paths()[0].clone();
@@ -2686,7 +2661,8 @@ mod tests {
             if demote {
                 list.demote_slot(0).unwrap();
             } else {
-                assert!(list.promote_slot(0).unwrap());
+                let mut spare = usize::MAX;
+                assert!(list.promote_slot(0, &mut spare).unwrap());
             }
         };
         // The first demotion writes the slot's page...
@@ -2703,7 +2679,7 @@ mod tests {
         assert_eq!(after.spilled_bytes, written.spilled_bytes);
         assert_eq!(after.dead_page_bytes, 0);
         assert_eq!(store.snapshot_list(MergedListId(0)).unwrap(), reference);
-        assert!(store.budget_accounting_is_exact());
+        assert!(store.resident_bytes_within_budget());
     }
 
     #[test]
@@ -2858,7 +2834,7 @@ mod tests {
                 ..SpillConfig::default().without_tiering()
             },
         );
-        let charge = resident_charge_bytes(&probe);
+        let charge = resident_slot_bytes(&probe);
         drop(probe);
         let store = store_with(
             vec![sorted_elements(32, 0), sorted_elements(32, 80)],
@@ -2885,7 +2861,7 @@ mod tests {
         assert!(demoted > 0, "never-read resident slots must yield budget");
         assert_eq!(store.metrics().promotions, promoted as u64);
         assert_eq!(store.metrics().demotions, demoted as u64);
-        assert!(store.budget_accounting_is_exact());
+        assert!(store.resident_bytes_within_budget());
         // The hot list now serves without faulting (no cache configured, so
         // fault-free means resident).
         let faults = store.metrics().page_faults;
@@ -2904,19 +2880,19 @@ mod tests {
     }
 
     #[test]
-    fn resident_budget_charges_stay_exact_through_every_path() {
+    fn resident_bytes_stay_within_the_budget_through_every_path() {
         let store = store_with(
             vec![sorted_elements(32, 0), sorted_elements(20, 40)],
             2,
             SpillConfig {
-                resident_budget_bytes: 2048,
+                resident_budget_bytes: 1024,
                 page_cache_pages: 2,
                 compact_dead_percent: 1,
                 compact_min_dead_bytes: 1,
                 retier_interval: 4,
             },
         );
-        assert!(store.budget_accounting_is_exact());
+        assert!(store.resident_bytes_within_budget());
         for i in 0..24u64 {
             let trs = (i as f64 * 0.37) % 1.0;
             store
@@ -2925,8 +2901,11 @@ mod tests {
                     element(trs, (i % 3) as u32, &[i as u8; 8]),
                 )
                 .unwrap();
-            assert!(store.budget_accounting_is_exact(), "after insert {i}");
+            assert!(store.resident_bytes_within_budget(), "after insert {i}");
         }
+        // The inserts outgrew the budget: some segments stay resident, the
+        // rest spilled.
+        assert!(resident_slot_bytes(&store) > 0 && store.metrics().spilled_bytes > 0);
         for offset in [0usize, 8, 16] {
             store
                 .fetch_ranged(
@@ -2938,12 +2917,17 @@ mod tests {
                     None,
                 )
                 .unwrap();
+            assert!(store.resident_bytes_within_budget(), "after fetch {offset}");
         }
         for shard in 0..2 {
             store.retier_shard(shard).unwrap();
+            assert!(store.resident_bytes_within_budget(), "after retier {shard}");
             store.compact_shard(shard).unwrap();
+            assert!(
+                store.resident_bytes_within_budget(),
+                "after compact {shard}"
+            );
         }
-        assert!(store.budget_accounting_is_exact());
         assert!(store.verify_ordering());
     }
 
@@ -3067,7 +3051,7 @@ mod tests {
             "checkpoint pages re-read"
         );
         assert_eq!(reopened.metrics().truncated_wal_records, 0);
-        assert!(reopened.budget_accounting_is_exact());
+        assert!(reopened.resident_bytes_within_budget());
         assert!(reopened.verify_ordering());
         // A second generation of inserts keeps round-tripping.
         reopened
@@ -3175,7 +3159,7 @@ mod tests {
         // list keeps its seat.
         assert_eq!(store.retier_shard(0).unwrap(), (0, 0));
         assert_eq!(store.metrics().spilled_bytes, 0);
-        assert!(store.budget_accounting_is_exact());
+        assert!(store.resident_bytes_within_budget());
         assert!(store.verify_ordering());
     }
 
@@ -3220,7 +3204,7 @@ mod tests {
         };
         let store = store_with(vec![sorted_elements(20, 0)], 1, config);
         bottom_inserts_into_the_cold_last_slot(&store);
-        assert!(store.budget_accounting_is_exact());
+        assert!(store.resident_bytes_within_budget());
 
         let dir = TempRoot::new("durable-bottom");
         let durable = durable_store_at(
@@ -3235,7 +3219,7 @@ mod tests {
         let reopened = SpillStore::open(&dir, config, DurableConfig::default()).unwrap();
         assert_eq!(reopened.snapshot_list(MergedListId(0)).unwrap(), reference);
         assert_eq!(reopened.shard_read(0).lists()[0].num_slots(), 2);
-        assert!(reopened.budget_accounting_is_exact());
+        assert!(reopened.resident_bytes_within_budget());
     }
 
     #[test]
@@ -3274,7 +3258,7 @@ mod tests {
             let store = SpillStore::open(&dir, config, DurableConfig::default()).unwrap();
             assert_eq!(store.snapshot_list(MergedListId(0)).unwrap(), reference);
             assert_eq!(store.snapshot_list(MergedListId(1)).unwrap(), only_tail);
-            assert!(store.budget_accounting_is_exact());
+            assert!(store.resident_bytes_within_budget());
             assert!(slot_sizes(&store).iter().all(|&n| n <= 16));
             store.checkpoint().unwrap();
             let manifest = decode_manifest(&fs::read(&path).unwrap()).unwrap();
@@ -3283,7 +3267,75 @@ mod tests {
             let reopened = SpillStore::open(&dir, config, DurableConfig::default()).unwrap();
             assert_eq!(reopened.snapshot_list(MergedListId(0)).unwrap(), reference);
             assert_eq!(reopened.snapshot_list(MergedListId(1)).unwrap(), only_tail);
-            assert!(reopened.budget_accounting_is_exact());
+            assert!(reopened.resident_bytes_within_budget());
+        }
+    }
+
+    #[test]
+    fn a_page_written_before_the_element_contract_survives_a_rebuild() {
+        // Roots written before the element contract can hold an element
+        // whose sealed group differs from its routing group.  Recovery
+        // checks only manifest tails, not pages, so such an element serves,
+        // and an insert into its slot re-encodes it through the encoder's
+        // split-group path.
+        let mut split = element(0.5, 1, &[5; 6]);
+        split.sealed.group = GroupId(2);
+        let inserted = element(0.75, 1, &[6; 6]);
+        let budgets = [0, SpillConfig::default().resident_budget_bytes];
+        for resident_budget_bytes in budgets {
+            let config = SpillConfig {
+                resident_budget_bytes,
+                ..SpillConfig::default().without_tiering()
+            };
+            let dir = TempRoot::new("durable-old-split-group");
+            drop(durable_store_at(
+                &dir,
+                vec![Vec::new()],
+                1,
+                config,
+                DurableConfig::default(),
+            ));
+            // Append the old page to the page file and make it the list's
+            // only slot.
+            let page = Segment::from_elements(std::slice::from_ref(&split), 4)
+                .unwrap()
+                .to_bytes();
+            let pages = dir.join(pages_name(0, 0));
+            let mut bytes = fs::read(&pages).unwrap();
+            let offset = bytes.len() as u64;
+            bytes.extend_from_slice(&page);
+            fs::write(&pages, bytes).unwrap();
+            let path = dir.join(manifest_name(0));
+            let mut manifest = decode_manifest(&fs::read(&path).unwrap()).unwrap();
+            manifest.lists[0].pages = vec![(offset, page.len() as u32, crc32(&page))];
+            fs::write(&path, encode_manifest(&manifest).unwrap()).unwrap();
+
+            let list = MergedListId(0);
+            let store = SpillStore::open(&dir, config, DurableConfig::default()).unwrap();
+            let scan = |store: &SpillStore| {
+                let fetch = RangedFetch {
+                    list,
+                    offset: 0,
+                    count: 4,
+                };
+                assert_eq!(
+                    store.fetch_ranged(&fetch, None).unwrap().elements,
+                    store.snapshot_list(list).unwrap()
+                );
+                store.snapshot_list(list).unwrap()
+            };
+            assert_eq!(scan(&store), [split.clone()]);
+            assert_eq!(store.insert(list, inserted.clone()).unwrap(), 0);
+            let want = [inserted.clone(), split.clone()];
+            assert_eq!(scan(&store), want);
+            drop(store);
+            // The reopen replays the insert through the same rebuild.
+            let reopened = SpillStore::open(&dir, config, DurableConfig::default()).unwrap();
+            assert_eq!(scan(&reopened), want);
+            reopened.checkpoint().unwrap();
+            drop(reopened);
+            let again = SpillStore::open(&dir, config, DurableConfig::default()).unwrap();
+            assert_eq!(scan(&again), want);
         }
     }
 

@@ -26,7 +26,7 @@ use zerber_r::OrderedElement;
 
 use crate::convert::usize_of;
 use crate::error::StoreError;
-use crate::spill::SpillList;
+use crate::spill::{spare_budget, SpillList};
 
 /// Identifier of an open cursor session.  `CursorId(0)` means "no cursor".
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -608,12 +608,15 @@ impl ListTable {
         }
     }
 
-    /// Inserts an element at its TRS position, bumps the list generation and
-    /// shifts cursors that already scanned past the insertion point so they
-    /// neither repeat the shifted element nor skip one.  A cursor exactly at
-    /// the insertion point stays: the new element is its next in TRS order.
+    /// Inserts an element at its TRS position, placing what it rebuilds
+    /// within the budget the shard's resident slots leave (`spare_budget`),
+    /// bumps the list generation and shifts cursors that already scanned
+    /// past the insertion point so they neither repeat the shifted element
+    /// nor skip one.  A cursor exactly at the insertion point stays: the
+    /// new element is its next in TRS order.
     pub fn insert(&mut self, slot: usize, element: OrderedElement) -> Result<usize, StoreError> {
-        let pos = self.lists[slot].insert(element)?;
+        let spare = spare_budget(&self.lists);
+        let pos = self.lists[slot].insert(element, spare)?;
         self.generations[slot] += 1;
         for cursor in self.cursors.values() {
             if cursor.slot == slot && cursor.position.load(Ordering::Relaxed) > pos {
@@ -667,7 +670,7 @@ mod tests {
             block_len: 2,
             max_segment_elems: 4,
         };
-        SpillList::build(list(), config, None).unwrap()
+        SpillList::build(list(), config, None, &mut 0).unwrap()
     }
 
     fn table() -> ListTable {
@@ -814,7 +817,7 @@ mod tests {
         for (trs, want) in [(0.7, 2), (0.95, 0), (0.1, 5)] {
             let mut l = spill_list();
             let mut expected = list();
-            assert_eq!(l.insert(element(trs, 1)).unwrap(), want, "trs {trs}");
+            assert_eq!(l.insert(element(trs, 1), 0).unwrap(), want, "trs {trs}");
             assert_eq!(model::insert(&mut expected, element(trs, 1)), want);
             assert_eq!(l.snapshot().unwrap(), expected, "trs {trs}");
         }

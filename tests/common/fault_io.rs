@@ -1,7 +1,8 @@
 //! The deterministic fault-injection IO shim the durable-recovery and
 //! replication suites crash stores with: a [`PageIo`] over the production
-//! [`RealIo`] that kills writes after a byte budget, flips one byte, or
-//! buffers writes and drops fsyncs — the same way on every run.
+//! [`RealIo`] that kills writes after a byte budget, flips one byte,
+//! buffers writes and drops fsyncs, or fails the writes to one kind of
+//! file — the same way on every run.
 //!
 //! Included by path (`#[path = "common/fault_io.rs"] mod fault_io;`) into
 //! the suites that use it, so the store library ships none of it.
@@ -38,6 +39,10 @@ pub enum FaultMode {
     /// Like [`FaultMode::Buffered`], but `sync` is silently dropped too — a
     /// lying fsync.  Nothing written through this shim ever reaches disk.
     DropSyncs,
+    /// Every write to a file whose path ends in the suffix (`".wal"`,
+    /// `".pages"`) fails with an error until [`FaultIo::heal`]; all other
+    /// IO passes through.  Nothing crashes: the store sees the error.
+    FailWritesTo(&'static str),
 }
 
 #[derive(Debug, Default)]
@@ -49,6 +54,9 @@ struct FaultLedger {
     /// Cumulative `spent` after each IO operation — the injection points a
     /// kill-at-every-step loop iterates over.
     boundaries: Vec<u64>,
+    /// Set by [`FaultIo::heal`]: a [`FaultMode::FailWritesTo`] shim stops
+    /// failing writes.
+    healed: bool,
 }
 
 /// The deterministic fault-injection IO shim: wraps [`RealIo`] over the real
@@ -80,6 +88,11 @@ impl FaultIo {
     /// Whether a `KillAfter` budget has been exhausted.
     pub fn crashed(&self) -> bool {
         lock(&self.ledger).crashed
+    }
+
+    /// Ends a [`FaultMode::FailWritesTo`] fault: later writes succeed.
+    pub fn heal(&self) {
+        lock(&self.ledger).healed = true;
     }
 
     /// The cumulative budget after each IO operation: every value (and its
@@ -126,6 +139,8 @@ struct FaultFile {
     /// protocols sync before every rename/reopen, so a fresh handle always
     /// sees flushed state.
     shadow: Option<Vec<u8>>,
+    /// Whether this file's writes fail ([`FaultMode::FailWritesTo`]).
+    failing: bool,
 }
 
 impl FileIo for FaultFile {
@@ -148,6 +163,9 @@ impl FileIo for FaultFile {
     }
 
     fn write_at(&mut self, offset: u64, buf: &[u8]) -> io::Result<()> {
+        if self.failing && !lock(&self.ledger).healed {
+            return Err(io::Error::other("injected write failure"));
+        }
         if let Some(shadow) = &mut self.shadow {
             let start = usize::try_from(offset).unwrap_or(usize::MAX);
             let end = start.saturating_add(buf.len());
@@ -239,7 +257,7 @@ impl FileIo for FaultFile {
                 drop(ledger);
                 self.real.sync()
             }
-            FaultMode::FlipByteAt(_) => self.real.sync(),
+            FaultMode::FlipByteAt(_) | FaultMode::FailWritesTo(_) => self.real.sync(),
         }
     }
 
@@ -292,11 +310,16 @@ impl PageIo for FaultIo {
         } else {
             None
         };
+        let failing = match self.mode {
+            FaultMode::FailWritesTo(suffix) => path.to_string_lossy().ends_with(suffix),
+            _ => false,
+        };
         Ok(Box::new(FaultFile {
             real,
             mode: self.mode,
             ledger: Arc::clone(&self.ledger),
             shadow,
+            failing,
         }))
     }
 

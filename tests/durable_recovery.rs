@@ -8,8 +8,8 @@
 //! multi-byte writes), crashing the store at that exact point.  After each
 //! simulated crash the directory must reopen with the production IO path —
 //! never panicking, never refusing — and serve a state that is exactly a
-//! prefix of the insert history, with the byte-budget accounting still
-//! exact.
+//! prefix of the insert history, with its resident bytes still within
+//! the budget.
 //!
 //! Alongside the exhaustive loop: a kill-at-every-byte WAL truncation
 //! property (any prefix of the log recovers exactly the fully-fitting
@@ -37,8 +37,8 @@ use oracle::Oracle;
 use proptest::prelude::*;
 use zerber_suite::corpus::{GroupId, TermId};
 use zerber_suite::store::{
-    crc32, DurableConfig, ListStore, PageIo, RealIo, SegmentConfig, SpillConfig, SpillStore,
-    StoreError, SyncPolicy, MAX_CIPHERTEXT_BYTES,
+    crc32, DurableConfig, ListStore, PageIo, RealIo, ReplicationSource, SegmentConfig, SpillConfig,
+    SpillStore, StoreError, SyncPolicy, MAX_CIPHERTEXT_BYTES,
 };
 use zerber_suite::zerber::{EncryptedElement, MergePlan, MergedListId};
 use zerber_suite::zerber_r::{OrderedElement, OrderedIndex};
@@ -178,8 +178,8 @@ fn audit_recovered(dir: &Path, states: &[Vec<Vec<OrderedElement>>], at: u64) -> 
         "ordering violated after crash at budget {at}"
     );
     assert!(
-        recovered.budget_accounting_is_exact(),
-        "budget accounting drifted after crash at budget {at}"
+        recovered.resident_bytes_within_budget(),
+        "resident bytes exceed the budget after crash at budget {at}"
     );
     for (l, list_states) in states.iter().enumerate() {
         let got = recovered.snapshot_list(MergedListId(l as u64)).unwrap();
@@ -389,7 +389,7 @@ fn dropped_fsyncs_recover_to_the_last_durable_state() {
     let recovered =
         SpillStore::open(&dir, spill_config(), durable_config(SyncPolicy::Always)).unwrap();
     assert!(recovered.verify_ordering());
-    assert!(recovered.budget_accounting_is_exact());
+    assert!(recovered.resident_bytes_within_budget());
     for (l, expected) in baseline.iter().enumerate() {
         assert_eq!(
             &recovered.snapshot_list(MergedListId(l as u64)).unwrap(),
@@ -525,6 +525,68 @@ fn invalid_elements_are_refused_on_every_lifecycle_and_recovery_keeps_the_acknow
     drop(stores);
     let recovered = SpillStore::open(&dir, spill_config(), durable()).unwrap();
     assert_eq!(recovered.snapshot_list(list).unwrap(), expected);
+}
+
+/// A durable insert whose WAL write fails is refused whole: the call
+/// returns `Err` and the element is neither served nor logged — not after
+/// a checkpoint, not after a reopen — so a client that retries it stores
+/// it once.  The converse: a rebuild whose page write fails cuts the frame
+/// it wrote off again, so the log publishes, ships and keeps nothing.
+#[test]
+fn a_durable_insert_that_cannot_be_logged_or_applied_is_not_served() {
+    let root = TempRoot::new("failed-writes");
+    let dir = root.join("store");
+    let durable = durable_config(SyncPolicy::Always);
+    drop(
+        SpillStore::create_durable_with(
+            fixture_index(NUM_LISTS, true),
+            &dir,
+            NUM_SHARDS,
+            spill_config(),
+            segment_config(),
+            durable,
+            RealIo::shared(),
+        )
+        .unwrap(),
+    );
+    let list = MergedListId(0);
+    let open = |suffix| {
+        let faults = FaultIo::new(FaultMode::FailWritesTo(suffix));
+        SpillStore::open_with_io(&dir, spill_config(), durable, faults as Arc<dyn PageIo>).unwrap()
+    };
+    let state = |store: &SpillStore| {
+        (
+            store.list_len(list).unwrap(),
+            store.snapshot_list(list).unwrap(),
+            store.metrics().wal_appends,
+        )
+    };
+
+    let store = open(".wal");
+    let before = state(&store);
+    let result = store.insert(list, element(50.0, 1, b"unlogged"));
+    assert!(matches!(result, Err(StoreError::Io(_))), "{result:?}");
+    assert_eq!(state(&store), before, "a failed append serves nothing");
+    store.checkpoint().unwrap();
+    assert_eq!(state(&store), before, "nor does a checkpoint persist it");
+    drop(store);
+    let reopened = SpillStore::open(&dir, spill_config(), durable).unwrap();
+    assert_eq!(reopened.snapshot_list(list).unwrap(), before.1);
+    drop(reopened);
+
+    // Every slot is cold (budget 0), so the insert rebuilds a page.
+    let store = Arc::new(open(".pages"));
+    let result = store.insert(list, element(50.0, 1, b"unpaged"));
+    assert!(matches!(result, Err(StoreError::Io(_))), "{result:?}");
+    assert_eq!(state(&store), before);
+    let batch = ReplicationSource::new(Arc::clone(&store))
+        .unwrap()
+        .frames_after(&[0; NUM_SHARDS], usize::MAX)
+        .unwrap();
+    assert!(batch.frames.is_empty() && !batch.need_snapshot);
+    for wal in store.wal_paths() {
+        assert_eq!(fs::metadata(&wal).unwrap().len(), 0, "{}", wal.display());
+    }
 }
 
 /// Under `SyncPolicy::EveryN` a *clean* shutdown must still keep every
@@ -792,7 +854,7 @@ fn wal_prefix_case(cut: u64) {
     );
     assert_eq!(recovered.metrics().truncated_wal_records, u64::from(torn));
     assert!(recovered.verify_ordering());
-    assert!(recovered.budget_accounting_is_exact());
+    assert!(recovered.resident_bytes_within_budget());
 
     // The truncated store keeps accepting writes durably.
     recovered

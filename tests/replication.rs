@@ -808,6 +808,47 @@ fn clean_replica_shutdown_keeps_every_applied_frame() {
     assert_eq!(reopened.lag(), 0);
 }
 
+/// A replica whose own WAL cannot be written applies nothing: each pump
+/// across the failure reports the store error and leaves the frame
+/// neither served nor logged, so once the disk heals the frame applies
+/// exactly once — no duplicate.
+#[test]
+fn a_replica_whose_log_write_fails_applies_each_frame_once() {
+    let index = fixture_index(true);
+    let states = oracle_states(&index);
+    let root = TempRoot::new("replica-wal-fails");
+    let primary = create_primary(&root.join("primary"), index);
+    let source = ReplicationSource::new(Arc::clone(&primary)).unwrap();
+    let transport = InProcessTransport::new(source) as Arc<dyn ReplicaTransport>;
+    let replica_root = root.join("replica");
+    drop(Replica::bootstrap(Arc::clone(&transport), &replica_root, replica_config()).unwrap());
+    let faults = FaultIo::new(FaultMode::FailWritesTo(".wal"));
+    let mut replica = Replica::bootstrap_with(
+        transport,
+        &replica_root,
+        replica_config(),
+        Arc::clone(&faults) as Arc<dyn PageIo>,
+    )
+    .unwrap();
+    let held = |replica: &Replica| {
+        let store = replica.store();
+        (0..NUM_LISTS as u64)
+            .map(|l| store.snapshot_list(MergedListId(l)).unwrap())
+            .collect::<Vec<_>>()
+    };
+    let before = held(&replica);
+    for (list, el) in insert_history() {
+        primary.insert(MergedListId(list as u64), el).unwrap();
+    }
+    for pump in 0..2 {
+        assert!(replica.pump().is_err(), "pump {pump}");
+        assert_eq!(held(&replica), before, "pump {pump} served a frame");
+    }
+    faults.heal();
+    replica.catch_up(500).unwrap();
+    assert_converged(&replica.store(), &states, "after the log healed");
+}
+
 /// A subscriber position of `u64::MAX` — anything the transport hands
 /// over — never panics the source: past the end of every shard's log it
 /// simply yields no frames, even once the primary's WAL holds records.

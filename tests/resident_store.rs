@@ -109,7 +109,7 @@ fn a_resident_store_creates_nothing_on_disk_and_runs_no_paging_machinery() {
     store.checkpoint().unwrap();
     assert!(!store.compact_shard(0).unwrap());
     assert_eq!(store.retier_shard(0).unwrap(), (0, 0));
-    assert!(store.budget_accounting_is_exact());
+    assert!(store.resident_bytes_within_budget());
 
     let m = store.metrics();
     assert!(m.resident_bytes > 0 && m.lock_acquisitions > 0);

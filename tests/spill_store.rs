@@ -231,7 +231,7 @@ fn compaction_under_concurrent_load_never_tears_an_answer() {
     }
 
     assert!(store.verify_ordering());
-    assert!(store.budget_accounting_is_exact());
+    assert!(store.resident_bytes_within_budget());
     for shard in 0..SHARDS {
         store.compact_shard(shard).unwrap();
     }

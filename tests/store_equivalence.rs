@@ -542,9 +542,9 @@ proptest! {
         // The self-managing configuration's exact budget accounting must
         // survive any interleaving of serving traffic with its maintenance
         // passes,
-        prop_assert!(engine.tiering.budget_accounting_is_exact());
+        prop_assert!(engine.tiering.resident_bytes_within_budget());
         // and the same invariant WAL appends, checkpoints and WAL resets.
-        prop_assert!(engine.durable.budget_accounting_is_exact());
+        prop_assert!(engine.durable.resident_bytes_within_budget());
         // The resident lifecycle never paged, logged or maintained anything.
         let idle = engine.resident.metrics();
         prop_assert_eq!(
@@ -1085,5 +1085,5 @@ fn bottom_inserts_and_inserts_into_an_empty_list_answer_like_the_oracle() {
         let id = MergedListId(l);
         assert_eq!(reopened.snapshot_list(id).unwrap(), model.list(id).unwrap());
     }
-    assert!(reopened.budget_accounting_is_exact());
+    assert!(reopened.resident_bytes_within_budget());
 }
