@@ -28,9 +28,10 @@ pub struct QueryRequest {
     pub list: u64,
     /// Number of already received elements (0 for the initial request).
     pub offset: u64,
-    /// Cursor session to resume (0 = none; the server opens one on the
-    /// initial request and returns its id in the response).  A server that
-    /// evicted the session falls back to the stateless `offset` scan.
+    /// Cursor session to resume (0 = none; the initial request opens none,
+    /// the server opens one on the first follow-up and returns its id in
+    /// the response).  A server that evicted the session falls back to the
+    /// stateless `offset` scan.
     pub cursor: u64,
     /// Number of elements requested in this round.
     pub count: u32,

@@ -15,13 +15,13 @@
 //!   spill or durable store is built by its owner, in a directory the
 //!   owner names, and handed to [`IndexServer::with_store`].
 //!   Traffic counters are lock-free atomics.
-//! * **Cursor sessions** — the first ranged request of a query opens a
-//!   per-list cursor (a physical position in TRS order).  Follow-up requests
-//!   (Section 5.2's doubling protocol) resume from the cursor instead of
-//!   re-scanning the list from the top; the server closes the session when
-//!   the list is exhausted.  Evicted or foreign cursors fall back to the
-//!   stateless offset scan, so the responses are element-for-element
-//!   identical either way.
+//! * **Cursor sessions** — a query's initial request is a plain ranged
+//!   fetch; its first follow-up opens a per-list cursor (a physical
+//!   position in TRS order), and later follow-ups (Section 5.2's doubling
+//!   protocol) resume from the cursor instead of re-scanning the list from
+//!   the top; the server closes the session when the list is exhausted.
+//!   Evicted or foreign cursors fall back to the stateless offset scan, so
+//!   the responses are element-for-element identical either way.
 //! * **One read path** — [`IndexServer::handle_query`] and
 //!   [`IndexServer::handle_query_batch`] (one user's multi-term round) are
 //!   two fronts over one per-request path to the store: a live cursor

@@ -57,7 +57,7 @@ use zerber_corpus::GroupId;
 use zerber_r::OrderedElement;
 
 use crate::convert::{u64_of, usize_of};
-use crate::durable::{crc32, io_err, scan_wal, PageIo, RealIo, WalRecord};
+use crate::durable::{check_element, crc32, io_err, scan_wal, PageIo, RealIo, WalRecord};
 use crate::error::StoreError;
 use crate::lockrank::{self, LockClass, Mode, Ranked};
 use crate::sharded::SpillStore;
@@ -582,11 +582,16 @@ impl Replica {
         let store = self.store();
         let mut applied_count = 0usize;
         let mut skipped = 0usize;
-        for (shard, applied_at, record) in records {
+        for (shard, applied_at, mut record) in records {
             let list = MergedListId(record.list);
-            if store.shard_of(list) != shard {
-                // A frame routed to the wrong shard is corruption the CRC
-                // cannot see (the sender lied); never apply it.
+            if record.list >= u64_of(store.num_lists())
+                || store.shard_of(list) != shard
+                || check_element(&mut record.element).is_err()
+            {
+                // A frame naming no list, routed to the wrong shard or
+                // carrying an element the store refuses is corruption the
+                // CRC cannot see (the sender lied); never apply it.  `Err`
+                // stays the replica's own store failing.
                 corrupt += 1;
                 continue;
             }
@@ -918,8 +923,12 @@ impl ListStore for ReplicaReadStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::durable::encode_wal_frame;
+    use crate::durable::{encode_wal_frame, DurableConfig};
+    use crate::spill::SpillConfig;
+    use crate::tests::TempRoot;
     use zerber_base::EncryptedElement;
+    use zerber_corpus::TermId;
+    use zerber_r::OrderedIndex;
 
     fn element(trs: f64) -> OrderedElement {
         let group = GroupId(1);
@@ -1037,5 +1046,82 @@ mod tests {
             heads: Vec::new(),
         };
         assert!(verify_snapshot(&empty).is_err());
+    }
+
+    /// Serves the primary's real snapshot, but answers every poll with the
+    /// frames it was built with.
+    #[derive(Debug)]
+    struct ForgedTail {
+        primary: Arc<InProcessTransport>,
+        frames: Vec<WireFrame>,
+    }
+
+    impl ReplicaTransport for ForgedTail {
+        fn fetch_snapshot(&self) -> Result<SnapshotPayload, TransportError> {
+            self.primary.fetch_snapshot()
+        }
+
+        fn poll_frames(&self, from: &[u64], _max: usize) -> Result<FrameBatch, TransportError> {
+            Ok(FrameBatch {
+                frames: self.frames.clone(),
+                heads: from.iter().map(|&seq| seq + 1).collect(),
+                need_snapshot: false,
+            })
+        }
+    }
+
+    #[test]
+    fn a_crc_valid_frame_the_store_would_refuse_is_a_disconnect() {
+        // One list on one shard.  Each forged frame is CRC-valid, on the
+        // right shard and next in sequence, yet names no list or carries
+        // an element outside the contract: the replica drops it as
+        // corrupt, exactly like a wrong-shard frame, and stays as it was.
+        let root = TempRoot::new("forged-frame");
+        let plan = MergePlan::from_term_lists(vec![vec![TermId(0)]], "forged-fixture", 2.0);
+        let index = OrderedIndex::from_parts(vec![vec![element(0.9)]], plan);
+        let primary = SpillStore::create_durable(
+            index,
+            root.join("primary"),
+            1,
+            SpillConfig::default(),
+            DurableConfig::default(),
+        )
+        .unwrap();
+        let source = InProcessTransport::new(ReplicationSource::new(Arc::new(primary)).unwrap());
+        let forged = [
+            ("a list past num_lists", 1, element(0.5)),
+            ("a NaN TRS", 0, element(f64::NAN)),
+            ("an infinite TRS", 0, element(f64::INFINITY)),
+        ];
+        for (i, (what, list, forged)) in forged.into_iter().enumerate() {
+            let transport = Arc::new(ForgedTail {
+                primary: Arc::clone(&source),
+                frames: vec![WireFrame {
+                    shard: 0,
+                    bytes: encode_wal_frame(1, list, &forged).unwrap(),
+                }],
+            });
+            let mut replica = Replica::bootstrap(
+                transport,
+                root.join(format!("replica-{i}")),
+                ReplicaConfig::default(),
+            )
+            .unwrap();
+            let outcome = replica.pump();
+            assert!(
+                matches!(outcome, Ok(PumpOutcome::Disconnected { .. })),
+                "{what}: {outcome:?}"
+            );
+            assert_eq!(replica.applied_seqs(), [0], "{what}");
+            let stats = replica.stats();
+            assert_eq!((stats.frames_streamed, stats.reconnects), (0, 1), "{what}");
+            let store = replica.store();
+            assert_eq!(store.metrics().wal_appends, 0, "{what}");
+            assert_eq!(
+                store.snapshot_list(MergedListId(0)).unwrap(),
+                [element(0.9)],
+                "{what}"
+            );
+        }
     }
 }

@@ -11,7 +11,8 @@
 //! Cursor sessions live *inside* the shard that owns their list, so the
 //! position adjustment an insert must apply to open cursors happens under
 //! the same write lock as the insert itself — no separate session lock, no
-//! position races.
+//! position races.  A follow-up advances its session under the shard read
+//! lock; the write lock is taken to open or close a session, or to insert.
 //!
 //! There is one store, [`SpillStore`], and it runs in three lifecycles that
 //! differ only in where the sealed bytes live:
@@ -317,22 +318,11 @@ impl ListStore for SpillStore {
         let shard = self.cursor_shard(cursor)?;
         let filter = GroupFilter::normalise(accessible);
         self.meter_lock();
-        let (result, sweep_due) = {
-            let guard = self.shard_read(shard);
-            let result = guard.cursor_fetch(cursor.0, owner, count, &filter);
-            (result, guard.ttl_sweep_due())
-        };
-        if sweep_due {
-            // A TTL sweep is due (at most once per TTL window): upgrade to
-            // the write lock so a read-heavy workload with stable cursors
-            // still reclaims idle sessions.
-            self.meter_lock();
-            self.shard_write(shard).sweep_expired();
-        }
-        if result.is_ok() {
-            self.tier_maintenance(shard);
-        }
-        result
+        let batch = self
+            .shard_read(shard)
+            .cursor_fetch(cursor.0, owner, count, &filter)?;
+        self.tier_maintenance(shard);
+        Ok(batch)
     }
 
     fn close_cursor(&self, cursor: CursorId, owner: u64) {

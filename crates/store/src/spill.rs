@@ -217,7 +217,8 @@ struct PageFile {
 struct CacheSlot {
     segment: Arc<Segment>,
     bytes: usize,
-    last_used: u64,
+    /// The cache clock at the page's last hit or fault: the LRU order.
+    recency: u64,
 }
 
 #[derive(Debug, Default)]
@@ -410,8 +411,7 @@ impl Pager {
             cache.clock += 1;
             let now = cache.clock;
             while cache.entries.len() >= self.cache_capacity {
-                let Some((&oldest, _)) = cache.entries.iter().min_by_key(|(_, s)| s.last_used)
-                else {
+                let Some((&oldest, _)) = cache.entries.iter().min_by_key(|(_, s)| s.recency) else {
                     break;
                 };
                 if let Some(slot) = cache.entries.remove(&oldest) {
@@ -425,7 +425,7 @@ impl Pager {
                 CacheSlot {
                     segment: Arc::clone(&segment),
                     bytes,
-                    last_used: now,
+                    recency: now,
                 },
             );
         }
@@ -439,7 +439,7 @@ impl Pager {
         cache.clock += 1;
         let now = cache.clock;
         let slot = cache.entries.get_mut(&page.offset)?;
-        slot.last_used = now;
+        slot.recency = now;
         self.hits.fetch_add(1, Ordering::Relaxed);
         Some(Arc::clone(&slot.segment))
     }
@@ -1409,9 +1409,17 @@ impl DurableState {
 
     /// The shard's WAL up to its published length, read under the append
     /// mutex: it scans clean, every frame in it complete, CRC-valid and
-    /// applied.
+    /// applied.  Frames the sync policy has not fsynced yet are fsynced
+    /// first, so whatever ships — snapshot or tail — is what a power
+    /// failure of the primary cannot take back: a replica is never ahead
+    /// of what the primary recovers, and a sequence number it applied is
+    /// never handed to another insert.
     fn wal_image(&self, shard: usize) -> Result<Vec<u8>, StoreError> {
         let mut wal = self.wals[shard].lock();
+        if wal.appends_since_sync > 0 {
+            wal.file.sync().map_err(io_err)?;
+            wal.appends_since_sync = 0;
+        }
         let len = usize::try_from(wal.len)
             .map_err(|_| StoreError::Io("WAL too large to read".to_string()))?;
         let mut image = vec![0u8; len];

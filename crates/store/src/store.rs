@@ -18,7 +18,7 @@
 //! [`SpillList::scan`].
 
 use std::borrow::Cow;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use zerber_base::{MergePlan, MergedListId};
 use zerber_corpus::GroupId;
@@ -149,24 +149,16 @@ pub struct SessionStats {
     pub opened_total: u64,
     /// Sessions evicted because the table hit [`MAX_CURSORS_PER_TABLE`].
     pub capacity_evictions: u64,
-    /// Sessions expired because they sat idle for more than
-    /// [`SESSION_TTL_TICKS`] logical clock ticks.
-    pub ttl_evictions: u64,
-    /// Current logical clock (requests served by the table(s)).
-    pub clock: u64,
 }
 
 impl SessionStats {
-    /// Sums per-shard stats into one table-wide view (clocks add up, so the
-    /// aggregate clock counts requests across all shards).
+    /// Sums per-shard stats into one table-wide view.
     pub fn aggregate(stats: impl IntoIterator<Item = SessionStats>) -> SessionStats {
         let mut total = SessionStats::default();
         for s in stats {
             total.open += s.open;
             total.opened_total += s.opened_total;
             total.capacity_evictions += s.capacity_evictions;
-            total.ttl_evictions += s.ttl_evictions;
-            total.clock += s.clock;
         }
         total
     }
@@ -344,28 +336,21 @@ impl<'a> GroupFilter<'a> {
     }
 }
 
-/// Open cursors a session table holds before the oldest is evicted
-/// (abandoned sessions must not grow the table without bound), per shard.
+/// Open cursors a session table holds, per shard.  The bound is the one
+/// rule that reclaims an abandoned session: opening one more evicts the
+/// oldest (smallest-id), so abandoned sessions cannot grow the table.
 pub(crate) const MAX_CURSORS_PER_TABLE: usize = 1024;
-
-/// Idle sessions older than this many logical clock ticks (one tick per
-/// request the table serves) are expired the next time the session table is
-/// written.  Large enough that any live client walking a list keeps its
-/// session; small enough that a table of abandoned sessions drains under
-/// ongoing traffic instead of waiting for capacity pressure.
-pub const SESSION_TTL_TICKS: u64 = 1 << 14;
 
 /// One cursor session: the local slot of its list, its owner's tag and the
 /// physical position of the next element to scan.  The position is atomic
 /// so a follow-up can advance it under a shared read lock; inserts shift it
-/// under the exclusive lock.
+/// under the exclusive lock.  A session lives until its owner closes it or
+/// a full table evicts it.
 #[derive(Debug)]
 struct Cursor {
     slot: usize,
     owner: u64,
     position: AtomicUsize,
-    /// Logical clock value of the session's last use (for TTL expiry).
-    last_used: AtomicU64,
 }
 
 /// The storage state owned by one lock domain — a shard of the store: the
@@ -373,35 +358,13 @@ struct Cursor {
 /// them.  Keeping cursors in
 /// the same lock domain as their lists means the position shifts an insert
 /// must apply happen under the same exclusive lock as the insert.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub(crate) struct ListTable {
     lists: Vec<SpillList>,
     generations: Vec<u64>,
     cursors: std::collections::HashMap<u64, Cursor>,
-    /// Logical clock: ticks once per request served by this table.
-    clock: AtomicU64,
-    /// Clock value of the last TTL sweep.  Read paths use it to decide when
-    /// a sweep is due, so a read-heavy workload still reclaims idle
-    /// sessions (writes always sweep).
-    last_sweep: AtomicU64,
     opened: u64,
     capacity_evictions: u64,
-    ttl_evictions: u64,
-}
-
-impl Default for ListTable {
-    fn default() -> Self {
-        ListTable {
-            lists: Vec::new(),
-            generations: Vec::new(),
-            cursors: std::collections::HashMap::new(),
-            clock: AtomicU64::new(0),
-            last_sweep: AtomicU64::new(0),
-            opened: 0,
-            capacity_evictions: 0,
-            ttl_evictions: 0,
-        }
-    }
 }
 
 impl ListTable {
@@ -409,10 +372,6 @@ impl ListTable {
     pub fn push_list(&mut self, list: SpillList) {
         self.lists.push(list);
         self.generations.push(0);
-    }
-
-    fn tick(&self) -> u64 {
-        self.clock.fetch_add(1, Ordering::Relaxed) + 1
     }
 
     /// The list stored at a local slot.
@@ -457,8 +416,6 @@ impl ListTable {
             open: self.cursors.len(),
             opened_total: self.opened,
             capacity_evictions: self.capacity_evictions,
-            ttl_evictions: self.ttl_evictions,
-            clock: self.clock.load(Ordering::Relaxed),
         }
     }
 
@@ -470,7 +427,6 @@ impl ListTable {
         count: usize,
         filter: &GroupFilter<'_>,
     ) -> Result<RangedBatch, StoreError> {
-        self.tick();
         let list = &self.lists[slot];
         let visible_total = list.visible_total(filter);
         let (elements, next_physical) = list.scan(0, offset, count, filter)?;
@@ -483,38 +439,12 @@ impl ListTable {
         })
     }
 
-    /// Whether a TTL sweep is due: at most one sweep per
-    /// [`SESSION_TTL_TICKS`] window, and only while sessions exist.  Cursor
-    /// advances check this under the shared lock and upgrade to
-    /// [`ListTable::sweep_expired`] when true, so a read-only workload with
-    /// stable cursors still drains idle sessions.
-    pub fn ttl_sweep_due(&self) -> bool {
-        !self.cursors.is_empty()
-            && self
-                .clock
-                .load(Ordering::Relaxed)
-                .saturating_sub(self.last_sweep.load(Ordering::Relaxed))
-                >= SESSION_TTL_TICKS
-    }
-
-    /// Expires every session idle for more than [`SESSION_TTL_TICKS`] ticks.
-    pub fn sweep_expired(&mut self) {
-        let now = self.clock.load(Ordering::Relaxed);
-        let before = self.cursors.len();
-        self.cursors.retain(|_, c| {
-            now.saturating_sub(c.last_used.load(Ordering::Relaxed)) <= SESSION_TTL_TICKS
-        });
-        self.ttl_evictions += (before - self.cursors.len()) as u64;
-        self.last_sweep.store(now, Ordering::Relaxed);
-    }
-
     /// Opens a cursor session with the caller-allocated id `raw`, continuing
     /// after `batch`.  If inserts moved the list since the batch was served
     /// (generation mismatch), the session resumes just past the
     /// `delivered`-th visible element of the current list (the list length
-    /// when it holds fewer), found by the same scan a fetch runs.
-    /// Before inserting, idle sessions past [`SESSION_TTL_TICKS`] are
-    /// expired, then capacity pressure evicts the oldest session.
+    /// when it holds fewer), found by the same scan a fetch runs.  A full
+    /// table first evicts its oldest session.
     pub fn open_cursor(
         &mut self,
         raw: u64,
@@ -524,8 +454,6 @@ impl ListTable {
         delivered: usize,
         accessible: Option<&[GroupId]>,
     ) -> Result<(), StoreError> {
-        let now = self.tick();
-        self.sweep_expired();
         if self.cursors.len() >= MAX_CURSORS_PER_TABLE {
             // Evict the oldest (smallest-id) abandoned session.
             if let Some(&oldest) = self.cursors.keys().min() {
@@ -549,7 +477,6 @@ impl ListTable {
                 slot,
                 owner,
                 position: AtomicUsize::new(position),
-                last_used: AtomicU64::new(now),
             },
         );
         Ok(())
@@ -567,13 +494,11 @@ impl ListTable {
         count: usize,
         filter: &GroupFilter<'_>,
     ) -> Result<RangedBatch, StoreError> {
-        let now = self.tick();
         let cursor = self
             .cursors
             .get(&raw)
             .filter(|c| c.owner == owner)
             .ok_or(StoreError::UnknownCursor(raw))?;
-        cursor.last_used.store(now, Ordering::Relaxed);
         let list = &self.lists[cursor.slot];
         let generation = self.generations[cursor.slot];
         let visible_total = list.visible_total(filter);
@@ -894,32 +819,6 @@ mod tests {
     }
 
     #[test]
-    fn idle_sessions_expire_after_the_ttl() {
-        let mut table = table();
-        let batch = table.fetch(0, 0, 1, &ALL).unwrap();
-        table.open_cursor(11, 0, 1, &batch, 1, None).unwrap();
-        // Tick the logical clock past the TTL with plain requests.
-        for _ in 0..=SESSION_TTL_TICKS {
-            table.fetch(0, 0, 1, &ALL).unwrap();
-        }
-        // A session used recently survives the sweep; the idle one expires
-        // when the table is next written.
-        table.open_cursor(12, 0, 1, &batch, 1, None).unwrap();
-        assert_eq!(table.session_stats().open, 1);
-        assert!(matches!(
-            table.cursor_fetch(11, 1, 1, &ALL),
-            Err(StoreError::UnknownCursor(11))
-        ));
-        assert!(table.cursor_fetch(12, 1, 1, &ALL).is_ok());
-        let stats = table.session_stats();
-        assert_eq!(stats.ttl_evictions, 1);
-        assert_eq!(stats.opened_total, 2);
-        assert_eq!(stats.open, 1);
-        assert_eq!(stats.capacity_evictions, 0);
-        assert!(stats.clock > SESSION_TTL_TICKS);
-    }
-
-    #[test]
     fn a_full_table_evicts_its_oldest_session() {
         let mut table = table();
         let batch = table.fetch(0, 0, 1, &ALL).unwrap();
@@ -931,7 +830,6 @@ mod tests {
         assert_eq!(stats.open, MAX_CURSORS_PER_TABLE);
         assert_eq!(stats.opened_total, newest);
         assert_eq!(stats.capacity_evictions, 1);
-        assert_eq!(stats.ttl_evictions, 0);
         // The smallest id went; the newest resumes where its batch stopped.
         assert!(matches!(
             table.cursor_fetch(1, 1, 1, &ALL),
@@ -951,22 +849,16 @@ mod tests {
             open: 1,
             opened_total: 4,
             capacity_evictions: 2,
-            ttl_evictions: 1,
-            clock: 10,
         };
         let b = SessionStats {
             open: 2,
             opened_total: 3,
             capacity_evictions: 0,
-            ttl_evictions: 2,
-            clock: 5,
         };
         let total = SessionStats::aggregate([a, b]);
         assert_eq!(total.open, 3);
         assert_eq!(total.opened_total, 7);
         assert_eq!(total.capacity_evictions, 2);
-        assert_eq!(total.ttl_evictions, 3);
-        assert_eq!(total.clock, 15);
     }
 
     #[test]

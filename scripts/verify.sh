@@ -135,7 +135,7 @@ PY
 # The non-test lines of crates/store/src + crates/protocol/src may only go
 # down: lower the ceiling (the landed total, rounded up to the next 25)
 # when a PR removes code, never raise it to make room.
-LOC_CEILING=7550
+LOC_CEILING=7475
 echo "==> line-count ratchet (scripts/loc.sh total <= $LOC_CEILING)"
 loc_table="$(scripts/loc.sh)"
 loc_total="$(awk '$2 == "total" { print $1 }' <<<"$loc_table")"

@@ -16,9 +16,9 @@
 //!   insertion point;
 //! * only the owner closes a session.
 //!
-//! There are no generations, no TTL, no capacity eviction and no lock
-//! meter, so a batch's `generation` reads 0 and every metric reads 0.  It
-//! shares no code with the engine: the suites that include it (by `#[path]`,
+//! There are no generations, no capacity eviction and no lock meter, so a
+//! batch's `generation` reads 0 and every metric reads 0.  It shares no
+//! code with the engine: the suites that include it (by `#[path]`,
 //! like the fault doubles) hold the engine's sessions against this model,
 //! not against themselves.
 

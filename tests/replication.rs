@@ -849,6 +849,70 @@ fn a_replica_whose_log_write_fails_applies_each_frame_once() {
     assert_converged(&replica.store(), &states, "after the log healed");
 }
 
+/// A primary that loses its unsynced WAL tail in a power failure must not
+/// be behind a replica: everything it ships is fsynced first.  Under
+/// `EveryN(1000)` no insert syncs on its own, so without that the replica
+/// would apply five frames the reopened primary no longer holds, the
+/// primary would hand their sequence numbers to new inserts, and the
+/// replica would skip those and diverge with a lag of 0.
+#[test]
+fn a_replica_never_applies_a_frame_the_primary_can_lose() {
+    let index = fixture_index(true);
+    let root = TempRoot::new("primary-power-loss");
+    let primary_dir = root.join("primary");
+    let durable = DurableConfig {
+        sync: SyncPolicy::EveryN(1000),
+        checkpoint_wal_bytes: 1 << 30,
+    };
+    drop(create_primary(&primary_dir, index));
+    let primary = Arc::new(
+        SpillStore::open_with_io(
+            &primary_dir,
+            spill_config(),
+            durable,
+            FaultIo::new(FaultMode::Buffered) as Arc<dyn PageIo>,
+        )
+        .unwrap(),
+    );
+    let replica_of = |primary: &Arc<SpillStore>| {
+        let source = ReplicationSource::new(Arc::clone(primary)).unwrap();
+        let transport = InProcessTransport::new(source) as Arc<dyn ReplicaTransport>;
+        Replica::bootstrap(transport, root.join("replica"), replica_config()).unwrap()
+    };
+    let mut replica = replica_of(&primary);
+    let list = MergedListId(0);
+    for i in 0..5 {
+        let el = element(95.0 - i as f64, i, format!("lost{i}").as_bytes());
+        primary.insert(list, el).unwrap();
+    }
+    replica.catch_up(500).unwrap();
+    assert_eq!(replica.store().list_len(list).unwrap(), 3 + 5);
+    // Power failure: the primary never drops, so nothing flushes what the
+    // shim buffered since the last fsync.
+    std::mem::forget(primary);
+
+    let primary = Arc::new(SpillStore::open(&primary_dir, spill_config(), durable).unwrap());
+    for i in 0..7 {
+        let el = element(50.0 - i as f64, i, format!("new{i}").as_bytes());
+        primary.insert(list, el).unwrap();
+    }
+    drop(replica);
+    let mut replica = replica_of(&primary);
+    replica.catch_up(500).unwrap();
+    for l in 0..NUM_LISTS as u64 {
+        assert_eq!(
+            replica.store().snapshot_list(MergedListId(l)).unwrap(),
+            primary.snapshot_list(MergedListId(l)).unwrap(),
+            "list {l}: the replica diverged from the primary"
+        );
+    }
+    assert_eq!(
+        primary.list_len(list).unwrap(),
+        3 + 5 + 7,
+        "shipped is recoverable"
+    );
+}
+
 /// A subscriber position of `u64::MAX` — anything the transport hands
 /// over — never panics the source: past the end of every shard's log it
 /// simply yields no frames, even once the primary's WAL holds records.
