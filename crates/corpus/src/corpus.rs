@@ -142,14 +142,6 @@ impl CorpusBuilder {
         CorpusBuilder::default()
     }
 
-    /// Creates a builder with a custom tokenizer.
-    pub fn with_tokenizer(tokenizer: Tokenizer) -> Self {
-        CorpusBuilder {
-            tokenizer,
-            ..CorpusBuilder::default()
-        }
-    }
-
     /// Number of documents added so far.
     pub fn len(&self) -> usize {
         self.docs.len()

@@ -103,7 +103,7 @@ impl TermRun {
         self.cursor = response.cursor;
         let visible_total = usize::try_from(response.visible_total).unwrap_or(usize::MAX);
         let elements = response.elements.iter();
-        let elements = elements.map(|wire| (wire.group, wire.ciphertext.as_slice()));
+        let elements = elements.map(|wire| (wire.group, &*wire.ciphertext));
         Ok(self.run.absorb(visible_total, elements, keys)?)
     }
 
@@ -293,7 +293,7 @@ impl Client {
                     list: list.0,
                     group,
                     trs,
-                    ciphertext: sealed.ciphertext,
+                    ciphertext: sealed.ciphertext.to_vec(),
                 },
                 &self.token,
             )?;

@@ -7,6 +7,7 @@
 //! model charges for.
 
 use serde::{Deserialize, Serialize};
+use zerber_base::Ciphertext;
 use zerber_corpus::GroupId;
 use zerber_r::OrderedElement;
 // The per-element header on the wire is the store's element layout: 8-byte
@@ -55,13 +56,12 @@ pub struct WireElement {
     /// Access-control group of the element.
     pub group: GroupId,
     /// The sealed posting payload.
-    pub ciphertext: Vec<u8>,
+    pub ciphertext: Ciphertext,
 }
 
 impl From<OrderedElement> for WireElement {
-    /// The wire representation of an index element.  Takes the element by
-    /// value so the sealed payload moves into the response instead of being
-    /// copied a second time on the serve path.
+    /// The wire representation of an index element.  The sealed payload
+    /// moves over as it is: its bytes are inline, so this allocates nothing.
     fn from(e: OrderedElement) -> Self {
         WireElement {
             trs: e.trs,
@@ -155,7 +155,7 @@ impl QueryResponse {
             let len = u16::from_le_bytes(take(buf, pos + 12)?) as usize;
             pos += 14;
             need(buf.len() >= pos + len)?;
-            let ciphertext = buf[pos..pos + len].to_vec();
+            let ciphertext = buf[pos..pos + len].into();
             pos += len;
             elements.push(WireElement {
                 trs,
@@ -182,7 +182,7 @@ mod tests {
         WireElement {
             trs,
             group: GroupId(group),
-            ciphertext: vec![0xAB; len],
+            ciphertext: vec![0xAB; len].into(),
         }
     }
 

@@ -518,7 +518,7 @@ impl IndexServer {
             group: request.group,
             sealed: zerber_base::EncryptedElement {
                 group: request.group,
-                ciphertext: request.ciphertext.clone(),
+                ciphertext: request.ciphertext.as_slice().into(),
             },
         };
         self.store
@@ -1083,7 +1083,7 @@ mod tests {
             list,
             group: GroupId(1),
             trs: model.transform(term, payload.doc, payload.relevance()),
-            ciphertext: sealed.ciphertext,
+            ciphertext: sealed.ciphertext.to_vec(),
         };
         let alice = server.acl().issue_token("alice");
         server.handle_insert(&req, &alice).unwrap();
@@ -1158,7 +1158,7 @@ mod tests {
             group: GroupId(1),
             sealed: zerber_base::EncryptedElement {
                 group: GroupId(1),
-                ciphertext,
+                ciphertext: ciphertext.into(),
             },
         }
     }
@@ -1307,7 +1307,7 @@ mod tests {
             list,
             group: GroupId(1),
             trs,
-            ciphertext: sealed.ciphertext.clone(),
+            ciphertext: sealed.ciphertext.to_vec(),
         };
         let alice = server.acl().issue_token("alice");
         let before = server.num_elements();
@@ -1359,7 +1359,7 @@ mod tests {
                     list,
                     group: GroupId(0),
                     trs,
-                    ciphertext: sealed.ciphertext,
+                    ciphertext: sealed.ciphertext.to_vec(),
                 },
                 &john,
             )
@@ -1431,7 +1431,7 @@ mod tests {
             group: GroupId(1),
             sealed: zerber_base::EncryptedElement {
                 group: GroupId(1),
-                ciphertext: vec![7u8; 40],
+                ciphertext: vec![7u8; 40].into(),
             },
         };
         let root = TempRoot::new("server-stats-reset");

@@ -375,7 +375,7 @@ pub(crate) fn decode_element(buf: &[u8], pos: &mut usize) -> Result<OrderedEleme
     let group = GroupId(read_u32(buf, *pos + 8)?);
     let len = usize::from(read_u16(buf, *pos + 12)?);
     *pos += ELEMENT_HEADER_BYTES;
-    let ciphertext = read_bytes(buf, *pos, len)?.to_vec();
+    let ciphertext = read_bytes(buf, *pos, len)?.into();
     *pos += len;
     if !trs.is_finite() {
         return Err(StoreError::CorruptSegment(
@@ -779,7 +779,7 @@ mod tests {
             group: GroupId(group),
             sealed: EncryptedElement {
                 group: GroupId(group),
-                ciphertext: ct.to_vec(),
+                ciphertext: ct.into(),
             },
         }
     }

@@ -596,7 +596,7 @@ mod tests {
                         group: GroupId(0),
                         sealed: zerber_base::EncryptedElement {
                             group: GroupId(0),
-                            ciphertext: vec![1, 2, 3],
+                            ciphertext: vec![1, 2, 3].into(),
                         },
                     }
                 )

@@ -937,7 +937,7 @@ mod tests {
             group,
             sealed: EncryptedElement {
                 group,
-                ciphertext: vec![0xAB; 4],
+                ciphertext: vec![0xAB; 4].into(),
             },
         }
     }

@@ -5,8 +5,8 @@
 //! The paper's server holds merged posting lists as sealed elements in TRS
 //! order; its economics hinge on how cheaply that ordered store can be held
 //! and scanned.  A plain `Vec<OrderedElement>` pays the full struct width
-//! (plus one heap allocation) per element.  A [`Segment`] instead keeps the
-//! elements in compressed **blocks**:
+//! per element (72 bytes, the sealed bytes inline).  A [`Segment`] instead
+//! keeps the elements in compressed **blocks**:
 //!
 //! * TRS values are delta-encoded through the order-preserving
 //!   [`sortable_bits`] mapping — bit-exact, so decoded elements compare
@@ -229,13 +229,15 @@ pub(crate) struct RawElement<'a> {
 }
 
 impl RawElement<'_> {
+    /// The element as the store hands it out: its ciphertext is copied into
+    /// the element's inline bytes, so a sealed posting allocates nothing.
     fn materialize(&self) -> OrderedElement {
         OrderedElement {
             trs: self.trs,
             group: self.group,
             sealed: EncryptedElement {
                 group: self.sealed_group,
-                ciphertext: self.ciphertext.to_vec(),
+                ciphertext: self.ciphertext.into(),
             },
         }
     }
@@ -859,7 +861,7 @@ mod tests {
             group: GroupId(group),
             sealed: EncryptedElement {
                 group: GroupId(group),
-                ciphertext: ct.to_vec(),
+                ciphertext: ct.into(),
             },
         }
     }
@@ -1313,7 +1315,7 @@ mod fuzz {
                 group: GroupId(group % 8),
                 sealed: EncryptedElement {
                     group: GroupId(group % 8),
-                    ciphertext: ct,
+                    ciphertext: ct.into(),
                 },
             })
             .collect();

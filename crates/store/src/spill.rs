@@ -1777,8 +1777,13 @@ impl SpillStore {
                 // Keep-serving truncation: everything after the last valid
                 // frame is discarded, on disk and in memory.
                 file.set_len(scan.valid_len).map_err(io_err)?;
-                file.sync().map_err(io_err)?;
                 truncated += 1;
+            }
+            // A crashed process's unsynced frames may sit only in the OS
+            // cache: sync them before they serve or ship, or a power
+            // failure takes back what a replica already applied.
+            if scan.torn || scan.valid_len > 0 {
+                file.sync().map_err(io_err)?;
             }
             let last_seq = scan.records.last().map_or(0, |r| r.seq);
             wals.push(Mutex::new(WalFile {
@@ -2293,7 +2298,7 @@ mod tests {
             group: GroupId(group),
             sealed: EncryptedElement {
                 group: GroupId(group),
-                ciphertext: ct.to_vec(),
+                ciphertext: ct.into(),
             },
         }
     }

@@ -573,7 +573,7 @@ mod tests {
             group: GroupId(group),
             sealed: EncryptedElement {
                 group: GroupId(group),
-                ciphertext: vec![0u8; 4],
+                ciphertext: vec![0u8; 4].into(),
             },
         }
     }

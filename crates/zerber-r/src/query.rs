@@ -215,9 +215,7 @@ pub fn retrieve_topk(
     let visible_total = index.visible_len(list, groups)?;
     while !run.is_done() {
         let batch = index.fetch(list, run.received(), run.next_size(), groups)?;
-        let elements = batch
-            .iter()
-            .map(|e| (e.group, e.sealed.ciphertext.as_slice()));
+        let elements = batch.iter().map(|e| (e.group, &*e.sealed.ciphertext));
         run.absorb(visible_total, elements, memberships)?;
     }
     Ok(run.finish())
@@ -357,9 +355,7 @@ mod tests {
         let mut run = RetrievalRun::new(f.index.plan(), term, &config).unwrap();
         let list = run.list();
         let batch = f.index.fetch(list, 0, 200, None).unwrap();
-        let elements = batch
-            .iter()
-            .map(|e| (e.group, e.sealed.ciphertext.as_slice()));
+        let elements = batch.iter().map(|e| (e.group, &*e.sealed.ciphertext));
         run.absorb(batch.len(), elements, &only_g0).unwrap();
         assert_eq!(run.received(), batch.len());
         let outcome = run.finish();

@@ -4,7 +4,11 @@
 //! identifiers within each posting element in an encrypted form"
 //! (Section 3.1).  The plaintext payload is a fixed-size record so that every
 //! sealed element has the same length — element sizes therefore leak nothing
-//! about the term or the document.
+//! about the term or the document.  That length is also why an element's
+//! [`Ciphertext`] holds its bytes inline: materializing one allocates nothing.
+
+use std::fmt;
+use std::ops::Deref;
 
 use serde::{Deserialize, Serialize};
 use zerber_corpus::{DocId, GroupId, TermId};
@@ -70,6 +74,60 @@ impl PostingPayload {
     }
 }
 
+/// The sealed bytes of one posting element.  Up to [`SEALED_PAYLOAD_BYTES`]
+/// (every element [`EncryptedElement::seal`] makes) live inline; a longer
+/// ciphertext, which the store's element contract admits up to 64 KiB, lives
+/// on the heap.  The variant follows from the length and inline bytes past
+/// it are zero, so the derived equality is byte equality.
+#[derive(Clone, PartialEq, Eq)]
+pub struct Ciphertext(Repr);
+
+#[derive(Clone, PartialEq, Eq)]
+enum Repr {
+    Inline(u8, [u8; SEALED_PAYLOAD_BYTES]),
+    Heap(Box<[u8]>),
+}
+
+impl From<&[u8]> for Ciphertext {
+    fn from(bytes: &[u8]) -> Self {
+        let mut inline = [0u8; SEALED_PAYLOAD_BYTES];
+        match (inline.get_mut(..bytes.len()), u8::try_from(bytes.len())) {
+            (Some(head), Ok(len)) => {
+                head.copy_from_slice(bytes);
+                Ciphertext(Repr::Inline(len, inline))
+            }
+            _ => Ciphertext(Repr::Heap(bytes.into())),
+        }
+    }
+}
+
+impl From<Vec<u8>> for Ciphertext {
+    fn from(bytes: Vec<u8>) -> Self {
+        if bytes.len() <= SEALED_PAYLOAD_BYTES {
+            bytes.as_slice().into()
+        } else {
+            Ciphertext(Repr::Heap(bytes.into_boxed_slice()))
+        }
+    }
+}
+
+impl Deref for Ciphertext {
+    type Target = [u8];
+
+    fn deref(&self) -> &[u8] {
+        match &self.0 {
+            Repr::Inline(len, bytes) => &bytes[..usize::from(*len)],
+            Repr::Heap(bytes) => bytes,
+        }
+    }
+}
+
+impl fmt::Debug for Ciphertext {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&**self, f)
+    }
+}
+
 /// One encrypted posting element as stored on the (untrusted) index server.
 ///
 /// The access-control group is visible to the server — it must be, because
@@ -80,7 +138,7 @@ pub struct EncryptedElement {
     /// The group whose members may decrypt the payload.
     pub group: GroupId,
     /// AEAD-sealed [`PostingPayload`], bound to the merged list id.
-    pub ciphertext: Vec<u8>,
+    pub ciphertext: Ciphertext,
 }
 
 impl EncryptedElement {
@@ -94,7 +152,7 @@ impl EncryptedElement {
     ) -> Result<Self, ZerberError> {
         let nonce = rng.nonce();
         let aad = list.0.to_le_bytes();
-        let ciphertext = keys.aead().seal(&nonce, &payload.encode(), &aad);
+        let ciphertext = keys.aead().seal(&nonce, &payload.encode(), &aad).into();
         Ok(EncryptedElement { group, ciphertext })
     }
 
@@ -201,7 +259,7 @@ mod tests {
             .unwrap();
         assert_eq!(e.ciphertext.len() * 8, 352);
         for bit in 0..352 {
-            let mut flipped = e.ciphertext.clone();
+            let mut flipped = e.ciphertext.to_vec();
             flipped[bit / 8] ^= 1 << (bit % 8);
             assert!(
                 EncryptedElement::open_ciphertext(&flipped, &keys, MergedListId(3)).is_err(),
@@ -236,6 +294,47 @@ mod tests {
             })
             .collect();
         assert!(sizes.iter().all(|&s| s == SEALED_PAYLOAD_BYTES));
+    }
+
+    fn is_inline(c: &Ciphertext) -> bool {
+        matches!(c.0, Repr::Inline(..))
+    }
+
+    #[test]
+    fn ciphertexts_up_to_the_sealed_size_stay_inline_and_longer_ones_go_to_the_heap() {
+        for len in 0..=SEALED_PAYLOAD_BYTES + 1 {
+            let bytes: Vec<u8> = (0..len).map(|i| (i as u8).wrapping_mul(31) | 1).collect();
+            let (borrowed, owned) = (
+                Ciphertext::from(&bytes[..]),
+                Ciphertext::from(bytes.clone()),
+            );
+            assert_eq!(
+                is_inline(&borrowed),
+                len <= SEALED_PAYLOAD_BYTES,
+                "length {len}"
+            );
+            assert_eq!(*borrowed, bytes[..], "length {len}");
+            assert_eq!(borrowed, owned, "length {len}");
+        }
+        let longest = vec![0xC3; 65_535];
+        let heap = Ciphertext::from(&longest[..]);
+        assert!(!is_inline(&heap));
+        assert_eq!(*heap, longest[..]);
+        assert_eq!(heap, Ciphertext::from(longest));
+        assert_ne!(
+            Ciphertext::from(&[1u8, 2][..]),
+            Ciphertext::from(&[1u8, 2, 0][..])
+        );
+        assert_eq!(format!("{:?}", Ciphertext::from(&[1u8, 2][..])), "[1, 2]");
+        assert!(std::mem::size_of::<Ciphertext>() <= 48);
+    }
+
+    #[test]
+    fn a_freshly_sealed_posting_is_inline() {
+        let mut rng = DeterministicRng::from_u64(10);
+        let e = EncryptedElement::seal(&payload(), GroupId(2), &keys(), MergedListId(3), &mut rng)
+            .unwrap();
+        assert!(is_inline(&e.ciphertext));
     }
 
     #[test]

@@ -19,6 +19,8 @@ pub use confidentiality::{
     amplification, check_merged_terms, element_term_posterior, ConfidentialityParam,
     ListConfidentiality,
 };
-pub use element::{EncryptedElement, PostingPayload, PAYLOAD_BYTES, SEALED_PAYLOAD_BYTES};
+pub use element::{
+    Ciphertext, EncryptedElement, PostingPayload, PAYLOAD_BYTES, SEALED_PAYLOAD_BYTES,
+};
 pub use error::ZerberError;
 pub use merge::{BfmMerge, MergePlan, MergeScheme, MergedListId, MixedMerge, RandomMerge};

@@ -3,6 +3,7 @@
 # zerber_perf, the repository's one benchmark (BENCHMARK.json).
 #
 #   scripts/perf_gate.sh [--base REV] [--pairs N] [--first-seed S] [--workloads a,b,...] [--traced]
+#                        [--json FILE]
 #
 # Builds zerber_perf twice — from a `git archive` of REV (default HEAD~1)
 # and from the working tree — each into its own target directory under
@@ -16,6 +17,14 @@
 # better, and a verdict: `WORSE` (see below), `better` (ten or more pairs,
 # the change ahead in nine tenths of them, medians apart by more than the
 # parent's interquartile range) or `ok`.
+#
+# With --json FILE the same rows are also written to FILE as JSON, one
+# object per workload and metric, every reading divided by the parent's
+# median: the parent's and the change's [q1, median, q3], the change/parent
+# ratio, the pairs the change read better in and the verdict.  Absolute
+# readings drift between sessions on one machine, ratios against a parent
+# run in the same session do not, so a PR that claims a gain commits that
+# file as BENCH_PR<N>.json: the repository's perf trajectory.
 #
 # With --traced, after the pairs each side runs once more per workload with
 # `--trace 1` on seed 42, and every per-layer metric of BENCHMARK.json is
@@ -38,6 +47,7 @@ PAIRS=10
 FIRST_SEED=1
 WORKLOADS=""
 TRACED=0
+JSON=""
 while [ $# -gt 0 ]; do
   case "$1" in
     --base) BASE="$2"; shift 2 ;;
@@ -45,7 +55,8 @@ while [ $# -gt 0 ]; do
     --first-seed) FIRST_SEED="$2"; shift 2 ;;
     --workloads) WORKLOADS="$2"; shift 2 ;;
     --traced) TRACED=1; shift ;;
-    *) echo "usage: $0 [--base REV] [--pairs N] [--first-seed S] [--workloads a,b,...] [--traced]" >&2; exit 2 ;;
+    --json) JSON="$2"; shift 2 ;;
+    *) echo "usage: $0 [--base REV] [--pairs N] [--first-seed S] [--workloads a,b,...] [--traced] [--json FILE]" >&2; exit 2 ;;
   esac
 done
 
@@ -62,7 +73,7 @@ git archive "$BASE" | tar -x -C "$DIR/parent-src"
 echo "==> change: the working tree"
 CARGO_TARGET_DIR="$DIR/change-target" "${BUILD[@]}"
 
-exec python3 - "$DIR" "$PAIRS" "$WORKLOADS" "$FIRST_SEED" "$TRACED" <<'PY'
+exec python3 - "$DIR" "$PAIRS" "$WORKLOADS" "$FIRST_SEED" "$TRACED" "$JSON" "$(git rev-parse --short "$BASE")" <<'PY'
 import json
 import statistics
 import subprocess
@@ -72,6 +83,7 @@ gate_dir, pairs = sys.argv[1], int(sys.argv[2])
 only = set(filter(None, sys.argv[3].split(",")))
 first_seed = int(sys.argv[4])
 traced = sys.argv[5] == "1"
+json_out, base = sys.argv[6], sys.argv[7]
 seeds = range(first_seed, first_seed + pairs)
 contract = json.load(open("BENCHMARK.json"))
 seconds = str(contract["run_seconds"])
@@ -115,6 +127,7 @@ def quartiles(values):
 
 broken = []
 tables = []
+summary = []
 for workload in workloads:
     runs = {side: [] for side in sides}
     for i, seed in enumerate(seeds):
@@ -148,6 +161,17 @@ for workload in workloads:
             f"  {name:<28} {p2:>11.6g} [{p1:.6g}, {p3:.6g}]  ->  {c2:>11.6g} [{c1:.6g}, {c3:.6g}]"
             f"  x{c2 / p2:.3f}  {wins}/{len(paired)}  {verdict}"
         )
+        summary.append({
+            "workload": workload,
+            "metric": name,
+            "better": m["better"],
+            "parent": [round(v / p2, 4) for v in (p1, p2, p3)],
+            "change": [round(v / p2, 4) for v in (c1, c2, c3)],
+            "ratio": round(c2 / p2, 4),
+            "wins": wins,
+            "pairs": len(paired),
+            "verdict": verdict,
+        })
     tables.append((workload, len(paired), rows))
 
 traces = {w: {side: run(side, w, 42, trace=1) for side in sides} for w in workloads} if traced else {}
@@ -164,6 +188,16 @@ for workload, runs in traces.items():
     for m in contract["per_layer"]:
         p, c = (r["metrics"][m["name"]]["value"] if r else float("nan") for r in (runs["parent"], runs["change"]))
         print(f"  {m['name']:<40} {p:>12.6g}  ->  {c:>12.6g} {m['unit']}")
+if json_out:
+    with open(json_out, "w") as out:
+        json.dump({
+            "base": base,
+            "run_seconds": contract["run_seconds"],
+            "seeds": [seeds[0], seeds[-1]],
+            "readings": "each divided by the parent's median: [q1, median, q3]",
+            "rows": summary,
+        }, out, indent=1)
+        out.write("\n")
 if broken:
     print("\nperf gate: FAILED")
     print("\n".join(f"  {b}" for b in broken))

@@ -147,7 +147,7 @@ fi
 
 # The same ratchet for the paper side: the crates that implement and
 # evaluate the paper, and the examples.
-PAPER_LOC_CEILING=8125
+PAPER_LOC_CEILING=8162
 echo "==> paper-side line-count ratchet (scripts/loc.sh <paper crates> examples <= $PAPER_LOC_CEILING)"
 loc_table="$(scripts/loc.sh crates/adversary/src crates/bench/src crates/corpus/src \
   crates/crypto/src crates/index/src crates/workload/src crates/zerber/src \

@@ -1,24 +1,29 @@
 //! The deterministic fault-injection IO shim the durable-recovery and
 //! replication suites crash stores with: a [`PageIo`] over the production
 //! [`RealIo`] that kills writes after a byte budget, flips one byte,
-//! buffers writes and drops fsyncs, or fails the writes to one kind of
-//! file — the same way on every run.
+//! buffers writes in a page cache that outlives a process crash but not a
+//! power failure and drops fsyncs, or fails the writes to one kind of file
+//! — the same way on every run.
 //!
 //! Included by path (`#[path = "common/fault_io.rs"] mod fault_io;`) into
 //! the suites that use it, so the store library ships none of it.
 
+use std::collections::HashMap;
 use std::io;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use zerber_suite::store::convert::u64_of;
 use zerber_suite::store::{FileIo, PageIo, RealIo};
 
-/// The ledger behind its lock (a panicking test thread poisons nothing
-/// the others care about).
-fn lock(ledger: &Mutex<FaultLedger>) -> MutexGuard<'_, FaultLedger> {
-    ledger.lock().unwrap_or_else(PoisonError::into_inner)
+/// The ledger or a buffer behind its lock (a panicking test thread
+/// poisons nothing the others care about).
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
+
+/// A file's bytes in the buffered modes' page cache.
+type Shadow = Arc<Mutex<Vec<u8>>>;
 
 /// What the fault shim does to the IO stream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -32,9 +37,12 @@ pub enum FaultMode {
     /// Write-through, but the byte at global write offset `n` is XORed with
     /// `0x5A` on its way to disk — a single deterministic bit-flip.
     FlipByteAt(u64),
-    /// Buffer every write in memory; `sync` flushes the file's buffer to
-    /// disk.  Dropping the store without syncing models a power failure
-    /// that loses everything since the last fsync.
+    /// Buffer every write in a page cache the shim keeps per path, shared
+    /// by every handle as an OS shares it; `sync` flushes the file's bytes
+    /// to disk.  A store that dies without syncing (a process crash) and
+    /// reopens through the same shim reads the unsynced bytes back;
+    /// reopening through [`RealIo`], or after [`FaultIo::power_fail`],
+    /// models a power failure that loses everything since the last fsync.
     Buffered,
     /// Like [`FaultMode::Buffered`], but `sync` is silently dropped too — a
     /// lying fsync.  Nothing written through this shim ever reaches disk.
@@ -67,6 +75,8 @@ pub struct FaultIo {
     inner: Arc<dyn PageIo>,
     mode: FaultMode,
     ledger: Arc<Mutex<FaultLedger>>,
+    /// The buffered modes' page cache: each path's unsynced view.
+    cache: Mutex<HashMap<PathBuf, Shadow>>,
 }
 
 impl FaultIo {
@@ -76,7 +86,15 @@ impl FaultIo {
             inner: RealIo::shared(),
             mode,
             ledger: Arc::default(),
+            cache: Mutex::default(),
         })
+    }
+
+    /// A power failure in the buffered modes: every byte not synced is
+    /// lost, so the next open reads what the disk holds.  Call it with no
+    /// store open on the shim (the process died with the power).
+    pub fn power_fail(&self) {
+        lock(&self.cache).clear();
     }
 
     /// Budget units consumed so far (bytes written plus one per rename /
@@ -134,11 +152,9 @@ struct FaultFile {
     real: Box<dyn FileIo>,
     mode: FaultMode,
     ledger: Arc<Mutex<FaultLedger>>,
-    /// Full in-memory shadow of the file in the buffered modes; `sync`
-    /// flushes it (unless dropped).  The shadow is per handle: the durable
-    /// protocols sync before every rename/reopen, so a fresh handle always
-    /// sees flushed state.
-    shadow: Option<Vec<u8>>,
+    /// Full in-memory shadow of the file in the buffered modes, shared by
+    /// every handle of its path; `sync` flushes it (unless dropped).
+    shadow: Option<Shadow>,
     /// Whether this file's writes fail ([`FaultMode::FailWritesTo`]).
     failing: bool,
 }
@@ -149,6 +165,7 @@ impl FileIo for FaultFile {
             Some(shadow) => {
                 let start = usize::try_from(offset).unwrap_or(usize::MAX);
                 let end = start.saturating_add(buf.len());
+                let shadow = lock(shadow);
                 let Some(src) = shadow.get(start..end) else {
                     return Err(io::Error::new(
                         io::ErrorKind::UnexpectedEof,
@@ -166,9 +183,10 @@ impl FileIo for FaultFile {
         if self.failing && !lock(&self.ledger).healed {
             return Err(io::Error::other("injected write failure"));
         }
-        if let Some(shadow) = &mut self.shadow {
+        if let Some(shadow) = &self.shadow {
             let start = usize::try_from(offset).unwrap_or(usize::MAX);
             let end = start.saturating_add(buf.len());
+            let mut shadow = lock(shadow);
             if shadow.len() < end {
                 shadow.resize(end, 0);
             }
@@ -238,7 +256,7 @@ impl FileIo for FaultFile {
                 drop(ledger);
                 // Buffered mode always carries a shadow; a missing one is a
                 // harness misconfiguration, degraded to a plain sync.
-                let Some(shadow) = self.shadow.clone() else {
+                let Some(shadow) = self.shadow.as_deref().map(|s| lock(s).clone()) else {
                     return self.real.sync();
                 };
                 self.real.write_at(0, &shadow)?;
@@ -263,14 +281,14 @@ impl FileIo for FaultFile {
 
     fn len(&mut self) -> io::Result<u64> {
         match &self.shadow {
-            Some(shadow) => Ok(u64_of(shadow.len())),
+            Some(shadow) => Ok(u64_of(lock(shadow).len())),
             None => self.real.len(),
         }
     }
 
     fn set_len(&mut self, len: u64) -> io::Result<()> {
-        if let Some(shadow) = &mut self.shadow {
-            shadow.resize(usize::try_from(len).unwrap_or(usize::MAX), 0);
+        if let Some(shadow) = &self.shadow {
+            lock(shadow).resize(usize::try_from(len).unwrap_or(usize::MAX), 0);
             return Ok(());
         }
         match self.mode {
@@ -298,15 +316,21 @@ impl PageIo for FaultIo {
         // shadow, so an unflushed truncate is lost like any other write.
         let buffered = matches!(self.mode, FaultMode::Buffered | FaultMode::DropSyncs);
         let mut real = self.inner.open(path, truncate && !buffered)?;
-        let shadow = if buffered {
+        let cached = lock(&self.cache).get(path).cloned();
+        let shadow = if let Some(shadow) = cached {
             if truncate {
-                Some(Vec::new())
-            } else {
-                let len = usize::try_from(real.len()?).unwrap_or(usize::MAX);
-                let mut content = vec![0u8; len];
-                real.read_at(0, &mut content)?;
-                Some(content)
+                lock(&shadow).clear();
             }
+            Some(shadow)
+        } else if buffered {
+            let mut content = Vec::new();
+            if !truncate {
+                content.resize(usize::try_from(real.len()?).unwrap_or(usize::MAX), 0);
+                real.read_at(0, &mut content)?;
+            }
+            let shadow = Arc::new(Mutex::new(content));
+            lock(&self.cache).insert(path.to_path_buf(), Arc::clone(&shadow));
+            Some(shadow)
         } else {
             None
         };
@@ -325,12 +349,18 @@ impl PageIo for FaultIo {
 
     fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
         // Renames are atomic: they either happen or the crash dropped them.
-        // In the buffered modes the rename moves whatever the *disk* holds —
-        // renaming an unflushed file publishes its stale (possibly empty)
-        // on-disk content, exactly the hazard a missing fsync creates.
+        // In the buffered modes the rename moves the disk's bytes and the
+        // cached ones alike: after a power failure the new name holds the
+        // stale (possibly empty) on-disk content of an unflushed file,
+        // exactly the hazard a missing fsync creates.
         if matches!(self.mode, FaultMode::KillAfter(_)) && !self.charge_op() {
             return Ok(());
         }
+        let mut cache = lock(&self.cache);
+        match cache.remove(from) {
+            Some(shadow) => cache.insert(to.to_path_buf(), shadow),
+            None => cache.remove(to),
+        };
         self.inner.rename(from, to)
     }
 
@@ -338,6 +368,7 @@ impl PageIo for FaultIo {
         if matches!(self.mode, FaultMode::KillAfter(_)) && !self.charge_op() {
             return Ok(());
         }
+        lock(&self.cache).remove(path);
         self.inner.remove(path)
     }
 
@@ -393,6 +424,28 @@ mod tests {
             f.sync().unwrap(); // dropped
         }
         assert_eq!(std::fs::read(&path).unwrap(), vec![1, 2, 3]);
+    }
+
+    #[test]
+    fn buffered_writes_survive_a_reopen_through_the_shim_until_a_power_failure() {
+        let dir = TempRoot::new("fault-page-cache");
+        let (path, moved) = (dir.join("cached"), dir.join("moved"));
+        let io = FaultIo::new(FaultMode::Buffered);
+        let mut f = io.open(&path, true).unwrap();
+        f.write_at(0, &[1, 2, 3]).unwrap();
+        f.sync().unwrap();
+        f.write_at(3, &[4, 5]).unwrap();
+        // A crash: the handle dies unsynced, a reopen reads the cache.
+        drop(f);
+        let mut buf = [0u8; 5];
+        io.open(&path, false).unwrap().read_at(0, &mut buf).unwrap();
+        assert_eq!(buf, [1, 2, 3, 4, 5]);
+        assert_eq!(std::fs::read(&path).unwrap(), vec![1, 2, 3]);
+        // The cache follows a rename; the power failure then loses it.
+        io.rename(&path, &moved).unwrap();
+        assert_eq!(io.open(&moved, false).unwrap().len().unwrap(), 5);
+        io.power_fail();
+        assert_eq!(io.open(&moved, false).unwrap().len().unwrap(), 3);
     }
 
     #[test]

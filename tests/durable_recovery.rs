@@ -53,7 +53,7 @@ fn element(trs: f64, group: u32, ct: &[u8]) -> OrderedElement {
         group,
         sealed: EncryptedElement {
             group,
-            ciphertext: ct.to_vec(),
+            ciphertext: ct.into(),
         },
     }
 }
@@ -284,7 +284,7 @@ fn kill_at_every_injection_point_recovers_a_prefix_of_history() {
             .snapshot_list(MergedListId(0))
             .unwrap()
             .iter()
-            .any(|e| e.sealed.ciphertext == b"post-crash"));
+            .any(|e| *e.sealed.ciphertext == *b"post-crash"));
     }
 }
 

@@ -159,7 +159,7 @@ proptest! {
                 .map(|(trs, group, len)| WireElement {
                     trs,
                     group: GroupId(group),
-                    ciphertext: vec![0x5a; len],
+                    ciphertext: vec![0x5a; len].into(),
                 })
                 .collect(),
             visible_total: total,

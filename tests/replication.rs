@@ -53,7 +53,7 @@ fn element(trs: f64, group: u32, ct: &[u8]) -> OrderedElement {
         group,
         sealed: EncryptedElement {
             group,
-            ciphertext: ct.to_vec(),
+            ciphertext: ct.into(),
         },
     }
 }
@@ -691,7 +691,7 @@ fn kill_at_every_boundary_replica_recovers_and_catches_up() {
             .snapshot_list(MergedListId(0))
             .unwrap()
             .iter()
-            .any(|e| e.sealed.ciphertext == b"post-crash"));
+            .any(|e| *e.sealed.ciphertext == *b"post-crash"));
     }
 }
 
@@ -890,6 +890,72 @@ fn a_replica_never_applies_a_frame_the_primary_can_lose() {
     // Power failure: the primary never drops, so nothing flushes what the
     // shim buffered since the last fsync.
     std::mem::forget(primary);
+
+    let primary = Arc::new(SpillStore::open(&primary_dir, spill_config(), durable).unwrap());
+    for i in 0..7 {
+        let el = element(50.0 - i as f64, i, format!("new{i}").as_bytes());
+        primary.insert(list, el).unwrap();
+    }
+    drop(replica);
+    let mut replica = replica_of(&primary);
+    replica.catch_up(500).unwrap();
+    for l in 0..NUM_LISTS as u64 {
+        assert_eq!(
+            replica.store().snapshot_list(MergedListId(l)).unwrap(),
+            primary.snapshot_list(MergedListId(l)).unwrap(),
+            "list {l}: the replica diverged from the primary"
+        );
+    }
+    assert_eq!(
+        primary.list_len(list).unwrap(),
+        3 + 5 + 7,
+        "shipped is recoverable"
+    );
+}
+
+/// Frames a crashed primary wrote but never synced sit in the OS page
+/// cache, so its reopen recovers them, serves them and can ship them.  A
+/// power failure after the replica applied them must not take them back:
+/// `open` syncs every WAL it recovers frames from.  Without that the
+/// reopened primary's counter of unsynced frames starts at 0, `wal_image`
+/// ships the five frames unsynced, and after the power failure the primary
+/// hands their sequence numbers to new inserts the replica then skips.
+#[test]
+fn a_replica_never_applies_a_recovered_frame_the_primary_can_lose() {
+    let index = fixture_index(true);
+    let root = TempRoot::new("primary-recovered-power-loss");
+    let primary_dir = root.join("primary");
+    let durable = DurableConfig {
+        sync: SyncPolicy::EveryN(1000),
+        checkpoint_wal_bytes: 1 << 30,
+    };
+    drop(create_primary(&primary_dir, index));
+    let io = FaultIo::new(FaultMode::Buffered);
+    let open = || {
+        let io = Arc::clone(&io) as Arc<dyn PageIo>;
+        Arc::new(SpillStore::open_with_io(&primary_dir, spill_config(), durable, io).unwrap())
+    };
+    let primary = open();
+    let list = MergedListId(0);
+    for i in 0..5 {
+        let el = element(95.0 - i as f64, i, format!("cached{i}").as_bytes());
+        primary.insert(list, el).unwrap();
+    }
+    // A process crash: no destructor syncs, the page cache keeps the frames.
+    std::mem::forget(primary);
+    let primary = open();
+    assert_eq!(primary.list_len(list).unwrap(), 3 + 5);
+    let replica_of = |primary: &Arc<SpillStore>| {
+        let source = ReplicationSource::new(Arc::clone(primary)).unwrap();
+        let transport = InProcessTransport::new(source) as Arc<dyn ReplicaTransport>;
+        Replica::bootstrap(transport, root.join("replica"), replica_config()).unwrap()
+    };
+    let mut replica = replica_of(&primary);
+    replica.catch_up(500).unwrap();
+    assert_eq!(replica.store().list_len(list).unwrap(), 3 + 5);
+    // A power failure: the process dies again and the cache is lost.
+    std::mem::forget(primary);
+    io.power_fail();
 
     let primary = Arc::new(SpillStore::open(&primary_dir, spill_config(), durable).unwrap());
     for i in 0..7 {

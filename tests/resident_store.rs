@@ -33,7 +33,7 @@ fn element(rng: &mut Rng) -> OrderedElement {
         group,
         sealed: EncryptedElement {
             group,
-            ciphertext: vec![rng.next(256) as u8; 12],
+            ciphertext: vec![rng.next(256) as u8; 12].into(),
         },
     }
 }

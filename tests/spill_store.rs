@@ -214,7 +214,7 @@ fn compaction_under_concurrent_load_never_tears_an_answer() {
             group: GroupId(0),
             sealed: EncryptedElement {
                 group: GroupId(0),
-                ciphertext: vec![0xB7; 16],
+                ciphertext: vec![0xB7; 16].into(),
             },
         };
         store.insert(MergedListId(list), element).unwrap();

@@ -121,7 +121,7 @@ fn element(trs: f64, group: u32, ct: Vec<u8>) -> OrderedElement {
         group,
         sealed: EncryptedElement {
             group,
-            ciphertext: ct,
+            ciphertext: ct.into(),
         },
     }
 }
