@@ -8,7 +8,9 @@
 //! * **Checkpoint manifest** — an atomically-renamed, checksummed file per
 //!   shard enumerating the sealed pages of every list (plus the WAL
 //!   sequence number the checkpoint covers).  The page files it
-//!   references are immutable checkpoint state, not cache.
+//!   references are immutable checkpoint state, not cache.  Its rename
+//!   is made durable (a directory fsync) before the WAL it covers is
+//!   truncated.
 //! * **Write-ahead log** — length-delimited, CRC-framed insert records
 //!   (reusing the element wire encoding: 8-byte TRS, 4-byte group, 2-byte
 //!   ciphertext length, ciphertext).  Appends happen under the same shard
@@ -251,8 +253,11 @@ pub trait PageIo: Send + Sync + std::fmt::Debug {
     /// Opens (creating if missing) `path` for reading and writing,
     /// truncating it first when `truncate` is set.
     fn open(&self, path: &Path, truncate: bool) -> io::Result<Box<dyn FileIo>>;
-    /// Atomically renames `from` over `to`.
+    /// Atomically renames `from` over `to`; durable once its directory is
+    /// synced ([`PageIo::sync_dir`]).
     fn rename(&self, from: &Path, to: &Path) -> io::Result<()>;
+    /// Flushes the entries of directory `dir` (its renames) to stable storage.
+    fn sync_dir(&self, dir: &Path) -> io::Result<()>;
     /// Removes `path` (must exist).
     fn remove(&self, path: &Path) -> io::Result<()>;
     /// Whether `path` exists.
@@ -314,6 +319,11 @@ impl PageIo for RealIo {
     fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
         check_io("rename");
         std::fs::rename(from, to)
+    }
+
+    fn sync_dir(&self, dir: &Path) -> io::Result<()> {
+        check_io("sync");
+        std::fs::File::open(dir)?.sync_all()
     }
 
     fn remove(&self, path: &Path) -> io::Result<()> {

@@ -102,10 +102,6 @@ impl BlockMeta {
     fn visible_under(&self, filter: &GroupFilter<'_>) -> usize {
         filter.visible_in(usize_of(self.elems), &self.counts)
     }
-
-    fn last_trs(&self) -> f64 {
-        from_sortable_bits(self.last)
-    }
 }
 
 /// One immutable compressed segment: concatenated encoded blocks plus their
@@ -132,15 +128,17 @@ pub(crate) fn add_count(counts: &mut Vec<(GroupId, u32)>, group: GroupId, n: u32
     }
 }
 
-/// Per-group element counts aggregated over `blocks`, ascending by group id
-/// and exact-sized.
-fn group_totals<'a>(blocks: impl Iterator<Item = &'a BlockMeta>) -> Vec<(GroupId, u32)> {
-    let mut totals = Vec::new();
-    for &(group, n) in blocks.flat_map(|meta| meta.counts.iter()) {
+/// Sums per-group counts (a segment's over its blocks, a list's over its
+/// slots) into one vector, ascending by group id and exact-sized.
+pub(crate) fn sum_counts<'a, I>(counts: I) -> Vec<(GroupId, u32)>
+where
+    I: Iterator<Item = &'a (GroupId, u32)> + Clone,
+{
+    let mut totals = Vec::with_capacity(counts.clone().count());
+    for &(group, n) in counts {
         add_count(&mut totals, group, n);
     }
-    totals.shrink_to_fit();
-    totals
+    exact(totals)
 }
 
 /// Encodes one block of ordered elements onto `out`, returning its skip
@@ -181,7 +179,7 @@ fn encode_block(chunk: &[OrderedElement], out: &mut Vec<u8>) -> Result<BlockMeta
     );
     let first = sortable_bits(head.trs);
     let mut prev = first;
-    let mut counts: Vec<(GroupId, u32)> = Vec::new();
+    let mut counts: Vec<(GroupId, u32)> = Vec::with_capacity(chunk.len());
     for (i, element) in chunk.iter().enumerate() {
         let bits = sortable_bits(element.trs);
         if i > 0 {
@@ -214,8 +212,17 @@ fn encode_block(chunk: &[OrderedElement], out: &mut Vec<u8>) -> Result<BlockMeta
         elems: try_u32(chunk.len())?,
         first,
         last: prev,
-        counts: counts.into_boxed_slice(),
+        counts: exact(counts).into_boxed_slice(),
     })
+}
+
+/// A buffer filled under an upper bound, kept at its exact size (sealed
+/// segments are immutable).  Copied out rather than shrunk in place: an
+/// in-place shrink leaves the bound's slack as a gap behind every segment
+/// a list build packs, and warm scans over that sparser heap measured
+/// slower; freed whole, the slack is what the next encode reuses.
+fn exact<T: Copy>(buf: Vec<T>) -> Vec<T> {
+    buf.as_slice().to_vec()
 }
 
 /// One element parsed from a block, borrowing its ciphertext from the
@@ -407,15 +414,16 @@ impl Segment {
         block_len: usize,
     ) -> Result<Segment, StoreError> {
         debug_assert!(!elements.is_empty(), "segments are never empty");
-        let mut payload = Vec::new();
         let mut blocks = Vec::with_capacity(elements.len().div_ceil(block_len.max(1)));
+        // Room for every varint at its widest (two per block header; delta,
+        // tags and length per element), so the payload never regrows.
+        let bound: usize = elements.iter().map(|e| e.sealed.ciphertext.len()).sum();
+        let mut payload = Vec::with_capacity(bound + 30 * elements.len() + 20 * blocks.capacity());
         for chunk in elements.chunks(block_len.max(1)) {
             blocks.push(encode_block(chunk, &mut payload)?);
         }
-        // Sealed segments are immutable: give the growth slack back.
-        payload.shrink_to_fit();
         Ok(Segment {
-            payload,
+            payload: exact(payload),
             blocks,
             elems: elements.len(),
             stored_bytes: elements
@@ -450,7 +458,12 @@ impl Segment {
     /// sorted by group id — the summary a spilled segment leaves behind so
     /// visibility accounting never has to fault the page back in.
     pub(crate) fn group_counts(&self) -> Vec<(GroupId, u32)> {
-        group_totals(self.blocks.iter())
+        sum_counts(self.counts())
+    }
+
+    /// Every block's per-group counts, block by block.
+    pub(crate) fn counts(&self) -> impl Iterator<Item = &(GroupId, u32)> + Clone + '_ {
+        self.blocks.iter().flat_map(|meta| meta.counts.iter())
     }
 
     /// Scans this segment's slice of the logical list.  `seg_base` is the
@@ -511,37 +524,6 @@ impl Segment {
         None
     }
 
-    /// The local insertion index for `trs` inside this segment (after
-    /// strictly greater elements, before equal ones): `len` when every
-    /// element sorts strictly before `trs`.
-    pub(crate) fn insert_pos(&self, trs: f64) -> usize {
-        // Locate the first block whose smallest element no longer exceeds
-        // `trs`, then stream just that block.
-        let mut local = 0usize;
-        let mut block = None;
-        for meta in &self.blocks {
-            if meta.last_trs() > trs {
-                local += usize_of(meta.elems);
-            } else {
-                block = Some(meta);
-                break;
-            }
-        }
-        let Some(meta) = block else {
-            return local;
-        };
-        let mut reader = self.block_reader(meta);
-        let mut in_block = 0usize;
-        for _ in 0..meta.elems {
-            if reader.next_trusted().trs > trs {
-                in_block += 1;
-            } else {
-                break;
-            }
-        }
-        local + in_block
-    }
-
     /// A streaming reader over one of this segment's blocks.
     #[expect(clippy::expect_used, reason = "a self-encoded block always decodes")]
     fn block_reader(&self, meta: &BlockMeta) -> BlockReader<'_> {
@@ -554,14 +536,13 @@ impl Segment {
         BlockReader::new(bytes, meta.elems, meta.first).expect("self-encoded segment blocks decode")
     }
 
-    /// Decodes the whole segment in order (internal, trusted path).
-    pub(crate) fn decode_all(&self) -> Vec<OrderedElement> {
-        let mut out = Vec::with_capacity(self.elems);
+    /// Decodes the whole segment in order onto `out` (internal, trusted
+    /// path), which the caller sizes.
+    pub(crate) fn decode_into(&self, out: &mut Vec<OrderedElement>) {
         for meta in &self.blocks {
             let mut reader = self.block_reader(meta);
             out.extend((0..meta.elems).map(|_| reader.next_trusted().materialize()));
         }
-        out
     }
 
     /// Estimated resident memory of the segment.
@@ -576,23 +557,35 @@ impl Segment {
                 .sum::<usize>()
     }
 
-    /// Serializes the segment to its validated wire format.
+    /// Serializes the segment to its validated wire format, in one buffer
+    /// of exactly its size.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.payload.len() + self.blocks.len() * 24 + 16);
-        write_varint(&mut out, SEGMENT_MAGIC);
-        write_varint(&mut out, SEGMENT_VERSION);
-        write_varint(&mut out, u64_of(self.elems));
-        write_varint(&mut out, u64_of(self.blocks.len()));
-        for meta in &self.blocks {
-            write_varint(&mut out, u64::from(meta.elems));
-            write_varint(&mut out, meta.first);
-            write_varint(&mut out, meta.last);
-            write_varint(&mut out, u64_of(meta.counts.len()));
-            for &(group, count) in &meta.counts {
-                write_varint(&mut out, u64::from(group.0));
-                write_varint(&mut out, u64::from(count));
-            }
-            write_varint(&mut out, u64::from(meta.byte_len));
+        let blocks = self.blocks.iter().flat_map(|meta| {
+            let head = [
+                meta.elems.into(),
+                meta.first,
+                meta.last,
+                u64_of(meta.counts.len()),
+            ];
+            let counts = meta
+                .counts
+                .iter()
+                .flat_map(|&(g, n)| [g.0, n].map(u64::from));
+            head.into_iter().chain(counts).chain([meta.byte_len.into()])
+        });
+        let head = [
+            SEGMENT_MAGIC,
+            SEGMENT_VERSION,
+            u64_of(self.elems),
+            u64_of(self.blocks.len()),
+        ];
+        let header = head.into_iter().chain(blocks);
+        // LEB128: seven bits a byte, one byte for zero.
+        let width = |v: u64| usize_of((u64::BITS - v.leading_zeros()).max(1).div_ceil(7));
+        let size = header.clone().map(width).sum::<usize>() + self.payload.len();
+        let mut out = Vec::with_capacity(size);
+        for field in header {
+            write_varint(&mut out, field);
         }
         out.extend_from_slice(&self.payload);
         out
@@ -768,6 +761,15 @@ mod oracle {
     //! as the reference the serving decoder is held against, input by input.
 
     use super::*;
+
+    impl Segment {
+        /// Every element in order, in a vector of its own.
+        pub(crate) fn decode_all(&self) -> Vec<OrderedElement> {
+            let mut out = Vec::with_capacity(self.elems);
+            self.decode_into(&mut out);
+            out
+        }
+    }
 
     /// Decodes and validates one block against its skip entry.  Every
     /// inconsistency is an error: the decoder also runs on untrusted bytes.

@@ -1088,24 +1088,12 @@ fn held_bytes(lists: &[SpillList]) -> usize {
         .sum()
 }
 
-/// Per-group element counts of a whole list from its slot summaries,
-/// ascending by group id and exact-sized.
+/// Per-group element counts of a whole list from its slot summaries.
 fn running_totals(slots: &[Slot]) -> Vec<(GroupId, u32)> {
-    let mut totals = Vec::new();
-    let mut add = |counts: &[(GroupId, u32)]| {
-        for &(group, n) in counts {
-            add_count(&mut totals, group, n);
-        }
-    };
-    for slot in slots {
-        match (&slot.resident, &slot.cold_counts) {
-            (Some(segment), _) => add(&segment.group_counts()),
-            (None, Some(counts)) => add(counts),
-            (None, None) => {}
-        }
-    }
-    totals.shrink_to_fit();
-    totals
+    crate::segment::sum_counts(slots.iter().flat_map(|slot| {
+        let resident = slot.resident.iter().flat_map(Segment::counts);
+        resident.chain(slot.cold_counts.iter().flat_map(|counts| counts.iter()))
+    }))
 }
 
 /// One sealed slot as the retier pass sees it: where it lives, what
@@ -1131,7 +1119,7 @@ impl SpillList {
     pub(crate) fn snapshot(&self) -> Result<Vec<OrderedElement>, StoreError> {
         let mut out = Vec::with_capacity(self.len());
         for k in 0..self.slots.len() {
-            out.extend(self.segment(k)?.decode_all());
+            self.segment(k)?.decode_into(&mut out);
         }
         Ok(out)
     }
@@ -1215,13 +1203,13 @@ impl SpillList {
             add_count(&mut self.totals, group, 1);
             return Ok(0);
         };
-        // Fault the slot in (if cold), locate the exact position and
+        // Fault the slot in (if cold), decode it with room for the new
+        // element (the insert never regrows), locate the exact position and
         // rebuild.
         let base: usize = self.slots[..k].iter().map(|s| s.meta.elems).sum();
-        let (local, mut decoded) = {
-            let segment = self.segment(k)?;
-            (segment.insert_pos(trs), segment.decode_all())
-        };
+        let mut decoded = Vec::with_capacity(self.slots[k].meta.elems + 1);
+        self.segment(k)?.decode_into(&mut decoded);
+        let local = decoded.partition_point(|e| e.trs > trs);
         decoded.insert(local, element);
         self.rebuild_slot(k, decoded, spare)?;
         add_count(&mut self.totals, group, 1);
@@ -1466,9 +1454,9 @@ impl DurableState {
         self.reset_wal(shard)
     }
 
-    /// Commits `manifest` for `shard`: write tmp, fsync, atomic rename.
-    /// Crash before the rename leaves the old manifest authoritative; the
-    /// tmp file is swept by the next `open`.
+    /// Commits `manifest` for `shard`: write tmp, fsync, atomic rename,
+    /// directory fsync.  Crash before the rename leaves the old manifest
+    /// authoritative; the tmp file is swept by the next `open`.
     fn commit_manifest(&self, shard: usize, manifest: &Manifest) -> Result<(), StoreError> {
         let bytes = encode_manifest(manifest)?;
         let path = self.dir.join(manifest_name(shard));
@@ -1489,7 +1477,10 @@ impl DurableState {
                 .rename(&path, &self.dir.join(manifest_prev_name(shard)))
                 .map_err(io_err)?;
         }
-        self.backend.rename(&tmp, &path).map_err(io_err)
+        self.backend.rename(&tmp, &path).map_err(io_err)?;
+        // The renames (and a compaction's before them) reach disk before
+        // `reset_wal` truncates the log they cover.
+        self.backend.sync_dir(&self.dir).map_err(io_err)
     }
 
     /// Truncates the shard's WAL after a successful checkpoint.  The
@@ -3468,6 +3459,35 @@ mod tests {
             assert!(slot_sizes(&store).len() > 4, "the inserts split slots");
             assert!(store.verify_ordering());
         }
+    }
+
+    /// Presizing leaks no capacity into the resident charge: every segment
+    /// an insert rebuilds (split in two, in place, at the bottom) equals a
+    /// fresh encode of its elements, resident bytes included, costs what
+    /// the same segment read back from its page costs, and its page is
+    /// written in a buffer of exactly its size.
+    #[test]
+    fn a_rebuilt_segment_costs_what_a_fresh_encode_of_its_elements_costs() {
+        let config = SegmentConfig::default();
+        let store = SpillStore::resident(index(vec![sorted_elements(600, 0)]), 1, config).unwrap();
+        assert_eq!(slot_sizes(&store), [256, 256, 88]);
+        for (i, trs) in [0.9, 0.91, 0.2, 1e-6].into_iter().enumerate() {
+            let e = element(trs, i as u32 % 3, &[9; 44]);
+            store.insert(MergedListId(0), e).unwrap();
+            let table = store.shard_read(0);
+            for slot in &table.lists()[0].slots {
+                let segment = slot.resident.as_ref().unwrap();
+                let fresh = Segment::from_elements(&segment.decode_all(), config.block_len);
+                let fresh = fresh.unwrap();
+                assert_eq!(segment, &fresh);
+                assert_eq!(segment.resident_bytes(), fresh.resident_bytes());
+                let page = segment.to_bytes();
+                assert_eq!(page.capacity(), page.len());
+                let read = Segment::from_bytes(&page).unwrap();
+                assert_eq!(read.resident_bytes(), segment.resident_bytes());
+            }
+        }
+        assert_eq!(slot_sizes(&store), [129, 129, 128, 129, 89]);
     }
 
     #[test]

@@ -2,7 +2,8 @@
 //! replication suites crash stores with: a [`PageIo`] over the production
 //! [`RealIo`] that kills writes after a byte budget, flips one byte,
 //! buffers writes in a page cache that outlives a process crash but not a
-//! power failure and drops fsyncs, or fails the writes to one kind of file
+//! power failure (which also takes back every rename whose directory was
+//! not synced) and drops fsyncs, or fails the writes to one kind of file
 //! — the same way on every run.
 //!
 //! Included by path (`#[path = "common/fault_io.rs"] mod fault_io;`) into
@@ -25,6 +26,10 @@ fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
 /// A file's bytes in the buffered modes' page cache.
 type Shadow = Arc<Mutex<Vec<u8>>>;
 
+/// A rename the buffered modes have not made durable yet: from, to, and the
+/// on-disk bytes `to` held before it (`None` if it did not exist).
+type PendingRename = (PathBuf, PathBuf, Option<Vec<u8>>);
+
 /// What the fault shim does to the IO stream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultMode {
@@ -43,9 +48,12 @@ pub enum FaultMode {
     /// reopens through the same shim reads the unsynced bytes back;
     /// reopening through [`RealIo`], or after [`FaultIo::power_fail`],
     /// models a power failure that loses everything since the last fsync.
+    /// A rename is volatile too until its directory is synced:
+    /// [`FaultIo::power_fail`] takes back every rename made since.
     Buffered,
-    /// Like [`FaultMode::Buffered`], but `sync` is silently dropped too — a
-    /// lying fsync.  Nothing written through this shim ever reaches disk.
+    /// Like [`FaultMode::Buffered`], but `sync` and `sync_dir` are silently
+    /// dropped too — a lying fsync.  Nothing written through this shim ever
+    /// reaches disk, and a power failure takes back every rename.
     DropSyncs,
     /// Every write to a file whose path ends in the suffix (`".wal"`,
     /// `".pages"`) fails with an error until [`FaultIo::heal`]; all other
@@ -77,6 +85,9 @@ pub struct FaultIo {
     ledger: Arc<Mutex<FaultLedger>>,
     /// The buffered modes' page cache: each path's unsynced view.
     cache: Mutex<HashMap<PathBuf, Shadow>>,
+    /// The buffered modes' renames since their directory was last synced,
+    /// oldest first.
+    renames: Mutex<Vec<PendingRename>>,
 }
 
 impl FaultIo {
@@ -87,14 +98,26 @@ impl FaultIo {
             mode,
             ledger: Arc::default(),
             cache: Mutex::default(),
+            renames: Mutex::default(),
         })
     }
 
     /// A power failure in the buffered modes: every byte not synced is
-    /// lost, so the next open reads what the disk holds.  Call it with no
-    /// store open on the shim (the process died with the power).
+    /// lost, so the next open reads what the disk holds, and every rename
+    /// whose directory was not synced since is undone, newest first.  Call
+    /// it with no store open on the shim (the process died with the power).
     pub fn power_fail(&self) {
         lock(&self.cache).clear();
+        for (from, to, before) in lock(&self.renames).drain(..).rev() {
+            std::fs::rename(&to, &from).expect("undo an unsynced rename");
+            if let Some(bytes) = before {
+                std::fs::write(&to, bytes).expect("restore a rename's target");
+            }
+        }
+    }
+
+    fn buffered(&self) -> bool {
+        matches!(self.mode, FaultMode::Buffered | FaultMode::DropSyncs)
     }
 
     /// Budget units consumed so far (bytes written plus one per rename /
@@ -314,7 +337,7 @@ impl PageIo for FaultIo {
         // Opening never tears: the interesting faults live in writes and the
         // commit ops.  In the buffered modes truncation is deferred to the
         // shadow, so an unflushed truncate is lost like any other write.
-        let buffered = matches!(self.mode, FaultMode::Buffered | FaultMode::DropSyncs);
+        let buffered = self.buffered();
         let mut real = self.inner.open(path, truncate && !buffered)?;
         let cached = lock(&self.cache).get(path).cloned();
         let shadow = if let Some(shadow) = cached {
@@ -352,16 +375,35 @@ impl PageIo for FaultIo {
         // In the buffered modes the rename moves the disk's bytes and the
         // cached ones alike: after a power failure the new name holds the
         // stale (possibly empty) on-disk content of an unflushed file,
-        // exactly the hazard a missing fsync creates.
+        // exactly the hazard a missing fsync creates — unless the power
+        // failure undoes the rename itself, because its directory was never
+        // synced.
         if matches!(self.mode, FaultMode::KillAfter(_)) && !self.charge_op() {
             return Ok(());
         }
+        let before = self.buffered().then(|| std::fs::read(to).ok()).flatten();
         let mut cache = lock(&self.cache);
         match cache.remove(from) {
             Some(shadow) => cache.insert(to.to_path_buf(), shadow),
             None => cache.remove(to),
         };
-        self.inner.rename(from, to)
+        self.inner.rename(from, to)?;
+        if self.buffered() {
+            lock(&self.renames).push((from.to_path_buf(), to.to_path_buf(), before));
+        }
+        Ok(())
+    }
+
+    fn sync_dir(&self, dir: &Path) -> io::Result<()> {
+        match self.mode {
+            FaultMode::DropSyncs => return Ok(()),
+            FaultMode::KillAfter(_) if !self.charge_op() => return Ok(()),
+            FaultMode::Buffered => {
+                lock(&self.renames).retain(|(_, to, _)| to.parent() != Some(dir));
+            }
+            _ => {}
+        }
+        self.inner.sync_dir(dir)
     }
 
     fn remove(&self, path: &Path) -> io::Result<()> {
@@ -441,11 +483,36 @@ mod tests {
         io.open(&path, false).unwrap().read_at(0, &mut buf).unwrap();
         assert_eq!(buf, [1, 2, 3, 4, 5]);
         assert_eq!(std::fs::read(&path).unwrap(), vec![1, 2, 3]);
-        // The cache follows a rename; the power failure then loses it.
+        // The cache follows a rename; the power failure then loses it (and
+        // keeps the rename, whose directory was synced).
         io.rename(&path, &moved).unwrap();
+        io.sync_dir(&dir).unwrap();
         assert_eq!(io.open(&moved, false).unwrap().len().unwrap(), 5);
         io.power_fail();
         assert_eq!(io.open(&moved, false).unwrap().len().unwrap(), 3);
+    }
+
+    #[test]
+    fn a_power_failure_undoes_the_renames_of_an_unsynced_directory() {
+        let dir = TempRoot::new("fault-renames");
+        let (a, b, c) = (dir.join("a"), dir.join("b"), dir.join("c"));
+        std::fs::write(&a, [1]).unwrap();
+        std::fs::write(&b, [2]).unwrap();
+        let io = FaultIo::new(FaultMode::Buffered);
+        // Synced: survives.  Unsynced, over an existing file: taken back.
+        io.rename(&a, &c).unwrap();
+        io.sync_dir(&dir).unwrap();
+        io.rename(&b, &c).unwrap();
+        io.power_fail();
+        assert_eq!(std::fs::read(&b).unwrap(), vec![2]);
+        assert_eq!(std::fs::read(&c).unwrap(), vec![1]);
+        assert!(!a.exists());
+        // A lying directory fsync keeps nothing.
+        let liar = FaultIo::new(FaultMode::DropSyncs);
+        liar.rename(&b, &a).unwrap();
+        liar.sync_dir(&dir).unwrap();
+        liar.power_fail();
+        assert!(b.exists() && !a.exists());
     }
 
     #[test]

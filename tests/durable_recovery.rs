@@ -442,6 +442,50 @@ fn buffered_power_loss_keeps_every_acknowledged_insert() {
     }
 }
 
+/// A checkpoint truncates the WAL only after its manifest renames are
+/// durable: a power failure takes back every rename whose directory was
+/// not synced (the `Buffered` shim models that), while the truncate it
+/// fsynced stays.  Were the renames not synced first, the store would
+/// reopen on the manifest `create_durable` wrote beside an empty WAL and
+/// lose every acknowledged insert.
+#[test]
+fn a_power_failure_after_a_checkpoint_keeps_every_acknowledged_insert() {
+    let index = fixture_index(NUM_LISTS, true);
+    let root = TempRoot::new("buffered-checkpoint");
+    let dir = root.join("store");
+    let durable = durable_config(SyncPolicy::Always);
+    drop(
+        SpillStore::create_durable(index.clone(), &dir, NUM_SHARDS, spill_config(), durable)
+            .unwrap(),
+    );
+
+    let io = FaultIo::new(FaultMode::Buffered);
+    let store = SpillStore::open_with_io(
+        &dir,
+        spill_config(),
+        durable,
+        Arc::clone(&io) as Arc<dyn PageIo>,
+    )
+    .unwrap();
+    for (list, el) in insert_history() {
+        store.insert(MergedListId(list as u64), el).unwrap();
+    }
+    store.checkpoint().unwrap();
+    // The power fails: no destructor runs, and the page cache is lost.
+    std::mem::forget(store);
+    io.power_fail();
+
+    let oracle = oracle_states(&index);
+    let recovered = SpillStore::open(&dir, spill_config(), durable).unwrap();
+    for (l, list_states) in oracle.iter().enumerate() {
+        assert_eq!(
+            &recovered.snapshot_list(MergedListId(l as u64)).unwrap(),
+            list_states.last().unwrap(),
+            "list {l} lost acknowledged inserts"
+        );
+    }
+}
+
 /// The element contract on every lifecycle: an element the store could not
 /// log, checkpoint, recover or ship unchanged — a non-finite TRS, a
 /// ciphertext the 2-byte element length cannot state, a sealed group other

@@ -852,6 +852,10 @@ mod failing_io {
             self.inner.rename(from, to)
         }
 
+        fn sync_dir(&self, dir: &Path) -> io::Result<()> {
+            self.inner.sync_dir(dir)
+        }
+
         fn remove(&self, path: &Path) -> io::Result<()> {
             self.inner.remove(path)
         }
