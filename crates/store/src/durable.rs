@@ -5,12 +5,13 @@
 //!
 //! The layering mirrors classical recovery managers:
 //!
-//! * **Checkpoint manifest** — an atomically-renamed, checksummed file per
-//!   shard enumerating the sealed pages of every list (plus the WAL
-//!   sequence number the checkpoint covers).  The page files it
-//!   references are immutable checkpoint state, not cache.  Its rename
-//!   is made durable (a directory fsync) before the WAL it covers is
-//!   truncated.
+//! * **Checkpoint manifest** — a checksummed file per shard enumerating
+//!   the sealed pages of every list (plus the WAL sequence number the
+//!   checkpoint covers), kept in two slot files: a commit overwrites the
+//!   older slot in place and fsyncs it before the WAL it covers is
+//!   truncated, and recovery takes the newest valid slot by content.
+//!   The page files it references are immutable checkpoint state, not
+//!   cache.
 //! * **Write-ahead log** — length-delimited, CRC-framed insert records
 //!   (reusing the element wire encoding: 8-byte TRS, 4-byte group, 2-byte
 //!   ciphertext length, ciphertext).  Appends happen under the same shard
@@ -504,9 +505,8 @@ pub(crate) fn scan_wal(bytes: &[u8]) -> WalScan {
 }
 
 // ---------------------------------------------------------------------------
-// Checkpoint manifest codec.  One manifest per shard; committed via
-// write-tmp + fsync + atomic rename, validated end to end by a trailing
-// CRC32.
+// Checkpoint manifest codec.  One manifest per shard slot; committed by an
+// in-place overwrite + fsync, validated end to end by a trailing CRC32.
 // ---------------------------------------------------------------------------
 
 const MANIFEST_MAGIC: u64 = 0x4e41_4d5a; // "ZMAN"

@@ -7,7 +7,7 @@
 //! module turns those into a replication protocol:
 //!
 //! * [`ReplicationSource`] — the primary side.  Serves a **snapshot** (the
-//!   `store.meta` identity block plus, per shard, the current manifest, the
+//!   `store.meta` identity block plus, per shard, the newest manifest, the
 //!   page file of the generation it references and the live WAL tail — every
 //!   byte CRC-carried) and a **WAL tail subscription**: the logged frames
 //!   with `seq > from`, per shard, sliced out of the live log.  When a

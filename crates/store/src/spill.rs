@@ -72,13 +72,14 @@
 //!   is the rename.
 //! - **Durable** ([`SpillStore::create_durable`] / [`SpillStore::open`]):
 //!   the root directory is persistent state.  Page files are immutable
-//!   checkpoint pages referenced by an atomically-committed, checksummed
-//!   per-shard **manifest**; every insert since the last checkpoint is in
-//!   a CRC-framed per-shard **write-ahead log** ([`crate::durable`]); a
-//!   compaction's rewrite is fsynced and commits with the manifest that
-//!   references it; and [`SpillStore::open`] recovers by replaying manifest
-//!   pages through the fully validating [`Segment::from_bytes`] and the WAL
-//!   through the ordinary insert path, truncating a torn or corrupt log at the last
+//!   checkpoint pages referenced by a checksummed per-shard **manifest**,
+//!   committed by overwriting the older of two slot files in place; every
+//!   insert since the last checkpoint is in a CRC-framed per-shard
+//!   **write-ahead log** ([`crate::durable`]); a compaction's rewrite is
+//!   fsynced and commits with the manifest that references it; and
+//!   [`SpillStore::open`] recovers by replaying manifest pages through the
+//!   fully validating [`Segment::from_bytes`] and the WAL through the
+//!   ordinary insert path, truncating a torn or corrupt log at the last
 //!   valid record.  A recovered store is only accepted after a full
 //!   ordering/visibility audit passes.
 
@@ -1280,6 +1281,9 @@ pub(crate) struct DurableState {
     dir: PathBuf,
     config: DurableConfig,
     wals: Vec<Mutex<WalFile>>,
+    /// Per shard, the manifest slot holding the last commit; the next
+    /// commit overwrites the other one.
+    newest_slot: Vec<AtomicUsize>,
     wal_appends: AtomicU64,
     wal_bytes: AtomicU64,
     recovered_pages: AtomicU64,
@@ -1302,9 +1306,10 @@ impl Drop for DurableState {
 
 // The names of the files in a paging store's root, each spelled out here
 // and nowhere else: existing roots and replication snapshots depend on them.
-// A `.tmp` name is a file before its commit rename; `.manifest.prev` is the
-// fallback recovery reads; `.pages.compact` is a compaction's rewrite of
-// the next generation's page file.
+// `store.meta.tmp` is the metadata before its commit rename; `.manifest`
+// and `.manifest.prev` are a shard's two manifest slots, the newest told by
+// content; `.pages.compact` is a compaction's rewrite of the next
+// generation's page file.
 
 pub(crate) const STORE_META_NAME: &str = "store.meta";
 const STORE_META_TMP_NAME: &str = "store.meta.tmp";
@@ -1313,16 +1318,11 @@ fn wal_name(shard: usize) -> String {
     format!("shard-{shard:03}.wal")
 }
 
-fn manifest_name(shard: usize) -> String {
-    format!("shard-{shard:03}.manifest")
-}
-
-fn manifest_tmp_name(shard: usize) -> String {
-    manifest_name(shard) + ".tmp"
-}
-
-fn manifest_prev_name(shard: usize) -> String {
-    manifest_name(shard) + ".prev"
+/// Slot 0 is the name a root written before the slot pair kept its only
+/// manifest under, and the name a replication snapshot ships the newest as.
+fn manifest_name(shard: usize, slot: usize) -> String {
+    let suffix = if slot == 0 { "" } else { ".prev" };
+    format!("shard-{shard:03}.manifest{suffix}")
 }
 
 fn pages_name(shard: usize, generation: u64) -> String {
@@ -1454,38 +1454,32 @@ impl DurableState {
         self.reset_wal(shard)
     }
 
-    /// Commits `manifest` for `shard`: write tmp, fsync, atomic rename,
-    /// directory fsync.  Crash before the rename leaves the old manifest
-    /// authoritative; the tmp file is swept by the next `open`.
+    /// Commits `manifest` for `shard` by overwriting, in place, the slot
+    /// that does not hold the last commit: write, cut to length, fsync.
+    /// Until the fsync lands the other slot plus the WAL it covers (reset
+    /// only after this returns) stay authoritative; a torn or lost
+    /// overwrite fails its CRC or reads as older, and recovery takes the
+    /// other slot.  A slot file the commit creates gets its directory
+    /// entry synced too (`open` syncs those of the files it finds).
     fn commit_manifest(&self, shard: usize, manifest: &Manifest) -> Result<(), StoreError> {
         let bytes = encode_manifest(manifest)?;
-        let path = self.dir.join(manifest_name(shard));
-        let tmp = self.dir.join(manifest_tmp_name(shard));
-        {
-            let mut file = self.backend.open(&tmp, true).map_err(io_err)?;
-            file.write_at(0, &bytes).map_err(io_err)?;
-            file.sync().map_err(io_err)?;
+        let slot = 1 - self.newest_slot[shard].load(Ordering::Relaxed);
+        let path = self.dir.join(manifest_name(shard, slot));
+        let mut file = self.backend.open(&path, false).map_err(io_err)?;
+        let created = file.len().map_err(io_err)? == 0;
+        file.write_at(0, &bytes).map_err(io_err)?;
+        file.set_len(u64_of(bytes.len())).map_err(io_err)?;
+        file.sync().map_err(io_err)?;
+        if created {
+            self.backend.sync_dir(&self.dir).map_err(io_err)?;
         }
-        // Demote the live manifest to the fallback slot before renaming the
-        // fresh one in.  Recovery prefers the current manifest and falls
-        // back to `.manifest.prev`, so a crash between the renames — or a
-        // lying fsync publishing a half-written current manifest — still
-        // leaves a valid checkpoint to recover from (the WAL it covers is
-        // only truncated after this commit returns).
-        if self.backend.exists(&path) {
-            self.backend
-                .rename(&path, &self.dir.join(manifest_prev_name(shard)))
-                .map_err(io_err)?;
-        }
-        self.backend.rename(&tmp, &path).map_err(io_err)?;
-        // The renames (and a compaction's before them) reach disk before
-        // `reset_wal` truncates the log they cover.
-        self.backend.sync_dir(&self.dir).map_err(io_err)
+        self.newest_slot[shard].store(slot, Ordering::Relaxed);
+        Ok(())
     }
 
     /// Truncates the shard's WAL after a successful checkpoint.  The
     /// sequence counter keeps running — manifests record the applied
-    /// sequence, so a crash between the manifest rename and this truncate
+    /// sequence, so a crash between the manifest commit and this truncate
     /// merely leaves stale records the next replay skips.
     fn reset_wal(&self, shard: usize) -> Result<(), StoreError> {
         let mut wal = self.wals[shard].lock();
@@ -1573,7 +1567,7 @@ impl SpillStore {
         let num_shards = num_shards.clamp(1, MAX_SHARDS);
         // Persist the store's identity first: shard count, segment layout
         // and the merge plan, everything `open` needs before it can touch a
-        // shard.  Committed via tmp + fsync + rename like the manifests.
+        // shard.  Committed via tmp + fsync + rename.
         let plan = index.plan().clone();
         let meta = StoreMeta {
             num_shards: u64_of(num_shards),
@@ -1620,6 +1614,9 @@ impl SpillStore {
             dir,
             config: durable,
             wals,
+            // The first commit creates slot 0 and syncs the directory: the
+            // metadata rename and the page and WAL files are durable with it.
+            newest_slot: (0..num_shards).map(|_| AtomicUsize::new(1)).collect(),
             wal_appends: AtomicU64::new(0),
             wal_bytes: AtomicU64::new(0),
             recovered_pages: AtomicU64::new(0),
@@ -1642,11 +1639,11 @@ impl SpillStore {
         Self::open_with_io(dir, config, durable, RealIo::shared())
     }
 
-    /// Crash recovery.  For every shard: load + CRC-validate the manifest,
-    /// adopt exactly the pages it references (each decoded through the
-    /// fully validating `Segment::from_bytes`), sweep stray scratch files
-    /// (compaction leftovers, superseded page-file generations, manifest
-    /// temp files), then replay the WAL tail through the ordinary insert
+    /// Crash recovery.  For every shard: load the newest CRC-valid manifest
+    /// of its two slots, adopt exactly the pages it references (each
+    /// decoded through the fully validating `Segment::from_bytes`), sweep
+    /// stray scratch files (compaction leftovers, superseded page-file
+    /// generations, manifest temp files of older roots), then replay the WAL tail through the ordinary insert
     /// path — a torn or corrupt tail truncates at the last valid record and
     /// the store keeps serving.  Resident slots are placed within the
     /// budget as they are read, and before the store is returned it must
@@ -1677,49 +1674,12 @@ impl SpillStore {
         );
         let mut manifests = Vec::with_capacity(num_shards);
         let mut pagers = Vec::with_capacity(num_shards);
+        let mut newest_slot = Vec::with_capacity(num_shards);
         for shard in 0..num_shards {
-            let manifest_path = dir.join(manifest_name(shard));
-            // Prefer the current manifest; if it is missing or corrupt (a
-            // crash between the commit renames, or a lying fsync that
-            // published a hollow file) fall back to the previous one.  The
-            // WAL covering the previous checkpoint is only truncated after
-            // the new manifest commits, so the fallback plus replay still
-            // reconstructs a consistent prefix of history.
-            let manifest = match read_all(&*backend, &manifest_path)
-                .and_then(|bytes| decode_manifest(&bytes))
-            {
-                Ok(manifest) => manifest,
-                Err(primary) => {
-                    let prev_path = dir.join(manifest_prev_name(shard));
-                    match read_all(&*backend, &prev_path).and_then(|bytes| decode_manifest(&bytes))
-                    {
-                        Ok(manifest) => {
-                            // Promote the fallback back into the current
-                            // slot so a later checkpoint cannot demote the
-                            // corrupt current manifest over it.
-                            backend.rename(&prev_path, &manifest_path).map_err(io_err)?;
-                            manifest
-                        }
-                        Err(_) => return Err(primary),
-                    }
-                }
-            };
             // The append cursor resumes exactly past the manifest extent;
             // anything beyond it in the file is a torn page write.
-            // A CRC only catches accidents: an extent past `u64::MAX` is
-            // refused, not computed.
-            let append = manifest
-                .lists
-                .iter()
-                .flat_map(|l| l.pages.iter())
-                .try_fold(0u64, |end, &(offset, len, _crc)| {
-                    Some(end.max(offset.checked_add(u64::from(len))?))
-                })
-                .ok_or_else(|| {
-                    StoreError::CorruptSegment(format!(
-                        "shard {shard} manifest references a page past the end of the address space"
-                    ))
-                })?;
+            let (slot, manifest, append) = newest_manifest(&*backend, &dir, shard)?;
+            newest_slot.push(AtomicUsize::new(slot));
             pagers.push(Pager::create(
                 Arc::clone(&backend),
                 &dir,
@@ -1792,11 +1752,15 @@ impl SpillStore {
                     .collect::<Vec<_>>(),
             );
         }
+        // Sync the entries recovery found (and the WALs it created): a
+        // commit syncs the directory only for a slot file it creates.
+        backend.sync_dir(&dir).map_err(io_err)?;
         store.durable = Some(DurableState {
             backend,
             dir,
             config: durable,
             wals,
+            newest_slot,
             wal_appends: AtomicU64::new(0),
             wal_bytes: AtomicU64::new(0),
             recovered_pages: AtomicU64::new(recovered_pages),
@@ -1880,7 +1844,7 @@ impl SpillStore {
     /// resident slots sealed since the last checkpoint, fsyncs the page
     /// file, commits a manifest enumerating every sealed page, then
     /// truncates the WAL.  Crash-safe at every step: until the manifest
-    /// rename lands, the old checkpoint plus the old WAL stay
+    /// overwrite is synced, the old checkpoint plus the old WAL stay
     /// authoritative.  `Ok(false)` unless the store is durable.
     fn checkpoint_shard(&self, shard: usize) -> Result<bool, StoreError> {
         let Some(durable) = &self.durable else {
@@ -1904,10 +1868,11 @@ impl SpillStore {
         read_all(&*durable.backend, &durable.dir.join(STORE_META_NAME))
     }
 
-    /// One shard's snapshot file set — `(file name, bytes)` for the current
-    /// manifest, the page file of the generation it references, and the live
-    /// WAL tail — read under the shard read lock so no checkpoint,
-    /// compaction or insert can shear the set.  A replica that writes these
+    /// One shard's snapshot file set — `(file name, bytes)` for the newest
+    /// manifest (under slot 0's name, whichever slot holds it), the page
+    /// file of the generation it references, and the live WAL tail — read
+    /// under the shard read lock so no checkpoint, compaction or insert can
+    /// shear the set.  A replica that writes these
     /// files into an empty root and runs [`SpillStore::open`] lands on
     /// exactly this shard's state, fully re-validated (manifest CRC,
     /// per-page CRC, WAL frame CRCs).
@@ -1917,8 +1882,9 @@ impl SpillStore {
     ) -> Result<Vec<(String, Vec<u8>)>, StoreError> {
         let durable = self.replication_durable()?;
         let _table = self.shard_read(shard);
-        let manifest_name = manifest_name(shard);
-        let manifest_bytes = read_all(&*durable.backend, &durable.dir.join(&manifest_name))?;
+        let newest = durable.newest_slot[shard].load(Ordering::Relaxed);
+        let manifest_path = durable.dir.join(manifest_name(shard, newest));
+        let manifest_bytes = read_all(&*durable.backend, &manifest_path)?;
         let manifest = decode_manifest(&manifest_bytes)?;
         let pages_name = pages_name(shard, manifest.generation);
         let pages_path = durable.dir.join(&pages_name);
@@ -1928,7 +1894,7 @@ impl SpillStore {
             Vec::new()
         };
         Ok(vec![
-            (manifest_name, manifest_bytes),
+            (manifest_name(shard, 0), manifest_bytes),
             (pages_name, pages_bytes),
             (wal_name(shard), durable.wal_image(shard)?),
         ])
@@ -2082,20 +2048,22 @@ impl SpillStore {
             rw.file.sync().map_err(io_err)?;
         }
         let map = pager.commit_rewrite(rw)?;
-        drop(sanction);
         for list in table.lists_mut() {
             list.remap_pages(&map)?;
         }
         if let Some(durable) = &self.durable {
-            // The manifest rename is the durable commit point of the swap:
+            // The manifest commit is the durable commit point of the swap:
             // until it lands, the old generation (still on disk — the
             // rename targeted a new name) plus the old manifest stay
             // authoritative, so a crash at any step recovers to
-            // entirely-old or entirely-new, never a mix.  The rewrite
-            // folded in every applied insert, so this doubles as a full
-            // checkpoint (WAL resets too).
+            // entirely-old or entirely-new, never a mix.  The rename
+            // reaches disk first: a manifest naming the new generation
+            // must not outlive it.  The rewrite folded in every applied
+            // insert, so this doubles as a full checkpoint (WAL resets too).
+            durable.backend.sync_dir(&durable.dir).map_err(io_err)?;
             durable.commit_checkpoint(shard, pager, &mut table)?;
         }
+        drop(sanction);
         drop(table);
         // Only now is the old generation unreferenced (on a spill store the
         // rename was the commit point).  It is unlinked off the lock; if
@@ -2214,14 +2182,53 @@ fn refuse_occupied_root(dir: &Path) -> Result<(), StoreError> {
     Ok(())
 }
 
-/// Reads a whole file through the IO backend.
+/// Reads a whole file through the IO backend; a missing one is an error,
+/// not created.
 fn read_all(backend: &dyn PageIo, path: &Path) -> Result<Vec<u8>, StoreError> {
+    if !backend.exists(path) {
+        return Err(StoreError::Io(format!("{} is missing", path.display())));
+    }
     let mut file = backend.open(path, false).map_err(io_err)?;
     let len = usize::try_from(file.len().map_err(io_err)?)
         .map_err(|_| StoreError::Io(format!("{} is too large to read", path.display())))?;
     let mut buf = vec![0u8; len];
     file.read_at(0, &mut buf).map_err(io_err)?;
     Ok(buf)
+}
+
+/// Reads both manifest slots of `shard` and returns the CRC-valid one with
+/// the greatest `(applied_seq, generation, page extent)` — the last commit:
+/// the first two only grow, and within one pair so does the extent — as
+/// `(slot, manifest, extent)`.  Neither valid: slot 0's error.
+fn newest_manifest(
+    backend: &dyn PageIo,
+    dir: &Path,
+    shard: usize,
+) -> Result<(usize, Manifest, u64), StoreError> {
+    let read = |slot| {
+        let manifest = decode_manifest(&read_all(backend, &dir.join(manifest_name(shard, slot)))?)?;
+        // A CRC only catches accidents: an extent past `u64::MAX` is
+        // refused, not computed.
+        let extent = manifest
+            .lists
+            .iter()
+            .flat_map(|l| l.pages.iter())
+            .try_fold(0u64, |end, &(offset, len, _crc)| {
+                Some(end.max(offset.checked_add(u64::from(len))?))
+            })
+            .ok_or_else(|| {
+                StoreError::CorruptSegment(format!(
+                    "shard {shard} manifest references a page past the end of the address space"
+                ))
+            })?;
+        Ok((slot, manifest, extent))
+    };
+    let key = |(_, m, extent): &(usize, Manifest, u64)| (m.applied_seq, m.generation, *extent);
+    match (read(0), read(1)) {
+        (Ok(a), Ok(b)) => Ok(if key(&b) > key(&a) { b } else { a }),
+        (Ok(newest), Err(_)) | (Err(_), Ok(newest)) => Ok(newest),
+        (Err(e), Err(_)) => Err(e),
+    }
 }
 
 /// Open-time stray-scratch sweep: removes every file in a durable root that
@@ -2233,8 +2240,8 @@ fn sweep_stray_files(backend: &dyn PageIo, dir: &Path, num_shards: usize, manife
     let mut keep: Vec<PathBuf> = vec![dir.join(STORE_META_NAME)];
     for (shard, manifest) in manifests.iter().enumerate().take(num_shards) {
         keep.push(dir.join(wal_name(shard)));
-        keep.push(dir.join(manifest_prev_name(shard)));
-        keep.push(dir.join(manifest_name(shard)));
+        keep.push(dir.join(manifest_name(shard, 0)));
+        keep.push(dir.join(manifest_name(shard, 1)));
         keep.push(dir.join(pages_name(shard, manifest.generation)));
     }
     let Ok(entries) = fs::read_dir(dir) else {
@@ -3009,6 +3016,11 @@ mod tests {
         .unwrap()
     }
 
+    /// Shard `shard`'s newest manifest, from whichever slot holds it.
+    fn newest_manifest_at(dir: &Path, shard: usize) -> Manifest {
+        newest_manifest(&RealIo, dir, shard).unwrap().1
+    }
+
     fn snapshot_all(store: &SpillStore) -> Vec<Vec<OrderedElement>> {
         (0..store.num_lists() as u64)
             .map(|l| store.snapshot_list(MergedListId(l)).unwrap())
@@ -3253,7 +3265,7 @@ mod tests {
                 config,
                 DurableConfig::default(),
             ));
-            let path = dir.join(manifest_name(0));
+            let path = dir.join(manifest_name(0, 0));
             let mut manifest = decode_manifest(&fs::read(&path).unwrap()).unwrap();
             manifest.lists[0].tail = tail.clone();
             manifest.lists[1].tail = only_tail.clone();
@@ -3265,7 +3277,7 @@ mod tests {
             assert!(store.resident_bytes_within_budget());
             assert!(slot_sizes(&store).iter().all(|&n| n <= 16));
             store.checkpoint().unwrap();
-            let manifest = decode_manifest(&fs::read(&path).unwrap()).unwrap();
+            let manifest = newest_manifest_at(&dir, 0);
             assert!(manifest.lists.iter().all(|l| l.tail.is_empty()));
             drop(store);
             let reopened = SpillStore::open(&dir, config, DurableConfig::default()).unwrap();
@@ -3309,7 +3321,7 @@ mod tests {
             let offset = bytes.len() as u64;
             bytes.extend_from_slice(&page);
             fs::write(&pages, bytes).unwrap();
-            let path = dir.join(manifest_name(0));
+            let path = dir.join(manifest_name(0, 0));
             let mut manifest = decode_manifest(&fs::read(&path).unwrap()).unwrap();
             manifest.lists[0].pages = vec![(offset, page.len() as u32, crc32(&page))];
             fs::write(&path, encode_manifest(&manifest).unwrap()).unwrap();

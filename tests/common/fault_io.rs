@@ -2,8 +2,8 @@
 //! replication suites crash stores with: a [`PageIo`] over the production
 //! [`RealIo`] that kills writes after a byte budget, flips one byte,
 //! buffers writes in a page cache that outlives a process crash but not a
-//! power failure (which also takes back every rename whose directory was
-//! not synced) and drops fsyncs, or fails the writes to one kind of file
+//! power failure (which also takes back every rename and file creation
+//! whose directory was not synced) and drops fsyncs, or fails the writes to one kind of file
 //! — the same way on every run.
 //!
 //! Included by path (`#[path = "common/fault_io.rs"] mod fault_io;`) into
@@ -48,8 +48,8 @@ pub enum FaultMode {
     /// reopens through the same shim reads the unsynced bytes back;
     /// reopening through [`RealIo`], or after [`FaultIo::power_fail`],
     /// models a power failure that loses everything since the last fsync.
-    /// A rename is volatile too until its directory is synced:
-    /// [`FaultIo::power_fail`] takes back every rename made since.
+    /// A rename or a file creation is volatile too until its directory is
+    /// synced: [`FaultIo::power_fail`] takes back every one made since.
     Buffered,
     /// Like [`FaultMode::Buffered`], but `sync` and `sync_dir` are silently
     /// dropped too — a lying fsync.  Nothing written through this shim ever
@@ -88,6 +88,9 @@ pub struct FaultIo {
     /// The buffered modes' renames since their directory was last synced,
     /// oldest first.
     renames: Mutex<Vec<PendingRename>>,
+    /// The buffered modes' files created since their directory was last
+    /// synced.
+    created: Mutex<Vec<PathBuf>>,
 }
 
 impl FaultIo {
@@ -99,12 +102,14 @@ impl FaultIo {
             ledger: Arc::default(),
             cache: Mutex::default(),
             renames: Mutex::default(),
+            created: Mutex::default(),
         })
     }
 
     /// A power failure in the buffered modes: every byte not synced is
-    /// lost, so the next open reads what the disk holds, and every rename
-    /// whose directory was not synced since is undone, newest first.  Call
+    /// lost, so the next open reads what the disk holds, every rename whose
+    /// directory was not synced since is undone, newest first, and every
+    /// file created since is removed again.  Call
     /// it with no store open on the shim (the process died with the power).
     pub fn power_fail(&self) {
         lock(&self.cache).clear();
@@ -113,6 +118,9 @@ impl FaultIo {
             if let Some(bytes) = before {
                 std::fs::write(&to, bytes).expect("restore a rename's target");
             }
+        }
+        for path in lock(&self.created).drain(..) {
+            let _ = std::fs::remove_file(path);
         }
     }
 
@@ -338,6 +346,9 @@ impl PageIo for FaultIo {
         // commit ops.  In the buffered modes truncation is deferred to the
         // shadow, so an unflushed truncate is lost like any other write.
         let buffered = self.buffered();
+        if buffered && !self.inner.exists(path) {
+            lock(&self.created).push(path.to_path_buf());
+        }
         let mut real = self.inner.open(path, truncate && !buffered)?;
         let cached = lock(&self.cache).get(path).cloned();
         let shadow = if let Some(shadow) = cached {
@@ -400,6 +411,7 @@ impl PageIo for FaultIo {
             FaultMode::KillAfter(_) if !self.charge_op() => return Ok(()),
             FaultMode::Buffered => {
                 lock(&self.renames).retain(|(_, to, _)| to.parent() != Some(dir));
+                lock(&self.created).retain(|path| path.parent() != Some(dir));
             }
             _ => {}
         }
@@ -513,6 +525,18 @@ mod tests {
         liar.sync_dir(&dir).unwrap();
         liar.power_fail();
         assert!(b.exists() && !a.exists());
+    }
+
+    #[test]
+    fn a_power_failure_removes_the_files_created_in_an_unsynced_directory() {
+        let dir = TempRoot::new("fault-created");
+        let (kept, lost) = (dir.join("kept"), dir.join("lost"));
+        let io = FaultIo::new(FaultMode::Buffered);
+        io.open(&kept, true).unwrap().sync().unwrap();
+        io.sync_dir(&dir).unwrap();
+        io.open(&lost, true).unwrap().sync().unwrap();
+        io.power_fail();
+        assert!(kept.exists() && !lost.exists());
     }
 
     #[test]

@@ -382,7 +382,7 @@ fn dropped_fsyncs_recover_to_the_last_durable_state() {
         liar.insert(MergedListId(*list as u64), el.clone()).unwrap();
     }
     // The checkpoint "succeeds" in memory, but nothing it wrote is durable:
-    // the manifest commit publishes a hollow file over the current slot.
+    // the slot the manifest commit overwrote is left hollow on disk.
     liar.checkpoint().unwrap();
     drop(liar);
 
@@ -442,12 +442,13 @@ fn buffered_power_loss_keeps_every_acknowledged_insert() {
     }
 }
 
-/// A checkpoint truncates the WAL only after its manifest renames are
-/// durable: a power failure takes back every rename whose directory was
-/// not synced (the `Buffered` shim models that), while the truncate it
-/// fsynced stays.  Were the renames not synced first, the store would
-/// reopen on the manifest `create_durable` wrote beside an empty WAL and
-/// lose every acknowledged insert.
+/// A checkpoint truncates the WAL only after its manifest is durable,
+/// directory entry included: this one creates slot 1, and a power failure
+/// takes back every file creation whose directory was not synced (the
+/// `Buffered` shim models that), while the truncate it fsynced stays.
+/// Were the new slot's entry not synced first, the store would reopen on
+/// the manifest `create_durable` wrote beside an empty WAL and lose every
+/// acknowledged insert.
 #[test]
 fn a_power_failure_after_a_checkpoint_keeps_every_acknowledged_insert() {
     let index = fixture_index(NUM_LISTS, true);
@@ -483,6 +484,150 @@ fn a_power_failure_after_a_checkpoint_keeps_every_acknowledged_insert() {
             list_states.last().unwrap(),
             "list {l} lost acknowledged inserts"
         );
+    }
+}
+
+/// `open` on a directory that holds no store fails and creates nothing in
+/// it, so a store can still be created there afterwards.
+#[test]
+fn opening_an_empty_directory_fails_and_leaves_it_empty() {
+    let root = TempRoot::new("open-empty");
+    let dir = root.join("store");
+    fs::create_dir_all(&dir).unwrap();
+    let durable = durable_config(SyncPolicy::Always);
+    assert!(SpillStore::open(&dir, spill_config(), durable).is_err());
+    assert_eq!(fs::read_dir(&dir).unwrap().count(), 0);
+    let index = fixture_index(NUM_LISTS, true);
+    SpillStore::create_durable(index, &dir, NUM_SHARDS, spill_config(), durable).unwrap();
+}
+
+/// Asserts that every list of `store` holds its whole insert history.
+fn assert_every_insert(store: &SpillStore, index: &OrderedIndex, ctx: &str) {
+    for (l, list_states) in oracle_states(index).iter().enumerate() {
+        assert_eq!(
+            &store.snapshot_list(MergedListId(l as u64)).unwrap(),
+            list_states.last().unwrap(),
+            "{ctx}: list {l} lost acknowledged inserts"
+        );
+    }
+}
+
+/// A compaction's page-file rename reaches disk before the manifest that
+/// names the new generation.  Once both manifest slots exist the commit
+/// syncs no directory of its own, so were the compaction not to sync it,
+/// a power failure would take the rename back and leave the newest
+/// manifest naming a page file that is gone, beside a WAL already reset.
+#[test]
+fn a_power_failure_after_a_compaction_keeps_every_acknowledged_insert() {
+    let index = fixture_index(NUM_LISTS, true);
+    let root = TempRoot::new("buffered-compaction");
+    let dir = root.join("store");
+    let durable = durable_config(SyncPolicy::Always);
+    drop(
+        SpillStore::create_durable(index.clone(), &dir, NUM_SHARDS, spill_config(), durable)
+            .unwrap(),
+    );
+
+    let io = FaultIo::new(FaultMode::Buffered);
+    let store = SpillStore::open_with_io(
+        &dir,
+        spill_config(),
+        durable,
+        Arc::clone(&io) as Arc<dyn PageIo>,
+    )
+    .unwrap();
+    // One commit into each slot: both directory entries are synced.
+    store.checkpoint().unwrap();
+    store.checkpoint().unwrap();
+    for (list, el) in insert_history() {
+        store.insert(MergedListId(list as u64), el).unwrap();
+    }
+    for shard in 0..NUM_SHARDS {
+        assert!(store.compact_shard(shard).unwrap());
+    }
+    std::mem::forget(store);
+    io.power_fail();
+
+    let recovered = SpillStore::open(&dir, spill_config(), durable).unwrap();
+    assert_every_insert(&recovered, &index, "after a compaction");
+}
+
+/// A one-shard store with both manifest slots written (`create_durable`'s
+/// checkpoint in slot 0, one more in slot 1) and inserts past them, then
+/// one more checkpoint — the overwrite of slot 0 — under a `KillAfter`
+/// budget.  Returns the budget spent before that checkpoint, and the shim.
+fn checkpoint_under_kill_budget(
+    dir: &Path,
+    index: &OrderedIndex,
+    budget: u64,
+) -> (u64, Arc<FaultIo>) {
+    let io = FaultIo::new(FaultMode::KillAfter(budget));
+    let store = SpillStore::create_durable_with(
+        index.clone(),
+        dir,
+        1,
+        spill_config(),
+        segment_config(),
+        durable_config(SyncPolicy::Always),
+        Arc::clone(&io) as Arc<dyn PageIo>,
+    )
+    .unwrap();
+    let history = insert_history();
+    let (first, second) = history.split_at(history.len() / 2);
+    for (list, el) in first {
+        store
+            .insert(MergedListId(*list as u64), el.clone())
+            .unwrap();
+    }
+    store.checkpoint().unwrap();
+    for (list, el) in second {
+        store
+            .insert(MergedListId(*list as u64), el.clone())
+            .unwrap();
+    }
+    let before = io.spent();
+    let _ = store.checkpoint();
+    drop(store);
+    (before, io)
+}
+
+/// A process death anywhere in a manifest slot's overwrite — before its
+/// first byte, mid-write, before or after the cut to length — loses no
+/// acknowledged insert: the torn slot fails its CRC (or a whole one wins),
+/// and the other slot plus the WAL the commit had not reset yet recover
+/// every insert.
+#[test]
+fn a_torn_manifest_overwrite_recovers_from_the_other_slot_and_the_wal() {
+    let index = fixture_index(NUM_LISTS, true);
+    let root = TempRoot::new("torn-slot");
+    let probe_dir = root.join("probe");
+    let (before, probe) = checkpoint_under_kill_budget(&probe_dir, &index, u64::MAX);
+    // The checkpoint's last write is the manifest: find its boundaries.
+    let manifest_len = fs::metadata(probe_dir.join("shard-000.manifest"))
+        .unwrap()
+        .len();
+    let boundaries = probe.op_boundaries();
+    let end = boundaries
+        .windows(2)
+        .rev()
+        .find(|w| w[0] >= before && w[1] - w[0] == manifest_len)
+        .map(|w| w[1])
+        .expect("the checkpoint overwrote slot 0");
+    let start = end - manifest_len;
+    for cut in [
+        start,
+        start + 1,
+        start + manifest_len / 2,
+        end - 1,
+        end,
+        end + 1,
+    ] {
+        let dir = root.join(format!("cut-{cut}"));
+        let (_, io) = checkpoint_under_kill_budget(&dir, &index, cut);
+        assert!(io.crashed(), "cut {cut} did not kill the checkpoint");
+        let recovered =
+            SpillStore::open(&dir, spill_config(), durable_config(SyncPolicy::Always)).unwrap();
+        assert_every_insert(&recovered, &index, &format!("cut {cut}"));
     }
 }
 

@@ -347,6 +347,58 @@ fn checkpoint_gap_forces_a_resnapshot_instead_of_divergence() {
     assert!(root.join("replica").join("gen-1").exists());
 }
 
+/// A checkpoint overwrites the older of a shard's two manifest slots, so
+/// the newest manifest can sit in `shard-NNN.manifest.prev`.  A snapshot
+/// ships the newest under `shard-NNN.manifest`, whichever slot holds it:
+/// the other slot's WAL is already reset, and a replica bootstrapped from
+/// it would miss every insert the newest checkpoint folded in.
+#[test]
+fn a_snapshot_ships_the_newest_manifest_slot() {
+    let index = fixture_index(true);
+    let states = oracle_states(&index);
+    let root = TempRoot::new("newest-slot");
+    let dir = root.join("primary");
+    let primary = create_primary(&dir, index);
+    let history = insert_history();
+    let (before, after) = history.split_at(history.len() / 2);
+    for (list, el) in before {
+        primary
+            .insert(MergedListId(*list as u64), el.clone())
+            .unwrap();
+    }
+    // `create_durable`'s checkpoint wrote slot 0; this one writes slot 1.
+    primary.checkpoint().unwrap();
+    for (list, el) in after {
+        primary
+            .insert(MergedListId(*list as u64), el.clone())
+            .unwrap();
+    }
+
+    let source = ReplicationSource::new(Arc::clone(&primary)).unwrap();
+    let snapshot = source.snapshot().unwrap();
+    for shard in 0..NUM_SHARDS {
+        let name = format!("shard-{shard:03}.manifest");
+        let shipped = &snapshot
+            .files
+            .iter()
+            .find(|f| f.name == name)
+            .unwrap()
+            .bytes;
+        assert_eq!(
+            shipped,
+            &fs::read(dir.join(format!("{name}.prev"))).unwrap()
+        );
+        assert_ne!(shipped, &fs::read(dir.join(&name)).unwrap());
+    }
+    let replica = Replica::bootstrap(
+        InProcessTransport::new(source) as Arc<dyn ReplicaTransport>,
+        root.join("replica"),
+        replica_config(),
+    )
+    .unwrap();
+    assert_converged(&replica.store(), &states, "post-bootstrap");
+}
+
 /// A snapshot that arrives corrupt is a disconnect like any other: the pump
 /// returns at once, the current generation keeps serving, and the next pump
 /// asks again and installs.
